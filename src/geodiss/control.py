@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,15 +41,28 @@ class ControlEvaluation:
     det_full: float
 
 
+@lru_cache(maxsize=None)
+def _cofactor_minors(k: int) -> tuple:
+    """(sign, flat indices into the (k+1, k+1) Gram matrix) for each conserved index i.
+
+    The minor for i keeps the conserved rows and swaps column i out for the
+    dissipated column k.
+    """
+    out = []
+    for i in range(k):
+        cols = [c for c in range(k) if c != i] + [k]
+        flat = np.array([[r * (k + 1) + c for c in cols] for r in range(k)])
+        flat.setflags(write=False)
+        out.append((-1.0 if (i + k) % 2 else 1.0, flat))
+    return tuple(out)
+
+
 def _cofactor_from_frame(fr: SystemFrame) -> np.ndarray:
     k = fr.k
     det_f = fr.det_conserved()
     v0 = det_f * fr.grads[k]
-    for i in range(k):
-        cols = [c for c in range(k) if c != i] + [k]
-        minor = fr.gram[np.ix_(range(k), cols)]
-        sign = -1.0 if (i + k) % 2 else 1.0
-        v0 = v0 + sign * checked_det(minor) * fr.grads[i]
+    for i, (sign, flat) in enumerate(_cofactor_minors(k)):
+        v0 = v0 + sign * checked_det(fr.gram.take(flat)) * fr.grads[i]
     return v0
 
 
@@ -81,9 +95,12 @@ def tensor_matrix(system: DissipativeSystem, x) -> np.ndarray:
     metric scaled by the full conserved determinant. Symmetry is exact by
     construction (minors are computed once per unordered index pair).
     """
-    fr = system_frame(system, x)
+    return _tensor_from_frame(system_frame(system, x))
+
+
+def _tensor_from_frame(fr: SystemFrame) -> np.ndarray:
     k = fr.k
-    n = system.dim
+    n = fr.x.size
     det_f = fr.det_conserved()
     g_inv = np.linalg.solve(fr.gmat, np.eye(n))
     g_inv = 0.5 * (g_inv + g_inv.T)
@@ -105,8 +122,7 @@ def tensor_matrix(system: DissipativeSystem, x) -> np.ndarray:
 def control_field_tensor(system: DissipativeSystem, x) -> ControlEvaluation:
     """Contract the symmetric tensor with the differential of the dissipated field."""
     fr = system_frame(system, x)
-    t = tensor_matrix(system, x)
-    v0 = t @ fr.diffs[fr.k]
+    v0 = _tensor_from_frame(fr) @ fr.diffs[fr.k]
     return ControlEvaluation(
         v0=v0,
         formulation=Formulation.TENSOR,

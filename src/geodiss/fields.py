@@ -93,14 +93,19 @@ class MetricField:
 
     The raw matrix is symmetrized on evaluation; positive definiteness is
     checked with a Cholesky factorization and violations are errors.
+
+    A metric marked ``is_constant`` (as built by :meth:`euclidean` and
+    :meth:`constant`) is symmetrized and checked once, on first use, and the
+    checked matrix is cached read-only together with its inverse; a callable
+    metric is evaluated and checked at every point.
     """
 
     dim: int
     matrix: Callable[[np.ndarray], np.ndarray]
     label: str = ""
+    is_constant: bool = False
 
-    def at(self, x) -> np.ndarray:
-        p = as_point(x, self.dim)
+    def _checked(self, p: np.ndarray) -> np.ndarray:
         raw = np.asarray(self.matrix(p), dtype=float)
         if raw.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"metric returned shape {raw.shape}")
@@ -113,17 +118,41 @@ class MetricField:
             ) from exc
         return sym
 
+    def constant_pair(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Checked matrix and inverse of a constant metric, computed on first use.
+
+        A failed check is not cached, so every later call raises again.
+        """
+        pair = self.__dict__.get("_constant_pair")
+        if pair is None:
+            sym = self._checked(p)
+            inv = np.linalg.inv(sym)
+            inv = 0.5 * (inv + inv.T)
+            sym.setflags(write=False)
+            inv.setflags(write=False)
+            pair = (sym, inv)
+            # frozen dataclass: a cache, not a field, so eq, repr and
+            # dataclasses.replace ignore it
+            object.__setattr__(self, "_constant_pair", pair)
+        return pair
+
+    def at(self, x) -> np.ndarray:
+        p = as_point(x, self.dim)
+        if self.is_constant:
+            return self.constant_pair(p)[0]
+        return self._checked(p)
+
     @staticmethod
     def euclidean(dim: int) -> "MetricField":
         eye = np.eye(dim)
-        return MetricField(dim, lambda _x: eye, label="euclidean")
+        return MetricField(dim, lambda _x: eye, label="euclidean", is_constant=True)
 
     @staticmethod
     def constant(mat) -> "MetricField":
-        m = np.asarray(mat, dtype=float)
+        m = np.array(mat, dtype=float)  # a copy: later edits of mat change nothing
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"constant metric must be square, got {m.shape}")
-        return MetricField(m.shape[0], lambda _x: m, label="constant")
+        return MetricField(m.shape[0], lambda _x: m, label="constant", is_constant=True)
 
 
 def gradient(f: ScalarField, metric: MetricField, x) -> np.ndarray:

@@ -36,7 +36,7 @@ def _differential_stack(fields_: Sequence[ScalarField], x: np.ndarray) -> np.nda
     rows = np.empty((len(fields_), x.size))
     for i, f in enumerate(fields_):
         rows[i] = f.d(x)
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         raise NonFiniteValue(f"non-finite differential among fields at {x.tolist()}")
     return rows
 
@@ -115,13 +115,11 @@ class SystemFrame:
         return self.gram.shape[0] - 1
 
     def det_conserved(self) -> float:
-        k = self.k
-        block = self.gram[:k, :k]
-        scale = float(np.prod(np.diag(block))) if k else 1.0
-        return checked_det(block, diag_scale=scale)
+        block = self.gram[:self.k, :self.k]
+        return checked_det(block, diag_scale=_diag_product(block))
 
     def det_full(self) -> float:
-        return checked_det(self.gram, diag_scale=float(np.prod(np.diag(self.gram))))
+        return checked_det(self.gram, diag_scale=_diag_product(self.gram))
 
     def grad_g(self) -> np.ndarray:
         return self.grads[self.k]
@@ -131,15 +129,32 @@ class SystemFrame:
 
     def classification_scale(self) -> float:
         """Product of squared gradient norms of all fields; empty product is 1."""
-        return float(np.prod(np.diag(self.gram)))
+        return _diag_product(self.gram)
+
+
+def _diag_product(mat: np.ndarray) -> float:
+    """Product of the diagonal, without a numpy reduction for sizes up to 2."""
+    r = mat.shape[0]
+    if r == 0:
+        return 1.0
+    if r == 1:
+        return float(mat[0, 0])
+    if r == 2:
+        return float(mat[0, 0] * mat[1, 1])
+    return float(np.prod(np.diag(mat)))
 
 
 def system_frame(system: DissipativeSystem, x) -> SystemFrame:
     p = as_point(x, system.dim)
     fields_ = system.all_fields()
     diffs = _differential_stack(fields_, p)
-    gmat = system.metric.at(p)
-    grads = np.linalg.solve(gmat, diffs.T).T
+    metric = system.metric
+    if metric.is_constant:
+        gmat, ginv = metric.constant_pair(p)
+        grads = diffs @ ginv
+    else:
+        gmat = metric.at(p)
+        grads = np.linalg.solve(gmat, diffs.T).T
     gram = diffs @ grads.T
     gram = 0.5 * (gram + gram.T)
     return SystemFrame(x=p, gmat=gmat, diffs=diffs, grads=grads, gram=gram)

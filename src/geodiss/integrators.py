@@ -57,7 +57,7 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B5 = np.append(_DP_A[6], 0.0)  # FSAL: the last stage row, then 0
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_ERR = _DP_B5 - _DP_B4
@@ -185,20 +185,25 @@ class _Recorder:
         self.v0n = []
         self.hs = []
 
-    def add(self, t: float, x: np.ndarray, h: float):
-        fr = _guard_nonfinite(system_frame)(self.system, x)
-        v0 = _cofactor_from_frame(fr)
+    def add(self, t: float, x: np.ndarray, h: float, g: float, fr=None, v0=None):
+        """Record state x with dissipated value g.
+
+        ``fr`` and ``v0`` are the frame and control field at x when the
+        caller already has them; otherwise they are computed here.
+        """
+        if fr is None:
+            fr = _guard_nonfinite(system_frame)(self.system, x)
+            v0 = _cofactor_from_frame(fr)
         self.times.append(t)
         self.states.append(x.copy())
         self.f_vals.append([f(x) for f in self.system.conserved])
-        self.g_vals.append(self.system.dissipated(x))
+        self.g_vals.append(g)
         self.dets.append(fr.det_full())
         self.v0n.append(float(np.sqrt(max(v0 @ fr.gmat @ v0, 0.0))))
         self.hs.append(h)
 
 
-def _rk4_step(rhs, x, h):
-    k1 = rhs(x)
+def _rk4_step(rhs, x, h, k1):
     k2 = rhs(x + 0.5 * h * k1)
     k3 = rhs(x + 0.5 * h * k2)
     k4 = rhs(x + h * k3)
@@ -227,19 +232,30 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
     the states there (used for flow comparison and limit-set probes).
     ``bound`` aborts with :class:`UnboundedTrajectory` when the state norm
     exceeds it.
+
+    Records reuse the frame of the last right-hand-side evaluation at the
+    recorded state: for Dormand-Prince the seventh stage, which is evaluated
+    at the new state (FSAL), and otherwise the evaluation that seeds the
+    next step. Only records of the unperturbed flow build a frame of their
+    own.
     """
     x = as_point(x0, system.dim)
     if config.t_end <= 0:
         raise ValueError("t_end must be positive")
 
     if flow is Flow.PERTURBED:
-        def rhs(p):
+        def evaluate(p):
+            """Right-hand side at p, with the frame and control field behind it."""
             fr = system_frame(system, p)
-            return system.X(p) - _cofactor_from_frame(fr)
+            v0 = _cofactor_from_frame(fr)
+            return system.X(p) - v0, fr, v0
     else:
-        def rhs(p):
-            return system.X(p)
-    rhs = _guard_nonfinite(rhs)
+        def evaluate(p):
+            return system.X(p), None, None
+    evaluate = _guard_nonfinite(evaluate)
+
+    def rhs(p):
+        return evaluate(p)[0]
 
     cps = None
     cp_states = None
@@ -265,10 +281,10 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
     n_acc = 0
     n_rej = 0
     adaptive = config.method is Method.RK45_ADAPTIVE
-    k_first = rhs(x)  # FSAL seed
+    k_first, fr_x, v0_x = evaluate(x)  # FSAL seed
     g_prev = g_field(x)
 
-    rec.add(0.0, x, 0.0)
+    rec.add(0.0, x, 0.0, g_prev, fr_x, v0_x)
     if next_cp is not None and cps[next_cp] == 0.0:
         cp_states[next_cp] = x
         next_cp = next_cp + 1 if next_cp + 1 < cps.size else None
@@ -295,8 +311,10 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
             stages[0] = k_first
             for s in range(1, 7):
                 xs = x + h_try * (_DP_A[s] @ stages[:s])
-                stages[s] = rhs(xs)
-            x_new = x + h_try * (_DP_B5 @ stages)
+                stages[s], fr_new, v0_new = evaluate(xs)
+            # B5 is A[6] with a trailing zero: the last stage point is the
+            # new state, so stage 7 is the right-hand side there (FSAL)
+            x_new = xs
             err_vec = h_try * (_DP_ERR @ stages)
             scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
             err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
@@ -317,9 +335,9 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
             else:
                 h_ctrl = max(h_ctrl, h_try * fac)
             fac_old = max(err, 1e-4)
-            k_next_first = stages[6]  # FSAL: rhs at (t+h, x_new)
+            k_next_first = stages[6]
         else:
-            x_new = _rk4_step(rhs, x, h_try)
+            x_new = _rk4_step(rhs, x, h_try, k_first)
             k_next_first = None
 
         if not np.all(np.isfinite(x_new)):
@@ -353,9 +371,9 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
         x = x_new
         g_prev = g_new
         if k_next_first is not None:
-            k_first = k_next_first
+            k_first, fr_x, v0_x = k_next_first, fr_new, v0_new
         else:
-            k_first = rhs(x)
+            k_first, fr_x, v0_x = evaluate(x)
         n_acc += 1
         steps_since_record += 1
 
@@ -365,7 +383,7 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
             next_cp = next_cp + 1 if next_cp + 1 < cps.size else None
         final = t >= config.t_end - 1e-14 * config.t_end
         if steps_since_record >= config.record_every or final:
-            rec.add(t, x, h_try)
+            rec.add(t, x, h_try, g_new, fr_x, v0_x)
             steps_since_record = 0
 
     return Trajectory(

@@ -128,6 +128,43 @@ def test_metric_positivity_is_enforced():
     metric = MetricField.constant(np.diag([1.0, -1.0]))
     with pytest.raises(NonPositiveDefiniteMetric):
         metric.at(np.zeros(2))
+    # a failed check is not cached: the next use raises too
+    with pytest.raises(NonPositiveDefiniteMetric):
+        metric.at(np.ones(2))
+
+
+def test_constant_metric_snapshots_its_matrix():
+    src = np.diag([2.0, 1.0])
+    metric = MetricField.constant(src)
+    src[0, 0] = -5.0
+    got = metric.at(np.zeros(2))
+    src[1, 1] = -7.0
+    assert np.array_equal(got, np.diag([2.0, 1.0]))
+    assert np.array_equal(metric.at(np.ones(2)), np.diag([2.0, 1.0]))
+    with pytest.raises(ValueError):
+        got[0, 0] = 3.0  # the cached matrix is read-only
+
+
+def test_constant_metric_is_checked_once_and_survives_replace():
+    import dataclasses
+
+    calls = []
+    base = MetricField.constant(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    counted = dataclasses.replace(
+        base, matrix=lambda p: calls.append(1) or base.matrix(p))
+    assert counted.is_constant and MetricField.euclidean(3).is_constant
+    for x in ([0.0, 0.0], [1.0, -2.0], [3.0, 0.5]):
+        assert np.array_equal(counted.at(x), base.at(x))
+    assert len(calls) == 1
+    gmat, ginv = counted.constant_pair(np.zeros(2))
+    assert np.allclose(gmat @ ginv, np.eye(2), atol=1e-15)
+    # a callable metric is evaluated at every point
+    calls.clear()
+    varying = MetricField(2, lambda p: calls.append(1) or np.diag(1.0 + p * p))
+    assert not varying.is_constant
+    for x in ([0.0, 0.0], [1.0, -2.0]):
+        assert np.array_equal(varying.at(x), np.diag(1.0 + np.square(x)))
+    assert len(calls) == 2
 
 
 def test_system_rejects_too_many_conserved_quantities():

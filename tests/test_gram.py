@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from geodiss.errors import NumericalHealthWarning
+from geodiss.catalog import gradient_only, mexican_hat, rigid_body
+from geodiss.errors import NonPositiveDefiniteMetric, NumericalHealthWarning
 from geodiss.fields import (
     DissipativeSystem,
     MetricField,
@@ -161,3 +162,47 @@ def test_frame_scale_is_diagonal_product():
         fr = system_frame(system, x)
         assert fr.classification_scale() == pytest.approx(
             float(np.prod(np.diag(fr.gram))), rel=1e-14)
+
+
+def _reference_frame(system, x):
+    """Per-point reference: solve against the metric checked at x."""
+    diffs = np.array([f.d(x) for f in system.all_fields()])
+    grads = np.linalg.solve(system.metric.at(x), diffs.T).T
+    gram = diffs @ grads.T
+    return grads, 0.5 * (gram + gram.T)
+
+
+def test_constant_metric_frame_matches_the_per_point_solve():
+    # random_poly systems carry random SPD constant metrics
+    for i in range(30):
+        system, x = seeded_pair(i)
+        assert system.metric.is_constant
+        fr = system_frame(system, x)
+        grads, gram = _reference_frame(system, x)
+        assert np.max(np.abs(fr.grads - grads)) <= 1e-12 * (1.0 + np.max(np.abs(grads)))
+        assert np.max(np.abs(fr.gram - gram)) <= 1e-12 * (1.0 + np.max(np.abs(gram)))
+        scale = max(fr.classification_scale(), 1e-300)
+        k = system.k
+        ref_full = checked_det(gram, diag_scale=float(np.prod(np.diag(gram))))
+        ref_cons = checked_det(gram[:k, :k])
+        assert abs(fr.det_full() - ref_full) <= 1e-12 * scale, i
+        assert abs(fr.det_conserved() - ref_cons) <= 1e-12 * scale, i
+
+
+def test_euclidean_frame_is_exact_on_catalog_systems():
+    rng = np.random.default_rng(21)
+    for entry in (rigid_body(), mexican_hat(), gradient_only("quadratic")):
+        system = entry.system
+        for x in rng.uniform(-1.5, 1.5, size=(5, system.dim)):
+            fr = system_frame(system, x)
+            grads, gram = _reference_frame(system, x)
+            assert np.array_equal(fr.grads, grads)
+            assert np.array_equal(fr.gram, gram)
+
+
+def test_non_spd_constant_metric_raises_from_the_frame():
+    system = _linear_system(MetricField.constant(np.diag([1.0, -1.0])),
+                            [[1.0, 0.0]], [0.0, 1.0])
+    for _ in range(2):
+        with pytest.raises(NonPositiveDefiniteMetric):
+            system_frame(system, np.zeros(2))

@@ -17,6 +17,8 @@ from geodiss.fields import (
     ScalarField,
     VectorField,
 )
+import geodiss.integrators
+from geodiss.control import control_field_cofactor
 from geodiss.integrators import (
     Flow,
     IntegratorConfig,
@@ -215,3 +217,55 @@ def test_trajectory_bookkeeping(mexhat):
     assert tr.states.shape == (tr.times.size, 3)
     assert tr.conserved_values.shape == (tr.times.size, 1)
     assert tr.flow is Flow.PERTURBED
+
+
+def _counted_frames(monkeypatch):
+    calls = []
+    real = geodiss.integrators.system_frame
+
+    def counted(system, x):
+        calls.append(1)
+        return real(system, x)
+
+    monkeypatch.setattr(geodiss.integrators, "system_frame", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method, reproject, flow", [
+    (Method.RK45_ADAPTIVE, False, Flow.PERTURBED),
+    (Method.RK45_ADAPTIVE, True, Flow.PERTURBED),
+    (Method.RK4_FIXED, False, Flow.PERTURBED),
+    (Method.RK45_ADAPTIVE, False, Flow.UNPERTURBED),
+])
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_frame_count_and_recorded_diagnostics(rigid, monkeypatch, method,
+                                              reproject, flow, record_every):
+    system = rigid.system
+    cfg = IntegratorConfig(method=method, h0=0.5 if method is Method.RK45_ADAPTIVE else 0.05,
+                           t_end=3.0, record_every=record_every,
+                           leaf_reprojection=reproject)
+    calls = _counted_frames(monkeypatch)
+    tr = integrate(system, np.array([0.6, 0.48, 0.64]), cfg, flow=flow)
+    acc, rej = tr.n_accepted, tr.n_rejected
+    # one frame per corrected-flow evaluation and per rate midpoint; records
+    # reuse the frame of the evaluation at their state, which exists for
+    # every step of the corrected flow
+    if flow is Flow.UNPERTURBED:
+        expected = tr.times.size
+    elif method is Method.RK4_FIXED:
+        expected = 1 + 3 * acc + acc + acc   # stages 2-4, midpoint, next seed
+    elif reproject:
+        expected = 1 + 6 * (acc + rej) + acc + acc  # ... and the seed after projection
+    else:
+        expected = 1 + 6 * (acc + rej) + acc  # stage 7 seeds the next step (FSAL)
+    assert len(calls) == expected
+    if method is Method.RK45_ADAPTIVE and not reproject:
+        assert rej > 0
+    monkeypatch.undo()
+    for j, x in enumerate(tr.states):
+        fresh = control_field_cofactor(system, x)
+        gmat = system.metric.at(x)
+        assert tr.det_full[j] == fresh.det_full
+        assert tr.control_norm[j] == float(np.sqrt(max(fresh.v0 @ gmat @ fresh.v0, 0.0)))
+        assert tr.dissipated_values[j] == system.dissipated(x)
+        assert np.array_equal(tr.conserved_values[j], system.leaf_value(x))
