@@ -18,6 +18,7 @@ witness was missed between samples.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,118 +81,202 @@ def _auto_halfwidth(anchor: np.ndarray) -> float:
     return max(1.0, 2.0 * float(np.linalg.norm(anchor)) + 0.5)
 
 
-def _grid_component(system: DissipativeSystem, anchor: np.ndarray, level: float,
-                    leaf_value: np.ndarray, cfg: SamplerConfig) -> SublevelComponent:
-    n = system.dim
-    hw = cfg.halfwidth if cfg.halfwidth is not None else _auto_halfwidth(anchor)
-    n_cells = cfg.cells_per_axis
-    cell = 2.0 * hw / n_cells
-    diag = cell * np.sqrt(n)
-    lo = anchor - hw
-    axes = [lo[i] + (np.arange(n_cells) + 0.5) * cell for i in range(n)]
+def _face_flood(inside: np.ndarray, start: int, n_cells: int, n: int) -> np.ndarray:
+    """Cells (flat C-order indices) face-connected to ``start`` through ``inside``.
 
-    conserved = system.conserved
-    members: dict[tuple, np.ndarray] = {}
-    for idx in np.ndindex(*([n_cells] * n)):
-        center = np.array([axes[i][idx[i]] for i in range(n)])
-        ok = True
-        for f, target in zip(conserved, leaf_value):
-            gap = abs(f(center) - target)
-            if gap > 1.5 * diag * float(np.linalg.norm(f.d(center))) + 1e-12:
-                ok = False
-                break
-        if not ok:
-            continue
-        if system.k > 0:
-            try:
-                y = project_to_leaf(system, center, leaf_value,
-                                    tol=1e-10, max_iter=20)
-            except LeafProjectionFailure:
-                continue
-            if float(np.linalg.norm(y - center)) > diag:
-                continue
-        else:
-            y = center
-        if system.dissipated(y) < level:
-            members[idx] = y
-
-    anchor_idx = tuple(
-        int(np.clip(np.floor((anchor[i] - lo[i]) / cell), 0, n_cells - 1))
-        for i in range(n)
-    )
-    members.setdefault(anchor_idx, anchor.copy())
-
-    # flood fill over face neighbors
-    seen = {anchor_idx}
-    queue = [anchor_idx]
-    touches = False
-    while queue:
-        cur = queue.pop()
-        if any(c == 0 or c == n_cells - 1 for c in cur):
-            touches = True
+    Breadth-first over whole frontiers; the returned indices are sorted, which
+    is the lexicographic order of the cells' index tuples.
+    """
+    strides = [n_cells ** (n - 1 - axis) for axis in range(n)]
+    seen = np.zeros(inside.size, dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        coords = np.unravel_index(frontier, (n_cells,) * n)
+        steps = []
         for axis in range(n):
-            for d in (-1, 1):
-                nxt = list(cur)
-                nxt[axis] += d
-                if not (0 <= nxt[axis] < n_cells):
-                    continue
-                nxt = tuple(nxt)
-                if nxt in members and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-
-    pts = np.array([members[i] for i in sorted(seen)])
-    return SublevelComponent(anchor=anchor, level=level, leaf_value=leaf_value,
-                             members=pts, spacing=float(diag),
-                             touches_boundary=touches, method="grid")
+            steps.append(frontier[coords[axis] > 0] - strides[axis])
+            steps.append(frontier[coords[axis] < n_cells - 1] + strides[axis])
+        nxt = np.concatenate(steps)
+        nxt = np.sort(nxt[inside[nxt] & ~seen[nxt]])
+        # deduplicated by hand: np.unique imports numpy.ma, about 1 MB
+        first = np.ones(nxt.size, dtype=bool)
+        first[1:] = nxt[1:] != nxt[:-1]
+        frontier = nxt[first]
+        seen[frontier] = True
+    return np.flatnonzero(seen)
 
 
-def _sampled_component(system: DissipativeSystem, anchor: np.ndarray, level: float,
-                       leaf_value: np.ndarray, cfg: SamplerConfig) -> SublevelComponent:
-    hw = cfg.halfwidth if cfg.halfwidth is not None else _auto_halfwidth(anchor)
-    rng = np.random.default_rng(cfg.seed)
-    raw = anchor + rng.uniform(-hw, hw, size=(cfg.n_samples, system.dim))
-    kept = [anchor.copy()]
-    for p in raw:
-        if system.k > 0:
-            try:
-                y = project_to_leaf(system, p, leaf_value, tol=1e-10, max_iter=20)
-            except LeafProjectionFailure:
-                continue
+class _LeafTable:
+    """The level-independent half of a sublevel component.
+
+    Row 0 holds the anchor. On the grid path the other rows are the cell
+    centres that pass the leaf-gap test and project onto the anchor's leaf
+    within one cell diagonal, in C order of the cells; on the sampled path
+    they are the seed-drawn samples whose projection stays in the box, in
+    draw order. ``g`` holds the dissipated value of every row but the
+    anchor's.
+
+    ``select(level)`` makes the component at any level from the table alone.
+    A row's witness score and its refinements are cached, so a search over
+    levels projects, scores and refines each point once.
+    """
+
+    def __init__(self, system: DissipativeSystem, anchor: np.ndarray,
+                 leaf_value: np.ndarray, cfg: SamplerConfig):
+        self.system = system
+        self.anchor = anchor
+        self.leaf_value = leaf_value
+        self.cfg = cfg
+        self.hw = cfg.halfwidth if cfg.halfwidth is not None else _auto_halfwidth(anchor)
+        if system.dim <= GRID_DIM_LIMIT:
+            self.method = "grid"
+            found, cells = self._grid_points()
+            self.cells = np.array(cells, dtype=np.intp)
+            self.slot = np.full(cfg.cells_per_axis ** system.dim, -1)
+            self.slot[self.cells] = np.arange(1, len(found) + 1)
         else:
-            y = p
-        if float(np.max(np.abs(y - anchor))) > hw:
-            continue
-        if system.dissipated(y) < level:
-            kept.append(y)
-    pts = np.array(kept)
+            self.method = "sampled"
+            found = self._sampled_points()
+        self.points = np.array([anchor] + found)
+        # the anchor always joins, so its value is never compared
+        self.g = np.array([np.nan] + [system.dissipated(y) for y in found])
+        self._ratios = np.full(len(self.points), np.nan)
+        self._gnorms = np.full(len(self.points), np.nan)
+        self._refined: dict[tuple[int, float], np.ndarray | None] = {}
 
-    m = len(pts)
-    k_nn = min(cfg.neighbor_count, m - 1)
-    if k_nn <= 0:
-        return SublevelComponent(anchor=anchor, level=level, leaf_value=leaf_value,
-                                 members=pts, spacing=hw, touches_boundary=False,
-                                 method="sampled")
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1)[:, :k_nn]
-    neigh = [set(row.tolist()) for row in order]
-    spacing = float(np.median([dist[i, order[i, -1]] for i in range(m)]))
+    def _grid_points(self) -> tuple[list, list[int]]:
+        system, anchor, cfg = self.system, self.anchor, self.cfg
+        n = system.dim
+        n_cells = cfg.cells_per_axis
+        cell = 2.0 * self.hw / n_cells
+        diag = cell * np.sqrt(n)
+        lo = anchor - self.hw
+        axes = [lo[i] + (np.arange(n_cells) + 0.5) * cell for i in range(n)]
+        self.diag = float(diag)
+        self.anchor_cell = int(np.ravel_multi_index(tuple(
+            int(np.clip(np.floor((anchor[i] - lo[i]) / cell), 0, n_cells - 1))
+            for i in range(n)), (n_cells,) * n))
 
-    seen = {0}
-    queue = [0]
-    while queue:
-        cur = queue.pop()
-        for j in neigh[cur]:
-            if cur in neigh[j] and j not in seen:   # mutual edge only
-                seen.add(j)
-                queue.append(j)
-    comp = pts[sorted(seen)]
-    touches = bool(np.any(np.max(np.abs(comp - anchor), axis=1)
-                          > hw - 2.0 * spacing))
-    return SublevelComponent(anchor=anchor, level=level, leaf_value=leaf_value,
-                             members=comp, spacing=spacing,
-                             touches_boundary=touches, method="sampled")
+        conserved = system.conserved
+        found, cells = [], []
+        for flat, idx in enumerate(np.ndindex(*([n_cells] * n))):
+            center = np.array([axes[i][idx[i]] for i in range(n)])
+            ok = True
+            for f, target in zip(conserved, self.leaf_value):
+                gap = abs(f(center) - target)
+                if gap > 1.5 * diag * float(np.linalg.norm(f.d(center))) + 1e-12:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if system.k > 0:
+                try:
+                    y = project_to_leaf(system, center, self.leaf_value,
+                                        tol=1e-10, max_iter=20)
+                except LeafProjectionFailure:
+                    continue
+                if float(np.linalg.norm(y - center)) > diag:
+                    continue
+            else:
+                y = center
+            found.append(y)
+            cells.append(flat)
+        return found, cells
+
+    def _sampled_points(self) -> list:
+        system, anchor, hw = self.system, self.anchor, self.hw
+        rng = np.random.default_rng(self.cfg.seed)
+        raw = anchor + rng.uniform(-hw, hw, size=(self.cfg.n_samples, system.dim))
+        found = []
+        for p in raw:
+            if system.k > 0:
+                try:
+                    y = project_to_leaf(system, p, self.leaf_value,
+                                        tol=1e-10, max_iter=20)
+                except LeafProjectionFailure:
+                    continue
+            else:
+                y = p
+            if float(np.max(np.abs(y - anchor))) > hw:
+                continue
+            found.append(y)
+        return found
+
+    def select(self, level: float) -> tuple[SublevelComponent, np.ndarray]:
+        """The component at ``level`` and the table row of each of its members."""
+        if self.method == "grid":
+            rows, spacing, touches = self._grid_select(level)
+        else:
+            rows, spacing, touches = self._sampled_select(level)
+        return SublevelComponent(anchor=self.anchor, level=level,
+                                 leaf_value=self.leaf_value,
+                                 members=self.points[rows], spacing=spacing,
+                                 touches_boundary=touches,
+                                 method=self.method), rows
+
+    def _grid_select(self, level: float):
+        n_cells, n = self.cfg.cells_per_axis, self.system.dim
+        inside = np.zeros(self.slot.size, dtype=bool)
+        inside[self.cells] = self.g[1:] < level
+        # the anchor's cell always joins, holding its leaf point when that is
+        # below the level and the anchor itself otherwise
+        a = self.anchor_cell
+        anchor_row = self.slot[a] if inside[a] else 0
+        inside[a] = True
+        comp = _face_flood(inside, a, n_cells, n)
+        coords = np.unravel_index(comp, (n_cells,) * n)
+        touches = any(bool(np.any((c == 0) | (c == n_cells - 1))) for c in coords)
+        rows = self.slot[comp]
+        rows[comp == a] = anchor_row
+        return rows, self.diag, touches
+
+    def _sampled_select(self, level: float):
+        cand = np.concatenate([[0], 1 + np.flatnonzero(self.g[1:] < level)])
+        pts = self.points[cand]
+        m = len(pts)
+        k_nn = min(self.cfg.neighbor_count, m - 1)
+        if k_nn <= 0:
+            return cand, self.hw, False
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        np.fill_diagonal(dist, np.inf)
+        order = np.argsort(dist, axis=1)[:, :k_nn]
+        neigh = [set(row.tolist()) for row in order]
+        spacing = float(np.median([dist[i, order[i, -1]] for i in range(m)]))
+
+        seen = {0}
+        queue = [0]
+        while queue:
+            cur = queue.pop()
+            for j in neigh[cur]:
+                if cur in neigh[j] and j not in seen:   # mutual edge only
+                    seen.add(j)
+                    queue.append(j)
+        rows = cand[sorted(seen)]
+        touches = bool(np.any(np.max(np.abs(self.points[rows] - self.anchor), axis=1)
+                              > self.hw - 2.0 * spacing))
+        return rows, spacing, touches
+
+    def witnesses(self, component: SublevelComponent, rows: np.ndarray,
+                  max_refine: int, susp_ratio: float, susp_g: float) -> np.ndarray:
+        """``scan_invariant_witnesses`` on a selected component, from the caches."""
+        todo = rows[np.isnan(self._ratios[rows])]
+        if todo.size:
+            self._ratios[todo], self._gnorms[todo] = _frame_scores(
+                self.system, self.points[todo])
+        trust = 2.0 * component.spacing
+
+        def refine(i):
+            key = (int(rows[i]), trust)
+            if key not in self._refined:
+                self._refined[key] = refine_to_invariant_set(
+                    self.system, self.points[rows[i]], self.leaf_value,
+                    trust_radius=trust, tol_inv=1e-12, tol_g=1e-8)
+            return self._refined[key]
+
+        return _verified_witnesses(self.system, component, self._ratios[rows],
+                                   self._gnorms[rows], refine, max_refine,
+                                   susp_ratio, susp_g)
 
 
 def sublevel_component(system: DissipativeSystem, anchor, level: float,
@@ -204,11 +289,63 @@ def sublevel_component(system: DissipativeSystem, anchor, level: float,
         raise AnchorOutsideLevel(
             f"dissipated value {system.dissipated(anchor):.6g} at the anchor "
             f"exceeds the level {level:.6g}")
-    cfg = sampler or SamplerConfig()
-    leaf_value = system.leaf_value(anchor)
-    if system.dim <= GRID_DIM_LIMIT:
-        return _grid_component(system, anchor, level, leaf_value, cfg)
-    return _sampled_component(system, anchor, level, leaf_value, cfg)
+    table = _LeafTable(system, anchor, system.leaf_value(anchor),
+                       sampler or SamplerConfig())
+    return table.select(level)[0]
+
+
+def _frame_scores(system: DissipativeSystem, pts: np.ndarray):
+    """Scale-free determinant ratio and dissipated-gradient norm at each point."""
+    ratios = np.empty(len(pts))
+    gnorms = np.empty(len(pts))
+    for i, p in enumerate(pts):
+        fr = system_frame(system, p)
+        scale = fr.classification_scale()
+        ratios[i] = fr.det_full() / scale if scale > 0 else 0.0
+        gnorms[i] = fr.grad_g_norm()
+    return ratios, gnorms
+
+
+def _verified_witnesses(system, component, ratios, gnorms, refine, max_refine,
+                        susp_ratio, susp_g) -> np.ndarray:
+    """The witness scan after scoring: rank, thin, refine (``refine(i)`` for
+    member i) and keep the refined points that contradict or support."""
+    pts = component.members
+    score = np.minimum(ratios / susp_ratio, gnorms / susp_g)
+    candidates = np.where(score <= 1.0)[0]
+    candidates = candidates[np.argsort(score[candidates])]
+    # spatial thinning before the refinement cap: a purely score-ordered cut
+    # concentrates on grid-lucky spots and can starve whole stretches of an
+    # extended degeneracy locus of any refinement attempt
+    chosen: list[int] = []
+    min_gap = 0.4 * component.spacing
+    for i in candidates:
+        if len(chosen) >= max_refine:
+            break
+        if chosen:
+            gaps = np.linalg.norm(pts[chosen] - pts[i], axis=1)
+            if float(np.min(gaps)) < min_gap:
+                continue
+        chosen.append(int(i))
+
+    witnesses: list[np.ndarray] = []
+    for i in chosen:
+        y = refine(i)
+        if y is None:
+            continue
+        if not system.dissipated(y) < component.level:
+            # the anchor is admitted into the component at equality, so the
+            # degenerate level still gets its supporting witness at the
+            # target; away from the anchor the strict inequality stands
+            if float(np.linalg.norm(y - component.anchor)) > 0.25 * component.spacing:
+                continue
+        if any(np.linalg.norm(y - w) < 0.25 * component.spacing
+               for w in witnesses):
+            continue
+        witnesses.append(y)
+    if not witnesses:
+        return np.zeros((0, system.dim))
+    return np.array(witnesses)
 
 
 def scan_invariant_witnesses(system: DissipativeSystem,
@@ -229,53 +366,15 @@ def scan_invariant_witnesses(system: DissipativeSystem,
     the target, supports) the certificate.
     """
     pts = component.members
-    if pts.size == 0:
-        return np.zeros((0, system.dim))
-    ratios = np.empty(len(pts))
-    gnorms = np.empty(len(pts))
-    for i, p in enumerate(pts):
-        fr = system_frame(system, p)
-        scale = fr.classification_scale()
-        ratios[i] = fr.det_full() / scale if scale > 0 else 0.0
-        gnorms[i] = fr.grad_g_norm()
-    score = np.minimum(ratios / susp_ratio, gnorms / susp_g)
-    candidates = np.where(score <= 1.0)[0]
-    candidates = candidates[np.argsort(score[candidates])]
-    # spatial thinning before the refinement cap: a purely score-ordered cut
-    # concentrates on grid-lucky spots and can starve whole stretches of an
-    # extended degeneracy locus of any refinement attempt
-    chosen: list[int] = []
-    min_gap = 0.4 * component.spacing
-    for i in candidates:
-        if len(chosen) >= max_refine:
-            break
-        if chosen:
-            gaps = np.linalg.norm(pts[chosen] - pts[i], axis=1)
-            if float(np.min(gaps)) < min_gap:
-                continue
-        chosen.append(int(i))
-    candidates = chosen
+    ratios, gnorms = _frame_scores(system, pts)
 
-    witnesses: list[np.ndarray] = []
-    for i in candidates:
-        y = refine_to_invariant_set(system, pts[i], component.leaf_value,
-                                    trust_radius=2.0 * component.spacing,
-                                    tol_inv=1e-12, tol_g=1e-8)
-        if y is None:
-            continue
-        if not system.dissipated(y) < component.level:
-            # the anchor is admitted into the component at equality, so the
-            # degenerate level still gets its supporting witness at the
-            # target; away from the anchor the strict inequality stands
-            if float(np.linalg.norm(y - component.anchor)) > 0.25 * component.spacing:
-                continue
-        if any(np.linalg.norm(y - w) < 0.25 * component.spacing
-               for w in witnesses):
-            continue
-        witnesses.append(y)
-    if not witnesses:
-        return np.zeros((0, system.dim))
-    return np.array(witnesses)
+    def refine(i):
+        return refine_to_invariant_set(system, pts[i], component.leaf_value,
+                                       trust_radius=2.0 * component.spacing,
+                                       tol_inv=1e-12, tol_g=1e-8)
+
+    return _verified_witnesses(system, component, ratios, gnorms, refine,
+                               max_refine, susp_ratio, susp_g)
 
 
 def _control_norm(system: DissipativeSystem, x: np.ndarray) -> float:
@@ -301,16 +400,34 @@ _INTEGRATION_FAILURES = (StepUnderflow, MaxStepsExceeded, NonFiniteState,
                          UnboundedTrajectory)
 
 
-def _run_trajectories(system, starts, distance_fn, horizon, converge_tol,
-                      integrator, bound):
-    """Integrate each start; return (converged, failures, max recorded G).
+@dataclass(frozen=True)
+class _EnsembleEvidence:
+    starts: np.ndarray
+    horizon: float
+    converged: int
+    failures: list
+    g_max: float
+    reasons: list
+
+
+def _ensemble_evidence(system, members, level, distance_fn, bound, target, *,
+                       n_trajectories, traj_seed, horizon, converge_tol,
+                       integrator) -> _EnsembleEvidence:
+    """Integrate a seeded draw of the members toward the target.
 
     The max of the dissipated value over every recorded state is forward
     invariance evidence: a certified component must never be exited upward,
-    so the caller compares it against the level plus the integrator band.
+    so it is compared against the level plus the integrator band.
     """
+    rng = np.random.default_rng(traj_seed)
+    if len(members) > n_trajectories:
+        starts = members[rng.choice(len(members), n_trajectories, replace=False)]
+    else:
+        starts = members
+    t_end = horizon if horizon is not None else _auto_horizon(system, starts, distance_fn)
+
     base = integrator or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    cfg = replace(base, t_end=horizon)
+    cfg = replace(base, t_end=t_end)
     converged = 0
     failures = []
     g_max = -np.inf
@@ -329,7 +446,55 @@ def _run_trajectories(system, starts, distance_fn, horizon, converge_tol,
             failures.append({"start": x0.tolist(),
                              "final": tr.final_state.tolist(),
                              "finalDistance": d, "error": None})
-    return converged, failures, g_max
+
+    reasons = []
+    if converged < len(starts):
+        reasons.append(f"trajectories failed to converge to the {target}")
+    if g_max > level + 10.0 * base.local_tol(abs(level)):
+        reasons.append("a trajectory exited the sublevel set upward")
+    return _EnsembleEvidence(starts=starts, horizon=t_end, converged=converged,
+                             failures=failures, g_max=float(g_max), reasons=reasons)
+
+
+def _trajectory_bound(reach: float, anchor: np.ndarray,
+                      sampler: SamplerConfig | None) -> float:
+    return reach + 10.0 * (
+        (sampler.halfwidth if sampler and sampler.halfwidth else _auto_halfwidth(anchor)))
+
+
+def _require_stable(system: DissipativeSystem, x_e: np.ndarray,
+                    stability: Stability | None) -> Stability:
+    verdict = stability if stability is not None else stability_classify(system, x_e)
+    if verdict is not Stability.ASYMPTOTICALLY_STABLE:
+        raise NotAsymptoticallyStable(
+            f"stability verdict is {verdict.value}; a basin certificate "
+            "requires an asymptotically stable target")
+    return verdict
+
+
+def _target_geometry(component: SublevelComponent, witnesses: np.ndarray,
+                     x_e: np.ndarray, target_radius: float):
+    """Far witnesses and the geometric failure reasons of an equilibrium certificate."""
+    if witnesses.size:
+        dists = np.linalg.norm(witnesses - x_e, axis=1)
+        far = witnesses[dists > target_radius]
+    else:
+        far = np.zeros((0, x_e.size))
+    reasons = []
+    if component.touches_boundary:
+        reasons.append("component reaches the sampling box boundary, "
+                       "containment unverified")
+    if witnesses.size == 0:
+        reasons.append("degeneracy-set scan found no witness at the target")
+    if far.size:
+        reasons.append("degeneracy-set witnesses found away from the target")
+    return far, reasons
+
+
+def _distance_from(x_e: np.ndarray):
+    def dist(p):
+        return float(np.linalg.norm(p - x_e))
+    return dist
 
 
 @dataclass(frozen=True)
@@ -407,69 +572,36 @@ def basin_certify(system: DissipativeSystem, equilibrium, level: float,
     dissipated value.
     """
     x_e = as_point(equilibrium, system.dim)
-    verdict = stability if stability is not None else stability_classify(system, x_e)
-    if verdict is not Stability.ASYMPTOTICALLY_STABLE:
-        raise NotAsymptoticallyStable(
-            f"stability verdict is {verdict.value}; a basin certificate "
-            "requires an asymptotically stable target")
-
+    verdict = _require_stable(system, x_e, stability)
     component = sublevel_component(system, x_e, level, sampler)
     witnesses = scan_invariant_witnesses(system, component, max_refine=max_refine,
                                          susp_ratio=susp_ratio, susp_g=susp_g)
-    if witnesses.size:
-        dists = np.linalg.norm(witnesses - x_e, axis=1)
-        far = witnesses[dists > target_radius]
-    else:
-        far = np.zeros((0, system.dim))
-
-    reasons = []
-    if component.touches_boundary:
-        reasons.append("component reaches the sampling box boundary, "
-                       "containment unverified")
-    if witnesses.size == 0:
-        reasons.append("degeneracy-set scan found no witness at the target")
-    if far.size:
-        reasons.append("degeneracy-set witnesses found away from the target")
-
-    rng = np.random.default_rng(traj_seed)
-    members = component.members
-    if len(members) > n_trajectories:
-        starts = members[rng.choice(len(members), n_trajectories, replace=False)]
-    else:
-        starts = members
-
-    def dist(p):
-        return float(np.linalg.norm(p - x_e))
-
-    t_end = horizon if horizon is not None else _auto_horizon(system, starts, dist)
-    bound = float(np.linalg.norm(x_e)) + 10.0 * (
-        (sampler.halfwidth if sampler and sampler.halfwidth else _auto_halfwidth(x_e)))
-    converged, failures, g_max = _run_trajectories(system, starts, dist, t_end,
-                                                   converge_tol, integrator, bound)
-    if converged < len(starts):
-        reasons.append("trajectories failed to converge to the target")
-    run_cfg = integrator or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    if g_max > level + 10.0 * run_cfg.local_tol(abs(level)):
-        reasons.append("a trajectory exited the sublevel set upward")
+    far, reasons = _target_geometry(component, witnesses, x_e, target_radius)
+    ensemble = _ensemble_evidence(
+        system, component.members, level, _distance_from(x_e),
+        _trajectory_bound(float(np.linalg.norm(x_e)), x_e, sampler), "target",
+        n_trajectories=n_trajectories, traj_seed=traj_seed, horizon=horizon,
+        converge_tol=converge_tol, integrator=integrator)
+    reasons += ensemble.reasons
 
     return BasinCertificate(
         passed=not reasons,
         target=x_e,
         level=level,
         stability=verdict,
-        component_size=len(members),
+        component_size=len(component.members),
         spacing=component.spacing,
         touches_boundary=component.touches_boundary,
         witnesses=witnesses,
         far_witnesses=far,
-        trajectories_total=len(starts),
-        trajectories_converged=converged,
-        failed_starts=failures,
-        horizon=t_end,
+        trajectories_total=len(ensemble.starts),
+        trajectories_converged=ensemble.converged,
+        failed_starts=ensemble.failures,
+        horizon=ensemble.horizon,
         reasons=reasons,
-        max_trajectory_g=float(g_max),
+        max_trajectory_g=ensemble.g_max,
         proper_g_asserted=proper_g_asserted,
-        members=members,
+        members=component.members,
     )
 
 
@@ -720,22 +852,13 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
     if not covered:
         reasons.append("witnesses do not cover the orbit")
 
-    rng = np.random.default_rng(traj_seed)
-    members = component.members
-    if len(members) > n_trajectories:
-        starts = members[rng.choice(len(members), n_trajectories, replace=False)]
-    else:
-        starts = members
-    t_end = horizon if horizon is not None else _auto_horizon(system, starts, dist)
-    bound = float(np.max(np.linalg.norm(orbit_states, axis=1))) + 10.0 * (
-        (sampler.halfwidth if sampler and sampler.halfwidth else _auto_halfwidth(y0)))
-    converged, failures, g_max = _run_trajectories(system, starts, dist, t_end,
-                                                   converge_tol, integrator, bound)
-    if converged < len(starts):
-        reasons.append("trajectories failed to converge to the orbit")
-    run_cfg = integrator or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    if g_max > level + 10.0 * run_cfg.local_tol(abs(level)):
-        reasons.append("a trajectory exited the sublevel set upward")
+    ensemble = _ensemble_evidence(
+        system, component.members, level, dist,
+        _trajectory_bound(float(np.max(np.linalg.norm(orbit_states, axis=1))), y0,
+                          sampler), "orbit",
+        n_trajectories=n_trajectories, traj_seed=traj_seed, horizon=horizon,
+        converge_tol=converge_tol, integrator=integrator)
+    reasons += ensemble.reasons
 
     return OrbitCertificate(
         passed=not reasons,
@@ -745,22 +868,22 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
         orbit_in_invariant_set=on_inv,
         max_det_full=max_det,
         max_grad_g=max_g,
-        component_size=len(members),
+        component_size=len(component.members),
         spacing=component.spacing,
         touches_boundary=component.touches_boundary,
         witnesses=witnesses,
         far_witnesses=far,
         coverage_gap=float(gap),
         covered=covered,
-        trajectories_total=len(starts),
-        trajectories_converged=converged,
-        failed_starts=failures,
-        horizon=t_end,
+        trajectories_total=len(ensemble.starts),
+        trajectories_converged=ensemble.converged,
+        failed_starts=ensemble.failures,
+        horizon=ensemble.horizon,
         reasons=reasons,
-        max_trajectory_g=float(g_max),
+        max_trajectory_g=ensemble.g_max,
         proper_g_asserted=proper_g_asserted,
         phase_states=phase_states,
-        members=members,
+        members=component.members,
     )
 
 
@@ -772,7 +895,17 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
 
     Returns ``(level, history)`` where history lists ``(level, passed)``
     pairs in evaluation order. Raises :class:`NoValidLevel` when no probed
-    level certifies.
+    level certifies. ``certify_kwargs`` are :func:`basin_certify`'s keyword
+    options, and ``passed`` at every level is what ``basin_certify`` would
+    return there.
+
+    The level-independent work is done once per call: the leaf table (grid
+    cells or samples projected onto the equilibrium's leaf, with their
+    dissipated values) is built once, and each point's witness score and
+    refinement are computed at most once. A level then costs a selection and
+    a witness scan over cached results, and its trajectory ensemble runs
+    only when no geometric reason (boundary contact, a missing or far
+    witness) has already failed it.
     """
     x_e = as_point(equilibrium, system.dim)
     g_e = float(system.dissipated(x_e))
@@ -782,16 +915,35 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
             f"value {g_e:.6g}")
     certify_kwargs.setdefault(
         "stability", stability_classify(system, x_e))
+    # basin_certify's own defaults, and its TypeError for an unknown option
+    call = inspect.signature(basin_certify).bind(
+        system, x_e, level_max, sampler, **certify_kwargs)
+    call.apply_defaults()
+    opts = call.arguments
+    _require_stable(system, x_e, opts["stability"])
 
+    table = _LeafTable(system, x_e, system.leaf_value(x_e), sampler or SamplerConfig())
+    dist = _distance_from(x_e)
+    bound = _trajectory_bound(float(np.linalg.norm(x_e)), x_e, sampler)
     history = []
 
     def passes(level):
-        try:
-            cert = basin_certify(system, x_e, level, sampler, **certify_kwargs)
-        except AnchorOutsideLevel:
+        # where basin_certify would raise AnchorOutsideLevel: a failed level
+        # with no history entry
+        if not g_e <= level:
             return False
-        history.append((level, cert.passed))
-        return cert.passed
+        component, rows = table.select(level)
+        witnesses = table.witnesses(component, rows, opts["max_refine"],
+                                    opts["susp_ratio"], opts["susp_g"])
+        _, reasons = _target_geometry(component, witnesses, x_e, opts["target_radius"])
+        if not reasons:
+            reasons = _ensemble_evidence(
+                system, component.members, level, dist, bound, "target",
+                n_trajectories=opts["n_trajectories"], traj_seed=opts["traj_seed"],
+                horizon=opts["horizon"], converge_tol=opts["converge_tol"],
+                integrator=opts["integrator"]).reasons
+        history.append((level, not reasons))
+        return not reasons
 
     if passes(level_max):
         return level_max, history

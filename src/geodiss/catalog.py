@@ -49,8 +49,16 @@ def rigid_body(i1: float = 3.0, i2: float = 2.0, i3: float = 1.0) -> CatalogEntr
     if not (i1 > i2 > i3 > 0):
         raise BadInertia(f"need i1 > i2 > i3 > 0, got ({i1}, {i2}, {i3})")
     inertia = np.array([i1, i2, i3])
+    j1, j2, j3 = (float(i) for i in inertia)
 
-    X = VectorField(3, lambda m: np.cross(m, m / inertia), label="euler")
+    def euler(m):
+        # np.cross(m, m / inertia) written out on Python floats: the same
+        # products and differences, without np.cross's per-call overhead
+        a0, a1, a2 = m.tolist()
+        b0, b1, b2 = a0 / j1, a1 / j2, a2 / j3
+        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+    X = VectorField(3, euler, label="euler")
     F = ScalarField(3, lambda m: 0.5 * float(m @ m),
                     differential=lambda m: m.copy(), label="momentum_sq")
     G = ScalarField(3, lambda m: 0.5 * float(m @ (m / inertia)),

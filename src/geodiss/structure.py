@@ -140,7 +140,8 @@ def find_equilibria(system: DissipativeSystem, seeds,
                     dedup_tol: float = 1e-6,
                     equilibrium_tol: float | None = None,
                     tol_inv: float = DEFAULT_TOL_INV,
-                    tol_g: float = DEFAULT_TOL_G) -> list[EquilibriumReport]:
+                    tol_g: float = DEFAULT_TOL_G,
+                    ) -> tuple[list[EquilibriumReport], list[np.ndarray]]:
     """Damped Gauss-Newton search for roots of the corrected flow.
 
     The search is leaf-constrained: the corrected flow preserves the conserved

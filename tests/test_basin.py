@@ -17,16 +17,20 @@ import json
 import numpy as np
 import pytest
 
+import geodiss.basin as basin_mod
 from geodiss import (
     AnchorOutsideLevel,
     BasinCertificate,
+    DissipativeSystem,
     IntegratorConfig,
+    MetricField,
     NoValidLevel,
     NotAsymptoticallyStable,
     NotPeriodic,
     SamplerConfig,
     ScalarField,
     Stability,
+    VectorField,
     basin_certify,
     classify_point,
     distance_to_orbit,
@@ -419,3 +423,98 @@ def test_threshold_search_when_nothing_certifies(rigid):
             sampler=SamplerConfig(cells_per_axis=32),
             stability=AS, n_trajectories=4, traj_seed=3,
             horizon=1e-3, converge_tol=1e-14)
+
+
+def _sphere_weights_4d():
+    """The 4-D sphere/weights system: F = |x|^2 / 2, G = sum a_i x_i^2 with
+    a = (0.5, 1, 1.5, 2) and no conservative part. On the unit sphere the
+    minimum 0.5 sits at +-e1 and the first saddle 1.0 at +-e2."""
+    weights = np.array([0.5, 1.0, 1.5, 2.0])
+    F = ScalarField(4, lambda x: 0.5 * float(x @ x),
+                    differential=lambda x: np.array(x, dtype=float), label="f1")
+    G = ScalarField(4, lambda x: float(weights @ (x * x)),
+                    differential=lambda x: 2.0 * weights * x, label="g")
+    return DissipativeSystem(X=VectorField(4, lambda x: np.zeros(4), label="zero"),
+                             conserved=(F,), dissipated=G,
+                             metric=MetricField.euclidean(4))
+
+
+@pytest.mark.parametrize("case", ["rigid_grid", "sphere4_sampled"])
+def test_threshold_search_verdicts_match_fresh_certificates(rigid, case, monkeypatch):
+    # the search reuses one leaf table and its cached refinements, and skips
+    # ensembles at levels that fail geometrically; every verdict must still
+    # be basin_certify's, and it must refine exactly what the fresh
+    # certificates refine (point and trust radius), each once
+    if case == "rigid_grid":
+        system, target, level_max = rigid.system, MAJOR, 0.4
+        sampler = SamplerConfig(cells_per_axis=16)
+        steps = 4
+    else:
+        system, target, level_max = _sphere_weights_4d(), np.eye(4)[0], 1.3
+        sampler = SamplerConfig(n_samples=512, halfwidth=1.5, seed=2)
+        steps = 3
+    refined = []
+    refine = basin_mod.refine_to_invariant_set
+
+    def recording_refine(system, x, *args, **kwargs):
+        refined.append((tuple(x), kwargs["trust_radius"]))
+        return refine(system, x, *args, **kwargs)
+
+    monkeypatch.setattr(basin_mod, "refine_to_invariant_set", recording_refine)
+    kwargs = {"stability": AS, "n_trajectories": 3, "traj_seed": 3}
+    _, history = threshold_search(system, target, level_max, steps=steps,
+                                  sampler=sampler, **kwargs)
+    assert {ok for _, ok in history} == {True, False}
+    search_refined = list(refined)
+    refined.clear()
+    for level, ok in history:
+        assert basin_certify(system, target, level, sampler, **kwargs).passed == ok, level
+    assert len(set(search_refined)) == len(search_refined)
+    assert set(search_refined) == set(refined)
+
+
+def test_threshold_search_projects_once_and_integrates_only_where_geometry_passes(
+        rigid, monkeypatch):
+    projected, starts = [], []
+    project, integrate = basin_mod.project_to_leaf, basin_mod.integrate
+
+    def counting_project(system, x, *args, **kwargs):
+        projected.append(tuple(x))
+        return project(system, x, *args, **kwargs)
+
+    def counting_integrate(system, x0, *args, **kwargs):
+        starts.append(tuple(x0))
+        return integrate(system, x0, *args, **kwargs)
+
+    monkeypatch.setattr(basin_mod, "project_to_leaf", counting_project)
+    monkeypatch.setattr(basin_mod, "integrate", counting_integrate)
+    cells = 16
+    sampler = SamplerConfig(cells_per_axis=cells)
+    kwargs = {"stability": AS, "n_trajectories": 3, "traj_seed": 3}
+    _, history = threshold_search(rigid.system, MAJOR, 0.4, steps=4,
+                                  sampler=sampler, **kwargs)
+    n_projected, n_integrated = len(projected), len(starts)
+    assert 0 < n_projected <= cells ** 3
+    assert len(set(projected)) == n_projected
+
+    # trajectories run exactly at the levels with no geometric failure
+    expected = 0
+    geometric_failures = 0
+    for level, _ in history:
+        cert = basin_certify(rigid.system, MAJOR, level, sampler, **kwargs)
+        if (cert.touches_boundary or cert.far_witnesses.size
+                or cert.witnesses.size == 0):
+            geometric_failures += 1
+        else:
+            expected += cert.trajectories_total
+    assert geometric_failures > 0
+    assert n_integrated == expected
+
+
+def test_threshold_search_rejects_unstable_target_before_any_work(rigid, monkeypatch):
+    def no_projection(*args, **kwargs):
+        raise AssertionError("the leaf table was built for an unstable target")
+
+    monkeypatch.setattr(basin_mod, "project_to_leaf", no_projection)
+    with pytest.raises(NotAsymptoticallyStable):
+        threshold_search(rigid.system, np.array([0.0, 1.0, 0.0]), 0.4)

@@ -51,6 +51,20 @@ def test_rigid_body_energy_levels_on_the_unit_sphere(rigid):
     assert rigid.known_saddle_levels == (0.25,)
 
 
+def test_euler_field_is_bitwise_the_cross_product():
+    # the field is written out componentwise; it must round exactly as
+    # np.cross(m, I^-1 m) does, over many orders of magnitude
+    inertia = np.array([3.0, 2.0, 1.0])
+    X = rigid_body(*inertia).system.X
+    rng = np.random.default_rng(2024)
+    directions = rng.normal(size=(20000, 3))
+    scales = 10.0 ** rng.uniform(-8.0, 3.0, size=(20000, 1))
+    momenta = directions / np.linalg.norm(directions, axis=1, keepdims=True) * scales
+    got = np.array([X(m) for m in momenta])
+    want = np.array([np.cross(m, m / inertia) for m in momenta])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_mexican_hat_claims(mexhat):
     g = mexhat.system.dissipated
     # the rim is the zero set, the axis sits at the saddle level 1/4
