@@ -18,6 +18,7 @@ witness was missed between samples.
 """
 from __future__ import annotations
 
+import bisect
 import inspect
 from dataclasses import dataclass, field, replace
 
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .fields import DissipativeSystem, as_point
 from .gram import system_frame
-from .integrators import Flow, IntegratorConfig, integrate
+from .integrators import Flow, IntegratorConfig, _dp_steps, integrate
 from .structure import (
     Stability,
     classify_point,
@@ -639,43 +640,64 @@ def distance_to_orbit(point, orbit_states: np.ndarray) -> float:
     return float(np.linalg.norm(arc - p))
 
 
-def _flow_from(system, state, dt, cfg):
-    if dt <= 0.0:
-        return state
-    tr = integrate(system, state, replace(cfg, t_end=dt), flow=Flow.PERTURBED,
-                   checkpoints=np.array([dt]))
-    return tr.checkpoint_states[-1]
-
-
 def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
-    tr = integrate(system, y0, replace(cfg, t_end=t_search), flow=Flow.PERTURBED)
-    d = np.linalg.norm(tr.states - y0, axis=1)
+    """Return time of the corrected flow from y0 back to y0, and x(t) along it.
+
+    One run from y0, stopped one step after the first recorded local
+    minimum of |x - y0| below ``coarse_tol`` once the flow has left that
+    ball. Newton then refines the return time on <x(t) - y0, rhs(x(t))> = 0,
+    with x(t) read off the continuous extension of the run's steps; the
+    same read-out is returned for the orbit samples.
+    """
+    run = replace(cfg, t_end=t_search)
+    steps = _dp_steps(system, y0, run)
+    kept = []
+    d = [0.0]
+    rec_times = [0.0]
     left = False
     cand = None
-    for i in range(1, len(d) - 1):
+    since_record = 0
+    for step in steps:
+        kept.append(step)
+        since_record += 1
+        if not (since_record >= run.record_every
+                or step.t_new >= t_search - 1e-14 * t_search):
+            continue
+        since_record = 0
+        d.append(float(np.linalg.norm(step.x_new - y0)))
+        rec_times.append(step.t_new)
+        i = len(d) - 2
+        if i < 1:
+            continue
         if d[i] > coarse_tol:
             left = True
-            continue
-        if left and d[i] <= d[i - 1] and d[i] <= d[i + 1]:
+        elif left and d[i] <= d[i - 1] and d[i] <= d[i + 1]:
             cand = i
             break
     if cand is None:
         raise NotPeriodic(
             f"no return within {coarse_tol:.3g} of the seed over [0, {t_search}]")
 
-    # Newton on t -> <flow(t) - y0, rhs(flow(t))> = 0, re-integrating locally
-    # from the recorded state just before the candidate time.
-    base_i = cand - 1
-    t_base = tr.times[base_i]
-    x_base = tr.states[base_i]
-    t_cur = tr.times[cand]
-    h_loc = max(tr.times[cand] - tr.times[base_i], 1e-6)
+    starts = [s.t for s in kept]
+
+    def state_at(t):
+        # a late iterate reads on into steps of the same run
+        while t > kept[-1].t_new:
+            nxt = next(steps, None)
+            if nxt is None:
+                return kept[-1].x_new
+            kept.append(nxt)
+            starts.append(nxt.t)
+        if t <= 0.0:
+            return y0
+        return kept[bisect.bisect_right(starts, t) - 1].state_at(t)
 
     def gap(t):
-        x = _flow_from(system, x_base, t - t_base, cfg)
+        x = state_at(t)
         return float((x - y0) @ dissipated_rhs(system, x)), x
 
-    x_cur = tr.states[cand]
+    t_cur = rec_times[cand]
+    h_loc = max(rec_times[cand] - rec_times[cand - 1], 1e-6)
     for _ in range(12):
         g0, x_cur = gap(t_cur)
         dt_fd = 1e-6 * max(1.0, abs(t_cur))
@@ -683,10 +705,9 @@ def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
         slope = (g1 - g0) / dt_fd
         if slope == 0.0:
             break
-        step = -g0 / slope
-        step = float(np.clip(step, -h_loc, h_loc))
-        t_cur = t_cur + step
-        if abs(step) < 1e-13 * max(1.0, t_cur):
+        dt = float(np.clip(-g0 / slope, -h_loc, h_loc))
+        t_cur = t_cur + dt
+        if abs(dt) < 1e-13 * max(1.0, t_cur):
             break
     g0, x_cur = gap(t_cur)
     miss = float(np.linalg.norm(x_cur - y0))
@@ -696,7 +717,7 @@ def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
             f"(required {recur_tol:.3g})")
     if t_cur <= 0.0:
         raise NotPeriodic("refined return time is not positive")
-    return float(t_cur)
+    return float(t_cur), state_at
 
 
 @dataclass(frozen=True)
@@ -783,7 +804,8 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
 
     The seed is refined onto the degeneracy set, its period is recovered by
     recurrence detection plus a local Newton refinement of the return time,
-    the orbit itself is re-classified at ``n_phases`` phases, and the
+    ``dense_states`` orbit points are read off the steps of that same run, the
+    orbit itself is re-classified at ``n_phases`` phases, and the
     component is then scanned and test-integrated exactly as for an
     equilibrium, with distances measured to the densely sampled orbit.
     """
@@ -800,12 +822,10 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
             "seed does not refine onto the degeneracy set within "
             f"{seed_trust:.3g} of {seed0.tolist()}")
 
-    period = _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol)
+    period, orbit_at = _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol)
 
     cps = np.linspace(0.0, period, dense_states, endpoint=False)[1:]
-    tr = integrate(system, y0, replace(cfg, t_end=period), flow=Flow.PERTURBED,
-                   checkpoints=cps)
-    orbit_states = np.vstack([y0[None, :], tr.checkpoint_states])
+    orbit_states = np.array([y0, *(orbit_at(t) for t in cps)])
 
     phase_idx = (np.arange(n_phases) * len(orbit_states)) // n_phases
     phase_states = orbit_states[phase_idx]
@@ -913,9 +933,8 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
         raise NoValidLevel(
             f"level_max {level_max:.6g} does not exceed the equilibrium "
             f"value {g_e:.6g}")
-    certify_kwargs.setdefault(
-        "stability", stability_classify(system, x_e))
-    # basin_certify's own defaults, and its TypeError for an unknown option
+    # basin_certify's own defaults, and its TypeError for an unknown option;
+    # _require_stable classifies the target only when no verdict is given
     call = inspect.signature(basin_certify).bind(
         system, x_e, level_max, sampler, **certify_kwargs)
     call.apply_defaults()

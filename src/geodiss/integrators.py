@@ -61,6 +61,10 @@ _DP_B5 = np.append(_DP_A[6], 0.0)  # FSAL: the last stage row, then 0
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_ERR = _DP_B5 - _DP_B4
+# Quartic term of the continuous extension, on the seven stages.
+_DP_DENSE = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                      -10690763975 / 1880347072, 701980252875 / 199316789632,
+                      -1453857185 / 822651844, 69997945 / 29380423])
 
 # Step controller constants: safety 0.9, growth capped at 5x, shrink floored
 # at 0.2x, with the usual PI stabilization exponent.
@@ -223,88 +227,104 @@ def _project_to_leaf_values(system, x, target, tol=1e-12, max_iter=20):
     return y
 
 
-def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
-              flow: Flow = Flow.PERTURBED,
-              checkpoints=None, bound: float | None = None) -> "Trajectory":
-    """Integrate either flow from x0 up to t_end.
+def _evaluator(system: DissipativeSystem, flow: Flow):
+    """Right-hand side of the flow at p, with the frame and control field behind it.
 
-    ``checkpoints`` forces steps to land exactly on the given times and stores
-    the states there (used for flow comparison and limit-set probes).
-    ``bound`` aborts with :class:`UnboundedTrajectory` when the state norm
-    exceeds it.
-
-    Records reuse the frame of the last right-hand-side evaluation at the
-    recorded state: for Dormand-Prince the seventh stage, which is evaluated
-    at the new state (FSAL), and otherwise the evaluation that seeds the
-    next step. Only records of the unperturbed flow build a frame of their
-    own.
+    The unperturbed flow needs no frame and returns ``None`` for both.
     """
-    x = as_point(x0, system.dim)
-    if config.t_end <= 0:
-        raise ValueError("t_end must be positive")
-
     if flow is Flow.PERTURBED:
         def evaluate(p):
-            """Right-hand side at p, with the frame and control field behind it."""
             fr = system_frame(system, p)
             v0 = _cofactor_from_frame(fr)
             return system.X(p) - v0, fr, v0
     else:
         def evaluate(p):
             return system.X(p), None, None
-    evaluate = _guard_nonfinite(evaluate)
+    return _guard_nonfinite(evaluate)
+
+
+class _Step:
+    """One accepted step from (t, x) to (t_new, x_new) and its continuous extension.
+
+    ``f`` and ``f_new`` are the right-hand sides at the two end states, and
+    ``fr_new``/``v0_new`` the frame and control field behind ``f_new``.
+    ``stages`` holds the seven Dormand-Prince stages of an RK45 step whose
+    end state was not re-projected; the extension is then the free
+    fourth-order one of the scheme. Otherwise it is the cubic Hermite on the
+    end states and their right-hand sides. ``rejected`` counts the rejected
+    tries of the run so far.
+    """
+
+    __slots__ = ("t", "h", "t_new", "x", "x_new", "f", "f_new", "stages",
+                 "fr_new", "v0_new", "rejected", "_coef")
+
+    def __init__(self, t, h, x, x_new, f, f_new, stages, fr_new, v0_new, rejected):
+        self.t = t
+        self.h = h
+        self.t_new = t + h
+        self.x = x
+        self.x_new = x_new
+        self.f = f
+        self.f_new = f_new
+        self.stages = stages
+        self.fr_new = fr_new
+        self.v0_new = v0_new
+        self.rejected = rejected
+        self._coef = None
+
+    def state_at(self, t: float) -> np.ndarray:
+        """State at time t in [self.t, self.t_new]; the end state itself from t_new on."""
+        if t >= self.t_new:
+            return self.x_new
+        if self._coef is None:
+            # Hairer, Norsett & Wanner, Solving ODEs I, II.6 (dopri5 CONTD5);
+            # without the last term the same form is the cubic Hermite
+            ydiff = self.x_new - self.x
+            bspl = self.h * self.f - ydiff
+            quartic = (None if self.stages is None
+                       else self.h * (_DP_DENSE @ self.stages))
+            self._coef = (ydiff, bspl, ydiff - self.h * self.f_new - bspl, quartic)
+        ydiff, bspl, cubic, quartic = self._coef
+        s = (t - self.t) / self.h
+        s1 = 1.0 - s
+        inner = cubic if quartic is None else cubic + s1 * quartic
+        return self.x + s * (ydiff + s1 * (bspl + s * inner))
+
+
+def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig,
+              flow: Flow = Flow.PERTURBED, bound: float | None = None, seed=None):
+    """Generate the accepted steps of one run from x up to config.t_end.
+
+    ``seed`` is the evaluation at x when the caller already has it. Step
+    control depends on nothing but the run itself, so a consumer that stops
+    early has seen exactly the steps of the full run up to that point.
+    """
+    evaluate = _evaluator(system, flow)
 
     def rhs(p):
         return evaluate(p)[0]
 
-    cps = None
-    cp_states = None
-    next_cp = None
-    if checkpoints is not None:
-        cps = np.asarray(checkpoints, dtype=float)
-        if cps.ndim != 1 or np.any(np.diff(cps) <= 0):
-            raise ValueError("checkpoints must be strictly increasing")
-        if cps[0] < 0 or cps[-1] > config.t_end + 1e-12:
-            raise ValueError("checkpoints must lie within [0, t_end]")
-        cp_states = np.empty((cps.size, system.dim))
-        next_cp = 0
-
-    rec = _Recorder(system)
-    g_field = system.dissipated
-    leaf_target = system.leaf_value(x) if system.k else None
-
-    rate_t, rate_m, rate_p, rate_band = [], [], [], []
+    k_first = (seed if seed is not None else evaluate(x))[0]
+    leaf_target = (system.leaf_value(x)
+                   if config.leaf_reprojection and system.k else None)
     t = 0.0
-    h = min(config.h0, config.t_end)
-    h_ctrl = h
+    t_end = config.t_end
+    h_ctrl = min(config.h0, t_end)
     fac_old = 1e-4
     n_acc = 0
     n_rej = 0
     adaptive = config.method is Method.RK45_ADAPTIVE
-    k_first, fr_x, v0_x = evaluate(x)  # FSAL seed
-    g_prev = g_field(x)
+    min_h = 1e-14 * t_end
 
-    rec.add(0.0, x, 0.0, g_prev, fr_x, v0_x)
-    if next_cp is not None and cps[next_cp] == 0.0:
-        cp_states[next_cp] = x
-        next_cp = next_cp + 1 if next_cp + 1 < cps.size else None
-
-    min_h = 1e-14 * config.t_end
-    steps_since_record = 0
-
-    while t < config.t_end - 1e-14 * config.t_end:
+    while t < t_end - 1e-14 * t_end:
         if n_acc + n_rej >= config.max_steps:
             raise MaxStepsExceeded(
-                f"exceeded {config.max_steps} steps at t={t:.6g} of {config.t_end:.6g}"
+                f"exceeded {config.max_steps} steps at t={t:.6g} of {t_end:.6g}"
             )
         if adaptive and h_ctrl < min_h:
             raise StepUnderflow(f"step size {h_ctrl:.3e} below floor at t={t:.6g}")
         h_try = h_ctrl if adaptive else config.h0
-        h_try = min(h_try, config.t_end - t)
-        clipped = False
-        if next_cp is not None and t + h_try > cps[next_cp] - 1e-14:
-            h_try = cps[next_cp] - t
-            clipped = True
+        h_try = min(h_try, t_end - t)
 
         if adaptive:
             stages = np.empty((7, x.size))
@@ -330,15 +350,11 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
             else:
                 fac = _SAFETY * err ** (-_ERR_EXPO) * fac_old ** _PI_BETA
             fac = min(_FAC_MAX, max(_FAC_MIN, fac))
-            if not clipped:
-                h_ctrl = h_try * fac
-            else:
-                h_ctrl = max(h_ctrl, h_try * fac)
+            h_ctrl = h_try * fac
             fac_old = max(err, 1e-4)
-            k_next_first = stages[6]
         else:
+            stages = None
             x_new = _rk4_step(rhs, x, h_try, k_first)
-            k_next_first = None
 
         if not np.all(np.isfinite(x_new)):
             raise NonFiniteState(f"state became non-finite at t={t + h_try:.6g}")
@@ -347,10 +363,73 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
                 f"state norm exceeded {bound:.3e} at t={t + h_try:.6g}"
             )
 
-        if config.leaf_reprojection and leaf_target is not None:
+        if leaf_target is not None:
             x_new = _project_to_leaf_values(system, x_new, leaf_target)
-            k_next_first = None
+            stages = None
 
+        if stages is not None:
+            k_new = stages[6]
+        else:
+            k_new, fr_new, v0_new = evaluate(x_new)
+        n_acc += 1
+        step = _Step(t, h_try, x, x_new, k_first, k_new, stages, fr_new, v0_new, n_rej)
+        yield step
+        t = step.t_new
+        x = x_new
+        k_first = k_new
+
+
+def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
+              flow: Flow = Flow.PERTURBED,
+              checkpoints=None, bound: float | None = None) -> "Trajectory":
+    """Integrate either flow from x0 up to t_end.
+
+    ``checkpoints`` are read off each step's continuous extension, not
+    landed on: step control, and so every record, is the same with or
+    without them. RK45 steps use the free fourth-order extension of
+    Dormand-Prince; RK4 steps and re-projected steps use the cubic Hermite
+    on the end states and their right-hand sides. A checkpoint at a step's
+    end gets that end state exactly. ``bound`` aborts with
+    :class:`UnboundedTrajectory` when the state norm exceeds it.
+
+    Records reuse the frame of the last right-hand-side evaluation at the
+    recorded state: for Dormand-Prince the seventh stage, which is evaluated
+    at the new state (FSAL), and otherwise the evaluation that seeds the
+    next step. Only records of the unperturbed flow build a frame of their
+    own.
+    """
+    x = as_point(x0, system.dim)
+    if config.t_end <= 0:
+        raise ValueError("t_end must be positive")
+
+    cps = None
+    cp_states = None
+    next_cp = 0
+    if checkpoints is not None:
+        cps = np.asarray(checkpoints, dtype=float)
+        if cps.ndim != 1 or np.any(np.diff(cps) <= 0):
+            raise ValueError("checkpoints must be strictly increasing")
+        if cps[0] < 0 or cps[-1] > config.t_end + 1e-12:
+            raise ValueError("checkpoints must lie within [0, t_end]")
+        cp_states = np.empty((cps.size, system.dim))
+        if cps[0] == 0.0:
+            cp_states[0] = x
+            next_cp = 1
+    n_cps = 0 if cps is None else cps.size
+
+    rec = _Recorder(system)
+    g_field = system.dissipated
+
+    rate_t, rate_m, rate_p, rate_band = [], [], [], []
+    seed = _evaluator(system, flow)(x)
+    g_prev = g_field(x)
+    rec.add(0.0, x, 0.0, g_prev, seed[1], seed[2])
+
+    n_acc = 0
+    n_rej = 0
+    steps_since_record = 0
+    for step in _dp_steps(system, x, config, flow, bound, seed):
+        x, x_new, h_try = step.x, step.x_new, step.h
         g_new = g_field(x_new)
         if flow is Flow.PERTURBED:
             mid = 0.5 * (x + x_new)
@@ -362,28 +441,23 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
                      * float(np.linalg.norm(fr_mid.diffs[fr_mid.k]))
                      * config.local_tol(float(np.linalg.norm(x))) / h_try)
             band = _RATE_CURVE_FACTOR * h_try ** 2 * scale_rate + noise
-            rate_t.append(t + 0.5 * h_try)
+            rate_t.append(step.t + 0.5 * h_try)
             rate_m.append(measured)
             rate_p.append(predicted)
             rate_band.append(band)
 
-        t += h_try
-        x = x_new
+        t = step.t_new
         g_prev = g_new
-        if k_next_first is not None:
-            k_first, fr_x, v0_x = k_next_first, fr_new, v0_new
-        else:
-            k_first, fr_x, v0_x = evaluate(x)
         n_acc += 1
+        n_rej = step.rejected
         steps_since_record += 1
 
-        at_cp = next_cp is not None and abs(t - cps[next_cp]) <= 1e-12 * max(1.0, t)
-        if at_cp:
-            cp_states[next_cp] = x
-            next_cp = next_cp + 1 if next_cp + 1 < cps.size else None
         final = t >= config.t_end - 1e-14 * config.t_end
+        while next_cp < n_cps and (cps[next_cp] <= t or final):
+            cp_states[next_cp] = step.state_at(cps[next_cp])
+            next_cp += 1
         if steps_since_record >= config.record_every or final:
-            rec.add(t, x, h_try, g_new, fr_x, v0_x)
+            rec.add(t, x_new, h_try, g_new, step.fr_new, step.v0_new)
             steps_since_record = 0
 
     return Trajectory(

@@ -6,7 +6,7 @@ roundoff level.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,11 @@ class Polynomial:
 
     powers: np.ndarray
     coefs: np.ndarray
+    # the terms of every partial, axis by axis: coef * p_j, the exponents
+    # with p_j lowered by one, and (j, start, stop) row ranges, built once
+    _diff_factor: np.ndarray = field(init=False, repr=False)
+    _diff_lowered: np.ndarray = field(init=False, repr=False)
+    _diff_axes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         pw = np.asarray(self.powers, dtype=int)
@@ -33,6 +38,29 @@ class Polynomial:
             )
         object.__setattr__(self, "powers", pw)
         object.__setattr__(self, "coefs", cf)
+        # the empty first blocks give the shapes when no term depends on x
+        factors = [np.zeros(0)]
+        lowered = [np.zeros((0, pw.shape[1]), dtype=int)]
+        axes = []
+        start = 0
+        for j in range(pw.shape[1]):
+            pj = pw[:, j]
+            sel = pj > 0
+            if not sel.any():
+                continue
+            factors.append(cf[sel] * pj[sel])
+            low = pw[sel].copy()
+            low[:, j] -= 1
+            lowered.append(low)
+            axes.append((j, start, start + low.shape[0]))
+            start += low.shape[0]
+        factor = np.concatenate(factors)
+        low = np.concatenate(lowered)
+        factor.setflags(write=False)
+        low.setflags(write=False)
+        object.__setattr__(self, "_diff_factor", factor)
+        object.__setattr__(self, "_diff_lowered", low)
+        object.__setattr__(self, "_diff_axes", tuple(axes))
 
     @property
     def dim(self) -> int:
@@ -42,22 +70,18 @@ class Polynomial:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"point shape {x.shape}, expected ({self.dim},)")
-        return float(np.prod(x ** self.powers, axis=1) @ self.coefs)
+        return float(np.multiply.reduce(x ** self.powers, axis=1) @ self.coefs)
 
     def diff(self, x) -> np.ndarray:
         """Exact differential at x, as a length-dim array of partials."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"point shape {x.shape}, expected ({self.dim},)")
+        # np.prod and np.sum are these reductions; the ufuncs skip the wrappers
+        terms = self._diff_factor * np.multiply.reduce(x ** self._diff_lowered, axis=1)
         out = np.zeros(self.dim)
-        for j in range(self.dim):
-            pj = self.powers[:, j]
-            sel = pj > 0
-            if not sel.any():
-                continue
-            lowered = self.powers[sel].copy()
-            lowered[:, j] -= 1
-            out[j] = np.sum(self.coefs[sel] * pj[sel] * np.prod(x ** lowered, axis=1))
+        for j, start, stop in self._diff_axes:
+            out[j] = np.add.reduce(terms[start:stop])
         return out
 
     @staticmethod

@@ -518,3 +518,81 @@ def test_threshold_search_rejects_unstable_target_before_any_work(rigid, monkeyp
     monkeypatch.setattr(basin_mod, "project_to_leaf", no_projection)
     with pytest.raises(NotAsymptoticallyStable):
         threshold_search(rigid.system, np.array([0.0, 1.0, 0.0]), 0.4)
+
+
+def test_threshold_search_does_not_classify_a_given_verdict(rigid, monkeypatch):
+    calls = []
+
+    def counting_classify(system, x, *args, **kwargs):
+        calls.append(tuple(x))
+        return Stability.UNSTABLE
+
+    monkeypatch.setattr(basin_mod, "stability_classify", counting_classify)
+    level, _ = threshold_search(rigid.system, MAJOR, 0.2, steps=1,
+                                sampler=SamplerConfig(cells_per_axis=16),
+                                stability=AS, n_trajectories=2, traj_seed=3)
+    assert level == 0.2
+    assert calls == []
+    # without a verdict, or with None, the target is classified once
+    for kwargs in ({}, {"stability": None}):
+        with pytest.raises(NotAsymptoticallyStable):
+            threshold_search(rigid.system, MAJOR, 0.2, **kwargs)
+    assert len(calls) == 2
+
+
+def test_period_detection_stops_at_the_first_return(mexhat, monkeypatch):
+    # one run, stopped a step after the first return, and a return-time
+    # Newton and orbit samples that read the run's continuous extension:
+    # no second integration
+    steps = []
+    dp_steps = basin_mod._dp_steps
+
+    def counting_steps(*args, **kwargs):
+        for step in dp_steps(*args, **kwargs):
+            steps.append(step.t_new)
+            yield step
+
+    def no_integrate(*args, **kwargs):
+        raise AssertionError("period detection called integrate")
+
+    monkeypatch.setattr(basin_mod, "_dp_steps", counting_steps)
+    monkeypatch.setattr(basin_mod, "integrate", no_integrate)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+    y0 = np.array([np.cos(0.3), np.sin(0.3), 0.02])
+    period, orbit_at = basin_mod._detect_period(mexhat.system, y0, cfg, t_search=50.0,
+                                                coarse_tol=0.2, recur_tol=1e-8)
+    assert abs(period - 2.0 * np.pi) <= 1e-9
+    assert 0 < len(steps) < 400
+    assert steps[-1] < 2.0 * np.pi + 1.0
+    # the orbit samples come off the same steps: the exact rotation
+    n_steps = len(steps)
+    for t in np.linspace(0.0, period, 97):
+        exact = np.array([np.cos(0.3 + t), np.sin(0.3 + t), 0.02])
+        assert np.max(np.abs(orbit_at(t) - exact)) <= 1e-8
+    assert len(steps) == n_steps
+
+
+def test_orbit_certificate_integrates_only_its_trajectories(mexhat, monkeypatch):
+    # the period and the orbit samples come from the detection run's steps
+    starts = []
+    integrate = basin_mod.integrate
+
+    def counting_integrate(system, x0, *args, **kwargs):
+        starts.append(tuple(x0))
+        return integrate(system, x0, *args, **kwargs)
+
+    monkeypatch.setattr(basin_mod, "integrate", counting_integrate)
+    cert = periodic_orbit_certify(mexhat.system, np.array([1.05, 0.0, 0.02]), 0.2,
+                                  sampler=SamplerConfig(cells_per_axis=16),
+                                  n_trajectories=2, traj_seed=2, horizon=8.0)
+    assert cert.orbit_in_invariant_set
+    assert abs(cert.period - 2.0 * np.pi) <= 1e-9
+    assert len(starts) == cert.trajectories_total == 2
+
+
+def test_period_detection_without_a_return_searches_the_whole_window(mexhat):
+    # spiralling onto the circle from outside never returns near the seed
+    with pytest.raises(NotPeriodic, match=r"no return within 0\.2 of the seed over \[0, 8\.0\]"):
+        basin_mod._detect_period(mexhat.system, np.array([2.0, 0.0, 0.0]),
+                                 IntegratorConfig(), t_search=8.0, coarse_tol=0.2,
+                                 recur_tol=1e-8)

@@ -112,6 +112,50 @@ def test_checkpoints_land_exactly_and_match_the_closed_form(mexhat):
         assert np.max(np.abs(state - closed_form_sombrero(x0, t))) <= 1e-8
 
 
+def test_rk4_checkpoints_match_the_closed_form(mexhat):
+    # read off the cubic Hermite of each fixed step, between the step ends
+    x0 = np.array([1.5, 0.0, 0.0])
+    cps = np.array([0.013, 0.5, 1.0, 1.7, 1.9999, 2.0])
+    cfg = IntegratorConfig(method=Method.RK4_FIXED, h0=0.005, t_end=2.0)
+    tr = integrate(mexhat.system, x0, cfg, checkpoints=cps)
+    assert np.array_equal(tr.checkpoint_times, cps)
+    for t, state in zip(cps, tr.checkpoint_states):
+        assert np.max(np.abs(state - closed_form_sombrero(x0, t))) <= 1e-8
+
+
+@pytest.mark.parametrize("method,reproject", [
+    (Method.RK45_ADAPTIVE, False),
+    (Method.RK4_FIXED, False),
+    (Method.RK45_ADAPTIVE, True),
+    (Method.RK4_FIXED, True),
+])
+def test_records_do_not_depend_on_checkpoints(rigid, method, reproject):
+    # checkpoints are read off the continuous extension, never landed on,
+    # so step control and every record are the same without them
+    x0 = np.array([0.6, 0.0, 0.8])
+    cfg = IntegratorConfig(method=method, leaf_reprojection=reproject, h0=0.05,
+                           t_end=3.0, rel_tol=1e-9, abs_tol=1e-11)
+    cps = np.concatenate([[0.0], np.linspace(0.0, 3.0, 97)[1:] - 1e-3, [3.0]])
+    plain = integrate(rigid.system, x0, cfg)
+    dense = integrate(rigid.system, x0, cfg, checkpoints=cps)
+    for name in ("times", "states", "dissipated_values", "det_full", "step_sizes",
+                 "rate_measured"):
+        assert getattr(plain, name).tobytes() == getattr(dense, name).tobytes(), name
+    assert (plain.n_accepted, plain.n_rejected) == (dense.n_accepted, dense.n_rejected)
+    assert plain.checkpoint_states is None
+    assert np.array_equal(dense.checkpoint_states[0], x0)
+    assert np.array_equal(dense.checkpoint_states[-1], plain.final_state)
+
+
+def test_checkpoints_at_step_ends_are_the_end_states(mexhat):
+    x0 = np.array([1.5, 0.0, 0.0])
+    cfg = IntegratorConfig(method=Method.RK4_FIXED, h0=0.25, t_end=2.0)
+    cps = np.array([0.5, 1.0, 1.25])
+    tr = integrate(mexhat.system, x0, cfg, checkpoints=cps)
+    for t, state in zip(cps, tr.checkpoint_states):
+        assert tr.states[np.flatnonzero(tr.times == t)[0]].tobytes() == state.tobytes()
+
+
 def test_checkpoints_must_be_increasing_and_inside_the_run(mexhat):
     cfg = IntegratorConfig(t_end=1.0)
     x0 = np.array([1.5, 0.0, 0.0])

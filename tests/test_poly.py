@@ -1,0 +1,62 @@
+"""Polynomial differentials: the precomputed tables against the per-call formula."""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from geodiss.catalog import random_poly
+from geodiss.poly import Polynomial
+
+
+def _diff_per_call(p: Polynomial, x: np.ndarray) -> np.ndarray:
+    """The differential built from powers and coefs on every call."""
+    out = np.zeros(p.dim)
+    for j in range(p.dim):
+        pj = p.powers[:, j]
+        sel = pj > 0
+        if not sel.any():
+            continue
+        lowered = p.powers[sel].copy()
+        lowered[:, j] -= 1
+        out[j] = np.sum(p.coefs[sel] * pj[sel] * np.prod(x ** lowered, axis=1))
+    return out
+
+
+def _polynomials(entry):
+    system = entry.system
+    return [f.differential.__self__ for f in (*system.conserved, system.dissipated)]
+
+
+@pytest.mark.parametrize("dim,k,seed", [(2, 1, 0), (3, 1, 4), (4, 2, 7), (5, 3, 11)])
+def test_diff_is_bitwise_the_per_call_formula(dim, k, seed):
+    rng = np.random.default_rng(seed)
+    for p in _polynomials(random_poly(dim, k, seed)):
+        assert isinstance(p, Polynomial)
+        for scale in (1e-3, 0.7, 30.0):
+            for _ in range(20):
+                x = scale * rng.normal(size=dim)
+                assert _diff_per_call(p, x).tobytes() == p.diff(x).tobytes()
+
+
+def test_diff_tables_are_read_only_and_rebuilt_by_replace():
+    p = Polynomial.from_terms(2, [(1.5, (2, 1)), (-2.0, (0, 3)), (0.5, (1, 0))])
+    x = np.array([0.3, -1.2])
+    assert not p._diff_factor.flags.writeable
+    assert not p._diff_lowered.flags.writeable
+    with pytest.raises(ValueError):
+        p._diff_factor[0] = 0.0
+
+    q = dataclasses.replace(p, coefs=np.array([1.0, 1.0, 1.0]))
+    assert q._diff_factor is not p._diff_factor
+    assert q.diff(x).tobytes() == _diff_per_call(q, x).tobytes()
+    assert not np.array_equal(q.diff(x), p.diff(x))
+
+    r = dataclasses.replace(p, powers=np.array([[1, 0], [0, 1], [0, 0]]),
+                            coefs=np.array([2.0, 3.0, 4.0]))
+    assert np.array_equal(r.diff(x), [2.0, 3.0])
+
+
+def test_diff_of_a_constant_or_empty_polynomial_is_zero():
+    assert np.array_equal(Polynomial.from_terms(3, []).diff(np.ones(3)), np.zeros(3))
+    const = Polynomial.from_terms(2, [(4.0, (0, 0))])
+    assert np.array_equal(const.diff(np.array([1.0, 2.0])), np.zeros(2))
