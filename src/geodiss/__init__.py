@@ -52,13 +52,8 @@ _EXPORTS = {
     "central_difference": "fields",
     "as_point": "fields",
     # gram data
-    "GramMatrix": "gram",
-    "gram_matrix": "gram",
-    "gram_det": "gram",
-    "gram_det_full": "gram",
     "SystemFrame": "gram",
     "system_frame": "gram",
-    "stacked_gradient_rank": "gram",
     "checked_det": "gram",
     "GRAM_NEGATIVITY_FLOOR": "gram",
     # control field

@@ -1,14 +1,21 @@
 """Sublevel-set basin certificates for equilibria and periodic orbits.
 
-A certificate for a target (an asymptotically stable equilibrium, or a
-periodic orbit inside the degeneracy set) at level ``c`` gathers evidence for
-three facts about the connected component of the strict sublevel set of the
-dissipated quantity, on the target's leaf, containing the target:
+One pipeline serves two targets: an asymptotically stable equilibrium, or a
+periodic orbit inside the degeneracy set. Both rest on the same argument: a
+bounded connected component of the strict sublevel set of the dissipated
+quantity at level ``c``, on the target's leaf and containing the target,
+whose only degeneracy-set points lie on the target, lies in the target's
+basin. One function judges a level against either target, from the
+component and its witnesses:
 
   1. the component is bounded (it stays away from the sampling box boundary),
   2. every point of the degeneracy set found inside it lies on the target,
   3. trajectories of the corrected flow started inside it converge to the
      target.
+
+The equilibrium and orbit certificates and the threshold search call it;
+the orbit certificate adds only what is its own (seed refinement, period
+detection, phase checks and a coverage test).
 
 Items 2 and 3 are sampling evidence with verified witnesses, not proofs of
 absence: a reported witness is always refined until it classifies inside the
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import inspect
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -78,7 +86,10 @@ class SublevelComponent:
     method: str
 
 
-def _auto_halfwidth(anchor: np.ndarray) -> float:
+def _halfwidth(anchor: np.ndarray, sampler: SamplerConfig | None) -> float:
+    """The sampling box half-width: the configured one, else from the anchor norm."""
+    if sampler is not None and sampler.halfwidth is not None:
+        return sampler.halfwidth
     return max(1.0, 2.0 * float(np.linalg.norm(anchor)) + 0.5)
 
 
@@ -129,7 +140,7 @@ class _LeafTable:
         self.anchor = anchor
         self.leaf_value = leaf_value
         self.cfg = cfg
-        self.hw = cfg.halfwidth if cfg.halfwidth is not None else _auto_halfwidth(anchor)
+        self.hw = _halfwidth(anchor, cfg)
         if system.dim <= GRID_DIM_LIMIT:
             self.method = "grid"
             found, cells = self._grid_points()
@@ -259,7 +270,7 @@ class _LeafTable:
         return rows, spacing, touches
 
     def witnesses(self, component: SublevelComponent, rows: np.ndarray,
-                  max_refine: int, susp_ratio: float, susp_g: float) -> np.ndarray:
+                  opts) -> np.ndarray:
         """``scan_invariant_witnesses`` on a selected component, from the caches."""
         todo = rows[np.isnan(self._ratios[rows])]
         if todo.size:
@@ -276,8 +287,8 @@ class _LeafTable:
             return self._refined[key]
 
         return _verified_witnesses(self.system, component, self._ratios[rows],
-                                   self._gnorms[rows], refine, max_refine,
-                                   susp_ratio, susp_g)
+                                   self._gnorms[rows], refine, opts["max_refine"],
+                                   opts["susp_ratio"], opts["susp_g"])
 
 
 def sublevel_component(system: DissipativeSystem, anchor, level: float,
@@ -402,6 +413,25 @@ _INTEGRATION_FAILURES = (StepUnderflow, MaxStepsExceeded, NonFiniteState,
 
 
 @dataclass(frozen=True)
+class _Target:
+    """What a level is judged against: an equilibrium, or a sampled orbit."""
+
+    name: str                               # as the failure reasons name it
+    distance: Callable[[np.ndarray], float]
+    witness_tol: float                      # farther witnesses contradict
+    reach: float                            # largest norm on the target
+    # an equilibrium fails a scan without any witness; an orbit's own
+    # coverage test asks for more
+    needs_witness: bool = True
+
+
+def _equilibrium(x_e: np.ndarray, target_radius: float) -> _Target:
+    def dist(p):
+        return float(np.linalg.norm(p - x_e))
+    return _Target("target", dist, target_radius, float(np.linalg.norm(x_e)))
+
+
+@dataclass(frozen=True)
 class _EnsembleEvidence:
     starts: np.ndarray
     horizon: float
@@ -411,23 +441,25 @@ class _EnsembleEvidence:
     reasons: list
 
 
-def _ensemble_evidence(system, members, level, distance_fn, bound, target, *,
-                       n_trajectories, traj_seed, horizon, converge_tol,
-                       integrator) -> _EnsembleEvidence:
+def _ensemble_evidence(system, component, target, opts) -> _EnsembleEvidence:
     """Integrate a seeded draw of the members toward the target.
 
     The max of the dissipated value over every recorded state is forward
     invariance evidence: a certified component must never be exited upward,
     so it is compared against the level plus the integrator band.
     """
-    rng = np.random.default_rng(traj_seed)
-    if len(members) > n_trajectories:
-        starts = members[rng.choice(len(members), n_trajectories, replace=False)]
+    members, level = component.members, component.level
+    rng = np.random.default_rng(opts["traj_seed"])
+    if len(members) > opts["n_trajectories"]:
+        starts = members[rng.choice(len(members), opts["n_trajectories"], replace=False)]
     else:
         starts = members
-    t_end = horizon if horizon is not None else _auto_horizon(system, starts, distance_fn)
+    t_end = opts["horizon"]
+    if t_end is None:
+        t_end = _auto_horizon(system, starts, target.distance)
+    bound = target.reach + 10.0 * _halfwidth(component.anchor, opts["sampler"])
 
-    base = integrator or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    base = opts["integrator"] or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     cfg = replace(base, t_end=t_end)
     converged = 0
     failures = []
@@ -440,8 +472,8 @@ def _ensemble_evidence(system, members, level, distance_fn, bound, target, *,
                              "error": type(exc).__name__})
             continue
         g_max = max(g_max, float(np.max(tr.dissipated_values)))
-        d = distance_fn(tr.final_state)
-        if d <= converge_tol:
+        d = target.distance(tr.final_state)
+        if d <= opts["converge_tol"]:
             converged += 1
         else:
             failures.append({"start": x0.tolist(),
@@ -450,17 +482,65 @@ def _ensemble_evidence(system, members, level, distance_fn, bound, target, *,
 
     reasons = []
     if converged < len(starts):
-        reasons.append(f"trajectories failed to converge to the {target}")
+        reasons.append(f"trajectories failed to converge to the {target.name}")
     if g_max > level + 10.0 * base.local_tol(abs(level)):
         reasons.append("a trajectory exited the sublevel set upward")
     return _EnsembleEvidence(starts=starts, horizon=t_end, converged=converged,
                              failures=failures, g_max=float(g_max), reasons=reasons)
 
 
-def _trajectory_bound(reach: float, anchor: np.ndarray,
-                      sampler: SamplerConfig | None) -> float:
-    return reach + 10.0 * (
-        (sampler.halfwidth if sampler and sampler.halfwidth else _auto_halfwidth(anchor)))
+@dataclass(frozen=True)
+class _Judgement:
+    component: SublevelComponent
+    witnesses: np.ndarray
+    near: np.ndarray
+    far: np.ndarray
+    reasons: list                        # boundary contact, a missing or far witness
+    ensemble: _EnsembleEvidence | None   # None: skipped after a geometric failure
+
+
+def _judge_level(system, component, witnesses, target, opts, *,
+                 lazy_ensemble=False) -> _Judgement:
+    """The basin argument at one level, for either kind of target.
+
+    A bounded component whose only degeneracy-set points lie on the target
+    lies in the target's basin. So the level fails geometrically when the
+    component reaches the box boundary, when a witness lies farther than
+    ``witness_tol`` from the target, or when the target needs a witness and
+    the scan found none; the trajectory ensemble then tests convergence and
+    forward invariance. ``lazy_ensemble`` skips the ensemble once geometry
+    has failed the level.
+    """
+    dists = np.array([target.distance(w) for w in witnesses])
+    far = witnesses[dists > target.witness_tol]
+    reasons = []
+    if component.touches_boundary:
+        reasons.append("component reaches the sampling box boundary, "
+                       "containment unverified")
+    if target.needs_witness and witnesses.size == 0:
+        reasons.append(f"degeneracy-set scan found no witness at the {target.name}")
+    if far.size:
+        reasons.append(f"degeneracy-set witnesses found away from the {target.name}")
+    ensemble = None
+    if not (lazy_ensemble and reasons):
+        ensemble = _ensemble_evidence(system, component, target, opts)
+    return _Judgement(component=component, witnesses=witnesses,
+                      near=witnesses[dists <= target.witness_tol], far=far,
+                      reasons=reasons, ensemble=ensemble)
+
+
+def _certify_level(system, anchor, level, target, opts) -> _Judgement:
+    """Judge a level on a freshly built component and witness scan.
+
+    The certificates take this uncached path through the public functions,
+    which the threshold search's leaf table must agree with.
+    """
+    component = sublevel_component(system, anchor, level, opts["sampler"])
+    witnesses = scan_invariant_witnesses(system, component,
+                                         max_refine=opts["max_refine"],
+                                         susp_ratio=opts["susp_ratio"],
+                                         susp_g=opts["susp_g"])
+    return _judge_level(system, component, witnesses, target, opts)
 
 
 def _require_stable(system: DissipativeSystem, x_e: np.ndarray,
@@ -473,39 +553,12 @@ def _require_stable(system: DissipativeSystem, x_e: np.ndarray,
     return verdict
 
 
-def _target_geometry(component: SublevelComponent, witnesses: np.ndarray,
-                     x_e: np.ndarray, target_radius: float):
-    """Far witnesses and the geometric failure reasons of an equilibrium certificate."""
-    if witnesses.size:
-        dists = np.linalg.norm(witnesses - x_e, axis=1)
-        far = witnesses[dists > target_radius]
-    else:
-        far = np.zeros((0, x_e.size))
-    reasons = []
-    if component.touches_boundary:
-        reasons.append("component reaches the sampling box boundary, "
-                       "containment unverified")
-    if witnesses.size == 0:
-        reasons.append("degeneracy-set scan found no witness at the target")
-    if far.size:
-        reasons.append("degeneracy-set witnesses found away from the target")
-    return far, reasons
-
-
-def _distance_from(x_e: np.ndarray):
-    def dist(p):
-        return float(np.linalg.norm(p - x_e))
-    return dist
-
-
 @dataclass(frozen=True)
-class BasinCertificate:
-    """Evidence that a sublevel component lies in the basin of an equilibrium."""
+class _Certificate:
+    """The fields, verdict and report keys that both certificates share."""
 
     passed: bool
-    target: np.ndarray
     level: float
-    stability: Stability
     component_size: int
     spacing: float
     touches_boundary: bool
@@ -523,6 +576,22 @@ class BasinCertificate:
     proper_g_asserted: bool
     members: np.ndarray = field(repr=False)
 
+    @classmethod
+    def _from_judgement(cls, judged: _Judgement, reasons: list,
+                        proper_g_asserted: bool, **own):
+        component, ensemble = judged.component, judged.ensemble
+        return cls(passed=not reasons, level=component.level,
+                   component_size=len(component.members),
+                   spacing=component.spacing,
+                   touches_boundary=component.touches_boundary,
+                   witnesses=judged.witnesses, far_witnesses=judged.far,
+                   trajectories_total=len(ensemble.starts),
+                   trajectories_converged=ensemble.converged,
+                   failed_starts=ensemble.failures, horizon=ensemble.horizon,
+                   reasons=reasons, max_trajectory_g=ensemble.g_max,
+                   proper_g_asserted=proper_g_asserted,
+                   members=component.members, **own)
+
     @property
     def verdict(self) -> str:
         if not self.passed:
@@ -534,9 +603,7 @@ class BasinCertificate:
             "passed": self.passed,
             "verdict": self.verdict,
             "properGAsserted": self.proper_g_asserted,
-            "target": self.target.tolist(),
             "level": self.level,
-            "stability": self.stability.value,
             "componentSize": self.component_size,
             "spacing": self.spacing,
             "touchesBoundary": self.touches_boundary,
@@ -549,6 +616,18 @@ class BasinCertificate:
             "maxTrajectoryG": self.max_trajectory_g,
             "reasons": self.reasons,
         }
+
+
+@dataclass(frozen=True)
+class BasinCertificate(_Certificate):
+    """Evidence that a sublevel component lies in the basin of an equilibrium."""
+
+    target: np.ndarray
+    stability: Stability
+
+    def as_report(self) -> dict:
+        return {**super().as_report(), "target": self.target.tolist(),
+                "stability": self.stability.value}
 
 
 def basin_certify(system: DissipativeSystem, equilibrium, level: float,
@@ -574,36 +653,13 @@ def basin_certify(system: DissipativeSystem, equilibrium, level: float,
     """
     x_e = as_point(equilibrium, system.dim)
     verdict = _require_stable(system, x_e, stability)
-    component = sublevel_component(system, x_e, level, sampler)
-    witnesses = scan_invariant_witnesses(system, component, max_refine=max_refine,
-                                         susp_ratio=susp_ratio, susp_g=susp_g)
-    far, reasons = _target_geometry(component, witnesses, x_e, target_radius)
-    ensemble = _ensemble_evidence(
-        system, component.members, level, _distance_from(x_e),
-        _trajectory_bound(float(np.linalg.norm(x_e)), x_e, sampler), "target",
+    judged = _certify_level(system, x_e, level, _equilibrium(x_e, target_radius), dict(
+        sampler=sampler, max_refine=max_refine, susp_ratio=susp_ratio, susp_g=susp_g,
         n_trajectories=n_trajectories, traj_seed=traj_seed, horizon=horizon,
-        converge_tol=converge_tol, integrator=integrator)
-    reasons += ensemble.reasons
-
-    return BasinCertificate(
-        passed=not reasons,
-        target=x_e,
-        level=level,
-        stability=verdict,
-        component_size=len(component.members),
-        spacing=component.spacing,
-        touches_boundary=component.touches_boundary,
-        witnesses=witnesses,
-        far_witnesses=far,
-        trajectories_total=len(ensemble.starts),
-        trajectories_converged=ensemble.converged,
-        failed_starts=ensemble.failures,
-        horizon=ensemble.horizon,
-        reasons=reasons,
-        max_trajectory_g=ensemble.g_max,
-        proper_g_asserted=proper_g_asserted,
-        members=component.members,
-    )
+        converge_tol=converge_tol, integrator=integrator))
+    return BasinCertificate._from_judgement(
+        judged, judged.reasons + judged.ensemble.reasons, proper_g_asserted,
+        target=x_e, stability=verdict)
 
 
 def distance_to_orbit(point, orbit_states: np.ndarray) -> float:
@@ -721,64 +777,27 @@ def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
 
 
 @dataclass(frozen=True)
-class OrbitCertificate:
+class OrbitCertificate(_Certificate):
     """Evidence that a sublevel component is the basin of a periodic orbit."""
 
-    passed: bool
     seed_state: np.ndarray
     period: float
-    level: float
     orbit_in_invariant_set: bool
     max_det_full: float
     max_grad_g: float
-    component_size: int
-    spacing: float
-    touches_boundary: bool
-    witnesses: np.ndarray
-    far_witnesses: np.ndarray
     coverage_gap: float
     covered: bool
-    trajectories_total: int
-    trajectories_converged: int
-    failed_starts: list
-    horizon: float
-    reasons: list
-    max_trajectory_g: float
-    proper_g_asserted: bool
     phase_states: np.ndarray
-    members: np.ndarray = field(repr=False)
-
-    @property
-    def verdict(self) -> str:
-        if not self.passed:
-            return "fail"
-        return "pass" if self.proper_g_asserted else "conditional-pass"
 
     def as_report(self) -> dict:
-        return {
-            "passed": self.passed,
-            "verdict": self.verdict,
-            "properGAsserted": self.proper_g_asserted,
-            "seed": self.seed_state.tolist(),
-            "period": self.period,
-            "level": self.level,
-            "orbitInInvariantSet": self.orbit_in_invariant_set,
-            "maxDetFull": self.max_det_full,
-            "maxGradGNorm": self.max_grad_g,
-            "componentSize": self.component_size,
-            "spacing": self.spacing,
-            "touchesBoundary": self.touches_boundary,
-            "witnesses": self.witnesses.tolist(),
-            "farWitnesses": self.far_witnesses.tolist(),
-            "coverageGap": self.coverage_gap,
-            "covered": self.covered,
-            "trajectoriesTotal": self.trajectories_total,
-            "trajectoriesConverged": self.trajectories_converged,
-            "failedStarts": self.failed_starts,
-            "horizon": self.horizon,
-            "maxTrajectoryG": self.max_trajectory_g,
-            "reasons": self.reasons,
-        }
+        return {**super().as_report(),
+                "seed": self.seed_state.tolist(),
+                "period": self.period,
+                "orbitInInvariantSet": self.orbit_in_invariant_set,
+                "maxDetFull": self.max_det_full,
+                "maxGradGNorm": self.max_grad_g,
+                "coverageGap": self.coverage_gap,
+                "covered": self.covered}
 
 
 def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
@@ -805,9 +824,9 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
     The seed is refined onto the degeneracy set, its period is recovered by
     recurrence detection plus a local Newton refinement of the return time,
     ``dense_states`` orbit points are read off the steps of that same run, the
-    orbit itself is re-classified at ``n_phases`` phases, and the
-    component is then scanned and test-integrated exactly as for an
-    equilibrium, with distances measured to the densely sampled orbit.
+    orbit itself is re-classified at ``n_phases`` phases, and the level is
+    then judged exactly as for an equilibrium, with distances measured to the
+    densely sampled orbit; the witnesses near the orbit must also cover it.
     """
     seed0 = as_point(seed_point, system.dim)
     cfg = integrator or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -839,72 +858,35 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
         if not cls.in_invariant_set:
             on_inv = False
 
-    component = sublevel_component(system, y0, level, sampler)
-    witnesses = scan_invariant_witnesses(system, component, max_refine=max_refine,
-                                         susp_ratio=susp_ratio, susp_g=susp_g)
-
     def dist(p):
         return distance_to_orbit(p, orbit_states)
 
-    if witnesses.size:
-        wdists = np.array([dist(w) for w in witnesses])
-        far = witnesses[wdists > witness_tol]
-        near = witnesses[wdists <= witness_tol]
-    else:
-        far = np.zeros((0, system.dim))
-        near = witnesses
+    orbit = _Target("orbit", dist, witness_tol,
+                    float(np.max(np.linalg.norm(orbit_states, axis=1))),
+                    needs_witness=False)
+    judged = _certify_level(system, y0, level, orbit, dict(
+        sampler=sampler, max_refine=max_refine, susp_ratio=susp_ratio, susp_g=susp_g,
+        n_trajectories=n_trajectories, traj_seed=traj_seed, horizon=horizon,
+        converge_tol=converge_tol, integrator=integrator))
 
+    near = judged.near
     if near.size:
         gap = max(float(np.min(np.linalg.norm(near - p, axis=1)))
                   for p in phase_states)
     else:
         gap = np.inf
-    covered = gap <= coverage_factor * component.spacing
+    covered = gap <= coverage_factor * judged.component.spacing
 
-    reasons = []
-    if not on_inv:
-        reasons.append("orbit phases leave the degeneracy set at tight tolerance")
-    if component.touches_boundary:
-        reasons.append("component reaches the sampling box boundary, "
-                       "containment unverified")
-    if far.size:
-        reasons.append("degeneracy-set witnesses found away from the orbit")
+    reasons = [] if on_inv else ["orbit phases leave the degeneracy set at tight tolerance"]
+    reasons += judged.reasons
     if not covered:
         reasons.append("witnesses do not cover the orbit")
+    reasons += judged.ensemble.reasons
 
-    ensemble = _ensemble_evidence(
-        system, component.members, level, dist,
-        _trajectory_bound(float(np.max(np.linalg.norm(orbit_states, axis=1))), y0,
-                          sampler), "orbit",
-        n_trajectories=n_trajectories, traj_seed=traj_seed, horizon=horizon,
-        converge_tol=converge_tol, integrator=integrator)
-    reasons += ensemble.reasons
-
-    return OrbitCertificate(
-        passed=not reasons,
-        seed_state=y0,
-        period=period,
-        level=level,
-        orbit_in_invariant_set=on_inv,
-        max_det_full=max_det,
-        max_grad_g=max_g,
-        component_size=len(component.members),
-        spacing=component.spacing,
-        touches_boundary=component.touches_boundary,
-        witnesses=witnesses,
-        far_witnesses=far,
-        coverage_gap=float(gap),
-        covered=covered,
-        trajectories_total=len(ensemble.starts),
-        trajectories_converged=ensemble.converged,
-        failed_starts=ensemble.failures,
-        horizon=ensemble.horizon,
-        reasons=reasons,
-        max_trajectory_g=ensemble.g_max,
-        proper_g_asserted=proper_g_asserted,
-        phase_states=phase_states,
-        members=component.members,
-    )
+    return OrbitCertificate._from_judgement(
+        judged, reasons, proper_g_asserted, seed_state=y0, period=period,
+        orbit_in_invariant_set=on_inv, max_det_full=max_det, max_grad_g=max_g,
+        coverage_gap=float(gap), covered=covered, phase_states=phase_states)
 
 
 def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
@@ -942,8 +924,7 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
     _require_stable(system, x_e, opts["stability"])
 
     table = _LeafTable(system, x_e, system.leaf_value(x_e), sampler or SamplerConfig())
-    dist = _distance_from(x_e)
-    bound = _trajectory_bound(float(np.linalg.norm(x_e)), x_e, sampler)
+    target = _equilibrium(x_e, opts["target_radius"])
     history = []
 
     def passes(level):
@@ -952,17 +933,11 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
         if not g_e <= level:
             return False
         component, rows = table.select(level)
-        witnesses = table.witnesses(component, rows, opts["max_refine"],
-                                    opts["susp_ratio"], opts["susp_g"])
-        _, reasons = _target_geometry(component, witnesses, x_e, opts["target_radius"])
-        if not reasons:
-            reasons = _ensemble_evidence(
-                system, component.members, level, dist, bound, "target",
-                n_trajectories=opts["n_trajectories"], traj_seed=opts["traj_seed"],
-                horizon=opts["horizon"], converge_tol=opts["converge_tol"],
-                integrator=opts["integrator"]).reasons
-        history.append((level, not reasons))
-        return not reasons
+        judged = _judge_level(system, component, table.witnesses(component, rows, opts),
+                              target, opts, lazy_ensemble=True)
+        ok = not judged.reasons and not judged.ensemble.reasons
+        history.append((level, ok))
+        return ok
 
     if passes(level_max):
         return level_max, history

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs:
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--config", required=True, metavar="PATH",
-                       help="JSON config (see docs/config_schema.json)")
+                       help="JSON config (schema: src/geodiss/config_schema.json)")
         q.add_argument("--out", default=None, metavar="DIR",
                        help="output directory owned by this invocation; "
                             "reports also go to stdout")

@@ -1,9 +1,11 @@
-"""Gram matrices of metric gradients and their determinants.
+"""Per-point Gram data of metric gradients and their determinants.
 
-The pairing matrix of two field lists has entry (i, j) equal to the metric
-inner product of the gradient of ``cols[j]`` with the gradient of ``rows[i]``.
-Determinants of such matrices are the only linear-algebra primitive the
-control-field construction needs; the empty determinant is 1 by convention.
+:func:`system_frame` evaluates, at one point, the differentials of the
+conserved quantities and of the dissipated one, their metric gradients, and
+their pairing matrix, whose entry (i, j) is the metric inner product of
+gradients i and j. Determinants of its blocks are the only linear-algebra
+primitive the control-field construction needs; the empty determinant is 1
+by convention.
 """
 from __future__ import annotations
 
@@ -14,20 +16,11 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import NonFiniteValue, NumericalHealthWarning
-from .fields import DissipativeSystem, MetricField, ScalarField, as_point
+from .fields import DissipativeSystem, ScalarField, as_point
 
 # Gram determinants are mathematically nonnegative; anything more negative
 # than this (relative to the diagonal product) signals numerical trouble.
 GRAM_NEGATIVITY_FLOOR = -1e-10
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Pairing matrix of gradients with the labels that produced it."""
-
-    entries: np.ndarray
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
 
 
 def _differential_stack(fields_: Sequence[ScalarField], x: np.ndarray) -> np.ndarray:
@@ -39,28 +32,6 @@ def _differential_stack(fields_: Sequence[ScalarField], x: np.ndarray) -> np.nda
     if not np.isfinite(rows).all():
         raise NonFiniteValue(f"non-finite differential among fields at {x.tolist()}")
     return rows
-
-
-def gram_matrix(rows: Sequence[ScalarField], cols: Sequence[ScalarField],
-                metric: MetricField, x) -> GramMatrix:
-    """Pairing matrix entries[i][j] = <grad cols[j], grad rows[i]>."""
-    p = as_point(x, metric.dim)
-    drows = _differential_stack(rows, p)
-    dcols = _differential_stack(cols, p)
-    gmat = metric.at(p)
-    if len(cols):
-        grads_cols = np.linalg.solve(gmat, dcols.T)  # columns are gradients
-        entries = drows @ grads_cols
-    else:
-        entries = np.zeros((len(rows), 0))
-    same = len(rows) == len(cols) and all(r is c for r, c in zip(rows, cols))
-    if same:
-        entries = 0.5 * (entries + entries.T)
-    return GramMatrix(
-        entries=entries,
-        row_labels=tuple(f.label for f in rows),
-        col_labels=tuple(f.label for f in cols),
-    )
 
 
 def checked_det(mat: np.ndarray, diag_scale: float | None = None) -> float:
@@ -86,13 +57,6 @@ def checked_det(mat: np.ndarray, diag_scale: float | None = None) -> float:
             stacklevel=2,
         )
     return det
-
-
-def gram_det(fields_: Sequence[ScalarField], metric: MetricField, x) -> float:
-    """Determinant of the Gram matrix of the given fields (empty list gives 1)."""
-    gm = gram_matrix(fields_, fields_, metric, x)
-    scale = float(np.prod(np.diag(gm.entries))) if len(fields_) else 1.0
-    return checked_det(gm.entries, diag_scale=scale)
 
 
 @dataclass(frozen=True)
@@ -158,25 +122,3 @@ def system_frame(system: DissipativeSystem, x) -> SystemFrame:
     gram = diffs @ grads.T
     gram = 0.5 * (gram + gram.T)
     return SystemFrame(x=p, gmat=gmat, diffs=diffs, grads=grads, gram=gram)
-
-
-def gram_det_full(system: DissipativeSystem, x) -> float:
-    """Gram determinant over conserved quantities plus the dissipated one."""
-    return system_frame(system, x).det_full()
-
-
-def stacked_gradient_rank(system: DissipativeSystem, x,
-                          sv_rel_tol: float = 1e-8) -> int:
-    """Numerical rank of the stacked gradients in the metric inner product.
-
-    Eigenvalues of the full Gram matrix are the squared singular values of the
-    metric-orthonormalized gradient stack; the rank cut is relative to the
-    largest singular value.
-    """
-    fr = system_frame(system, x)
-    eigs = np.linalg.eigvalsh(fr.gram)
-    eigs = np.clip(eigs, 0.0, None)
-    if eigs.size == 0 or eigs[-1] == 0.0:
-        return 0
-    sv = np.sqrt(eigs)
-    return int(np.sum(sv > sv_rel_tol * sv[-1]))

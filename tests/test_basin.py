@@ -155,6 +155,20 @@ def test_sampled_component_deterministic(bowl4):
     assert a.spacing == b.spacing
 
 
+def test_box_halfwidth_has_one_rule(bowl4):
+    # the rule the leaf table and the trajectory bound read: a configured
+    # half-width is used as given, 0.0 included; only None means automatic
+    anchor = np.array([0.5, 0.0, 0.0, 0.0])
+    auto = 2.0 * 0.5 + 0.5
+    for sampler, expected in ((None, auto), (SamplerConfig(), auto),
+                              (SamplerConfig(halfwidth=0.0), 0.0),
+                              (SamplerConfig(halfwidth=0.75), 0.75)):
+        assert basin_mod._halfwidth(anchor, sampler) == expected
+    table = basin_mod._LeafTable(bowl4.system, anchor, np.zeros(0),
+                                 SamplerConfig(n_samples=8, halfwidth=0.0))
+    assert table.hw == 0.0
+
+
 # ---------------------------------------------------------------------------
 # distance to a sampled closed orbit
 # ---------------------------------------------------------------------------
@@ -270,7 +284,11 @@ def test_basin_certificate_fails_at_03(rigid):
         _norms(cert.far_witnesses - np.array([0.0, 1.0, 0.0])),
         _norms(cert.far_witnesses - np.array([0.0, -1.0, 0.0])))
     assert np.min(d_saddle) <= 1e-6
-    assert "degeneracy-set witnesses found away from the target" in cert.reasons
+    # geometric reasons first, then the ensemble's, each in a fixed order
+    assert cert.reasons == [
+        "degeneracy-set witnesses found away from the target",
+        "trajectories failed to converge to the target",
+    ]
 
 
 def test_basin_certificate_verdict_stable_under_density(rigid):
@@ -360,7 +378,29 @@ def test_orbit_certificate_fails_at_03(mexhat):
     assert cert.far_witnesses.size > 0
     r = _norms(cert.far_witnesses[:, :2])
     assert np.min(r) <= 1e-6
-    assert "degeneracy-set witnesses found away from the orbit" in cert.reasons
+    assert cert.reasons == [
+        "component reaches the sampling box boundary, containment unverified",
+        "degeneracy-set witnesses found away from the orbit",
+    ]
+
+
+def test_orbit_certificate_reasons_come_in_a_fixed_order(mexhat):
+    # a loose integrator puts the orbit samples off the circle: the phases
+    # leave the degeneracy set and the witnesses on the circle count as far;
+    # two refinements cannot cover the orbit
+    cert = periodic_orbit_certify(
+        mexhat.system, np.array([1.05, 0.0, 0.02]), 0.2,
+        sampler=SamplerConfig(cells_per_axis=24, halfwidth=2.0),
+        integrator=IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8), recur_tol=1e-4,
+        max_refine=2, n_phases=40, n_trajectories=2, traj_seed=2, horizon=8.0)
+    assert not cert.orbit_in_invariant_set
+    assert not cert.covered
+    assert cert.reasons == [
+        "orbit phases leave the degeneracy set at tight tolerance",
+        "component reaches the sampling box boundary, containment unverified",
+        "degeneracy-set witnesses found away from the orbit",
+        "witnesses do not cover the orbit",
+    ]
 
 
 def test_orbit_certify_rejects_dissipative_seed(mexhat):
@@ -509,6 +549,34 @@ def test_threshold_search_projects_once_and_integrates_only_where_geometry_passe
             expected += cert.trajectories_total
     assert geometric_failures > 0
     assert n_integrated == expected
+
+
+def test_threshold_search_reasons_at_each_level(rigid, monkeypatch):
+    # levels that fail geometrically skip the ensemble; a level that passes
+    # geometry can still fail on it
+    judged = []
+    judge = basin_mod._judge_level
+
+    def recording_judge(*args, **kwargs):
+        j = judge(*args, **kwargs)
+        judged.append((j.component.level, j.reasons,
+                       None if j.ensemble is None else j.ensemble.reasons))
+        return j
+
+    monkeypatch.setattr(basin_mod, "_judge_level", recording_judge)
+    level, history = threshold_search(
+        rigid.system, MAJOR, 0.4, steps=3, sampler=SamplerConfig(cells_per_axis=16),
+        stability=AS, n_trajectories=3, traj_seed=3, horizon=20.0, converge_tol=6e-4)
+    geometry = ["component reaches the sampling box boundary, containment unverified",
+                "degeneracy-set witnesses found away from the target"]
+    assert judged == [
+        (history[0][0], geometry, None),
+        (history[1][0], geometry, None),
+        (history[2][0], [], ["trajectories failed to converge to the target"]),
+        (history[3][0], [], []),
+    ]
+    assert [ok for _, ok in history] == [False, False, False, True]
+    assert level == history[3][0]
 
 
 def test_threshold_search_rejects_unstable_target_before_any_work(rigid, monkeypatch):

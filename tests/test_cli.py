@@ -13,7 +13,6 @@ Every test drives ``main(argv)`` in-process (one subprocess test covers the
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,8 +392,3 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["status"] == "pass"
 
-
-def test_schema_copies_are_identical():
-    src = Path(__file__).resolve().parents[1] / "src/geodiss/config_schema.json"
-    doc = Path(__file__).resolve().parents[1] / "docs/config_schema.json"
-    assert src.read_bytes() == doc.read_bytes()
