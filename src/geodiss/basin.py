@@ -34,16 +34,14 @@ import numpy as np
 
 from .control import _cofactor_from_frame, dissipated_rhs
 from .errors import (
+    _INTEGRATION_FAILURES,
     AnchorOutsideLevel,
+    ConfigError,
     LeafProjectionFailure,
-    MaxStepsExceeded,
-    NonFiniteState,
     NoValidLevel,
     NotAsymptoticallyStable,
     NotOnInvariantSet,
     NotPeriodic,
-    StepUnderflow,
-    UnboundedTrajectory,
 )
 from .fields import DissipativeSystem, as_point
 from .gram import system_frame
@@ -73,6 +71,16 @@ class SamplerConfig:
     n_samples: int = 4096
     neighbor_count: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        # the bounds of the config schema's sampler
+        for name, least in (("cells_per_axis", 2), ("n_samples", 1),
+                            ("neighbor_count", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"sampler {name} must be at least {least}, got {value}")
+        if self.halfwidth is not None and not self.halfwidth > 0:
+            raise ConfigError(f"sampler halfwidth must be positive, got {self.halfwidth}")
 
 
 @dataclass(frozen=True)
@@ -182,16 +190,13 @@ class _LeafTable:
                     break
             if not ok:
                 continue
-            if system.k > 0:
-                try:
-                    y = project_to_leaf(system, center, self.leaf_value,
-                                        tol=1e-10, max_iter=20)
-                except LeafProjectionFailure:
-                    continue
-                if float(np.linalg.norm(y - center)) > diag:
-                    continue
-            else:
-                y = center
+            try:
+                y = project_to_leaf(system, center, self.leaf_value,
+                                    tol=1e-10, max_iter=20)
+            except LeafProjectionFailure:
+                continue
+            if float(np.linalg.norm(y - center)) > diag:
+                continue
             found.append(y)
             cells.append(flat)
         return found, cells
@@ -202,14 +207,11 @@ class _LeafTable:
         raw = anchor + rng.uniform(-hw, hw, size=(self.cfg.n_samples, system.dim))
         found = []
         for p in raw:
-            if system.k > 0:
-                try:
-                    y = project_to_leaf(system, p, self.leaf_value,
-                                        tol=1e-10, max_iter=20)
-                except LeafProjectionFailure:
-                    continue
-            else:
-                y = p
+            try:
+                y = project_to_leaf(system, p, self.leaf_value,
+                                    tol=1e-10, max_iter=20)
+            except LeafProjectionFailure:
+                continue
             if float(np.max(np.abs(y - anchor))) > hw:
                 continue
             found.append(y)
@@ -406,10 +408,6 @@ def _auto_horizon(system: DissipativeSystem, starts, distance_fn,
     if med <= 0:
         return cap
     return float(np.clip(50.0 / med, floor, cap))
-
-
-_INTEGRATION_FAILURES = (StepUnderflow, MaxStepsExceeded, NonFiniteState,
-                         UnboundedTrajectory)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ Exit codes (the full set; argparse failures are remapped to 1):
   0  success (including a conditional pass of a certificate)
   1  configuration problem: unreadable config, schema violation, bad system
   2  integration failure: step underflow, step budget, non-finite or
-     unbounded state
+     unbounded state, or a leaf re-projection that did not converge
   3  identity violation: a structural identity, metric positivity, or
      differential consistency check failed
   4  certificate failure: a basin or orbit certificate did not hold, or its
@@ -32,14 +32,12 @@ import sys
 from importlib import resources
 
 from .errors import (
+    _INTEGRATION_FAILURES,
     AnchorOutsideLevel,
     BadInertia,
     ConfigError,
     DimensionMismatch,
-    LeafProjectionFailure,
-    MaxStepsExceeded,
     NoConvergence,
-    NonFiniteState,
     NonFiniteValue,
     NonPositiveDefiniteMetric,
     NotAsymptoticallyStable,
@@ -47,8 +45,6 @@ from .errors import (
     NotPeriodic,
     NoValidLevel,
     SingularLeaf,
-    StepUnderflow,
-    UnboundedTrajectory,
 )
 
 EXIT_OK = 0
@@ -75,6 +71,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"error: {message}\n")
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="geodiss",
@@ -98,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--out", default=None, metavar="DIR",
                        help="output directory owned by this invocation; "
                             "reports also go to stdout")
-        q.add_argument("--seed", type=int, default=None,
+        q.add_argument("--seed", type=_non_negative_int, default=None,
                        help="override the seed in the config")
         q.add_argument("--threads", type=int, default=None,
                        help="cap linear-algebra thread pools")
@@ -552,12 +559,10 @@ _HANDLERS = {
 }
 
 _CONFIG_FAILURES = (ConfigError, BadInertia, DimensionMismatch)
-_INTEGRATION_FAILURES = (StepUnderflow, MaxStepsExceeded, NonFiniteState,
-                         UnboundedTrajectory)
 _IDENTITY_FAILURES = (NonPositiveDefiniteMetric, NonFiniteValue, SingularLeaf)
 _CERTIFICATE_FAILURES = (NotAsymptoticallyStable, AnchorOutsideLevel,
                          NoValidLevel, NotPeriodic, NotOnInvariantSet,
-                         NoConvergence, LeafProjectionFailure)
+                         NoConvergence)
 
 
 def main(argv=None) -> int:

@@ -73,5 +73,12 @@ class ConfigError(GeodissError):
     """A run configuration failed validation."""
 
 
+# Everything that ends one integration run: the CLI maps these to its
+# integration exit code, and a certificate ensemble records them as failed
+# starts. Defined here so the CLI can name them without loading numpy.
+_INTEGRATION_FAILURES = (StepUnderflow, MaxStepsExceeded, NonFiniteState,
+                         UnboundedTrajectory, LeafProjectionFailure)
+
+
 class NumericalHealthWarning(RuntimeWarning):
     """Roundoff drifted past a sanity bound; results may need scrutiny."""

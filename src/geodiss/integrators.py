@@ -8,7 +8,10 @@ finite-difference rate of the dissipated quantity and its predicted rate.
 
 Trajectories never get silently re-projected onto a leaf; an optional Newton
 re-projection after each accepted step can be switched on in the config, and
-leaf drift is always visible in the recorded conserved values.
+leaf drift is always visible in the recorded conserved values. The
+re-projection is :func:`geodiss.structure.project_to_leaf`, the one leaf
+projection of the package; a step it cannot bring back onto the initial
+leaf raises :class:`LeafProjectionFailure`, never keeps an unconverged point.
 """
 from __future__ import annotations
 
@@ -214,19 +217,6 @@ def _rk4_step(rhs, x, h, k1):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _project_to_leaf_values(system, x, target, tol=1e-12, max_iter=20):
-    """Minimum-norm Newton correction back onto the conserved level set."""
-    y = x.copy()
-    for _ in range(max_iter):
-        res = system.leaf_value(y) - target
-        if np.max(np.abs(res)) <= tol:
-            return y
-        jac = np.vstack([f.d(y) for f in system.conserved])
-        lam = np.linalg.lstsq(jac @ jac.T, -res, rcond=None)[0]
-        y = y + jac.T @ lam
-    return y
-
-
 def _evaluator(system: DissipativeSystem, flow: Flow):
     """Right-hand side of the flow at p, with the frame and control field behind it.
 
@@ -305,8 +295,10 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
         return evaluate(p)[0]
 
     k_first = (seed if seed is not None else evaluate(x))[0]
-    leaf_target = (system.leaf_value(x)
-                   if config.leaf_reprojection and system.k else None)
+    leaf_target = None
+    if config.leaf_reprojection and system.k:
+        from .structure import project_to_leaf
+        leaf_target = system.leaf_value(x)
     t = 0.0
     t_end = config.t_end
     h_ctrl = min(config.h0, t_end)
@@ -364,7 +356,7 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
             )
 
         if leaf_target is not None:
-            x_new = _project_to_leaf_values(system, x_new, leaf_target)
+            x_new = project_to_leaf(system, x_new, leaf_target)
             stages = None
 
         if stages is not None:

@@ -26,6 +26,8 @@ from .integrators import Flow, IntegratorConfig, integrate
 
 DEFAULT_TOL_INV = 1e-9
 DEFAULT_TOL_G = 1e-6
+# a leaf residual below this times the largest |leaf value| is roundoff
+_LEAF_ROUNDOFF = 4.0 * np.finfo(float).eps
 
 
 class PointKind(Enum):
@@ -222,16 +224,21 @@ def project_to_leaf(system: DissipativeSystem, x, leaf_value,
                     tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
     """Newton-project x onto the level set of the conserved quantities.
 
-    Uses minimum-norm corrections in the span of the conserved differentials;
-    raises :class:`LeafProjectionFailure` when the residual will not drop.
+    Uses minimum-norm corrections in the span of the conserved differentials.
+    A residual is accepted at ``tol`` or at the roundoff floor of the leaf
+    values, 4 eps max|leaf_value|, whichever is larger: below that floor no
+    Newton step can improve it. Raises :class:`LeafProjectionFailure` when the
+    residual will not drop to that. With no conserved quantities x is
+    returned as it is.
     """
     if system.k == 0:
         return as_point(x, system.dim)
     target = np.asarray(leaf_value, dtype=float).ravel()
+    accept = max(tol, _LEAF_ROUNDOFF * float(np.max(np.abs(target))))
     y = as_point(x, system.dim).copy()
     for _ in range(max_iter):
         res = system.leaf_value(y) - target
-        if float(np.max(np.abs(res))) <= tol:
+        if float(np.max(np.abs(res))) <= accept:
             return y
         jac = np.vstack([f.d(y) for f in system.conserved])
         try:

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+import geodiss.structure
 from geodiss.catalog import mexican_hat, random_poly, rigid_body
+from geodiss.errors import LeafProjectionFailure
 from geodiss.fields import (
     DissipativeSystem,
     MetricField,
@@ -22,6 +24,19 @@ def rigid():
 def mexhat():
     """Rotation plus sombrero-profile dissipation."""
     return mexican_hat()
+
+
+@pytest.fixture
+def refused_leaf_projection(monkeypatch):
+    """Every call of ``geodiss.structure.project_to_leaf`` raises.
+
+    The integrator's re-projection looks the function up there at run time;
+    modules that imported it by name keep the real one.
+    """
+    def refuse(system, x, leaf_value, tol=1e-12, max_iter=50):
+        raise LeafProjectionFailure("projection refused")
+
+    monkeypatch.setattr(geodiss.structure, "project_to_leaf", refuse)
 
 
 def seeded_pair(i: int):

@@ -21,6 +21,7 @@ import geodiss.basin as basin_mod
 from geodiss import (
     AnchorOutsideLevel,
     BasinCertificate,
+    ConfigError,
     DissipativeSystem,
     IntegratorConfig,
     MetricField,
@@ -157,16 +158,35 @@ def test_sampled_component_deterministic(bowl4):
 
 def test_box_halfwidth_has_one_rule(bowl4):
     # the rule the leaf table and the trajectory bound read: a configured
-    # half-width is used as given, 0.0 included; only None means automatic
+    # half-width is used as given, however small; only None means automatic
     anchor = np.array([0.5, 0.0, 0.0, 0.0])
     auto = 2.0 * 0.5 + 0.5
     for sampler, expected in ((None, auto), (SamplerConfig(), auto),
-                              (SamplerConfig(halfwidth=0.0), 0.0),
+                              (SamplerConfig(halfwidth=1e-3), 1e-3),
                               (SamplerConfig(halfwidth=0.75), 0.75)):
         assert basin_mod._halfwidth(anchor, sampler) == expected
     table = basin_mod._LeafTable(bowl4.system, anchor, np.zeros(0),
-                                 SamplerConfig(n_samples=8, halfwidth=0.0))
-    assert table.hw == 0.0
+                                 SamplerConfig(n_samples=8, halfwidth=1e-3))
+    assert table.hw == 1e-3
+    # a zero half-width is refused where the sampler is made
+    with pytest.raises(ConfigError):
+        SamplerConfig(halfwidth=0.0)
+
+
+def test_sampler_config_checks_its_fields(rigid):
+    # the grid path once took a zero half-width to a cell width of 0 and
+    # ended in an untyped ValueError from floor(0/0)
+    with pytest.raises(ConfigError, match="halfwidth"):
+        sublevel_component(rigid.system, (1, 0, 0), 0.2,
+                           SamplerConfig(cells_per_axis=8, halfwidth=0.0))
+    # the bounds of the config schema's sampler
+    for bad in ({"cells_per_axis": 1}, {"halfwidth": -1.0},
+                {"halfwidth": float("nan")}, {"n_samples": 0},
+                {"neighbor_count": 0}, {"seed": -1}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            SamplerConfig(**bad)
+    SamplerConfig(cells_per_axis=2, halfwidth=1e-9, n_samples=1,
+                  neighbor_count=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +274,19 @@ def test_basin_certificate_passes_at_02(rigid_pass_cert):
     # forward-invariance evidence: no recorded state above the level
     assert cert.max_trajectory_g <= 0.2 + 1e-6
     assert not cert.touches_boundary
+
+
+def test_failed_reprojection_is_a_failed_start(rigid, refused_leaf_projection):
+    # the leaf table keeps its own projection; only the ensemble's
+    # re-projecting integrations fail, and each one is recorded, not raised
+    cert = basin_certify(rigid.system, MAJOR, 0.2,
+                         SamplerConfig(cells_per_axis=16), stability=AS,
+                         n_trajectories=2, traj_seed=3,
+                         integrator=IntegratorConfig(leaf_reprojection=True))
+    assert not cert.passed
+    assert cert.trajectories_converged == 0
+    assert [f["error"] for f in cert.failed_starts] == ["LeafProjectionFailure"] * 2
+    assert all(f["finalDistance"] is None for f in cert.failed_starts)
 
 
 def test_basin_certificate_report_shape(rigid_pass_cert):

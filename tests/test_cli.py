@@ -111,6 +111,17 @@ def test_simulate_blowup_maps_to_integration_exit(tmp_path, capsys):
     assert "UnboundedTrajectory" in err
 
 
+def test_simulate_failed_reprojection_maps_to_integration_exit(
+        tmp_path, capsys, refused_leaf_projection):
+    cfg = _write(tmp_path, "sim.json", {
+        **SIM_CONFIG,
+        "integrator": {**SIM_CONFIG["integrator"], "leaf_reprojection": True}})
+    rc, out, err = _run(capsys, ["simulate", "--config", cfg])
+    assert rc == EXIT_INTEGRATION
+    assert "LeafProjectionFailure" in err
+    assert out == ""
+
+
 def test_simulate_is_byte_deterministic(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.json", SIM_CONFIG)
     runs = []
@@ -371,6 +382,17 @@ def test_argparse_errors_use_config_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "equilibria", "basin"])
+def test_negative_seed_is_an_argument_error(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "ver.json", {"system": RIGID, "n_probes": 3})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--seed", "-1"])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: geodiss " + command)
+    assert "--seed" in err and "non-negative integer" in err
+
+
 def test_mismatched_state_dimension_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.json", {**SIM_CONFIG, "x0": [1.0, 0.0]})
     rc, _, err = _run(capsys, ["simulate", "--config", cfg])
@@ -380,6 +402,15 @@ def test_mismatched_state_dimension_is_config_error(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # packaging details
 # ---------------------------------------------------------------------------
+
+
+def test_cli_import_loads_no_numpy():
+    # --threads must cap the BLAS pools before numpy first loads
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, geodiss.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from geodiss.errors import (
+    LeafProjectionFailure,
     MaxStepsExceeded,
     NonFiniteState,
     NotOnInvariantSet,
@@ -235,6 +236,29 @@ def test_leaf_reprojection_keeps_conservation_tight(rigid):
     tr = integrate(rigid.system, x0, cfg)
     assert tr.conservation_drift() <= 1e-10
     assert tr.monotonicity_violation() <= 0.0
+
+
+def test_leaf_reprojection_at_large_momentum(rigid):
+    # at |m| = 300 the leaf value F = 45000 carries roundoff near 1e-11,
+    # above the projection's absolute 1e-12; every step must still be
+    # re-projected, to within the roundoff floor 4 eps F
+    x0 = 300.0 * np.array([0.6, 0.48, 0.64])
+    cfg = IntegratorConfig(leaf_reprojection=True, h0=1e-7, t_end=1e-3)
+    tr = integrate(rigid.system, x0, cfg)
+    f0 = tr.conserved_values[0, 0]
+    assert tr.conservation_drift() <= 4.0 * np.finfo(float).eps * f0
+    assert tr.monotonicity_violation() <= 0.0
+    # the run dissipates all the way down to the major-axis minimum F/3
+    assert abs(tr.dissipated_values[-1] - f0 / 3.0) <= 1e-6 * f0
+
+
+def test_failed_reprojection_raises(rigid, refused_leaf_projection):
+    cfg = IntegratorConfig(leaf_reprojection=True, t_end=1.0)
+    with pytest.raises(LeafProjectionFailure):
+        integrate(rigid.system, np.array([0.6, 0.48, 0.64]), cfg)
+    # without re-projection the projection is never asked for
+    integrate(rigid.system, np.array([0.6, 0.48, 0.64]),
+              IntegratorConfig(t_end=1.0))
 
 
 def test_flows_coincide_on_the_degeneracy_set(mexhat):

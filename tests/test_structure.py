@@ -114,6 +114,21 @@ def test_project_to_leaf_restores_conserved_values(rigid):
     assert np.allclose(rigid.system.leaf_value(y), target, atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [300.0, 3e4])
+def test_project_to_leaf_converges_at_large_momentum(rigid, scale):
+    # leaf values of order scale**2 carry roundoff above the absolute
+    # tolerance, so the projection accepts the roundoff floor 4 eps |F|
+    rng = np.random.default_rng(7)
+    floor = 4.0 * np.finfo(float).eps
+    for _ in range(100):
+        x = rng.standard_normal(3)
+        x *= scale / np.linalg.norm(x)
+        target = rigid.system.leaf_value(x)
+        start = x + 1e-9 * scale * rng.standard_normal(3)
+        y = project_to_leaf(rigid.system, start, target)
+        assert abs(rigid.system.leaf_value(y)[0] - target[0]) <= floor * target[0]
+
+
 def test_projection_failure_at_a_degenerate_start(rigid):
     # at the origin the momentum differential vanishes: no usable direction
     with pytest.raises(LeafProjectionFailure):
