@@ -21,8 +21,8 @@ import numpy as np
 
 from geodiss.basin import SamplerConfig, periodic_orbit_certify
 from geodiss.catalog import mexican_hat
-from geodiss.integrators import IntegratorConfig, compare_on_invariant_set
-from geodiss.structure import omega_limit_probe
+from geodiss.integrators import IntegratorConfig
+from geodiss.structure import compare_on_invariant_set, omega_limit_probe
 
 
 def circle_invariance(entry) -> None:

@@ -51,6 +51,7 @@ _EXPORTS = {
     "inner": "fields",
     "central_difference": "fields",
     "as_point": "fields",
+    "project_to_leaf": "fields",
     # gram data
     "SystemFrame": "gram",
     "system_frame": "gram",
@@ -81,7 +82,6 @@ _EXPORTS = {
     "IntegratorConfig": "integrators",
     "Trajectory": "integrators",
     "integrate": "integrators",
-    "compare_on_invariant_set": "integrators",
     "flow_agreement_band": "integrators",
     # structure analysis
     "PointKind": "structure",
@@ -92,7 +92,7 @@ _EXPORTS = {
     "find_equilibria": "structure",
     "stability_classify": "structure",
     "escape_test": "structure",
-    "project_to_leaf": "structure",
+    "compare_on_invariant_set": "structure",
     "leaf_tangent_basis": "structure",
     "refine_to_invariant_set": "structure",
     "LeafDiagnostics": "structure",

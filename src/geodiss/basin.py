@@ -55,6 +55,10 @@ from .structure import (
 )
 
 GRID_DIM_LIMIT = 3
+# an orbit seed must refine onto the degeneracy set within this distance
+_SEED_TRUST = 0.1
+# orbit points read off the period-detection run
+_DENSE_STATES = 2048
 
 
 @dataclass(frozen=True)
@@ -710,14 +714,10 @@ def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
     rec_times = [0.0]
     left = False
     cand = None
-    since_record = 0
     for step in steps:
         kept.append(step)
-        since_record += 1
-        if not (since_record >= run.record_every
-                or step.t_new >= t_search - 1e-14 * t_search):
+        if not step.recorded:
             continue
-        since_record = 0
         d.append(float(np.linalg.norm(step.x_new - y0)))
         rec_times.append(step.t_new)
         i = len(d) - 2
@@ -801,12 +801,10 @@ class OrbitCertificate(_Certificate):
 def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
                            sampler: SamplerConfig | None = None, *,
                            proper_g_asserted: bool = False,
-                           seed_trust: float = 0.1,
                            recur_tol: float = 1e-8,
                            coarse_tol: float = 0.2,
                            t_search: float = 50.0,
                            n_phases: int = 100,
-                           dense_states: int = 2048,
                            witness_tol: float = 1e-6,
                            coverage_factor: float = 2.0,
                            converge_tol: float = 1e-4,
@@ -821,14 +819,14 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
 
     The seed is refined onto the degeneracy set, its period is recovered by
     recurrence detection plus a local Newton refinement of the return time,
-    ``dense_states`` orbit points are read off the steps of that same run, the
+    ``_DENSE_STATES`` orbit points are read off the steps of that same run, the
     orbit itself is re-classified at ``n_phases`` phases, and the level is
     then judged exactly as for an equilibrium, with distances measured to the
     densely sampled orbit; the witnesses near the orbit must also cover it.
     """
     seed0 = as_point(seed_point, system.dim)
     cfg = integrator or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-    y0 = refine_to_invariant_set(system, seed0, trust_radius=seed_trust,
+    y0 = refine_to_invariant_set(system, seed0, trust_radius=_SEED_TRUST,
                                  tol_inv=1e-12, tol_g=1e-8)
     if y0 is None:
         # run recurrence detection on the raw seed anyway so the error names
@@ -837,11 +835,11 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
         _detect_period(system, seed0, cfg, t_search, coarse_tol, recur_tol)
         raise NotOnInvariantSet(
             "seed does not refine onto the degeneracy set within "
-            f"{seed_trust:.3g} of {seed0.tolist()}")
+            f"{_SEED_TRUST:.3g} of {seed0.tolist()}")
 
     period, orbit_at = _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol)
 
-    cps = np.linspace(0.0, period, dense_states, endpoint=False)[1:]
+    cps = np.linspace(0.0, period, _DENSE_STATES, endpoint=False)[1:]
     orbit_states = np.array([y0, *(orbit_at(t) for t in cps)])
 
     phase_idx = (np.arange(n_phases) * len(orbit_states)) // n_phases

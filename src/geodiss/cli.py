@@ -71,15 +71,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"error: {message}\n")
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int, kind: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,10 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--out", default=None, metavar="DIR",
                        help="output directory owned by this invocation; "
                             "reports also go to stdout")
-        q.add_argument("--seed", type=_non_negative_int, default=None,
-                       help="override the seed in the config")
-        q.add_argument("--threads", type=int, default=None,
-                       help="cap linear-algebra thread pools")
+        q.add_argument("--seed", type=_int_at_least(0, "non-negative"),
+                       default=None, help="override the seed in the config")
+        q.add_argument("--threads", type=_int_at_least(1, "positive"),
+                       default=None, help="cap linear-algebra thread pools")
     return parser
 
 
@@ -144,7 +146,7 @@ def _load_config(path: str, command: str) -> dict:
     return config
 
 
-def _build_system(spec, corrupt: bool = False):
+def _build_system(spec):
     """Resolve a config 'system' entry to (system, identity_only, name)."""
     import numpy as np
 
@@ -201,16 +203,6 @@ def _build_system(spec, corrupt: bool = False):
         system = DissipativeSystem(X=X, conserved=tuple(conserved),
                                    dissipated=dissipated, metric=metric)
         identity_only, name = False, "inline"
-
-    if corrupt:
-        # test hook: shift the dissipated differential away from the value,
-        # which the derivative consistency check must flag
-        orig = system.dissipated
-        bad = ScalarField(orig.dim, orig.value,
-                          lambda x, _o=orig: _o.d(x) + 1e-3,
-                          label=orig.label + "(corrupted)")
-        system = DissipativeSystem(X=system.X, conserved=system.conserved,
-                                   dissipated=bad, metric=system.metric)
     return system, identity_only, name
 
 
@@ -300,8 +292,7 @@ def cmd_verify(config: dict, args) -> int:
     from .fields import central_difference
     from .gram import system_frame
 
-    system, identity_only, name = _build_system(
-        config["system"], corrupt=config.get("corrupt_differential", False))
+    system, identity_only, name = _build_system(config["system"])
 
     if "points" in config:
         points = [np.asarray(p, dtype=float) for p in config["points"]]

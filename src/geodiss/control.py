@@ -139,26 +139,33 @@ def control_field_projection(system: DissipativeSystem, x) -> ControlEvaluation:
     ``LEAF_CONDITION_LIMIT``; otherwise :class:`SingularLeaf` is raised.
     """
     fr = system_frame(system, x)
-    k = fr.k
     det_f = fr.det_conserved()
-    if k == 0:
-        v0 = fr.grads[0].copy()
-    else:
-        block = fr.gram[:k, :k]
-        cond = float(np.linalg.cond(block))
-        if not np.isfinite(cond) or cond > LEAF_CONDITION_LIMIT:
-            raise SingularLeaf(
-                f"conserved gradients nearly dependent (cond {cond:.2e}) at {fr.x.tolist()}"
-            )
-        alpha = np.linalg.solve(block, fr.gram[:k, k])
-        tangent_part = fr.grads[k] - alpha @ fr.grads[:k]
-        v0 = det_f * tangent_part
     return ControlEvaluation(
-        v0=v0,
+        v0=det_f * _projection_from_frame(fr),
         formulation=Formulation.PROJECTION,
         det_conserved=det_f,
         det_full=fr.det_full(),
     )
+
+
+def _projection_from_frame(fr: SystemFrame) -> np.ndarray:
+    """Dissipated gradient minus its part along the conserved gradients.
+
+    Raises :class:`SingularLeaf` when the conserved Gram block has condition
+    number above ``LEAF_CONDITION_LIMIT``. With no conserved quantities it is
+    the dissipated gradient itself.
+    """
+    k = fr.k
+    if k == 0:
+        return fr.grads[0]
+    block = fr.gram[:k, :k]
+    cond = float(np.linalg.cond(block))
+    if not np.isfinite(cond) or cond > LEAF_CONDITION_LIMIT:
+        raise SingularLeaf(
+            f"conserved gradients nearly dependent (cond {cond:.2e}) at {fr.x.tolist()}"
+        )
+    alpha = np.linalg.solve(block, fr.gram[:k, k])
+    return fr.grads[k] - alpha @ fr.grads[:k]
 
 
 def dissipated_rhs(system: DissipativeSystem, x) -> np.ndarray:

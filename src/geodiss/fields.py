@@ -3,6 +3,9 @@
 Everything downstream works with a :class:`DissipativeSystem`: a conservative
 vector field X, a list of conserved quantities, one quantity to be dissipated,
 and a metric. Gradients are metric gradients, i.e. the solve g(x) u = df(x).
+The one leaf projection of the package, :func:`project_to_leaf`, lives here
+next to the leaf values it restores, below the integrator that re-projects
+with it and the structure probes that sample leaves with it.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    LeafProjectionFailure,
     NonFiniteValue,
     NonPositiveDefiniteMetric,
 )
@@ -20,6 +24,8 @@ from .errors import (
 # Central-difference step follows the usual cube-root-of-eps rule, scaled per
 # coordinate so large coordinates do not lose all their significant digits.
 _CBRT_EPS = float(np.cbrt(np.finfo(float).eps))
+# a leaf residual below this times the largest |leaf value| is roundoff
+_LEAF_ROUNDOFF = 4.0 * np.finfo(float).eps
 
 
 def as_point(x, dim: int) -> np.ndarray:
@@ -185,7 +191,6 @@ class DissipativeSystem:
     conserved: tuple[ScalarField, ...]
     dissipated: ScalarField
     metric: MetricField
-    conservation_checked: bool = False
 
     def __post_init__(self):
         self.conserved = tuple(self.conserved)
@@ -216,6 +221,39 @@ class DissipativeSystem:
         return np.array([f(p) for f in self.conserved])
 
 
+def project_to_leaf(system: DissipativeSystem, x, leaf_value,
+                    tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
+    """Newton-project x onto the level set of the conserved quantities.
+
+    Uses minimum-norm corrections in the span of the conserved differentials.
+    A residual is accepted at ``tol`` or at the roundoff floor of the leaf
+    values, 4 eps max|leaf_value|, whichever is larger: below that floor no
+    Newton step can improve it. Raises :class:`LeafProjectionFailure` when the
+    residual will not drop to that. With no conserved quantities x is
+    returned as it is.
+    """
+    if system.k == 0:
+        return as_point(x, system.dim)
+    target = np.asarray(leaf_value, dtype=float).ravel()
+    accept = max(tol, _LEAF_ROUNDOFF * float(np.max(np.abs(target))))
+    y = as_point(x, system.dim).copy()
+    for _ in range(max_iter):
+        res = system.leaf_value(y) - target
+        if float(np.max(np.abs(res))) <= accept:
+            return y
+        jac = np.vstack([f.d(y) for f in system.conserved])
+        try:
+            lam = np.linalg.solve(jac @ jac.T, -res)
+        except np.linalg.LinAlgError as exc:
+            raise LeafProjectionFailure(
+                f"conserved differentials degenerate near {y.tolist()}"
+            ) from exc
+        y = y + jac.T @ lam
+    raise LeafProjectionFailure(
+        f"no convergence onto leaf {target.tolist()} from {np.asarray(x).tolist()}"
+    )
+
+
 @dataclass(frozen=True)
 class ConservationReport:
     """Residuals of directional derivatives of the invariants along X."""
@@ -231,7 +269,7 @@ def validate_conservation(system: DissipativeSystem, probes: Sequence,
     """Check that X annihilates every conserved quantity and the dissipated one.
 
     The residual at a probe point is |df(x) . X(x)|, the derivative of f along
-    the unperturbed flow. Sets ``system.conservation_checked`` on success.
+    the unperturbed flow.
     """
     fields_ = system.all_fields()
     names = [f.label or f"field{i}" for i, f in enumerate(fields_)]
@@ -244,6 +282,5 @@ def validate_conservation(system: DissipativeSystem, probes: Sequence,
             if r > worst[name]:
                 worst[name] = r
     max_res = max(worst.values()) if worst else 0.0
-    passed = max_res <= tol
-    system.conservation_checked = passed
-    return ConservationReport(residuals=worst, max_residual=max_res, tol=tol, passed=passed)
+    return ConservationReport(residuals=worst, max_residual=max_res, tol=tol,
+                              passed=max_res <= tol)

@@ -9,9 +9,14 @@ finite-difference rate of the dissipated quantity and its predicted rate.
 Trajectories never get silently re-projected onto a leaf; an optional Newton
 re-projection after each accepted step can be switched on in the config, and
 leaf drift is always visible in the recorded conserved values. The
-re-projection is :func:`geodiss.structure.project_to_leaf`, the one leaf
+re-projection is :func:`geodiss.fields.project_to_leaf`, the one leaf
 projection of the package; a step it cannot bring back onto the initial
 leaf raises :class:`LeafProjectionFailure`, never keeps an unconverged point.
+
+This module imports only the layers below it (fields, Gram frames, the
+control field); the structure probes and certificates built on trajectories
+live above it. One step generator, ``_dp_steps``, decides which steps are
+taken, which are recorded and which one ends the run.
 """
 from __future__ import annotations
 
@@ -26,11 +31,10 @@ from .errors import (
     MaxStepsExceeded,
     NonFiniteState,
     NonFiniteValue,
-    NotOnInvariantSet,
     StepUnderflow,
     UnboundedTrajectory,
 )
-from .fields import DissipativeSystem, as_point
+from .fields import DissipativeSystem, as_point, project_to_leaf
 from .gram import system_frame
 
 
@@ -241,14 +245,18 @@ class _Step:
     ``stages`` holds the seven Dormand-Prince stages of an RK45 step whose
     end state was not re-projected; the extension is then the free
     fourth-order one of the scheme. Otherwise it is the cubic Hermite on the
-    end states and their right-hand sides. ``rejected`` counts the rejected
-    tries of the run so far.
+    end states and their right-hand sides. ``accepted`` and ``rejected``
+    count the accepted steps and the rejected tries of the run so far,
+    ``final`` marks the run's last step, and ``recorded`` the steps whose end
+    states the run records: every ``record_every``-th one and the last.
     """
 
     __slots__ = ("t", "h", "t_new", "x", "x_new", "f", "f_new", "stages",
-                 "fr_new", "v0_new", "rejected", "_coef")
+                 "fr_new", "v0_new", "accepted", "rejected", "final", "recorded",
+                 "_coef")
 
-    def __init__(self, t, h, x, x_new, f, f_new, stages, fr_new, v0_new, rejected):
+    def __init__(self, t, h, x, x_new, f, f_new, stages, fr_new, v0_new,
+                 accepted, rejected, final, recorded):
         self.t = t
         self.h = h
         self.t_new = t + h
@@ -259,7 +267,10 @@ class _Step:
         self.stages = stages
         self.fr_new = fr_new
         self.v0_new = v0_new
+        self.accepted = accepted
         self.rejected = rejected
+        self.final = final
+        self.recorded = recorded
         self._coef = None
 
     def state_at(self, t: float) -> np.ndarray:
@@ -288,6 +299,11 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     ``seed`` is the evaluation at x when the caller already has it. Step
     control depends on nothing but the run itself, so a consumer that stops
     early has seen exactly the steps of the full run up to that point.
+
+    An adaptive try whose stages leave the finite range, or whose error
+    estimate is not finite, is rejected with the smallest shrink factor;
+    the step floor and the step budget still bound the run. A fixed step
+    that leaves the finite range raises :class:`NonFiniteState`.
     """
     evaluate = _evaluator(system, flow)
 
@@ -297,10 +313,11 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     k_first = (seed if seed is not None else evaluate(x))[0]
     leaf_target = None
     if config.leaf_reprojection and system.k:
-        from .structure import project_to_leaf
         leaf_target = system.leaf_value(x)
     t = 0.0
     t_end = config.t_end
+    # the last step ends within this roundoff band below t_end
+    t_stop = t_end - 1e-14 * t_end
     h_ctrl = min(config.h0, t_end)
     fac_old = 1e-4
     n_acc = 0
@@ -308,7 +325,7 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     adaptive = config.method is Method.RK45_ADAPTIVE
     min_h = 1e-14 * t_end
 
-    while t < t_end - 1e-14 * t_end:
+    while t < t_stop:
         if n_acc + n_rej >= config.max_steps:
             raise MaxStepsExceeded(
                 f"exceeded {config.max_steps} steps at t={t:.6g} of {t_end:.6g}"
@@ -321,17 +338,21 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
         if adaptive:
             stages = np.empty((7, x.size))
             stages[0] = k_first
-            for s in range(1, 7):
-                xs = x + h_try * (_DP_A[s] @ stages[:s])
-                stages[s], fr_new, v0_new = evaluate(xs)
-            # B5 is A[6] with a trailing zero: the last stage point is the
-            # new state, so stage 7 is the right-hand side there (FSAL)
-            x_new = xs
-            err_vec = h_try * (_DP_ERR @ stages)
-            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            try:
+                for s in range(1, 7):
+                    xs = x + h_try * (_DP_A[s] @ stages[:s])
+                    stages[s], fr_new, v0_new = evaluate(xs)
+            except NonFiniteState:
+                err = np.inf
+            else:
+                # B5 is A[6] with a trailing zero: the last stage point is the
+                # new state, so stage 7 is the right-hand side there (FSAL)
+                x_new = xs
+                err_vec = h_try * (_DP_ERR @ stages)
+                scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
             if not np.isfinite(err):
-                raise NonFiniteState(f"non-finite error estimate at t={t:.6g}")
+                err = np.inf  # rejected below with the smallest shrink factor
             if err > 1.0:
                 n_rej += 1
                 fac = max(_FAC_MIN, _SAFETY / err ** _ERR_EXPO)
@@ -364,7 +385,9 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
         else:
             k_new, fr_new, v0_new = evaluate(x_new)
         n_acc += 1
-        step = _Step(t, h_try, x, x_new, k_first, k_new, stages, fr_new, v0_new, n_rej)
+        final = t + h_try >= t_stop
+        step = _Step(t, h_try, x, x_new, k_first, k_new, stages, fr_new, v0_new,
+                     n_acc, n_rej, final, final or n_acc % config.record_every == 0)
         yield step
         t = step.t_new
         x = x_new
@@ -417,9 +440,6 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
     g_prev = g_field(x)
     rec.add(0.0, x, 0.0, g_prev, seed[1], seed[2])
 
-    n_acc = 0
-    n_rej = 0
-    steps_since_record = 0
     for step in _dp_steps(system, x, config, flow, bound, seed):
         x, x_new, h_try = step.x, step.x_new, step.h
         g_new = g_field(x_new)
@@ -440,18 +460,13 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
 
         t = step.t_new
         g_prev = g_new
-        n_acc += 1
-        n_rej = step.rejected
-        steps_since_record += 1
-
-        final = t >= config.t_end - 1e-14 * config.t_end
-        while next_cp < n_cps and (cps[next_cp] <= t or final):
+        while next_cp < n_cps and (cps[next_cp] <= t or step.final):
             cp_states[next_cp] = step.state_at(cps[next_cp])
             next_cp += 1
-        if steps_since_record >= config.record_every or final:
+        if step.recorded:
             rec.add(t, x_new, h_try, g_new, step.fr_new, step.v0_new)
-            steps_since_record = 0
 
+    # t_end > 0, so the run took at least one step and the last one counts all
     return Trajectory(
         flow=flow,
         config=config,
@@ -468,36 +483,9 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
         rate_band=np.array(rate_band),
         checkpoint_times=cps,
         checkpoint_states=cp_states,
-        n_accepted=n_acc,
-        n_rejected=n_rej,
+        n_accepted=step.accepted,
+        n_rejected=step.rejected,
     )
-
-
-def compare_on_invariant_set(system: DissipativeSystem, x0,
-                             config: IntegratorConfig,
-                             n_checkpoints: int = 101,
-                             tol_inv: float = 1e-9,
-                             tol_g: float = 1e-6) -> float:
-    """Max distance between the two flows started at a degeneracy-set point.
-
-    On the set where the stacked gradients lose rank the control field
-    vanishes, so both flows must coincide; the returned number is the max
-    chart distance over a shared checkpoint grid. Raises
-    :class:`NotOnInvariantSet` when x0 classifies as generic.
-    """
-    from .structure import PointKind, classify_point
-
-    cls = classify_point(system, x0, tol_inv=tol_inv, tol_g=tol_g)
-    if cls.kind is PointKind.GENERIC:
-        raise NotOnInvariantSet(
-            f"point {np.asarray(x0).tolist()} classifies as generic "
-            f"(detFull={cls.det_full:.3e}, scale={cls.scale:.3e})"
-        )
-    cps = np.linspace(0.0, config.t_end, n_checkpoints)[1:]
-    tr_p = integrate(system, x0, config, flow=Flow.PERTURBED, checkpoints=cps)
-    tr_u = integrate(system, x0, config, flow=Flow.UNPERTURBED, checkpoints=cps)
-    gaps = np.linalg.norm(tr_p.checkpoint_states - tr_u.checkpoint_states, axis=1)
-    return float(np.max(gaps))
 
 
 def flow_agreement_band(config: IntegratorConfig, state_norm: float) -> float:

@@ -5,7 +5,10 @@ of the conserved quantities and the dissipated one lose rank, equivalently
 where the control field vanishes. It splits into critical points of the
 dissipated quantity (its gradient vanishes) and the remaining dependent
 points. The corrected flow leaves this set invariant and every trajectory's
-limit set lives inside it, which is what the probes here measure.
+limit set lives inside it, which is what the probes here measure: the
+escape test, the flow comparison on the set and the omega-limit probe all
+run the integrator, which sits below this module and knows nothing of it.
+``project_to_leaf`` is re-exported from :mod:`geodiss.fields`.
 """
 from __future__ import annotations
 
@@ -14,20 +17,22 @@ from enum import Enum
 
 import numpy as np
 
-from .control import _cofactor_from_frame, dissipated_rhs
+from .control import _cofactor_from_frame, _projection_from_frame, dissipated_rhs
 from .errors import (
     LeafProjectionFailure,
-    SingularLeaf,
+    NotOnInvariantSet,
     UnboundedTrajectory,
 )
-from .fields import DissipativeSystem, as_point
+from .fields import DissipativeSystem, as_point, project_to_leaf
 from .gram import system_frame
 from .integrators import Flow, IntegratorConfig, integrate
 
 DEFAULT_TOL_INV = 1e-9
 DEFAULT_TOL_G = 1e-6
-# a leaf residual below this times the largest |leaf value| is roundoff
-_LEAF_ROUNDOFF = 4.0 * np.finfo(float).eps
+# a root counts as a zero of X within max(this, 10 newton_tol)
+_EQUILIBRIUM_TOL_FLOOR = 1e-8
+# points asked of a system's analytic sampler of the degeneracy set
+_INV_SAMPLE_COUNT = 512
 
 
 class PointKind(Enum):
@@ -140,7 +145,6 @@ def find_equilibria(system: DissipativeSystem, seeds,
                     newton_tol: float = 1e-10,
                     max_iter: int = 60,
                     dedup_tol: float = 1e-6,
-                    equilibrium_tol: float | None = None,
                     tol_inv: float = DEFAULT_TOL_INV,
                     tol_g: float = DEFAULT_TOL_G,
                     ) -> tuple[list[EquilibriumReport], list[np.ndarray]]:
@@ -159,7 +163,7 @@ def find_equilibria(system: DissipativeSystem, seeds,
     corrected equilibria exactly when it belongs to both); seeds that fail to
     converge are collected in ``unresolved`` rather than raising.
     """
-    eq_tol = equilibrium_tol if equilibrium_tol is not None else max(1e-8, 10 * newton_tol)
+    eq_tol = max(_EQUILIBRIUM_TOL_FLOOR, 10 * newton_tol)
     roots: list[np.ndarray] = []
     unresolved: list[np.ndarray] = []
     for seed in seeds:
@@ -218,39 +222,6 @@ def find_equilibria(system: DissipativeSystem, seeds,
             leaf_value=system.leaf_value(x),
         ))
     return reports, unresolved
-
-
-def project_to_leaf(system: DissipativeSystem, x, leaf_value,
-                    tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
-    """Newton-project x onto the level set of the conserved quantities.
-
-    Uses minimum-norm corrections in the span of the conserved differentials.
-    A residual is accepted at ``tol`` or at the roundoff floor of the leaf
-    values, 4 eps max|leaf_value|, whichever is larger: below that floor no
-    Newton step can improve it. Raises :class:`LeafProjectionFailure` when the
-    residual will not drop to that. With no conserved quantities x is
-    returned as it is.
-    """
-    if system.k == 0:
-        return as_point(x, system.dim)
-    target = np.asarray(leaf_value, dtype=float).ravel()
-    accept = max(tol, _LEAF_ROUNDOFF * float(np.max(np.abs(target))))
-    y = as_point(x, system.dim).copy()
-    for _ in range(max_iter):
-        res = system.leaf_value(y) - target
-        if float(np.max(np.abs(res))) <= accept:
-            return y
-        jac = np.vstack([f.d(y) for f in system.conserved])
-        try:
-            lam = np.linalg.solve(jac @ jac.T, -res)
-        except np.linalg.LinAlgError as exc:
-            raise LeafProjectionFailure(
-                f"conserved differentials degenerate near {y.tolist()}"
-            ) from exc
-        y = y + jac.T @ lam
-    raise LeafProjectionFailure(
-        f"no convergence onto leaf {target.tolist()} from {np.asarray(x).tolist()}"
-    )
 
 
 def leaf_tangent_basis(system: DissipativeSystem, x) -> np.ndarray:
@@ -402,6 +373,31 @@ def escape_test(system: DissipativeSystem, equilibrium,
     return bool(np.max(dists) > ball_radius)
 
 
+def compare_on_invariant_set(system: DissipativeSystem, x0,
+                             config: IntegratorConfig,
+                             n_checkpoints: int = 101,
+                             tol_inv: float = 1e-9,
+                             tol_g: float = 1e-6) -> float:
+    """Max distance between the two flows started at a degeneracy-set point.
+
+    On the set where the stacked gradients lose rank the control field
+    vanishes, so both flows must coincide; the returned number is the max
+    chart distance over a shared checkpoint grid. Raises
+    :class:`NotOnInvariantSet` when x0 classifies as generic.
+    """
+    cls = classify_point(system, x0, tol_inv=tol_inv, tol_g=tol_g)
+    if cls.kind is PointKind.GENERIC:
+        raise NotOnInvariantSet(
+            f"point {np.asarray(x0).tolist()} classifies as generic "
+            f"(detFull={cls.det_full:.3e}, scale={cls.scale:.3e})"
+        )
+    cps = np.linspace(0.0, config.t_end, n_checkpoints)[1:]
+    tr_p = integrate(system, x0, config, flow=Flow.PERTURBED, checkpoints=cps)
+    tr_u = integrate(system, x0, config, flow=Flow.UNPERTURBED, checkpoints=cps)
+    gaps = np.linalg.norm(tr_p.checkpoint_states - tr_u.checkpoint_states, axis=1)
+    return float(np.max(gaps))
+
+
 @dataclass(frozen=True)
 class LeafDiagnostics:
     """Leaf-restricted gradient data of the dissipated quantity at a point."""
@@ -429,21 +425,12 @@ def leaf_diagnostics(system: DissipativeSystem, x) -> LeafDiagnostics:
     which `validate_conservation` checks). Requires a regular leaf.
     """
     fr = system_frame(system, as_point(x, system.dim))
-    k = fr.k
     det_f = fr.det_conserved()
-    if k > 0:
-        cond = float(np.linalg.cond(fr.gram[:k, :k]))
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularLeaf(f"leaf not regular at {fr.x.tolist()} (cond {cond:.2e})")
-        alpha = np.linalg.solve(fr.gram[:k, :k], fr.gram[:k, k])
-        tangent = fr.grads[k] - alpha @ fr.grads[:k]
-    else:
-        tangent = fr.grads[0]
-    v_leaf = det_f * tangent
+    v_leaf = det_f * _projection_from_frame(fr)
     # norm squared in the rescaled leaf metric: (1/det_f) * g(v_leaf, v_leaf)
     leaf_norm_sq = float(v_leaf @ fr.gmat @ v_leaf) / det_f
     rhs = system.X(fr.x) - _cofactor_from_frame(fr)
-    g_rate = float(fr.diffs[k] @ rhs)
+    g_rate = float(fr.diffs[fr.k] @ rhs)
     return LeafDiagnostics(conformal_factor=1.0 / det_f,
                            leaf_grad_norm_sq=leaf_norm_sq,
                            g_rate=g_rate)
@@ -492,7 +479,6 @@ def omega_limit_probe(system: DissipativeSystem, x0,
                       n_checkpoints: int = 40,
                       config: IntegratorConfig | None = None,
                       inv_sampler=None,
-                      inv_sample_count: int = 512,
                       bound: float = 1e6) -> OmegaProbe:
     """Track the distance from the corrected flow to the degeneracy set on its leaf.
 
@@ -510,7 +496,7 @@ def omega_limit_probe(system: DissipativeSystem, x0,
 
     leaf_value = system.leaf_value(x0)
     if inv_sampler is not None:
-        samples = np.asarray(inv_sampler(leaf_value, inv_sample_count), dtype=float)
+        samples = np.asarray(inv_sampler(leaf_value, _INV_SAMPLE_COUNT), dtype=float)
     else:
         samples = _generic_inv_samples(system, tr.checkpoint_states, leaf_value)
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-import geodiss.structure
+import geodiss.integrators
 from geodiss.catalog import mexican_hat, random_poly, rigid_body
 from geodiss.errors import LeafProjectionFailure
 from geodiss.fields import (
@@ -28,15 +28,15 @@ def mexhat():
 
 @pytest.fixture
 def refused_leaf_projection(monkeypatch):
-    """Every call of ``geodiss.structure.project_to_leaf`` raises.
+    """Every call of ``geodiss.integrators.project_to_leaf`` raises.
 
-    The integrator's re-projection looks the function up there at run time;
-    modules that imported it by name keep the real one.
+    That is the name the integrator's re-projection calls; the other
+    modules that import the projection keep the real one.
     """
     def refuse(system, x, leaf_value, tol=1e-12, max_iter=50):
         raise LeafProjectionFailure("projection refused")
 
-    monkeypatch.setattr(geodiss.structure, "project_to_leaf", refuse)
+    monkeypatch.setattr(geodiss.integrators, "project_to_leaf", refuse)
 
 
 def seeded_pair(i: int):

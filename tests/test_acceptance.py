@@ -28,13 +28,13 @@ from geodiss.gram import system_frame
 from geodiss.integrators import (
     Flow,
     IntegratorConfig,
-    compare_on_invariant_set,
     flow_agreement_band,
     integrate,
 )
 from geodiss.structure import (
     Stability,
     classify_point,
+    compare_on_invariant_set,
     find_equilibria,
     omega_limit_probe,
     stability_classify,

@@ -10,13 +10,16 @@ Every test drives ``main(argv)`` in-process (one subprocess test covers the
     4  certificates that fail or cannot be issued
 """
 
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import geodiss.catalog
 from geodiss.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -162,10 +165,21 @@ def test_verify_passes_on_catalog_system(tmp_path, capsys):
     assert json.loads((out_dir / "verify.json").read_text()) == report
 
 
-def test_verify_catches_corrupted_differential(tmp_path, capsys):
-    cfg = _write(tmp_path, "ver.json",
-                 {"system": RIGID, "n_probes": 15, "seed": 3,
-                  "corrupt_differential": True})
+def test_verify_catches_corrupted_differential(tmp_path, capsys, monkeypatch):
+    # shift the dissipated differential away from the value, which the
+    # derivative consistency check must flag
+    real = geodiss.catalog.from_name
+
+    def corrupted(spec):
+        entry = real(spec)
+        orig = entry.system.dissipated
+        bad = dataclasses.replace(orig, differential=lambda x: orig.d(x) + 1e-3,
+                                  label=orig.label + "(corrupted)")
+        return dataclasses.replace(
+            entry, system=dataclasses.replace(entry.system, dissipated=bad))
+
+    monkeypatch.setattr(geodiss.catalog, "from_name", corrupted)
+    cfg = _write(tmp_path, "ver.json", {"system": RIGID, "n_probes": 15, "seed": 3})
     rc, out, _ = _run(capsys, ["verify", "--config", cfg])
     assert rc == EXIT_IDENTITY
     report = json.loads(out)
@@ -391,6 +405,21 @@ def test_negative_seed_is_an_argument_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("usage: geodiss " + command)
     assert "--seed" in err and "non-negative integer" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["simulate", "verify", "equilibria", "basin"])
+def test_non_positive_threads_is_an_argument_error(tmp_path, capsys, monkeypatch,
+                                                   command, threads):
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cfg = _write(tmp_path, "ver.json", {"system": RIGID, "n_probes": 3})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--threads", threads])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: geodiss " + command)
+    assert "--threads" in err and "positive integer" in err
+    assert "OMP_NUM_THREADS" not in os.environ
 
 
 def test_mismatched_state_dimension_is_config_error(tmp_path, capsys):

@@ -199,10 +199,11 @@ def test_conservation_validates_on_catalog_systems(rigid, mexhat):
     rng = np.random.default_rng(3)
     probes = rng.uniform(-1.5, 1.5, size=(40, 3))
     for entry in (rigid, mexhat):
+        before = dict(vars(entry.system))
         report = validate_conservation(entry.system, probes, tol=1e-12)
         assert report.passed, report.residuals
         assert report.max_residual <= 1e-12
-        assert entry.system.conservation_checked
+        assert vars(entry.system) == before  # the check does not mutate the system
 
 
 def test_conservation_flags_a_non_conserved_quantity():
@@ -214,7 +215,8 @@ def test_conservation_flags_a_non_conserved_quantity():
     system = DissipativeSystem(
         X=VectorField(2, lambda p: np.array([1.0, 0.0])),
         conserved=(f,), dissipated=g, metric=MetricField.euclidean(2))
+    before = dict(vars(system))
     report = validate_conservation(system, [np.zeros(2)], tol=1e-12)
     assert not report.passed
     assert report.residuals["f"] == pytest.approx(1.0)
-    assert not system.conservation_checked
+    assert vars(system) == before

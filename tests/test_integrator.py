@@ -1,5 +1,7 @@
 """Trajectory integration: accuracy, structure diagnostics, failure modes."""
+import ast
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +26,11 @@ from geodiss.integrators import (
     Flow,
     IntegratorConfig,
     Method,
-    compare_on_invariant_set,
+    _dp_steps,
     flow_agreement_band,
     integrate,
 )
-from geodiss.structure import PointKind, classify_point
+from geodiss.structure import PointKind, classify_point, compare_on_invariant_set
 from conftest import closed_form_sombrero
 
 
@@ -211,6 +213,18 @@ def test_fixed_step_blowup_reports_a_non_finite_state(antibowl):
             integrate(antibowl, np.array([1.0, 0.0]), cfg)
 
 
+def test_adaptive_overflowing_trial_step_is_rejected(rigid):
+    # h0 = 0.01 is far above the time scale 1e-5 of the flow at |m| = 300:
+    # the first tries overflow in a stage and must shrink, not abort
+    x0 = 300.0 * np.array([0.6, 0.48, 0.64])
+    with np.errstate(all="ignore"):
+        tr = integrate(rigid.system, x0, IntegratorConfig(t_end=0.05))
+    assert tr.times[-1] == pytest.approx(0.05, rel=1e-13)
+    assert tr.n_rejected >= 1
+    assert tr.conservation_drift() < 1e-8 * tr.conserved_values[0, 0]
+    assert tr.monotonicity_violation() <= 0.0
+
+
 def test_bound_aborts_a_growing_trajectory(antibowl):
     with pytest.raises(UnboundedTrajectory):
         integrate(antibowl, np.array([1.0, 0.0]), IntegratorConfig(t_end=1.0),
@@ -337,3 +351,62 @@ def test_frame_count_and_recorded_diagnostics(rigid, monkeypatch, method,
         assert tr.control_norm[j] == float(np.sqrt(max(fresh.v0 @ gmat @ fresh.v0, 0.0)))
         assert tr.dissipated_values[j] == system.dissipated(x)
         assert np.array_equal(tr.conserved_values[j], system.leaf_value(x))
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 7])
+def test_step_generator_decides_records_and_counters(rigid, record_every):
+    # integrate records exactly the steps _dp_steps flags, and its counters
+    # are those of the last step
+    cfg = IntegratorConfig(h0=0.5, t_end=3.0, record_every=record_every)
+    x0 = np.array([0.6, 0.48, 0.64])
+    steps = list(_dp_steps(rigid.system, x0, cfg))
+    tr = integrate(rigid.system, x0, cfg)
+    expected = np.array([0.0] + [s.t_new for s in steps if s.recorded])
+    assert tr.times.tobytes() == expected.tobytes()
+    assert [s.final for s in steps] == [False] * (len(steps) - 1) + [True]
+    assert [s.accepted for s in steps] == list(range(1, len(steps) + 1))
+    assert (tr.n_accepted, tr.n_rejected) == (steps[-1].accepted, steps[-1].rejected)
+    assert tr.n_rejected > 0
+
+
+def _package_imports():
+    """Relative imports of each geodiss module, at every scope."""
+    graph = {}
+    for path in sorted(Path(geodiss.integrators.__file__).parent.glob("*.py")):
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    deps.add(node.module.split(".")[0])
+                else:
+                    deps.update(alias.name for alias in node.names)
+        graph[path.stem] = deps
+    return graph
+
+
+def test_package_import_graph_is_acyclic():
+    graph = _package_imports()
+    assert "structure" in graph and "integrators" in graph
+    done, active = set(), []
+
+    def visit(module):
+        if module in active:
+            raise AssertionError(" -> ".join(active[active.index(module):] + [module]))
+        if module in done or module not in graph:
+            return
+        active.append(module)
+        for dep in sorted(graph[module]):
+            visit(dep)
+        active.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+
+
+def test_integrators_import_only_at_module_top():
+    imports = (ast.Import, ast.ImportFrom)
+    tree = ast.parse(Path(geodiss.integrators.__file__).read_text())
+    nested = [node.lineno for stmt in tree.body if not isinstance(stmt, imports)
+              for node in ast.walk(stmt) if isinstance(node, imports)]
+    assert nested == []
