@@ -37,19 +37,17 @@ from .errors import (
     _INTEGRATION_FAILURES,
     AnchorOutsideLevel,
     ConfigError,
-    LeafProjectionFailure,
     NoValidLevel,
     NotAsymptoticallyStable,
     NotOnInvariantSet,
     NotPeriodic,
 )
-from .fields import DissipativeSystem, as_point
+from .fields import DissipativeSystem, _project_rows, as_point
 from .gram import system_frame
 from .integrators import Flow, IntegratorConfig, _dp_steps, integrate
 from .structure import (
     Stability,
     classify_point,
-    project_to_leaf,
     refine_to_invariant_set,
     stability_classify,
 )
@@ -59,6 +57,9 @@ GRID_DIM_LIMIT = 3
 _SEED_TRUST = 0.1
 # orbit points read off the period-detection run
 _DENSE_STATES = 2048
+# rows per block of the sampled path's neighbour search: its distance block
+# holds this many rows of all candidates, so memory grows linearly with them
+_KNN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,15 @@ def _halfwidth(anchor: np.ndarray, sampler: SamplerConfig | None) -> float:
     if sampler is not None and sampler.halfwidth is not None:
         return sampler.halfwidth
     return max(1.0, 2.0 * float(np.linalg.norm(anchor)) + 0.5)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bitwise ``np.linalg.norm`` of the row.
+
+    That norm is sqrt(x @ x), and a matmul on stacks evaluates each row's
+    x @ x as that dot does; ``norm(axis=1)`` sums in another order.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def _face_flood(inside: np.ndarray, start: int, n_cells: int, n: int) -> np.ndarray:
@@ -155,21 +165,21 @@ class _LeafTable:
         self.hw = _halfwidth(anchor, cfg)
         if system.dim <= GRID_DIM_LIMIT:
             self.method = "grid"
-            found, cells = self._grid_points()
-            self.cells = np.array(cells, dtype=np.intp)
+            found, self.cells = self._grid_points()
             self.slot = np.full(cfg.cells_per_axis ** system.dim, -1)
             self.slot[self.cells] = np.arange(1, len(found) + 1)
         else:
             self.method = "sampled"
             found = self._sampled_points()
-        self.points = np.array([anchor] + found)
+        self.points = np.vstack([anchor[None], found])
         # the anchor always joins, so its value is never compared
-        self.g = np.array([np.nan] + [system.dissipated(y) for y in found])
+        self.g = np.concatenate([[np.nan], system.dissipated.values(found)])
         self._ratios = np.full(len(self.points), np.nan)
         self._gnorms = np.full(len(self.points), np.nan)
         self._refined: dict[tuple[int, float], np.ndarray | None] = {}
 
-    def _grid_points(self) -> tuple[list, list[int]]:
+    def _grid_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The projected cell centres and their flat cell indices, all cells at once."""
         system, anchor, cfg = self.system, self.anchor, self.cfg
         n = system.dim
         n_cells = cfg.cells_per_axis
@@ -182,44 +192,29 @@ class _LeafTable:
             int(np.clip(np.floor((anchor[i] - lo[i]) / cell), 0, n_cells - 1))
             for i in range(n)), (n_cells,) * n))
 
-        conserved = system.conserved
-        found, cells = [], []
-        for flat, idx in enumerate(np.ndindex(*([n_cells] * n))):
-            center = np.array([axes[i][idx[i]] for i in range(n)])
-            ok = True
-            for f, target in zip(conserved, self.leaf_value):
-                gap = abs(f(center) - target)
-                if gap > 1.5 * diag * float(np.linalg.norm(f.d(center))) + 1e-12:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            try:
-                y = project_to_leaf(system, center, self.leaf_value,
-                                    tol=1e-10, max_iter=20)
-            except LeafProjectionFailure:
-                continue
-            if float(np.linalg.norm(y - center)) > diag:
-                continue
-            found.append(y)
-            cells.append(flat)
-        return found, cells
+        # cell centres in C order of the cells
+        centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        cells = np.arange(len(centers))
+        for f, target in zip(system.conserved, self.leaf_value):
+            c = centers[cells]
+            gap = np.abs(f.values(c) - target)
+            # a NaN gap passes, as it does not exceed the bound
+            cells = cells[~(gap > 1.5 * diag * _row_norms(f.diffs(c)) + 1e-12)]
+        c = centers[cells]
+        y, converged, _ = _project_rows(system, c, self.leaf_value,
+                                        tol=1e-10, max_iter=20)
+        keep = converged & ~(_row_norms(y - c) > diag)
+        return y[keep], cells[keep]
 
-    def _sampled_points(self) -> list:
+    def _sampled_points(self) -> np.ndarray:
+        """The seed-drawn samples, projected at once, that stay in the box."""
         system, anchor, hw = self.system, self.anchor, self.hw
         rng = np.random.default_rng(self.cfg.seed)
         raw = anchor + rng.uniform(-hw, hw, size=(self.cfg.n_samples, system.dim))
-        found = []
-        for p in raw:
-            try:
-                y = project_to_leaf(system, p, self.leaf_value,
-                                    tol=1e-10, max_iter=20)
-            except LeafProjectionFailure:
-                continue
-            if float(np.max(np.abs(y - anchor))) > hw:
-                continue
-            found.append(y)
-        return found
+        y, converged, _ = _project_rows(system, raw, self.leaf_value,
+                                        tol=1e-10, max_iter=20)
+        keep = converged & ~(np.max(np.abs(y - anchor), axis=1) > hw)
+        return y[keep]
 
     def select(self, level: float) -> tuple[SublevelComponent, np.ndarray]:
         """The component at ``level`` and the table row of each of its members."""
@@ -256,11 +251,17 @@ class _LeafTable:
         k_nn = min(self.cfg.neighbor_count, m - 1)
         if k_nn <= 0:
             return cand, self.hw, False
-        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        np.fill_diagonal(dist, np.inf)
-        order = np.argsort(dist, axis=1)[:, :k_nn]
+        # each row's k nearest candidates, one block of rows at a time
+        order = np.empty((m, k_nn), dtype=np.intp)
+        kth = np.empty(m)
+        for start in range(0, m, _KNN_BLOCK):
+            block = np.arange(start, min(start + _KNN_BLOCK, m))
+            dist = np.linalg.norm(pts[block, None, :] - pts[None, :, :], axis=2)
+            dist[block - start, block] = np.inf
+            order[block] = np.argsort(dist, axis=1)[:, :k_nn]
+            kth[block] = dist[block - start, order[block, -1]]
         neigh = [set(row.tolist()) for row in order]
-        spacing = float(np.median([dist[i, order[i, -1]] for i in range(m)]))
+        spacing = float(np.median(kth))
 
         seen = {0}
         queue = [0]

@@ -203,7 +203,7 @@ def random_poly(dim: int, k: int, seed: int) -> CatalogEntry:
 
     def poly_field(label: str) -> ScalarField:
         p = random_polynomial(dim, 3, rng)
-        return ScalarField(dim, p.value, differential=p.diff, label=label)
+        return ScalarField(dim, p.value, differential=p.diff, label=label, stacked=True)
 
     conserved = tuple(poly_field(f"f{i + 1}") for i in range(k))
     dissipated = poly_field("g")

@@ -173,9 +173,10 @@ def _build_system(spec):
         conserved = []
         for i, pd in enumerate(spec.get("conserved", [])):
             p = poly_field(pd, f"f{i + 1}")
-            conserved.append(ScalarField(dim, p.value, p.diff, label=f"f{i + 1}"))
+            conserved.append(ScalarField(dim, p.value, p.diff, label=f"f{i + 1}",
+                                         stacked=True))
         gp = poly_field(spec["dissipated"], "g")
-        dissipated = ScalarField(dim, gp.value, gp.diff, label="g")
+        dissipated = ScalarField(dim, gp.value, gp.diff, label="g", stacked=True)
 
         fspec = spec.get("field", "zero")
         if fspec == "zero":

@@ -3,9 +3,18 @@
 Everything downstream works with a :class:`DissipativeSystem`: a conservative
 vector field X, a list of conserved quantities, one quantity to be dissipated,
 and a metric. Gradients are metric gradients, i.e. the solve g(x) u = df(x).
-The one leaf projection of the package, :func:`project_to_leaf`, lives here
-next to the leaf values it restores, below the integrator that re-projects
-with it and the structure probes that sample leaves with it.
+
+A :class:`ScalarField` evaluates at one point or, through ``values`` and
+``diffs``, at an (m, n) stack of points. A field declared ``stacked`` (the
+polynomial fields) is called once for the whole stack; a point-only
+callable is looped over the rows there, once. Either way each row gives the
+bits of the point call.
+
+The one leaf projection of the package lives here, next to the leaf values
+it restores, below the integrator that re-projects with it and the
+structure probes and leaf tables that sample leaves with it. It is a
+lockstep Newton iteration over a stack of points, ``_project_rows``;
+:func:`project_to_leaf` is that iteration on a batch of one.
 """
 from __future__ import annotations
 
@@ -35,6 +44,14 @@ def as_point(x, dim: int) -> np.ndarray:
     return p
 
 
+def as_stack(x, dim: int) -> np.ndarray:
+    p = np.asarray(x, dtype=float)
+    if p.ndim != 2 or p.shape[1] != dim:
+        raise DimensionMismatch(
+            f"expected an (m, {dim}) stack of points, got shape {p.shape}")
+    return p
+
+
 def central_difference(value: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Second-order central differences, step cbrt(eps) * max(1, |x_i|)."""
     out = np.empty(x.size)
@@ -53,13 +70,16 @@ class ScalarField:
     """Smooth scalar function with an optional analytic differential.
 
     When ``differential`` is None the differential falls back to central
-    finite differences; one-sided differences are never used.
+    finite differences; one-sided differences are never used. A ``stacked``
+    field's ``value`` and ``differential`` also accept an (m, dim) stack and
+    return (m,) values and (m, dim) differentials.
     """
 
     dim: int
     value: Callable[[np.ndarray], float]
     differential: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
+    stacked: bool = False
 
     def __call__(self, x) -> float:
         return float(self.value(as_point(x, self.dim)))
@@ -73,6 +93,29 @@ class ScalarField:
             raise DimensionMismatch(
                 f"differential of {self.label or 'field'} returned shape {df.shape}"
             )
+        return df
+
+    def values(self, pts) -> np.ndarray:
+        """Values at each row of an (m, dim) stack, bitwise ``self(row)``."""
+        p = as_stack(pts, self.dim)
+        if not self.stacked:
+            return np.array([float(self.value(row)) for row in p], dtype=float)
+        out = np.asarray(self.value(p), dtype=float)
+        if out.shape != (len(p),):
+            raise DimensionMismatch(
+                f"{self.label or 'field'} returned shape {out.shape} for {len(p)} points")
+        return out
+
+    def diffs(self, pts) -> np.ndarray:
+        """Differentials at each row of an (m, dim) stack, bitwise ``self.d(row)``."""
+        p = as_stack(pts, self.dim)
+        if not self.stacked or self.differential is None:
+            return np.array([self.d(row) for row in p]).reshape(p.shape)
+        df = np.asarray(self.differential(p), dtype=float)
+        if df.shape != p.shape:
+            raise DimensionMismatch(
+                f"differential of {self.label or 'field'} returned shape {df.shape} "
+                f"for {len(p)} points")
         return df
 
 
@@ -221,6 +264,69 @@ class DissipativeSystem:
         return np.array([f(p) for f in self.conserved])
 
 
+def _project_rows(system: DissipativeSystem, pts, leaf_value, tol: float = 1e-12,
+                  max_iter: int = 50) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton-project every row of an (m, dim) stack onto one leaf, in lockstep.
+
+    Returns ``(points, converged, degenerate)``. Each row takes the steps of
+    a projection of its own, in the same arithmetic, so its bits do not
+    depend on the other rows: an accepted row is frozen, and a row whose
+    conserved Gram block is singular stops alone, flagged ``degenerate``, at
+    the point where it stopped. A row not accepted within ``max_iter`` steps
+    holds its last iterate. With no conserved quantities every row is
+    accepted as it is.
+    """
+    y = as_stack(pts, system.dim).copy()
+    converged = np.zeros(len(y), dtype=bool)
+    degenerate = np.zeros(len(y), dtype=bool)
+    if system.k == 0:
+        converged[:] = True
+        return y, converged, degenerate
+    target = np.asarray(leaf_value, dtype=float).ravel()
+    accept = max(tol, _LEAF_ROUNDOFF * float(np.max(np.abs(target))))
+    k, dim = system.k, system.dim
+    # the iterates of the active rows; a row leaves them as it stops
+    active = np.arange(len(y))
+    ya = y
+    for _ in range(max_iter):
+        res = np.empty((len(active), k))
+        for j, f in enumerate(system.conserved):
+            res[:, j] = f.values(ya)
+        res -= target
+        done = np.maximum.reduce(np.abs(res), axis=1) <= accept
+        if done.any():
+            converged[active[done]] = True
+            y[active[done]] = ya[done]
+            active, ya, res = active[~done], ya[~done], res[~done]
+            if not active.size:
+                break
+        jac = np.empty((len(active), k, dim))
+        for j, f in enumerate(system.conserved):
+            jac[:, j] = f.diffs(ya)
+        jac_t = jac.transpose(0, 2, 1)
+        gram = jac @ jac_t
+        try:
+            lam = np.linalg.solve(gram, -res[:, :, None])
+        except np.linalg.LinAlgError:
+            # rare: find the singular rows one by one, then solve the rest
+            ok = np.ones(len(active), dtype=bool)
+            for i in range(len(active)):
+                try:
+                    np.linalg.solve(gram[i], -res[i])
+                except np.linalg.LinAlgError:
+                    ok[i] = False
+            degenerate[active[~ok]] = True
+            y[active[~ok]] = ya[~ok]
+            active, ya, jac_t = active[ok], ya[ok], jac_t[ok]
+            if not active.size:
+                break
+            lam = np.linalg.solve(gram[ok], -res[ok][:, :, None])
+        # matmul on stacks evaluates each row as the point call does
+        ya = ya + (jac_t @ lam)[:, :, 0]
+    y[active] = ya
+    return y, converged, degenerate
+
+
 def project_to_leaf(system: DissipativeSystem, x, leaf_value,
                     tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
     """Newton-project x onto the level set of the conserved quantities.
@@ -230,27 +336,18 @@ def project_to_leaf(system: DissipativeSystem, x, leaf_value,
     values, 4 eps max|leaf_value|, whichever is larger: below that floor no
     Newton step can improve it. Raises :class:`LeafProjectionFailure` when the
     residual will not drop to that. With no conserved quantities x is
-    returned as it is.
+    returned as it is. This is :func:`_project_rows` on a batch of one.
     """
-    if system.k == 0:
-        return as_point(x, system.dim)
-    target = np.asarray(leaf_value, dtype=float).ravel()
-    accept = max(tol, _LEAF_ROUNDOFF * float(np.max(np.abs(target))))
-    y = as_point(x, system.dim).copy()
-    for _ in range(max_iter):
-        res = system.leaf_value(y) - target
-        if float(np.max(np.abs(res))) <= accept:
-            return y
-        jac = np.vstack([f.d(y) for f in system.conserved])
-        try:
-            lam = np.linalg.solve(jac @ jac.T, -res)
-        except np.linalg.LinAlgError as exc:
-            raise LeafProjectionFailure(
-                f"conserved differentials degenerate near {y.tolist()}"
-            ) from exc
-        y = y + jac.T @ lam
+    p = as_point(x, system.dim)
+    y, converged, degenerate = _project_rows(system, p[None], leaf_value, tol, max_iter)
+    if converged[0]:
+        return y[0]
+    if degenerate[0]:
+        raise LeafProjectionFailure(
+            f"conserved differentials degenerate near {y[0].tolist()}")
     raise LeafProjectionFailure(
-        f"no convergence onto leaf {target.tolist()} from {np.asarray(x).tolist()}"
+        f"no convergence onto leaf {np.asarray(leaf_value, dtype=float).ravel().tolist()} "
+        f"from {np.asarray(x).tolist()}"
     )
 
 

@@ -338,10 +338,13 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
         if adaptive:
             stages = np.empty((7, x.size))
             stages[0] = k_first
+            # a try that leaves the finite range is rejected below, through
+            # NonFiniteState or a non-finite err: its overflows warn no one
             try:
-                for s in range(1, 7):
-                    xs = x + h_try * (_DP_A[s] @ stages[:s])
-                    stages[s], fr_new, v0_new = evaluate(xs)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for s in range(1, 7):
+                        xs = x + h_try * (_DP_A[s] @ stages[:s])
+                        stages[s], fr_new, v0_new = evaluate(xs)
             except NonFiniteState:
                 err = np.inf
             else:

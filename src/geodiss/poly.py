@@ -66,22 +66,38 @@ class Polynomial:
     def dim(self) -> int:
         return self.powers.shape[1]
 
-    def value(self, x) -> float:
+    def _stack(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatch(f"point shape {x.shape}, expected ({self.dim},)")
-        return float(np.multiply.reduce(x ** self.powers, axis=1) @ self.coefs)
+        if x.shape != (self.dim,) and (x.ndim != 2 or x.shape[1] != self.dim):
+            raise DimensionMismatch(
+                f"point shape {x.shape}, expected ({self.dim},) or (m, {self.dim})")
+        return x
+
+    def value(self, x):
+        """Value at a point, or the (m,) values at an (m, dim) stack of points.
+
+        Each stacked row gives the bits of the point call: its final dot is a
+        batched matmul, which numpy evaluates as one dot per row.
+        """
+        x = self._stack(x)
+        if x.ndim == 1:
+            return float(np.multiply.reduce(x ** self.powers, axis=1) @ self.coefs)
+        monomials = np.multiply.reduce(x[:, None, :] ** self.powers, axis=2)
+        return (monomials[:, None, :] @ self.coefs[:, None])[:, 0, 0]
 
     def diff(self, x) -> np.ndarray:
-        """Exact differential at x, as a length-dim array of partials."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionMismatch(f"point shape {x.shape}, expected ({self.dim},)")
+        """Exact differential at x, as a length-dim array of partials.
+
+        An (m, dim) stack of points gives the (m, dim) differentials, each row
+        bitwise the point call's.
+        """
+        x = self._stack(x)
         # np.prod and np.sum are these reductions; the ufuncs skip the wrappers
-        terms = self._diff_factor * np.multiply.reduce(x ** self._diff_lowered, axis=1)
-        out = np.zeros(self.dim)
+        terms = self._diff_factor * np.multiply.reduce(
+            x[..., None, :] ** self._diff_lowered, axis=-1)
+        out = np.zeros(x.shape)
         for j, start, stop in self._diff_axes:
-            out[j] = np.add.reduce(terms[start:stop])
+            out[..., j] = np.add.reduce(terms[..., start:stop], axis=-1)
         return out
 
     @staticmethod

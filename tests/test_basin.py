@@ -13,6 +13,7 @@ Ground truth used throughout:
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,9 @@ from geodiss import (
     sublevel_component,
     threshold_search,
 )
+from geodiss.cli import _build_system
+from geodiss.errors import LeafProjectionFailure
+from geodiss.fields import project_to_leaf
 
 AS = Stability.ASYMPTOTICALLY_STABLE
 MAJOR = np.array([1.0, 0.0, 0.0])
@@ -154,6 +158,133 @@ def test_sampled_component_deterministic(bowl4):
     b = sublevel_component(bowl4.system, np.zeros(4), 0.5, cfg)
     assert np.array_equal(a.members, b.members)
     assert a.spacing == b.spacing
+
+
+def _per_point_table(system, anchor, cfg):
+    """The leaf table built one point at a time: points, g and cells."""
+    leaf = system.leaf_value(anchor)
+    hw = basin_mod._halfwidth(anchor, cfg)
+    n = system.dim
+    found, cells = [], []
+
+    def project(x):
+        try:
+            return project_to_leaf(system, x, leaf, tol=1e-10, max_iter=20)
+        except LeafProjectionFailure:
+            return None
+
+    if n <= basin_mod.GRID_DIM_LIMIT:
+        n_cells = cfg.cells_per_axis
+        cell = 2.0 * hw / n_cells
+        diag = cell * np.sqrt(n)
+        axes = [anchor[i] - hw + (np.arange(n_cells) + 0.5) * cell for i in range(n)]
+        for flat, idx in enumerate(np.ndindex(*([n_cells] * n))):
+            center = np.array([axes[i][idx[i]] for i in range(n)])
+            if any(abs(f(center) - t) > 1.5 * diag * float(np.linalg.norm(f.d(center))) + 1e-12
+                   for f, t in zip(system.conserved, leaf)):
+                continue
+            y = project(center)
+            if y is not None and float(np.linalg.norm(y - center)) <= diag:
+                found.append(y)
+                cells.append(flat)
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        for x in anchor + rng.uniform(-hw, hw, size=(cfg.n_samples, n)):
+            y = project(x)
+            if y is not None and float(np.max(np.abs(y - anchor))) <= hw:
+                found.append(y)
+    g = [np.nan] + [system.dissipated(y) for y in found]
+    return np.array([anchor] + found), np.array(g), np.array(cells, dtype=np.intp)
+
+
+def _sphere_4d_stacked():
+    """_sphere_weights_4d as the CLI builds it: stacked polynomial fields."""
+    def squares(coefs):
+        return {"terms": [{"coef": c, "powers": [2 * (j == i) for j in range(4)]}
+                          for i, c in enumerate(coefs)]}
+    return _build_system({"dim": 4, "conserved": [squares([0.5] * 4)],
+                          "dissipated": squares([0.5, 1.0, 1.5, 2.0])})[0]
+
+
+def test_row_norms_are_bitwise_the_point_norms():
+    rng = np.random.default_rng(5)
+    for dim in (2, 3, 4, 5, 6):
+        v = rng.normal(size=(2000, dim)) * rng.uniform(1e-3, 1e3, size=(2000, 1))
+        ref = np.array([np.linalg.norm(row) for row in v])
+        assert basin_mod._row_norms(v).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("case", ["rigid14", "rigid32", "sombrero12",
+                                  "sphere4_seed1", "sphere4_seed2"])
+def test_leaf_table_is_bitwise_the_per_point_build(rigid, mexhat, case):
+    # the lockstep build (whole-array gap test, one projection of all rows,
+    # one evaluation of G) gives the bits of the point-by-point build
+    if case.startswith("rigid"):
+        system, anchor = rigid.system, MAJOR
+        cfg = SamplerConfig(cells_per_axis=int(case[5:]))
+    elif case == "sombrero12":
+        system, anchor = mexhat.system, np.array([1.0, 0.0, 0.0])
+        cfg = SamplerConfig(cells_per_axis=12, halfwidth=2.8)
+    else:
+        system, anchor = _sphere_4d_stacked(), np.eye(4)[0]
+        seed = int(case[-1])
+        cfg = SamplerConfig(n_samples=1024 // seed, halfwidth=1.5, seed=seed)
+    table = basin_mod._LeafTable(system, anchor, system.leaf_value(anchor), cfg)
+    points, g, cells = _per_point_table(system, anchor, cfg)
+    assert len(points) > 50
+    assert table.points.tobytes() == points.tobytes()
+    assert table.g.tobytes() == g.tobytes()
+    if table.method == "grid":
+        assert table.cells.tobytes() == cells.tobytes()
+
+
+def _all_pairs_select(table, level):
+    """The sampled selection over one all-pairs distance array."""
+    cand = np.concatenate([[0], 1 + np.flatnonzero(table.g[1:] < level)])
+    pts = table.points[cand]
+    k_nn = min(table.cfg.neighbor_count, len(pts) - 1)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1)[:, :k_nn]
+    neigh = [set(row.tolist()) for row in order]
+    spacing = float(np.median([dist[i, order[i, -1]] for i in range(len(pts))]))
+    seen, queue = {0}, [0]
+    while queue:
+        cur = queue.pop()
+        for j in neigh[cur]:
+            if cur in neigh[j] and j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return cand[sorted(seen)], spacing
+
+
+def test_sampled_selection_in_blocks_is_the_all_pairs_selection():
+    system = _sphere_4d_stacked()
+    table = basin_mod._LeafTable(system, np.eye(4)[0], np.array([0.5]),
+                                 SamplerConfig(n_samples=1024, halfwidth=1.5, seed=3))
+    # at the top level the candidates span several blocks
+    assert np.sum(table.g[1:] < 3.0) > 4 * basin_mod._KNN_BLOCK
+    for level in (0.6, 0.95, 1.1, 3.0):
+        component, rows = table.select(level)
+        ref_rows, ref_spacing = _all_pairs_select(table, level)
+        assert np.array_equal(rows, ref_rows)
+        assert component.spacing == ref_spacing
+
+
+def test_sampled_selection_memory_is_linear_in_the_rows(bowl4):
+    # all 3000 rows below the level: an all-pairs difference array alone
+    # would take 3000**2 * 4 * 8 bytes, 275 MB
+    table = basin_mod._LeafTable(bowl4.system, np.zeros(4), np.zeros(0),
+                                 SamplerConfig(n_samples=2999, halfwidth=1.0))
+    assert len(table.points) == 3000
+    tracemalloc.start()
+    try:
+        component, rows = table.select(10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) > 2900
+    assert peak < 64 * 2 ** 20
 
 
 def test_box_halfwidth_has_one_rule(bowl4):
@@ -548,18 +679,19 @@ def test_threshold_search_verdicts_match_fresh_certificates(rigid, case, monkeyp
 
 def test_threshold_search_projects_once_and_integrates_only_where_geometry_passes(
         rigid, monkeypatch):
-    projected, starts = [], []
-    project, integrate = basin_mod.project_to_leaf, basin_mod.integrate
+    projected, starts, calls = [], [], []
+    project, integrate = basin_mod._project_rows, basin_mod.integrate
 
-    def counting_project(system, x, *args, **kwargs):
-        projected.append(tuple(x))
-        return project(system, x, *args, **kwargs)
+    def counting_project(system, pts, *args, **kwargs):
+        calls.append(len(pts))
+        projected.extend(map(tuple, pts))
+        return project(system, pts, *args, **kwargs)
 
     def counting_integrate(system, x0, *args, **kwargs):
         starts.append(tuple(x0))
         return integrate(system, x0, *args, **kwargs)
 
-    monkeypatch.setattr(basin_mod, "project_to_leaf", counting_project)
+    monkeypatch.setattr(basin_mod, "_project_rows", counting_project)
     monkeypatch.setattr(basin_mod, "integrate", counting_integrate)
     cells = 16
     sampler = SamplerConfig(cells_per_axis=cells)
@@ -567,6 +699,7 @@ def test_threshold_search_projects_once_and_integrates_only_where_geometry_passe
     _, history = threshold_search(rigid.system, MAJOR, 0.4, steps=4,
                                   sampler=sampler, **kwargs)
     n_projected, n_integrated = len(projected), len(starts)
+    assert len(calls) == 1
     assert 0 < n_projected <= cells ** 3
     assert len(set(projected)) == n_projected
 
@@ -616,7 +749,7 @@ def test_threshold_search_rejects_unstable_target_before_any_work(rigid, monkeyp
     def no_projection(*args, **kwargs):
         raise AssertionError("the leaf table was built for an unstable target")
 
-    monkeypatch.setattr(basin_mod, "project_to_leaf", no_projection)
+    monkeypatch.setattr(basin_mod, "_project_rows", no_projection)
     with pytest.raises(NotAsymptoticallyStable):
         threshold_search(rigid.system, np.array([0.0, 1.0, 0.0]), 0.4)
 

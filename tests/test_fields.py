@@ -20,6 +20,7 @@ from geodiss.fields import (
     inner,
     validate_conservation,
 )
+from geodiss.poly import Polynomial, random_polynomial
 
 
 def test_as_point_accepts_sequences_and_checks_length():
@@ -49,6 +50,40 @@ def test_scalar_field_rejects_misshaped_differential():
     f = ScalarField(2, lambda p: float(p[0]), differential=lambda p: np.zeros(3))
     with pytest.raises(DimensionMismatch):
         f.d(np.zeros(2))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_stacked_evaluation_is_bitwise_the_point_calls(dim):
+    # a stacked field is called once per stack, a point-only one row by row,
+    # and a field without a differential differences each row: every row
+    # gives the bits of the point call
+    rng = np.random.default_rng(dim)
+    x = rng.uniform(-1.5, 1.5, size=(40, dim))
+    for p in (random_polynomial(dim, 3, rng), Polynomial.from_terms(dim, [])):
+        for f in (ScalarField(dim, p.value, p.diff, stacked=True),
+                  ScalarField(dim, p.value, p.diff),
+                  ScalarField(dim, p.value, stacked=True),
+                  ScalarField(dim, p.value)):
+            values, diffs = f.values(x), f.diffs(x)
+            assert values.shape == (40,) and diffs.shape == (40, dim)
+            assert values.tobytes() == np.array([f(row) for row in x]).tobytes()
+            assert diffs.tobytes() == np.array([f.d(row) for row in x]).tobytes()
+            assert f.values(np.empty((0, dim))).shape == (0,)
+            assert f.diffs(np.empty((0, dim))).shape == (0, dim)
+            for bad in (np.zeros((3, dim + 1)), np.zeros(dim)):
+                with pytest.raises(DimensionMismatch):
+                    f.values(bad)
+                with pytest.raises(DimensionMismatch):
+                    f.diffs(bad)
+
+
+def test_stacked_field_rejects_misshaped_stack_output():
+    f = ScalarField(2, lambda p: np.zeros(3), differential=lambda p: np.zeros((3, 3)),
+                    stacked=True)
+    with pytest.raises(DimensionMismatch):
+        f.values(np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        f.diffs(np.zeros((2, 2)))
 
 
 def test_vector_field_rejects_misshaped_output():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from geodiss.catalog import random_poly
-from geodiss.poly import Polynomial
+from geodiss.errors import DimensionMismatch
+from geodiss.poly import Polynomial, random_polynomial
 
 
 def _diff_per_call(p: Polynomial, x: np.ndarray) -> np.ndarray:
@@ -60,3 +61,24 @@ def test_diff_of_a_constant_or_empty_polynomial_is_zero():
     assert np.array_equal(Polynomial.from_terms(3, []).diff(np.ones(3)), np.zeros(3))
     const = Polynomial.from_terms(2, [(4.0, (0, 0))])
     assert np.array_equal(const.diff(np.array([1.0, 2.0])), np.zeros(2))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_stacked_value_and_diff_are_bitwise_the_point_calls(dim):
+    # the final dot of a stacked value is a batched matmul: a gemv or a
+    # row sum would round differently from the point call's dot
+    rng = np.random.default_rng(100 + dim)
+    for p in (random_polynomial(dim, 3, rng), Polynomial.from_terms(dim, [])):
+        for scale in (1e-3, 0.7, 30.0):
+            x = scale * rng.normal(size=(200, dim))
+            values, diffs = p.value(x), p.diff(x)
+            assert values.shape == (200,) and diffs.shape == (200, dim)
+            assert values.tobytes() == np.array([p.value(row) for row in x]).tobytes()
+            assert diffs.tobytes() == np.array([p.diff(row) for row in x]).tobytes()
+        assert p.value(np.empty((0, dim))).shape == (0,)
+        assert p.diff(np.empty((0, dim))).shape == (0, dim)
+        for bad in (np.zeros((3, dim + 1)), np.zeros(dim + 1), np.zeros((2, 3, dim))):
+            with pytest.raises(DimensionMismatch):
+                p.value(bad)
+            with pytest.raises(DimensionMismatch):
+                p.diff(bad)

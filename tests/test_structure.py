@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from geodiss.errors import LeafProjectionFailure, SingularLeaf
-from geodiss.fields import DissipativeSystem, ScalarField
+from geodiss.catalog import random_poly
+from geodiss.fields import DissipativeSystem, ScalarField, _project_rows
 from geodiss.integrators import IntegratorConfig, integrate
 from geodiss.structure import (
     DEFAULT_TOL_G,
@@ -133,6 +134,47 @@ def test_projection_failure_at_a_degenerate_start(rigid):
     # at the origin the momentum differential vanishes: no usable direction
     with pytest.raises(LeafProjectionFailure):
         project_to_leaf(rigid.system, np.zeros(3), np.array([0.5]))
+
+
+@pytest.mark.parametrize("case", ["random_poly_k1", "random_poly_k2", "rigid"])
+def test_lockstep_projection_rows_are_bitwise_one_row_calls(rigid, case):
+    # every row takes the steps of its own projection: its bits, its
+    # convergence and its failure do not depend on the rows beside it
+    if case == "rigid":
+        system, anchor = rigid.system, np.array([1.0, 0.0, 0.0])
+    else:
+        system = random_poly(4, int(case[-1]), seed=11).system
+        anchor = np.array([0.3, -0.2, 0.5, 0.1])
+    leaf = system.leaf_value(anchor)
+    starts = anchor + 0.3 * np.random.default_rng(3).standard_normal((60, system.dim))
+    y, converged, degenerate = _project_rows(system, starts, leaf, tol=1e-10, max_iter=20)
+    assert converged.sum() >= 30
+    for i, x in enumerate(starts):
+        y1, c1, d1 = _project_rows(system, x[None], leaf, tol=1e-10, max_iter=20)
+        assert y1[0].tobytes() == y[i].tobytes()
+        assert (c1[0], d1[0]) == (converged[i], degenerate[i])
+        if converged[i]:
+            y_point = project_to_leaf(system, x, leaf, tol=1e-10, max_iter=20)
+            assert y_point.tobytes() == y[i].tobytes()
+            assert np.max(np.abs(system.leaf_value(y[i]) - leaf)) <= 1e-10
+
+
+def test_lockstep_projection_fails_a_degenerate_row_alone(rigid):
+    # at the origin the momentum differential vanishes: the stacked solve
+    # raises, and only that row stops
+    starts = np.array([[0.8, 0.3, -0.2], [0.0, 0.0, 0.0], [0.1, 0.9, 0.4]])
+    target = np.array([0.5])
+    y, converged, degenerate = _project_rows(rigid.system, starts, target)
+    assert converged.tolist() == [True, False, True]
+    assert degenerate.tolist() == [False, True, False]
+    assert np.array_equal(y[1], np.zeros(3))
+    for i in (0, 2):
+        assert y[i].tobytes() == project_to_leaf(rigid.system, starts[i], target).tobytes()
+    # the batch of one keeps both failure messages
+    with pytest.raises(LeafProjectionFailure, match="degenerate near"):
+        project_to_leaf(rigid.system, starts[1], target)
+    with pytest.raises(LeafProjectionFailure, match="no convergence"):
+        project_to_leaf(rigid.system, starts[0], target, max_iter=1)
 
 
 def test_leaf_tangent_basis_is_orthonormal_and_tangent(rigid):
