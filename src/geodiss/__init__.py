@@ -26,7 +26,6 @@ _EXPORTS = {
     "MaxStepsExceeded": "errors",
     "NonFiniteState": "errors",
     "NotOnInvariantSet": "errors",
-    "NoConvergence": "errors",
     "LeafProjectionFailure": "errors",
     "AnchorOutsideLevel": "errors",
     "NotPeriodic": "errors",
@@ -61,9 +60,6 @@ _EXPORTS = {
     "Formulation": "control",
     "ControlEvaluation": "control",
     "control_field": "control",
-    "control_field_cofactor": "control",
-    "control_field_tensor": "control",
-    "control_field_projection": "control",
     "tensor_matrix": "control",
     "dissipated_rhs": "control",
     "dissipation_rate": "control",
@@ -115,7 +111,6 @@ _EXPORTS = {
     # reports
     "canonical": "report",
     "json_text": "report",
-    "write_json": "report",
     "write_text_atomic": "report",
     "FLOAT_FORMAT": "report",
 }

@@ -290,7 +290,7 @@ class _LeafTable:
             if key not in self._refined:
                 self._refined[key] = refine_to_invariant_set(
                     self.system, self.points[rows[i]], self.leaf_value,
-                    trust_radius=trust, tol_inv=1e-12, tol_g=1e-8)
+                    trust_radius=trust)
             return self._refined[key]
 
         return _verified_witnesses(self.system, component, self._ratios[rows],
@@ -389,8 +389,7 @@ def scan_invariant_witnesses(system: DissipativeSystem,
 
     def refine(i):
         return refine_to_invariant_set(system, pts[i], component.leaf_value,
-                                       trust_radius=2.0 * component.spacing,
-                                       tol_inv=1e-12, tol_g=1e-8)
+                                       trust_radius=2.0 * component.spacing)
 
     return _verified_witnesses(system, component, ratios, gnorms, refine,
                                max_refine, susp_ratio, susp_g)
@@ -827,8 +826,7 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
     """
     seed0 = as_point(seed_point, system.dim)
     cfg = integrator or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-    y0 = refine_to_invariant_set(system, seed0, trust_radius=_SEED_TRUST,
-                                 tol_inv=1e-12, tol_g=1e-8)
+    y0 = refine_to_invariant_set(system, seed0, trust_radius=_SEED_TRUST)
     if y0 is None:
         # run recurrence detection on the raw seed anyway so the error names
         # the actual obstruction: a strictly dissipating start is NotPeriodic,

@@ -37,7 +37,6 @@ from .errors import (
     BadInertia,
     ConfigError,
     DimensionMismatch,
-    NoConvergence,
     NonFiniteValue,
     NonPositiveDefiniteMetric,
     NotAsymptoticallyStable,
@@ -289,7 +288,12 @@ def cmd_simulate(config: dict, args) -> int:
 def cmd_verify(config: dict, args) -> int:
     import numpy as np
 
-    from .control import Formulation, control_field, identity_scales, tensor_matrix
+    from .control import (
+        Formulation,
+        _control_from_frame,
+        _tensor_from_frame,
+        identity_scales,
+    )
     from .fields import central_difference
     from .gram import system_frame
 
@@ -355,7 +359,7 @@ def cmd_verify(config: dict, args) -> int:
         evals = []
         for form in formulations:
             try:
-                evals.append(control_field(system, p, form))
+                evals.append(_control_from_frame(fr, form))
             except SingularLeaf:
                 projection_skipped += 1
         if len(evals) >= 2:
@@ -374,7 +378,7 @@ def cmd_verify(config: dict, args) -> int:
             pairing_max = max(
                 pairing_max,
                 abs(float(fr.diffs[system.k] @ v0) - fr.det_full()) / denom)
-        tmat = tensor_matrix(system, p)
+        tmat = _tensor_from_frame(fr)
         denom = max(float(np.max(np.abs(tmat))), 1e-300)
         sym_max = max(sym_max, float(np.max(np.abs(tmat - tmat.T))) / denom)
         eigs = np.linalg.eigvalsh(fr.gram)
@@ -553,8 +557,7 @@ _HANDLERS = {
 _CONFIG_FAILURES = (ConfigError, BadInertia, DimensionMismatch)
 _IDENTITY_FAILURES = (NonPositiveDefiniteMetric, NonFiniteValue, SingularLeaf)
 _CERTIFICATE_FAILURES = (NotAsymptoticallyStable, AnchorOutsideLevel,
-                         NoValidLevel, NotPeriodic, NotOnInvariantSet,
-                         NoConvergence)
+                         NoValidLevel, NotPeriodic, NotOnInvariantSet)
 
 
 def main(argv=None) -> int:

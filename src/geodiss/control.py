@@ -68,21 +68,20 @@ def _cofactor_from_frame(fr: SystemFrame) -> np.ndarray:
 
 def control_field(system: DissipativeSystem, x,
                   formulation: Formulation = Formulation.COFACTOR) -> ControlEvaluation:
-    """Evaluate the control field with the requested formulation."""
-    if formulation is Formulation.COFACTOR:
-        return control_field_cofactor(system, x)
-    if formulation is Formulation.TENSOR:
-        return control_field_tensor(system, x)
-    return control_field_projection(system, x)
+    """Evaluate the control field with the requested formulation.
+
+    The projection formulation requires a regular leaf: the conserved
+    gradients must be independent enough that their Gram matrix has
+    condition number below ``LEAF_CONDITION_LIMIT``; otherwise
+    :class:`SingularLeaf` is raised.
+    """
+    return _control_from_frame(system_frame(system, x), formulation)
 
 
-def control_field_cofactor(system: DissipativeSystem, x) -> ControlEvaluation:
-    """Cofactor expansion along the gradient row of the bordered Gram matrix."""
-    fr = system_frame(system, x)
-    v0 = _cofactor_from_frame(fr)
+def _control_from_frame(fr: SystemFrame, formulation: Formulation) -> ControlEvaluation:
     return ControlEvaluation(
-        v0=v0,
-        formulation=Formulation.COFACTOR,
+        v0=_V0_BUILDERS[formulation](fr),
+        formulation=formulation,
         det_conserved=fr.det_conserved(),
         det_full=fr.det_full(),
     )
@@ -119,35 +118,6 @@ def _tensor_from_frame(fr: SystemFrame) -> np.ndarray:
     return t
 
 
-def control_field_tensor(system: DissipativeSystem, x) -> ControlEvaluation:
-    """Contract the symmetric tensor with the differential of the dissipated field."""
-    fr = system_frame(system, x)
-    v0 = _tensor_from_frame(fr) @ fr.diffs[fr.k]
-    return ControlEvaluation(
-        v0=v0,
-        formulation=Formulation.TENSOR,
-        det_conserved=fr.det_conserved(),
-        det_full=fr.det_full(),
-    )
-
-
-def control_field_projection(system: DissipativeSystem, x) -> ControlEvaluation:
-    """Conserved-Gram determinant times the tangent projection of the dissipated gradient.
-
-    Requires a regular leaf: the conserved gradients must be independent
-    enough that their Gram matrix has condition number below
-    ``LEAF_CONDITION_LIMIT``; otherwise :class:`SingularLeaf` is raised.
-    """
-    fr = system_frame(system, x)
-    det_f = fr.det_conserved()
-    return ControlEvaluation(
-        v0=det_f * _projection_from_frame(fr),
-        formulation=Formulation.PROJECTION,
-        det_conserved=det_f,
-        det_full=fr.det_full(),
-    )
-
-
 def _projection_from_frame(fr: SystemFrame) -> np.ndarray:
     """Dissipated gradient minus its part along the conserved gradients.
 
@@ -166,6 +136,17 @@ def _projection_from_frame(fr: SystemFrame) -> np.ndarray:
         )
     alpha = np.linalg.solve(block, fr.gram[:k, k])
     return fr.grads[k] - alpha @ fr.grads[:k]
+
+
+# the control field v0 at a frame, by formulation: the cofactor expansion
+# along the gradient row of the bordered Gram matrix, the tensor contracted
+# with dG, and the conserved Gram determinant times the tangent projection
+# of the dissipated gradient
+_V0_BUILDERS = {
+    Formulation.COFACTOR: _cofactor_from_frame,
+    Formulation.TENSOR: lambda fr: _tensor_from_frame(fr) @ fr.diffs[fr.k],
+    Formulation.PROJECTION: lambda fr: fr.det_conserved() * _projection_from_frame(fr),
+}
 
 
 def dissipated_rhs(system: DissipativeSystem, x) -> np.ndarray:

@@ -37,10 +37,6 @@ class NotOnInvariantSet(GeodissError):
     """A point required to sit on the degeneracy set classified as generic."""
 
 
-class NoConvergence(GeodissError):
-    """An iterative solve (Newton, refinement) did not converge."""
-
-
 class LeafProjectionFailure(GeodissError):
     """Projection back onto a level set did not converge."""
 

@@ -57,7 +57,3 @@ def write_text_atomic(text: str, path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_json(obj, path: str) -> None:
-    write_text_atomic(json_text(obj), path)

@@ -12,18 +12,14 @@ run the integrator, which sits below this module and knows nothing of it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .control import _cofactor_from_frame, _projection_from_frame, dissipated_rhs
-from .errors import (
-    LeafProjectionFailure,
-    NotOnInvariantSet,
-    UnboundedTrajectory,
-)
-from .fields import DissipativeSystem, as_point, project_to_leaf
+from .errors import NotOnInvariantSet, UnboundedTrajectory
+from .fields import DissipativeSystem, _project_rows, as_point, project_to_leaf
 from .gram import system_frame
 from .integrators import Flow, IntegratorConfig, integrate
 
@@ -33,6 +29,25 @@ DEFAULT_TOL_G = 1e-6
 _EQUILIBRIUM_TOL_FLOOR = 1e-8
 # points asked of a system's analytic sampler of the degeneracy set
 _INV_SAMPLE_COUNT = 512
+# step halvings per Gauss-Newton iteration of the equilibrium search
+_EQUILIBRIUM_HALVINGS = 25
+# refinement onto the degeneracy set: its Gauss-Newton budgets, the residual
+# norm at which it stops, and the tolerances its result must meet
+_REFINE_MAX_ITER = 25
+_REFINE_HALVINGS = 20
+_REFINE_RESIDUAL_FLOOR = 1e-14
+_REFINE_TOL_INV = 1e-12
+_REFINE_TOL_G = 1e-8
+_REFINE_LEAF_TOL = 1e-9
+# the random stream of the stability and escape probes
+_PROBE_SEED = 0
+# the escape probe starts this far from the equilibrium along the leaf, and
+# a trajectory that leaves this ball around it has escaped
+_ESCAPE_OFFSET = 1e-3
+_ESCAPE_BALL_RADIUS = 0.5
+# the omega-limit probe's checkpoints and bounding ball
+_OMEGA_CHECKPOINTS = 40
+_OMEGA_BOUND = 1e6
 
 
 class PointKind(Enum):
@@ -141,6 +156,60 @@ def _fd_jacobian(func, x, f0=None):
     return jac
 
 
+def _leaf_gauss_newton(field, system: DissipativeSystem, x0: np.ndarray,
+                       target: np.ndarray, max_iter: int, max_halvings: int,
+                       residual_floor: float, trust_radius: float = np.inf,
+                       newton_tol: float | None = None,
+                       ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Damped Gauss-Newton for ``field(p) = 0`` on the leaf through ``target``.
+
+    The residual stacks ``field(p)`` with the leaf-value gap. Each iteration
+    takes the least-squares step of a central-difference Jacobian and halves
+    it, at most ``max_halvings`` times, until the residual norm drops; trials
+    outside the ``trust_radius`` ball around x0 are halved without being
+    evaluated. The accepted trial's residual is carried into the next
+    iteration, so no point is evaluated twice.
+
+    Returns ``(x, residual, converged)``. It converges when the residual norm
+    is at most ``residual_floor`` (checked before the Jacobian) or, given a
+    ``newton_tol``, when the residual is within it and the step is
+    stationary: near a degenerate point any absolute residual tolerance is
+    satisfied on a whole ball, so a small residual alone is not convergence.
+    It stops unconverged when no halving improves the residual or after
+    ``max_iter`` iterations.
+    """
+    def residual(p):
+        r = field(p)
+        if system.k == 0:
+            return r
+        return np.concatenate([r, system.leaf_value(p) - target])
+
+    x = x0.copy()
+    r = residual(x)
+    for _ in range(max_iter):
+        rn = float(np.linalg.norm(r))
+        if rn <= residual_floor:
+            return x, r, True
+        jac = _fd_jacobian(residual, x, f0=r)
+        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        if newton_tol is not None and rn <= newton_tol and (
+                float(np.linalg.norm(step)) <= 1e-9 * (1.0 + float(np.linalg.norm(x)))):
+            return x, r, True
+        lam = 1.0
+        for _ in range(max_halvings):
+            x_new = x + lam * step
+            lam *= 0.5
+            if float(np.linalg.norm(x_new - x0)) > trust_radius:
+                continue
+            r_new = residual(x_new)
+            if float(np.linalg.norm(r_new)) < rn:
+                x, r = x_new, r_new
+                break
+        else:
+            return x, r, False
+    return x, r, False
+
+
 def find_equilibria(system: DissipativeSystem, seeds,
                     newton_tol: float = 1e-10,
                     max_iter: int = 60,
@@ -164,51 +233,25 @@ def find_equilibria(system: DissipativeSystem, seeds,
     converge are collected in ``unresolved`` rather than raising.
     """
     eq_tol = max(_EQUILIBRIUM_TOL_FLOOR, 10 * newton_tol)
-    roots: list[np.ndarray] = []
+    # each root with the norm of the corrected-flow RHS the search ended on
+    roots: list[tuple[np.ndarray, float]] = []
     unresolved: list[np.ndarray] = []
     for seed in seeds:
-        x = as_point(seed, system.dim)
-        target = system.leaf_value(x)
-
-        def residual(p):
-            r = dissipated_rhs(system, p)
-            if system.k == 0:
-                return r
-            return np.concatenate([r, system.leaf_value(p) - target])
-
-        converged = False
-        for _ in range(max_iter):
-            r = residual(x)
-            rn = float(np.linalg.norm(r))
-            jac = _fd_jacobian(residual, x, f0=r)
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            # a small residual alone is not convergence: near a degenerate
-            # point any absolute residual tolerance is satisfied on a whole
-            # ball, so also require the Newton step to be stationary
-            if rn <= newton_tol and (
-                    float(np.linalg.norm(step)) <= 1e-9 * (1.0 + float(np.linalg.norm(x)))):
-                converged = True
-                break
-            lam = 1.0
-            improved = False
-            for _ in range(25):
-                x_new = x + lam * step
-                if float(np.linalg.norm(residual(x_new))) < rn:
-                    x = x_new
-                    improved = True
-                    break
-                lam *= 0.5
-            if not improved:
-                break
+        x0 = as_point(seed, system.dim)
+        # a zero residual is an exact root, where the step is zero too
+        x, r, converged = _leaf_gauss_newton(
+            lambda p: dissipated_rhs(system, p), system, x0, system.leaf_value(x0),
+            max_iter=max_iter, max_halvings=_EQUILIBRIUM_HALVINGS,
+            residual_floor=0.0, newton_tol=newton_tol)
         if not converged:
             unresolved.append(as_point(seed, system.dim))
             continue
-        if any(np.linalg.norm(x - r_) <= dedup_tol for r_ in roots):
+        if any(np.linalg.norm(x - r_) <= dedup_tol for r_, _ in roots):
             continue
-        roots.append(x)
+        roots.append((x, float(np.linalg.norm(r[:system.dim]))))
 
     reports = []
-    for x in roots:
+    for x, rhs_norm in roots:
         cls = classify_point(system, x, tol_inv=tol_inv, tol_g=tol_g)
         in_unpert = float(np.linalg.norm(system.X(x))) <= eq_tol
         in_inv = cls.in_invariant_set
@@ -217,7 +260,7 @@ def find_equilibria(system: DissipativeSystem, seeds,
             in_unperturbed_equilibria=in_unpert,
             in_invariant_set=in_inv,
             in_perturbed_equilibria=in_unpert and in_inv,
-            residual=float(np.linalg.norm(dissipated_rhs(system, x))),
+            residual=rhs_norm,
             classification=cls,
             leaf_value=system.leaf_value(x),
         ))
@@ -235,11 +278,7 @@ def leaf_tangent_basis(system: DissipativeSystem, x) -> np.ndarray:
 
 
 def refine_to_invariant_set(system: DissipativeSystem, x, leaf_value=None,
-                            trust_radius: float = 0.5,
-                            max_iter: int = 25,
-                            tol_inv: float = 1e-12,
-                            tol_g: float = 1e-8,
-                            leaf_tol: float = 1e-9) -> np.ndarray | None:
+                            trust_radius: float = 0.5) -> np.ndarray | None:
     """Gauss-Newton refinement of x toward the degeneracy set, staying on its leaf.
 
     Solves control_field = 0 together with the leaf constraint in least
@@ -250,41 +289,14 @@ def refine_to_invariant_set(system: DissipativeSystem, x, leaf_value=None,
     x0 = as_point(x, system.dim)
     target = (np.asarray(leaf_value, dtype=float).ravel()
               if leaf_value is not None else system.leaf_value(x0))
+    y, _, _ = _leaf_gauss_newton(
+        lambda p: _cofactor_from_frame(system_frame(system, p)), system, x0, target,
+        max_iter=_REFINE_MAX_ITER, max_halvings=_REFINE_HALVINGS,
+        residual_floor=_REFINE_RESIDUAL_FLOOR, trust_radius=trust_radius)
 
-    def residual(p):
-        fr = system_frame(system, p)
-        v0 = _cofactor_from_frame(fr)
-        if system.k == 0:
-            return v0
-        return np.concatenate([v0, system.leaf_value(p) - target])
-
-    y = x0.copy()
-    r = residual(y)
-    for _ in range(max_iter):
-        rn = float(np.linalg.norm(r))
-        if rn <= 1e-14:
-            break
-        jac = _fd_jacobian(residual, y, f0=r)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        lam = 1.0
-        improved = False
-        for _ in range(20):
-            y_new = y + lam * step
-            if float(np.linalg.norm(y_new - x0)) > trust_radius:
-                lam *= 0.5
-                continue
-            r_new = residual(y_new)
-            if float(np.linalg.norm(r_new)) < rn:
-                y, r = y_new, r_new
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-
-    cls = classify_point(system, y, tol_inv=tol_inv, tol_g=tol_g)
+    cls = classify_point(system, y, tol_inv=_REFINE_TOL_INV, tol_g=_REFINE_TOL_G)
     on_leaf = (system.k == 0
-               or float(np.max(np.abs(system.leaf_value(y) - target))) <= leaf_tol)
+               or float(np.max(np.abs(system.leaf_value(y) - target))) <= _REFINE_LEAF_TOL)
     within = float(np.linalg.norm(y - x0)) <= trust_radius
     if cls.in_invariant_set and on_leaf and within:
         return y
@@ -293,10 +305,7 @@ def refine_to_invariant_set(system: DissipativeSystem, x, leaf_value=None,
 
 def stability_classify(system: DissipativeSystem, equilibrium,
                        leaf_samples: int = 200,
-                       radius: float = 0.1,
-                       seed: int = 0,
-                       tol_inv: float = DEFAULT_TOL_INV,
-                       tol_g: float = DEFAULT_TOL_G) -> Stability:
+                       radius: float = 0.1) -> Stability:
     """Sampling verdict on leaf-restricted stability of a corrected-flow equilibrium.
 
     Draws points on the equilibrium's own leaf inside a tangent ball of the
@@ -305,34 +314,43 @@ def stability_classify(system: DissipativeSystem, equilibrium,
     itself touches the degeneracy set; a strictly smaller sample at an
     isolated equilibrium certifies instability. Everything else stays
     undetermined.
+
+    Candidates are drawn in chunks of the still-missing count, in the order
+    of a one-at-a-time draw, projected onto the leaf together and accepted in
+    order, so the verdict does not depend on the chunking; at most
+    ``20 * leaf_samples`` candidates are drawn.
     """
     x_e = as_point(equilibrium, system.dim)
     target = system.leaf_value(x_e)
     g_e = system.dissipated(x_e)
     basis = leaf_tangent_basis(system, x_e)
     free_dim = basis.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PROBE_SEED)
 
     deltas = []
     isolated = True
     attempts = 0
     while len(deltas) < leaf_samples and attempts < 20 * leaf_samples:
-        attempts += 1
-        direction = basis.T @ rng.normal(size=free_dim)
-        nrm = float(np.linalg.norm(direction))
-        if nrm == 0.0:
+        chunk = min(leaf_samples - len(deltas), 20 * leaf_samples - attempts)
+        attempts += chunk
+        starts = []
+        for _ in range(chunk):
+            direction = basis.T @ rng.normal(size=free_dim)
+            nrm = float(np.linalg.norm(direction))
+            if nrm == 0.0:
+                continue
+            r = radius * rng.uniform() ** (1.0 / free_dim)
+            starts.append(x_e + (r / nrm) * direction)
+        if not starts:
             continue
-        r = radius * rng.uniform() ** (1.0 / free_dim)
-        try:
-            y = project_to_leaf(system, x_e + (r / nrm) * direction, target)
-        except LeafProjectionFailure:
-            continue
-        dist = float(np.linalg.norm(y - x_e))
-        if dist < 1e-12 or dist > 2.0 * radius:
-            continue
-        if classify_point(system, y, tol_inv=tol_inv, tol_g=tol_g).in_invariant_set:
-            isolated = False
-        deltas.append(system.dissipated(y) - g_e)
+        ys, converged, _ = _project_rows(system, np.array(starts), target)
+        for y in ys[converged]:
+            dist = float(np.linalg.norm(y - x_e))
+            if dist < 1e-12 or dist > 2.0 * radius:
+                continue
+            if classify_point(system, y).in_invariant_set:
+                isolated = False
+            deltas.append(system.dissipated(y) - g_e)
     if not deltas:
         return Stability.UNDETERMINED
 
@@ -345,39 +363,33 @@ def stability_classify(system: DissipativeSystem, equilibrium,
 
 
 def escape_test(system: DissipativeSystem, equilibrium,
-                offset: float = 1e-3,
-                ball_radius: float = 0.5,
-                horizon: float = 100.0,
-                seed: int = 0,
-                config: IntegratorConfig | None = None) -> bool:
-    """True when a leaf perturbation of the equilibrium leaves the given ball.
+                horizon: float = 100.0) -> bool:
+    """True when a leaf perturbation of the equilibrium leaves a ball around it.
 
     Complements the sampled stability verdict with dynamic evidence: a
-    trajectory started ``offset`` away that escapes the ball demonstrates
+    trajectory started ``_ESCAPE_OFFSET`` away that leaves the ball of
+    radius ``_ESCAPE_BALL_RADIUS`` within ``horizon`` demonstrates
     instability directly.
     """
     x_e = as_point(equilibrium, system.dim)
     basis = leaf_tangent_basis(system, x_e)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PROBE_SEED)
     direction = basis.T @ rng.normal(size=basis.shape[0])
     direction /= float(np.linalg.norm(direction))
-    x0 = project_to_leaf(system, x_e + offset * direction, system.leaf_value(x_e))
-    base = config or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    cfg = replace(base, t_end=horizon)
+    x0 = project_to_leaf(system, x_e + _ESCAPE_OFFSET * direction, system.leaf_value(x_e))
+    cfg = IntegratorConfig(t_end=horizon)
     try:
         tr = integrate(system, x0, cfg, flow=Flow.PERTURBED,
-                       bound=float(np.linalg.norm(x_e)) + ball_radius)
+                       bound=float(np.linalg.norm(x_e)) + _ESCAPE_BALL_RADIUS)
     except UnboundedTrajectory:
         return True
     dists = np.linalg.norm(tr.states - x_e, axis=1)
-    return bool(np.max(dists) > ball_radius)
+    return bool(np.max(dists) > _ESCAPE_BALL_RADIUS)
 
 
 def compare_on_invariant_set(system: DissipativeSystem, x0,
                              config: IntegratorConfig,
-                             n_checkpoints: int = 101,
-                             tol_inv: float = 1e-9,
-                             tol_g: float = 1e-6) -> float:
+                             n_checkpoints: int = 101) -> float:
     """Max distance between the two flows started at a degeneracy-set point.
 
     On the set where the stacked gradients lose rank the control field
@@ -385,7 +397,7 @@ def compare_on_invariant_set(system: DissipativeSystem, x0,
     chart distance over a shared checkpoint grid. Raises
     :class:`NotOnInvariantSet` when x0 classifies as generic.
     """
-    cls = classify_point(system, x0, tol_inv=tol_inv, tol_g=tol_g)
+    cls = classify_point(system, x0)
     if cls.kind is PointKind.GENERIC:
         raise NotOnInvariantSet(
             f"point {np.asarray(x0).tolist()} classifies as generic "
@@ -476,10 +488,7 @@ def _generic_inv_samples(system: DissipativeSystem, trajectory_states: np.ndarra
 
 def omega_limit_probe(system: DissipativeSystem, x0,
                       horizon: float,
-                      n_checkpoints: int = 40,
-                      config: IntegratorConfig | None = None,
-                      inv_sampler=None,
-                      bound: float = 1e6) -> OmegaProbe:
+                      inv_sampler=None) -> OmegaProbe:
     """Track the distance from the corrected flow to the degeneracy set on its leaf.
 
     Distance is chart distance to a sample set of the degeneracy set
@@ -489,10 +498,10 @@ def omega_limit_probe(system: DissipativeSystem, x0,
     and is reported as such.
     """
     x0 = as_point(x0, system.dim)
-    base = config or IntegratorConfig()
-    cfg = replace(base, t_end=horizon)
-    cps = np.linspace(0.0, horizon, n_checkpoints + 1)[1:]
-    tr = integrate(system, x0, cfg, flow=Flow.PERTURBED, checkpoints=cps, bound=bound)
+    cfg = IntegratorConfig(t_end=horizon)
+    cps = np.linspace(0.0, horizon, _OMEGA_CHECKPOINTS + 1)[1:]
+    tr = integrate(system, x0, cfg, flow=Flow.PERTURBED, checkpoints=cps,
+                   bound=_OMEGA_BOUND)
 
     leaf_value = system.leaf_value(x0)
     if inv_sampler is not None:
@@ -514,9 +523,9 @@ def omega_limit_probe(system: DissipativeSystem, x0,
         dists[j] = min(d_set, d_ref)
 
     g_vals = np.array([system.dissipated(p) for p in tr.checkpoint_states])
-    tail = max(2, n_checkpoints // 5)
+    tail = max(2, _OMEGA_CHECKPOINTS // 5)
     late_spread = float(np.max(g_vals[-tail:]) - np.min(g_vals[-tail:]))
-    quarter = max(2, n_checkpoints // 4)
+    quarter = max(2, _OMEGA_CHECKPOINTS // 4)
     tail_d = dists[-quarter:]
     monotone = bool(np.all(tail_d[1:] <= 1.05 * tail_d[:-1] + 1e-8))
     return OmegaProbe(times=cps, distances=dists, g_values=g_vals,

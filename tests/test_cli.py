@@ -165,6 +165,27 @@ def test_verify_passes_on_catalog_system(tmp_path, capsys):
     assert json.loads((out_dir / "verify.json").read_text()) == report
 
 
+def test_verify_builds_one_frame_per_point(tmp_path, capsys, monkeypatch):
+    # the three formulations and the tensor are read off the point's frame
+    import geodiss.control
+    import geodiss.gram
+
+    frames = []
+    frame = geodiss.gram.system_frame
+
+    def counting_frame(system, x):
+        frames.append(1)
+        return frame(system, x)
+
+    for module in (geodiss.gram, geodiss.control):
+        monkeypatch.setattr(module, "system_frame", counting_frame)
+    cfg = _write(tmp_path, "ver.json", {"system": RIGID, "n_probes": 7, "seed": 3})
+    rc, out, _ = _run(capsys, ["verify", "--config", cfg])
+    assert rc == EXIT_OK
+    assert json.loads(out)["status"] == "pass"
+    assert len(frames) == 7
+
+
 def test_verify_catches_corrupted_differential(tmp_path, capsys, monkeypatch):
     # shift the dissipated differential away from the value, which the
     # derivative consistency check must flag

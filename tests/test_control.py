@@ -6,9 +6,6 @@ from geodiss.catalog import mexican_hat, random_poly
 from geodiss.control import (
     Formulation,
     control_field,
-    control_field_cofactor,
-    control_field_projection,
-    control_field_tensor,
     dissipated_rhs,
     dissipation_rate,
     identity_scales,
@@ -103,7 +100,7 @@ def test_tangency_and_pairing_identities_on_random_systems():
         system, x = seeded_pair(i)
         fr = system_frame(system, x)
         scales = identity_scales(fr)
-        v0 = control_field_cofactor(system, x).v0
+        v0 = control_field(system, x, Formulation.COFACTOR).v0
         for j in range(system.k):
             tang = max(tang, abs(float(fr.diffs[j] @ v0))
                        / max(scales["tangency"][j], 1e-300))
@@ -147,7 +144,7 @@ def test_rate_equals_pairing_with_the_control_field():
     for i in range(30):
         system, x = seeded_pair(i)
         fr = system_frame(system, x)
-        v0 = control_field_cofactor(system, x).v0
+        v0 = control_field(system, x, Formulation.COFACTOR).v0
         rate = dissipation_rate(system, x)
         scale = max(identity_scales(fr)["dissipation"], 1e-300)
         assert abs(rate + float(fr.diffs[system.k] @ v0)) <= 1e-9 * scale
@@ -183,8 +180,8 @@ def test_control_field_is_linear_in_the_dissipated_quantity(lam):
                 g.dim, lambda p, s=lam: s * g.value(p),
                 differential=lambda p, s=lam: s * g.d(p), label=g.label),
             metric=system.metric)
-        base = control_field_cofactor(system, x)
-        got = control_field_cofactor(scaled, x)
+        base = control_field(system, x, Formulation.COFACTOR)
+        got = control_field(scaled, x, Formulation.COFACTOR)
         scale = 1.0 + np.max(np.abs(base.v0))
         assert np.max(np.abs(got.v0 - lam * base.v0)) <= 1e-10 * abs(lam) * scale
 
@@ -202,8 +199,8 @@ def test_scaling_one_conserved_quantity_scales_the_field_quadratically(lam):
         scaled = DissipativeSystem(
             X=system.X, conserved=(scaled_f,) + system.conserved[1:],
             dissipated=system.dissipated, metric=system.metric)
-        base = control_field_cofactor(system, x)
-        got = control_field_cofactor(scaled, x)
+        base = control_field(system, x, Formulation.COFACTOR)
+        got = control_field(scaled, x, Formulation.COFACTOR)
         scale = 1.0 + np.max(np.abs(base.v0))
         assert np.max(np.abs(got.v0 - lam ** 2 * base.v0)) \
             <= 1e-10 * lam ** 2 * scale
@@ -216,10 +213,10 @@ def test_projection_requires_a_regular_leaf():
     system = _linear3([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [0.0, 1.0, 0.0])
     x = np.zeros(3)
     with pytest.raises(SingularLeaf):
-        control_field_projection(system, x)
+        control_field(system, x, Formulation.PROJECTION)
     # the algebraic formulations still evaluate, and vanish identically here
-    assert np.max(np.abs(control_field_cofactor(system, x).v0)) <= 1e-14
-    assert np.max(np.abs(control_field_tensor(system, x).v0)) <= 1e-14
+    assert np.max(np.abs(control_field(system, x, Formulation.COFACTOR).v0)) <= 1e-14
+    assert np.max(np.abs(control_field(system, x, Formulation.TENSOR).v0)) <= 1e-14
 
 
 def test_identity_scales_shape():

@@ -22,7 +22,7 @@ from geodiss.fields import (
     VectorField,
 )
 import geodiss.integrators
-from geodiss.control import control_field_cofactor
+from geodiss.control import Formulation, control_field
 from geodiss.integrators import (
     Flow,
     IntegratorConfig,
@@ -348,7 +348,7 @@ def test_frame_count_and_recorded_diagnostics(rigid, monkeypatch, method,
         assert rej > 0
     monkeypatch.undo()
     for j, x in enumerate(tr.states):
-        fresh = control_field_cofactor(system, x)
+        fresh = control_field(system, x, Formulation.COFACTOR)
         gmat = system.metric.at(x)
         assert tr.det_full[j] == fresh.det_full
         assert tr.control_norm[j] == float(np.sqrt(max(fresh.v0 @ gmat @ fresh.v0, 0.0)))

@@ -2,9 +2,16 @@
 import numpy as np
 import pytest
 
+import geodiss.structure as structure_mod
 from geodiss.errors import LeafProjectionFailure, SingularLeaf
 from geodiss.catalog import random_poly
-from geodiss.fields import DissipativeSystem, ScalarField, _project_rows
+from geodiss.fields import (
+    DissipativeSystem,
+    MetricField,
+    ScalarField,
+    VectorField,
+    _project_rows,
+)
 from geodiss.integrators import IntegratorConfig, integrate
 from geodiss.structure import (
     DEFAULT_TOL_G,
@@ -109,6 +116,25 @@ def test_non_converging_seeds_are_reported_not_fatal(mexhat):
     assert reports == []
 
 
+def test_equilibrium_search_evaluates_no_point_twice(rigid, mexhat, monkeypatch):
+    # the solver carries each accepted trial's residual into the next
+    # iteration, and the reports read the residual the search ended on
+    points = []
+    rhs = structure_mod.dissipated_rhs
+
+    def recording_rhs(system, x):
+        points.append(np.asarray(x, dtype=float).tobytes())
+        return rhs(system, x)
+
+    monkeypatch.setattr(structure_mod, "dissipated_rhs", recording_rhs)
+    for system in (rigid.system, mexhat.system):
+        seeds = np.random.default_rng(4).uniform(-1.5, 1.5, size=(6, 3))
+        points.clear()
+        reports, _ = find_equilibria(system, seeds)
+        assert reports
+        assert len(set(points)) == len(points)
+
+
 def test_project_to_leaf_restores_conserved_values(rigid):
     target = rigid.system.leaf_value(np.array([1.0, 0.0, 0.0]))
     y = project_to_leaf(rigid.system, np.array([0.8, 0.3, -0.2]), target)
@@ -202,6 +228,23 @@ def test_refinement_declines_points_far_from_the_set(mexhat):
     assert got is None
 
 
+def test_refinement_never_evaluates_outside_its_trust_ball(mexhat, monkeypatch):
+    # a Gauss-Newton trial outside the ball is halved before it is evaluated
+    x0, trust = np.array([2.0, 0.0, 0.0]), 0.05
+    points = []
+    frame = structure_mod.system_frame
+
+    def recording_frame(system, x):
+        points.append(np.array(x, dtype=float))
+        return frame(system, x)
+
+    monkeypatch.setattr(structure_mod, "system_frame", recording_frame)
+    assert refine_to_invariant_set(mexhat.system, x0, trust_radius=trust) is None
+    assert len(points) > 1
+    # central differences step at most sqrt(eps) max(1, |x_i|) off a point
+    assert max(np.linalg.norm(p - x0) for p in points) <= trust + 1e-7
+
+
 def test_stability_verdicts_on_the_momentum_sphere(rigid):
     assert stability_classify(rigid.system, np.array([1.0, 0.0, 0.0])) \
         is Stability.ASYMPTOTICALLY_STABLE
@@ -214,6 +257,96 @@ def test_stability_verdicts_on_the_momentum_sphere(rigid):
 def test_axis_equilibrium_of_the_sombrero_is_unstable(mexhat):
     assert stability_classify(mexhat.system, np.array([0.0, 0.0, 0.4])) \
         is Stability.UNSTABLE
+
+
+def _one_at_a_time_stability_samples(system, x_e, leaf_samples, radius, fails):
+    """The accepted probe points of a draw-and-project-one-at-a-time loop.
+
+    ``fails(j)`` says whether the j-th projected candidate fails.
+    """
+    target = system.leaf_value(x_e)
+    basis = leaf_tangent_basis(system, x_e)
+    free_dim = basis.shape[0]
+    rng = np.random.default_rng(structure_mod._PROBE_SEED)
+    accepted = []
+    attempts = projected = 0
+    while len(accepted) < leaf_samples and attempts < 20 * leaf_samples:
+        attempts += 1
+        direction = basis.T @ rng.normal(size=free_dim)
+        nrm = float(np.linalg.norm(direction))
+        if nrm == 0.0:
+            continue
+        r = radius * rng.uniform() ** (1.0 / free_dim)
+        projected += 1
+        if fails(projected - 1):
+            continue
+        try:
+            y = project_to_leaf(system, x_e + (r / nrm) * direction, target)
+        except LeafProjectionFailure:
+            continue
+        dist = float(np.linalg.norm(y - x_e))
+        if dist < 1e-12 or dist > 2.0 * radius:
+            continue
+        accepted.append(y.tobytes())
+    return accepted, projected
+
+
+@pytest.mark.parametrize("failing", ["none", "every_third", "all"])
+@pytest.mark.parametrize("case", ["rigid", "sombrero", "sphere4"])
+def test_stability_probes_are_the_one_at_a_time_draw(rigid, mexhat, monkeypatch,
+                                                     case, failing):
+    # candidates are drawn in the loop's order, projected in chunks of the
+    # still-missing count and accepted in order: the probe points, and so
+    # the verdict, are bitwise those of one projection per draw, and a
+    # failing projection costs an attempt as before
+    if case == "rigid":
+        system, x_e = rigid.system, np.array([0.0, 1.0, 0.0])
+    elif case == "sombrero":
+        system, x_e = mexhat.system, np.array([0.0, 0.0, 0.4])
+    else:
+        weights = np.array([0.5, 1.0, 1.5, 2.0])
+        system = DissipativeSystem(
+            X=VectorField(4, lambda x: np.zeros(4)),
+            conserved=(ScalarField(4, lambda x: 0.5 * float(x @ x),
+                                   differential=lambda x: np.array(x, dtype=float)),),
+            dissipated=ScalarField(4, lambda x: float(weights @ (x * x)),
+                                   differential=lambda x: 2.0 * weights * x),
+            metric=MetricField.euclidean(4))
+        x_e = np.eye(4)[0]
+    fails = {"none": lambda j: False, "every_third": lambda j: j % 3 == 0,
+             "all": lambda j: True}[failing]
+    leaf_samples, radius = 12, 0.3
+    expected, n_projected = _one_at_a_time_stability_samples(
+        system, x_e, leaf_samples, radius, fails)
+
+    rows_seen = []
+    project = structure_mod._project_rows
+
+    def failing_rows(system, pts, leaf_value):
+        y, converged, degenerate = project(system, pts, leaf_value)
+        for i in range(len(pts)):
+            if fails(len(rows_seen)):
+                converged[i] = False
+            rows_seen.append(i)
+        return y, converged, degenerate
+
+    got = []
+    classify = structure_mod.classify_point
+
+    def recording_classify(system, x, *args, **kwargs):
+        got.append(np.asarray(x).tobytes())
+        return classify(system, x, *args, **kwargs)
+
+    monkeypatch.setattr(structure_mod, "_project_rows", failing_rows)
+    monkeypatch.setattr(structure_mod, "classify_point", recording_classify)
+    verdict = stability_classify(system, x_e, leaf_samples=leaf_samples, radius=radius)
+    assert got == expected
+    assert len(rows_seen) == n_projected
+    if failing == "all":
+        assert n_projected == 20 * leaf_samples
+        assert verdict is Stability.UNDETERMINED
+    else:
+        assert len(got) == leaf_samples
 
 
 def test_escape_test_agrees_with_the_verdicts(rigid):
@@ -271,6 +404,14 @@ def test_omega_probe_reaches_the_rim(mexhat):
     assert set(rep) == {"decaySeries", "finalDistance", "lateGSpread",
                         "monotoneTail"}
     assert len(rep["decaySeries"]) == probe.times.size
+
+
+def test_omega_probe_without_an_analytic_sampler(mexhat):
+    # the degeneracy set is sampled by refining jitter around the trajectory
+    probe = omega_limit_probe(mexhat.system, np.array([2.0, 0.0, 0.0]),
+                              horizon=40.0)
+    assert probe.final_distance <= 1e-6
+    assert probe.monotone_tail
 
 
 def test_omega_probe_on_the_momentum_sphere(rigid):
