@@ -18,6 +18,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     # errors
     "GeodissError": "errors",
+    "InputError": "errors",
+    "IntegrationFailure": "errors",
+    "IdentityFailure": "errors",
+    "CertificateFailure": "errors",
     "DimensionMismatch": "errors",
     "NonFiniteValue": "errors",
     "NonPositiveDefiniteMetric": "errors",

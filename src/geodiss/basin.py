@@ -34,9 +34,9 @@ import numpy as np
 
 from .control import _cofactor_from_frame, dissipated_rhs
 from .errors import (
-    _INTEGRATION_FAILURES,
     AnchorOutsideLevel,
     ConfigError,
+    IntegrationFailure,
     NoValidLevel,
     NotAsymptoticallyStable,
     NotOnInvariantSet,
@@ -469,7 +469,7 @@ def _ensemble_evidence(system, component, target, opts) -> _EnsembleEvidence:
     for x0 in starts:
         try:
             tr = integrate(system, x0, cfg, flow=Flow.PERTURBED, bound=bound)
-        except _INTEGRATION_FAILURES as exc:
+        except IntegrationFailure as exc:
             failures.append({"start": x0.tolist(), "finalDistance": None,
                              "error": type(exc).__name__})
             continue

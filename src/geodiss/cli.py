@@ -10,14 +10,18 @@ only when ``--out`` is given (simulate: trajectory.csv and summary.json,
 verify: verify.json, equilibria: equilibria.json, basin: basin.json plus
 members.csv on request).
 
-Exit codes (the full set; argparse failures are remapped to 1):
+Exit codes (the full set; argparse failures are remapped to 1). Each error
+class takes its code from its category base in :mod:`geodiss.errors`, and
+``main`` turns any of them into that code and one ``error:`` line on stderr
+(input errors print their message, the others their type name first):
   0  success (including a conditional pass of a certificate)
-  1  configuration problem: unreadable config, schema violation, bad system
-  2  integration failure: step underflow, step budget, non-finite or
+  1  InputError: unreadable config, schema violation, bad system or shape,
+     unwritable --out
+  2  IntegrationFailure: step underflow, step budget, non-finite or
      unbounded state, or a leaf re-projection that did not converge
-  3  identity violation: a structural identity, metric positivity, or
+  3  IdentityFailure: a structural identity, metric positivity, or
      differential consistency check failed
-  4  certificate failure: a basin or orbit certificate did not hold, or its
+  4  CertificateFailure: a basin or orbit certificate did not hold, or its
      preconditions (stability, level, periodicity) were not met
 
 This module deliberately avoids importing the numerical core at module
@@ -27,30 +31,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
 
 from .errors import (
-    _INTEGRATION_FAILURES,
-    AnchorOutsideLevel,
-    BadInertia,
+    CertificateFailure,
     ConfigError,
-    DimensionMismatch,
-    NonFiniteValue,
+    GeodissError,
+    IdentityFailure,
+    InputError,
+    IntegrationFailure,
     NonPositiveDefiniteMetric,
-    NotAsymptoticallyStable,
-    NotOnInvariantSet,
-    NotPeriodic,
-    NoValidLevel,
     SingularLeaf,
 )
 
 EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_INTEGRATION = 2
-EXIT_IDENTITY = 3
-EXIT_CERTIFICATE = 4
+EXIT_CONFIG = InputError.exit_code
+EXIT_INTEGRATION = IntegrationFailure.exit_code
+EXIT_IDENTITY = IdentityFailure.exit_code
+EXIT_CERTIFICATE = CertificateFailure.exit_code
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -124,9 +125,16 @@ def _load_schema() -> dict:
 
 
 def _load_config(path: str, command: str) -> dict:
+    def finite(text: str) -> float:
+        # JSON has no NaN or Infinity; Python's reader would accept them
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"config {path} holds the non-finite number {text}")
+        return value
+
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -193,6 +201,10 @@ def _build_system(spec):
         if mspec == "euclidean":
             metric = MetricField.euclidean(dim)
         else:
+            widths = sorted({len(row) for row in mspec})
+            if len(widths) > 1:
+                raise ConfigError(
+                    f"'metric' rows have lengths {widths}, expected {dim} each")
             mat = np.asarray(mspec, dtype=float)
             if mat.shape != (dim, dim):
                 raise ConfigError(
@@ -206,29 +218,24 @@ def _build_system(spec):
     return system, identity_only, name
 
 
-def _out_dir(args) -> str | None:
+def _write_out(args, filename: str, text: str) -> None:
+    """Write a file of the given name under --out, when --out is given."""
+    from .report import write_text_atomic
     if args.out is None:
-        return None
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
+        return
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        write_text_atomic(text, os.path.join(args.out, filename))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {filename} under --out: {exc}") from exc
 
 
 def _emit(obj, args, filename: str) -> None:
     """Primary report to stdout, plus a file of the given name under --out."""
-    from .report import json_text, write_text_atomic
+    from .report import json_text
     text = json_text(obj)
-    out = _out_dir(args)
-    if out:
-        write_text_atomic(text, os.path.join(out, filename))
+    _write_out(args, filename, text)
     sys.stdout.write(text)
-
-
-def _points_csv(points) -> str:
-    from .report import FLOAT_FORMAT
-    lines = [",".join(f"x{i + 1}" for i in range(points.shape[1]))]
-    for row in points:
-        lines.append(",".join(FLOAT_FORMAT % v for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def _pick_seed(config: dict, args, default: int = 0) -> int:
@@ -237,11 +244,36 @@ def _pick_seed(config: dict, args, default: int = 0) -> int:
     return int(config.get("seed", default))
 
 
+def _point(value, dim: int, what: str):
+    import numpy as np
+    p = np.asarray(value, dtype=float)
+    if p.shape != (dim,):
+        raise ConfigError(f"{what} has {p.size} components, expected {dim}")
+    return p
+
+
+def _probe_points(config: dict, args, dim: int, listed: str, what: str,
+                  count: str, default_count: int) -> list:
+    """The config's listed points, or a seeded uniform draw from its box."""
+    if listed in config:
+        return [_point(p, dim, what) for p in config[listed]]
+    import numpy as np
+    rng = np.random.default_rng(_pick_seed(config, args))
+    box = float(config.get("box", 1.5))
+    n = int(config.get(count, default_count))
+    return list(rng.uniform(-box, box, size=(n, dim)))
+
+
+def _options(config: dict, *keys: str, **renamed: str) -> dict:
+    """Keyword arguments from the optional config keys that are present;
+    ``name="key"`` passes config key ``key`` as ``name``."""
+    pairs = [(key, key) for key in keys] + list(renamed.items())
+    return {name: config[key] for name, key in pairs if key in config}
+
+
 def _integrator_config(spec: dict | None):
     from .integrators import IntegratorConfig, Method
-    if not spec:
-        return IntegratorConfig()
-    kwargs = dict(spec)
+    kwargs = dict(spec or {})
     if "method" in kwargs:
         kwargs["method"] = Method(kwargs["method"])
     return IntegratorConfig(**kwargs)
@@ -250,19 +282,20 @@ def _integrator_config(spec: dict | None):
 def cmd_simulate(config: dict, args) -> int:
     import numpy as np
 
-    from .integrators import Flow, integrate
-    from .report import write_text_atomic
+    from .integrators import Flow, _check_checkpoints, integrate
     from .structure import classify_point
 
     system, _, _ = _build_system(config["system"])
-    x0 = np.asarray(config["x0"], dtype=float)
-    if x0.shape != (system.dim,):
-        raise ConfigError(f"x0 has {x0.size} components, expected {system.dim}")
+    x0 = _point(config["x0"], system.dim, "x0")
     cfg = _integrator_config(config.get("integrator"))
     flow = Flow(config.get("flow", "perturbed"))
-    checkpoints = config.get("checkpoints")
-    if checkpoints is not None:
-        checkpoints = np.sort(np.asarray(checkpoints, dtype=float))
+    checkpoints = None
+    if config.get("checkpoints"):
+        checkpoints = np.sort(np.asarray(config["checkpoints"], dtype=float))
+        try:
+            _check_checkpoints(checkpoints, cfg.t_end)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     tr = integrate(system, x0, cfg, flow=flow, checkpoints=checkpoints,
                    bound=config.get("bound"))
 
@@ -278,9 +311,7 @@ def cmd_simulate(config: dict, args) -> int:
         "accepted": tr.n_accepted,
         "rejected": tr.n_rejected,
     }
-    out = _out_dir(args)
-    if out:
-        write_text_atomic(tr.csv_text(), os.path.join(out, "trajectory.csv"))
+    _write_out(args, "trajectory.csv", tr.csv_text())
     _emit(summary, args, "summary.json")
     return EXIT_OK
 
@@ -299,17 +330,8 @@ def cmd_verify(config: dict, args) -> int:
 
     system, identity_only, name = _build_system(config["system"])
 
-    if "points" in config:
-        points = [np.asarray(p, dtype=float) for p in config["points"]]
-        for p in points:
-            if p.shape != (system.dim,):
-                raise ConfigError(
-                    f"sample point has {p.size} components, expected {system.dim}")
-    else:
-        rng = np.random.default_rng(_pick_seed(config, args))
-        box = float(config.get("box", 1.5))
-        n = int(config.get("n_probes", 25))
-        points = list(rng.uniform(-box, box, size=(n, system.dim)))
+    points = _probe_points(config, args, system.dim, "points", "sample point",
+                           "n_probes", 25)
 
     factor = float(config.get("identity_factor", 1e-9))
     gram_floor = float(config.get("gram_floor", 1e-10))
@@ -426,35 +448,18 @@ def cmd_verify(config: dict, args) -> int:
 def cmd_equilibria(config: dict, args) -> int:
     from dataclasses import replace
 
-    import numpy as np
-
     from .structure import find_equilibria, stability_classify
 
     system, _, name = _build_system(config["system"])
-    if "seeds" in config:
-        seeds = [np.asarray(s, dtype=float) for s in config["seeds"]]
-        for s in seeds:
-            if s.shape != (system.dim,):
-                raise ConfigError(
-                    f"seed has {s.size} components, expected {system.dim}")
-    else:
-        rng = np.random.default_rng(_pick_seed(config, args))
-        box = float(config.get("box", 1.5))
-        n = int(config.get("n_seeds", 64))
-        seeds = list(rng.uniform(-box, box, size=(n, system.dim)))
-
-    kwargs = {}
-    for key in ("newton_tol", "dedup_tol", "tol_inv", "tol_g"):
-        if key in config:
-            kwargs[key] = config[key]
-    reports, unresolved = find_equilibria(system, seeds, **kwargs)
+    seeds = _probe_points(config, args, system.dim, "seeds", "seed",
+                          "n_seeds", 64)
+    reports, unresolved = find_equilibria(
+        system, seeds,
+        **_options(config, "newton_tol", "dedup_tol", "tol_inv", "tol_g"))
 
     if config.get("stability", True):
-        st_kwargs = {}
-        if "stability_samples" in config:
-            st_kwargs["leaf_samples"] = config["stability_samples"]
-        if "stability_radius" in config:
-            st_kwargs["radius"] = config["stability_radius"]
+        st_kwargs = _options(config, leaf_samples="stability_samples",
+                             radius="stability_radius")
         reports = [replace(r, stability=stability_classify(
             system, r.location, **st_kwargs)) for r in reports]
 
@@ -497,24 +502,23 @@ def cmd_basin(config: dict, args) -> int:
     sampler = SamplerConfig(**config.get("sampler", {}))
     if args.seed is not None:
         sampler = dc_replace(sampler, seed=args.seed)
-    seed = _pick_seed(config, args, default=7)
 
-    common = {"traj_seed": seed,
-              "proper_g_asserted": bool(config.get("proper_G_asserted", False))}
-    for key in ("converge_tol", "n_trajectories", "horizon", "max_refine",
-                "susp_ratio", "susp_g"):
-        if key in config:
-            common[key] = config[key]
+    kwargs = {"traj_seed": _pick_seed(config, args, default=7),
+              "proper_g_asserted": bool(config.get("proper_G_asserted", False)),
+              **_options(config, "converge_tol", "n_trajectories", "horizon",
+                         "max_refine", "susp_ratio", "susp_g")}
     if "integrator" in config:
-        common["integrator"] = _integrator_config(config["integrator"])
+        kwargs["integrator"] = _integrator_config(config["integrator"])
+    if target is not None:
+        kwargs.update(_options(config, "target_radius"))
+    else:
+        kwargs.update(_options(config, "witness_tol", "t_search", "recur_tol",
+                               "coverage_factor"))
 
     if threshold is not None:
-        eq_kwargs = dict(common)
-        if "target_radius" in config:
-            eq_kwargs["target_radius"] = config["target_radius"]
         found, history = threshold_search(
             system, target, threshold["level_max"],
-            steps=threshold.get("steps", 8), sampler=sampler, **eq_kwargs)
+            steps=threshold.get("steps", 8), sampler=sampler, **kwargs)
         _emit({
             "system": name,
             "mode": "threshold",
@@ -526,23 +530,16 @@ def cmd_basin(config: dict, args) -> int:
         return EXIT_OK
 
     if target is not None:
-        eq_kwargs = dict(common)
-        if "target_radius" in config:
-            eq_kwargs["target_radius"] = config["target_radius"]
-        cert = basin_certify(system, target, level, sampler, **eq_kwargs)
+        cert = basin_certify(system, target, level, sampler, **kwargs)
         report = {"system": name, "mode": "equilibrium", **cert.as_report()}
     else:
-        orb_kwargs = dict(common)
-        for key in ("witness_tol", "t_search", "recur_tol", "coverage_factor"):
-            if key in config:
-                orb_kwargs[key] = config[key]
         cert = periodic_orbit_certify(system, orbit_seed, level, sampler,
-                                      **orb_kwargs)
+                                      **kwargs)
         report = {"system": name, "mode": "orbit", **cert.as_report()}
     if dump_members:
-        from .report import write_text_atomic
-        write_text_atomic(_points_csv(cert.members),
-                          os.path.join(_out_dir(args), "members.csv"))
+        from .report import csv_text
+        columns = [f"x{i + 1}" for i in range(cert.members.shape[1])]
+        _write_out(args, "members.csv", csv_text(columns, cert.members))
     _emit(report, args, "basin.json")
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE
 
@@ -554,11 +551,6 @@ _HANDLERS = {
     "basin": cmd_basin,
 }
 
-_CONFIG_FAILURES = (ConfigError, BadInertia, DimensionMismatch)
-_IDENTITY_FAILURES = (NonPositiveDefiniteMetric, NonFiniteValue, SingularLeaf)
-_CERTIFICATE_FAILURES = (NotAsymptoticallyStable, AnchorOutsideLevel,
-                         NoValidLevel, NotPeriodic, NotOnInvariantSet)
-
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
@@ -567,18 +559,10 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config, args.command)
         return _HANDLERS[args.command](config, args)
-    except _CONFIG_FAILURES as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _INTEGRATION_FAILURES as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-    except _IDENTITY_FAILURES as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_IDENTITY
-    except _CERTIFICATE_FAILURES as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+    except GeodissError as exc:
+        kind = "" if isinstance(exc, InputError) else f"{type(exc).__name__}: "
+        print(f"error: {kind}{exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

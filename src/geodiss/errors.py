@@ -1,79 +1,99 @@
-"""Exception types and numerical-health warnings shared across the package."""
+"""Exception types and numerical-health warnings shared across the package.
+
+Every error subclasses one of four category bases, and the base alone states
+the exit code the command line tool returns for it. This module imports
+nothing, so the CLI can name these classes without loading numpy.
+"""
 
 
 class GeodissError(Exception):
     """Base class for every error raised by geodiss."""
 
+    exit_code: int
 
-class DimensionMismatch(GeodissError):
+
+class InputError(GeodissError):
+    """Invalid input: a config, a system definition or an array shape."""
+    exit_code = 1
+
+
+class IntegrationFailure(GeodissError):
+    """One integration run ended early (an ensemble records a failed start)."""
+    exit_code = 2
+
+
+class IdentityFailure(GeodissError):
+    """A structural identity or a metric check failed."""
+    exit_code = 3
+
+
+class CertificateFailure(GeodissError):
+    """A certificate or one of its preconditions did not hold."""
+    exit_code = 4
+
+
+class DimensionMismatch(InputError):
     """An array argument has the wrong shape for the ambient dimension."""
 
 
-class NonFiniteValue(GeodissError):
+class NonFiniteValue(IdentityFailure):
     """A field evaluation produced NaN or infinity."""
 
 
-class NonPositiveDefiniteMetric(GeodissError):
+class NonPositiveDefiniteMetric(IdentityFailure):
     """The metric matrix failed a positive-definiteness check at a point."""
 
 
-class SingularLeaf(GeodissError):
+class SingularLeaf(IdentityFailure):
     """Conserved-quantity gradients are too close to dependent for leaf work."""
 
 
-class StepUnderflow(GeodissError):
+class StepUnderflow(IntegrationFailure):
     """Adaptive step size collapsed below the resolvable minimum."""
 
 
-class MaxStepsExceeded(GeodissError):
+class MaxStepsExceeded(IntegrationFailure):
     """Integration hit the step budget before reaching t_end."""
 
 
-class NonFiniteState(GeodissError):
+class NonFiniteState(IntegrationFailure):
     """The integrated state left the space of finite vectors."""
 
 
-class NotOnInvariantSet(GeodissError):
+class NotOnInvariantSet(CertificateFailure):
     """A point required to sit on the degeneracy set classified as generic."""
 
 
-class LeafProjectionFailure(GeodissError):
+class LeafProjectionFailure(IntegrationFailure):
     """Projection back onto a level set did not converge."""
 
 
-class AnchorOutsideLevel(GeodissError):
+class AnchorOutsideLevel(CertificateFailure):
     """The anchor point lies above the requested sublevel threshold."""
 
 
-class NotPeriodic(GeodissError):
+class NotPeriodic(CertificateFailure):
     """No periodic recurrence was detected from the given seed."""
 
 
-class UnboundedTrajectory(GeodissError):
+class UnboundedTrajectory(IntegrationFailure):
     """A trajectory left the configured bounding ball."""
 
 
-class BadInertia(GeodissError):
+class BadInertia(InputError):
     """Rigid-body inertia parameters must be distinct and positive."""
 
 
-class NoValidLevel(GeodissError):
+class NoValidLevel(CertificateFailure):
     """Even the smallest tested sublevel threshold failed certification."""
 
 
-class NotAsymptoticallyStable(GeodissError):
+class NotAsymptoticallyStable(CertificateFailure):
     """Basin certification requires a target that classifies as stable."""
 
 
-class ConfigError(GeodissError):
+class ConfigError(InputError):
     """A run configuration failed validation."""
-
-
-# Everything that ends one integration run: the CLI maps these to its
-# integration exit code, and a certificate ensemble records them as failed
-# starts. Defined here so the CLI can name them without loading numpy.
-_INTEGRATION_FAILURES = (StepUnderflow, MaxStepsExceeded, NonFiniteState,
-                         UnboundedTrajectory, LeafProjectionFailure)
 
 
 class NumericalHealthWarning(RuntimeWarning):

@@ -20,7 +20,6 @@ taken, which are recorded and which one ends the run.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .fields import DissipativeSystem, as_point, project_to_leaf
 from .gram import system_frame
+from .report import csv_text
 
 
 def _guard_nonfinite(fn):
@@ -165,24 +165,17 @@ class Trajectory:
         gap = np.abs(self.rate_measured - self.rate_predicted) - self.rate_band
         return float(np.max(gap))
 
-    def to_csv(self, fh) -> None:
-        """Write records as CSV with 17 significant digits."""
+    def csv_text(self) -> str:
+        """The records as CSV with 17 significant digits."""
         k = self.conserved_values.shape[1]
         n = self.states.shape[1]
         cols = (["t"] + [f"x{i + 1}" for i in range(n)]
                 + [f"F{i + 1}" for i in range(k)]
                 + ["G", "detSigmaFull", "v0norm", "h"])
-        fh.write(",".join(cols) + "\n")
-        for j in range(self.times.size):
-            row = [self.times[j], *self.states[j], *self.conserved_values[j],
-                   self.dissipated_values[j], self.det_full[j],
-                   self.control_norm[j], self.step_sizes[j]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        return csv_text(cols, np.column_stack([
+            self.times, self.states, self.conserved_values,
+            self.dissipated_values, self.det_full, self.control_norm,
+            self.step_sizes]))
 
 
 class _Recorder:
@@ -397,6 +390,14 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
         k_first = k_new
 
 
+def _check_checkpoints(cps: np.ndarray, t_end: float) -> None:
+    """Raise ValueError unless cps is strictly increasing within [0, t_end]."""
+    if cps.ndim != 1 or np.any(np.diff(cps) <= 0):
+        raise ValueError("checkpoints must be strictly increasing")
+    if cps[0] < 0 or cps[-1] > t_end + 1e-12:
+        raise ValueError("checkpoints must lie within [0, t_end]")
+
+
 def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
               flow: Flow = Flow.PERTURBED,
               checkpoints=None, bound: float | None = None) -> "Trajectory":
@@ -425,10 +426,7 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
     next_cp = 0
     if checkpoints is not None:
         cps = np.asarray(checkpoints, dtype=float)
-        if cps.ndim != 1 or np.any(np.diff(cps) <= 0):
-            raise ValueError("checkpoints must be strictly increasing")
-        if cps[0] < 0 or cps[-1] > config.t_end + 1e-12:
-            raise ValueError("checkpoints must lie within [0, t_end]")
+        _check_checkpoints(cps, config.t_end)
         cp_states = np.empty((cps.size, system.dim))
         if cps[0] == 0.0:
             cp_states[0] = x

@@ -45,6 +45,13 @@ def json_text(obj) -> str:
     return json.dumps(canonical(obj), indent=2, sort_keys=True) + "\n"
 
 
+def csv_text(columns, rows) -> str:
+    """A header of column names, then one line of FLOAT_FORMAT values per row."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(FLOAT_FORMAT % v for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def write_text_atomic(text: str, path: str) -> None:
     """Write text through a same-directory temporary file and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."

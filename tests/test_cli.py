@@ -19,7 +19,9 @@ import sys
 import numpy as np
 import pytest
 
+import geodiss
 import geodiss.catalog
+import geodiss.cli
 from geodiss.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -27,6 +29,13 @@ from geodiss.cli import (
     EXIT_INTEGRATION,
     EXIT_OK,
     main,
+)
+from geodiss.errors import (
+    CertificateFailure,
+    GeodissError,
+    IdentityFailure,
+    InputError,
+    IntegrationFailure,
 )
 
 RIGID = "rigid_body:3,2,1"
@@ -447,6 +456,112 @@ def test_mismatched_state_dimension_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.json", {**SIM_CONFIG, "x0": [1.0, 0.0]})
     rc, _, err = _run(capsys, ["simulate", "--config", cfg])
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("checkpoints, message", [
+    ([0.5, 9.0], "checkpoints must lie within [0, t_end]"),    # past t_end = 5
+    ([2.0, 1.0, 2.0], "checkpoints must be strictly increasing"),
+])
+def test_bad_checkpoints_are_config_errors(tmp_path, capsys, checkpoints, message):
+    cfg = _write(tmp_path, "sim.json", {**SIM_CONFIG, "checkpoints": checkpoints})
+    rc, out, err = _run(capsys, ["simulate", "--config", cfg])
+    assert rc == EXIT_CONFIG
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def test_unsorted_and_empty_checkpoints_are_accepted(tmp_path, capsys):
+    plain = _run(capsys, ["simulate", "--config",
+                          _write(tmp_path, "a.json", SIM_CONFIG)])
+    unsorted = _run(capsys, ["simulate", "--config", _write(
+        tmp_path, "b.json", {**SIM_CONFIG, "checkpoints": [2.0, 0.5]})])
+    empty = _run(capsys, ["simulate", "--config", _write(
+        tmp_path, "c.json", {**SIM_CONFIG, "checkpoints": []})])
+    assert plain[0] == unsorted[0] == EXIT_OK
+    # checkpoints are read off the dense output: the run is unchanged
+    assert unsorted == plain
+    assert empty == plain
+
+
+def test_unwritable_out_dir_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "ver.json", {"system": RIGID, "n_probes": 3})
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    rc, out, err = _run(capsys, ["verify", "--config", cfg, "--out", str(blocker)])
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error: cannot write verify.json under --out: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_config_number_is_config_error(tmp_path, capsys, number):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(SIM_CONFIG).replace('"t_end": 5.0',
+                                                   f'"t_end": {number}'))
+    rc, out, err = _run(capsys, ["simulate", "--config", str(path)])
+    assert rc == EXIT_CONFIG
+    assert err == f"error: config {path} holds the non-finite number {number}\n"
+    assert out == ""
+
+
+RAGGED_SYSTEM = {"dim": 2,
+                 "dissipated": {"terms": [{"coef": 0.5, "powers": [2, 0]}]},
+                 "metric": [[1.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", {"x0": [1.0, 0.0]}),
+    ("verify", {}),
+    ("equilibria", {}),
+    ("basin", {"target": [1.0, 0.0], "level": 0.2}),
+])
+def test_ragged_inline_metric_is_config_error(tmp_path, capsys, command, extra):
+    cfg = _write(tmp_path, "cfg.json", {"system": RAGGED_SYSTEM, **extra})
+    rc, out, err = _run(capsys, [command, "--config", cfg])
+    assert rc == EXIT_CONFIG
+    assert err == "error: 'metric' rows have lengths [1, 2], expected 2 each\n"
+    assert out == ""
+
+
+# Each category base and the exit code the documentation gives it.
+DOCUMENTED_EXIT_CODES = {InputError: 1, IntegrationFailure: 2,
+                         IdentityFailure: 3, CertificateFailure: 4}
+ERROR_NAMES = sorted(
+    name for name, module in geodiss._EXPORTS.items() if module == "errors"
+    and isinstance(getattr(geodiss, name), type)
+    and issubclass(getattr(geodiss, name), GeodissError)
+    and getattr(geodiss, name) is not GeodissError)
+
+
+@pytest.mark.parametrize("name", ERROR_NAMES)
+def test_every_error_maps_to_its_category_exit_code(tmp_path, capsys, monkeypatch,
+                                                    name):
+    error = getattr(geodiss, name)
+    categories = [base for base in DOCUMENTED_EXIT_CODES if issubclass(error, base)]
+    assert len(categories) == 1, f"{name} must have exactly one category base"
+
+    def handler(config, args):
+        raise error("raised by the handler")
+
+    monkeypatch.setitem(geodiss.cli._HANDLERS, "verify", handler)
+    cfg = _write(tmp_path, "ver.json", {"system": RIGID})
+    rc, out, err = _run(capsys, ["verify", "--config", cfg])
+    assert rc == DOCUMENTED_EXIT_CODES[categories[0]]
+    kind = "" if categories[0] is InputError else f"{name}: "
+    assert err == f"error: {kind}raised by the handler\n"
+    assert out == ""
+
+
+def test_every_error_class_is_exported():
+    # the exit-code test above reaches a class only through the exports
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    defined = {cls.__name__ for cls in subclasses(GeodissError)
+               if cls.__module__ == "geodiss.errors"}
+    assert defined <= set(ERROR_NAMES)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,113 @@
+"""Random inline-system configs: every one ends in a documented exit code.
+
+Hypothesis draws ``simulate``, ``verify`` and ``equilibria`` configs over
+dimensions 1-4 with 0 to dim conserved quantities, exponent lists of the
+right or the wrong length, and every kind of metric (euclidean, SPD,
+indefinite, all-zero, wrong shape, ragged rows). ``main`` must return one
+of the documented codes and raise nothing. The work per example is kept
+small (t_end <= 0.5, a step budget, at most 3 probes or 2 seeds).
+"""
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from geodiss.cli import main
+
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4}
+
+
+def polynomials(n_powers):
+    return st.fixed_dictionaries({"terms": st.lists(st.fixed_dictionaries({
+        "coef": st.floats(-2.0, 2.0),
+        "powers": st.lists(st.integers(0, 2), min_size=n_powers,
+                           max_size=n_powers),
+    }), min_size=1, max_size=3)})
+
+
+@st.composite
+def metrics(draw, dim):
+    kind = draw(st.sampled_from(
+        ["euclidean", "spd", "indefinite", "zero", "wrong_shape", "ragged"]))
+    if kind == "euclidean":
+        return "euclidean"
+    if kind == "wrong_shape":
+        rows, cols = draw(st.sampled_from([(dim + 1, dim + 1), (dim, dim + 1),
+                                           (dim + 1, dim)]))
+        return [[float(i == j) for j in range(cols)] for i in range(rows)]
+    if kind == "ragged":
+        return [[1.0] * (dim + (i == 0)) for i in range(dim)]
+    diag = draw(st.lists(st.floats(0.5, 3.0), min_size=dim, max_size=dim))
+    if kind == "zero":
+        diag = [0.0] * dim
+    if kind == "indefinite":
+        diag[draw(st.integers(0, dim - 1))] *= -1.0
+    off = draw(st.floats(-0.2, 0.2)) if kind == "spd" else 0.0
+    return [[diag[i] if i == j else off for j in range(dim)]
+            for i in range(dim)]
+
+
+@st.composite
+def configs(draw):
+    dim = draw(st.integers(1, 4))
+    # at most one flaw besides the metric, so the later checks are reached
+    flaw = draw(st.sampled_from(["none"] * 4 + ["k", "powers", "field", "point"]))
+    k = dim if flaw == "k" else draw(st.integers(0, dim - 1))
+    system = {
+        "dim": dim,
+        "conserved": [draw(polynomials(dim)) for _ in range(k)],
+        "dissipated": draw(polynomials(dim + (flaw == "powers"))),
+        "metric": draw(metrics(dim)),
+    }
+    if flaw == "field" or draw(st.booleans()):
+        system["field"] = [draw(polynomials(dim))
+                           for _ in range(dim + (flaw == "field"))]
+
+    def points(count):
+        point = st.lists(st.floats(-1.5, 1.5), min_size=dim + (flaw == "point"),
+                         max_size=dim + (flaw == "point"))
+        return st.lists(point, min_size=count, max_size=count)
+
+    command = draw(st.sampled_from(["simulate", "verify", "equilibria"]))
+    config = {"system": system, "seed": draw(st.integers(0, 3))}
+    if command == "simulate":
+        t_end = draw(st.floats(0.05, 0.5))
+        config["x0"] = draw(points(1))[0]
+        config["integrator"] = {"t_end": t_end, "max_steps": 200}
+        if draw(st.booleans()):
+            # inside the run, or past its end
+            config["checkpoints"] = draw(st.lists(
+                st.floats(0.01, 2.0 * t_end), max_size=3))
+    elif command == "verify":
+        if flaw == "point" or draw(st.booleans()):
+            config["points"] = draw(points(draw(st.integers(1, 3))))
+        else:
+            config["n_probes"] = draw(st.integers(1, 3))
+    else:
+        if flaw == "point" or draw(st.booleans()):
+            config["seeds"] = draw(points(draw(st.integers(1, 2))))
+        else:
+            config["n_seeds"] = draw(st.integers(1, 2))
+        config["stability_samples"] = 8
+    return command, config
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_inline_configs_end_in_a_documented_exit_code(case):
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main([command, "--config", path])
+    assert rc in DOCUMENTED_EXIT_CODES
+    if rc not in (0, 3):
+        assert err.getvalue().startswith("error: ")
