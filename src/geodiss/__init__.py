@@ -38,6 +38,7 @@ _EXPORTS = {
     "NoValidLevel": "errors",
     "NotAsymptoticallyStable": "errors",
     "ConfigError": "errors",
+    "InitialStepBelowFloor": "errors",
     "NumericalHealthWarning": "errors",
     # polynomials
     "Polynomial": "poly",
@@ -58,6 +59,8 @@ _EXPORTS = {
     # gram data
     "SystemFrame": "gram",
     "system_frame": "gram",
+    "FrameStack": "gram",
+    "system_frames": "gram",
     "checked_det": "gram",
     "GRAM_NEGATIVITY_FLOOR": "gram",
     # control field
@@ -82,6 +85,8 @@ _EXPORTS = {
     "IntegratorConfig": "integrators",
     "Trajectory": "integrators",
     "integrate": "integrators",
+    "EnsembleRun": "integrators",
+    "integrate_ensemble": "integrators",
     "flow_agreement_band": "integrators",
     # structure analysis
     "PointKind": "structure",

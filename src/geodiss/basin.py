@@ -22,6 +22,12 @@ absence: a reported witness is always refined until it classifies inside the
 degeneracy set at tight tolerance and lies strictly inside the sublevel set,
 but the scan can only disprove the certificate, never establish that no
 witness was missed between samples.
+
+The witness scores of all members and the control-field rates of all
+starts each come from one stacked frame, and the trajectory ensemble is one
+lockstep call (``integrators.integrate_ensemble``) over all its starts,
+whose rows take the steps of their solo runs; only the orbit's period
+detection consumes the solo step generator.
 """
 from __future__ import annotations
 
@@ -32,19 +38,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import _cofactor_from_frame, dissipated_rhs
+from .control import _cofactor_from_frames, dissipated_rhs
 from .errors import (
     AnchorOutsideLevel,
     ConfigError,
-    IntegrationFailure,
     NoValidLevel,
     NotAsymptoticallyStable,
     NotOnInvariantSet,
     NotPeriodic,
 )
-from .fields import DissipativeSystem, _project_rows, as_point
-from .gram import system_frame
-from .integrators import Flow, IntegratorConfig, _dp_steps, integrate
+from .fields import DissipativeSystem, _project_rows, _row_norms, as_point
+from .gram import system_frames
+from .integrators import IntegratorConfig, _dp_steps, integrate_ensemble
 from .structure import (
     Stability,
     classify_point,
@@ -104,15 +109,6 @@ def _halfwidth(anchor: np.ndarray, sampler: SamplerConfig | None) -> float:
     if sampler is not None and sampler.halfwidth is not None:
         return sampler.halfwidth
     return max(1.0, 2.0 * float(np.linalg.norm(anchor)) + 0.5)
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bitwise ``np.linalg.norm`` of the row.
-
-    That norm is sqrt(x @ x), and a matmul on stacks evaluates each row's
-    x @ x as that dot does; ``norm(axis=1)`` sums in another order.
-    """
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def _face_flood(inside: np.ndarray, start: int, n_cells: int, n: int) -> np.ndarray:
@@ -314,15 +310,18 @@ def sublevel_component(system: DissipativeSystem, anchor, level: float,
 
 
 def _frame_scores(system: DissipativeSystem, pts: np.ndarray):
-    """Scale-free determinant ratio and dissipated-gradient norm at each point."""
-    ratios = np.empty(len(pts))
-    gnorms = np.empty(len(pts))
-    for i, p in enumerate(pts):
-        fr = system_frame(system, p)
-        scale = fr.classification_scale()
-        ratios[i] = fr.det_full() / scale if scale > 0 else 0.0
-        gnorms[i] = fr.grad_g_norm()
-    return ratios, gnorms
+    """Scale-free determinant ratio and dissipated-gradient norm at each point.
+
+    One stacked frame over all the points, bitwise the per-point frames.
+    """
+    frames = system_frames(system, pts)
+    frames.require_finite()
+    det = frames.det_full()
+    scale = frames.classification_scale()
+    ratios = np.zeros(len(pts))
+    pos = scale > 0
+    ratios[pos] = det[pos] / scale[pos]
+    return ratios, frames.grad_g_norm()
 
 
 def _verified_witnesses(system, component, ratios, gnorms, refine, max_refine,
@@ -395,19 +394,20 @@ def scan_invariant_witnesses(system: DissipativeSystem,
                                max_refine, susp_ratio, susp_g)
 
 
-def _control_norm(system: DissipativeSystem, x: np.ndarray) -> float:
-    return float(np.linalg.norm(_cofactor_from_frame(system_frame(system, x))))
+def _control_norms(system: DissipativeSystem, pts: np.ndarray) -> np.ndarray:
+    """Euclidean norm of the control field at each point, from one stacked frame."""
+    frames = system_frames(system, pts)
+    frames.require_finite()
+    return _row_norms(_cofactor_from_frames(frames))
 
 
 def _auto_horizon(system: DissipativeSystem, starts, distance_fn,
                   floor: float = 20.0, cap: float = 500.0) -> float:
-    rates = []
-    for x in starts:
-        d = distance_fn(x)
-        if d > 1e-6:
-            rates.append(_control_norm(system, x) / d)
-    if not rates:
+    dists = np.array([distance_fn(x) for x in starts])
+    away = dists > 1e-6
+    if not away.any():
         return floor
+    rates = _control_norms(system, starts[away]) / dists[away]
     med = float(np.median(rates))
     if med <= 0:
         return cap
@@ -462,24 +462,21 @@ def _ensemble_evidence(system, component, target, opts) -> _EnsembleEvidence:
     bound = target.reach + 10.0 * _halfwidth(component.anchor, opts["sampler"])
 
     base = opts["integrator"] or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    cfg = replace(base, t_end=t_end)
+    run = integrate_ensemble(system, starts, replace(base, t_end=t_end), bound=bound)
     converged = 0
     failures = []
     g_max = -np.inf
-    for x0 in starts:
-        try:
-            tr = integrate(system, x0, cfg, flow=Flow.PERTURBED, bound=bound)
-        except IntegrationFailure as exc:
+    for x0, error, g, final in zip(starts, run.failures, run.g_max.tolist(), run.final):
+        if error is not None:
             failures.append({"start": x0.tolist(), "finalDistance": None,
-                             "error": type(exc).__name__})
+                             "error": error})
             continue
-        g_max = max(g_max, float(np.max(tr.dissipated_values)))
-        d = target.distance(tr.final_state)
+        g_max = max(g_max, g)
+        d = target.distance(final)
         if d <= opts["converge_tol"]:
             converged += 1
         else:
-            failures.append({"start": x0.tolist(),
-                             "final": tr.final_state.tolist(),
+            failures.append({"start": x0.tolist(), "final": final.tolist(),
                              "finalDistance": d, "error": None})
 
     reasons = []

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadInertia, ConfigError
 from .fields import DissipativeSystem, MetricField, ScalarField, VectorField
-from .poly import random_polynomial
+from .poly import random_polynomial, vector_values
 
 
 @dataclass(frozen=True)
@@ -52,17 +52,36 @@ def rigid_body(i1: float = 3.0, i2: float = 2.0, i3: float = 1.0) -> CatalogEntr
     j1, j2, j3 = (float(i) for i in inertia)
 
     def euler(m):
-        # np.cross(m, m / inertia) written out on Python floats: the same
-        # products and differences, without np.cross's per-call overhead
-        a0, a1, a2 = m.tolist()
-        b0, b1, b2 = a0 / j1, a1 / j2, a2 / j3
-        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+        if m.ndim == 1:
+            # np.cross(m, m / inertia) written out on Python floats: the same
+            # products and differences, without np.cross's per-call overhead
+            a0, a1, a2 = m.tolist()
+            b0, b1, b2 = a0 / j1, a1 / j2, a2 / j3
+            return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+        # a stack: the same products and differences, column by column
+        b = m / inertia
+        out = np.empty(m.shape)
+        out[:, 0] = m[:, 1] * b[:, 2] - m[:, 2] * b[:, 1]
+        out[:, 1] = m[:, 2] * b[:, 0] - m[:, 0] * b[:, 2]
+        out[:, 2] = m[:, 0] * b[:, 1] - m[:, 1] * b[:, 0]
+        return out
 
-    X = VectorField(3, euler, label="euler")
-    F = ScalarField(3, lambda m: 0.5 * float(m @ m),
-                    differential=lambda m: m.copy(), label="momentum_sq")
-    G = ScalarField(3, lambda m: 0.5 * float(m @ (m / inertia)),
-                    differential=lambda m: m / inertia, label="kinetic_energy")
+    def momentum_sq(m):
+        if m.ndim == 1:
+            return 0.5 * float(m @ m)
+        # a matmul on stacks takes each row's dot as the point call does
+        return 0.5 * (m[:, None, :] @ m[:, :, None])[:, 0, 0]
+
+    def kinetic_energy(m):
+        if m.ndim == 1:
+            return 0.5 * float(m @ (m / inertia))
+        return 0.5 * (m[:, None, :] @ (m / inertia)[:, :, None])[:, 0, 0]
+
+    X = VectorField(3, euler, label="euler", stacked=True)
+    F = ScalarField(3, momentum_sq, differential=lambda m: m.copy(),
+                    label="momentum_sq", stacked=True)
+    G = ScalarField(3, kinetic_energy, differential=lambda m: m / inertia,
+                    label="kinetic_energy", stacked=True)
     system = DissipativeSystem(X=X, conserved=(F,), dissipated=G,
                                metric=MetricField.euclidean(3))
 
@@ -103,19 +122,48 @@ def mexican_hat() -> CatalogEntry:
     2 r^2 (1 - r^2) along the corrected flow while the angle advances at unit
     rate. G at the axis is 1/4, which is the certification threshold.
     """
-    X = VectorField(3, lambda p: np.array([-p[1], p[0], 0.0]), label="rotation")
-    F = ScalarField(3, lambda p: float(p[2]),
-                    differential=lambda p: np.array([0.0, 0.0, 1.0]), label="height")
+    # each function takes a point or, in its second branch, an (m, 3) stack
+    # of points, for which it does the same arithmetic column by column
+    def rotation(p):
+        if p.ndim == 1:
+            return np.array([-p[1], p[0], 0.0])
+        out = np.zeros(p.shape)
+        out[:, 0] = -p[:, 1]
+        out[:, 1] = p[:, 0]
+        return out
+
+    def height(p):
+        if p.ndim == 1:
+            return float(p[2])
+        return p[:, 2].copy()
+
+    def height_diff(p):
+        if p.ndim == 1:
+            return np.array([0.0, 0.0, 1.0])
+        out = np.zeros(p.shape)
+        out[:, 2] = 1.0
+        return out
 
     def g_val(p):
-        s = p[0] * p[0] + p[1] * p[1] - 1.0
+        if p.ndim == 1:
+            s = p[0] * p[0] + p[1] * p[1] - 1.0
+            return 0.25 * s * s
+        s = p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1] - 1.0
         return 0.25 * s * s
 
     def g_diff(p):
-        s = p[0] * p[0] + p[1] * p[1] - 1.0
-        return np.array([p[0] * s, p[1] * s, 0.0])
+        if p.ndim == 1:
+            s = p[0] * p[0] + p[1] * p[1] - 1.0
+            return np.array([p[0] * s, p[1] * s, 0.0])
+        s = p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1] - 1.0
+        out = np.zeros(p.shape)
+        out[:, 0] = p[:, 0] * s
+        out[:, 1] = p[:, 1] * s
+        return out
 
-    G = ScalarField(3, g_val, differential=g_diff, label="rim_potential")
+    X = VectorField(3, rotation, label="rotation", stacked=True)
+    F = ScalarField(3, height, differential=height_diff, label="height", stacked=True)
+    G = ScalarField(3, g_val, differential=g_diff, label="rim_potential", stacked=True)
     system = DissipativeSystem(X=X, conserved=(F,), dissipated=G,
                                metric=MetricField.euclidean(3))
 
@@ -141,10 +189,17 @@ def mexican_hat() -> CatalogEntry:
     )
 
 
+def _half_square(x):
+    if x.ndim == 1:
+        return 0.5 * float(x @ x)
+    # a matmul on stacks takes each row's dot as the point call does
+    return 0.5 * (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
 _GRADIENT_ONLY_PRESETS = {
     "quadratic": (
         2,
-        lambda x: 0.5 * float(x @ x),
+        _half_square,
         lambda x: x.copy(),
         "half squared norm in the plane; descent is x(t) = exp(-t) x0",
     ),
@@ -159,7 +214,7 @@ def gradient_only(target: str | ScalarField = "quadratic") -> CatalogEntry:
     """
     if isinstance(target, ScalarField):
         dim = target.dim
-        X = VectorField(dim, lambda x: np.zeros(dim), label="zero")
+        X = VectorField(dim, lambda x: np.zeros(x.shape), label="zero", stacked=True)
         system = DissipativeSystem(X=X, conserved=(), dissipated=target,
                                    metric=MetricField.euclidean(dim))
         return CatalogEntry(
@@ -173,8 +228,8 @@ def gradient_only(target: str | ScalarField = "quadratic") -> CatalogEntry:
             f"unknown gradient_only preset {target!r}; choices: {sorted(_GRADIENT_ONLY_PRESETS)}"
         )
     dim, val, diff, note = _GRADIENT_ONLY_PRESETS[target]
-    X = VectorField(dim, lambda x: np.zeros(dim), label="zero")
-    G = ScalarField(dim, val, differential=diff, label=f"descent_{target}")
+    X = VectorField(dim, lambda x: np.zeros(x.shape), label="zero", stacked=True)
+    G = ScalarField(dim, val, differential=diff, label=f"descent_{target}", stacked=True)
     system = DissipativeSystem(X=X, conserved=(), dissipated=G,
                                metric=MetricField.euclidean(dim))
     return CatalogEntry(
@@ -208,8 +263,8 @@ def random_poly(dim: int, k: int, seed: int) -> CatalogEntry:
     conserved = tuple(poly_field(f"f{i + 1}") for i in range(k))
     dissipated = poly_field("g")
     x_polys = [random_polynomial(dim, 2, rng, scale=0.5) for _ in range(dim)]
-    X = VectorField(dim, lambda x: np.array([p.value(x) for p in x_polys]),
-                    label="random_poly_field")
+    X = VectorField(dim, lambda x: vector_values(x_polys, x),
+                    label="random_poly_field", stacked=True)
     system = DissipativeSystem(X=X, conserved=conserved, dissipated=dissipated,
                                metric=metric)
     return CatalogEntry(

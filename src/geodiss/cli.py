@@ -164,7 +164,7 @@ def _build_system(spec):
         entry = from_name(spec)
         system, identity_only, name = entry.system, entry.identity_only, entry.name
     else:
-        from .poly import Polynomial
+        from .poly import Polynomial, vector_values
         dim = spec["dim"]
 
         def poly_field(pd, label):
@@ -187,15 +187,15 @@ def _build_system(spec):
 
         fspec = spec.get("field", "zero")
         if fspec == "zero":
-            X = VectorField(dim, lambda x: np.zeros(dim), label="zero")
+            X = VectorField(dim, lambda x: np.zeros(x.shape), label="zero",
+                            stacked=True)
         else:
             if len(fspec) != dim:
                 raise ConfigError(
                     f"'field' lists {len(fspec)} components, expected {dim}")
             comps = [poly_field(pd, f"X{j + 1}") for j, pd in enumerate(fspec)]
-            X = VectorField(
-                dim, lambda x, _c=comps: np.array([p.value(x) for p in _c]),
-                label="poly")
+            X = VectorField(dim, lambda x: vector_values(comps, x), label="poly",
+                            stacked=True)
 
         mspec = spec.get("metric", "euclidean")
         if mspec == "euclidean":
@@ -260,6 +260,9 @@ def _probe_points(config: dict, args, dim: int, listed: str, what: str,
     import numpy as np
     rng = np.random.default_rng(_pick_seed(config, args))
     box = float(config.get("box", 1.5))
+    if not np.isfinite(2.0 * box):
+        raise ConfigError(f"'box' {box:g} is too large: the box width 2 * box "
+                          "overflows")
     n = int(config.get(count, default_count))
     return list(rng.uniform(-box, box, size=(n, dim)))
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SingularLeaf
 from .fields import DissipativeSystem
-from .gram import SystemFrame, checked_det, system_frame
+from .gram import FrameStack, SystemFrame, _checked_dets, checked_det, system_frame
 
 LEAF_CONDITION_LIMIT = 1e12
 
@@ -63,6 +63,17 @@ def _cofactor_from_frame(fr: SystemFrame) -> np.ndarray:
     v0 = det_f * fr.grads[k]
     for i, (sign, flat) in enumerate(_cofactor_minors(k)):
         v0 = v0 + sign * checked_det(fr.gram.take(flat)) * fr.grads[i]
+    return v0
+
+
+def _cofactor_from_frames(frames: FrameStack) -> np.ndarray:
+    """:func:`_cofactor_from_frame` at every row of a frame stack, bitwise row for row."""
+    k = frames.k
+    grads = frames.grads
+    v0 = frames.det_conserved()[:, None] * grads[:, k]
+    flat_gram = frames.gram.reshape(len(grads), (k + 1) ** 2)
+    for i, (sign, flat) in enumerate(_cofactor_minors(k)):
+        v0 = v0 + (sign * _checked_dets(flat_gram[:, flat]))[:, None] * grads[:, i]
     return v0
 
 

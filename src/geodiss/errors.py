@@ -96,5 +96,9 @@ class ConfigError(InputError):
     """A run configuration failed validation."""
 
 
+class InitialStepBelowFloor(InputError):
+    """An adaptive run's first step already lies below its step floor."""
+
+
 class NumericalHealthWarning(RuntimeWarning):
     """Roundoff drifted past a sanity bound; results may need scrutiny."""

@@ -5,10 +5,10 @@ vector field X, a list of conserved quantities, one quantity to be dissipated,
 and a metric. Gradients are metric gradients, i.e. the solve g(x) u = df(x).
 
 A :class:`ScalarField` evaluates at one point or, through ``values`` and
-``diffs``, at an (m, n) stack of points. A field declared ``stacked`` (the
-polynomial fields) is called once for the whole stack; a point-only
-callable is looped over the rows there, once. Either way each row gives the
-bits of the point call.
+``diffs``, at an (m, n) stack of points, and a :class:`VectorField` through
+``values``. A field declared ``stacked`` (the polynomial and catalog fields)
+is called once for the whole stack; a point-only callable is looped over
+the rows there, once. Either way each row gives the bits of the point call.
 
 The one leaf projection of the package lives here, next to the leaf values
 it restores, below the integrator that re-projects with it and the
@@ -50,6 +50,15 @@ def as_stack(x, dim: int) -> np.ndarray:
         raise DimensionMismatch(
             f"expected an (m, {dim}) stack of points, got shape {p.shape}")
     return p
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bitwise ``np.linalg.norm`` of the row.
+
+    That norm is sqrt(x @ x), and a matmul on stacks evaluates each row's
+    x @ x as that dot does; ``norm(axis=1)`` sums in another order.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def central_difference(value: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
@@ -121,11 +130,16 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Vector field on the chart; evaluation must be deterministic."""
+    """Vector field on the chart; evaluation must be deterministic.
+
+    A ``stacked`` field's ``func`` also accepts an (m, dim) stack and returns
+    the (m, dim) values.
+    """
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     label: str = ""
+    stacked: bool = False
 
     def __call__(self, x) -> np.ndarray:
         v = np.asarray(self.func(as_point(x, self.dim)), dtype=float)
@@ -133,6 +147,18 @@ class VectorField:
             raise DimensionMismatch(
                 f"vector field {self.label or ''} returned shape {v.shape}"
             )
+        return v
+
+    def values(self, pts) -> np.ndarray:
+        """The field at each row of an (m, dim) stack, bitwise ``self(row)``."""
+        p = as_stack(pts, self.dim)
+        if not self.stacked:
+            return np.array([self(row) for row in p]).reshape(p.shape)
+        v = np.asarray(self.func(p), dtype=float)
+        if v.shape != p.shape:
+            raise DimensionMismatch(
+                f"vector field {self.label or ''} returned shape {v.shape} "
+                f"for {len(p)} points")
         return v
 
 
@@ -266,15 +292,16 @@ class DissipativeSystem:
 
 def _project_rows(system: DissipativeSystem, pts, leaf_value, tol: float = 1e-12,
                   max_iter: int = 50) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton-project every row of an (m, dim) stack onto one leaf, in lockstep.
+    """Newton-project every row of an (m, dim) stack onto a leaf, in lockstep.
 
-    Returns ``(points, converged, degenerate)``. Each row takes the steps of
-    a projection of its own, in the same arithmetic, so its bits do not
-    depend on the other rows: an accepted row is frozen, and a row whose
-    conserved Gram block is singular stops alone, flagged ``degenerate``, at
-    the point where it stopped. A row not accepted within ``max_iter`` steps
-    holds its last iterate. With no conserved quantities every row is
-    accepted as it is.
+    ``leaf_value`` is one leaf for every row, or an (m, k) stack with a leaf
+    of each row's own. Returns ``(points, converged, degenerate)``. Each row
+    takes the steps of a projection of its own, in the same arithmetic, so
+    its bits do not depend on the other rows: an accepted row is frozen, and
+    a row whose conserved Gram block is singular stops alone, flagged
+    ``degenerate``, at the point where it stopped. A row not accepted within
+    ``max_iter`` steps holds its last iterate. With no conserved quantities
+    every row is accepted as it is.
     """
     y = as_stack(pts, system.dim).copy()
     converged = np.zeros(len(y), dtype=bool)
@@ -282,9 +309,11 @@ def _project_rows(system: DissipativeSystem, pts, leaf_value, tol: float = 1e-12
     if system.k == 0:
         converged[:] = True
         return y, converged, degenerate
-    target = np.asarray(leaf_value, dtype=float).ravel()
-    accept = max(tol, _LEAF_ROUNDOFF * float(np.max(np.abs(target))))
     k, dim = system.k, system.dim
+    target = np.asarray(leaf_value, dtype=float)
+    target = np.broadcast_to(target if target.ndim == 2 else target.ravel(), (len(y), k))
+    # fmax, as max(tol, ...) does, keeps tol against a NaN leaf value
+    accept = np.fmax(tol, _LEAF_ROUNDOFF * np.max(np.abs(target), axis=1))
     # the iterates of the active rows; a row leaves them as it stops
     active = np.arange(len(y))
     ya = y
@@ -292,8 +321,8 @@ def _project_rows(system: DissipativeSystem, pts, leaf_value, tol: float = 1e-12
         res = np.empty((len(active), k))
         for j, f in enumerate(system.conserved):
             res[:, j] = f.values(ya)
-        res -= target
-        done = np.maximum.reduce(np.abs(res), axis=1) <= accept
+        res -= target[active]
+        done = np.maximum.reduce(np.abs(res), axis=1) <= accept[active]
         if done.any():
             converged[active[done]] = True
             y[active[done]] = ya[done]

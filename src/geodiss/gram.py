@@ -6,6 +6,11 @@ their pairing matrix, whose entry (i, j) is the metric inner product of
 gradients i and j. Determinants of its blocks are the only linear-algebra
 primitive the control-field construction needs; the empty determinant is 1
 by convention.
+
+:func:`system_frames` is the same evaluation over an (m, n) stack of points,
+as a :class:`FrameStack`. Each row gives the bits of the point call; a row
+whose differentials are not finite is flagged rather than raised, so one
+bad row does not stop the others.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import NonFiniteValue, NumericalHealthWarning
-from .fields import DissipativeSystem, ScalarField, as_point
+from .fields import DissipativeSystem, ScalarField, as_point, as_stack
 
 # Gram determinants are mathematically nonnegative; anything more negative
 # than this (relative to the diagonal product) signals numerical trouble.
@@ -96,6 +101,85 @@ class SystemFrame:
         return _diag_product(self.gram)
 
 
+def _checked_dets(mats: np.ndarray, diag_scale: np.ndarray | None = None) -> np.ndarray:
+    """:func:`checked_det` of each matrix of an (m, r, r) stack, row for row.
+
+    A determinant below the negativity floor warns once for its row, with
+    the point call's message.
+    """
+    r = mats.shape[1]
+    if r == 0:
+        det = np.ones(len(mats))
+    elif r == 1:
+        det = mats[:, 0, 0].copy()
+    elif r == 2:
+        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    else:
+        det = np.linalg.det(mats)
+    if diag_scale is not None:
+        for i in np.flatnonzero(det < GRAM_NEGATIVITY_FLOOR * np.abs(diag_scale)):
+            warnings.warn(
+                f"Gram determinant {det[i]:.3e} below roundoff floor for scale "
+                f"{diag_scale[i]:.3e}",
+                NumericalHealthWarning,
+                stacklevel=3,
+            )
+    return det
+
+
+def _diag_products(mats: np.ndarray) -> np.ndarray:
+    """:func:`_diag_product` of each matrix of an (m, r, r) stack."""
+    r = mats.shape[1]
+    if r == 0:
+        return np.ones(len(mats))
+    if r == 1:
+        return mats[:, 0, 0].copy()
+    if r == 2:
+        return mats[:, 0, 0] * mats[:, 1, 1]
+    return np.prod(np.diagonal(mats, axis1=1, axis2=2), axis=1)
+
+
+@dataclass(frozen=True)
+class FrameStack:
+    """:class:`SystemFrame` data of an (m, n) stack of points, one row per point.
+
+    ``finite`` flags the rows whose differentials are all finite. A flagged
+    row is where the point call raises :class:`NonFiniteValue`; it carries
+    zero differentials and gradients instead, so the rest of the stack
+    evaluates without warnings, and its values mean nothing.
+    """
+
+    x: np.ndarray        # (m, n)
+    diffs: np.ndarray    # (m, k+1, n)
+    grads: np.ndarray    # (m, k+1, n)
+    gram: np.ndarray     # (m, k+1, k+1)
+    finite: np.ndarray   # (m,) bool
+
+    @property
+    def k(self) -> int:
+        return self.gram.shape[1] - 1
+
+    def require_finite(self) -> None:
+        """Raise the point call's :class:`NonFiniteValue` for the first flagged row."""
+        if not self.finite.all():
+            i = int(np.argmin(self.finite))
+            raise NonFiniteValue(
+                f"non-finite differential among fields at {self.x[i].tolist()}")
+
+    def det_conserved(self) -> np.ndarray:
+        block = self.gram[:, :self.k, :self.k]
+        return _checked_dets(block, diag_scale=_diag_products(block))
+
+    def det_full(self) -> np.ndarray:
+        return _checked_dets(self.gram, diag_scale=_diag_products(self.gram))
+
+    def grad_g_norm(self) -> np.ndarray:
+        return np.sqrt(np.maximum(self.gram[:, self.k, self.k], 0.0))
+
+    def classification_scale(self) -> np.ndarray:
+        return _diag_products(self.gram)
+
+
 def _diag_product(mat: np.ndarray) -> float:
     """Product of the diagonal, without a numpy reduction for sizes up to 2."""
     r = mat.shape[0]
@@ -122,3 +206,36 @@ def system_frame(system: DissipativeSystem, x) -> SystemFrame:
     gram = diffs @ grads.T
     gram = 0.5 * (gram + gram.T)
     return SystemFrame(x=p, gmat=gmat, diffs=diffs, grads=grads, gram=gram)
+
+
+def system_frames(system: DissipativeSystem, pts) -> FrameStack:
+    """:func:`system_frame` at every row of an (m, n) stack, bitwise row for row.
+
+    Stacked fields are called once for the whole stack and point-only ones
+    row by row; the metric solve, the gradients and the Gram matrices are
+    stacked matmuls and solves, which numpy evaluates one row at a time in
+    the point call's arithmetic. A callable metric is evaluated at the
+    finite rows only.
+    """
+    p = as_stack(pts, system.dim)
+    m, n = p.shape
+    fields_ = system.all_fields()
+    diffs = np.empty((m, len(fields_), n))
+    for i, f in enumerate(fields_):
+        diffs[:, i] = f.diffs(p)
+    finite = np.isfinite(diffs.reshape(m, len(fields_) * n)).all(axis=1)
+    if not finite.all():
+        diffs[~finite] = 0.0
+    metric = system.metric
+    if metric.is_constant:
+        grads = diffs @ metric.constant_pair(p[0] if m else np.zeros(n))[1]
+    else:
+        # a flagged row solves against the identity: its zeros stay zeros
+        gmat = np.empty((m, n, n))
+        gmat[:] = np.eye(n)
+        for i in np.flatnonzero(finite):
+            gmat[i] = metric.at(p[i])
+        grads = np.linalg.solve(gmat, diffs.transpose(0, 2, 1)).transpose(0, 2, 1)
+    gram = diffs @ grads.transpose(0, 2, 1)
+    gram = 0.5 * (gram + gram.transpose(0, 2, 1))
+    return FrameStack(x=p, diffs=diffs, grads=grads, gram=gram, finite=finite)

@@ -15,8 +15,17 @@ leaf raises :class:`LeafProjectionFailure`, never keeps an unconverged point.
 
 This module imports only the layers below it (fields, Gram frames, the
 control field); the structure probes and certificates built on trajectories
-live above it. One step generator, ``_dp_steps``, decides which steps are
-taken, which are recorded and which one ends the run.
+live above it. Two loops share one tableau and one step controller. The
+solo path is the step generator ``_dp_steps``: for one start it decides
+which steps are taken, which are recorded and which one ends the run, and
+:func:`integrate` records them. The lockstep ensemble,
+:func:`integrate_ensemble`, advances an (m, n) stack of starts of the
+corrected flow at once on stacked frames and keeps only what a basin
+ensemble reads: each row's max of the dissipated value over the states a
+solo run records, its final state, its step counts and its failure. Each
+row takes exactly the steps of its solo run, in the same arithmetic, and
+the tests hold the two paths to that. The solo path is kept because on a
+batch of one it is faster than the lockstep loop.
 """
 from __future__ import annotations
 
@@ -25,16 +34,25 @@ from enum import Enum
 
 import numpy as np
 
-from .control import _cofactor_from_frame
+from .control import _cofactor_from_frame, _cofactor_from_frames
 from .errors import (
+    InitialStepBelowFloor,
+    LeafProjectionFailure,
     MaxStepsExceeded,
     NonFiniteState,
     NonFiniteValue,
     StepUnderflow,
     UnboundedTrajectory,
 )
-from .fields import DissipativeSystem, as_point, project_to_leaf
-from .gram import system_frame
+from .fields import (
+    DissipativeSystem,
+    _project_rows,
+    _row_norms,
+    as_point,
+    as_stack,
+    project_to_leaf,
+)
+from .gram import system_frame, system_frames
 from .report import csv_text
 
 
@@ -80,6 +98,10 @@ _FAC_MAX = 5.0
 _FAC_MIN = 0.2
 _PI_BETA = 0.04
 _ERR_EXPO = 0.2 - 0.75 * _PI_BETA
+
+# An adaptive step below this fraction of t_end is a collapse, and a run
+# ends within this fraction below t_end.
+_STEP_FLOOR = 1e-14
 
 # Constants of the per-step midpoint consistency band: a quadratic-in-h
 # discretization term plus the local-error contamination of the finite
@@ -285,6 +307,37 @@ class _Step:
         return self.x + s * (ydiff + s1 * (bspl + s * inner))
 
 
+def _first_step(config: IntegratorConfig) -> float:
+    """The first step size, min(h0, t_end), checked against an adaptive run's floor.
+
+    An adaptive run whose first step already lies below the step floor
+    1e-14 t_end could only collapse: that is an input problem, raised as
+    :class:`InitialStepBelowFloor` before any step.
+    """
+    h = min(config.h0, config.t_end)
+    if config.method is Method.RK45_ADAPTIVE and h < _STEP_FLOOR * config.t_end:
+        raise InitialStepBelowFloor(
+            f"the first step min(h0, t_end) = {h:.3e} (h0 = {config.h0:.6g}, "
+            f"t_end = {config.t_end:.6g}) lies below the step floor "
+            f"{_STEP_FLOOR:g} * t_end = {_STEP_FLOOR * config.t_end:.3e}")
+    return h
+
+
+def _step_control(err: float, h_try: float, fac_old: float) -> tuple[bool, float, float]:
+    """The controller's verdict on a try of size h_try with error norm err.
+
+    Returns whether the try is accepted, the next step size and the
+    controller's memory of the last accepted error.
+    """
+    if err > 1.0:
+        return False, h_try * max(_FAC_MIN, _SAFETY / err ** _ERR_EXPO), fac_old
+    if err == 0.0:
+        fac = _FAC_MAX  # exactly stationary state, grow freely
+    else:
+        fac = _SAFETY * err ** (-_ERR_EXPO) * fac_old ** _PI_BETA
+    return True, h_try * min(_FAC_MAX, max(_FAC_MIN, fac)), max(err, 1e-4)
+
+
 def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig,
               flow: Flow = Flow.PERTURBED, bound: float | None = None, seed=None):
     """Generate the accepted steps of one run from x up to config.t_end.
@@ -303,6 +356,7 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     def rhs(p):
         return evaluate(p)[0]
 
+    h_ctrl = _first_step(config)
     k_first = (seed if seed is not None else evaluate(x))[0]
     leaf_target = None
     if config.leaf_reprojection and system.k:
@@ -310,13 +364,12 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     t = 0.0
     t_end = config.t_end
     # the last step ends within this roundoff band below t_end
-    t_stop = t_end - 1e-14 * t_end
-    h_ctrl = min(config.h0, t_end)
+    t_stop = t_end - _STEP_FLOOR * t_end
     fac_old = 1e-4
     n_acc = 0
     n_rej = 0
     adaptive = config.method is Method.RK45_ADAPTIVE
-    min_h = 1e-14 * t_end
+    min_h = _STEP_FLOOR * t_end
 
     while t < t_stop:
         if n_acc + n_rej >= config.max_steps:
@@ -348,19 +401,11 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
                 scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
                 err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
             if not np.isfinite(err):
-                err = np.inf  # rejected below with the smallest shrink factor
-            if err > 1.0:
+                err = np.inf  # rejected with the smallest shrink factor
+            accepted, h_ctrl, fac_old = _step_control(err, h_try, fac_old)
+            if not accepted:
                 n_rej += 1
-                fac = max(_FAC_MIN, _SAFETY / err ** _ERR_EXPO)
-                h_ctrl = h_try * fac
                 continue
-            if err == 0.0:
-                fac = _FAC_MAX  # exactly stationary state, grow freely
-            else:
-                fac = _SAFETY * err ** (-_ERR_EXPO) * fac_old ** _PI_BETA
-            fac = min(_FAC_MAX, max(_FAC_MIN, fac))
-            h_ctrl = h_try * fac
-            fac_old = max(err, 1e-4)
         else:
             stages = None
             x_new = _rk4_step(rhs, x, h_try, k_first)
@@ -487,6 +532,177 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
         n_accepted=step.accepted,
         n_rejected=step.rejected,
     )
+
+
+@dataclass
+class EnsembleRun:
+    """Outcome of :func:`integrate_ensemble`, row i for start i.
+
+    ``failures[i]`` is the class name of the :class:`IntegrationFailure`
+    that ended start i, else None. For a start that finished, ``g_max`` is
+    the max of the dissipated value over the states its solo
+    :func:`integrate` records (the start, every ``record_every``-th accepted
+    step and the last one), and ``final`` is its last state. A failed
+    start's ``final`` is its last accepted state. ``n_accepted`` and
+    ``n_rejected`` count the steps taken and the tries rejected, up to the
+    failure for a failed start.
+    """
+
+    g_max: np.ndarray       # (m,)
+    final: np.ndarray       # (m, n)
+    n_accepted: np.ndarray  # (m,)
+    n_rejected: np.ndarray  # (m,)
+    failures: list          # (m,) class names or None
+
+
+def _rhs_rows(system: DissipativeSystem, pts: np.ndarray):
+    """Corrected-flow right-hand side at each row of a stack, and the rows that have one.
+
+    A row whose differentials are not finite, where the point evaluator
+    raises :class:`NonFiniteState`, gets NaN and a False flag.
+    """
+    frames = system_frames(system, pts)
+    v0 = _cofactor_from_frames(frames)
+    ok = frames.finite
+    if ok.all():
+        return system.X.values(pts) - v0, ok
+    out = np.full(pts.shape, np.nan)
+    out[ok] = system.X.values(pts[ok]) - v0[ok]
+    return out, ok
+
+
+def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConfig,
+                       bound: float | None = None) -> EnsembleRun:
+    """Integrate the corrected flow from every row of an (m, dim) stack, in lockstep.
+
+    One loop advances all rows with the step scheme of :func:`_dp_steps`.
+    Each row has its own time, step size, controller memory and counters,
+    is checked alone against the step budget, the step floor, non-finite
+    tries, ``bound`` and the leaf re-projection, and drops out alone when it
+    finishes or fails. A failure ends its row only and is reported by class
+    name. Every row takes exactly the steps of its solo
+    ``integrate(system, row, config, bound=bound)`` in the same arithmetic:
+    the stages are stacked frames and vector-matrix products, which numpy
+    evaluates one row at a time as in the point call, and the step control
+    runs on Python floats row by row. Nothing else is recorded; see
+    :class:`EnsembleRun`.
+    """
+    x = as_stack(starts, system.dim).copy()
+    if config.t_end <= 0:
+        raise ValueError("t_end must be positive")
+    m, n = x.shape
+    t_end = config.t_end
+    t_stop = t_end - _STEP_FLOOR * t_end
+    min_h = _STEP_FLOOR * t_end
+    adaptive = config.method is Method.RK45_ADAPTIVE
+    t = np.zeros(m)
+    h_ctrl = np.full(m, _first_step(config))
+    fac_old = [1e-4] * m
+    n_acc = np.zeros(m, dtype=int)
+    n_rej = np.zeros(m, dtype=int)
+    failures = [None] * m
+
+    def fail(rows, failure):
+        for i in rows.tolist():
+            failures[i] = failure.__name__
+
+    k_first, ok = _rhs_rows(system, x)
+    fail(np.flatnonzero(~ok), NonFiniteState)
+    active = np.flatnonzero(ok)
+    g_max = np.full(m, -np.inf)
+    g_max[active] = system.dissipated.values(x[active])
+    targets = None
+    if config.leaf_reprojection and system.k:
+        targets = np.zeros((m, system.k))
+        for j, f in enumerate(system.conserved):
+            targets[active, j] = f.values(x[active])
+
+    while active.size:
+        over = n_acc[active] + n_rej[active] >= config.max_steps
+        fail(active[over], MaxStepsExceeded)
+        active = active[~over]
+        if adaptive:
+            under = h_ctrl[active] < min_h
+            fail(active[under], StepUnderflow)
+            active = active[~under]
+        if not active.size:
+            break
+        xa = x[active]
+        h = np.minimum(h_ctrl[active] if adaptive else config.h0, t_end - t[active])
+        h_col = h[:, None]
+
+        if adaptive:
+            stages = np.empty((len(active), 7, n))
+            stages[:, 0] = k_first[active]
+            bad = np.zeros(len(active), dtype=bool)
+            # a try that leaves the finite range is rejected below: its
+            # overflows warn no one, in one scope for the batch of tries
+            with np.errstate(over="ignore", invalid="ignore"):
+                for s in range(1, 7):
+                    xs = xa + h_col * (_DP_A[s] @ stages[:, :s])
+                    stages[:, s], ok = _rhs_rows(system, xs)
+                    bad |= ~ok
+                err_vec = h_col * (_DP_ERR @ stages)
+                scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xa), np.abs(xs))
+                err = np.sqrt(np.mean((err_vec / scale) ** 2, axis=1))
+            err[bad | ~np.isfinite(err)] = np.inf
+            accept = np.zeros(len(active), dtype=bool)
+            # the shared controller on Python floats, row by row: its powers
+            # must round as the solo run's do, which numpy's need not
+            for j, (i, e, h_try) in enumerate(zip(active.tolist(), err.tolist(), h.tolist())):
+                accept[j], h_ctrl[i], fac_old[i] = _step_control(e, h_try, fac_old[i])
+            n_rej[active[~accept]] += 1
+            rejected = active[~accept]
+            rows, x_new, h, stages = active[accept], xs[accept], h[accept], stages[accept]
+        else:
+            k1 = k_first[active]
+            k2, ok2 = _rhs_rows(system, xa + (0.5 * h)[:, None] * k1)
+            k3, ok3 = _rhs_rows(system, xa + (0.5 * h)[:, None] * k2)
+            k4, ok4 = _rhs_rows(system, xa + h_col * k3)
+            x_new = xa + (h / 6.0)[:, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            good = ok2 & ok3 & ok4
+            fail(active[~good], NonFiniteState)
+            rejected = active[:0]
+            rows, x_new, h, stages = active[good], x_new[good], h[good], None
+
+        keep = np.isfinite(x_new).all(axis=1)
+        fail(rows[~keep], NonFiniteState)
+        if bound is not None:
+            out = np.zeros(len(rows), dtype=bool)
+            out[keep] = _row_norms(x_new[keep]) > bound
+            fail(rows[out], UnboundedTrajectory)
+            keep &= ~out
+        rows, x_new, h = rows[keep], x_new[keep], h[keep]
+        if stages is not None:
+            stages = stages[keep]
+        if targets is not None and rows.size:
+            x_new, ok, _ = _project_rows(system, x_new, targets[rows])
+            fail(rows[~ok], LeafProjectionFailure)
+            rows, x_new, h, stages = rows[ok], x_new[ok], h[ok], None
+        if not rows.size:
+            active = rejected
+            continue
+        if stages is not None:
+            k_new = stages[:, 6]
+        else:
+            k_new, ok = _rhs_rows(system, x_new)
+            fail(rows[~ok], NonFiniteState)
+            rows, x_new, h, k_new = rows[ok], x_new[ok], h[ok], k_new[ok]
+
+        n_acc[rows] += 1
+        t_new = t[rows] + h
+        final = t_new >= t_stop
+        recorded = final | (n_acc[rows] % config.record_every == 0)
+        if recorded.any():
+            at = rows[recorded]
+            g_max[at] = np.maximum(g_max[at], system.dissipated.values(x_new[recorded]))
+        x[rows] = x_new
+        t[rows] = t_new
+        k_first[rows] = k_new
+        active = np.sort(np.concatenate([rejected, rows[~final]]))
+
+    return EnsembleRun(g_max=g_max, final=x, n_accepted=n_acc, n_rejected=n_rej,
+                       failures=failures)
 
 
 def flow_agreement_band(config: IntegratorConfig, state_norm: float) -> float:

@@ -113,6 +113,17 @@ class Polynomial:
         return Polynomial(pw, cf)
 
 
+def vector_values(polys, x) -> np.ndarray:
+    """The polynomials' values at a point, or their (m, len(polys)) columns at a stack.
+
+    The components of a polynomial vector field; each stacked row gives the
+    bits of the point call.
+    """
+    if x.ndim == 1:
+        return np.array([p.value(x) for p in polys])
+    return np.stack([p.value(x) for p in polys], axis=1)
+
+
 def all_monomials(dim: int, max_degree: int) -> np.ndarray:
     """Exponent rows for every monomial with 1 <= total degree <= max_degree."""
     rows = []

@@ -28,15 +28,30 @@ def mexhat():
 
 @pytest.fixture
 def refused_leaf_projection(monkeypatch):
-    """Every call of ``geodiss.integrators.project_to_leaf`` raises.
+    """The integrators' re-projection refuses to move any point.
 
-    That is the name the integrator's re-projection calls; the other
-    modules that import the projection keep the real one.
+    ``geodiss.integrators.project_to_leaf`` (the solo run's re-projection)
+    raises, and ``geodiss.integrators._project_rows`` (the lockstep
+    ensemble's) reports the row unconverged, whenever the real projection
+    would move the point; a point already on its leaf, which the real
+    projection returns as it is, passes. These are the names the integrators
+    call; the other modules that import the projection keep the real one.
     """
+    real_rows = geodiss.integrators._project_rows
+    real_point = geodiss.integrators.project_to_leaf
+
     def refuse(system, x, leaf_value, tol=1e-12, max_iter=50):
-        raise LeafProjectionFailure("projection refused")
+        y = real_point(system, x, leaf_value, tol, max_iter)
+        if not np.array_equal(y, x):
+            raise LeafProjectionFailure("projection refused")
+        return y
+
+    def refuse_rows(system, pts, leaf_value, tol=1e-12, max_iter=50):
+        y, converged, degenerate = real_rows(system, pts, leaf_value, tol, max_iter)
+        return y, converged & np.all(y == pts, axis=1), degenerate
 
     monkeypatch.setattr(geodiss.integrators, "project_to_leaf", refuse)
+    monkeypatch.setattr(geodiss.integrators, "_project_rows", refuse_rows)
 
 
 def seeded_pair(i: int):

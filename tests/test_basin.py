@@ -214,6 +214,34 @@ def test_row_norms_are_bitwise_the_point_norms():
         assert basin_mod._row_norms(v).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("name", ["rigid", "sombrero"])
+def test_witness_scores_and_control_norms_are_bitwise_the_point_frames(rigid, mexhat, name):
+    # one stacked frame scores all members and rates all starts; each row
+    # gives the bits of the per-point frame
+    from geodiss.control import _cofactor_from_frame
+    from geodiss.gram import system_frame
+
+    system, anchor, level = {"rigid": (rigid.system, MAJOR, 0.24),
+                             "sombrero": (mexhat.system, np.array([1.0, 0.0, 0.0]), 0.2)}[name]
+    pts = sublevel_component(system, anchor, level, SamplerConfig(cells_per_axis=16)).members
+    ratios, gnorms = basin_mod._frame_scores(system, pts)
+    norms = basin_mod._control_norms(system, pts)
+    for i, p in enumerate(pts):
+        fr = system_frame(system, p)
+        scale = fr.classification_scale()
+        assert ratios[i] == (fr.det_full() / scale if scale > 0 else 0.0)
+        assert gnorms[i] == fr.grad_g_norm()
+        assert norms[i] == float(np.linalg.norm(_cofactor_from_frame(fr)))
+    # the automatic horizon from the starts' rates, as the point path set it
+    starts = pts[::7]
+    dist = (lambda p: float(np.linalg.norm(p - anchor))) if name == "rigid" else (
+        lambda p: abs(float(np.hypot(p[0], p[1])) - 1.0))
+    rates = [float(np.linalg.norm(_cofactor_from_frame(system_frame(system, p)))) / dist(p)
+             for p in starts if dist(p) > 1e-6]
+    expected = float(np.clip(50.0 / float(np.median(rates)), 20.0, 500.0))
+    assert basin_mod._auto_horizon(system, starts, dist) == expected
+
+
 @pytest.mark.parametrize("case", ["rigid14", "rigid32", "sombrero12",
                                   "sphere4_seed1", "sphere4_seed2"])
 def test_leaf_table_is_bitwise_the_per_point_build(rigid, mexhat, case):
@@ -680,19 +708,19 @@ def test_threshold_search_verdicts_match_fresh_certificates(rigid, case, monkeyp
 def test_threshold_search_projects_once_and_integrates_only_where_geometry_passes(
         rigid, monkeypatch):
     projected, starts, calls = [], [], []
-    project, integrate = basin_mod._project_rows, basin_mod.integrate
+    project, integrate = basin_mod._project_rows, basin_mod.integrate_ensemble
 
     def counting_project(system, pts, *args, **kwargs):
         calls.append(len(pts))
         projected.extend(map(tuple, pts))
         return project(system, pts, *args, **kwargs)
 
-    def counting_integrate(system, x0, *args, **kwargs):
-        starts.append(tuple(x0))
-        return integrate(system, x0, *args, **kwargs)
+    def counting_integrate(system, x0s, *args, **kwargs):
+        starts.extend(map(tuple, x0s))
+        return integrate(system, x0s, *args, **kwargs)
 
     monkeypatch.setattr(basin_mod, "_project_rows", counting_project)
-    monkeypatch.setattr(basin_mod, "integrate", counting_integrate)
+    monkeypatch.setattr(basin_mod, "integrate_ensemble", counting_integrate)
     cells = 16
     sampler = SamplerConfig(cells_per_axis=cells)
     kwargs = {"stability": AS, "n_trajectories": 3, "traj_seed": 3}
@@ -790,7 +818,7 @@ def test_period_detection_stops_at_the_first_return(mexhat, monkeypatch):
         raise AssertionError("period detection called integrate")
 
     monkeypatch.setattr(basin_mod, "_dp_steps", counting_steps)
-    monkeypatch.setattr(basin_mod, "integrate", no_integrate)
+    monkeypatch.setattr(basin_mod, "integrate_ensemble", no_integrate)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
     y0 = np.array([np.cos(0.3), np.sin(0.3), 0.02])
     period, orbit_at = basin_mod._detect_period(mexhat.system, y0, cfg, t_search=50.0,
@@ -809,13 +837,13 @@ def test_period_detection_stops_at_the_first_return(mexhat, monkeypatch):
 def test_orbit_certificate_integrates_only_its_trajectories(mexhat, monkeypatch):
     # the period and the orbit samples come from the detection run's steps
     starts = []
-    integrate = basin_mod.integrate
+    integrate = basin_mod.integrate_ensemble
 
-    def counting_integrate(system, x0, *args, **kwargs):
-        starts.append(tuple(x0))
-        return integrate(system, x0, *args, **kwargs)
+    def counting_integrate(system, x0s, *args, **kwargs):
+        starts.extend(map(tuple, x0s))
+        return integrate(system, x0s, *args, **kwargs)
 
-    monkeypatch.setattr(basin_mod, "integrate", counting_integrate)
+    monkeypatch.setattr(basin_mod, "integrate_ensemble", counting_integrate)
     cert = periodic_orbit_certify(mexhat.system, np.array([1.05, 0.0, 0.02]), 0.2,
                                   sampler=SamplerConfig(cells_per_axis=16),
                                   n_trajectories=2, traj_seed=2, horizon=8.0)

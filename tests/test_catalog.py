@@ -65,6 +65,22 @@ def test_euler_field_is_bitwise_the_cross_product():
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("entry", [rigid_body(), mexican_hat(), gradient_only(),
+                                   random_poly(4, 2, seed=9)], ids=lambda e: e.name)
+def test_stacked_catalog_fields_are_bitwise_the_point_calls(entry):
+    # each catalog field takes an (m, n) stack through a branch of its own;
+    # every row must give the bits of the point call
+    system = entry.system
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(500, system.dim)) * 10.0 ** rng.uniform(-4.0, 2.0, size=(500, 1))
+    assert system.X.stacked
+    assert system.X.values(x).tobytes() == np.array([system.X(row) for row in x]).tobytes()
+    for f in system.all_fields():
+        assert f.stacked
+        assert f.values(x).tobytes() == np.array([f(row) for row in x]).tobytes()
+        assert f.diffs(x).tobytes() == np.array([f.d(row) for row in x]).tobytes()
+
+
 def test_mexican_hat_claims(mexhat):
     g = mexhat.system.dissipated
     # the rim is the zero set, the axis sits at the saddle level 1/4

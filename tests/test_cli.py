@@ -504,6 +504,31 @@ def test_non_finite_config_number_is_config_error(tmp_path, capsys, number):
     assert out == ""
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("verify", {"n_probes": 5}),
+    ("equilibria", {"n_seeds": 4}),
+])
+def test_box_whose_width_overflows_is_config_error(tmp_path, capsys, command, extra):
+    # 1e308 is finite, but the draw's width 2 * box is not
+    cfg = _write(tmp_path, "cfg.json", {"system": RIGID, "seed": 0, "box": 1e308,
+                                        **extra})
+    rc, out, err = _run(capsys, [command, "--config", cfg])
+    assert rc == EXIT_CONFIG
+    assert err == "error: 'box' 1e+308 is too large: the box width 2 * box overflows\n"
+    assert out == ""
+
+
+def test_t_end_past_the_step_floor_is_config_error(tmp_path, capsys):
+    # the first step 0.01 already lies below the floor 1e-14 * t_end
+    cfg = _write(tmp_path, "sim.json", {
+        **SIM_CONFIG, "integrator": {"t_end": 1e308, "max_steps": 50}})
+    rc, out, err = _run(capsys, ["simulate", "--config", cfg])
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error: the first step min(h0, t_end) = 1.000e-02 "
+                          "(h0 = 0.01, t_end = 1e+308) lies below the step floor")
+    assert out == ""
+
+
 RAGGED_SYSTEM = {"dim": 2,
                  "dissipated": {"terms": [{"coef": 0.5, "powers": [2, 0]}]},
                  "metric": [[1.0], [0.0, 1.0]]}

@@ -90,6 +90,47 @@ def test_vector_field_rejects_misshaped_output():
     v = VectorField(2, lambda p: np.zeros(3))
     with pytest.raises(DimensionMismatch):
         v(np.zeros(2))
+    with pytest.raises(DimensionMismatch):
+        v.values(np.zeros((4, 2)))
+    stacked = VectorField(2, lambda p: np.zeros((3, 2)), stacked=True)
+    with pytest.raises(DimensionMismatch):
+        stacked.values(np.zeros((4, 2)))
+
+
+def test_vector_field_stack_is_bitwise_the_point_calls():
+    # a point-only field is called row by row, a stacked one once
+    rng = np.random.default_rng(12)
+    comps = [random_polynomial(3, 2, rng) for _ in range(3)]
+    x = rng.uniform(-2.0, 2.0, size=(30, 3))
+
+    def func(p):
+        if p.ndim == 1:
+            return np.array([c.value(p) for c in comps])
+        return np.stack([c.value(p) for c in comps], axis=1)
+
+    ref = np.array([[c.value(row) for c in comps] for row in x])
+    for v in (VectorField(3, func), VectorField(3, func, stacked=True)):
+        assert v.values(x).tobytes() == ref.tobytes()
+        assert v.values(np.empty((0, 3))).shape == (0, 3)
+
+
+def test_projection_takes_a_leaf_per_row(rigid):
+    # rows projected onto leaves of their own take the steps of their solo
+    # projections, and one leaf value for all rows is the same as repeating it
+    from geodiss.fields import _project_rows
+
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-1.5, 1.5, size=(12, 3))
+    leaves = rng.uniform(0.2, 2.0, size=(12, 1))
+    y, converged, degenerate = _project_rows(rigid.system, pts, leaves)
+    assert converged.all() and not degenerate.any()
+    for i in range(12):
+        yi, ci, _ = _project_rows(rigid.system, pts[i:i + 1], leaves[i])
+        assert ci[0] and yi[0].tobytes() == y[i].tobytes()
+        assert abs(rigid.system.leaf_value(y[i])[0] - leaves[i, 0]) <= 1e-12
+    shared = _project_rows(rigid.system, pts, leaves[0])[0]
+    repeated = _project_rows(rigid.system, pts, np.repeat(leaves[:1], 12, axis=0))[0]
+    assert shared.tobytes() == repeated.tobytes()
 
 
 def test_gradient_is_inverse_metric_times_differential():

@@ -10,7 +10,11 @@ from geodiss.fields import (
     ScalarField,
     VectorField,
 )
-from geodiss.gram import GRAM_NEGATIVITY_FLOOR, checked_det, system_frame
+import geodiss.gram
+from geodiss.catalog import random_poly
+from geodiss.control import _cofactor_from_frame, _cofactor_from_frames
+from geodiss.errors import NonFiniteValue
+from geodiss.gram import GRAM_NEGATIVITY_FLOOR, checked_det, system_frame, system_frames
 from conftest import seeded_pair
 
 
@@ -208,3 +212,107 @@ def test_non_spd_constant_metric_raises_from_the_frame():
     for _ in range(2):
         with pytest.raises(NonPositiveDefiniteMetric):
             system_frame(system, np.zeros(2))
+
+
+def _with_callable_metric(system):
+    """The system under a point-dependent SPD metric, evaluated point by point."""
+    n = system.dim
+    base = np.eye(n) + 0.3 * np.ones((n, n))
+    return DissipativeSystem(
+        X=system.X, conserved=system.conserved, dissipated=system.dissipated,
+        metric=MetricField(n, lambda p: base + np.diag(p * p), label="callable"))
+
+
+def _assert_rows_are_point_frames(system, pts):
+    frames = system_frames(system, pts)
+    assert frames.finite.all()
+    v0 = _cofactor_from_frames(frames)
+    stacked = (frames.det_full(), frames.det_conserved(), frames.grad_g_norm(),
+               frames.classification_scale())
+    for i, p in enumerate(pts):
+        fr = system_frame(system, p)
+        for name in ("diffs", "grads", "gram"):
+            assert getattr(frames, name)[i].tobytes() == getattr(fr, name).tobytes(), name
+        point = (fr.det_full(), fr.det_conserved(), fr.grad_g_norm(),
+                 fr.classification_scale())
+        assert [float(a[i]) for a in stacked] == list(point)
+        assert v0[i].tobytes() == _cofactor_from_frame(fr).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_stacked_frames_are_bitwise_the_point_frames(k):
+    system = random_poly(5, k, seed=40 + k).system
+    pts = np.random.default_rng(k).uniform(-1.0, 1.0, size=(17, 5))
+    _assert_rows_are_point_frames(system, pts)
+    _assert_rows_are_point_frames(_with_callable_metric(system), pts)
+
+
+def test_stacked_frames_on_catalog_systems():
+    rng = np.random.default_rng(8)
+    for entry in (rigid_body(), mexican_hat(), gradient_only("quadratic")):
+        _assert_rows_are_point_frames(entry.system,
+                                      rng.uniform(-1.5, 1.5, size=(9, entry.system.dim)))
+        empty = system_frames(entry.system, np.empty((0, entry.system.dim)))
+        assert _cofactor_from_frames(empty).shape == (0, entry.system.dim)
+        assert empty.det_full().shape == (0,)
+
+
+def test_stacked_frames_warn_once_per_offending_row(monkeypatch):
+    import warnings
+
+    # a positive floor makes every row whose determinant ratio is below it
+    # an offending row, so the stack holds both kinds
+    monkeypatch.setattr(geodiss.gram, "GRAM_NEGATIVITY_FLOOR", 0.05)
+    system = random_poly(5, 2, seed=3).system
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(40, 5))
+
+    def messages(fn):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fn()
+        assert all(w.category is NumericalHealthWarning for w in caught)
+        return [str(w.message) for w in caught]
+
+    def point():
+        for p in pts:
+            fr = system_frame(system, p)
+            fr.det_full()
+            fr.det_conserved()
+
+    def stacked():
+        frames = system_frames(system, pts)
+        full = frames.det_full()
+        frames.det_conserved()
+        return full
+
+    point_msgs, stacked_msgs = messages(point), messages(stacked)
+    assert 0 < len(stacked_msgs) == len(point_msgs)
+    assert sorted(stacked_msgs) == sorted(point_msgs)
+
+
+def test_stacked_frames_flag_non_finite_rows_alone():
+    calls = []
+    base = random_poly(3, 1, seed=5).system
+    spike = ScalarField(3, lambda p: float(p[0]),
+                        differential=lambda p: np.array([1.0 / p[0], 0.0, 0.0]))
+
+    def metric(p):
+        calls.append(p.copy())
+        return np.eye(3) + np.diag(p * p)
+
+    system = DissipativeSystem(X=base.X, conserved=(spike,), dissipated=base.dissipated,
+                               metric=MetricField(3, metric))
+    pts = np.array([[0.5, 0.1, 0.2], [0.0, 0.3, 0.1], [-0.4, 0.2, 0.9]])
+    with np.errstate(divide="ignore"):
+        frames = system_frames(system, pts)
+        assert frames.finite.tolist() == [True, False, True]
+        # the callable metric is evaluated at the finite rows only
+        assert len(calls) == 2
+        for i in (0, 2):
+            fr = system_frame(system, pts[i])
+            assert frames.gram[i].tobytes() == fr.gram.tobytes()
+        with pytest.raises(NonFiniteValue) as point_error:
+            system_frame(system, pts[1])
+        with pytest.raises(NonFiniteValue) as stack_error:
+            frames.require_finite()
+    assert str(stack_error.value) == str(point_error.value)

@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geodiss.catalog import gradient_only
+from geodiss.cli import _build_system
 from geodiss.errors import (
+    InitialStepBelowFloor,
+    IntegrationFailure,
     LeafProjectionFailure,
     MaxStepsExceeded,
     NonFiniteState,
@@ -30,6 +37,7 @@ from geodiss.integrators import (
     _dp_steps,
     flow_agreement_band,
     integrate,
+    integrate_ensemble,
 )
 from geodiss.structure import PointKind, classify_point, compare_on_invariant_set
 from conftest import closed_form_sombrero
@@ -246,6 +254,21 @@ def test_t_end_must_be_positive(mexhat):
                   IntegratorConfig(t_end=0.0))
 
 
+def test_first_step_below_the_floor_is_an_input_error(mexhat):
+    # an adaptive run whose first step min(h0, t_end) is already below the
+    # floor 1e-14 t_end is refused before any step, solo and in lockstep
+    x0 = np.array([1.5, 0.0, 0.0])
+    for cfg in (IntegratorConfig(t_end=1e308, max_steps=50),
+                IntegratorConfig(h0=1e-20, t_end=1.0)):
+        with pytest.raises(InitialStepBelowFloor, match=r"h0 = .*t_end = "):
+            integrate(mexhat.system, x0, cfg)
+        with pytest.raises(InitialStepBelowFloor):
+            integrate_ensemble(mexhat.system, x0[None], cfg)
+    # at the floor itself the run goes ahead, here into its step budget
+    with pytest.raises(MaxStepsExceeded):
+        integrate(mexhat.system, x0, IntegratorConfig(h0=1e-14, t_end=1.0, max_steps=3))
+
+
 def test_leaf_reprojection_keeps_conservation_tight(rigid):
     x0 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
     cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, t_end=20.0,
@@ -413,3 +436,102 @@ def test_integrators_import_only_at_module_top():
     nested = [node.lineno for stmt in tree.body if not isinstance(stmt, imports)
               for node in ast.walk(stmt) if isinstance(node, imports)]
     assert nested == []
+
+
+# ---------------------------------------------------------------------------
+# the lockstep ensemble against its solo runs
+# ---------------------------------------------------------------------------
+
+SPHERE_WEIGHTS_4D = {
+    "dim": 4,
+    "conserved": [{"terms": [{"coef": 0.5, "powers": [2 if j == i else 0 for j in range(4)]}
+                             for i in range(4)]}],
+    "dissipated": {"terms": [{"coef": a, "powers": [2 if j == i else 0 for j in range(4)]}
+                             for i, a in enumerate((0.5, 1.0, 1.5, 2.0))]},
+    "field": "zero",
+    "metric": "euclidean",
+}
+
+
+@pytest.fixture(scope="module")
+def lockstep_systems(rigid, mexhat):
+    return {"rigid": rigid.system, "sombrero": mexhat.system,
+            "gradient_only": gradient_only().system,
+            "sphere4d": _build_system(SPHERE_WEIGHTS_4D)[0]}
+
+
+def _assert_rows_match_solo_runs(system, starts, cfg, bound=None):
+    """Every lockstep row takes the steps, the failure and the bits of its solo run."""
+    run = integrate_ensemble(system, starts, cfg, bound=bound)
+    for i, x0 in enumerate(starts):
+        try:
+            tr = integrate(system, x0, cfg, bound=bound)
+        except IntegrationFailure as exc:
+            assert run.failures[i] == type(exc).__name__, i
+            # the steps taken up to the failure are the step generator's
+            n_steps = 0
+            with pytest.raises(type(exc)):
+                for _ in _dp_steps(system, x0, cfg, bound=bound):
+                    n_steps += 1
+            assert run.n_accepted[i] == n_steps, i
+            continue
+        assert run.failures[i] is None, i
+        assert (run.n_accepted[i], run.n_rejected[i]) == (tr.n_accepted, tr.n_rejected), i
+        assert run.g_max[i] == np.max(tr.dissipated_values), i
+        assert run.final[i].tobytes() == tr.final_state.tobytes(), i
+    return run
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["rigid", "sombrero", "gradient_only", "sphere4d"]),
+       method=st.sampled_from([Method.RK45_ADAPTIVE, Method.RK4_FIXED]),
+       record_every=st.sampled_from([1, 3]),
+       reproject=st.booleans(),
+       n_starts=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 16),
+       bound=st.sampled_from([None, 1.2, 2.0]),
+       max_steps=st.sampled_from([40, 1_000_000]))
+def test_lockstep_rows_equal_their_solo_runs(lockstep_systems, name, method, record_every,
+                                             reproject, n_starts, seed, bound, max_steps):
+    system = lockstep_systems[name]
+    starts = np.random.default_rng(seed).uniform(-1.4, 1.4, size=(n_starts, system.dim))
+    cfg = IntegratorConfig(method=method, h0=0.05 if method is Method.RK4_FIXED else 0.01,
+                           rel_tol=1e-7, abs_tol=1e-9, t_end=2.0,
+                           record_every=record_every, leaf_reprojection=reproject,
+                           max_steps=max_steps)
+    _assert_rows_match_solo_runs(system, starts, cfg, bound)
+
+
+def test_lockstep_rows_fail_alone(rigid, refused_leaf_projection):
+    # one batch, four fates: the major axis is an equilibrium, so its steps
+    # stay on the leaf and need no projection; a generic start's first step
+    # needs one and is refused; at |m| = 300 every try of h <= 0.1
+    # overflows and is rejected until the step budget runs out; a start
+    # outside the bound leaves it on its first step
+    starts = np.array([[1.0, 0.0, 0.0],
+                       [0.6, 0.48, 0.64],
+                       300.0 * np.array([0.6, 0.48, 0.64]),
+                       [1.6, 0.01, 0.0]])
+    cfg = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6, h0=0.1, t_end=0.2, max_steps=3,
+                           leaf_reprojection=True)
+    run = _assert_rows_match_solo_runs(rigid.system, starts, cfg, bound=1.5)
+    assert run.failures == [None, "LeafProjectionFailure", "MaxStepsExceeded",
+                            "UnboundedTrajectory"]
+    assert (run.n_accepted[0], run.n_rejected[0]) == (2, 0)
+    assert run.final[0].tobytes() == starts[0].tobytes()
+    assert (run.n_accepted[2], run.n_rejected[2]) == (0, 3)
+    assert integrate_ensemble(rigid.system, starts[:0], cfg).failures == []
+
+
+def test_lockstep_rows_fail_alone_on_non_finite_states(antibowl):
+    # the antibowl blows up at t* = 1/(2 |x0|^2): the adaptive rows that
+    # reach it collapse onto the step floor, the fixed-step rows leave the
+    # finite range, and the rows that do not reach it finish
+    starts = np.array([[1.0, 0.0], [0.1, 0.0], [0.0, 0.9], [0.2, 0.2]])
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        adaptive = _assert_rows_match_solo_runs(antibowl, starts, IntegratorConfig(t_end=1.0))
+        fixed = _assert_rows_match_solo_runs(
+            antibowl, starts, IntegratorConfig(method=Method.RK4_FIXED, h0=0.05, t_end=1.0))
+    assert adaptive.failures == ["StepUnderflow", None, "StepUnderflow", None]
+    assert fixed.failures == ["NonFiniteState", None, "NonFiniteState", None]

@@ -6,7 +6,7 @@ import pytest
 
 from geodiss.catalog import random_poly
 from geodiss.errors import DimensionMismatch
-from geodiss.poly import Polynomial, random_polynomial
+from geodiss.poly import Polynomial, random_polynomial, vector_values
 
 
 def _diff_per_call(p: Polynomial, x: np.ndarray) -> np.ndarray:
@@ -82,3 +82,15 @@ def test_stacked_value_and_diff_are_bitwise_the_point_calls(dim):
                 p.value(bad)
             with pytest.raises(DimensionMismatch):
                 p.diff(bad)
+
+
+def test_vector_values_stack_is_bitwise_the_point_calls():
+    # the components of a polynomial vector field: a point gives the
+    # components' values, a stack their columns, row for row the same bits
+    rng = np.random.default_rng(77)
+    polys = [random_polynomial(4, 2, rng) for _ in range(4)]
+    x = rng.normal(size=(50, 4))
+    stacked = vector_values(polys, x)
+    assert stacked.shape == (50, 4)
+    assert stacked.tobytes() == np.array([vector_values(polys, row) for row in x]).tobytes()
+    assert vector_values(polys, x[0]).tolist() == [p.value(x[0]) for p in polys]
