@@ -31,7 +31,6 @@ detection consumes the solo step generator.
 """
 from __future__ import annotations
 
-import bisect
 import inspect
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -731,20 +730,30 @@ def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
 
     starts = [s.t for s in kept]
 
-    def state_at(t):
-        # a late iterate reads on into steps of the same run
-        while t > kept[-1].t_new:
+    def states_at(ts):
+        """The state at time ts, or one row per time of a sorted array ts."""
+        one = np.ndim(ts) == 0
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        # a late time reads on into steps of the same run
+        while ts.size and ts[-1] > kept[-1].t_new:
             nxt = next(steps, None)
             if nxt is None:
-                return kept[-1].x_new
+                break
             kept.append(nxt)
             starts.append(nxt.t)
-        if t <= 0.0:
-            return y0
-        return kept[bisect.bisect_right(starts, t) - 1].state_at(t)
+        out = np.empty((ts.size, y0.size))
+        first = int(np.searchsorted(ts, 0.0, side="right"))
+        out[:first] = y0
+        # each step reads the times from its start up to the next step's
+        idx = np.searchsorted(starts, ts[first:], side="right") - 1
+        bounds = np.flatnonzero(np.diff(idx)) + 1
+        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), idx.size]):
+            if lo < hi:
+                out[first + lo:first + hi] = kept[idx[lo]].states_at(ts[first + lo:first + hi])
+        return out[0] if one else out
 
     def gap(t):
-        x = state_at(t)
+        x = states_at(t)
         return float((x - y0) @ dissipated_rhs(system, x)), x
 
     t_cur = rec_times[cand]
@@ -768,7 +777,7 @@ def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
             f"(required {recur_tol:.3g})")
     if t_cur <= 0.0:
         raise NotPeriodic("refined return time is not positive")
-    return float(t_cur), state_at
+    return float(t_cur), states_at
 
 
 @dataclass(frozen=True)
@@ -836,7 +845,7 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
     period, orbit_at = _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol)
 
     cps = np.linspace(0.0, period, _DENSE_STATES, endpoint=False)[1:]
-    orbit_states = np.array([y0, *(orbit_at(t) for t in cps)])
+    orbit_states = np.concatenate((y0[None], orbit_at(cps)))
 
     phase_idx = (np.arange(n_phases) * len(orbit_states)) // n_phases
     phase_states = orbit_states[phase_idx]

@@ -145,9 +145,12 @@ def _load_config(path: str, command: str) -> dict:
     schema_doc = _load_schema()
     schema = dict(schema_doc[command])
     schema["$defs"] = schema_doc["$defs"]
-    try:
-        jsonschema.validate(config, schema)
-    except jsonschema.ValidationError as exc:
+    # jsonschema.validate without its check of the packaged schema against
+    # the metaschema, which costs most of the call; the test suite checks
+    # the schema itself
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    if exc is not None:
         where = exc.json_path if exc.json_path != "$" else "top level"
         raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
     return config

@@ -146,10 +146,14 @@ class FrameStack:
     ``finite`` flags the rows whose differentials are all finite. A flagged
     row is where the point call raises :class:`NonFiniteValue`; it carries
     zero differentials and gradients instead, so the rest of the stack
-    evaluates without warnings, and its values mean nothing.
+    evaluates without warnings, and its values mean nothing. ``gmat`` is
+    the metric matrix of each row, the identity at a flagged row; a
+    constant metric keeps its one (n, n) matrix, which broadcasts over the
+    rows in a stacked matmul.
     """
 
     x: np.ndarray        # (m, n)
+    gmat: np.ndarray     # (m, n, n), or (n, n) for a constant metric
     diffs: np.ndarray    # (m, k+1, n)
     grads: np.ndarray    # (m, k+1, n)
     gram: np.ndarray     # (m, k+1, k+1)
@@ -228,7 +232,8 @@ def system_frames(system: DissipativeSystem, pts) -> FrameStack:
         diffs[~finite] = 0.0
     metric = system.metric
     if metric.is_constant:
-        grads = diffs @ metric.constant_pair(p[0] if m else np.zeros(n))[1]
+        gmat, inv = metric.constant_pair(p[0] if m else np.zeros(n))
+        grads = diffs @ inv
     else:
         # a flagged row solves against the identity: its zeros stay zeros
         gmat = np.empty((m, n, n))
@@ -238,4 +243,4 @@ def system_frames(system: DissipativeSystem, pts) -> FrameStack:
         grads = np.linalg.solve(gmat, diffs.transpose(0, 2, 1)).transpose(0, 2, 1)
     gram = diffs @ grads.transpose(0, 2, 1)
     gram = 0.5 * (gram + gram.transpose(0, 2, 1))
-    return FrameStack(x=p, diffs=diffs, grads=grads, gram=gram, finite=finite)
+    return FrameStack(x=p, gmat=gmat, diffs=diffs, grads=grads, gram=gram, finite=finite)

@@ -1,10 +1,16 @@
 """Fixed and adaptive Runge-Kutta integration with structure diagnostics.
 
 Both the conservative flow and the corrected (dissipative) flow integrate
-through the same machinery. Along the way the integrator records the conserved
-values, the dissipated value, the full Gram determinant, the control-field
-norm, and per accepted step a midpoint consistency check between the measured
-finite-difference rate of the dissipated quantity and its predicted rate.
+through the same machinery. A run records the conserved values, the
+dissipated value, the full Gram determinant and the control-field norm at
+its recorded states. On the corrected flow it also audits every accepted
+step: the finite-difference rate of the dissipated quantity over the step
+is checked against the predicted rate, minus the full Gram determinant at
+the step's midpoint. These diagnostics are evaluated after the fact, a
+block of ``_DIAG_BLOCK`` accepted steps at a time, on one stacked frame for
+the block's midpoints and one for its records. So a step costs the frames
+of its stages and nothing more, and every value is bitwise the one a
+per-step evaluation gives.
 
 Trajectories never get silently re-projected onto a leaf; an optional Newton
 re-projection after each accepted step can be switched on in the config, and
@@ -29,6 +35,7 @@ batch of one it is faster than the lockstep loop.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +43,7 @@ import numpy as np
 
 from .control import _cofactor_from_frame, _cofactor_from_frames
 from .errors import (
+    GeodissError,
     InitialStepBelowFloor,
     LeafProjectionFailure,
     MaxStepsExceeded,
@@ -108,6 +116,11 @@ _STEP_FLOOR = 1e-14
 # difference.
 _RATE_CURVE_FACTOR = 5.0
 _RATE_NOISE_FACTOR = 10.0
+
+# Accepted steps whose records and rate audit are evaluated together; a run
+# buffers at most this many steps.
+_DIAG_BLOCK = 512
+_RATE_FIELDS = ("rate_times", "rate_measured", "rate_predicted", "rate_band")
 
 
 class Flow(Enum):
@@ -200,35 +213,6 @@ class Trajectory:
             self.step_sizes]))
 
 
-class _Recorder:
-    def __init__(self, system: DissipativeSystem):
-        self.system = system
-        self.times = []
-        self.states = []
-        self.f_vals = []
-        self.g_vals = []
-        self.dets = []
-        self.v0n = []
-        self.hs = []
-
-    def add(self, t: float, x: np.ndarray, h: float, g: float, fr=None, v0=None):
-        """Record state x with dissipated value g.
-
-        ``fr`` and ``v0`` are the frame and control field at x when the
-        caller already has them; otherwise they are computed here.
-        """
-        if fr is None:
-            fr = _guard_nonfinite(system_frame)(self.system, x)
-            v0 = _cofactor_from_frame(fr)
-        self.times.append(t)
-        self.states.append(x.copy())
-        self.f_vals.append([f(x) for f in self.system.conserved])
-        self.g_vals.append(g)
-        self.dets.append(fr.det_full())
-        self.v0n.append(float(np.sqrt(max(v0 @ fr.gmat @ v0, 0.0))))
-        self.hs.append(h)
-
-
 def _rk4_step(rhs, x, h, k1):
     k2 = rhs(x + 0.5 * h * k1)
     k3 = rhs(x + 0.5 * h * k2)
@@ -237,18 +221,17 @@ def _rk4_step(rhs, x, h, k1):
 
 
 def _evaluator(system: DissipativeSystem, flow: Flow):
-    """Right-hand side of the flow at p, with the frame and control field behind it.
+    """Right-hand side of the flow at p, with the control field behind it.
 
-    The unperturbed flow needs no frame and returns ``None`` for both.
+    The unperturbed flow has no control field and returns ``None`` for it.
     """
     if flow is Flow.PERTURBED:
         def evaluate(p):
-            fr = system_frame(system, p)
-            v0 = _cofactor_from_frame(fr)
-            return system.X(p) - v0, fr, v0
+            v0 = _cofactor_from_frame(system_frame(system, p))
+            return system.X(p) - v0, v0
     else:
         def evaluate(p):
-            return system.X(p), None, None
+            return system.X(p), None
     return _guard_nonfinite(evaluate)
 
 
@@ -256,9 +239,9 @@ class _Step:
     """One accepted step from (t, x) to (t_new, x_new) and its continuous extension.
 
     ``f`` and ``f_new`` are the right-hand sides at the two end states, and
-    ``fr_new``/``v0_new`` the frame and control field behind ``f_new``.
-    ``stages`` holds the seven Dormand-Prince stages of an RK45 step whose
-    end state was not re-projected; the extension is then the free
+    ``v0_new`` the control field behind ``f_new`` (None on the unperturbed
+    flow). ``stages`` holds the seven Dormand-Prince stages of an RK45 step
+    whose end state was not re-projected; the extension is then the free
     fourth-order one of the scheme. Otherwise it is the cubic Hermite on the
     end states and their right-hand sides. ``accepted`` and ``rejected``
     count the accepted steps and the rejected tries of the run so far,
@@ -267,10 +250,9 @@ class _Step:
     """
 
     __slots__ = ("t", "h", "t_new", "x", "x_new", "f", "f_new", "stages",
-                 "fr_new", "v0_new", "accepted", "rejected", "final", "recorded",
-                 "_coef")
+                 "v0_new", "accepted", "rejected", "final", "recorded", "_coef")
 
-    def __init__(self, t, h, x, x_new, f, f_new, stages, fr_new, v0_new,
+    def __init__(self, t, h, x, x_new, f, f_new, stages, v0_new,
                  accepted, rejected, final, recorded):
         self.t = t
         self.h = h
@@ -280,7 +262,6 @@ class _Step:
         self.f = f
         self.f_new = f_new
         self.stages = stages
-        self.fr_new = fr_new
         self.v0_new = v0_new
         self.accepted = accepted
         self.rejected = rejected
@@ -288,10 +269,19 @@ class _Step:
         self.recorded = recorded
         self._coef = None
 
-    def state_at(self, t: float) -> np.ndarray:
-        """State at time t in [self.t, self.t_new]; the end state itself from t_new on."""
-        if t >= self.t_new:
-            return self.x_new
+    def states_at(self, ts) -> np.ndarray:
+        """States at a sorted array of times in [self.t, ...), one row per time.
+
+        A time from t_new on gets the end state itself. The extension is one
+        broadcast of elementwise arithmetic, so each row has the bits of an
+        evaluation at its time alone.
+        """
+        ts = np.asarray(ts, dtype=float)
+        out = np.empty((ts.size, self.x.size))
+        inside = int(np.searchsorted(ts, self.t_new))
+        out[inside:] = self.x_new
+        if not inside:
+            return out
         if self._coef is None:
             # Hairer, Norsett & Wanner, Solving ODEs I, II.6 (dopri5 CONTD5);
             # without the last term the same form is the cubic Hermite
@@ -301,10 +291,11 @@ class _Step:
                        else self.h * (_DP_DENSE @ self.stages))
             self._coef = (ydiff, bspl, ydiff - self.h * self.f_new - bspl, quartic)
         ydiff, bspl, cubic, quartic = self._coef
-        s = (t - self.t) / self.h
+        s = ((ts[:inside] - self.t) / self.h)[:, None]
         s1 = 1.0 - s
         inner = cubic if quartic is None else cubic + s1 * quartic
-        return self.x + s * (ydiff + s1 * (bspl + s * inner))
+        out[:inside] = self.x + s * (ydiff + s1 * (bspl + s * inner))
+        return out
 
 
 def _first_step(config: IntegratorConfig) -> float:
@@ -390,7 +381,7 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
                 with np.errstate(over="ignore", invalid="ignore"):
                     for s in range(1, 7):
                         xs = x + h_try * (_DP_A[s] @ stages[:s])
-                        stages[s], fr_new, v0_new = evaluate(xs)
+                        stages[s], v0_new = evaluate(xs)
             except NonFiniteState:
                 err = np.inf
             else:
@@ -399,8 +390,9 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
                 x_new = xs
                 err_vec = h_try * (_DP_ERR @ stages)
                 scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-            if not np.isfinite(err):
+                q = (err_vec / scale) ** 2
+                err = float(np.sqrt(np.add.reduce(q) / q.size))
+            if not math.isfinite(err):
                 err = np.inf  # rejected with the smallest shrink factor
             accepted, h_ctrl, fac_old = _step_control(err, h_try, fac_old)
             if not accepted:
@@ -410,7 +402,7 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
             stages = None
             x_new = _rk4_step(rhs, x, h_try, k_first)
 
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             raise NonFiniteState(f"state became non-finite at t={t + h_try:.6g}")
         if bound is not None and float(np.linalg.norm(x_new)) > bound:
             raise UnboundedTrajectory(
@@ -424,10 +416,10 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
         if stages is not None:
             k_new = stages[6]
         else:
-            k_new, fr_new, v0_new = evaluate(x_new)
+            k_new, v0_new = evaluate(x_new)
         n_acc += 1
         final = t + h_try >= t_stop
-        step = _Step(t, h_try, x, x_new, k_first, k_new, stages, fr_new, v0_new,
+        step = _Step(t, h_try, x, x_new, k_first, k_new, stages, v0_new,
                      n_acc, n_rej, final, final or n_acc % config.record_every == 0)
         yield step
         t = step.t_new
@@ -443,6 +435,122 @@ def _check_checkpoints(cps: np.ndarray, t_end: float) -> None:
         raise ValueError("checkpoints must lie within [0, t_end]")
 
 
+class _Diagnostics:
+    """Records and rate audit of one run, evaluated a block of steps at a time.
+
+    ``add`` buffers an accepted step: its start time, its size, its end
+    state and, for a recorded step, the control field there. ``flush``
+    evaluates the buffer: the dissipated value at each end state, one
+    stacked frame at the steps' midpoints for the rate audit of the
+    corrected flow, and one at the recorded states for their Gram
+    determinants and control-field norms. A block is flushed when it holds
+    ``_DIAG_BLOCK`` steps, and at the end of the run. Every value is
+    bitwise the one a per-step evaluation gives, and a non-finite frame
+    raises what a per-step evaluation raises first.
+    """
+
+    def __init__(self, system: DissipativeSystem, flow: Flow, config: IntegratorConfig,
+                 x0: np.ndarray, v0):
+        self.system = system
+        self.flow = flow
+        self.config = config
+        self.x = x0                      # the state before the buffered steps
+        self.g = system.dissipated(x0)   # and its dissipated value
+        self.t, self.h, self.ends = [], [], []
+        self.recs = [0]                  # recorded positions in [x, *ends]
+        self.v0 = [v0]                   # the control fields there
+        self.blocks = []
+
+    def add(self, step: _Step) -> None:
+        self.t.append(step.t)
+        self.h.append(step.h)
+        self.ends.append(step.x_new)
+        if step.recorded:
+            self.recs.append(len(self.ends))
+            self.v0.append(step.v0_new)
+        if len(self.ends) == _DIAG_BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        t, h, ends, recs, v0 = self.t, self.h, self.ends, self.recs, self.v0
+        if not ends and not recs:
+            return
+        self.t, self.h, self.ends, self.recs, self.v0 = [], [], [], [], []
+        system, cfg = self.system, self.config
+        pts = np.array([self.x, *ends])
+        at = np.array(recs, dtype=int)
+        audit = self.flow is Flow.PERTURBED and bool(ends)
+        mids = system_frames(system, 0.5 * (pts[:-1] + pts[1:])) if audit else None
+        frames = system_frames(system, pts[at])
+        self._raise_first_nonfinite(mids, frames, t, h, ends, recs, v0)
+
+        g = np.empty(len(pts))
+        g[0] = self.g
+        g[1:] = system.dissipated.values(pts[1:])
+        states = pts[at]
+        conserved = np.empty((len(at), system.k))
+        for j, f in enumerate(system.conserved):
+            conserved[:, j] = f.values(states)
+        if self.flow is Flow.PERTURBED:
+            v0 = np.array(v0).reshape(states.shape)  # kept from the run
+        else:
+            v0 = _cofactor_from_frames(frames)
+        q = (v0[:, None, :] @ frames.gmat @ v0[:, :, None])[:, 0, 0]
+        H = np.array(h)
+        T = np.array(t)
+        block = {
+            "times": np.concatenate(([0.0], T + H))[at],
+            "states": states,
+            "conserved_values": conserved,
+            "dissipated_values": g[at],
+            "det_full": frames.det_full(),
+            "control_norm": np.sqrt(np.where(q < 0.0, 0.0, q)),
+            "step_sizes": np.concatenate(([0.0], H))[at],
+        }
+        if audit:
+            measured = (g[1:] - g[:-1]) / H
+            predicted = -mids.det_full()
+            scale = np.fmax(np.fmax(1.0, np.abs(measured)), np.abs(predicted))
+            noise = (_RATE_NOISE_FACTOR * _row_norms(mids.diffs[:, mids.k])
+                     * (cfg.abs_tol + cfg.rel_tol * _row_norms(pts[:-1])) / H)
+            # h**2 on Python floats: numpy's square need not round as pow does
+            h2 = np.array([hh ** 2 for hh in h])
+            block.update(rate_times=T + 0.5 * H, rate_measured=measured,
+                         rate_predicted=predicted,
+                         rate_band=_RATE_CURVE_FACTOR * h2 * scale + noise)
+        else:
+            block.update(dict.fromkeys(_RATE_FIELDS, np.empty(0)))
+        self.blocks.append(block)
+        self.x = pts[-1]
+        self.g = g[-1]
+
+    def _raise_first_nonfinite(self, mids, frames, t, h, ends, recs, v0) -> None:
+        """Raise the per-step order's first non-finite frame of a block, if any.
+
+        The diagnostics before that frame are flushed first, so their
+        warnings are emitted as a per-step evaluation emits them. A
+        corrected-flow record's frame was finite at the step that reached
+        it, and the unperturbed flow has no midpoints, so at most one of
+        the two stacks holds a flagged row.
+        """
+        bad = mids if mids is not None and not mids.finite.all() else frames
+        if bad.finite.all():
+            return
+        i = int(np.argmin(bad.finite))
+        # keep the steps before the flagged frame and the records below it
+        n_steps, below = (i, i + 1) if bad is mids else (recs[i], recs[i])
+        n_recs = sum(r < below for r in recs)
+        self.t, self.h, self.ends = t[:n_steps], h[:n_steps], ends[:n_steps]
+        self.recs, self.v0 = recs[:n_recs], v0[:n_recs]
+        self.flush()
+        _guard_nonfinite(bad.require_finite)()
+
+    def columns(self) -> dict:
+        """The flushed blocks' :class:`Trajectory` arrays, each joined over the blocks."""
+        return {name: np.concatenate([block[name] for block in self.blocks])
+                for name in self.blocks[0]}
+
+
 def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
               flow: Flow = Flow.PERTURBED,
               checkpoints=None, bound: float | None = None) -> "Trajectory":
@@ -456,11 +564,14 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
     end gets that end state exactly. ``bound`` aborts with
     :class:`UnboundedTrajectory` when the state norm exceeds it.
 
-    Records reuse the frame of the last right-hand-side evaluation at the
-    recorded state: for Dormand-Prince the seventh stage, which is evaluated
-    at the new state (FSAL), and otherwise the evaluation that seeds the
-    next step. Only records of the unperturbed flow build a frame of their
-    own.
+    The records and, on the corrected flow, the midpoint rate audit of every
+    accepted step are evaluated in blocks of ``_DIAG_BLOCK`` steps on
+    stacked frames (see ``_Diagnostics``); a step builds no frame beyond
+    its stages. A run that fails flushes its pending block first, so a
+    non-finite diagnostic frame before the failing step raises
+    :class:`NonFiniteState` instead, as a per-step evaluation would. The
+    steps past such a frame, up to the end of its block, are taken before
+    it is seen.
     """
     x = as_point(x0, system.dim)
     if config.t_end <= 0:
@@ -478,60 +589,26 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
             next_cp = 1
     n_cps = 0 if cps is None else cps.size
 
-    rec = _Recorder(system)
-    g_field = system.dissipated
-
-    rate_t, rate_m, rate_p, rate_band = [], [], [], []
     seed = _evaluator(system, flow)(x)
-    g_prev = g_field(x)
-    rec.add(0.0, x, 0.0, g_prev, seed[1], seed[2])
-
-    for step in _dp_steps(system, x, config, flow, bound, seed):
-        x, x_new, h_try = step.x, step.x_new, step.h
-        g_new = g_field(x_new)
-        if flow is Flow.PERTURBED:
-            mid = 0.5 * (x + x_new)
-            fr_mid = _guard_nonfinite(system_frame)(system, mid)
-            predicted = -fr_mid.det_full()
-            measured = (g_new - g_prev) / h_try
-            scale_rate = max(1.0, abs(measured), abs(predicted))
-            noise = (_RATE_NOISE_FACTOR
-                     * float(np.linalg.norm(fr_mid.diffs[fr_mid.k]))
-                     * config.local_tol(float(np.linalg.norm(x))) / h_try)
-            band = _RATE_CURVE_FACTOR * h_try ** 2 * scale_rate + noise
-            rate_t.append(step.t + 0.5 * h_try)
-            rate_m.append(measured)
-            rate_p.append(predicted)
-            rate_band.append(band)
-
-        t = step.t_new
-        g_prev = g_new
-        while next_cp < n_cps and (cps[next_cp] <= t or step.final):
-            cp_states[next_cp] = step.state_at(cps[next_cp])
-            next_cp += 1
-        if step.recorded:
-            rec.add(t, x_new, h_try, g_new, step.fr_new, step.v0_new)
+    diag = _Diagnostics(system, flow, config, x, seed[1])
+    try:
+        for step in _dp_steps(system, x, config, flow, bound, seed):
+            diag.add(step)
+            if next_cp < n_cps and (cps[next_cp] <= step.t_new or step.final):
+                stop = (n_cps if step.final
+                        else int(np.searchsorted(cps, step.t_new, side="right")))
+                cp_states[next_cp:stop] = step.states_at(cps[next_cp:stop])
+                next_cp = stop
+    except GeodissError:
+        # the diagnostics of the steps before the failure come first
+        diag.flush()
+        raise
+    diag.flush()
 
     # t_end > 0, so the run took at least one step and the last one counts all
-    return Trajectory(
-        flow=flow,
-        config=config,
-        times=np.array(rec.times),
-        states=np.array(rec.states),
-        conserved_values=np.array(rec.f_vals).reshape(len(rec.times), system.k),
-        dissipated_values=np.array(rec.g_vals),
-        det_full=np.array(rec.dets),
-        control_norm=np.array(rec.v0n),
-        step_sizes=np.array(rec.hs),
-        rate_times=np.array(rate_t),
-        rate_measured=np.array(rate_m),
-        rate_predicted=np.array(rate_p),
-        rate_band=np.array(rate_band),
-        checkpoint_times=cps,
-        checkpoint_states=cp_states,
-        n_accepted=step.accepted,
-        n_rejected=step.rejected,
-    )
+    return Trajectory(flow=flow, config=config, **diag.columns(),
+                      checkpoint_times=cps, checkpoint_states=cp_states,
+                      n_accepted=step.accepted, n_rejected=step.rejected)
 
 
 @dataclass

@@ -32,6 +32,7 @@ from geodiss.cli import (
 )
 from geodiss.errors import (
     CertificateFailure,
+    ConfigError,
     GeodissError,
     IdentityFailure,
     InputError,
@@ -391,6 +392,36 @@ def test_missing_required_key_is_rejected(tmp_path, capsys):
     rc, _, err = _run(capsys, ["verify", "--config", cfg])
     assert rc == EXIT_CONFIG
     assert "system" in err
+
+
+@pytest.mark.parametrize("command", sorted(geodiss.cli._HANDLERS))
+def test_packaged_schema_passes_its_metaschema(command):
+    # the CLI validates configs without checking the schema itself
+    import jsonschema
+
+    doc = geodiss.cli._load_schema()
+    schema = {**doc[command], "$defs": doc["$defs"]}
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", {"system": "mexican_hat", "x0": "nope"}),
+    ("verify", {"system": "rigid_body:3,2,1", "n_porbes": 10}),
+    ("equilibria", {"n_seeds": 0}),
+    ("basin", {"system": "mexican_hat", "level": "high", "sampler": {"cells_per_axis": 1}}),
+])
+def test_config_errors_are_those_of_jsonschema_validate(tmp_path, command, config):
+    import jsonschema
+
+    doc = geodiss.cli._load_schema()
+    schema = {**doc[command], "$defs": doc["$defs"]}
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(config, schema)
+    with pytest.raises(ConfigError) as got:
+        geodiss.cli._load_config(_write(tmp_path, "cfg.json", config), command)
+    exc = expected.value
+    where = exc.json_path if exc.json_path != "$" else "top level"
+    assert str(got.value) == f"config invalid at {where}: {exc.message}"
 
 
 def test_unknown_catalog_address_is_config_error(tmp_path, capsys):

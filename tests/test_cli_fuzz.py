@@ -1,4 +1,4 @@
-"""Random inline-system configs: every one ends in a documented exit code.
+"""Random configs: every one ends in a documented exit code.
 
 Hypothesis draws ``simulate``, ``verify`` and ``equilibria`` configs over
 dimensions 1-4 with 0 to dim conserved quantities, exponent lists of the
@@ -6,6 +6,12 @@ right or the wrong length, and every kind of metric (euclidean, SPD,
 indefinite, all-zero, wrong shape, ragged rows). ``main`` must return one
 of the documented codes and raise nothing. The work per example is kept
 small (t_end <= 0.5, a step budget, at most 3 probes or 2 seeds).
+
+``basin`` configs are drawn on the rigid body, the sombrero's orbit and an
+inline 4-D sphere/weights system, each with one flaw: a target or orbit
+seed of the wrong length (exit 1), a level below the anchor's dissipated
+value (exit 4), or a sampler of a few cells or samples (a certificate,
+exit 0 or 4). One trajectory and a short horizon keep each run small.
 """
 import contextlib
 import io
@@ -13,7 +19,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from geodiss.cli import main
@@ -96,11 +102,8 @@ def configs(draw):
     return command, config
 
 
-@settings(max_examples=100, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(configs())
-def test_inline_configs_end_in_a_documented_exit_code(case):
-    command, config = case
+def _run(command, config):
+    """``main`` on a config file; returns the exit code and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
@@ -108,6 +111,77 @@ def test_inline_configs_end_in_a_documented_exit_code(case):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             rc = main([command, "--config", path])
+    return rc, err.getvalue()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_inline_configs_end_in_a_documented_exit_code(case):
+    command, config = case
+    rc, err = _run(command, config)
     assert rc in DOCUMENTED_EXIT_CODES
     if rc not in (0, 3):
-        assert err.getvalue().startswith("error: ")
+        assert err.startswith("error: ")
+
+
+SPHERE_WEIGHTS_4D = {
+    "dim": 4,
+    "conserved": [{"terms": [{"coef": 0.5, "powers": [2 if j == i else 0 for j in range(4)]}
+                             for i in range(4)]}],
+    "dissipated": {"terms": [{"coef": a, "powers": [2 if j == i else 0 for j in range(4)]}
+                             for i, a in enumerate((0.5, 1.0, 1.5, 2.0))]},
+}
+
+# (system, anchor key, anchor, its dissipated value, grid or sampled)
+BASIN_SYSTEMS = [
+    ("rigid_body:3,2,1", "target", [1.0, 0.0, 0.0], 1.0 / 6.0, "grid"),
+    ("mexican_hat", "orbit_seed", [1.0, 0.0, 0.0], 0.0, "grid"),
+    (SPHERE_WEIGHTS_4D, "target", [1.0, 0.0, 0.0, 0.0], 0.5, "sampled"),
+]
+
+
+@st.composite
+def basin_configs(draw):
+    system, key, anchor, g_anchor, kind = draw(st.sampled_from(BASIN_SYSTEMS))
+    flaw = draw(st.sampled_from(["length", "low_level", "tiny_sampler"]))
+    if flaw == "length":
+        anchor = anchor + [0.0] if draw(st.booleans()) else anchor[:-1]
+    if flaw == "low_level":
+        level = g_anchor - draw(st.floats(1e-3, 1.0))
+    else:
+        level = g_anchor + draw(st.floats(1e-3, 2.0))
+    config = {"system": system, key: anchor, "level": level,
+              "n_trajectories": 1, "horizon": 5.0}
+    if flaw == "tiny_sampler" or draw(st.booleans()):
+        if kind == "grid":
+            config["sampler"] = {"cells_per_axis": draw(st.integers(2, 4))}
+        else:
+            config["sampler"] = {"n_samples": draw(st.integers(1, 16)),
+                                 "neighbor_count": draw(st.integers(1, 3))}
+    else:
+        config["sampler"] = ({"cells_per_axis": 8} if kind == "grid"
+                             else {"n_samples": 64})
+    return flaw, config
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(basin_configs())
+@example(("low_level", {"system": "rigid_body:3,2,1", "target": [1.0, 0.0, 0.0],
+                        "level": 0.1, "n_trajectories": 1, "horizon": 5.0}))
+@example(("tiny_sampler", {"system": SPHERE_WEIGHTS_4D, "target": [1.0, 0.0, 0.0, 0.0],
+                           "level": 0.9, "sampler": {"n_samples": 1},
+                           "n_trajectories": 1, "horizon": 5.0}))
+def test_basin_configs_end_in_their_documented_exit_code(case):
+    flaw, config = case
+    rc, err = _run("basin", config)
+    if flaw == "length":
+        assert rc == 1
+        assert err.startswith("error: expected a point of dimension")
+    elif flaw == "low_level":
+        assert rc == 4
+    else:
+        assert rc in (0, 4)
+    if err:
+        assert err.startswith("error: ")

@@ -229,8 +229,10 @@ def _assert_rows_are_point_frames(system, pts):
     v0 = _cofactor_from_frames(frames)
     stacked = (frames.det_full(), frames.det_conserved(), frames.grad_g_norm(),
                frames.classification_scale())
+    gmat = np.broadcast_to(frames.gmat, (len(pts),) + frames.gmat.shape[-2:])
     for i, p in enumerate(pts):
         fr = system_frame(system, p)
+        assert gmat[i].tobytes() == fr.gmat.tobytes()
         for name in ("diffs", "grads", "gram"):
             assert getattr(frames, name)[i].tobytes() == getattr(fr, name).tobytes(), name
         point = (fr.det_full(), fr.det_conserved(), fr.grad_g_norm(),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodiss.catalog import gradient_only
+from geodiss.catalog import gradient_only, random_poly
 from geodiss.cli import _build_system
 from geodiss.errors import (
     InitialStepBelowFloor,
@@ -18,6 +18,7 @@ from geodiss.errors import (
     LeafProjectionFailure,
     MaxStepsExceeded,
     NonFiniteState,
+    NonFiniteValue,
     NotOnInvariantSet,
     StepUnderflow,
     UnboundedTrajectory,
@@ -28,13 +29,17 @@ from geodiss.fields import (
     ScalarField,
     VectorField,
 )
+import geodiss.gram
 import geodiss.integrators
-from geodiss.control import Formulation, control_field
+from geodiss.control import Formulation, _cofactor_from_frame, control_field
+from geodiss.gram import system_frame
 from geodiss.integrators import (
     Flow,
     IntegratorConfig,
     Method,
+    _DP_DENSE,
     _dp_steps,
+    _evaluator,
     flow_agreement_band,
     integrate,
     integrate_ensemble,
@@ -328,15 +333,23 @@ def test_trajectory_bookkeeping(mexhat):
 
 
 def _counted_frames(monkeypatch):
+    """Count the point frames and the stacked-frame rows the integrators build."""
     calls = []
+    rows = []
     real = geodiss.integrators.system_frame
+    real_stacked = geodiss.integrators.system_frames
 
     def counted(system, x):
         calls.append(1)
         return real(system, x)
 
+    def counted_stacked(system, pts):
+        rows.append(len(pts))
+        return real_stacked(system, pts)
+
     monkeypatch.setattr(geodiss.integrators, "system_frame", counted)
-    return calls
+    monkeypatch.setattr(geodiss.integrators, "system_frames", counted_stacked)
+    return calls, rows
 
 
 @pytest.mark.parametrize("method, reproject, flow", [
@@ -352,21 +365,22 @@ def test_frame_count_and_recorded_diagnostics(rigid, monkeypatch, method,
     cfg = IntegratorConfig(method=method, h0=0.5 if method is Method.RK45_ADAPTIVE else 0.05,
                            t_end=3.0, record_every=record_every,
                            leaf_reprojection=reproject)
-    calls = _counted_frames(monkeypatch)
+    calls, rows = _counted_frames(monkeypatch)
     tr = integrate(system, np.array([0.6, 0.48, 0.64]), cfg, flow=flow)
     acc, rej = tr.n_accepted, tr.n_rejected
-    # one frame per corrected-flow evaluation and per rate midpoint; records
-    # reuse the frame of the evaluation at their state, which exists for
-    # every step of the corrected flow
+    # a point frame per corrected-flow evaluation and nothing else: the
+    # records and the rate midpoints are rows of stacked frames
     if flow is Flow.UNPERTURBED:
-        expected = tr.times.size
+        expected = 0
     elif method is Method.RK4_FIXED:
-        expected = 1 + 3 * acc + acc + acc   # stages 2-4, midpoint, next seed
+        expected = 1 + 3 * acc + acc   # stages 2-4 and the next seed
     elif reproject:
-        expected = 1 + 6 * (acc + rej) + acc + acc  # ... and the seed after projection
+        expected = 1 + 6 * (acc + rej) + acc  # ... and the seed after projection
     else:
-        expected = 1 + 6 * (acc + rej) + acc  # stage 7 seeds the next step (FSAL)
+        expected = 1 + 6 * (acc + rej)  # stage 7 seeds the next step (FSAL)
     assert len(calls) == expected
+    midpoints = acc if flow is Flow.PERTURBED else 0
+    assert sum(rows) == tr.times.size + midpoints
     if method is Method.RK45_ADAPTIVE and not reproject:
         assert rej > 0
     monkeypatch.undo()
@@ -535,3 +549,275 @@ def test_lockstep_rows_fail_alone_on_non_finite_states(antibowl):
             antibowl, starts, IntegratorConfig(method=Method.RK4_FIXED, h0=0.05, t_end=1.0))
     assert adaptive.failures == ["StepUnderflow", None, "StepUnderflow", None]
     assert fixed.failures == ["NonFiniteState", None, "NonFiniteState", None]
+
+
+# ---------------------------------------------------------------------------
+# the block diagnostics of integrate against a per-step evaluation
+# ---------------------------------------------------------------------------
+
+_RECORD_FIELDS = ("times", "states", "conserved_values", "dissipated_values", "det_full",
+                  "control_norm", "step_sizes")
+_RATE_FIELDS = ("rate_times", "rate_measured", "rate_predicted", "rate_band")
+
+
+def _per_step_reference(system, x0, cfg, flow=Flow.PERTURBED, checkpoints=None,
+                        bound=None):
+    """integrate's outputs, evaluated step by step on point frames.
+
+    Each record and each rate midpoint gets its own ``system_frame`` right
+    after its step; a corrected-flow record takes its control field from the
+    step that reached it. Returns a dict of the arrays and counters, or
+    raises the first failure of that order.
+    """
+    cols = {name: [] for name in _RECORD_FIELDS + _RATE_FIELDS}
+
+    def frame(p):
+        try:
+            return system_frame(system, p)
+        except NonFiniteValue as exc:
+            raise NonFiniteState(str(exc)) from exc
+
+    def record(t, p, h, g, v0):
+        fr = frame(p)
+        if v0 is None:
+            v0 = _cofactor_from_frame(fr)
+        for name, value in zip(_RECORD_FIELDS, (
+                t, p.copy(), [f(p) for f in system.conserved], g, fr.det_full(),
+                float(np.sqrt(max(v0 @ fr.gmat @ v0, 0.0))), h)):
+            cols[name].append(value)
+
+    x = np.asarray(x0, dtype=float)
+    cps = None if checkpoints is None else np.asarray(checkpoints, dtype=float)
+    cp_states = []
+    seed = _evaluator(system, flow)(x)
+    g_prev = system.dissipated(x)
+    record(0.0, x, 0.0, g_prev, seed[1])
+    for step in _dp_steps(system, x, cfg, flow, bound, seed):
+        g_new = system.dissipated(step.x_new)
+        if flow is Flow.PERTURBED:
+            mid = frame(0.5 * (step.x + step.x_new))
+            predicted = -mid.det_full()
+            measured = (g_new - g_prev) / step.h
+            noise = (10.0 * float(np.linalg.norm(mid.diffs[mid.k]))
+                     * cfg.local_tol(float(np.linalg.norm(step.x))) / step.h)
+            band = 5.0 * step.h ** 2 * max(1.0, abs(measured), abs(predicted)) + noise
+            for name, value in zip(_RATE_FIELDS, (step.t + 0.5 * step.h, measured,
+                                                  predicted, band)):
+                cols[name].append(value)
+        g_prev = g_new
+        while cps is not None and len(cp_states) < cps.size and (
+                cps[len(cp_states)] <= step.t_new or step.final):
+            cp_states.append(_state_at(step, cps[len(cp_states)]))
+        if step.recorded:
+            record(step.t_new, step.x_new, step.h, g_new, step.v0_new)
+    out = {name: np.array(values) for name, values in cols.items()}
+    out["conserved_values"] = out["conserved_values"].reshape(len(out["times"]), system.k)
+    out["counters"] = (step.accepted, step.rejected)
+    out["checkpoint_states"] = None if cps is None else np.array(cp_states)
+    return out
+
+
+def _state_at(step, t):
+    """A step's continuous extension at one time, on scalars: the end state from t_new on."""
+    if t >= step.t_new:
+        return step.x_new
+    ydiff = step.x_new - step.x
+    bspl = step.h * step.f - ydiff
+    cubic = ydiff - step.h * step.f_new - bspl
+    s = (t - step.t) / step.h
+    s1 = 1.0 - s
+    inner = cubic if step.stages is None else cubic + s1 * (step.h * (_DP_DENSE @ step.stages))
+    return step.x + s * (ydiff + s1 * (bspl + s * inner))
+
+
+def _assert_bitwise_reference(system, x0, cfg, flow=Flow.PERTURBED, checkpoints=None):
+    ref = _per_step_reference(system, x0, cfg, flow, checkpoints)
+    tr = integrate(system, x0, cfg, flow, checkpoints)
+    for name in _RECORD_FIELDS + _RATE_FIELDS:
+        got = getattr(tr, name)
+        assert (got.dtype, got.shape) == (ref[name].dtype, ref[name].shape), name
+        assert got.tobytes() == ref[name].tobytes(), name
+    assert (tr.n_accepted, tr.n_rejected) == ref["counters"]
+    if checkpoints is not None:
+        assert tr.checkpoint_states.tobytes() == ref["checkpoint_states"].tobytes()
+    return tr
+
+
+@pytest.fixture(scope="module")
+def diagnostic_systems(rigid, mexhat):
+    return {"rigid": rigid.system, "sombrero": mexhat.system,
+            "sphere4d": _build_system(SPHERE_WEIGHTS_4D)[0],
+            "random_poly": random_poly(4, 2, seed=5).system}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["rigid", "sombrero", "sphere4d", "random_poly"]),
+       method=st.sampled_from([Method.RK45_ADAPTIVE, Method.RK4_FIXED]),
+       reproject=st.booleans(),
+       flow=st.sampled_from([Flow.PERTURBED, Flow.UNPERTURBED]),
+       record_every=st.sampled_from([1, 3, 7]),
+       block=st.sampled_from([1, 5, 512]),
+       with_checkpoints=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_block_diagnostics_are_bitwise_the_per_step_ones(
+        diagnostic_systems, name, method, reproject, flow, record_every, block,
+        with_checkpoints, seed):
+    system = diagnostic_systems[name]
+    x0 = np.random.default_rng(seed).uniform(-0.4, 0.4, size=system.dim)
+    x0[0] += 0.6
+    t_end = 0.3 if name == "random_poly" else 2.0
+    cfg = IntegratorConfig(method=method, h0=0.05 if method is Method.RK4_FIXED else 0.01,
+                           rel_tol=1e-9, abs_tol=1e-11, t_end=t_end,
+                           record_every=record_every, leaf_reprojection=reproject)
+    cps = np.linspace(0.0, t_end, 23) if with_checkpoints else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geodiss.integrators, "_DIAG_BLOCK", block)
+        _assert_bitwise_reference(system, x0, cfg, flow, cps)
+
+
+@pytest.mark.parametrize("flow", [Flow.PERTURBED, Flow.UNPERTURBED])
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_block_diagnostics_of_a_run_of_several_blocks(mexhat, flow, record_every):
+    # the CI config: about 700 steps, so the records and midpoints of two
+    # blocks and a partial one
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=20.0,
+                           record_every=record_every)
+    tr = _assert_bitwise_reference(mexhat.system, [0.4, 0.0, 0.1], cfg, flow,
+                                   np.linspace(0.0, 20.0, 301))
+    assert tr.n_accepted > geodiss.integrators._DIAG_BLOCK
+    if flow is Flow.PERTURBED:
+        assert tr.rate_check_violation() <= 0.0
+
+
+def test_block_diagnostics_warn_as_the_per_step_ones(monkeypatch):
+    # a positive floor makes many frames offending: the records, midpoints
+    # and stages warn, and the block evaluation emits the per-step messages,
+    # also in a run out of budget and in an unperturbed run stopped by a
+    # non-finite record frame (its stages build no frames)
+    monkeypatch.setattr(geodiss.gram, "GRAM_NEGATIVITY_FLOOR", 0.9)
+    monkeypatch.setattr(geodiss.integrators, "_DIAG_BLOCK", 5)
+    clean = random_poly(4, 2, seed=5).system
+    x0 = np.array([0.2, -0.1, 0.3, 0.1])
+
+    def config(max_steps=1000):
+        return IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=0.6, record_every=3,
+                                max_steps=max_steps)
+
+    steps = list(_dp_steps(clean, x0, config(), Flow.UNPERTURBED))
+    ninth, last = steps[8], steps[-1]  # in a full block and in the last one
+    assert ninth.recorded and last.recorded and len(steps) % 5 == 3
+    for system, flow, cfg, failure in [
+            (clean, Flow.PERTURBED, config(), None),
+            (clean, Flow.PERTURBED, config(12), MaxStepsExceeded),
+            (clean, Flow.UNPERTURBED, config(), None),
+            (clean, Flow.UNPERTURBED, config(12), MaxStepsExceeded),
+            (_poisoned(clean, ninth.x_new), Flow.UNPERTURBED, config(), NonFiniteState),
+            (_poisoned(clean, last.x_new), Flow.UNPERTURBED, config(), NonFiniteState)]:
+        outcomes = []
+        for run in (integrate, _per_step_reference):
+            raised = None
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    run(system, x0, cfg, flow)
+                except IntegrationFailure as exc:
+                    raised = (type(exc), str(exc))
+            outcomes.append((raised, sorted(str(w.message) for w in caught)))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] or (None,))[0] is failure
+        assert outcomes[0][1]  # warnings were emitted
+
+
+def _poisoned(system, bad):
+    """The system with a dissipated differential that is NaN exactly at the point bad."""
+    G = system.dissipated
+
+    def d(p):
+        return np.full(p.shape, np.nan) if np.array_equal(p, bad) else G.d(p)
+
+    return DissipativeSystem(
+        X=system.X, conserved=system.conserved, metric=system.metric,
+        dissipated=ScalarField(system.dim, G.value, differential=d, label="poisoned"))
+
+
+@pytest.mark.parametrize("flow", [Flow.PERTURBED, Flow.UNPERTURBED])
+@pytest.mark.parametrize("method", [Method.RK45_ADAPTIVE, Method.RK4_FIXED])
+@pytest.mark.parametrize("j, budget", [(0, None), (9, None), (9, 30), (530, 560)])
+def test_non_finite_diagnostic_frame_raises_first(rigid, flow, method, j, budget):
+    # a midpoint frame of the corrected flow, or a record frame of the
+    # unperturbed one, that is not finite: NonFiniteState with the point
+    # call's message, also when the run fails later in the same block
+    x0 = np.array([0.6, 0.48, 0.64])
+    cfg = IntegratorConfig(method=method, h0=0.002, rel_tol=1e-11, abs_tol=1e-13,
+                           t_end=40.0, max_steps=budget or 100_000)
+    for step in _dp_steps(rigid.system, x0, cfg, flow):
+        if step.accepted == j + 1:
+            break
+    bad = 0.5 * (step.x + step.x_new) if flow is Flow.PERTURBED else step.x_new
+    system = _poisoned(rigid.system, bad)
+    message = f"non-finite differential among fields at {bad.tolist()}"
+    with pytest.raises(NonFiniteState) as ref:
+        _per_step_reference(system, x0, cfg, flow)
+    assert str(ref.value) == message
+    with pytest.raises(NonFiniteState) as got:
+        integrate(system, x0, cfg, flow)
+    assert str(got.value) == message
+
+
+def test_non_finite_start_record_of_the_unperturbed_flow(rigid):
+    x0 = np.array([0.6, 0.48, 0.64])
+    with pytest.raises(NonFiniteState, match=r"fields at \[0.6, 0.48, 0.64\]"):
+        integrate(_poisoned(rigid.system, x0), x0, IntegratorConfig(t_end=1.0),
+                  Flow.UNPERTURBED)
+
+
+@pytest.mark.parametrize("case", ["bound", "budget", "floor", "refused"])
+def test_loop_failures_match_the_per_step_order(rigid, mexhat, antibowl, monkeypatch, case):
+    # the loop's own failures, past a block boundary where the run is long
+    # enough: the same class and message as a per-step evaluation
+    calls = []
+    if case == "refused":
+        real = geodiss.integrators.project_to_leaf
+
+        def refuse(system, x, leaf_value, tol=1e-12, max_iter=50):
+            calls.append(1)
+            if len(calls) > 520:
+                raise LeafProjectionFailure("projection refused")
+            return real(system, x, leaf_value, tol, max_iter)
+
+        monkeypatch.setattr(geodiss.integrators, "project_to_leaf", refuse)
+    system, x0, cfg, bound = {
+        "bound": (mexhat.system, [0.4, 0.0, 0.1],
+                  IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=20.0), 0.99),
+        "budget": (mexhat.system, [0.4, 0.0, 0.1],
+                   IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=20.0,
+                                    max_steps=600), None),
+        "floor": (antibowl, [1.0, 0.5], IntegratorConfig(t_end=5.0), None),
+        "refused": (rigid.system, [0.6, 0.48, 0.64],
+                    IntegratorConfig(method=Method.RK4_FIXED, h0=0.01, t_end=20.0,
+                                     leaf_reprojection=True), None),
+    }[case]
+    outcomes = []
+    for run in (_per_step_reference, integrate):
+        calls.clear()
+        with pytest.raises(IntegrationFailure) as exc:
+            run(system, x0, cfg, Flow.PERTURBED, None, bound)
+        outcomes.append((type(exc.value), str(exc.value)))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(method=st.sampled_from([Method.RK45_ADAPTIVE, Method.RK4_FIXED]),
+       reproject=st.booleans(),
+       fractions=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=12))
+def test_batched_dense_read_out_is_bitwise_the_scalar_one(rigid, method, reproject,
+                                                          fractions):
+    cfg = IntegratorConfig(method=method, h0=0.3 if method is Method.RK4_FIXED else 0.5,
+                           t_end=3.0, leaf_reprojection=reproject)
+    for step in _dp_steps(rigid.system, np.array([0.6, 0.48, 0.64]), cfg):
+        ts = np.sort(step.t + step.h * np.array(fractions + [0.0, 1.0]))
+        rows = step.states_at(ts)
+        for t, row in zip(ts, rows):
+            assert row.tobytes() == _state_at(step, t).tobytes()
+            if t >= step.t_new:
+                assert row.tobytes() == step.x_new.tobytes()
