@@ -64,6 +64,11 @@ _DENSE_STATES = 2048
 # rows per block of the sampled path's neighbour search: its distance block
 # holds this many rows of all candidates, so memory grows linearly with them
 _KNN_BLOCK = 128
+# the sampler's work bounds, as in the config schema; a grid holds
+# cells_per_axis ** dim cells, at most _CELL_BUDGET
+_MAX_SAMPLES = 2 ** 20
+_MAX_CELLS_PER_AXIS = 256
+_CELL_BUDGET = _MAX_CELLS_PER_AXIS ** GRID_DIM_LIMIT
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,11 @@ class SamplerConfig:
             value = getattr(self, name)
             if value < least:
                 raise ConfigError(f"sampler {name} must be at least {least}, got {value}")
+        for name, most in (("cells_per_axis", _MAX_CELLS_PER_AXIS),
+                           ("n_samples", _MAX_SAMPLES)):
+            value = getattr(self, name)
+            if value > most:
+                raise ConfigError(f"sampler {name} must be at most {most}, got {value}")
         if self.halfwidth is not None and not self.halfwidth > 0:
             raise ConfigError(f"sampler halfwidth must be positive, got {self.halfwidth}")
 
@@ -159,6 +169,10 @@ class _LeafTable:
         self.cfg = cfg
         self.hw = _halfwidth(anchor, cfg)
         if system.dim <= GRID_DIM_LIMIT:
+            if cfg.cells_per_axis ** system.dim > _CELL_BUDGET:
+                raise ConfigError(
+                    f"sampler grid of {cfg.cells_per_axis}^{system.dim} cells exceeds "
+                    f"the budget of {_CELL_BUDGET} cells")
             self.method = "grid"
             found, self.cells = self._grid_points()
             self.slot = np.full(cfg.cells_per_axis ** system.dim, -1)
@@ -506,12 +520,16 @@ def _judge_level(system, component, witnesses, target, opts, *,
     component reaches the box boundary, when a witness lies farther than
     ``witness_tol`` from the target, or when the target needs a witness and
     the scan found none; the trajectory ensemble then tests convergence and
-    forward invariance. ``lazy_ensemble`` skips the ensemble once geometry
-    has failed the level.
+    forward invariance. A sampled component of fewer than dim + 1 members,
+    too few to span a simplex of the chart, carries no containment evidence
+    and fails too. ``lazy_ensemble`` skips the ensemble once geometry has
+    failed the level.
     """
     dists = np.array([target.distance(w) for w in witnesses])
     far = witnesses[dists > target.witness_tol]
     reasons = []
+    if component.method == "sampled" and len(component.members) < system.dim + 1:
+        reasons.append("component holds too few samples, containment unverified")
     if component.touches_boundary:
         reasons.append("component reaches the sampling box boundary, "
                        "containment unverified")

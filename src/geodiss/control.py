@@ -9,6 +9,14 @@ to that determinant.
 Three equivalent constructions are provided: a cofactor expansion (default),
 the symmetric-tensor contraction, and scaled tangent projection. Keeping all
 three allows cross-checks at roundoff level.
+
+The corrected flow's right-hand side is also one kernel bound to a system,
+``_corrected_rhs``: it looks the fields, the metric and the cofactor minors
+up once, and at each point runs the bodies that :func:`system_frame` and the
+cofactor expansion run, without building a :class:`SystemFrame`. The
+integrators' stages, :func:`dissipated_rhs` and the leaf diagnostics
+evaluate it; the frames stay for the structure probes and ``geodiss
+verify``, and as the reference the kernel is tested against, bitwise.
 """
 from __future__ import annotations
 
@@ -19,8 +27,19 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SingularLeaf
-from .fields import DissipativeSystem
-from .gram import FrameStack, SystemFrame, _checked_dets, checked_det, system_frame
+from .fields import DissipativeSystem, as_point
+from .gram import (
+    FrameStack,
+    SystemFrame,
+    _checked_dets,
+    _det_conserved,
+    _dets_conserved,
+    _differential_stack,
+    _frame_arrays,
+    _metric_at,
+    checked_det,
+    system_frame,
+)
 
 LEAF_CONDITION_LIMIT = 1e12
 
@@ -57,24 +76,57 @@ def _cofactor_minors(k: int) -> tuple:
     return tuple(out)
 
 
+def _cofactor(gram: np.ndarray, grads: np.ndarray, minors: tuple) -> np.ndarray:
+    """The cofactor control field of a (k+1, k+1) Gram matrix and its k+1 gradients.
+
+    ``minors`` is ``_cofactor_minors(k)``.
+    """
+    k = len(minors)
+    v0 = _det_conserved(gram, k) * grads[k]
+    for i, (sign, flat) in enumerate(minors):
+        v0 = v0 + sign * checked_det(gram.take(flat)) * grads[i]
+    return v0
+
+
 def _cofactor_from_frame(fr: SystemFrame) -> np.ndarray:
-    k = fr.k
-    det_f = fr.det_conserved()
-    v0 = det_f * fr.grads[k]
-    for i, (sign, flat) in enumerate(_cofactor_minors(k)):
-        v0 = v0 + sign * checked_det(fr.gram.take(flat)) * fr.grads[i]
+    return _cofactor(fr.gram, fr.grads, _cofactor_minors(fr.k))
+
+
+def _corrected_rhs(system: DissipativeSystem):
+    """The corrected flow's right-hand side, as one kernel bound to the system.
+
+    Returns ``evaluate(p) -> (X(p) - v0, v0)`` for a point p already checked
+    by :func:`geodiss.fields.as_point`. It is the arithmetic, the checks and
+    the warnings of ``system.X(p) - _cofactor_from_frame(system_frame(system,
+    p))``, bitwise, with the fields, the metric and the cofactor minors
+    looked up once and no :class:`SystemFrame` built.
+    """
+    fields_ = system.all_fields()
+    metric_at = _metric_at(system.metric)
+    minors = _cofactor_minors(system.k)
+    X = system.X
+
+    def evaluate(p):
+        grads, gram = _frame_arrays(_differential_stack(fields_, p), *metric_at(p))
+        v0 = _cofactor(gram, grads, minors)
+        return X._at(p) - v0, v0
+
+    return evaluate
+
+
+def _cofactors(gram: np.ndarray, grads: np.ndarray, minors: tuple) -> np.ndarray:
+    """:func:`_cofactor` of each row of an (m, k+1, k+1) Gram stack, bitwise row for row."""
+    k = len(minors)
+    v0 = _dets_conserved(gram, k)[:, None] * grads[:, k]
+    flat_gram = gram.reshape(len(grads), (k + 1) ** 2)
+    for i, (sign, flat) in enumerate(minors):
+        v0 = v0 + (sign * _checked_dets(flat_gram[:, flat]))[:, None] * grads[:, i]
     return v0
 
 
 def _cofactor_from_frames(frames: FrameStack) -> np.ndarray:
     """:func:`_cofactor_from_frame` at every row of a frame stack, bitwise row for row."""
-    k = frames.k
-    grads = frames.grads
-    v0 = frames.det_conserved()[:, None] * grads[:, k]
-    flat_gram = frames.gram.reshape(len(grads), (k + 1) ** 2)
-    for i, (sign, flat) in enumerate(_cofactor_minors(k)):
-        v0 = v0 + (sign * _checked_dets(flat_gram[:, flat]))[:, None] * grads[:, i]
-    return v0
+    return _cofactors(frames.gram, frames.grads, _cofactor_minors(frames.k))
 
 
 def control_field(system: DissipativeSystem, x,
@@ -162,8 +214,7 @@ _V0_BUILDERS = {
 
 def dissipated_rhs(system: DissipativeSystem, x) -> np.ndarray:
     """Right-hand side of the corrected flow: X minus the control field."""
-    fr = system_frame(system, x)
-    return system.X(fr.x) - _cofactor_from_frame(fr)
+    return _corrected_rhs(system)(as_point(x, system.dim))[0]
 
 
 def dissipation_rate(system: DissipativeSystem, x) -> float:

@@ -117,7 +117,10 @@ class ScalarField:
 
     def diffs(self, pts) -> np.ndarray:
         """Differentials at each row of an (m, dim) stack, bitwise ``self.d(row)``."""
-        p = as_stack(pts, self.dim)
+        return self._diffs_at(as_stack(pts, self.dim))
+
+    def _diffs_at(self, p: np.ndarray) -> np.ndarray:
+        """:meth:`diffs` at a stack already checked by :func:`as_stack`."""
         if not self.stacked or self.differential is None:
             return np.array([self.d(row) for row in p]).reshape(p.shape)
         df = np.asarray(self.differential(p), dtype=float)
@@ -142,7 +145,11 @@ class VectorField:
     stacked: bool = False
 
     def __call__(self, x) -> np.ndarray:
-        v = np.asarray(self.func(as_point(x, self.dim)), dtype=float)
+        return self._at(as_point(x, self.dim))
+
+    def _at(self, p: np.ndarray) -> np.ndarray:
+        """The field at a point already checked by :func:`as_point`."""
+        v = np.asarray(self.func(p), dtype=float)
         if v.shape != (self.dim,):
             raise DimensionMismatch(
                 f"vector field {self.label or ''} returned shape {v.shape}"
@@ -151,9 +158,12 @@ class VectorField:
 
     def values(self, pts) -> np.ndarray:
         """The field at each row of an (m, dim) stack, bitwise ``self(row)``."""
-        p = as_stack(pts, self.dim)
+        return self._values_at(as_stack(pts, self.dim))
+
+    def _values_at(self, p: np.ndarray) -> np.ndarray:
+        """:meth:`values` at a stack already checked by :func:`as_stack`."""
         if not self.stacked:
-            return np.array([self(row) for row in p]).reshape(p.shape)
+            return np.array([self._at(row) for row in p]).reshape(p.shape)
         v = np.asarray(self.func(p), dtype=float)
         if v.shape != p.shape:
             raise DimensionMismatch(

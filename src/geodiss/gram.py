@@ -11,6 +11,10 @@ by convention.
 as a :class:`FrameStack`. Each row gives the bits of the point call; a row
 whose differentials are not finite is flagged rather than raised, so one
 bad row does not stop the others.
+
+Both are thin wrappers over array bodies (``_differential_stack``,
+``_frame_arrays``, ``_stack_arrays``), which the integrators' bound kernels
+call directly, so a stage point builds no frame object.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import NonFiniteValue, NumericalHealthWarning
-from .fields import DissipativeSystem, ScalarField, as_point, as_stack
+from .fields import DissipativeSystem, MetricField, ScalarField, as_point, as_stack
 
 # Gram determinants are mathematically nonnegative; anything more negative
 # than this (relative to the diagonal product) signals numerical trouble.
@@ -31,10 +35,9 @@ GRAM_NEGATIVITY_FLOOR = -1e-10
 def _differential_stack(fields_: Sequence[ScalarField], x: np.ndarray) -> np.ndarray:
     if not fields_:
         return np.zeros((0, x.size))
-    rows = np.empty((len(fields_), x.size))
-    for i, f in enumerate(fields_):
-        rows[i] = f.d(x)
-    if not np.isfinite(rows).all():
+    rows = np.array([f.d(x) for f in fields_])
+    # counting is the cheaper all() on a few entries
+    if np.count_nonzero(np.isfinite(rows)) != rows.size:
         raise NonFiniteValue(f"non-finite differential among fields at {x.tolist()}")
     return rows
 
@@ -84,8 +87,7 @@ class SystemFrame:
         return self.gram.shape[0] - 1
 
     def det_conserved(self) -> float:
-        block = self.gram[:self.k, :self.k]
-        return checked_det(block, diag_scale=_diag_product(block))
+        return _det_conserved(self.gram, self.k)
 
     def det_full(self) -> float:
         return checked_det(self.gram, diag_scale=_diag_product(self.gram))
@@ -171,8 +173,7 @@ class FrameStack:
                 f"non-finite differential among fields at {self.x[i].tolist()}")
 
     def det_conserved(self) -> np.ndarray:
-        block = self.gram[:, :self.k, :self.k]
-        return _checked_dets(block, diag_scale=_diag_products(block))
+        return _dets_conserved(self.gram, self.k)
 
     def det_full(self) -> np.ndarray:
         return _checked_dets(self.gram, diag_scale=_diag_products(self.gram))
@@ -182,6 +183,12 @@ class FrameStack:
 
     def classification_scale(self) -> np.ndarray:
         return _diag_products(self.gram)
+
+
+def _dets_conserved(gram: np.ndarray, k: int) -> np.ndarray:
+    """:func:`_det_conserved` of each matrix of an (m, k+1, k+1) Gram stack."""
+    block = gram[:, :k, :k]
+    return _checked_dets(block, diag_scale=_diag_products(block))
 
 
 def _diag_product(mat: np.ndarray) -> float:
@@ -196,19 +203,42 @@ def _diag_product(mat: np.ndarray) -> float:
     return float(np.prod(np.diag(mat)))
 
 
-def system_frame(system: DissipativeSystem, x) -> SystemFrame:
-    p = as_point(x, system.dim)
-    fields_ = system.all_fields()
-    diffs = _differential_stack(fields_, p)
-    metric = system.metric
+def _det_conserved(gram: np.ndarray, k: int) -> float:
+    """Checked determinant of the conserved block of a (k+1, k+1) Gram matrix."""
+    block = gram[:k, :k]
+    return checked_det(block, diag_scale=_diag_product(block))
+
+
+def _metric_at(metric: MetricField):
+    """The function p -> (metric matrix at p, its inverse or None), for a checked point p.
+
+    A constant metric gives its checked pair, cached on first use; a
+    callable metric gives its checked matrix at p, and no inverse.
+    """
     if metric.is_constant:
-        gmat, ginv = metric.constant_pair(p)
+        return metric.constant_pair
+    return lambda p: (metric._checked(p), None)
+
+
+def _frame_arrays(diffs: np.ndarray, gmat: np.ndarray,
+                  ginv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Metric gradients of the (k+1, n) differentials, and their symmetrized Gram matrix.
+
+    With no inverse the gradients are solved for against ``gmat``.
+    """
+    if ginv is not None:
         grads = diffs @ ginv
     else:
-        gmat = metric.at(p)
         grads = np.linalg.solve(gmat, diffs.T).T
     gram = diffs @ grads.T
-    gram = 0.5 * (gram + gram.T)
+    return grads, 0.5 * (gram + gram.T)
+
+
+def system_frame(system: DissipativeSystem, x) -> SystemFrame:
+    p = as_point(x, system.dim)
+    diffs = _differential_stack(system.all_fields(), p)
+    gmat, ginv = _metric_at(system.metric)(p)
+    grads, gram = _frame_arrays(diffs, gmat, ginv)
     return SystemFrame(x=p, gmat=gmat, diffs=diffs, grads=grads, gram=gram)
 
 
@@ -222,15 +252,22 @@ def system_frames(system: DissipativeSystem, pts) -> FrameStack:
     finite rows only.
     """
     p = as_stack(pts, system.dim)
+    return FrameStack(p, *_stack_arrays(system.all_fields(), system.metric, p))
+
+
+def _stack_arrays(fields_: Sequence[ScalarField], metric: MetricField, p: np.ndarray):
+    """The arrays of :func:`system_frames` at a stack already checked by :func:`as_stack`.
+
+    Returns ``(gmat, diffs, grads, gram, finite)``, as :class:`FrameStack`
+    holds them.
+    """
     m, n = p.shape
-    fields_ = system.all_fields()
     diffs = np.empty((m, len(fields_), n))
     for i, f in enumerate(fields_):
-        diffs[:, i] = f.diffs(p)
+        diffs[:, i] = f._diffs_at(p)
     finite = np.isfinite(diffs.reshape(m, len(fields_) * n)).all(axis=1)
     if not finite.all():
         diffs[~finite] = 0.0
-    metric = system.metric
     if metric.is_constant:
         gmat, inv = metric.constant_pair(p[0] if m else np.zeros(n))
         grads = diffs @ inv
@@ -243,4 +280,4 @@ def system_frames(system: DissipativeSystem, pts) -> FrameStack:
         grads = np.linalg.solve(gmat, diffs.transpose(0, 2, 1)).transpose(0, 2, 1)
     gram = diffs @ grads.transpose(0, 2, 1)
     gram = 0.5 * (gram + gram.transpose(0, 2, 1))
-    return FrameStack(x=p, gmat=gmat, diffs=diffs, grads=grads, gram=gram, finite=finite)
+    return gmat, diffs, grads, gram, finite

@@ -8,9 +8,11 @@ step: the finite-difference rate of the dissipated quantity over the step
 is checked against the predicted rate, minus the full Gram determinant at
 the step's midpoint. These diagnostics are evaluated after the fact, a
 block of ``_DIAG_BLOCK`` accepted steps at a time, on one stacked frame for
-the block's midpoints and one for its records. So a step costs the frames
-of its stages and nothing more, and every value is bitwise the one a
-per-step evaluation gives.
+the block's midpoints and one for its records. So a step costs its stage
+evaluations and nothing more, and every value is bitwise the one a
+per-step evaluation gives. A stage is one call of the corrected-flow
+kernel that :func:`geodiss.control._corrected_rhs` binds to the system once
+per run: a run builds no :class:`~geodiss.gram.SystemFrame`.
 
 Trajectories never get silently re-projected onto a leaf; an optional Newton
 re-projection after each accepted step can be switched on in the config, and
@@ -26,7 +28,8 @@ solo path is the step generator ``_dp_steps``: for one start it decides
 which steps are taken, which are recorded and which one ends the run, and
 :func:`integrate` records them. The lockstep ensemble,
 :func:`integrate_ensemble`, advances an (m, n) stack of starts of the
-corrected flow at once on stacked frames and keeps only what a basin
+corrected flow at once, on the stacked frame arrays of a kernel bound once
+per run (``_rhs_rows``), and keeps only what a basin
 ensemble reads: each row's max of the dissipated value over the states a
 solo run records, its final state, its step counts and its failure. Each
 row takes exactly the steps of its solo run, in the same arithmetic, and
@@ -41,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .control import _cofactor_from_frame, _cofactor_from_frames
+from .control import _cofactor_from_frames, _cofactor_minors, _cofactors, _corrected_rhs
 from .errors import (
     GeodissError,
     InitialStepBelowFloor,
@@ -60,7 +63,7 @@ from .fields import (
     as_stack,
     project_to_leaf,
 )
-from .gram import system_frame, system_frames
+from .gram import _stack_arrays, system_frames
 from .report import csv_text
 
 
@@ -226,9 +229,7 @@ def _evaluator(system: DissipativeSystem, flow: Flow):
     The unperturbed flow has no control field and returns ``None`` for it.
     """
     if flow is Flow.PERTURBED:
-        def evaluate(p):
-            v0 = _cofactor_from_frame(system_frame(system, p))
-            return system.X(p) - v0, v0
+        evaluate = _corrected_rhs(system)
     else:
         def evaluate(p):
             return system.X(p), None
@@ -566,12 +567,12 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
 
     The records and, on the corrected flow, the midpoint rate audit of every
     accepted step are evaluated in blocks of ``_DIAG_BLOCK`` steps on
-    stacked frames (see ``_Diagnostics``); a step builds no frame beyond
-    its stages. A run that fails flushes its pending block first, so a
-    non-finite diagnostic frame before the failing step raises
-    :class:`NonFiniteState` instead, as a per-step evaluation would. The
-    steps past such a frame, up to the end of its block, are taken before
-    it is seen.
+    stacked frames (see ``_Diagnostics``); a step evaluates nothing beyond
+    its stages, and no stage builds a frame. A run that fails flushes its
+    pending block first, so a non-finite diagnostic frame before the failing
+    step raises :class:`NonFiniteState` instead, as a per-step evaluation
+    would. The steps past such a frame, up to the end of its block, are
+    taken before it is seen.
     """
     x = as_point(x0, system.dim)
     if config.t_end <= 0:
@@ -632,20 +633,31 @@ class EnsembleRun:
     failures: list          # (m,) class names or None
 
 
-def _rhs_rows(system: DissipativeSystem, pts: np.ndarray):
-    """Corrected-flow right-hand side at each row of a stack, and the rows that have one.
+def _rhs_rows(system: DissipativeSystem):
+    """The corrected flow's right-hand side on stacks, bound to the system.
 
-    A row whose differentials are not finite, where the point evaluator
-    raises :class:`NonFiniteState`, gets NaN and a False flag.
+    Returns ``evaluate(pts) -> (rhs, ok)`` for an (m, n) stack that
+    :func:`as_stack` has checked: the right-hand side at each row, and the
+    rows that have one. A row whose differentials are not finite, where the
+    point kernel raises, gets NaN and a False flag. The stacked bodies of
+    :func:`system_frames` and ``_cofactor_from_frames`` run directly, with
+    no :class:`FrameStack` built.
     """
-    frames = system_frames(system, pts)
-    v0 = _cofactor_from_frames(frames)
-    ok = frames.finite
-    if ok.all():
-        return system.X.values(pts) - v0, ok
-    out = np.full(pts.shape, np.nan)
-    out[ok] = system.X.values(pts[ok]) - v0[ok]
-    return out, ok
+    fields_ = system.all_fields()
+    metric = system.metric
+    minors = _cofactor_minors(system.k)
+    X = system.X
+
+    def evaluate(pts):
+        _, _, grads, gram, ok = _stack_arrays(fields_, metric, pts)
+        v0 = _cofactors(gram, grads, minors)
+        if ok.all():
+            return X._values_at(pts) - v0, ok
+        out = np.full(pts.shape, np.nan)
+        out[ok] = X._values_at(pts[ok]) - v0[ok]
+        return out, ok
+
+    return evaluate
 
 
 def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConfig,
@@ -659,7 +671,7 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
     finishes or fails. A failure ends its row only and is reported by class
     name. Every row takes exactly the steps of its solo
     ``integrate(system, row, config, bound=bound)`` in the same arithmetic:
-    the stages are stacked frames and vector-matrix products, which numpy
+    the stages are stacked frame arrays and vector-matrix products, which numpy
     evaluates one row at a time as in the point call, and the step control
     runs on Python floats row by row. Nothing else is recorded; see
     :class:`EnsembleRun`.
@@ -683,7 +695,8 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
         for i in rows.tolist():
             failures[i] = failure.__name__
 
-    k_first, ok = _rhs_rows(system, x)
+    rhs_rows = _rhs_rows(system)
+    k_first, ok = rhs_rows(x)
     fail(np.flatnonzero(~ok), NonFiniteState)
     active = np.flatnonzero(ok)
     g_max = np.full(m, -np.inf)
@@ -717,7 +730,7 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
             with np.errstate(over="ignore", invalid="ignore"):
                 for s in range(1, 7):
                     xs = xa + h_col * (_DP_A[s] @ stages[:, :s])
-                    stages[:, s], ok = _rhs_rows(system, xs)
+                    stages[:, s], ok = rhs_rows(xs)
                     bad |= ~ok
                 err_vec = h_col * (_DP_ERR @ stages)
                 scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xa), np.abs(xs))
@@ -733,9 +746,9 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
             rows, x_new, h, stages = active[accept], xs[accept], h[accept], stages[accept]
         else:
             k1 = k_first[active]
-            k2, ok2 = _rhs_rows(system, xa + (0.5 * h)[:, None] * k1)
-            k3, ok3 = _rhs_rows(system, xa + (0.5 * h)[:, None] * k2)
-            k4, ok4 = _rhs_rows(system, xa + h_col * k3)
+            k2, ok2 = rhs_rows(xa + (0.5 * h)[:, None] * k1)
+            k3, ok3 = rhs_rows(xa + (0.5 * h)[:, None] * k2)
+            k4, ok4 = rhs_rows(xa + h_col * k3)
             x_new = xa + (h / 6.0)[:, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             good = ok2 & ok3 & ok4
             fail(active[~good], NonFiniteState)
@@ -762,7 +775,7 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
         if stages is not None:
             k_new = stages[:, 6]
         else:
-            k_new, ok = _rhs_rows(system, x_new)
+            k_new, ok = rhs_rows(x_new)
             fail(rows[~ok], NonFiniteState)
             rows, x_new, h, k_new = rows[ok], x_new[ok], h[ok], k_new[ok]
 

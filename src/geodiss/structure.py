@@ -441,7 +441,7 @@ def leaf_diagnostics(system: DissipativeSystem, x) -> LeafDiagnostics:
     v_leaf = det_f * _projection_from_frame(fr)
     # norm squared in the rescaled leaf metric: (1/det_f) * g(v_leaf, v_leaf)
     leaf_norm_sq = float(v_leaf @ fr.gmat @ v_leaf) / det_f
-    rhs = system.X(fr.x) - _cofactor_from_frame(fr)
+    rhs = dissipated_rhs(system, fr.x)
     g_rate = float(fr.diffs[fr.k] @ rhs)
     return LeafDiagnostics(conformal_factor=1.0 / det_f,
                            leaf_grad_norm_sq=leaf_norm_sq,

@@ -69,6 +69,15 @@ def seeded_pair(i: int):
     return entry.system, x
 
 
+def with_callable_metric(system):
+    """The system under a point-dependent SPD metric, evaluated point by point."""
+    n = system.dim
+    base = np.eye(n) + 0.3 * np.ones((n, n))
+    return DissipativeSystem(
+        X=system.X, conserved=system.conserved, dissipated=system.dissipated,
+        metric=MetricField(n, lambda p: base + np.diag(p * p), label="callable"))
+
+
 def euclid3_pair(i: int):
     """dim=3, k=1, Euclidean-metric pair where the double cross product
     of the two differentials is an independent ground truth for the

@@ -348,6 +348,25 @@ def test_sampler_config_checks_its_fields(rigid):
                   neighbor_count=1, seed=0)
 
 
+def test_sampler_work_is_bounded_before_any_work(rigid, monkeypatch):
+    # the upper bounds of the config schema's sampler; the largest values
+    # pass, and nothing here samples or builds a grid
+    for bad in ({"cells_per_axis": 257}, {"n_samples": 2 ** 20 + 1}):
+        with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be at most"):
+            SamplerConfig(**bad)
+    SamplerConfig(cells_per_axis=256, n_samples=2 ** 20)
+    # the leaf table checks its grid against the cell budget before it
+    # allocates anything
+    monkeypatch.setattr(basin_mod, "_CELL_BUDGET", 7 ** 3)
+
+    def no_grid(self):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(basin_mod._LeafTable, "_grid_points", no_grid)
+    with pytest.raises(ConfigError, match="exceeds the budget"):
+        sublevel_component(rigid.system, MAJOR, 0.2, SamplerConfig(cells_per_axis=8))
+
+
 # ---------------------------------------------------------------------------
 # distance to a sampled closed orbit
 # ---------------------------------------------------------------------------
@@ -858,3 +877,15 @@ def test_period_detection_without_a_return_searches_the_whole_window(mexhat):
         basin_mod._detect_period(mexhat.system, np.array([2.0, 0.0, 0.0]),
                                  IntegratorConfig(), t_search=8.0, coarse_tol=0.2,
                                  recur_tol=1e-8)
+
+
+@pytest.mark.parametrize("n_samples", [1, 3])
+def test_sampled_component_of_too_few_samples_fails(n_samples):
+    # a sampled component of fewer than dim + 1 members carries no
+    # containment evidence; the level lies below the true threshold 1.0
+    cert = basin_certify(_sphere_weights_4d(), np.eye(4)[0], 0.9,
+                         SamplerConfig(n_samples=n_samples, halfwidth=1.5),
+                         stability=AS, n_trajectories=1, proper_g_asserted=True)
+    assert cert.component_size < 5
+    assert not cert.passed
+    assert "component holds too few samples, containment unverified" in cert.reasons

@@ -323,6 +323,40 @@ def test_basin_failed_certificate_exit_code(tmp_path, capsys):
     assert report["farWitnesses"]
 
 
+SPHERE_4D = {
+    "dim": 4,
+    "conserved": [{"terms": [{"coef": 0.5, "powers": [2 * (j == i) for j in range(4)]}
+                             for i in range(4)]}],
+    "dissipated": {"terms": [{"coef": a, "powers": [2 * (j == i) for j in range(4)]}
+                             for i, a in enumerate((0.5, 1.0, 1.5, 2.0))]},
+}
+
+
+def test_basin_one_sample_component_is_certificate_failure(tmp_path, capsys):
+    cfg = _write(tmp_path, "bas.json", {
+        "system": SPHERE_4D, "target": [1.0, 0.0, 0.0, 0.0], "level": 0.9,
+        "sampler": {"n_samples": 1}, "n_trajectories": 1, "proper_G_asserted": True})
+    rc, out, _ = _run(capsys, ["basin", "--config", cfg])
+    assert rc == EXIT_CERTIFICATE
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert report["componentSize"] == 1
+    assert "component holds too few samples, containment unverified" in report["reasons"]
+
+
+@pytest.mark.parametrize("system, target, sampler", [
+    ("rigid_body:3,2,1", [1.0, 0.0, 0.0], {"cells_per_axis": 257}),
+    (SPHERE_4D, [1.0, 0.0, 0.0, 0.0], {"n_samples": 2 ** 20 + 1}),
+])
+def test_basin_oversized_sampler_is_config_error(tmp_path, capsys, system, target, sampler):
+    cfg = _write(tmp_path, "bas.json", {"system": system, "target": target,
+                                        "level": 0.9, "sampler": sampler})
+    rc, out, err = _run(capsys, ["basin", "--config", cfg])
+    assert rc == EXIT_CONFIG
+    assert out == ""
+    assert next(iter(sampler)) in err
+
+
 def test_basin_unstable_target_is_certificate_failure(tmp_path, capsys):
     cfg = _write(tmp_path, "bas.json",
                  {**BASIN_BASE, "target": [0.0, 1.0, 0.0], "level": 0.3})

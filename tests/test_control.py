@@ -1,17 +1,25 @@
 """The control field: three constructions, structural identities, covariance."""
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geodiss.catalog import mexican_hat, random_poly
+import geodiss.gram
+from geodiss.catalog import gradient_only, mexican_hat, random_poly, rigid_body
 from geodiss.control import (
     Formulation,
+    _cofactor_from_frame,
+    _corrected_rhs,
     control_field,
     dissipated_rhs,
     dissipation_rate,
     identity_scales,
     tensor_matrix,
 )
-from geodiss.errors import SingularLeaf
+from geodiss.errors import NonFiniteState, NonFiniteValue, SingularLeaf
+from geodiss.integrators import IntegratorConfig, integrate
 from geodiss.fields import (
     DissipativeSystem,
     MetricField,
@@ -19,7 +27,7 @@ from geodiss.fields import (
     VectorField,
 )
 from geodiss.gram import system_frame
-from conftest import euclid3_pair, seeded_pair
+from conftest import euclid3_pair, seeded_pair, with_callable_metric
 
 
 def _linear3(rows, diss_row):
@@ -226,3 +234,85 @@ def test_identity_scales_shape():
                            "classification"}
     assert len(scales["tangency"]) == system.k
     assert scales["control"] > 0 and scales["classification"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the bound corrected-flow kernel against the frame path
+# ---------------------------------------------------------------------------
+
+def _catalog_system(i):
+    return (rigid_body().system, mexican_hat().system, gradient_only().system)[i]
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A catalog or random polynomial system, and a point of it."""
+    if draw(st.booleans()):
+        system = _catalog_system(draw(st.integers(0, 2)))
+    else:
+        dim = draw(st.integers(2, 5))
+        k = draw(st.integers(0, min(3, dim - 1)))
+        system = random_poly(dim, k, seed=draw(st.integers(0, 1000))).system
+        if draw(st.booleans()):
+            system = with_callable_metric(system)
+    coords = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    return system, np.array(draw(st.lists(coords, min_size=system.dim,
+                                          max_size=system.dim)))
+
+
+def _with_warnings(fn):
+    """fn's result, and the category and message of every warning it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _frame_path(system, p):
+    v0 = _cofactor_from_frame(system_frame(system, p))
+    return system.X(p) - v0, v0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_cases())
+def test_corrected_rhs_kernel_is_the_frame_path_bitwise(case):
+    system, p = case
+    (rhs, v0), warned = _with_warnings(lambda: _corrected_rhs(system)(p))
+    (ref_rhs, ref_v0), ref_warned = _with_warnings(lambda: _frame_path(system, p))
+    assert rhs.tobytes() == ref_rhs.tobytes()
+    assert v0.tobytes() == ref_v0.tobytes()
+    assert warned == ref_warned
+    assert dissipated_rhs(system, p).tobytes() == ref_rhs.tobytes()
+
+
+def test_corrected_rhs_kernel_raises_the_frame_path_non_finite_error():
+    # dG is not finite off the unit disc
+    def diff(p):
+        return p.copy() if float(p @ p) < 1.0 else np.array([np.nan, 0.0])
+
+    G = ScalarField(2, lambda p: 0.5 * float(p @ p), differential=diff, label="g")
+    system = DissipativeSystem(X=VectorField(2, lambda p: np.zeros(2)), conserved=(),
+                               dissipated=G, metric=MetricField.euclidean(2))
+    p = np.array([1.5, 0.5])
+    with pytest.raises(NonFiniteValue) as ref:
+        system_frame(system, p)
+    with pytest.raises(NonFiniteValue) as kernel:
+        _corrected_rhs(system)(p)
+    with pytest.raises(NonFiniteValue) as rhs:
+        dissipated_rhs(system, p)
+    with pytest.raises(NonFiniteState) as run:
+        integrate(system, p, IntegratorConfig(t_end=1.0))
+    assert str(kernel.value) == str(rhs.value) == str(run.value) == str(ref.value)
+
+
+def test_corrected_rhs_kernel_warns_as_the_frame_path(monkeypatch):
+    # a positive floor makes most conserved Gram determinants warn
+    monkeypatch.setattr(geodiss.gram, "GRAM_NEGATIVITY_FLOOR", 0.9)
+    pts = np.random.default_rng(6).uniform(-1.0, 1.0, size=(12, 5))
+    for system in (random_poly(5, 3, seed=2).system,
+                   with_callable_metric(random_poly(5, 2, seed=9).system)):
+        kernel = _corrected_rhs(system)
+        _, warned = _with_warnings(lambda: [kernel(p) for p in pts])
+        _, ref_warned = _with_warnings(lambda: [_frame_path(system, p) for p in pts])
+        assert warned == ref_warned
+        assert len(warned) > 0

@@ -15,7 +15,7 @@ from geodiss.catalog import random_poly
 from geodiss.control import _cofactor_from_frame, _cofactor_from_frames
 from geodiss.errors import NonFiniteValue
 from geodiss.gram import GRAM_NEGATIVITY_FLOOR, checked_det, system_frame, system_frames
-from conftest import seeded_pair
+from conftest import seeded_pair, with_callable_metric
 
 
 def _linear_system(metric, rows, diss_row):
@@ -214,15 +214,6 @@ def test_non_spd_constant_metric_raises_from_the_frame():
             system_frame(system, np.zeros(2))
 
 
-def _with_callable_metric(system):
-    """The system under a point-dependent SPD metric, evaluated point by point."""
-    n = system.dim
-    base = np.eye(n) + 0.3 * np.ones((n, n))
-    return DissipativeSystem(
-        X=system.X, conserved=system.conserved, dissipated=system.dissipated,
-        metric=MetricField(n, lambda p: base + np.diag(p * p), label="callable"))
-
-
 def _assert_rows_are_point_frames(system, pts):
     frames = system_frames(system, pts)
     assert frames.finite.all()
@@ -246,7 +237,7 @@ def test_stacked_frames_are_bitwise_the_point_frames(k):
     system = random_poly(5, k, seed=40 + k).system
     pts = np.random.default_rng(k).uniform(-1.0, 1.0, size=(17, 5))
     _assert_rows_are_point_frames(system, pts)
-    _assert_rows_are_point_frames(_with_callable_metric(system), pts)
+    _assert_rows_are_point_frames(with_callable_metric(system), pts)
 
 
 def test_stacked_frames_on_catalog_systems():

@@ -1,6 +1,7 @@
 """Trajectory integration: accuracy, structure diagnostics, failure modes."""
 import ast
 import io
+import sys
 import warnings
 from pathlib import Path
 
@@ -333,23 +334,42 @@ def test_trajectory_bookkeeping(mexhat):
 
 
 def _counted_frames(monkeypatch):
-    """Count the point frames and the stacked-frame rows the integrators build."""
+    """Count the corrected-flow kernel evaluations, the point frames and the
+    stacked-frame rows the integrators make.
+
+    Every module of the package that holds ``system_frame`` gets the
+    counting one, so a point frame built anywhere below ``integrate`` counts.
+    """
     calls = []
+    frames = []
     rows = []
-    real = geodiss.integrators.system_frame
+    real_rhs = geodiss.integrators._corrected_rhs
+    real_frame = geodiss.gram.system_frame
     real_stacked = geodiss.integrators.system_frames
 
-    def counted(system, x):
-        calls.append(1)
-        return real(system, x)
+    def counted_rhs(system):
+        evaluate = real_rhs(system)
+
+        def counted(p):
+            calls.append(1)
+            return evaluate(p)
+        return counted
+
+    def counted_frame(system, x):
+        frames.append(1)
+        return real_frame(system, x)
 
     def counted_stacked(system, pts):
         rows.append(len(pts))
         return real_stacked(system, pts)
 
-    monkeypatch.setattr(geodiss.integrators, "system_frame", counted)
+    monkeypatch.setattr(geodiss.integrators, "_corrected_rhs", counted_rhs)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("geodiss")
+                and getattr(module, "system_frame", None) is real_frame):
+            monkeypatch.setattr(module, "system_frame", counted_frame)
     monkeypatch.setattr(geodiss.integrators, "system_frames", counted_stacked)
-    return calls, rows
+    return calls, frames, rows
 
 
 @pytest.mark.parametrize("method, reproject, flow", [
@@ -365,11 +385,13 @@ def test_frame_count_and_recorded_diagnostics(rigid, monkeypatch, method,
     cfg = IntegratorConfig(method=method, h0=0.5 if method is Method.RK45_ADAPTIVE else 0.05,
                            t_end=3.0, record_every=record_every,
                            leaf_reprojection=reproject)
-    calls, rows = _counted_frames(monkeypatch)
+    calls, frames, rows = _counted_frames(monkeypatch)
     tr = integrate(system, np.array([0.6, 0.48, 0.64]), cfg, flow=flow)
     acc, rej = tr.n_accepted, tr.n_rejected
-    # a point frame per corrected-flow evaluation and nothing else: the
-    # records and the rate midpoints are rows of stacked frames
+    # a kernel evaluation per corrected-flow stage and nothing else: no
+    # point frame at all, and the records and the rate midpoints are rows
+    # of stacked frames
+    assert frames == []
     if flow is Flow.UNPERTURBED:
         expected = 0
     elif method is Method.RK4_FIXED:
