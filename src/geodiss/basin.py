@@ -629,7 +629,9 @@ class _Certificate:
             "trajectoriesConverged": self.trajectories_converged,
             "failedStarts": self.failed_starts,
             "horizon": self.horizon,
-            "maxTrajectoryG": self.max_trajectory_g,
+            # -inf is the max over no finished trajectory: there is none
+            "maxTrajectoryG": (None if self.max_trajectory_g == -np.inf
+                               else self.max_trajectory_g),
             "reasons": self.reasons,
         }
 
@@ -818,7 +820,8 @@ class OrbitCertificate(_Certificate):
                 "orbitInInvariantSet": self.orbit_in_invariant_set,
                 "maxDetFull": self.max_det_full,
                 "maxGradGNorm": self.max_grad_g,
-                "coverageGap": self.coverage_gap,
+                # inf is the gap to no near witness: there is none
+                "coverageGap": None if self.coverage_gap == np.inf else self.coverage_gap,
                 "covered": self.covered}
 
 

@@ -305,6 +305,8 @@ def cmd_simulate(config: dict, args) -> int:
     tr = integrate(system, x0, cfg, flow=flow, checkpoints=checkpoints,
                    bound=config.get("bound"))
 
+    # -inf is the max over no audited step: the unperturbed flow has none
+    rate = tr.rate_check_violation()
     summary = {
         "flow": flow.value,
         "finalTime": float(tr.times[-1]),
@@ -312,7 +314,7 @@ def cmd_simulate(config: dict, args) -> int:
         "conservationDrift": tr.conservation_drift(),
         "monotone": tr.monotonicity_violation() <= 0.0,
         "monotonicityViolation": tr.monotonicity_violation(),
-        "rateCheckViolation": tr.rate_check_violation(),
+        "rateCheckViolation": None if rate == -np.inf else rate,
         "finalClassification": classify_point(system, tr.final_state).as_report(),
         "accepted": tr.n_accepted,
         "rejected": tr.n_rejected,

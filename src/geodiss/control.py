@@ -14,9 +14,11 @@ The corrected flow's right-hand side is also one kernel bound to a system,
 ``_corrected_rhs``: it looks the fields, the metric and the cofactor minors
 up once, and at each point runs the bodies that :func:`system_frame` and the
 cofactor expansion run, without building a :class:`SystemFrame`. The
-integrators' stages, :func:`dissipated_rhs` and the leaf diagnostics
-evaluate it; the frames stay for the structure probes and ``geodiss
-verify``, and as the reference the kernel is tested against, bitwise.
+integrators' stages and :func:`dissipated_rhs` evaluate it; the frames stay
+for the structure probes and ``geodiss verify``, and as the reference the
+kernel is tested against, bitwise. The cofactor expansion of a stack of Gram
+matrices, ``_cofactors``, reads 1x1 and 2x2 minors off views of the
+flattened stack, with no gathered copy per minor.
 """
 from __future__ import annotations
 
@@ -62,7 +64,9 @@ class ControlEvaluation:
 
 @lru_cache(maxsize=None)
 def _cofactor_minors(k: int) -> tuple:
-    """(sign, flat indices into the (k+1, k+1) Gram matrix) for each conserved index i.
+    """For each conserved index i: the sign of its cofactor, and the flat
+    indices of its minor in the (k+1, k+1) Gram matrix, as a (k, k) array and
+    as a tuple of ints.
 
     The minor for i keeps the conserved rows and swaps column i out for the
     dissipated column k.
@@ -72,7 +76,7 @@ def _cofactor_minors(k: int) -> tuple:
         cols = [c for c in range(k) if c != i] + [k]
         flat = np.array([[r * (k + 1) + c for c in cols] for r in range(k)])
         flat.setflags(write=False)
-        out.append((-1.0 if (i + k) % 2 else 1.0, flat))
+        out.append((-1.0 if (i + k) % 2 else 1.0, flat, tuple(flat.ravel().tolist())))
     return tuple(out)
 
 
@@ -83,7 +87,7 @@ def _cofactor(gram: np.ndarray, grads: np.ndarray, minors: tuple) -> np.ndarray:
     """
     k = len(minors)
     v0 = _det_conserved(gram, k) * grads[k]
-    for i, (sign, flat) in enumerate(minors):
+    for i, (sign, flat, _) in enumerate(minors):
         v0 = v0 + sign * checked_det(gram.take(flat)) * grads[i]
     return v0
 
@@ -115,12 +119,24 @@ def _corrected_rhs(system: DissipativeSystem):
 
 
 def _cofactors(gram: np.ndarray, grads: np.ndarray, minors: tuple) -> np.ndarray:
-    """:func:`_cofactor` of each row of an (m, k+1, k+1) Gram stack, bitwise row for row."""
+    """:func:`_cofactor` of each row of an (m, k+1, k+1) Gram stack, bitwise row for row.
+
+    A 1x1 or 2x2 minor's determinant is read off column views of the
+    flattened Gram stack, in the arithmetic of :func:`_checked_dets`; a
+    larger minor is gathered for ``np.linalg.det``.
+    """
     k = len(minors)
     v0 = _dets_conserved(gram, k)[:, None] * grads[:, k]
     flat_gram = gram.reshape(len(grads), (k + 1) ** 2)
-    for i, (sign, flat) in enumerate(minors):
-        v0 = v0 + (sign * _checked_dets(flat_gram[:, flat]))[:, None] * grads[:, i]
+    for i, (sign, flat, cells) in enumerate(minors):
+        if k == 1:
+            det = flat_gram[:, cells[0]]
+        elif k == 2:
+            a, b, c, d = [flat_gram[:, j] for j in cells]
+            det = a * d - b * c
+        else:
+            det = _checked_dets(flat_gram[:, flat])
+        v0 = v0 + (sign * det)[:, None] * grads[:, i]
     return v0
 
 

@@ -10,7 +10,11 @@ by convention.
 :func:`system_frames` is the same evaluation over an (m, n) stack of points,
 as a :class:`FrameStack`. Each row gives the bits of the point call; a row
 whose differentials are not finite is flagged rather than raised, so one
-bad row does not stop the others.
+bad row does not stop the others. One reduction over the whole stack of
+differentials tells whether any row is flagged, and the rows are flagged
+one by one only when some are. The negativity-floor scan of stacked
+determinants, and the diagonal products it compares against, run only when
+some row could warn: when the floor is positive or a determinant negative.
 
 Both are thin wrappers over array bodies (``_differential_stack``,
 ``_frame_arrays``, ``_stack_arrays``), which the integrators' bound kernels
@@ -103,11 +107,15 @@ class SystemFrame:
         return _diag_product(self.gram)
 
 
-def _checked_dets(mats: np.ndarray, diag_scale: np.ndarray | None = None) -> np.ndarray:
+def _checked_dets(mats: np.ndarray, floor_check: bool = False) -> np.ndarray:
     """:func:`checked_det` of each matrix of an (m, r, r) stack, row for row.
 
-    A determinant below the negativity floor warns once for its row, with
-    the point call's message.
+    With ``floor_check``, each determinant is checked against the
+    negativity floor relative to its matrix's diagonal product, and one
+    below it warns once for its row, with the point call's message. A
+    determinant of at least 0 never lies below a floor of at most 0, so the
+    scan, and the diagonal products it needs, run only when the floor is
+    positive or some determinant is negative.
     """
     r = mats.shape[1]
     if r == 0:
@@ -118,8 +126,10 @@ def _checked_dets(mats: np.ndarray, diag_scale: np.ndarray | None = None) -> np.
         det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
     else:
         det = np.linalg.det(mats)
-    if diag_scale is not None:
-        for i in np.flatnonzero(det < GRAM_NEGATIVITY_FLOOR * np.abs(diag_scale)):
+    floor = GRAM_NEGATIVITY_FLOOR
+    if floor_check and (floor > 0.0 or np.count_nonzero(det < 0.0)):
+        diag_scale = _diag_products(mats)
+        for i in np.flatnonzero(det < floor * np.abs(diag_scale)):
             warnings.warn(
                 f"Gram determinant {det[i]:.3e} below roundoff floor for scale "
                 f"{diag_scale[i]:.3e}",
@@ -176,7 +186,7 @@ class FrameStack:
         return _dets_conserved(self.gram, self.k)
 
     def det_full(self) -> np.ndarray:
-        return _checked_dets(self.gram, diag_scale=_diag_products(self.gram))
+        return _checked_dets(self.gram, floor_check=True)
 
     def grad_g_norm(self) -> np.ndarray:
         return np.sqrt(np.maximum(self.gram[:, self.k, self.k], 0.0))
@@ -187,8 +197,7 @@ class FrameStack:
 
 def _dets_conserved(gram: np.ndarray, k: int) -> np.ndarray:
     """:func:`_det_conserved` of each matrix of an (m, k+1, k+1) Gram stack."""
-    block = gram[:, :k, :k]
-    return _checked_dets(block, diag_scale=_diag_products(block))
+    return _checked_dets(gram[:, :k, :k], floor_check=True)
 
 
 def _diag_product(mat: np.ndarray) -> float:
@@ -252,21 +261,27 @@ def system_frames(system: DissipativeSystem, pts) -> FrameStack:
     finite rows only.
     """
     p = as_stack(pts, system.dim)
-    return FrameStack(p, *_stack_arrays(system.all_fields(), system.metric, p))
+    gmat, diffs, grads, gram, finite = _stack_arrays(system.all_fields(), system.metric, p)
+    if finite is None:
+        finite = np.ones(len(p), dtype=bool)
+    return FrameStack(p, gmat, diffs, grads, gram, finite)
 
 
 def _stack_arrays(fields_: Sequence[ScalarField], metric: MetricField, p: np.ndarray):
     """The arrays of :func:`system_frames` at a stack already checked by :func:`as_stack`.
 
     Returns ``(gmat, diffs, grads, gram, finite)``, as :class:`FrameStack`
-    holds them.
+    holds them, except that ``finite`` is None when every row is finite.
+    One reduction over the whole differential stack tells that case; only
+    when it fails are the rows flagged one by one.
     """
     m, n = p.shape
     diffs = np.empty((m, len(fields_), n))
     for i, f in enumerate(fields_):
         diffs[:, i] = f._diffs_at(p)
-    finite = np.isfinite(diffs.reshape(m, len(fields_) * n)).all(axis=1)
-    if not finite.all():
+    finite = None
+    if np.count_nonzero(np.isfinite(diffs)) != diffs.size:
+        finite = np.isfinite(diffs.reshape(m, len(fields_) * n)).all(axis=1)
         diffs[~finite] = 0.0
     if metric.is_constant:
         gmat, inv = metric.constant_pair(p[0] if m else np.zeros(n))
@@ -275,7 +290,7 @@ def _stack_arrays(fields_: Sequence[ScalarField], metric: MetricField, p: np.nda
         # a flagged row solves against the identity: its zeros stay zeros
         gmat = np.empty((m, n, n))
         gmat[:] = np.eye(n)
-        for i in np.flatnonzero(finite):
+        for i in range(m) if finite is None else np.flatnonzero(finite):
             gmat[i] = metric.at(p[i])
         grads = np.linalg.solve(gmat, diffs.transpose(0, 2, 1)).transpose(0, 2, 1)
     gram = diffs @ grads.transpose(0, 2, 1)

@@ -31,10 +31,12 @@ which steps are taken, which are recorded and which one ends the run, and
 corrected flow at once, on the stacked frame arrays of a kernel bound once
 per run (``_rhs_rows``), and keeps only what a basin
 ensemble reads: each row's max of the dissipated value over the states a
-solo run records, its final state, its step counts and its failure. Each
-row takes exactly the steps of its solo run, in the same arithmetic, and
-the tests hold the two paths to that. The solo path is kept because on a
-batch of one it is faster than the lockstep loop.
+solo run records, its final state, its step counts and its failure. Its
+running rows are a compact working set: a try in which every row steps
+gathers and scatters nothing, and the set shrinks only when a row finishes
+or fails. Each row takes exactly the steps of its solo run, in the same
+arithmetic, and the tests hold the two paths to that. The solo path is
+kept because on a batch of one it is faster than the lockstep loop.
 """
 from __future__ import annotations
 
@@ -638,10 +640,11 @@ def _rhs_rows(system: DissipativeSystem):
 
     Returns ``evaluate(pts) -> (rhs, ok)`` for an (m, n) stack that
     :func:`as_stack` has checked: the right-hand side at each row, and the
-    rows that have one. A row whose differentials are not finite, where the
-    point kernel raises, gets NaN and a False flag. The stacked bodies of
-    :func:`system_frames` and ``_cofactor_from_frames`` run directly, with
-    no :class:`FrameStack` built.
+    rows that have one, or None when every row has one. A row whose
+    differentials are not finite, where the point kernel raises, gets NaN
+    and a False flag. The stacked bodies of :func:`system_frames` and
+    ``_cofactor_from_frames`` run directly, with no :class:`FrameStack`
+    built.
     """
     fields_ = system.all_fields()
     metric = system.metric
@@ -651,8 +654,8 @@ def _rhs_rows(system: DissipativeSystem):
     def evaluate(pts):
         _, _, grads, gram, ok = _stack_arrays(fields_, metric, pts)
         v0 = _cofactors(gram, grads, minors)
-        if ok.all():
-            return X._values_at(pts) - v0, ok
+        if ok is None:
+            return X._values_at(pts) - v0, None
         out = np.full(pts.shape, np.nan)
         out[ok] = X._values_at(pts[ok]) - v0[ok]
         return out, ok
@@ -675,6 +678,13 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
     evaluates one row at a time as in the point call, and the step control
     runs on Python floats row by row. Nothing else is recorded; see
     :class:`EnsembleRun`.
+
+    The running rows are a compact working set, in start order: their
+    states, times, stage-0 slopes and dissipated maxima as arrays, their
+    controller scalars and counters as Python lists. A try in which every
+    row steps replaces the arrays whole; a rejected or failed try keeps its
+    row's entries. The set is compacted only when a row finishes or fails,
+    and only then are the row's results written out.
     """
     x = as_stack(starts, system.dim).copy()
     if config.t_end <= 0:
@@ -684,114 +694,165 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
     t_stop = t_end - _STEP_FLOOR * t_end
     min_h = _STEP_FLOOR * t_end
     adaptive = config.method is Method.RK45_ADAPTIVE
-    t = np.zeros(m)
-    h_ctrl = np.full(m, _first_step(config))
-    fac_old = [1e-4] * m
-    n_acc = np.zeros(m, dtype=int)
-    n_rej = np.zeros(m, dtype=int)
+    g_max = np.full(m, -np.inf)
+    n_accepted = np.zeros(m, dtype=int)
+    n_rejected = np.zeros(m, dtype=int)
     failures = [None] * m
 
-    def fail(rows, failure):
-        for i in rows.tolist():
-            failures[i] = failure.__name__
-
     rhs_rows = _rhs_rows(system)
-    k_first, ok = rhs_rows(x)
-    fail(np.flatnonzero(~ok), NonFiniteState)
-    active = np.flatnonzero(ok)
-    g_max = np.full(m, -np.inf)
-    g_max[active] = system.dissipated.values(x[active])
+    ka, ok = rhs_rows(x)
+    xa = x
+    if ok is not None:
+        for i in np.flatnonzero(~ok).tolist():
+            failures[i] = NonFiniteState.__name__
+        xa, ka = x[ok], ka[ok]
+    # the working set: each running row's start index, state, time, stage-0
+    # slope, max of G over its records, leaf, step size, controller memory
+    # and counters
+    rows = list(range(m)) if ok is None else np.flatnonzero(ok).tolist()
+    ta = np.zeros(len(rows))
+    ga = system.dissipated.values(xa)
     targets = None
     if config.leaf_reprojection and system.k:
-        targets = np.zeros((m, system.k))
+        targets = np.empty((len(rows), system.k))
         for j, f in enumerate(system.conserved):
-            targets[active, j] = f.values(x[active])
+            targets[:, j] = f.values(xa)
+    h_ctrl = [_first_step(config)] * len(rows)
+    fac_old = [1e-4] * len(rows)
+    n_acc = [0] * len(rows)
+    n_rej = [0] * len(rows)
+    tries = 0    # every running row has made one try a pass
+    ended = {}   # working-set position -> failure name, or None for a finished row
+    take = None  # the rows that step in this try, None for all
 
-    while active.size:
-        over = n_acc[active] + n_rej[active] >= config.max_steps
-        fail(active[over], MaxStepsExceeded)
-        active = active[~over]
-        if adaptive:
-            under = h_ctrl[active] < min_h
-            fail(active[under], StepUnderflow)
-            active = active[~under]
-        if not active.size:
+    def drop(lost, failure):
+        """End the stepping rows at the positions ``lost`` with ``failure``, unstepped."""
+        nonlocal take
+        if take is None:
+            take = np.ones(len(rows), dtype=bool)
+        lost = lost[take[lost]]
+        take[lost] = False
+        ended.update(dict.fromkeys(lost.tolist(), failure.__name__))
+
+    while True:
+        # the checks before each running row's next try
+        if tries >= config.max_steps:
+            for j in range(len(rows)):
+                ended.setdefault(j, MaxStepsExceeded.__name__)
+        elif adaptive and rows and min(h_ctrl) < min_h:
+            for j, hc in enumerate(h_ctrl):
+                if hc < min_h:
+                    ended.setdefault(j, StepUnderflow.__name__)
+        if ended:
+            gone = sorted(ended)
+            at = [rows[j] for j in gone]
+            x[at] = xa[gone]
+            g_max[at] = ga[gone]
+            for i, j in zip(at, gone):
+                failures[i] = ended[j]
+                n_accepted[i], n_rejected[i] = n_acc[j], n_rej[j]
+            keep = [j for j in range(len(rows)) if j not in ended]
+            rows, h_ctrl, fac_old, n_acc, n_rej = (
+                [v[j] for j in keep] for v in (rows, h_ctrl, fac_old, n_acc, n_rej))
+            xa, ta, ka, ga = xa[keep], ta[keep], ka[keep], ga[keep]
+            if targets is not None:
+                targets = targets[keep]
+            ended.clear()
+        if not rows:
             break
-        xa = x[active]
-        h = np.minimum(h_ctrl[active] if adaptive else config.h0, t_end - t[active])
-        h_col = h[:, None]
 
+        h = np.minimum(h_ctrl if adaptive else config.h0, t_end - ta)
+        h_col = h[:, None]
+        take = None
         if adaptive:
-            stages = np.empty((len(active), 7, n))
-            stages[:, 0] = k_first[active]
-            bad = np.zeros(len(active), dtype=bool)
+            stages = np.empty((len(rows), 7, n))
+            stages[:, 0] = ka
+            good = None
             # a try that leaves the finite range is rejected below: its
             # overflows warn no one, in one scope for the batch of tries
             with np.errstate(over="ignore", invalid="ignore"):
                 for s in range(1, 7):
                     xs = xa + h_col * (_DP_A[s] @ stages[:, :s])
                     stages[:, s], ok = rhs_rows(xs)
-                    bad |= ~ok
+                    if ok is not None:
+                        good = ok if good is None else good & ok
                 err_vec = h_col * (_DP_ERR @ stages)
                 scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xa), np.abs(xs))
-                err = np.sqrt(np.mean((err_vec / scale) ** 2, axis=1))
-            err[bad | ~np.isfinite(err)] = np.inf
-            accept = np.zeros(len(active), dtype=bool)
+                q = (err_vec / scale) ** 2
+                err = np.sqrt(np.add.reduce(q, axis=1) / n)
+            if good is not None:
+                err[~good] = np.inf
             # the shared controller on Python floats, row by row: its powers
             # must round as the solo run's do, which numpy's need not
-            for j, (i, e, h_try) in enumerate(zip(active.tolist(), err.tolist(), h.tolist())):
-                accept[j], h_ctrl[i], fac_old[i] = _step_control(e, h_try, fac_old[i])
-            n_rej[active[~accept]] += 1
-            rejected = active[~accept]
-            rows, x_new, h, stages = active[accept], xs[accept], h[accept], stages[accept]
+            for j, (e, h_try) in enumerate(zip(err.tolist(), h.tolist())):
+                accepted, h_ctrl[j], fac_old[j] = _step_control(
+                    e if math.isfinite(e) else math.inf, h_try, fac_old[j])
+                if not accepted:
+                    n_rej[j] += 1
+                    if take is None:
+                        take = np.ones(len(rows), dtype=bool)
+                    take[j] = False
+            x_new, k_new = xs, stages[:, 6]
         else:
-            k1 = k_first[active]
-            k2, ok2 = rhs_rows(xa + (0.5 * h)[:, None] * k1)
+            k2, ok2 = rhs_rows(xa + (0.5 * h)[:, None] * ka)
             k3, ok3 = rhs_rows(xa + (0.5 * h)[:, None] * k2)
             k4, ok4 = rhs_rows(xa + h_col * k3)
-            x_new = xa + (h / 6.0)[:, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            good = ok2 & ok3 & ok4
-            fail(active[~good], NonFiniteState)
-            rejected = active[:0]
-            rows, x_new, h, stages = active[good], x_new[good], h[good], None
+            x_new = xa + (h / 6.0)[:, None] * (ka + 2.0 * k2 + 2.0 * k3 + k4)
+            k_new = None
+            for ok in (ok2, ok3, ok4):
+                if ok is not None:
+                    drop(np.flatnonzero(~ok), NonFiniteState)
+        tries += 1
 
-        keep = np.isfinite(x_new).all(axis=1)
-        fail(rows[~keep], NonFiniteState)
+        if np.count_nonzero(np.isfinite(x_new)) != x_new.size:
+            drop(np.flatnonzero(~np.isfinite(x_new).all(axis=1)), NonFiniteState)
         if bound is not None:
-            out = np.zeros(len(rows), dtype=bool)
-            out[keep] = _row_norms(x_new[keep]) > bound
-            fail(rows[out], UnboundedTrajectory)
-            keep &= ~out
-        rows, x_new, h = rows[keep], x_new[keep], h[keep]
-        if stages is not None:
-            stages = stages[keep]
-        if targets is not None and rows.size:
-            x_new, ok, _ = _project_rows(system, x_new, targets[rows])
-            fail(rows[~ok], LeafProjectionFailure)
-            rows, x_new, h, stages = rows[ok], x_new[ok], h[ok], None
-        if not rows.size:
-            active = rejected
-            continue
-        if stages is not None:
-            k_new = stages[:, 6]
+            if take is None:
+                lost = np.flatnonzero(_row_norms(x_new) > bound)
+            else:
+                sel = np.flatnonzero(take)
+                lost = sel[_row_norms(x_new[sel]) > bound]
+            if lost.size:
+                drop(lost, UnboundedTrajectory)
+        if targets is not None or k_new is None:
+            # no stage holds the slope at the new state: evaluate it there,
+            # after the re-projection
+            sel = np.arange(len(rows)) if take is None else np.flatnonzero(take)
+            if targets is not None and sel.size:
+                x_sel, ok, _ = _project_rows(system, x_new[sel], targets[sel])
+                drop(sel[~ok], LeafProjectionFailure)
+                sel = sel[ok]
+                x_new[sel] = x_sel[ok]
+            k_new = np.empty_like(xa)
+            if sel.size:
+                k_new[sel], ok = rhs_rows(x_new[sel])
+                if ok is not None:
+                    drop(sel[~ok], NonFiniteState)
+
+        t_new = ta + h
+        if take is None:
+            xa, ka, ta = x_new, k_new, t_new
+            stepped = range(len(rows))
         else:
-            k_new, ok = rhs_rows(x_new)
-            fail(rows[~ok], NonFiniteState)
-            rows, x_new, h, k_new = rows[ok], x_new[ok], h[ok], k_new[ok]
+            xa = np.where(take[:, None], x_new, xa)
+            ka = np.where(take[:, None], k_new, ka)
+            ta = np.where(take, t_new, ta)
+            stepped = np.flatnonzero(take).tolist()
+        t_list = t_new.tolist()
+        recorded = []
+        for j in stepped:
+            n_acc[j] += 1
+            if t_list[j] >= t_stop:
+                ended[j] = None
+                recorded.append(j)
+            elif n_acc[j] % config.record_every == 0:
+                recorded.append(j)
+        if len(recorded) == len(rows):
+            ga = np.maximum(ga, system.dissipated.values(xa))
+        elif recorded:
+            ga[recorded] = np.maximum(ga[recorded], system.dissipated.values(xa[recorded]))
 
-        n_acc[rows] += 1
-        t_new = t[rows] + h
-        final = t_new >= t_stop
-        recorded = final | (n_acc[rows] % config.record_every == 0)
-        if recorded.any():
-            at = rows[recorded]
-            g_max[at] = np.maximum(g_max[at], system.dissipated.values(x_new[recorded]))
-        x[rows] = x_new
-        t[rows] = t_new
-        k_first[rows] = k_new
-        active = np.sort(np.concatenate([rejected, rows[~final]]))
-
-    return EnsembleRun(g_max=g_max, final=x, n_accepted=n_acc, n_rejected=n_rej,
+    return EnsembleRun(g_max=g_max, final=x, n_accepted=n_accepted, n_rejected=n_rejected,
                        failures=failures)
 
 

@@ -42,7 +42,10 @@ def canonical(value):
 
 
 def json_text(obj) -> str:
-    return json.dumps(canonical(obj), indent=2, sort_keys=True) + "\n"
+    """Standard JSON: a NaN or an infinity raises ValueError instead of printing
+    ``NaN`` or ``Infinity``, which JSON does not have. A report gives None
+    (``null``) for a value that does not exist."""
+    return json.dumps(canonical(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def csv_text(columns, rows) -> str:

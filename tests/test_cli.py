@@ -54,6 +54,13 @@ def _run(capsys, argv):
     return rc, out.out, out.err
 
 
+def _strict_json(text):
+    """Parse standard JSON only: NaN, Infinity and -Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -133,6 +140,27 @@ def test_simulate_failed_reprojection_maps_to_integration_exit(
     assert rc == EXIT_INTEGRATION
     assert "LeafProjectionFailure" in err
     assert out == ""
+
+
+def test_simulate_unperturbed_reports_no_rate_check_as_null(tmp_path, capsys):
+    # the unperturbed flow has no rate audit: its worst excess does not exist
+    cfg = _write(tmp_path, "sim.json", {**SIM_CONFIG, "flow": "unperturbed"})
+    rc, out, _ = _run(capsys, ["simulate", "--config", cfg])
+    assert rc == EXIT_OK
+    summary = _strict_json(out)
+    assert summary["flow"] == "unperturbed"
+    assert summary["rateCheckViolation"] is None
+    assert summary["monotonicityViolation"] is not None
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_report_json_refuses_non_finite_numbers(value):
+    from geodiss.report import json_text
+
+    with pytest.raises(ValueError):
+        json_text({"value": value})
+    assert _strict_json(json_text({"value": None, "finite": 1.5})) == {
+        "value": None, "finite": 1.5}
 
 
 def test_simulate_is_byte_deterministic(tmp_path, capsys):
@@ -321,6 +349,22 @@ def test_basin_failed_certificate_exit_code(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdict"] == "fail"
     assert report["farWitnesses"]
+
+
+def test_basin_without_a_finished_trajectory_reports_null_g_max(tmp_path, capsys):
+    # a step budget of 3 ends every trajectory before its horizon, so the max
+    # of G over finished trajectories does not exist
+    cfg = _write(tmp_path, "bas.json", {
+        "system": RIGID, "target": [1.0, 0.0, 0.0], "level": 0.22,
+        "sampler": {"cells_per_axis": 14}, "n_trajectories": 2,
+        "integrator": {"max_steps": 3}})
+    rc, out, _ = _run(capsys, ["basin", "--config", cfg])
+    assert rc == EXIT_CERTIFICATE
+    report = _strict_json(out)
+    assert report["verdict"] == "fail"
+    assert report["trajectoriesConverged"] == 0
+    assert [f["error"] for f in report["failedStarts"]] == ["MaxStepsExceeded"] * 2
+    assert report["maxTrajectoryG"] is None
 
 
 SPHERE_4D = {

@@ -11,6 +11,7 @@ from geodiss.catalog import gradient_only, mexican_hat, random_poly, rigid_body
 from geodiss.control import (
     Formulation,
     _cofactor_from_frame,
+    _cofactor_from_frames,
     _corrected_rhs,
     control_field,
     dissipated_rhs,
@@ -19,14 +20,14 @@ from geodiss.control import (
     tensor_matrix,
 )
 from geodiss.errors import NonFiniteState, NonFiniteValue, SingularLeaf
-from geodiss.integrators import IntegratorConfig, integrate
+from geodiss.integrators import IntegratorConfig, _rhs_rows, integrate
 from geodiss.fields import (
     DissipativeSystem,
     MetricField,
     ScalarField,
     VectorField,
 )
-from geodiss.gram import system_frame
+from geodiss.gram import system_frame, system_frames
 from conftest import euclid3_pair, seeded_pair, with_callable_metric
 
 
@@ -316,3 +317,66 @@ def test_corrected_rhs_kernel_warns_as_the_frame_path(monkeypatch):
         _, ref_warned = _with_warnings(lambda: [_frame_path(system, p) for p in pts])
         assert warned == ref_warned
         assert len(warned) > 0
+
+
+# ---------------------------------------------------------------------------
+# the stacked corrected-flow kernel against the frame stack path
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _kernel_stacks(draw):
+    """A catalog or random polynomial system, a stack of its points and a
+    negativity floor.
+
+    A row may hold a NaN coordinate, where the differentials are not finite.
+    The floor is the default or +0.9, where most Gram determinants of two or
+    more conserved gradients warn.
+    """
+    if draw(st.integers(0, 3)) == 0:
+        system = _catalog_system(draw(st.integers(0, 2)))
+    else:
+        k = draw(st.integers(0, 3))
+        system = random_poly(draw(st.integers(k + 1, 5)), k,
+                             seed=draw(st.integers(0, 1000))).system
+        if draw(st.booleans()):
+            system = with_callable_metric(system)
+    m = draw(st.integers(1, 6))
+    coords = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    pts = np.array(draw(st.lists(st.lists(coords, min_size=system.dim, max_size=system.dim),
+                                 min_size=m, max_size=m)))
+    for i in sorted(draw(st.sets(st.integers(0, m - 1)))):
+        pts[i, draw(st.integers(0, system.dim - 1))] = np.nan
+    return system, pts, draw(st.sampled_from([geodiss.gram.GRAM_NEGATIVITY_FLOOR, 0.9]))
+
+
+def _frame_stack_path(system, pts):
+    """``X.values(p) - _cofactor_from_frames(system_frames(system, p))`` at the
+    rows with finite differentials, NaN at the others, and their flags."""
+    frames = system_frames(system, pts)
+    ok = frames.finite
+    out = np.full(pts.shape, np.nan)
+    out[ok] = system.X.values(pts[ok]) - _cofactor_from_frames(frames)[ok]
+    return out, ok
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_stacks())
+def test_stacked_rhs_kernel_is_the_frame_stack_path_bitwise(case):
+    system, pts, floor = case
+    default = geodiss.gram.GRAM_NEGATIVITY_FLOOR
+    geodiss.gram.GRAM_NEGATIVITY_FLOOR = floor
+    try:
+        (rhs, ok), warned = _with_warnings(lambda: _rhs_rows(system)(pts))
+        (ref, ref_ok), ref_warned = _with_warnings(lambda: _frame_stack_path(system, pts))
+        # the point kernel at the finite rows, in row order
+        point, point_warned = _with_warnings(
+            lambda: [_frame_path(system, p)[0] for p in pts[ref_ok]])
+    finally:
+        geodiss.gram.GRAM_NEGATIVITY_FLOOR = default
+    # no flags when every row is finite
+    assert (ok is None) == bool(ref_ok.all())
+    if ok is not None:
+        assert ok.tolist() == ref_ok.tolist()
+    assert rhs.tobytes() == ref.tobytes()
+    assert [row.tobytes() for row in rhs[ref_ok]] == [row.tobytes() for row in point]
+    assert warned == ref_warned == point_warned

@@ -46,7 +46,7 @@ from geodiss.integrators import (
     integrate_ensemble,
 )
 from geodiss.structure import PointKind, classify_point, compare_on_invariant_set
-from conftest import closed_form_sombrero
+from conftest import closed_form_sombrero, with_callable_metric
 
 
 @pytest.fixture(scope="module")
@@ -489,11 +489,26 @@ SPHERE_WEIGHTS_4D = {
 }
 
 
+def _leaf_descent(dim, k, seed):
+    """The conserved fields and metric of ``random_poly(dim, k, seed)``, with X = 0
+    and G = |x|^2 / 2: the corrected flow descends G on each leaf, so an exact
+    run stays in its start's ball, and its stages take k x k cofactor minors."""
+    rp = random_poly(dim, k, seed).system
+    G = ScalarField(dim, lambda x: 0.5 * np.sum(x * x, axis=-1),
+                    differential=lambda x: x.copy(), label="half_sq", stacked=True)
+    return DissipativeSystem(X=VectorField(dim, lambda x: np.zeros(x.shape), stacked=True),
+                             conserved=rp.conserved, dissipated=G, metric=rp.metric)
+
+
 @pytest.fixture(scope="module")
 def lockstep_systems(rigid, mexhat):
     return {"rigid": rigid.system, "sombrero": mexhat.system,
             "gradient_only": gradient_only().system,
-            "sphere4d": _build_system(SPHERE_WEIGHTS_4D)[0]}
+            "sphere4d": _build_system(SPHERE_WEIGHTS_4D)[0],
+            # 2x2 and 3x3 minors, and the metric solve of a callable metric
+            "random_poly_k2": _leaf_descent(4, 2, seed=2),
+            "random_poly_k3": _leaf_descent(4, 3, seed=0),
+            "rigid_callable_metric": with_callable_metric(rigid.system)}
 
 
 def _assert_rows_match_solo_runs(system, starts, cfg, bound=None):
@@ -518,8 +533,9 @@ def _assert_rows_match_solo_runs(system, starts, cfg, bound=None):
     return run
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(name=st.sampled_from(["rigid", "sombrero", "gradient_only", "sphere4d"]),
+@settings(max_examples=70, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["rigid", "sombrero", "gradient_only", "sphere4d",
+                             "random_poly_k2", "random_poly_k3", "rigid_callable_metric"]),
        method=st.sampled_from([Method.RK45_ADAPTIVE, Method.RK4_FIXED]),
        record_every=st.sampled_from([1, 3]),
        reproject=st.booleans(),
