@@ -20,7 +20,7 @@ import numpy as np
 from .control import _cofactor_from_frame, _projection_from_frame, dissipated_rhs
 from .errors import NotOnInvariantSet, UnboundedTrajectory
 from .fields import DissipativeSystem, _project_rows, as_point, project_to_leaf
-from .gram import system_frame
+from .gram import checked_det, system_frame
 from .integrators import Flow, IntegratorConfig, integrate
 
 DEFAULT_TOL_INV = 1e-9
@@ -437,11 +437,13 @@ def leaf_diagnostics(system: DissipativeSystem, x) -> LeafDiagnostics:
     which `validate_conservation` checks). Requires a regular leaf.
     """
     fr = system_frame(system, as_point(x, system.dim))
-    det_f = fr.det_conserved()
+    # the cofactor expansion checks the conserved Gram determinant against
+    # the negativity floor, so det_f is the same determinant, unchecked
+    rhs = system.X(fr.x) - _cofactor_from_frame(fr)
+    det_f = checked_det(fr.gram[:fr.k, :fr.k])
     v_leaf = det_f * _projection_from_frame(fr)
     # norm squared in the rescaled leaf metric: (1/det_f) * g(v_leaf, v_leaf)
     leaf_norm_sq = float(v_leaf @ fr.gmat @ v_leaf) / det_f
-    rhs = system.X(fr.x) - _cofactor_from_frame(fr)
     g_rate = float(fr.diffs[fr.k] @ rhs)
     return LeafDiagnostics(conformal_factor=1.0 / det_f,
                            leaf_grad_norm_sq=leaf_norm_sq,

@@ -389,6 +389,30 @@ def test_leaf_diagnostics_without_conserved_quantities():
     assert d.g_rate == pytest.approx(-1.0, rel=1e-12)
 
 
+def test_leaf_diagnostics_warns_once_and_takes_the_kernel_rate(monkeypatch):
+    import warnings
+
+    import geodiss.gram
+    from geodiss.control import _corrected_rhs
+
+    # a positive floor makes the conserved determinant of two gradients warn:
+    # once a call, as the corrected-flow kernel at the same point does
+    monkeypatch.setattr(geodiss.gram, "GRAM_NEGATIVITY_FLOOR", 0.9)
+    system = random_poly(4, 2, seed=3).system
+    x = np.array([0.3, -0.2, 0.5, 0.1])
+
+    def messages(fn):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = fn()
+        return out, [str(w.message) for w in caught]
+
+    d, warned = messages(lambda: leaf_diagnostics(system, x))
+    (rhs, _), kernel_warned = messages(lambda: _corrected_rhs(system)(x))
+    assert len(warned) == 1 and warned == kernel_warned
+    assert d.g_rate == float(system.dissipated.d(x) @ rhs)
+
+
 def test_leaf_diagnostics_needs_a_regular_leaf(rigid):
     with pytest.raises(SingularLeaf):
         leaf_diagnostics(rigid.system, np.zeros(3))
