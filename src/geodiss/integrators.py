@@ -694,6 +694,7 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
     t_stop = t_end - _STEP_FLOOR * t_end
     min_h = _STEP_FLOOR * t_end
     adaptive = config.method is Method.RK45_ADAPTIVE
+    h_first = _first_step(config)
     g_max = np.full(m, -np.inf)
     n_accepted = np.zeros(m, dtype=int)
     n_rejected = np.zeros(m, dtype=int)
@@ -717,7 +718,7 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
         targets = np.empty((len(rows), system.k))
         for j, f in enumerate(system.conserved):
             targets[:, j] = f.values(xa)
-    h_ctrl = [_first_step(config)] * len(rows)
+    h_ctrl = [h_first] * len(rows)
     fac_old = [1e-4] * len(rows)
     n_acc = [0] * len(rows)
     n_rej = [0] * len(rows)
