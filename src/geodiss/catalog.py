@@ -33,6 +33,12 @@ class CatalogEntry:
     notes: str = ""
 
 
+# the columns of a cross product's first and second factors: column j of
+# a x b is a[I1[j]] b[I2[j]] - a[I2[j]] b[I1[j]]
+_I1 = np.array([1, 2, 0])
+_I2 = np.array([2, 0, 1])
+
+
 def rigid_body(i1: float = 3.0, i2: float = 2.0, i3: float = 1.0) -> CatalogEntry:
     """Free rigid body in angular-momentum coordinates, Euclidean metric.
 
@@ -58,13 +64,10 @@ def rigid_body(i1: float = 3.0, i2: float = 2.0, i3: float = 1.0) -> CatalogEntr
             a0, a1, a2 = m.tolist()
             b0, b1, b2 = a0 / j1, a1 / j2, a2 / j3
             return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-        # a stack: the same products and differences, column by column
+        # a stack: the same products and differences, on cyclically shifted columns
         b = m / inertia
-        out = np.empty(m.shape)
-        out[:, 0] = m[:, 1] * b[:, 2] - m[:, 2] * b[:, 1]
-        out[:, 1] = m[:, 2] * b[:, 0] - m[:, 0] * b[:, 2]
-        out[:, 2] = m[:, 0] * b[:, 1] - m[:, 1] * b[:, 0]
-        return out
+        return (m.take(_I1, axis=1) * b.take(_I2, axis=1)
+                - m.take(_I2, axis=1) * b.take(_I1, axis=1))
 
     def momentum_sq(m):
         if m.ndim == 1:
@@ -153,8 +156,11 @@ def mexican_hat() -> CatalogEntry:
 
     def g_diff(p):
         if p.ndim == 1:
-            s = p[0] * p[0] + p[1] * p[1] - 1.0
-            return np.array([p[0] * s, p[1] * s, 0.0])
+            # on Python floats: the same products and sums, without numpy
+            # scalar overhead
+            x, y, _ = p.tolist()
+            s = x * x + y * y - 1.0
+            return np.array([x * s, y * s, 0.0])
         s = p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1] - 1.0
         out = np.zeros(p.shape)
         out[:, 0] = p[:, 0] * s

@@ -16,9 +16,12 @@ up once, and at each point runs the bodies that :func:`system_frame` and the
 cofactor expansion run, without building a :class:`SystemFrame`. The
 integrators' stages and :func:`dissipated_rhs` evaluate it; the frames stay
 for the structure probes and ``geodiss verify``, and as the reference the
-kernel is tested against, bitwise. The cofactor expansion of a stack of Gram
-matrices, ``_cofactors``, reads 1x1 and 2x2 minors off views of the
-flattened stack, with no gathered copy per minor.
+kernel is tested against, bitwise. Kernel and frames share one point body,
+``_cofactor``: it reads the Gram matrix once as Python floats and takes the
+minors of size at most 2 on them; sizes 3 and up go through
+``np.linalg.det``. The cofactor expansion of a stack of Gram matrices,
+``_cofactors``, reads 1x1 and 2x2 minors off views of the flattened stack,
+with no gathered copy per minor.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ from .gram import (
     _differential_stack,
     _frame_arrays,
     _metric_at,
+    _small_det,
     checked_det,
     system_frame,
 )
@@ -83,12 +87,16 @@ def _cofactor_minors(k: int) -> tuple:
 def _cofactor(gram: np.ndarray, grads: np.ndarray, minors: tuple) -> np.ndarray:
     """The cofactor control field of a (k+1, k+1) Gram matrix and its k+1 gradients.
 
-    ``minors`` is ``_cofactor_minors(k)``.
+    ``minors`` is ``_cofactor_minors(k)``. The Gram matrix is read once as
+    Python floats, on which the determinants of size at most 2 are taken; a
+    larger minor is gathered for ``np.linalg.det``.
     """
     k = len(minors)
-    v0 = _det_conserved(gram, k) * grads[k]
-    for i, (sign, flat, _) in enumerate(minors):
-        v0 = v0 + sign * checked_det(gram.take(flat)) * grads[i]
+    cells = gram.ravel().tolist()
+    v0 = _det_conserved(gram, k, cells) * grads[k]
+    for i, (sign, flat, idx) in enumerate(minors):
+        det = _small_det(cells, idx) if k <= 2 else checked_det(gram.take(flat))
+        v0 += (sign * det) * grads[i]
     return v0
 
 

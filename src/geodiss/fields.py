@@ -94,7 +94,10 @@ class ScalarField:
         return float(self.value(as_point(x, self.dim)))
 
     def d(self, x) -> np.ndarray:
-        p = as_point(x, self.dim)
+        return self._d_at(as_point(x, self.dim))
+
+    def _d_at(self, p: np.ndarray) -> np.ndarray:
+        """:meth:`d` at a point already checked by :func:`as_point`."""
         if self.differential is None:
             return central_difference(self.value, p)
         df = np.asarray(self.differential(p), dtype=float)
@@ -122,7 +125,7 @@ class ScalarField:
     def _diffs_at(self, p: np.ndarray) -> np.ndarray:
         """:meth:`diffs` at a stack already checked by :func:`as_stack`."""
         if not self.stacked or self.differential is None:
-            return np.array([self.d(row) for row in p]).reshape(p.shape)
+            return np.array([self._d_at(row) for row in p]).reshape(p.shape)
         df = np.asarray(self.differential(p), dtype=float)
         if df.shape != p.shape:
             raise DimensionMismatch(

@@ -18,7 +18,12 @@ some row could warn: when the floor is positive or a determinant negative.
 
 Both are thin wrappers over array bodies (``_differential_stack``,
 ``_frame_arrays``, ``_stack_arrays``), which the integrators' bound kernels
-call directly, so a stage point builds no frame object.
+call directly, so a stage point builds no frame object. At a point, the
+differentials are written in place into one array, and the Gram minors are
+read once as Python floats: a determinant of size at most 2 and its
+negativity-floor check are taken on those floats (``_det_conserved``,
+``_small_det``), in the IEEE operations :func:`checked_det` does on numpy
+scalars; sizes 3 and up go through ``np.linalg.det``.
 """
 from __future__ import annotations
 
@@ -37,9 +42,9 @@ GRAM_NEGATIVITY_FLOOR = -1e-10
 
 
 def _differential_stack(fields_: Sequence[ScalarField], x: np.ndarray) -> np.ndarray:
-    if not fields_:
-        return np.zeros((0, x.size))
-    rows = np.array([f.d(x) for f in fields_])
+    rows = np.empty((len(fields_), x.size))
+    for i, f in enumerate(fields_):
+        rows[i] = f._d_at(x)
     # counting is the cheaper all() on a few entries
     if np.count_nonzero(np.isfinite(rows)) != rows.size:
         raise NonFiniteValue(f"non-finite differential among fields at {x.tolist()}")
@@ -62,13 +67,33 @@ def checked_det(mat: np.ndarray, diag_scale: float | None = None) -> float:
         det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
     else:
         det = float(np.linalg.det(mat))
-    if diag_scale is not None and det < GRAM_NEGATIVITY_FLOOR * abs(diag_scale):
+    if diag_scale is not None:
+        _check_floor(det, diag_scale)
+    return det
+
+
+def _check_floor(det: float, diag_scale: float) -> None:
+    """Warn, for the caller's caller, when ``det`` lies below the negativity
+    floor relative to ``diag_scale``; the floor is read at call time."""
+    if det < GRAM_NEGATIVITY_FLOOR * abs(diag_scale):
         warnings.warn(
             f"Gram determinant {det:.3e} below roundoff floor for scale {diag_scale:.3e}",
             NumericalHealthWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return det
+
+
+def _small_det(cells: list, idx: tuple) -> float:
+    """Determinant of a block of at most 2x2 of a Gram matrix, on Python floats.
+
+    ``cells`` is the matrix read once by ``ravel().tolist()``, and ``idx``
+    the block's flat indices in row-major order: one or four. These are the
+    IEEE operations :func:`checked_det` does on numpy scalars.
+    """
+    if len(idx) == 1:
+        return cells[idx[0]]
+    a, b, c, d = [cells[i] for i in idx]
+    return a * d - b * c
 
 
 @dataclass(frozen=True)
@@ -212,10 +237,30 @@ def _diag_product(mat: np.ndarray) -> float:
     return float(np.prod(np.diag(mat)))
 
 
-def _det_conserved(gram: np.ndarray, k: int) -> float:
-    """Checked determinant of the conserved block of a (k+1, k+1) Gram matrix."""
-    block = gram[:k, :k]
-    return checked_det(block, diag_scale=_diag_product(block))
+def _det_conserved(gram: np.ndarray, k: int, cells: list | None = None) -> float:
+    """Checked determinant of the conserved block of a (k+1, k+1) Gram matrix.
+
+    Up to k = 2 the determinant and the diagonal product it is checked
+    against are taken on ``cells``, the Gram matrix as Python floats (read
+    here unless the caller has read them); a larger block goes through
+    ``np.linalg.det``. Either way the values are :func:`checked_det`'s.
+    """
+    if k > 2:
+        block = gram[:k, :k]
+        det, scale = checked_det(block), _diag_product(block)
+    else:
+        if cells is None:
+            cells = gram.ravel().tolist()
+        if k == 0:
+            det = scale = 1.0
+        elif k == 1:
+            det = scale = cells[0]
+        else:
+            # cells 0, 1, 3 and 4 of the flattened 3x3 matrix
+            a, b, _, c, d = cells[:5]
+            det, scale = a * d - b * c, a * d
+    _check_floor(det, scale)
+    return det
 
 
 def _metric_at(metric: MetricField):

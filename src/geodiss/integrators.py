@@ -403,7 +403,10 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
                 continue
         else:
             stages = None
-            x_new = _rk4_step(rhs, x, h_try, k_first)
+            # a step that leaves the finite range raises NonFiniteState, from
+            # a stage or from the check below: its overflows warn no one
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_new = _rk4_step(rhs, x, h_try, k_first)
 
         if not np.isfinite(x_new).all():
             raise NonFiniteState(f"state became non-finite at t={t + h_try:.6g}")
@@ -795,10 +798,13 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
                     take[j] = False
             x_new, k_new = xs, stages[:, 6]
         else:
-            k2, ok2 = rhs_rows(xa + (0.5 * h)[:, None] * ka)
-            k3, ok3 = rhs_rows(xa + (0.5 * h)[:, None] * k2)
-            k4, ok4 = rhs_rows(xa + h_col * k3)
-            x_new = xa + (h / 6.0)[:, None] * (ka + 2.0 * k2 + 2.0 * k3 + k4)
+            # a row that leaves the finite range is dropped below: its
+            # overflows warn no one, as in the adaptive tries
+            with np.errstate(over="ignore", invalid="ignore"):
+                k2, ok2 = rhs_rows(xa + (0.5 * h)[:, None] * ka)
+                k3, ok3 = rhs_rows(xa + (0.5 * h)[:, None] * k2)
+                k4, ok4 = rhs_rows(xa + h_col * k3)
+                x_new = xa + (h / 6.0)[:, None] * (ka + 2.0 * k2 + 2.0 * k3 + k4)
             k_new = None
             for ok in (ok2, ok3, ok4):
                 if ok is not None:

@@ -65,6 +65,22 @@ def test_euler_field_is_bitwise_the_cross_product():
     assert got.tobytes() == want.tobytes()
 
 
+def test_sombrero_differential_is_bitwise_the_numpy_scalar_formula():
+    # the point differential is written out on Python floats; it must round
+    # exactly as the same formula on numpy scalars does
+    dG = mexican_hat().system.dissipated
+    rng = np.random.default_rng(2025)
+    pts = rng.normal(size=(10000, 3)) * 10.0 ** rng.uniform(-8.0, 3.0, size=(10000, 1))
+
+    def scalar_formula(p):
+        s = p[0] * p[0] + p[1] * p[1] - 1.0
+        return np.array([p[0] * s, p[1] * s, 0.0])
+
+    got = np.array([dG.d(p) for p in pts])
+    want = np.array([scalar_formula(p) for p in pts])
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("entry", [rigid_body(), mexican_hat(), gradient_only(),
                                    random_poly(4, 2, seed=9)], ids=lambda e: e.name)
 def test_stacked_catalog_fields_are_bitwise_the_point_calls(entry):

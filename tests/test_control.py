@@ -19,7 +19,7 @@ from geodiss.control import (
     identity_scales,
     tensor_matrix,
 )
-from geodiss.errors import NonFiniteState, NonFiniteValue, SingularLeaf
+from geodiss.errors import DimensionMismatch, NonFiniteState, NonFiniteValue, SingularLeaf
 from geodiss.integrators import IntegratorConfig, _rhs_rows, integrate
 from geodiss.fields import (
     DissipativeSystem,
@@ -27,7 +27,7 @@ from geodiss.fields import (
     ScalarField,
     VectorField,
 )
-from geodiss.gram import system_frame, system_frames
+from geodiss.gram import _frame_arrays, _metric_at, checked_det, system_frame, system_frames
 from conftest import euclid3_pair, seeded_pair, with_callable_metric
 
 
@@ -297,13 +297,16 @@ def test_corrected_rhs_kernel_raises_the_frame_path_non_finite_error():
     p = np.array([1.5, 0.5])
     with pytest.raises(NonFiniteValue) as ref:
         system_frame(system, p)
+    with pytest.raises(NonFiniteValue) as local:
+        _scalar_reference(system, p)
     with pytest.raises(NonFiniteValue) as kernel:
         _corrected_rhs(system)(p)
     with pytest.raises(NonFiniteValue) as rhs:
         dissipated_rhs(system, p)
     with pytest.raises(NonFiniteState) as run:
         integrate(system, p, IntegratorConfig(t_end=1.0))
-    assert str(kernel.value) == str(rhs.value) == str(run.value) == str(ref.value)
+    assert (str(kernel.value) == str(rhs.value) == str(run.value) == str(ref.value)
+            == str(local.value))
 
 
 def test_corrected_rhs_kernel_warns_as_the_frame_path(monkeypatch):
@@ -317,6 +320,78 @@ def test_corrected_rhs_kernel_warns_as_the_frame_path(monkeypatch):
         _, ref_warned = _with_warnings(lambda: [_frame_path(system, p) for p in pts])
         assert warned == ref_warned
         assert len(warned) > 0
+
+
+# ---------------------------------------------------------------------------
+# the point bodies against an independent copy of the numpy-scalar arithmetic
+# ---------------------------------------------------------------------------
+
+def _scalar_reference(system, p):
+    """``(X - v0, v0, det_conserved)`` at p: the differentials as an array of
+    ``f.d(p)``, and every determinant by ``checked_det`` on numpy views and
+    gathered minors, summed term by term."""
+    k = system.k
+    diffs = np.array([f.d(p) for f in system.all_fields()])
+    if not np.isfinite(diffs).all():
+        raise NonFiniteValue(f"non-finite differential among fields at {p.tolist()}")
+    grads, gram = _frame_arrays(diffs, *_metric_at(system.metric)(p))
+    block = gram[:k, :k]
+    det_c = checked_det(block, diag_scale=float(np.prod(np.diag(block))))
+    v0 = det_c * grads[k]
+    for i in range(k):
+        # conserved rows; column i swapped out for the dissipated column k
+        cols = [c for c in range(k) if c != i] + [k]
+        flat = np.array([[r * (k + 1) + c for c in cols] for r in range(k)])
+        sign = -1.0 if (i + k) % 2 else 1.0
+        v0 = v0 + sign * checked_det(gram.take(flat)) * grads[i]
+    return system.X(p) - v0, v0, det_c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kernel_cases(), st.sampled_from([None, 0.9]))
+def test_point_bodies_are_the_numpy_scalar_arithmetic_bitwise(case, floor):
+    # at a floor of +0.9 most Gram determinants of two or more conserved
+    # gradients warn
+    system, p = case
+    default = geodiss.gram.GRAM_NEGATIVITY_FLOOR
+    geodiss.gram.GRAM_NEGATIVITY_FLOOR = default if floor is None else floor
+    try:
+        (ref_rhs, ref_v0, ref_det), ref_warned = _with_warnings(
+            lambda: _scalar_reference(system, p))
+        (rhs, v0), warned = _with_warnings(lambda: _corrected_rhs(system)(p))
+        fr = system_frame(system, p)
+        frame_v0, frame_warned = _with_warnings(lambda: _cofactor_from_frame(fr))
+        det, det_warned = _with_warnings(fr.det_conserved)
+    finally:
+        geodiss.gram.GRAM_NEGATIVITY_FLOOR = default
+    assert rhs.tobytes() == ref_rhs.tobytes()
+    assert v0.tobytes() == frame_v0.tobytes() == ref_v0.tobytes()
+    assert type(det) is float and det.hex() == ref_det.hex()
+    assert warned == frame_warned == det_warned == ref_warned
+
+
+def test_point_bodies_keep_the_differential_fallback_and_shape_check():
+    # a field with no differential takes central differences; one whose
+    # differential has the wrong shape is refused, with the point call's message
+    G = ScalarField(3, lambda p: float(np.sin(p[0]) * p[1] + p[2] ** 3), label="g")
+    F = ScalarField(3, lambda p: 0.5 * float(p @ p), differential=lambda p: p.copy(),
+                    label="f")
+    system = DissipativeSystem(X=VectorField(3, lambda p: np.zeros(3)), conserved=(F,),
+                               dissipated=G, metric=MetricField.euclidean(3))
+    for p in np.random.default_rng(8).uniform(-2.0, 2.0, size=(20, 3)):
+        ref_rhs, ref_v0, ref_det = _scalar_reference(system, p)
+        rhs, v0 = _corrected_rhs(system)(p)
+        assert rhs.tobytes() == ref_rhs.tobytes()
+        assert v0.tobytes() == ref_v0.tobytes()
+        assert system_frame(system, p).det_conserved().hex() == ref_det.hex()
+    bad = DissipativeSystem(
+        X=system.X, conserved=(F,), metric=system.metric,
+        dissipated=ScalarField(3, G.value, differential=lambda p: p[:2], label="g"))
+    with pytest.raises(DimensionMismatch) as ref:
+        _scalar_reference(bad, p)
+    with pytest.raises(DimensionMismatch) as kernel:
+        _corrected_rhs(bad)(p)
+    assert str(kernel.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,19 @@ def test_fixed_step_blowup_reports_a_non_finite_state(antibowl):
             integrate(antibowl, np.array([1.0, 0.0]), cfg)
 
 
+def test_fixed_step_blowup_warns_no_one(antibowl):
+    # the overflows of a fixed step that leaves the finite range are
+    # reported by NonFiniteState alone, solo and in lockstep
+    cfg = IntegratorConfig(method=Method.RK4_FIXED, h0=0.05, t_end=1.0)
+    x0 = np.array([1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteState):
+            integrate(antibowl, x0, cfg)
+        run = integrate_ensemble(antibowl, x0[None], cfg)
+    assert run.failures == [NonFiniteState.__name__]
+
+
 def test_adaptive_overflowing_trial_step_is_rejected(rigid):
     # h0 = 0.01 is far above the time scale 1e-5 of the flow at |m| = 300:
     # the first tries overflow in a stage and must shrink, not abort, and
