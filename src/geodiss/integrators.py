@@ -40,6 +40,7 @@ kept because on a batch of one it is faster than the lockstep loop.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -225,6 +226,24 @@ def _rk4_step(rhs, x, h, k1):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+_NO_SCOPE = contextlib.nullcontext()
+
+
+def _landing_scope(config: IntegratorConfig):
+    """The numpy error state for what runs on the state a step lands on.
+
+    An adaptive try whose stages leave the finite range is rejected, so an
+    accepted state is used as it is. A fixed step cannot be rejected: it
+    may land on a finite but huge state, where the bound check, the leaf
+    re-projection, the slope there and a failed run's diagnostics overflow
+    before the run ends in the failure they find. Those overflows warn no
+    one, as the stages' do.
+    """
+    if config.method is Method.RK45_ADAPTIVE:
+        return _NO_SCOPE
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _evaluator(system: DissipativeSystem, flow: Flow):
     """Right-hand side of the flow at p, with the control field behind it.
 
@@ -408,21 +427,23 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
             with np.errstate(over="ignore", invalid="ignore"):
                 x_new = _rk4_step(rhs, x, h_try, k_first)
 
-        if not np.isfinite(x_new).all():
-            raise NonFiniteState(f"state became non-finite at t={t + h_try:.6g}")
-        if bound is not None and float(np.linalg.norm(x_new)) > bound:
-            raise UnboundedTrajectory(
-                f"state norm exceeded {bound:.3e} at t={t + h_try:.6g}"
-            )
+        with _landing_scope(config):
+            if not np.isfinite(x_new).all():
+                raise NonFiniteState(f"state became non-finite at t={t + h_try:.6g}")
+            if bound is not None and float(np.linalg.norm(x_new)) > bound:
+                raise UnboundedTrajectory(
+                    f"state norm exceeded {bound:.3e} at t={t + h_try:.6g}"
+                )
 
-        if leaf_target is not None:
-            x_new = project_to_leaf(system, x_new, leaf_target)
-            stages = None
+            if leaf_target is not None:
+                x_new = project_to_leaf(system, x_new, leaf_target)
+                stages = None
 
-        if stages is not None:
-            k_new = stages[6]
-        else:
-            k_new, v0_new = evaluate(x_new)
+            if stages is not None:
+                k_new = stages[6]
+            else:
+                k_new, v0_new = evaluate(x_new)
+
         n_acc += 1
         final = t + h_try >= t_stop
         step = _Step(t, h_try, x, x_new, k_first, k_new, stages, v0_new,
@@ -607,7 +628,8 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
                 next_cp = stop
     except GeodissError:
         # the diagnostics of the steps before the failure come first
-        diag.flush()
+        with _landing_scope(config):
+            diag.flush()
         raise
     diag.flush()
 
@@ -811,30 +833,31 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
                     drop(np.flatnonzero(~ok), NonFiniteState)
         tries += 1
 
-        if np.count_nonzero(np.isfinite(x_new)) != x_new.size:
-            drop(np.flatnonzero(~np.isfinite(x_new).all(axis=1)), NonFiniteState)
-        if bound is not None:
-            if take is None:
-                lost = np.flatnonzero(_row_norms(x_new) > bound)
-            else:
-                sel = np.flatnonzero(take)
-                lost = sel[_row_norms(x_new[sel]) > bound]
-            if lost.size:
-                drop(lost, UnboundedTrajectory)
-        if targets is not None or k_new is None:
-            # no stage holds the slope at the new state: evaluate it there,
-            # after the re-projection
-            sel = np.arange(len(rows)) if take is None else np.flatnonzero(take)
-            if targets is not None and sel.size:
-                x_sel, ok, _ = _project_rows(system, x_new[sel], targets[sel])
-                drop(sel[~ok], LeafProjectionFailure)
-                sel = sel[ok]
-                x_new[sel] = x_sel[ok]
-            k_new = np.empty_like(xa)
-            if sel.size:
-                k_new[sel], ok = rhs_rows(x_new[sel])
-                if ok is not None:
-                    drop(sel[~ok], NonFiniteState)
+        with _landing_scope(config):
+            if np.count_nonzero(np.isfinite(x_new)) != x_new.size:
+                drop(np.flatnonzero(~np.isfinite(x_new).all(axis=1)), NonFiniteState)
+            if bound is not None:
+                if take is None:
+                    lost = np.flatnonzero(_row_norms(x_new) > bound)
+                else:
+                    sel = np.flatnonzero(take)
+                    lost = sel[_row_norms(x_new[sel]) > bound]
+                if lost.size:
+                    drop(lost, UnboundedTrajectory)
+            if targets is not None or k_new is None:
+                # no stage holds the slope at the new state: evaluate it
+                # there, after the re-projection
+                sel = np.arange(len(rows)) if take is None else np.flatnonzero(take)
+                if targets is not None and sel.size:
+                    x_sel, ok, _ = _project_rows(system, x_new[sel], targets[sel])
+                    drop(sel[~ok], LeafProjectionFailure)
+                    sel = sel[ok]
+                    x_new[sel] = x_sel[ok]
+                k_new = np.empty_like(xa)
+                if sel.size:
+                    k_new[sel], ok = rhs_rows(x_new[sel])
+                    if ok is not None:
+                        drop(sel[~ok], NonFiniteState)
 
         t_new = ta + h
         if take is None:

@@ -502,6 +502,88 @@ def test_config_errors_are_those_of_jsonschema_validate(tmp_path, command, confi
     assert str(got.value) == f"config invalid at {where}: {exc.message}"
 
 
+# the keywords geodiss.cli._conforms interprets; any other one sends every
+# config to jsonschema
+CONFORMS_KEYWORDS = {"type", "properties", "additionalProperties", "required", "items",
+                     "minItems", "minLength", "minimum", "maximum", "exclusiveMinimum",
+                     "enum", "const", "oneOf", "$ref", "title", "description"}
+
+
+def test_packaged_schema_uses_only_keywords_the_fast_check_interprets():
+    doc = geodiss.cli._load_schema()
+    seen = set()
+
+    def walk(node, where):
+        assert set(node) <= CONFORMS_KEYWORDS, (where, set(node) - CONFORMS_KEYWORDS)
+        seen.update(node)
+        if "type" in node:
+            assert node["type"] in geodiss.cli._JSON_TYPES, where
+        if "additionalProperties" in node:
+            assert node["additionalProperties"] is False, where
+        if "$ref" in node:
+            assert node["$ref"].removeprefix("#/$defs/") in doc["$defs"], where
+        for key in ("enum", "const"):
+            if key in node:
+                options = node[key] if key == "enum" else [node[key]]
+                assert all(isinstance(o, str) for o in options), where
+        for name, sub in node.get("properties", {}).items():
+            walk(sub, f"{where}/properties/{name}")
+        if "items" in node:
+            walk(node["items"], f"{where}/items")
+        for i, sub in enumerate(node.get("oneOf", [])):
+            walk(sub, f"{where}/oneOf/{i}")
+
+    for name, sub in doc["$defs"].items():
+        walk(sub, f"$defs/{name}")
+    for command in geodiss.cli._HANDLERS:
+        walk(doc[command], command)
+    # the walk reached every keyword the check knows but the annotations
+    assert seen >= CONFORMS_KEYWORDS - {"title", "description"}
+
+
+def test_conforming_config_is_loaded_without_jsonschema(tmp_path):
+    cfg = _write(tmp_path, "bas.json", {
+        "system": {**SPHERE_4D, "field": "zero", "metric": "euclidean"},
+        "target": [1.0, 0.0, 0.0, 0.0], "level": 0.95,
+        "sampler": {"n_samples": 2048, "halfwidth": 1.5}, "n_trajectories": 1,
+        "proper_G_asserted": True})
+    bad = _write(tmp_path, "bad.json", {"system": RIGID, "level": "high"})
+    script = ("import sys, geodiss.cli\n"
+              "geodiss.cli._load_config(sys.argv[1], 'basin')\n"
+              "print('jsonschema' in sys.modules)\n"
+              "try:\n"
+              "    geodiss.cli._load_config(sys.argv[2], 'basin')\n"
+              "except geodiss.cli.ConfigError:\n"
+              "    print('jsonschema' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, cfg, bad],
+                          capture_output=True, text=True, check=True)
+    # jsonschema loads only to explain the config that does not conform
+    assert proc.stdout.split() == ["False", "True"]
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"system": "rigid_body:3,2,1", "n_probes": 2, "seed": 0, "x": "\xff"}')
+    rc, out, err = _run(capsys, ["verify", "--config", str(path)])
+    assert rc == EXIT_CONFIG
+    assert out == ""
+    assert err == (f"error: config {path} is not UTF-8 text: 'utf-8' codec can't decode "
+                   f"byte 0xff in position 63: invalid start byte\n")
+
+
+def test_config_is_read_as_utf8_in_the_c_locale(tmp_path):
+    # without UTF-8 mode the C locale decodes files as ASCII
+    path = tmp_path / "ver.json"
+    path.write_text('{"system": "rigid_body:3,2,1", "n_pr\u00f3bes": 2}', encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONIOENCODING": "utf-8"}
+    proc = subprocess.run([sys.executable, "-m", "geodiss", "verify", "--config", str(path)],
+                          capture_output=True, text=True, encoding="utf-8", env=env)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == ("error: config invalid at top level: Additional properties are "
+                           "not allowed ('n_pr\u00f3bes' was unexpected)\n")
+
+
 def test_unknown_catalog_address_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.json", {**SIM_CONFIG, "system": "warp_drive"})
     rc, _, err = _run(capsys, ["simulate", "--config", cfg])

@@ -12,17 +12,24 @@ inline 4-D sphere/weights system, each with one flaw: a target or orbit
 seed of the wrong length (exit 1), a level below the anchor's dissipated
 value (exit 4), or a sampler of a few cells or samples (a certificate,
 exit 0 or 4). One trajectory and a short horizon keep each run small.
+
+The CLI's yes/no schema check ``_conforms`` must answer as jsonschema
+does for every command's schema, on these configs and on mutations of them
+at each keyword's edge.
 """
 import contextlib
+import copy
 import io
 import json
 import os
 import tempfile
 
+import jsonschema
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from geodiss.cli import main
+from geodiss.cli import _HANDLERS, _conforms, _load_schema, main
 
 DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4}
 
@@ -185,3 +192,155 @@ def test_basin_configs_end_in_their_documented_exit_code(case):
         assert rc in (0, 4)
     if err:
         assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# the yes/no schema check against jsonschema
+# ---------------------------------------------------------------------------
+
+SCHEMA = _load_schema()
+VALIDATORS = {
+    command: jsonschema.validators.validator_for(SCHEMA)({**SCHEMA[command],
+                                                          "$defs": SCHEMA["$defs"]})
+    for command in sorted(_HANDLERS)}
+
+
+def _property_names(node, names):
+    """Every key that some ``properties`` of the schema names."""
+    if isinstance(node, dict):
+        names.update(node.get("properties", {}))
+        for sub in node.values():
+            _property_names(sub, names)
+    return names
+
+
+SCHEMA_KEYS = sorted(_property_names(SCHEMA, set()))
+# a bool where a number goes, integral and fractional floats where an integer
+# goes, 0 under exclusiveMinimum, the bounds of minimum and maximum, empty
+# strings, lists and objects, and each oneOf branch's values
+EDGE_VALUES = [True, False, None, 0, 0.0, -0.0, -1, 1, 1.0, 2, 2.0, 2.5, 256, 257.0,
+               2 ** 20, 2 ** 20 + 1, 1e-300, "", "x", "zero", "euclidean", "rk4",
+               "perturbed", "cofactor", "mexican_hat", [], [0.5], [1, 2], [[1.0]], [[]],
+               ["tensor"], [{"terms": [{"coef": 1.0, "powers": [2]}]}], {},
+               {"terms": []}, {"coef": 1, "powers": [0]}, {"level_max": 1.0}]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A drawn config with up to three keys or list entries set, deleted or added."""
+    source = draw(st.one_of(configs(), basin_configs()))[1]
+    config = copy.deepcopy(source)  # drawn configs share module constants
+    spots = []
+
+    def walk(value):
+        if isinstance(value, (dict, list)):
+            spots.append(value)
+            for sub in (value.values() if isinstance(value, dict) else value):
+                walk(sub)
+
+    walk(config)
+    for _ in range(draw(st.integers(0, 3))):
+        spot = draw(st.sampled_from(spots))
+        keys = sorted(spot) if isinstance(spot, dict) else list(range(len(spot)))
+        if keys and draw(st.booleans()):
+            del spot[draw(st.sampled_from(keys))]
+            continue
+        value = copy.deepcopy(draw(st.sampled_from(EDGE_VALUES)))
+        if isinstance(spot, dict):
+            spot[draw(st.sampled_from(keys + SCHEMA_KEYS))] = value
+        elif keys and draw(st.booleans()):
+            spot[draw(st.sampled_from(keys))] = value
+        else:
+            spot.append(value)
+    return config
+
+
+def _assert_conforms_as_jsonschema_validates(config):
+    for command, validator in VALIDATORS.items():
+        expected = not any(validator.iter_errors(config))
+        assert _conforms(config, SCHEMA[command], SCHEMA["$defs"]) == expected, command
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_configs())
+def test_conforms_is_jsonschema_on_drawn_and_mutated_configs(config):
+    _assert_conforms_as_jsonschema_validates(config)
+
+
+RIGID_BASIN = {"system": "rigid_body:3,2,1", "target": [1.0, 0.0, 0.0], "level": 0.2}
+INLINE = {"dim": 1, "dissipated": {"terms": [{"coef": 0.5, "powers": [2]}]}}
+
+
+@pytest.mark.parametrize("config", [
+    RIGID_BASIN,
+    # not an object
+    [], "basin", 1, None,
+    # a bool where a number goes
+    {**RIGID_BASIN, "level": True},
+    {**RIGID_BASIN, "target": [True, 0.0, 0.0]},
+    # an integral float where an integer goes, and a fractional one
+    {**RIGID_BASIN, "sampler": {"cells_per_axis": 2.0}},
+    {**RIGID_BASIN, "sampler": {"cells_per_axis": 2.5}},
+    {**RIGID_BASIN, "sampler": {"cells_per_axis": True}},
+    # minimum and maximum, at the bound and past it
+    {**RIGID_BASIN, "sampler": {"cells_per_axis": 1}},
+    {**RIGID_BASIN, "sampler": {"cells_per_axis": 256}},
+    {**RIGID_BASIN, "sampler": {"cells_per_axis": 257}},
+    {**RIGID_BASIN, "sampler": {"n_samples": 2 ** 20 + 1}},
+    # 0 under exclusiveMinimum, and just above it
+    {**RIGID_BASIN, "horizon": 0},
+    {**RIGID_BASIN, "horizon": -0.0},
+    {**RIGID_BASIN, "horizon": 1e-300},
+    # an extra key, at the top and nested
+    {**RIGID_BASIN, "levle": 0.2},
+    {**RIGID_BASIN, "integrator": {"method": "rk4", "step": 0.1}},
+    # a missing required key, at the top and nested
+    {"target": [1.0, 0.0, 0.0], "level": 0.2},
+    {**RIGID_BASIN, "threshold": {"steps": 3}},
+    # empty lists under minItems, and an empty string under minLength
+    {**RIGID_BASIN, "target": []},
+    {"system": "rigid_body:3,2,1", "formulations": []},
+    {**RIGID_BASIN, "system": ""},
+    # enum members and a value outside
+    {**RIGID_BASIN, "integrator": {"method": "rk45", "leaf_reprojection": True}},
+    {**RIGID_BASIN, "integrator": {"method": "euler"}},
+    {"system": "mexican_hat", "formulations": ["cofactor", "projection"]},
+    {"system": "mexican_hat", "formulations": ["cofactor", 1]},
+    # each oneOf branch: a catalog name, an inline system, and neither
+    {**RIGID_BASIN, "system": INLINE},
+    {**RIGID_BASIN, "system": 3},
+    {**RIGID_BASIN, "system": {**INLINE, "dim": 0}},
+    {**RIGID_BASIN, "system": {**INLINE, "field": "zero", "metric": "euclidean"}},
+    {**RIGID_BASIN, "system": {**INLINE, "field": [INLINE["dissipated"]],
+                               "metric": [[2.0]]}},
+    {**RIGID_BASIN, "system": {**INLINE, "field": "one"}},
+    {**RIGID_BASIN, "system": {**INLINE, "field": []}},
+    {**RIGID_BASIN, "system": {**INLINE, "metric": "minkowski"}},
+    {**RIGID_BASIN, "system": {**INLINE, "metric": [[]]}},
+    # $ref into $defs: a polynomial's terms and powers
+    {**RIGID_BASIN, "system": {**INLINE, "dissipated": {"terms": []}}},
+    {**RIGID_BASIN, "system": {**INLINE, "dissipated": {
+        "terms": [{"coef": 0.5, "powers": [2.0]}]}}},
+    {**RIGID_BASIN, "system": {**INLINE, "dissipated": {
+        "terms": [{"coef": 0.5, "powers": [-1]}]}}},
+    {**RIGID_BASIN, "system": {**INLINE, "conserved": [{"terms": [{"coef": 1}]}]}},
+])
+def test_conforms_is_jsonschema_at_each_keyword_edge(config):
+    _assert_conforms_as_jsonschema_validates(config)
+
+
+@pytest.mark.parametrize("value, schema, conforms", [
+    # two branches that both hold: not exactly one
+    (1, {"oneOf": [{"type": "number"}, {"type": "integer"}]}, False),
+    (1.5, {"oneOf": [{"type": "number"}, {"type": "integer"}]}, True),
+    # keywords and uses outside the packaged schema's answer no, for
+    # jsonschema to decide
+    ([1, 2], {"uniqueItems": True}, False),
+    ({"a": 1}, {"additionalProperties": {"type": "integer"}}, False),
+    (1, {"enum": [1, 2]}, False),
+    (1, {"$ref": "#/definitions/x"}, False),
+    (1, {"type": ["integer", "null"]}, False),
+])
+def test_conforms_outside_the_packaged_schema(value, schema, conforms):
+    assert _conforms(value, schema, {}) is conforms
