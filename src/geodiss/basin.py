@@ -51,6 +51,7 @@ from .gram import system_frames
 from .integrators import IntegratorConfig, _dp_steps, integrate_ensemble
 from .structure import (
     Stability,
+    _refine_rows,
     classify_point,
     refine_to_invariant_set,
     stability_classify,
@@ -144,6 +145,20 @@ def _face_flood(inside: np.ndarray, start: int, n_cells: int, n: int) -> np.ndar
         frontier = nxt[first]
         seen[frontier] = True
     return np.flatnonzero(seen)
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D array: its middle value, or the mean of its two
+    middle values, and NaN when it is empty or holds a NaN. Sorted by hand:
+    ``np.median`` imports numpy.ma, about 1 MB. The bits are np.median's,
+    except that where 0.0 and -0.0 tie in the middle either may be read."""
+    a = np.sort(values)
+    mid = a.size // 2
+    if not a.size or np.isnan(a[-1]):
+        return float("nan")
+    if a.size % 2:
+        return float(a[mid])
+    return float((a[mid - 1] + a[mid]) / 2.0)
 
 
 class _LeafTable:
@@ -270,7 +285,7 @@ class _LeafTable:
             order[block] = np.argsort(dist, axis=1)[:, :k_nn]
             kth[block] = dist[block - start, order[block, -1]]
         neigh = [set(row.tolist()) for row in order]
-        spacing = float(np.median(kth))
+        spacing = _median(kth)
 
         seen = {0}
         queue = [0]
@@ -294,13 +309,14 @@ class _LeafTable:
                 self.system, self.points[todo])
         trust = 2.0 * component.spacing
 
-        def refine(i):
-            key = (int(rows[i]), trust)
-            if key not in self._refined:
-                self._refined[key] = refine_to_invariant_set(
-                    self.system, self.points[rows[i]], self.leaf_value,
-                    trust_radius=trust)
-            return self._refined[key]
+        def refine(chosen):
+            keys = [(int(rows[i]), trust) for i in chosen]
+            todo = [key for key in keys if key not in self._refined]
+            if todo:
+                found = _refine_rows(self.system, self.points[[row for row, _ in todo]],
+                                     self.leaf_value, trust)
+                self._refined.update(zip(todo, found))
+            return [self._refined[key] for key in keys]
 
         return _verified_witnesses(self.system, component, self._ratios[rows],
                                    self._gnorms[rows], refine, opts["max_refine"],
@@ -339,8 +355,9 @@ def _frame_scores(system: DissipativeSystem, pts: np.ndarray):
 
 def _verified_witnesses(system, component, ratios, gnorms, refine, max_refine,
                         susp_ratio, susp_g) -> np.ndarray:
-    """The witness scan after scoring: rank, thin, refine (``refine(i)`` for
-    member i) and keep the refined points that contradict or support."""
+    """The witness scan after scoring: rank, thin, refine (``refine(chosen)``
+    for the chosen members, all at once) and keep the refined points that
+    contradict or support."""
     pts = component.members
     score = np.minimum(ratios / susp_ratio, gnorms / susp_g)
     candidates = np.where(score <= 1.0)[0]
@@ -360,8 +377,7 @@ def _verified_witnesses(system, component, ratios, gnorms, refine, max_refine,
         chosen.append(int(i))
 
     witnesses: list[np.ndarray] = []
-    for i in chosen:
-        y = refine(i)
+    for y in refine(chosen):
         if y is None:
             continue
         if not system.dissipated(y) < component.level:
@@ -399,9 +415,9 @@ def scan_invariant_witnesses(system: DissipativeSystem,
     pts = component.members
     ratios, gnorms = _frame_scores(system, pts)
 
-    def refine(i):
-        return refine_to_invariant_set(system, pts[i], component.leaf_value,
-                                       trust_radius=2.0 * component.spacing)
+    def refine(chosen):
+        return _refine_rows(system, pts[chosen], component.leaf_value,
+                            2.0 * component.spacing)
 
     return _verified_witnesses(system, component, ratios, gnorms, refine,
                                max_refine, susp_ratio, susp_g)
@@ -421,7 +437,7 @@ def _auto_horizon(system: DissipativeSystem, starts, distance_fn,
     if not away.any():
         return floor
     rates = _control_norms(system, starts[away]) / dists[away]
-    med = float(np.median(rates))
+    med = _median(rates)
     if med <= 0:
         return cap
     return float(np.clip(50.0 / med, floor, cap))

@@ -211,6 +211,8 @@ def _load_config(path: str, command: str) -> dict:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deeply to read") from exc
 
     schema_doc = _load_schema()
     if _conforms(config, schema_doc[command], schema_doc["$defs"]):

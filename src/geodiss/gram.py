@@ -41,13 +41,18 @@ from .fields import DissipativeSystem, MetricField, ScalarField, as_point, as_st
 GRAM_NEGATIVITY_FLOOR = -1e-10
 
 
+def _nonfinite_differential(x: np.ndarray) -> NonFiniteValue:
+    """The error of a point x where some field's differential is not finite."""
+    return NonFiniteValue(f"non-finite differential among fields at {x.tolist()}")
+
+
 def _differential_stack(fields_: Sequence[ScalarField], x: np.ndarray) -> np.ndarray:
     rows = np.empty((len(fields_), x.size))
     for i, f in enumerate(fields_):
         rows[i] = f._d_at(x)
     # counting is the cheaper all() on a few entries
     if np.count_nonzero(np.isfinite(rows)) != rows.size:
-        raise NonFiniteValue(f"non-finite differential among fields at {x.tolist()}")
+        raise _nonfinite_differential(x)
     return rows
 
 
@@ -203,9 +208,7 @@ class FrameStack:
     def require_finite(self) -> None:
         """Raise the point call's :class:`NonFiniteValue` for the first flagged row."""
         if not self.finite.all():
-            i = int(np.argmin(self.finite))
-            raise NonFiniteValue(
-                f"non-finite differential among fields at {self.x[i].tolist()}")
+            raise _nonfinite_differential(self.x[int(np.argmin(self.finite))])
 
     def det_conserved(self) -> np.ndarray:
         return _dets_conserved(self.gram, self.k)

@@ -9,6 +9,15 @@ limit set lives inside it, which is what the probes here measure: the
 escape test, the flow comparison on the set and the omega-limit probe all
 run the integrator, which sits below this module and knows nothing of it.
 ``project_to_leaf`` is re-exported from :mod:`geodiss.fields`.
+
+The equilibrium search and the refinement onto the degeneracy set share one
+damped Gauss-Newton on the leaf, ``_leaf_gauss_newton_rows``, which runs a
+stack of starts in lockstep on stacked frames: the corrected flow's rows
+for the search, the control field's for the refinement. Each row takes the
+steps of a run of its own, bitwise. ``find_equilibria`` searches all its
+seeds in one call; ``_refine_rows`` refines all the starts of a witness
+scan, a degeneracy-set sample or an omega-limit probe in one call, and
+:func:`refine_to_invariant_set` is that call on a batch of one.
 """
 from __future__ import annotations
 
@@ -17,11 +26,18 @@ from enum import Enum
 
 import numpy as np
 
-from .control import _cofactor_from_frame, _projection_from_frame, dissipated_rhs
-from .errors import NotOnInvariantSet, UnboundedTrajectory
-from .fields import DissipativeSystem, _project_rows, as_point, project_to_leaf
-from .gram import checked_det, system_frame
-from .integrators import Flow, IntegratorConfig, integrate
+from .control import _cofactor_from_frame, _cofactor_from_frames, _projection_from_frame
+from .errors import NonPositiveDefiniteMetric, NotOnInvariantSet, UnboundedTrajectory
+from .fields import (
+    DissipativeSystem,
+    _project_rows,
+    _row_norms,
+    as_point,
+    as_stack,
+    project_to_leaf,
+)
+from .gram import _nonfinite_differential, checked_det, system_frame, system_frames
+from .integrators import Flow, IntegratorConfig, _rhs_rows, integrate
 
 DEFAULT_TOL_INV = 1e-9
 DEFAULT_TOL_G = 1e-6
@@ -29,6 +45,8 @@ DEFAULT_TOL_G = 1e-6
 _EQUILIBRIUM_TOL_FLOOR = 1e-8
 # points asked of a system's analytic sampler of the degeneracy set
 _INV_SAMPLE_COUNT = 512
+# central-difference step of the Gauss-Newton Jacobian, sqrt(eps) max(1, |x_i|)
+_SQRT_EPS = np.sqrt(np.finfo(float).eps)
 # step halvings per Gauss-Newton iteration of the equilibrium search
 _EQUILIBRIUM_HALVINGS = 25
 # refinement onto the degeneracy set: its Gauss-Newton budgets, the residual
@@ -141,73 +159,152 @@ class EquilibriumReport:
         }
 
 
-def _fd_jacobian(func, x, f0=None):
-    f0 = func(x) if f0 is None else f0
-    m = np.atleast_1d(f0).size
-    jac = np.empty((m, x.size))
-    sqrt_eps = np.sqrt(np.finfo(float).eps)
-    for i in range(x.size):
-        h = sqrt_eps * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (np.atleast_1d(func(xp)) - np.atleast_1d(func(xm))) / (2.0 * h)
-    return jac
+def _control_rows(system: DissipativeSystem):
+    """The control field on stacks: ``evaluate(pts) -> (v0, finite)``, from one stacked frame."""
+    def evaluate(pts):
+        frames = system_frames(system, pts)
+        return _cofactor_from_frames(frames), frames.finite
+
+    return evaluate
 
 
-def _leaf_gauss_newton(field, system: DissipativeSystem, x0: np.ndarray,
-                       target: np.ndarray, max_iter: int, max_halvings: int,
-                       residual_floor: float, trust_radius: float = np.inf,
-                       newton_tol: float | None = None,
-                       ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Damped Gauss-Newton for ``field(p) = 0`` on the leaf through ``target``.
+def _leaf_gauss_newton_rows(field, system: DissipativeSystem, x0: np.ndarray,
+                            targets: np.ndarray, max_iter: int, max_halvings: int,
+                            residual_floor: float, trust_radius=np.inf,
+                            newton_tol: float | None = None,
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton for ``field(p) = 0`` from every row of an (m, n) stack, in lockstep.
 
-    The residual stacks ``field(p)`` with the leaf-value gap. Each iteration
-    takes the least-squares step of a central-difference Jacobian and halves
-    it, at most ``max_halvings`` times, until the residual norm drops; trials
-    outside the ``trust_radius`` ball around x0 are halved without being
-    evaluated. The accepted trial's residual is carried into the next
-    iteration, so no point is evaluated twice.
+    Row i stays on the leaf of ``targets[i]``: its residual stacks
+    ``field(p)`` with the leaf-value gap. Each iteration takes the
+    least-squares step of a central-difference Jacobian and halves it, at
+    most ``max_halvings`` times, until the residual norm drops; trials
+    outside the row's ball of radius ``trust_radius`` (one for all rows, or
+    one per row) around its start are halved without being evaluated. The
+    accepted trial's residual is carried into the next iteration, so no
+    point is evaluated twice.
 
-    Returns ``(x, residual, converged)``. It converges when the residual norm
-    is at most ``residual_floor`` (checked before the Jacobian) or, given a
-    ``newton_tol``, when the residual is within it and the step is
-    stationary: near a degenerate point any absolute residual tolerance is
-    satisfied on a whole ball, so a small residual alone is not convergence.
-    It stops unconverged when no halving improves the residual or after
-    ``max_iter`` iterations.
+    A row converges when its residual norm is at most ``residual_floor``
+    (checked before the Jacobian) or, given a ``newton_tol``, when the
+    residual is within it and the step is stationary: near a degenerate
+    point any absolute residual tolerance is satisfied on a whole ball, so a
+    small residual alone is not convergence. It stops unconverged when no
+    halving improves the residual or after ``max_iter`` iterations.
+
+    ``field(pts)`` evaluates an (M, n) stack and returns the (M, n) values
+    and the rows whose differentials are finite (or None when all are).
+    Each iteration evaluates every running row's 2n perturbed points in one
+    stacked call, and each halving round the trials inside their balls in
+    one more; the Jacobian's least-squares solve is per row. Each row takes
+    the steps of a run of its own, in the same arithmetic, so its bits do
+    not depend on the other rows. A row that meets a point with non-finite
+    differentials, or with a metric that is not positive definite, stops
+    there; after the loop the lowest such row raises its error
+    (:class:`NonFiniteValue` or :class:`NonPositiveDefiniteMetric`), the
+    one a run over the rows in turn meets first.
+
+    Returns the stacks ``(x, residual, converged)``.
     """
-    def residual(p):
-        r = field(p)
-        if system.k == 0:
-            return r
-        return np.concatenate([r, system.leaf_value(p) - target])
+    m, n = x0.shape
+    if not m:
+        return x0.copy(), np.empty((0, n + system.k)), np.zeros(0, dtype=bool)
+    trust = np.broadcast_to(np.asarray(trust_radius, dtype=float), (m,))
+    failed = {}   # row -> the error it stopped on
+
+    def residuals(pts, owner):
+        """Residual rows at the points, owned by the given rows, and the
+        mask of bad points, or None; the first bad point of a row fails it."""
+        errors = {}
+        try:
+            vals, ok = field(pts)
+        except NonPositiveDefiniteMetric:
+            # rare: find the points whose metric fails one at a time
+            vals, ok = np.full((len(pts), n), np.nan), np.ones(len(pts), dtype=bool)
+            for i in range(len(pts)):
+                try:
+                    v, o = field(pts[i:i + 1])
+                except NonPositiveDefiniteMetric as exc:
+                    errors[i], ok[i] = exc, False
+                else:
+                    vals[i], ok[i] = v[0], o is None or o[0]
+        if ok is not None and ok.all():
+            ok = None
+        # a bad point's row, which nothing reads, holds NaN, not garbage
+        res = np.full((len(pts), n + system.k), np.nan)
+        res[:, :n] = vals
+        at = slice(None) if ok is None else ok
+        for j, f in enumerate(system.conserved):
+            res[at, n + j] = f.values(pts[at]) - targets[owner[at], j]
+        if ok is None:
+            return res, None
+        for i in np.flatnonzero(~ok):
+            failed.setdefault(int(owner[i]), errors.get(i) or _nonfinite_differential(pts[i]))
+        return res, ~ok
 
     x = x0.copy()
-    r = residual(x)
+    converged = np.zeros(m, dtype=bool)
+    r, bad = residuals(x, np.arange(m))
+    live = np.arange(m) if bad is None else np.flatnonzero(~bad)
+    cols = np.arange(n)
     for _ in range(max_iter):
-        rn = float(np.linalg.norm(r))
-        if rn <= residual_floor:
-            return x, r, True
-        jac = _fd_jacobian(residual, x, f0=r)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        if newton_tol is not None and rn <= newton_tol and (
-                float(np.linalg.norm(step)) <= 1e-9 * (1.0 + float(np.linalg.norm(x)))):
-            return x, r, True
+        rn = _row_norms(r[live])
+        done = rn <= residual_floor
+        converged[live[done]] = True
+        live, rn = live[~done], rn[~done]
+        if not live.size:
+            break
+        # each row's central-difference points, in the order x + h e_0,
+        # x - h e_0, x + h e_1, ...; h = sqrt(eps) max(1, |x_i|), where
+        # fmax keeps 1 against a NaN coordinate as max does
+        xl = x[live]
+        h = _SQRT_EPS * np.fmax(1.0, np.abs(xl))
+        pts = np.repeat(xl[:, None, :], 2 * n, axis=1)
+        pts[:, 2 * cols, cols] += h
+        pts[:, 2 * cols + 1, cols] -= h
+        res, bad = residuals(pts.reshape(-1, n), np.repeat(live, 2 * n))
+        res = res.reshape(len(live), 2 * n, -1)
+        if bad is not None:
+            keep = ~bad.reshape(len(live), 2 * n).any(axis=1)
+            live, rn, xl, h, res = live[keep], rn[keep], xl[keep], h[keep], res[keep]
+        jac = ((res[:, 0::2] - res[:, 1::2]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1)
+        step = np.empty_like(xl)
+        for j, i in enumerate(live):
+            step[j] = np.linalg.lstsq(jac[j], -r[i], rcond=None)[0]
+        if newton_tol is not None:
+            done = (rn <= newton_tol) & (_row_norms(step) <= 1e-9 * (1.0 + _row_norms(xl)))
+            converged[live[done]] = True
+            live, rn, xl, step = live[~done], rn[~done], xl[~done], step[~done]
+
+        # halving rounds: every searching row tries x + lam step, with the
+        # same lam in a round; rows leave as they accept or fail
+        accepted = np.zeros(len(live), dtype=bool)
+        ended = np.zeros(len(live), dtype=bool)
+        search = np.arange(len(live))
         lam = 1.0
         for _ in range(max_halvings):
-            x_new = x + lam * step
-            lam *= 0.5
-            if float(np.linalg.norm(x_new - x0)) > trust_radius:
-                continue
-            r_new = residual(x_new)
-            if float(np.linalg.norm(r_new)) < rn:
-                x, r = x_new, r_new
+            if not search.size:
                 break
-        else:
-            return x, r, False
-    return x, r, False
+            rows = live[search]
+            x_new = xl[search] + lam * step[search]
+            lam *= 0.5
+            inside = ~(_row_norms(x_new - x0[rows]) > trust[rows])
+            if not inside.any():
+                continue
+            tried = search[inside]
+            res, bad = residuals(x_new[inside], rows[inside])
+            better = _row_norms(res) < rn[tried]
+            if bad is not None:
+                better &= ~bad
+                ended[tried[bad]] = True
+            x[live[tried[better]]] = x_new[inside][better]
+            r[live[tried[better]]] = res[better]
+            accepted[tried[better]] = True
+            ended[tried[better]] = True
+            search = search[~ended[search]]
+        live = live[accepted]
+    if failed:
+        raise failed[min(failed)]
+    return x, r, converged
 
 
 def find_equilibria(system: DissipativeSystem, seeds,
@@ -230,21 +327,26 @@ def find_equilibria(system: DissipativeSystem, seeds,
     ``dedup_tol`` and reported with their membership in the zero sets of the
     conservative field and of the control field (a genuine root belongs to the
     corrected equilibria exactly when it belongs to both); seeds that fail to
-    converge are collected in ``unresolved`` rather than raising.
+    converge are collected in ``unresolved`` rather than raising. All seeds
+    are searched in one lockstep Gauss-Newton on stacked corrected-flow
+    rows, each seed taking the steps of a search of its own; roots and
+    unresolved seeds keep the seeds' order.
     """
     eq_tol = max(_EQUILIBRIUM_TOL_FLOOR, 10 * newton_tol)
+    starts = [as_point(seed, system.dim) for seed in seeds]
+    x0 = np.array(starts).reshape(len(starts), system.dim)
+    targets = np.array([system.leaf_value(p) for p in starts]).reshape(len(starts), system.k)
+    # a zero residual is an exact root, where the step is zero too
+    xs, rs, converged = _leaf_gauss_newton_rows(
+        _rhs_rows(system), system, x0, targets,
+        max_iter=max_iter, max_halvings=_EQUILIBRIUM_HALVINGS,
+        residual_floor=0.0, newton_tol=newton_tol)
     # each root with the norm of the corrected-flow RHS the search ended on
     roots: list[tuple[np.ndarray, float]] = []
     unresolved: list[np.ndarray] = []
-    for seed in seeds:
-        x0 = as_point(seed, system.dim)
-        # a zero residual is an exact root, where the step is zero too
-        x, r, converged = _leaf_gauss_newton(
-            lambda p: dissipated_rhs(system, p), system, x0, system.leaf_value(x0),
-            max_iter=max_iter, max_halvings=_EQUILIBRIUM_HALVINGS,
-            residual_floor=0.0, newton_tol=newton_tol)
-        if not converged:
-            unresolved.append(as_point(seed, system.dim))
+    for start, x, r, ok in zip(starts, xs, rs, converged):
+        if not ok:
+            unresolved.append(start)
             continue
         if any(np.linalg.norm(x - r_) <= dedup_tol for r_, _ in roots):
             continue
@@ -277,30 +379,46 @@ def leaf_tangent_basis(system: DissipativeSystem, x) -> np.ndarray:
     return vt[system.k:]
 
 
+def _refine_rows(system: DissipativeSystem, starts: np.ndarray, leaf_value,
+                 trust_radii) -> list:
+    """:func:`refine_to_invariant_set` from every row of an (m, n) stack, in lockstep.
+
+    Every row keeps the leaf ``leaf_value``; ``trust_radii`` is one radius
+    for all rows or one per row. Returns each row's refined point, or None,
+    bitwise its solo refinement.
+    """
+    x0 = as_stack(starts, system.dim)
+    target = np.asarray(leaf_value, dtype=float).ravel()
+    trust = np.broadcast_to(np.asarray(trust_radii, dtype=float), (len(x0),))
+    ys, _, _ = _leaf_gauss_newton_rows(
+        _control_rows(system), system, x0, np.broadcast_to(target, (len(x0), system.k)),
+        max_iter=_REFINE_MAX_ITER, max_halvings=_REFINE_HALVINGS,
+        residual_floor=_REFINE_RESIDUAL_FLOOR, trust_radius=trust)
+    out = []
+    for x, y, radius in zip(x0, ys, trust):
+        cls = classify_point(system, y, tol_inv=_REFINE_TOL_INV, tol_g=_REFINE_TOL_G)
+        on_leaf = (system.k == 0
+                   or float(np.max(np.abs(system.leaf_value(y) - target))) <= _REFINE_LEAF_TOL)
+        within = float(np.linalg.norm(y - x)) <= radius
+        out.append(y if cls.in_invariant_set and on_leaf and within else None)
+    return out
+
+
 def refine_to_invariant_set(system: DissipativeSystem, x, leaf_value=None,
                             trust_radius: float = 0.5) -> np.ndarray | None:
     """Gauss-Newton refinement of x toward the degeneracy set, staying on its leaf.
 
     Solves control_field = 0 together with the leaf constraint in least
-    squares. Returns the refined point when it classifies inside the set at
-    tight tolerance without leaving the trust ball around x; returns None
-    otherwise (the honest answer when x is not actually near the set).
+    squares, on the leaf ``leaf_value`` (x's own when None). Returns the
+    refined point when it classifies inside the set at tight tolerance
+    without leaving the trust ball around x; returns None otherwise (the
+    honest answer when x is not actually near the set). This is the
+    lockstep refinement that the witness scans and the omega-limit probe
+    run over all their starts at once, on a batch of one.
     """
     x0 = as_point(x, system.dim)
-    target = (np.asarray(leaf_value, dtype=float).ravel()
-              if leaf_value is not None else system.leaf_value(x0))
-    y, _, _ = _leaf_gauss_newton(
-        lambda p: _cofactor_from_frame(system_frame(system, p)), system, x0, target,
-        max_iter=_REFINE_MAX_ITER, max_halvings=_REFINE_HALVINGS,
-        residual_floor=_REFINE_RESIDUAL_FLOOR, trust_radius=trust_radius)
-
-    cls = classify_point(system, y, tol_inv=_REFINE_TOL_INV, tol_g=_REFINE_TOL_G)
-    on_leaf = (system.k == 0
-               or float(np.max(np.abs(system.leaf_value(y) - target))) <= _REFINE_LEAF_TOL)
-    within = float(np.linalg.norm(y - x0)) <= trust_radius
-    if cls.in_invariant_set and on_leaf and within:
-        return y
-    return None
+    target = leaf_value if leaf_value is not None else system.leaf_value(x0)
+    return _refine_rows(system, x0[None], target, trust_radius)[0]
 
 
 def stability_classify(system: DissipativeSystem, equilibrium,
@@ -476,13 +594,12 @@ def _generic_inv_samples(system: DissipativeSystem, trajectory_states: np.ndarra
                          trust: float = 1.0) -> np.ndarray:
     """Fallback sample set of the degeneracy set: refine from trajectory-shaped jitter."""
     rng = np.random.default_rng(1234)
-    found = []
-    for p in trajectory_states[:: max(1, len(trajectory_states) // 32)]:
-        for _ in range(per_state):
-            start = p + rng.normal(scale=0.05, size=p.size)
-            y = refine_to_invariant_set(system, start, leaf_value, trust_radius=trust)
-            if y is not None:
-                found.append(y)
+    starts = [p + rng.normal(scale=0.05, size=p.size)
+              for p in trajectory_states[:: max(1, len(trajectory_states) // 32)]
+              for _ in range(per_state)]
+    found = [y for y in _refine_rows(system, np.array(starts).reshape(-1, system.dim),
+                                     leaf_value, trust)
+             if y is not None]
     if not found:
         return np.zeros((0, system.dim))
     return np.array(found)
@@ -511,18 +628,17 @@ def omega_limit_probe(system: DissipativeSystem, x0,
     else:
         samples = _generic_inv_samples(system, tr.checkpoint_states, leaf_value)
 
+    states = tr.checkpoint_states
+    if samples.size:
+        d_set = [float(np.min(np.linalg.norm(samples - p, axis=1))) for p in states]
+    else:
+        d_set = [np.inf] * len(states)
+    trust = [2.0 * d + 1e-6 if np.isfinite(d) else 1.0 for d in d_set]
     dists = np.empty(cps.size)
-    for j, p in enumerate(tr.checkpoint_states):
-        if samples.size:
-            d_set = float(np.min(np.linalg.norm(samples - p, axis=1)))
-        else:
-            d_set = np.inf
-        refined = refine_to_invariant_set(
-            system, p, leaf_value,
-            trust_radius=2.0 * d_set + 1e-6 if np.isfinite(d_set) else 1.0,
-        )
+    for j, (p, refined) in enumerate(zip(states, _refine_rows(system, states, leaf_value,
+                                                                trust))):
         d_ref = float(np.linalg.norm(p - refined)) if refined is not None else np.inf
-        dists[j] = min(d_set, d_ref)
+        dists[j] = min(d_set[j], d_ref)
 
     g_vals = np.array([system.dissipated(p) for p in tr.checkpoint_states])
     tail = max(2, _OMEGA_CHECKPOINTS // 5)

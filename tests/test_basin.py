@@ -13,6 +13,8 @@ Ground truth used throughout:
 
 import dataclasses
 import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -212,6 +214,46 @@ def test_row_norms_are_bitwise_the_point_norms():
         v = rng.normal(size=(2000, dim)) * rng.uniform(1e-3, 1e3, size=(2000, 1))
         ref = np.array([np.linalg.norm(row) for row in v])
         assert basin_mod._row_norms(v).tobytes() == ref.tobytes()
+
+
+def test_median_is_bitwise_np_median():
+    # 8,216 arrays of lengths 1 to 1001: spread magnitudes, the nonnegative
+    # values the callers pass, ties, NaN and infinities; a zero of either
+    # sign is left out, since 0.0 and -0.0 tie in an order no sort pins
+    rng = np.random.default_rng(11)
+    count = 0
+    for size in range(1, 1002):
+        for case in range(8 + 8 * (size <= 26)):
+            a = rng.normal(size=size) * 10.0 ** rng.uniform(-8, 8)
+            if case % 4 == 1:
+                a = np.abs(a)
+            elif case % 4 == 2:
+                a = rng.integers(1, 4, size=size).astype(float)
+            elif case % 4 == 3:
+                a[rng.integers(size)] = [np.nan, np.inf, -np.inf][case % 3]
+            got = np.float64(basin_mod._median(a))
+            assert got.tobytes() == np.float64(np.median(a)).tobytes(), (size, case)
+            count += 1
+    assert count == 8216
+
+
+def test_sampled_certificate_does_not_import_numpy_ma():
+    # np.median would import numpy.ma, about 1 MB
+    script = ("import sys, numpy as np\n"
+              "from geodiss.cli import _build_system\n"
+              "from geodiss.basin import SamplerConfig, basin_certify\n"
+              "from geodiss.structure import Stability\n"
+              "sq = lambda c: {'terms': [{'coef': a, 'powers': [2 * (j == i) for j in range(4)]}"
+              " for i, a in enumerate(c)]}\n"
+              "system = _build_system({'dim': 4, 'conserved': [sq([0.5] * 4)],"
+              " 'dissipated': sq([0.5, 1.0, 1.5, 2.0])})[0]\n"
+              "cert = basin_certify(system, np.eye(4)[0], 0.95,"
+              " SamplerConfig(n_samples=512, halfwidth=1.5, seed=2),"
+              " stability=Stability.ASYMPTOTICALLY_STABLE, n_trajectories=2)\n"
+              "print(cert.verdict, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["conditional-pass", "False"]
 
 
 @pytest.mark.parametrize("name", ["rigid", "sombrero"])
@@ -705,13 +747,14 @@ def test_threshold_search_verdicts_match_fresh_certificates(rigid, case, monkeyp
         sampler = SamplerConfig(n_samples=512, halfwidth=1.5, seed=2)
         steps = 3
     refined = []
-    refine = basin_mod.refine_to_invariant_set
+    refine_rows = basin_mod._refine_rows
 
-    def recording_refine(system, x, *args, **kwargs):
-        refined.append((tuple(x), kwargs["trust_radius"]))
-        return refine(system, x, *args, **kwargs)
+    def recording_refine_rows(system, starts, leaf_value, trust_radii):
+        radii = np.broadcast_to(trust_radii, (len(starts),))
+        refined.extend((tuple(x), float(t)) for x, t in zip(starts, radii))
+        return refine_rows(system, starts, leaf_value, trust_radii)
 
-    monkeypatch.setattr(basin_mod, "refine_to_invariant_set", recording_refine)
+    monkeypatch.setattr(basin_mod, "_refine_rows", recording_refine_rows)
     kwargs = {"stability": AS, "n_trajectories": 3, "traj_seed": 3}
     _, history = threshold_search(system, target, level_max, steps=steps,
                                   sampler=sampler, **kwargs)
@@ -720,6 +763,7 @@ def test_threshold_search_verdicts_match_fresh_certificates(rigid, case, monkeyp
     refined.clear()
     for level, ok in history:
         assert basin_certify(system, target, level, sampler, **kwargs).passed == ok, level
+    assert search_refined and refined
     assert len(set(search_refined)) == len(search_refined)
     assert set(search_refined) == set(refined)
 

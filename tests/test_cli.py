@@ -571,6 +571,16 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
                    f"byte 0xff in position 63: invalid start byte\n")
 
 
+def test_deeply_nested_config_is_config_error(tmp_path, capsys):
+    # the JSON reader gives up on deep nesting with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    rc, out, err = _run(capsys, ["verify", "--config", str(path)])
+    assert rc == EXIT_CONFIG
+    assert out == ""
+    assert err == f"error: config {path} is nested too deeply to read\n"
+
+
 def test_config_is_read_as_utf8_in_the_c_locale(tmp_path):
     # without UTF-8 mode the C locale decodes files as ASCII
     path = tmp_path / "ver.json"

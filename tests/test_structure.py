@@ -1,10 +1,21 @@
 """Point classification, equilibrium search, stability, limit-set probes."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import geodiss.structure as structure_mod
-from geodiss.errors import LeafProjectionFailure, SingularLeaf
-from geodiss.catalog import random_poly
+from geodiss.errors import (
+    IdentityFailure,
+    LeafProjectionFailure,
+    NonFiniteValue,
+    NonPositiveDefiniteMetric,
+    SingularLeaf,
+)
+from geodiss.catalog import mexican_hat, random_poly, rigid_body
+from geodiss.control import _cofactor_from_frame, dissipated_rhs
+from geodiss.gram import system_frame
+from conftest import with_callable_metric
 from geodiss.fields import (
     DissipativeSystem,
     MetricField,
@@ -120,18 +131,24 @@ def test_equilibrium_search_evaluates_no_point_twice(rigid, mexhat, monkeypatch)
     # the solver carries each accepted trial's residual into the next
     # iteration, and the reports read the residual the search ended on
     points = []
-    rhs = structure_mod.dissipated_rhs
+    rhs_rows = structure_mod._rhs_rows
 
-    def recording_rhs(system, x):
-        points.append(np.asarray(x, dtype=float).tobytes())
-        return rhs(system, x)
+    def recording_rhs_rows(system):
+        evaluate = rhs_rows(system)
 
-    monkeypatch.setattr(structure_mod, "dissipated_rhs", recording_rhs)
+        def recording(pts):
+            points.extend(np.asarray(p, dtype=float).tobytes() for p in pts)
+            return evaluate(pts)
+
+        return recording
+
+    monkeypatch.setattr(structure_mod, "_rhs_rows", recording_rhs_rows)
     for system in (rigid.system, mexhat.system):
         seeds = np.random.default_rng(4).uniform(-1.5, 1.5, size=(6, 3))
         points.clear()
         reports, _ = find_equilibria(system, seeds)
         assert reports
+        assert points
         assert len(set(points)) == len(points)
 
 
@@ -232,13 +249,18 @@ def test_refinement_never_evaluates_outside_its_trust_ball(mexhat, monkeypatch):
     # a Gauss-Newton trial outside the ball is halved before it is evaluated
     x0, trust = np.array([2.0, 0.0, 0.0]), 0.05
     points = []
-    frame = structure_mod.system_frame
+    frame, frames = structure_mod.system_frame, structure_mod.system_frames
 
     def recording_frame(system, x):
         points.append(np.array(x, dtype=float))
         return frame(system, x)
 
+    def recording_frames(system, pts):
+        points.extend(np.array(pts, dtype=float))
+        return frames(system, pts)
+
     monkeypatch.setattr(structure_mod, "system_frame", recording_frame)
+    monkeypatch.setattr(structure_mod, "system_frames", recording_frames)
     assert refine_to_invariant_set(mexhat.system, x0, trust_radius=trust) is None
     assert len(points) > 1
     # central differences step at most sqrt(eps) max(1, |x_i|) off a point
@@ -461,3 +483,243 @@ def test_critical_set_of_g_is_flow_invariant(mexhat):
         worst = max(float(np.linalg.norm(mexhat.system.dissipated.d(p)))
                     for p in tr.states)
         assert worst <= 10.0 * DEFAULT_TOL_G
+
+
+# The point-by-point Gauss-Newton that the lockstep loop replaced, verbatim:
+# the reference each lockstep row is held to, bit for bit.
+def _fd_jacobian(func, x, f0=None):
+    f0 = func(x) if f0 is None else f0
+    m = np.atleast_1d(f0).size
+    jac = np.empty((m, x.size))
+    sqrt_eps = np.sqrt(np.finfo(float).eps)
+    for i in range(x.size):
+        h = sqrt_eps * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        jac[:, i] = (np.atleast_1d(func(xp)) - np.atleast_1d(func(xm))) / (2.0 * h)
+    return jac
+
+
+def _leaf_gauss_newton(field, system, x0, target, max_iter, max_halvings,
+                       residual_floor, trust_radius=np.inf, newton_tol=None):
+    def residual(p):
+        r = field(p)
+        if system.k == 0:
+            return r
+        return np.concatenate([r, system.leaf_value(p) - target])
+
+    x = x0.copy()
+    r = residual(x)
+    for _ in range(max_iter):
+        rn = float(np.linalg.norm(r))
+        if rn <= residual_floor:
+            return x, r, True
+        jac = _fd_jacobian(residual, x, f0=r)
+        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        if newton_tol is not None and rn <= newton_tol and (
+                float(np.linalg.norm(step)) <= 1e-9 * (1.0 + float(np.linalg.norm(x)))):
+            return x, r, True
+        lam = 1.0
+        for _ in range(max_halvings):
+            x_new = x + lam * step
+            lam *= 0.5
+            if float(np.linalg.norm(x_new - x0)) > trust_radius:
+                continue
+            r_new = residual(x_new)
+            if float(np.linalg.norm(r_new)) < rn:
+                x, r = x_new, r_new
+                break
+        else:
+            return x, r, False
+    return x, r, False
+
+
+# the two residual fields: the control field for refinement (floor 1e-14, no
+# stationarity exit) and the corrected flow for equilibria (floor 0,
+# newton_tol 1e-10), as a point field for the reference and a stacked one
+_GN_FIELDS = {
+    "refine": (lambda s: lambda p: _cofactor_from_frame(system_frame(s, p)),
+               structure_mod._control_rows, 1e-14, None),
+    "equilibria": (lambda s: lambda p: dissipated_rhs(s, p),
+                   structure_mod._rhs_rows, 0.0, 1e-10),
+}
+
+
+def _gn_parity(system, kind, x0s, targets, trusts, max_iter, max_halvings):
+    """Run the lockstep loop and the reference on every row; assert bitwise
+    equality, or the same exception as the first reference row that raises.
+    Returns the reference results, or None when a row raised."""
+    point_field, stacked_field, floor, newton_tol = _GN_FIELDS[kind]
+    field = point_field(system)
+    ref, first_exc = [], None
+    for x0, target, trust in zip(x0s, targets, trusts):
+        try:
+            ref.append(_leaf_gauss_newton(field, system, x0, target, max_iter,
+                                          max_halvings, floor, trust, newton_tol))
+        except IdentityFailure as exc:
+            first_exc = exc
+            break
+    args = (stacked_field(system), system, x0s, targets, max_iter, max_halvings,
+            floor, np.array(trusts), newton_tol)
+    if first_exc is not None:
+        with pytest.raises(type(first_exc)) as got:
+            structure_mod._leaf_gauss_newton_rows(*args)
+        assert str(got.value) == str(first_exc)
+        return None
+    xs, rs, converged = structure_mod._leaf_gauss_newton_rows(*args)
+    for i, (x, r, ok) in enumerate(ref):
+        assert xs[i].tobytes() == x.tobytes(), i
+        assert rs[i].tobytes() == r.tobytes(), i
+        assert converged[i] == ok, i
+    return ref
+
+
+def _gn_system(name, seed):
+    if name == "rigid":
+        return rigid_body(3.0, 2.0, 1.0)
+    if name == "sombrero":
+        return mexican_hat()
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 6))
+    entry = random_poly(dim, int(rng.integers(0, dim)), seed=seed)
+    if name == "callable_metric":
+        return type(entry)(name=entry.name, system=with_callable_metric(entry.system))
+    return entry
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["rigid", "sombrero", "random_poly", "callable_metric"]),
+       kind=st.sampled_from(["refine", "equilibria"]),
+       seed=st.integers(0, 2 ** 16),
+       n_rows=st.integers(1, 6),
+       on_set=st.integers(0, 2),
+       own_leaf=st.booleans(),
+       max_iter=st.sampled_from([0, 1, 3, 25]),
+       max_halvings=st.sampled_from([0, 1, 4, 20]))
+@example(name="sombrero", kind="refine", seed=0, n_rows=6, on_set=2, own_leaf=True,
+         max_iter=3, max_halvings=4)
+@example(name="rigid", kind="equilibria", seed=1, n_rows=6, on_set=1, own_leaf=True,
+         max_iter=25, max_halvings=20)
+def test_lockstep_gauss_newton_rows_are_bitwise_their_solo_runs(
+        name, kind, seed, n_rows, on_set, own_leaf, max_iter, max_halvings):
+    entry = _gn_system(name, seed)
+    system = entry.system
+    rng = np.random.default_rng(seed)
+    x0s = rng.uniform(-1.2, 1.2, size=(n_rows, system.dim))
+    # rows on the degeneracy set itself, where a residual can meet the
+    # floor on entry
+    if entry.inv_sampler is not None and on_set:
+        marks = entry.inv_sampler(system.leaf_value(x0s[0]), 8)
+        x0s[:on_set] = marks[rng.integers(len(marks), size=on_set)][:n_rows]
+    targets = np.array([system.leaf_value(x) for x in x0s]).reshape(n_rows, system.k)
+    if not own_leaf:
+        targets[:] = targets[0]
+    # a ball no trial fits in, small and large balls, and none
+    trusts = [[1e-12, 0.05, 0.5, np.inf][(seed + i) % 4] for i in range(n_rows)]
+    _gn_parity(system, kind, x0s, targets, trusts, max_iter, max_halvings)
+
+
+def _exit_kind(system, kind, x0, target, trust, max_iter, max_halvings, result):
+    """How the reference run ended: at the floor on entry, converged later,
+    with no trial inside the ball, with its halvings spent, or out of
+    iterations."""
+    point_field, _, floor, newton_tol = _GN_FIELDS[kind]
+    field, calls = point_field(system), []
+
+    def counting(p):
+        calls.append(p)
+        return field(p)
+
+    x, _, converged = _leaf_gauss_newton(counting, system, x0, target, max_iter,
+                                         max_halvings, floor, trust, newton_tol)
+    assert x.tobytes() == result[0].tobytes()
+    if converged:
+        return "entry" if len(calls) == 1 else "converged"
+    if len(calls) == 1 + 2 * x0.size and np.array_equal(x, x0):
+        return "outside_ball"
+    longer = _leaf_gauss_newton(field, system, x0, target, max_iter + 1,
+                                max_halvings, floor, trust, newton_tol)
+    return "max_iter" if not np.array_equal(longer[0], x) else "halvings_spent"
+
+
+@pytest.mark.parametrize("kind", ["refine", "equilibria"])
+def test_lockstep_gauss_newton_rows_cover_every_exit(kind, mexhat):
+    # one batch whose rows end every way a run can end
+    system = mexhat.system
+    rng = np.random.default_rng(3)
+    x0s = np.vstack([[1.0, 0.0, 0.3], [0.0, 0.0, 0.4],
+                     rng.uniform(-1.2, 1.2, size=(22, 3))])
+    targets = np.array([system.leaf_value(x) for x in x0s])
+    trusts = [[np.inf, 1e-12, 0.05, 0.5][i % 4] for i in range(len(x0s))]
+    ref = _gn_parity(system, kind, x0s, targets, trusts, 3, 4)
+    kinds = {_exit_kind(system, kind, x0, t, trust, 3, 4, res)
+             for x0, t, trust, res in zip(x0s, targets, trusts, ref)}
+    assert {"entry", "outside_ball", "halvings_spent", "max_iter"} <= kinds
+
+
+def _breaking_system(failure):
+    """F = |x|^2 / 2 and G = x1^2 + 2 x2^2 + 3 x3^2 under the Euclidean
+    metric, except wherever x1 > 1: there G's differential is NaN, or the
+    metric is indefinite."""
+    def g_diff(p):
+        if failure == "nan_differential" and p[0] > 1.0:
+            return np.full(3, np.nan)
+        return np.array([2.0, 4.0, 6.0]) * p
+
+    def metric(p):
+        return np.diag([1.0, 1.0, -1.0 if failure == "indefinite_metric" and p[0] > 1.0
+                        else 1.0])
+
+    return DissipativeSystem(
+        X=VectorField(3, lambda p: np.zeros(3)),
+        conserved=(ScalarField(3, lambda p: 0.5 * float(p @ p),
+                               differential=lambda p: p.copy()),),
+        dissipated=ScalarField(3, lambda p: float(np.array([1.0, 2.0, 3.0]) @ (p * p)),
+                               differential=g_diff),
+        metric=MetricField(3, metric))
+
+
+@pytest.mark.parametrize("failure", [
+    (NonFiniteValue, "nan_differential"), (NonPositiveDefiniteMetric, "indefinite_metric")])
+@pytest.mark.parametrize("kind", ["refine", "equilibria"])
+def test_lockstep_gauss_newton_raises_the_first_failing_row(kind, failure):
+    # row 2 fails at its start, before row 1 fails at a central-difference
+    # point; a run over the rows in turn meets row 1's failure first
+    error, failure = failure
+    system = _breaking_system(failure)
+    x0s = np.array([[0.3, 0.4, 0.5], [1.0 - 1e-9, 0.1, 0.0], [1.5, 0.0, 0.0]])
+    targets = np.array([system.leaf_value(x) for x in x0s])
+    assert _gn_parity(system, kind, x0s, targets, [0.5, 0.5, 0.5], 25, 20) is None
+    assert _gn_parity(system, kind, x0s[[0, 2]], targets[[0, 2]], [0.5, 0.5], 25, 20) is None
+    # the message names row 1's point x + h e_1, not row 2's start
+    _, stacked_field, floor, newton_tol = _GN_FIELDS[kind]
+    with pytest.raises(error, match=r"at \[1\.00000001"):
+        structure_mod._leaf_gauss_newton_rows(stacked_field(system), system, x0s, targets,
+                                              25, 20, floor, 0.5, newton_tol)
+
+
+@pytest.mark.parametrize("max_iter", [60, 3])
+@pytest.mark.parametrize("name", ["rigid", "sombrero"])
+def test_find_equilibria_is_the_point_by_point_search(name, max_iter, rigid, mexhat):
+    entry = rigid if name == "rigid" else mexhat
+    system = entry.system
+    # each known equilibrium twice, so that deduplication has work to do
+    seeds = 2 * list(entry.known_equilibria) + list(
+        np.random.default_rng(0).uniform(-1.5, 1.5, size=(64, 3)))
+    reports, unresolved = find_equilibria(system, seeds, max_iter=max_iter)
+    roots, ref_unresolved = [], []
+    for seed in seeds:
+        x, r, converged = _leaf_gauss_newton(
+            lambda p: dissipated_rhs(system, p), system, seed, system.leaf_value(seed),
+            max_iter=max_iter, max_halvings=25, residual_floor=0.0, newton_tol=1e-10)
+        if not converged:
+            ref_unresolved.append(seed)
+        elif not any(np.linalg.norm(x - r_) <= 1e-6 for r_, _ in roots):
+            roots.append((x, float(np.linalg.norm(r[:3]))))
+    assert roots and len(roots) < len(seeds) - len(ref_unresolved)
+    assert bool(ref_unresolved) == (max_iter == 3)
+    assert [(rep.location.tobytes(), rep.residual) for rep in reports] == [
+        (x.tobytes(), rn) for x, rn in roots]
+    assert [u.tobytes() for u in unresolved] == [u.tobytes() for u in ref_unresolved]
