@@ -48,7 +48,7 @@ from .errors import (
 )
 from .fields import DissipativeSystem, _project_rows, _row_norms, as_point
 from .gram import system_frames
-from .integrators import IntegratorConfig, _dp_steps, integrate_ensemble
+from .integrators import IntegratorConfig, _lockstep, integrate_ensemble
 from .structure import (
     Stability,
     _refine_rows,
@@ -733,14 +733,16 @@ def distance_to_orbit(point, orbit_states: np.ndarray) -> float:
 def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
     """Return time of the corrected flow from y0 back to y0, and x(t) along it.
 
-    One run from y0, stopped one step after the first recorded local
-    minimum of |x - y0| below ``coarse_tol`` once the flow has left that
-    ball. Newton then refines the return time on <x(t) - y0, rhs(x(t))> = 0,
+    One run of the integrators' step loop on the point y0, read one step
+    at a time and stopped one step after the first recorded local minimum
+    of |x - y0| below ``coarse_tol`` once the flow has left that ball.
+    Newton then refines the return time on <x(t) - y0, rhs(x(t))> = 0,
     with x(t) read off the continuous extension of the run's steps; the
-    same read-out is returned for the orbit samples.
+    same read-out is returned for the orbit samples, and a later time reads
+    on into further steps of the same run.
     """
-    run = replace(cfg, t_end=t_search)
-    steps = _dp_steps(system, y0, run)
+    steps = _lockstep(system, y0, replace(cfg, t_end=t_search))
+    next(steps)  # the control field at y0
     kept = []
     d = [0.0]
     rec_times = [0.0]

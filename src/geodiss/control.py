@@ -17,11 +17,12 @@ cofactor expansion run, without building a :class:`SystemFrame`. The
 integrators' stages and :func:`dissipated_rhs` evaluate it; the frames stay
 for the structure probes and ``geodiss verify``, and as the reference the
 kernel is tested against, bitwise. Kernel and frames share one point body,
-``_cofactor``: it reads the Gram matrix once as Python floats and takes the
-minors of size at most 2 on them; sizes 3 and up go through
-``np.linalg.det``. The cofactor expansion of a stack of Gram matrices,
-``_cofactors``, reads 1x1 and 2x2 minors off views of the flattened stack,
-with no gathered copy per minor.
+``_cofactor``: it takes the Gram matrix as Python floats (the kernel builds
+them with ``_gram_cells``, the frames read theirs once) and the minors of
+size at most 2 on them; sizes 3 and up go through ``np.linalg.det``. The
+cofactor expansion of a stack of Gram matrices, ``_cofactors``, reads 1x1
+and 2x2 minors off views of the flattened stack, with no gathered copy per
+minor.
 """
 from __future__ import annotations
 
@@ -40,8 +41,9 @@ from .gram import (
     _det_conserved,
     _dets_conserved,
     _differential_stack,
-    _frame_arrays,
+    _gram_cells,
     _metric_at,
+    _metric_grads,
     _small_det,
     checked_det,
     system_frame,
@@ -84,15 +86,15 @@ def _cofactor_minors(k: int) -> tuple:
     return tuple(out)
 
 
-def _cofactor(gram: np.ndarray, grads: np.ndarray, minors: tuple) -> np.ndarray:
+def _cofactor(cells: list, grads: np.ndarray, minors: tuple) -> np.ndarray:
     """The cofactor control field of a (k+1, k+1) Gram matrix and its k+1 gradients.
 
-    ``minors`` is ``_cofactor_minors(k)``. The Gram matrix is read once as
-    Python floats, on which the determinants of size at most 2 are taken; a
-    larger minor is gathered for ``np.linalg.det``.
+    ``cells`` is the Gram matrix row-major as Python floats, and ``minors``
+    is ``_cofactor_minors(k)``. The determinants of size at most 2 are taken
+    on the floats; a larger minor is gathered for ``np.linalg.det``.
     """
     k = len(minors)
-    cells = gram.ravel().tolist()
+    gram = np.array(cells).reshape(k + 1, k + 1) if k > 2 else None
     v0 = _det_conserved(gram, k, cells) * grads[k]
     for i, (sign, flat, idx) in enumerate(minors):
         det = _small_det(cells, idx) if k <= 2 else checked_det(gram.take(flat))
@@ -101,7 +103,7 @@ def _cofactor(gram: np.ndarray, grads: np.ndarray, minors: tuple) -> np.ndarray:
 
 
 def _cofactor_from_frame(fr: SystemFrame) -> np.ndarray:
-    return _cofactor(fr.gram, fr.grads, _cofactor_minors(fr.k))
+    return _cofactor(fr.gram.ravel().tolist(), fr.grads, _cofactor_minors(fr.k))
 
 
 def _corrected_rhs(system: DissipativeSystem):
@@ -119,8 +121,9 @@ def _corrected_rhs(system: DissipativeSystem):
     X = system.X
 
     def evaluate(p):
-        grads, gram = _frame_arrays(_differential_stack(fields_, p), *metric_at(p))
-        v0 = _cofactor(gram, grads, minors)
+        diffs = _differential_stack(fields_, p)
+        grads = _metric_grads(diffs, *metric_at(p))
+        v0 = _cofactor(_gram_cells(diffs, grads), grads, minors)
         return X._at(p) - v0, v0
 
     return evaluate

@@ -18,7 +18,8 @@ some row could warn: when the floor is positive or a determinant negative.
 
 Both are thin wrappers over array bodies (``_differential_stack``,
 ``_frame_arrays``, ``_stack_arrays``), which the integrators' bound kernels
-call directly, so a stage point builds no frame object. At a point, the
+call directly, so a stage point builds no frame object; the point kernel
+takes its Gram matrix as Python floats (``_gram_cells``). At a point, the
 differentials are written in place into one array, and the Gram minors are
 read once as Python floats: a determinant of size at most 2 and its
 negativity-floor check are taken on those floats (``_det_conserved``,
@@ -277,18 +278,34 @@ def _metric_at(metric: MetricField):
     return lambda p: (metric._checked(p), None)
 
 
+def _metric_grads(diffs: np.ndarray, gmat: np.ndarray,
+                  ginv: np.ndarray | None) -> np.ndarray:
+    """Metric gradients of the (k+1, n) differentials; with no inverse, solved against ``gmat``."""
+    if ginv is not None:
+        return diffs @ ginv
+    return np.linalg.solve(gmat, diffs.T).T
+
+
 def _frame_arrays(diffs: np.ndarray, gmat: np.ndarray,
                   ginv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Metric gradients of the (k+1, n) differentials, and their symmetrized Gram matrix.
-
-    With no inverse the gradients are solved for against ``gmat``.
-    """
-    if ginv is not None:
-        grads = diffs @ ginv
-    else:
-        grads = np.linalg.solve(gmat, diffs.T).T
+    """Metric gradients of the (k+1, n) differentials, and their symmetrized Gram matrix."""
+    grads = _metric_grads(diffs, gmat, ginv)
     gram = diffs @ grads.T
     return grads, 0.5 * (gram + gram.T)
+
+
+def _gram_cells(diffs: np.ndarray, grads: np.ndarray) -> list:
+    """The Gram matrix of :func:`_frame_arrays`, row-major, as Python floats.
+
+    Its symmetrization 0.5 (G + G^T) is taken on the floats of G: the IEEE
+    operations numpy does on the array, at less cost for so few entries.
+    """
+    raw = (diffs @ grads.T).tolist()
+    if len(raw) == 2:  # one conserved quantity: the common case, spelt out
+        (a, b), (c, d) = raw
+        off = 0.5 * (b + c)
+        return [0.5 * (a + a), off, off, 0.5 * (d + d)]
+    return [0.5 * (a + b) for row, col in zip(raw, zip(*raw)) for a, b in zip(row, col)]
 
 
 def system_frame(system: DissipativeSystem, x) -> SystemFrame:

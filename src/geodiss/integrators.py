@@ -1,47 +1,42 @@
 """Fixed and adaptive Runge-Kutta integration with structure diagnostics.
 
 Both the conservative flow and the corrected (dissipative) flow integrate
-through the same machinery. A run records the conserved values, the
-dissipated value, the full Gram determinant and the control-field norm at
-its recorded states. On the corrected flow it also audits every accepted
-step: the finite-difference rate of the dissipated quantity over the step
-is checked against the predicted rate, minus the full Gram determinant at
-the step's midpoint. These diagnostics are evaluated after the fact, a
-block of ``_DIAG_BLOCK`` accepted steps at a time, on one stacked frame for
-the block's midpoints and one for its records. So a step costs its stage
-evaluations and nothing more, and every value is bitwise the one a
-per-step evaluation gives. A stage is one call of the corrected-flow
-kernel that :func:`geodiss.control._corrected_rhs` binds to the system once
-per run: a run builds no :class:`~geodiss.gram.SystemFrame`.
+through one step loop, ``_lockstep``: one tableau, one step controller and
+one set of checks, from one start or from an (m, n) stack of them, each row
+taking exactly the steps of its own run, in the same arithmetic, and
+failing alone with the message its own run raises. :func:`integrate` runs
+it on one start, whose arrays stay unbatched, and records the conserved
+values, the dissipated value, the full Gram determinant and the
+control-field norm at its recorded states. On the corrected flow it also
+audits every accepted step: the finite-difference rate of the dissipated
+quantity over the step is checked against the predicted rate, minus the
+full Gram determinant at the step's midpoint. These diagnostics are
+evaluated after the fact, a block of ``_DIAG_BLOCK`` accepted steps at a
+time, on one stacked frame for the block's midpoints and one for its
+records, so a step costs its stage evaluations and nothing more, and every
+value is bitwise the one a per-step evaluation gives. A stage of one start
+is one call of the kernel that :func:`geodiss.control._corrected_rhs` binds
+to the system once per run: a run builds no
+:class:`~geodiss.gram.SystemFrame`. :func:`integrate_ensemble` runs the loop
+on a stack of corrected-flow starts and keeps only what a basin ensemble
+reads: each row's max of the dissipated value over the states a solo run
+records, its final state, its step counts and its failure.
 
 Trajectories never get silently re-projected onto a leaf; an optional Newton
 re-projection after each accepted step can be switched on in the config, and
 leaf drift is always visible in the recorded conserved values. The
-re-projection is :func:`geodiss.fields.project_to_leaf`, the one leaf
-projection of the package; a step it cannot bring back onto the initial
-leaf raises :class:`LeafProjectionFailure`, never keeps an unconverged point.
+re-projection is ``fields._project_rows``, the lockstep form of
+:func:`geodiss.fields.project_to_leaf`, the one leaf projection of the
+package; a step it cannot bring back onto the initial leaf fails its run
+with :class:`LeafProjectionFailure`, never keeps an unconverged point.
 
 This module imports only the layers below it (fields, Gram frames, the
 control field); the structure probes and certificates built on trajectories
-live above it. Two loops share one tableau and one step controller. The
-solo path is the step generator ``_dp_steps``: for one start it decides
-which steps are taken, which are recorded and which one ends the run, and
-:func:`integrate` records them. The lockstep ensemble,
-:func:`integrate_ensemble`, advances an (m, n) stack of starts of the
-corrected flow at once, on the stacked frame arrays of a kernel bound once
-per run (``_rhs_rows``), and keeps only what a basin
-ensemble reads: each row's max of the dissipated value over the states a
-solo run records, its final state, its step counts and its failure. Its
-running rows are a compact working set: a try in which every row steps
-gathers and scatters nothing, and the set shrinks only when a row finishes
-or fails. Each row takes exactly the steps of its solo run, in the same
-arithmetic, and the tests hold the two paths to that. The solo path is
-kept because on a batch of one it is faster than the lockstep loop.
+live above it.
 """
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,35 +53,13 @@ from .errors import (
     StepUnderflow,
     UnboundedTrajectory,
 )
-from .fields import (
-    DissipativeSystem,
-    _project_rows,
-    _row_norms,
-    as_point,
-    as_stack,
-    project_to_leaf,
-)
-from .gram import _stack_arrays, system_frames
+from .fields import DissipativeSystem, _project_rows, _row_norms, as_point, as_stack
+from .gram import _nonfinite_differential, _stack_arrays, system_frames
 from .report import csv_text
 
 
-def _guard_nonfinite(fn):
-    """Report mid-run non-finite field values as integration failures.
-
-    A state can pass the finiteness check while its differentials or Gram
-    data overflow; once integration has started that is a trajectory leaving
-    the representable domain, not a defect of the field definitions.
-    """
-    def wrapped(*args):
-        try:
-            return fn(*args)
-        except NonFiniteValue as exc:
-            raise NonFiniteState(str(exc)) from exc
-    return wrapped
-
 # Dormand-Prince 5(4): 7 stages, FSAL, fifth-order propagation with a
 # fourth-order error estimate.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -219,13 +192,6 @@ class Trajectory:
             self.step_sizes]))
 
 
-def _rk4_step(rhs, x, h, k1):
-    k2 = rhs(x + 0.5 * h * k1)
-    k3 = rhs(x + 0.5 * h * k2)
-    k4 = rhs(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 _NO_SCOPE = contextlib.nullcontext()
 
 
@@ -242,19 +208,6 @@ def _landing_scope(config: IntegratorConfig):
     if config.method is Method.RK45_ADAPTIVE:
         return _NO_SCOPE
     return np.errstate(over="ignore", invalid="ignore")
-
-
-def _evaluator(system: DissipativeSystem, flow: Flow):
-    """Right-hand side of the flow at p, with the control field behind it.
-
-    The unperturbed flow has no control field and returns ``None`` for it.
-    """
-    if flow is Flow.PERTURBED:
-        evaluate = _corrected_rhs(system)
-    else:
-        def evaluate(p):
-            return system.X(p), None
-    return _guard_nonfinite(evaluate)
 
 
 class _Step:
@@ -340,9 +293,10 @@ def _step_control(err: float, h_try: float, fac_old: float) -> tuple[bool, float
     """The controller's verdict on a try of size h_try with error norm err.
 
     Returns whether the try is accepted, the next step size and the
-    controller's memory of the last accepted error.
+    controller's memory of the last accepted error. A try whose error norm
+    is not finite is rejected with the smallest shrink factor.
     """
-    if err > 1.0:
+    if not err <= 1.0:
         return False, h_try * max(_FAC_MIN, _SAFETY / err ** _ERR_EXPO), fac_old
     if err == 0.0:
         fac = _FAC_MAX  # exactly stationary state, grow freely
@@ -351,107 +305,303 @@ def _step_control(err: float, h_try: float, fac_old: float) -> tuple[bool, float
     return True, h_try * min(_FAC_MAX, max(_FAC_MIN, fac)), max(err, 1e-4)
 
 
-def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig,
-              flow: Flow = Flow.PERTURBED, bound: float | None = None, seed=None):
-    """Generate the accepted steps of one run from x up to config.t_end.
+def _flow_rows(system: DissipativeSystem, flow: Flow):
+    """Either flow's right-hand side, bound to the system, at a point or on a stack.
 
-    ``seed`` is the evaluation at x when the caller already has it. Step
-    control depends on nothing but the run itself, so a consumer that stops
-    early has seen exactly the steps of the full run up to that point.
-
-    An adaptive try whose stages leave the finite range, or whose error
-    estimate is not finite, is rejected with the smallest shrink factor;
-    the step floor and the step budget still bound the run. A fixed step
-    that leaves the finite range raises :class:`NonFiniteState`.
+    Returns ``evaluate(pts) -> (rhs, v0, ok)`` for a checked point (n,) or
+    stack (m, n): the right-hand side at each row, the control field behind
+    it (None on the unperturbed flow, whose right-hand side is X), and the
+    rows that have one, or None when all do. A row whose differentials are
+    not finite, where the point kernel :func:`geodiss.control._corrected_rhs`
+    raises, gets NaN and a False flag. A point or a one-row stack runs that
+    point kernel; a larger stack runs the stacked bodies of
+    :func:`system_frames` and ``_cofactor_from_frames``, each row bitwise
+    the point kernel.
     """
-    evaluate = _evaluator(system, flow)
+    X = system.X
+    if flow is Flow.UNPERTURBED:
+        return lambda pts: (X._at(pts) if pts.ndim == 1 else X._values_at(pts), None, None)
+    fields_ = system.all_fields()
+    metric = system.metric
+    minors = _cofactor_minors(system.k)
+    point = _corrected_rhs(system)
 
-    def rhs(p):
-        return evaluate(p)[0]
-
-    h_ctrl = _first_step(config)
-    k_first = (seed if seed is not None else evaluate(x))[0]
-    leaf_target = None
-    if config.leaf_reprojection and system.k:
-        leaf_target = system.leaf_value(x)
-    t = 0.0
-    t_end = config.t_end
-    # the last step ends within this roundoff band below t_end
-    t_stop = t_end - _STEP_FLOOR * t_end
-    fac_old = 1e-4
-    n_acc = 0
-    n_rej = 0
-    adaptive = config.method is Method.RK45_ADAPTIVE
-    min_h = _STEP_FLOOR * t_end
-
-    while t < t_stop:
-        if n_acc + n_rej >= config.max_steps:
-            raise MaxStepsExceeded(
-                f"exceeded {config.max_steps} steps at t={t:.6g} of {t_end:.6g}"
-            )
-        if adaptive and h_ctrl < min_h:
-            raise StepUnderflow(f"step size {h_ctrl:.3e} below floor at t={t:.6g}")
-        h_try = h_ctrl if adaptive else config.h0
-        h_try = min(h_try, t_end - t)
-
-        if adaptive:
-            stages = np.empty((7, x.size))
-            stages[0] = k_first
-            # a try that leaves the finite range is rejected below, through
-            # NonFiniteState or a non-finite err: its overflows warn no one
+    def evaluate(pts):
+        if pts.ndim == 1:
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for s in range(1, 7):
-                        xs = x + h_try * (_DP_A[s] @ stages[:s])
-                        stages[s], v0_new = evaluate(xs)
-            except NonFiniteState:
-                err = np.inf
-            else:
-                # B5 is A[6] with a trailing zero: the last stage point is the
-                # new state, so stage 7 is the right-hand side there (FSAL)
-                x_new = xs
-                err_vec = h_try * (_DP_ERR @ stages)
-                scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-                q = (err_vec / scale) ** 2
-                err = float(np.sqrt(np.add.reduce(q) / q.size))
-            if not math.isfinite(err):
-                err = np.inf  # rejected with the smallest shrink factor
-            accepted, h_ctrl, fac_old = _step_control(err, h_try, fac_old)
-            if not accepted:
-                n_rej += 1
-                continue
-        else:
-            stages = None
-            # a step that leaves the finite range raises NonFiniteState, from
-            # a stage or from the check below: its overflows warn no one
+                rhs, v0 = point(pts)
+            except NonFiniteValue:
+                nan = np.full(pts.shape, np.nan)
+                return nan, nan, np.False_
+            return rhs, v0, None
+        if len(pts) == 1:
+            rhs, v0, ok = evaluate(pts[0])
+            return rhs[None], v0[None], None if ok is None else ok[None]
+        _, _, grads, gram, ok = _stack_arrays(fields_, metric, pts)
+        v0 = _cofactors(gram, grads, minors)
+        if ok is None:
+            return X._values_at(pts) - v0, v0, None
+        out = np.full(pts.shape, np.nan)
+        out[ok] = X._values_at(pts[ok]) - v0[ok]
+        return out, v0, ok
+
+    return evaluate
+
+
+def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig,
+              flow: Flow = Flow.PERTURBED, bound: float | None = None,
+              out: EnsembleRun | None = None):
+    """Run either flow from a start x of shape (n,), or from each row of an (m, n) stack x.
+
+    The package's one step loop. Each row has its own time, step size,
+    controller memory and counters, is checked alone against the step
+    budget, the step floor, non-finite tries, ``bound`` and the leaf
+    re-projection, and drops out alone, so it takes the steps of a run of
+    its own in the same arithmetic: numpy evaluates the stage products one
+    row at a time, and the controller runs on Python floats row by row. An
+    adaptive try whose stages leave the finite range, or whose error is not
+    finite, is rejected with the smallest shrink factor; a fixed step that
+    leaves it fails its row with :class:`NonFiniteState`.
+
+    A point's run yields the control field at x (None on the unperturbed
+    flow), then each accepted step as a :class:`_Step`, and raises the
+    :class:`IntegrationFailure` that ends it, with its message. A stack's
+    run yields ``(rows, recorded, states)`` for the start and for each try
+    in which some row stepped: the start index of each working-set
+    position, the positions whose new state a run records, and the states.
+    As a row ends, its last state, counters and failure (None when it
+    finished), with the message its own run raises, go into row i of
+    ``out``. A consumer that stops early has seen exactly the steps of the
+    full run up to there.
+
+    The running rows are a compact working set, in start order: states and
+    slopes as arrays, times, controller scalars and counters as Python
+    lists. A try in which every row steps replaces the arrays whole; the
+    set is compacted only when a row finishes or fails. A point's arrays
+    stay unbatched, (n,) and (7, n), where numpy's calls cost the least.
+    """
+    point = x.ndim == 1
+    n = x.shape[-1]
+    t_end = config.t_end
+    t_stop = t_end - _STEP_FLOOR * t_end  # the last step ends within this band
+    min_h = _STEP_FLOOR * t_end
+    adaptive = config.method is Method.RK45_ADAPTIVE
+    every = config.record_every
+    kernel = _flow_rows(system, flow)
+
+    ka, v0, ok = kernel(x)
+    xa = x
+    rows = [0] if point else list(range(len(x)))
+    if ok is not None:
+        if point:
+            raise NonFiniteState(str(_nonfinite_differential(x)))
+        for i in np.flatnonzero(~ok).tolist():
+            out.failures[i] = NonFiniteState(str(_nonfinite_differential(x[i])))
+        rows = np.flatnonzero(ok).tolist()
+        xa, ka = x[ok], ka[ok]
+    live = len(rows)
+    everyone = range(live)
+    yield v0 if point else (rows, everyone, xa)
+    if not rows:
+        return
+
+    h0 = _first_step(config)
+    targets = None
+    if config.leaf_reprojection and system.k:
+        targets = np.empty((live, system.k))
+        for j, f in enumerate(system.conserved):
+            targets[:, j] = f.values(xa.reshape(live, n))
+    # the working set's Python lists: each running row's time, step size,
+    # controller memory and counters
+    ta = [0.0] * live
+    h_ctrl = [h0] * live
+    fac_old = [1e-4] * live
+    n_acc = [0] * live
+    n_rej = [0] * live
+    # a try's stages, and the index of stage s and of the stages below it:
+    # rows of a point's (7, n) array, columns of a stack's (m, 7, n) one
+    stage_shape = xa.shape[:-1] + (7, n)
+    if point:
+        stage, below = list(range(7)), [slice(s) for s in range(7)]
+    else:
+        stage = [(slice(None), s) for s in range(7)]
+        below = [(slice(None), slice(s)) for s in range(7)]
+    t_before, x_before, k_before = 0.0, xa, ka  # a point's step starts here
+    tries = 0    # every running row has made one try a pass
+    ended = {}   # working-set position -> its failure, or None for a finished row
+    take = None  # the positions that step in this try, None for all
+
+    def drop(lost, failure):
+        """End the stepping rows at the positions ``lost``, unstepped, each
+        with ``failure(position)``; a row keeps its first failure."""
+        nonlocal take
+        if take is None:
+            take = np.ones(live, dtype=bool)
+        for j in lost.tolist():
+            if take[j]:
+                take[j] = False
+                ended[j] = failure(j)
+
+    while True:
+        # the checks before each running row's next try
+        if tries >= config.max_steps:
+            for j, t in enumerate(ta):
+                ended.setdefault(j, MaxStepsExceeded(
+                    f"exceeded {config.max_steps} steps at t={t:.6g} of {t_end:.6g}"))
+        elif adaptive and min(h_ctrl) < min_h:
+            for j, (hc, t) in enumerate(zip(h_ctrl, ta)):
+                if hc < min_h:
+                    ended.setdefault(j, StepUnderflow(
+                        f"step size {hc:.3e} below floor at t={t:.6g}"))
+        if ended:
+            if point:
+                if ended[0] is not None:
+                    raise ended[0]
+                return
+            gone = sorted(ended)
+            at = [rows[j] for j in gone]
+            out.final[at] = xa[gone]
+            for i, j in zip(at, gone):
+                out.failures[i] = ended[j]
+                out.n_accepted[i], out.n_rejected[i] = n_acc[j], n_rej[j]
+            keep = [j for j in range(live) if j not in ended]
+            if not keep:
+                return
+            rows, ta, h_ctrl, fac_old, n_acc, n_rej = (
+                [v[j] for j in keep] for v in (rows, ta, h_ctrl, fac_old, n_acc, n_rej))
+            xa, ka = xa[keep], ka[keep]
+            if targets is not None:
+                targets = targets[keep]
+            ended.clear()
+            live = len(rows)
+            everyone = range(live)
+            stage_shape = (live, 7, n)
+
+        # the tries' sizes (a fixed step's h_ctrl stays min(h0, t_end)); a
+        # point's without the call a comprehension costs
+        h = ([min(h_ctrl[0], t_end - ta[0])] if point
+             else [min(hc, t_end - t) for hc, t in zip(h_ctrl, ta)])
+        # the sizes as a column, or one row's as a Python float: the same
+        # products, and the float skips numpy's broadcasting
+        h_col = h[0] if live == 1 else np.array(h).reshape(live, 1)
+        take = None
+        if adaptive:
+            stages = np.empty(stage_shape)
+            stages[stage[0]] = ka
+            good = None
+            # a try that leaves the finite range is rejected below: its
+            # overflows warn no one
             with np.errstate(over="ignore", invalid="ignore"):
-                x_new = _rk4_step(rhs, x, h_try, k_first)
+                for s in range(1, 7):
+                    xs = xa + h_col * (_DP_A[s] @ stages[below[s]])
+                    stages[stage[s]], v0, ok = kernel(xs)
+                    if ok is not None:
+                        good = ok if good is None else good & ok
+                err_vec = h_col * (_DP_ERR @ stages)
+                scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xa), np.abs(xs))
+                q = (err_vec / scale) ** 2
+                err = np.sqrt(np.add.reduce(q, -1) / n)
+            if good is not None:
+                err = np.where(good, err, np.inf)
+            # the controller on Python floats, row by row: its powers must
+            # round as a point run's do (a point's norm is a numpy scalar)
+            for j, e in enumerate([float(err)] if point else err.tolist()):
+                accepted, h_ctrl[j], fac_old[j] = _step_control(e, h[j], fac_old[j])
+                if not accepted:
+                    n_rej[j] += 1
+                    if take is None:
+                        take = np.ones(live, dtype=bool)
+                    take[j] = False
+            # B5 is A[6] with a trailing zero: the last stage point is the
+            # new state, so stage 7 is the right-hand side there (FSAL)
+            x_new, k_new = xs, stages[stage[6]]
+        else:
+            stages = k_new = None
+            # a row that leaves the finite range fails below, through its
+            # first non-finite stage or state: its overflows warn no one
+            with np.errstate(over="ignore", invalid="ignore"):
+                half = 0.5 * h_col
+                x2 = xa + half * ka
+                k2, _, ok2 = kernel(x2)
+                x3 = xa + half * k2
+                k3, _, ok3 = kernel(x3)
+                x4 = xa + h_col * k3
+                k4, _, ok4 = kernel(x4)
+                x_new = xa + (h_col / 6.0) * (ka + 2.0 * k2 + 2.0 * k3 + k4)
+            for pts, ok in ((x2, ok2), (x3, ok3), (x4, ok4)):
+                if ok is not None:
+                    drop(np.flatnonzero(~ok), lambda j: NonFiniteState(
+                        str(_nonfinite_differential(pts.reshape(live, n)[j]))))
+        tries += 1
 
         with _landing_scope(config):
-            if not np.isfinite(x_new).all():
-                raise NonFiniteState(f"state became non-finite at t={t + h_try:.6g}")
-            if bound is not None and float(np.linalg.norm(x_new)) > bound:
-                raise UnboundedTrajectory(
-                    f"state norm exceeded {bound:.3e} at t={t + h_try:.6g}"
-                )
-
-            if leaf_target is not None:
-                x_new = project_to_leaf(system, x_new, leaf_target)
+            if np.count_nonzero(np.isfinite(x_new)) != x_new.size:
+                drop(np.flatnonzero(~np.isfinite(x_new).all(axis=-1)),
+                     lambda j: NonFiniteState(f"state became non-finite at t={ta[j] + h[j]:.6g}"))
+            if targets is not None or k_new is None or bound is not None:
+                # the stepping rows, and the new states as a stack
+                sel = np.arange(live) if take is None else np.flatnonzero(take)
+                new_rows = x_new.reshape(live, n)
+            if bound is not None:
+                lost = sel[_row_norms(new_rows[sel]) > bound]
+                if lost.size:
+                    drop(lost, lambda j: UnboundedTrajectory(
+                        f"state norm exceeded {bound:.3e} at t={ta[j] + h[j]:.6g}"))
+                    sel = np.flatnonzero(take)
+            if targets is not None or k_new is None:
+                # no stage holds the slope at the new state: evaluate it
+                # there, after the re-projection
                 stages = None
+                if targets is not None and sel.size:
+                    y, conv, degen = _project_rows(system, new_rows[sel], targets[sel])
+                    for i in np.flatnonzero(~conv).tolist():
+                        j = int(sel[i])
+                        drop(sel[i:i + 1], lambda _: LeafProjectionFailure(
+                            f"conserved differentials degenerate near {y[i].tolist()}"
+                            if degen[i] else
+                            f"no convergence onto leaf {targets[j].tolist()} "
+                            f"from {new_rows[j].tolist()}"))
+                    sel = sel[conv]
+                    new_rows[sel] = y[conv]
+                if sel.size == live:
+                    k_new, v0, ok = kernel(x_new)
+                else:
+                    k_new = np.empty_like(xa)
+                    v0 = None if flow is Flow.UNPERTURBED else np.empty_like(xa)
+                    ok = None
+                    if sel.size:
+                        k_new[sel], v0_sel, ok = kernel(x_new[sel])
+                        if v0 is not None:
+                            v0[sel] = v0_sel
+                if ok is not None:
+                    drop(sel[np.flatnonzero(~ok)], lambda j: NonFiniteState(
+                        str(_nonfinite_differential(new_rows[j]))))
 
-            if stages is not None:
-                k_new = stages[6]
-            else:
-                k_new, v0_new = evaluate(x_new)
-
-        n_acc += 1
-        final = t + h_try >= t_stop
-        step = _Step(t, h_try, x, x_new, k_first, k_new, stages, v0_new,
-                     n_acc, n_rej, final, final or n_acc % config.record_every == 0)
-        yield step
-        t = step.t_new
-        x = x_new
-        k_first = k_new
+        if take is None:
+            xa, ka = x_new, k_new
+            stepped = everyone
+        else:
+            stepped = np.flatnonzero(take).tolist()
+            if not stepped:
+                continue
+            xa = np.where(take[:, None], x_new, xa)
+            ka = np.where(take[:, None], k_new, ka)
+        recorded = []
+        for j in stepped:
+            n_acc[j] += 1
+            ta[j] += h[j]
+            if ta[j] >= t_stop:
+                ended[j] = None
+                recorded.append(j)
+            elif n_acc[j] % every == 0:
+                recorded.append(j)
+        if point:
+            step = _Step(t_before, h[0], x_before, xa, k_before, ka, stages, v0,
+                         n_acc[0], n_rej[0], bool(ended), bool(recorded))
+            t_before, x_before, k_before = step.t_new, xa, ka
+            yield step
+        else:
+            yield rows, recorded, xa
 
 
 def _check_checkpoints(cps: np.ndarray, t_end: float) -> None:
@@ -570,7 +720,7 @@ class _Diagnostics:
         self.t, self.h, self.ends = t[:n_steps], h[:n_steps], ends[:n_steps]
         self.recs, self.v0 = recs[:n_recs], v0[:n_recs]
         self.flush()
-        _guard_nonfinite(bad.require_finite)()
+        raise NonFiniteState(str(_nonfinite_differential(bad.x[i])))
 
     def columns(self) -> dict:
         """The flushed blocks' :class:`Trajectory` arrays, each joined over the blocks."""
@@ -591,14 +741,16 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
     end gets that end state exactly. ``bound`` aborts with
     :class:`UnboundedTrajectory` when the state norm exceeds it.
 
-    The records and, on the corrected flow, the midpoint rate audit of every
-    accepted step are evaluated in blocks of ``_DIAG_BLOCK`` steps on
-    stacked frames (see ``_Diagnostics``); a step evaluates nothing beyond
-    its stages, and no stage builds a frame. A run that fails flushes its
-    pending block first, so a non-finite diagnostic frame before the failing
-    step raises :class:`NonFiniteState` instead, as a per-step evaluation
-    would. The steps past such a frame, up to the end of its block, are
-    taken before it is seen.
+    The steps are those of the one step loop, ``_lockstep``, on this one
+    start, and a failure is the one it raises. The records and, on the
+    corrected flow, the midpoint rate audit of every accepted step are
+    evaluated in blocks of ``_DIAG_BLOCK`` steps on stacked frames (see
+    ``_Diagnostics``); a step evaluates nothing beyond its stages, and no
+    stage builds a frame. A run that fails flushes its pending block first,
+    so a non-finite diagnostic frame before the failing step raises
+    :class:`NonFiniteState` instead, as a per-step evaluation would. The
+    steps past such a frame, up to the end of its block, are taken before
+    it is seen.
     """
     x = as_point(x0, system.dim)
     if config.t_end <= 0:
@@ -616,10 +768,10 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
             next_cp = 1
     n_cps = 0 if cps is None else cps.size
 
-    seed = _evaluator(system, flow)(x)
-    diag = _Diagnostics(system, flow, config, x, seed[1])
+    steps = _lockstep(system, x, config, flow, bound)
+    diag = _Diagnostics(system, flow, config, x, next(steps))
     try:
-        for step in _dp_steps(system, x, config, flow, bound, seed):
+        for step in steps:
             diag.add(step)
             if next_cp < n_cps and (cps[next_cp] <= step.t_new or step.final):
                 stop = (n_cps if step.final
@@ -660,230 +812,54 @@ class EnsembleRun:
     failures: list          # (m,) class names or None
 
 
-def _rhs_rows(system: DissipativeSystem):
-    """The corrected flow's right-hand side on stacks, bound to the system.
-
-    Returns ``evaluate(pts) -> (rhs, ok)`` for an (m, n) stack that
-    :func:`as_stack` has checked: the right-hand side at each row, and the
-    rows that have one, or None when every row has one. A row whose
-    differentials are not finite, where the point kernel raises, gets NaN
-    and a False flag. The stacked bodies of :func:`system_frames` and
-    ``_cofactor_from_frames`` run directly, with no :class:`FrameStack`
-    built.
-    """
-    fields_ = system.all_fields()
-    metric = system.metric
-    minors = _cofactor_minors(system.k)
-    X = system.X
-
-    def evaluate(pts):
-        _, _, grads, gram, ok = _stack_arrays(fields_, metric, pts)
-        v0 = _cofactors(gram, grads, minors)
-        if ok is None:
-            return X._values_at(pts) - v0, None
-        out = np.full(pts.shape, np.nan)
-        out[ok] = X._values_at(pts[ok]) - v0[ok]
-        return out, ok
-
-    return evaluate
-
-
 def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConfig,
                        bound: float | None = None) -> EnsembleRun:
     """Integrate the corrected flow from every row of an (m, dim) stack, in lockstep.
 
-    One loop advances all rows with the step scheme of :func:`_dp_steps`.
-    Each row has its own time, step size, controller memory and counters,
-    is checked alone against the step budget, the step floor, non-finite
-    tries, ``bound`` and the leaf re-projection, and drops out alone when it
-    finishes or fails. A failure ends its row only and is reported by class
-    name. Every row takes exactly the steps of its solo
-    ``integrate(system, row, config, bound=bound)`` in the same arithmetic:
-    the stages are stacked frame arrays and vector-matrix products, which numpy
-    evaluates one row at a time as in the point call, and the step control
-    runs on Python floats row by row. Nothing else is recorded; see
+    This drains the one step loop, ``_lockstep``, over all rows at once.
+    A failure ends its row only and is reported by class name. Every row
+    takes exactly the steps of its solo ``integrate(system, row, config,
+    bound=bound)`` in the same arithmetic. The dissipated value is
+    evaluated at the states a solo run records a block of ``_DIAG_BLOCK``
+    of them at a time, as :func:`integrate`'s diagnostics are, and each
+    row's max is taken over its own. Nothing else is recorded; see
     :class:`EnsembleRun`.
-
-    The running rows are a compact working set, in start order: their
-    states, times, stage-0 slopes and dissipated maxima as arrays, their
-    controller scalars and counters as Python lists. A try in which every
-    row steps replaces the arrays whole; a rejected or failed try keeps its
-    row's entries. The set is compacted only when a row finishes or fails,
-    and only then are the row's results written out.
     """
-    x = as_stack(starts, system.dim).copy()
+    x = as_stack(starts, system.dim)
     if config.t_end <= 0:
         raise ValueError("t_end must be positive")
-    m, n = x.shape
-    t_end = config.t_end
-    t_stop = t_end - _STEP_FLOOR * t_end
-    min_h = _STEP_FLOOR * t_end
-    adaptive = config.method is Method.RK45_ADAPTIVE
-    h_first = _first_step(config)
-    g_max = np.full(m, -np.inf)
-    n_accepted = np.zeros(m, dtype=int)
-    n_rejected = np.zeros(m, dtype=int)
-    failures = [None] * m
+    _first_step(config)  # an input error, refused before any evaluation
+    m = len(x)
+    run = EnsembleRun(g_max=np.full(m, -np.inf), final=x.copy(),
+                      n_accepted=np.zeros(m, dtype=int), n_rejected=np.zeros(m, dtype=int),
+                      failures=[None] * m)
+    owners, ends = [], []  # the recorded states not yet evaluated, and their rows
+    held = 0
 
-    rhs_rows = _rhs_rows(system)
-    ka, ok = rhs_rows(x)
-    xa = x
-    if ok is not None:
-        for i in np.flatnonzero(~ok).tolist():
-            failures[i] = NonFiniteState.__name__
-        xa, ka = x[ok], ka[ok]
-    # the working set: each running row's start index, state, time, stage-0
-    # slope, max of G over its records, leaf, step size, controller memory
-    # and counters
-    rows = list(range(m)) if ok is None else np.flatnonzero(ok).tolist()
-    ta = np.zeros(len(rows))
-    ga = system.dissipated.values(xa)
-    targets = None
-    if config.leaf_reprojection and system.k:
-        targets = np.empty((len(rows), system.k))
-        for j, f in enumerate(system.conserved):
-            targets[:, j] = f.values(xa)
-    h_ctrl = [h_first] * len(rows)
-    fac_old = [1e-4] * len(rows)
-    n_acc = [0] * len(rows)
-    n_rej = [0] * len(rows)
-    tries = 0    # every running row has made one try a pass
-    ended = {}   # working-set position -> failure name, or None for a finished row
-    take = None  # the rows that step in this try, None for all
+    def flush():
+        g = system.dissipated.values(np.concatenate(ends))
+        # row by row in step order, as np.maximum would fold them; unlike
+        # np.maximum, its unbuffered loop warns on a NaN
+        with np.errstate(invalid="ignore"):
+            np.maximum.at(run.g_max, np.concatenate(owners), g)
+        owners.clear()
+        ends.clear()
 
-    def drop(lost, failure):
-        """End the stepping rows at the positions ``lost`` with ``failure``, unstepped."""
-        nonlocal take
-        if take is None:
-            take = np.ones(len(rows), dtype=bool)
-        lost = lost[take[lost]]
-        take[lost] = False
-        ended.update(dict.fromkeys(lost.tolist(), failure.__name__))
-
-    while True:
-        # the checks before each running row's next try
-        if tries >= config.max_steps:
-            for j in range(len(rows)):
-                ended.setdefault(j, MaxStepsExceeded.__name__)
-        elif adaptive and rows and min(h_ctrl) < min_h:
-            for j, hc in enumerate(h_ctrl):
-                if hc < min_h:
-                    ended.setdefault(j, StepUnderflow.__name__)
-        if ended:
-            gone = sorted(ended)
-            at = [rows[j] for j in gone]
-            x[at] = xa[gone]
-            g_max[at] = ga[gone]
-            for i, j in zip(at, gone):
-                failures[i] = ended[j]
-                n_accepted[i], n_rejected[i] = n_acc[j], n_rej[j]
-            keep = [j for j in range(len(rows)) if j not in ended]
-            rows, h_ctrl, fac_old, n_acc, n_rej = (
-                [v[j] for j in keep] for v in (rows, h_ctrl, fac_old, n_acc, n_rej))
-            xa, ta, ka, ga = xa[keep], ta[keep], ka[keep], ga[keep]
-            if targets is not None:
-                targets = targets[keep]
-            ended.clear()
-        if not rows:
-            break
-
-        h = np.minimum(h_ctrl if adaptive else config.h0, t_end - ta)
-        h_col = h[:, None]
-        take = None
-        if adaptive:
-            stages = np.empty((len(rows), 7, n))
-            stages[:, 0] = ka
-            good = None
-            # a try that leaves the finite range is rejected below: its
-            # overflows warn no one, in one scope for the batch of tries
-            with np.errstate(over="ignore", invalid="ignore"):
-                for s in range(1, 7):
-                    xs = xa + h_col * (_DP_A[s] @ stages[:, :s])
-                    stages[:, s], ok = rhs_rows(xs)
-                    if ok is not None:
-                        good = ok if good is None else good & ok
-                err_vec = h_col * (_DP_ERR @ stages)
-                scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xa), np.abs(xs))
-                q = (err_vec / scale) ** 2
-                err = np.sqrt(np.add.reduce(q, axis=1) / n)
-            if good is not None:
-                err[~good] = np.inf
-            # the shared controller on Python floats, row by row: its powers
-            # must round as the solo run's do, which numpy's need not
-            for j, (e, h_try) in enumerate(zip(err.tolist(), h.tolist())):
-                accepted, h_ctrl[j], fac_old[j] = _step_control(
-                    e if math.isfinite(e) else math.inf, h_try, fac_old[j])
-                if not accepted:
-                    n_rej[j] += 1
-                    if take is None:
-                        take = np.ones(len(rows), dtype=bool)
-                    take[j] = False
-            x_new, k_new = xs, stages[:, 6]
-        else:
-            # a row that leaves the finite range is dropped below: its
-            # overflows warn no one, as in the adaptive tries
-            with np.errstate(over="ignore", invalid="ignore"):
-                k2, ok2 = rhs_rows(xa + (0.5 * h)[:, None] * ka)
-                k3, ok3 = rhs_rows(xa + (0.5 * h)[:, None] * k2)
-                k4, ok4 = rhs_rows(xa + h_col * k3)
-                x_new = xa + (h / 6.0)[:, None] * (ka + 2.0 * k2 + 2.0 * k3 + k4)
-            k_new = None
-            for ok in (ok2, ok3, ok4):
-                if ok is not None:
-                    drop(np.flatnonzero(~ok), NonFiniteState)
-        tries += 1
-
-        with _landing_scope(config):
-            if np.count_nonzero(np.isfinite(x_new)) != x_new.size:
-                drop(np.flatnonzero(~np.isfinite(x_new).all(axis=1)), NonFiniteState)
-            if bound is not None:
-                if take is None:
-                    lost = np.flatnonzero(_row_norms(x_new) > bound)
-                else:
-                    sel = np.flatnonzero(take)
-                    lost = sel[_row_norms(x_new[sel]) > bound]
-                if lost.size:
-                    drop(lost, UnboundedTrajectory)
-            if targets is not None or k_new is None:
-                # no stage holds the slope at the new state: evaluate it
-                # there, after the re-projection
-                sel = np.arange(len(rows)) if take is None else np.flatnonzero(take)
-                if targets is not None and sel.size:
-                    x_sel, ok, _ = _project_rows(system, x_new[sel], targets[sel])
-                    drop(sel[~ok], LeafProjectionFailure)
-                    sel = sel[ok]
-                    x_new[sel] = x_sel[ok]
-                k_new = np.empty_like(xa)
-                if sel.size:
-                    k_new[sel], ok = rhs_rows(x_new[sel])
-                    if ok is not None:
-                        drop(sel[~ok], NonFiniteState)
-
-        t_new = ta + h
-        if take is None:
-            xa, ka, ta = x_new, k_new, t_new
-            stepped = range(len(rows))
-        else:
-            xa = np.where(take[:, None], x_new, xa)
-            ka = np.where(take[:, None], k_new, ka)
-            ta = np.where(take, t_new, ta)
-            stepped = np.flatnonzero(take).tolist()
-        t_list = t_new.tolist()
-        recorded = []
-        for j in stepped:
-            n_acc[j] += 1
-            if t_list[j] >= t_stop:
-                ended[j] = None
-                recorded.append(j)
-            elif n_acc[j] % config.record_every == 0:
-                recorded.append(j)
+    for rows, recorded, states in _lockstep(system, x, config, Flow.PERTURBED, bound, run):
         if len(recorded) == len(rows):
-            ga = np.maximum(ga, system.dissipated.values(xa))
+            owners.append(rows)
+            ends.append(states)
         elif recorded:
-            ga[recorded] = np.maximum(ga[recorded], system.dissipated.values(xa[recorded]))
-
-    return EnsembleRun(g_max=g_max, final=x, n_accepted=n_accepted, n_rejected=n_rejected,
-                       failures=failures)
+            owners.append([rows[j] for j in recorded])
+            ends.append(states[recorded])
+        held += len(recorded)
+        if held >= _DIAG_BLOCK:
+            flush()
+            held = 0
+    if held:
+        flush()
+    run.failures = [None if exc is None else type(exc).__name__ for exc in run.failures]
+    return run
 
 
 def flow_agreement_band(config: IntegratorConfig, state_norm: float) -> float:

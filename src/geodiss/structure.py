@@ -37,7 +37,7 @@ from .fields import (
     project_to_leaf,
 )
 from .gram import _nonfinite_differential, checked_det, system_frame, system_frames
-from .integrators import Flow, IntegratorConfig, _rhs_rows, integrate
+from .integrators import Flow, IntegratorConfig, _flow_rows, integrate
 
 DEFAULT_TOL_INV = 1e-9
 DEFAULT_TOL_G = 1e-6
@@ -118,9 +118,15 @@ def classify_point(system: DissipativeSystem, x,
     collapses when the dissipated gradient vanishes.
     """
     fr = system_frame(system, x)
-    det_full = fr.det_full()
-    grad_g_norm = fr.grad_g_norm()
-    scale = fr.classification_scale()
+    return _point_class(fr.det_full(), fr.grad_g_norm(), fr.classification_scale(),
+                        tol_inv, tol_g)
+
+
+def _point_class(det_full: float, grad_g_norm: float, scale: float,
+                 tol_inv: float, tol_g: float) -> PointClass:
+    """The :class:`PointClass` of a frame's full Gram determinant, dissipated
+    gradient norm and classification scale: critical first, then dependent,
+    else generic."""
     if grad_g_norm <= tol_g:
         kind = PointKind.INV_CRITICAL
     elif det_full <= tol_inv * scale:
@@ -129,6 +135,22 @@ def classify_point(system: DissipativeSystem, x,
         kind = PointKind.GENERIC
     return PointClass(kind=kind, det_full=det_full, grad_g_norm=grad_g_norm,
                       scale=scale, tol_inv=tol_inv, tol_g=tol_g)
+
+
+def _classify_rows(system: DissipativeSystem, pts: np.ndarray,
+                   tol_inv: float, tol_g: float) -> list:
+    """:func:`classify_point` at every row of an (m, n) stack, from one stacked frame.
+
+    Each :class:`PointClass` and each warning, in row order, is the point
+    call's; a row whose differentials are not finite raises the point
+    call's :class:`NonFiniteValue` for the first such row.
+    """
+    frames = system_frames(system, pts)
+    frames.require_finite()
+    return [_point_class(det, norm, scale, tol_inv, tol_g)
+            for det, norm, scale in zip(frames.det_full().tolist(),
+                                        frames.grad_g_norm().tolist(),
+                                        frames.classification_scale().tolist())]
 
 
 @dataclass(frozen=True)
@@ -157,6 +179,18 @@ class EquilibriumReport:
             "stability": self.stability.value,
             "leafValue": self.leaf_value.tolist(),
         }
+
+
+def _rhs_rows(system: DissipativeSystem):
+    """The corrected flow on stacks: ``evaluate(pts) -> (rhs, finite)``, the
+    integrators' kernel without its control field."""
+    evaluate = _flow_rows(system, Flow.PERTURBED)
+
+    def rhs_rows(pts):
+        rhs, _, ok = evaluate(pts)
+        return rhs, ok
+
+    return rhs_rows
 
 
 def _control_rows(system: DissipativeSystem):
@@ -395,8 +429,8 @@ def _refine_rows(system: DissipativeSystem, starts: np.ndarray, leaf_value,
         max_iter=_REFINE_MAX_ITER, max_halvings=_REFINE_HALVINGS,
         residual_floor=_REFINE_RESIDUAL_FLOOR, trust_radius=trust)
     out = []
-    for x, y, radius in zip(x0, ys, trust):
-        cls = classify_point(system, y, tol_inv=_REFINE_TOL_INV, tol_g=_REFINE_TOL_G)
+    classes = _classify_rows(system, ys, _REFINE_TOL_INV, _REFINE_TOL_G)
+    for x, y, radius, cls in zip(x0, ys, trust, classes):
         on_leaf = (system.k == 0
                    or float(np.max(np.abs(system.leaf_value(y) - target))) <= _REFINE_LEAF_TOL)
         within = float(np.linalg.norm(y - x)) <= radius

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
+import geodiss.fields
 import geodiss.integrators
 from geodiss.catalog import mexican_hat, random_poly, rigid_body
-from geodiss.errors import LeafProjectionFailure
 from geodiss.fields import (
     DissipativeSystem,
     MetricField,
@@ -28,30 +28,23 @@ def mexhat():
 
 @pytest.fixture
 def refused_leaf_projection(monkeypatch):
-    """The integrators' re-projection refuses to move any point.
+    """The leaf re-projection refuses to move any point.
 
-    ``geodiss.integrators.project_to_leaf`` (the solo run's re-projection)
-    raises, and ``geodiss.integrators._project_rows`` (the lockstep
-    ensemble's) reports the row unconverged, whenever the real projection
+    ``_project_rows`` reports a row unconverged whenever the real projection
     would move the point; a point already on its leaf, which the real
-    projection returns as it is, passes. These are the names the integrators
-    call; the other modules that import the projection keep the real one.
+    projection returns as it is, passes. It is refused where the
+    integrators' loop calls it and where ``geodiss.fields.project_to_leaf``
+    (the reference loop's re-projection) calls it; the other modules that
+    import the projection keep the real one.
     """
-    real_rows = geodiss.integrators._project_rows
-    real_point = geodiss.integrators.project_to_leaf
-
-    def refuse(system, x, leaf_value, tol=1e-12, max_iter=50):
-        y = real_point(system, x, leaf_value, tol, max_iter)
-        if not np.array_equal(y, x):
-            raise LeafProjectionFailure("projection refused")
-        return y
+    real_rows = geodiss.fields._project_rows
 
     def refuse_rows(system, pts, leaf_value, tol=1e-12, max_iter=50):
         y, converged, degenerate = real_rows(system, pts, leaf_value, tol, max_iter)
         return y, converged & np.all(y == pts, axis=1), degenerate
 
-    monkeypatch.setattr(geodiss.integrators, "project_to_leaf", refuse)
     monkeypatch.setattr(geodiss.integrators, "_project_rows", refuse_rows)
+    monkeypatch.setattr(geodiss.fields, "_project_rows", refuse_rows)
 
 
 def seeded_pair(i: int):

@@ -870,17 +870,19 @@ def test_period_detection_stops_at_the_first_return(mexhat, monkeypatch):
     # Newton and orbit samples that read the run's continuous extension:
     # no second integration
     steps = []
-    dp_steps = basin_mod._dp_steps
+    lockstep = basin_mod._lockstep
 
     def counting_steps(*args, **kwargs):
-        for step in dp_steps(*args, **kwargs):
+        run = lockstep(*args, **kwargs)
+        yield next(run)  # the control field at the start
+        for step in run:
             steps.append(step.t_new)
             yield step
 
     def no_integrate(*args, **kwargs):
         raise AssertionError("period detection called integrate")
 
-    monkeypatch.setattr(basin_mod, "_dp_steps", counting_steps)
+    monkeypatch.setattr(basin_mod, "_lockstep", counting_steps)
     monkeypatch.setattr(basin_mod, "integrate_ensemble", no_integrate)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
     y0 = np.array([np.cos(0.3), np.sin(0.3), 0.02])

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geodiss.gram
@@ -20,7 +20,7 @@ from geodiss.control import (
     tensor_matrix,
 )
 from geodiss.errors import DimensionMismatch, NonFiniteState, NonFiniteValue, SingularLeaf
-from geodiss.integrators import IntegratorConfig, _rhs_rows, integrate
+from geodiss.integrators import Flow, IntegratorConfig, _flow_rows, integrate
 from geodiss.fields import (
     DissipativeSystem,
     MetricField,
@@ -434,14 +434,25 @@ def _frame_stack_path(system, pts):
     return out, ok
 
 
+_ONE_ROW_SYSTEM = random_poly(4, 2, seed=3).system
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_kernel_stacks())
+# a one-row stack runs the point kernel: a finite row, a row with a NaN
+# coordinate, and a row whose Gram determinants warn at floor 0.9
+@example((_ONE_ROW_SYSTEM, np.array([[0.3, -0.5, 0.8, 0.1]]),
+          geodiss.gram.GRAM_NEGATIVITY_FLOOR))
+@example((_ONE_ROW_SYSTEM, np.array([[0.3, np.nan, 0.8, 0.1]]),
+          geodiss.gram.GRAM_NEGATIVITY_FLOOR))
+@example((_ONE_ROW_SYSTEM, np.array([[0.3, -0.5, 0.8, 0.1]]), 0.9))
 def test_stacked_rhs_kernel_is_the_frame_stack_path_bitwise(case):
     system, pts, floor = case
     default = geodiss.gram.GRAM_NEGATIVITY_FLOOR
     geodiss.gram.GRAM_NEGATIVITY_FLOOR = floor
     try:
-        (rhs, ok), warned = _with_warnings(lambda: _rhs_rows(system)(pts))
+        (rhs, _, ok), warned = _with_warnings(
+            lambda: _flow_rows(system, Flow.PERTURBED)(pts))
         (ref, ref_ok), ref_warned = _with_warnings(lambda: _frame_stack_path(system, pts))
         # the point kernel at the finite rows, in row order
         point, point_warned = _with_warnings(

@@ -1,6 +1,7 @@
 """Trajectory integration: accuracy, structure diagnostics, failure modes."""
 import ast
 import io
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -29,18 +30,26 @@ from geodiss.fields import (
     MetricField,
     ScalarField,
     VectorField,
+    project_to_leaf,
 )
+import geodiss.fields
 import geodiss.gram
 import geodiss.integrators
-from geodiss.control import Formulation, _cofactor_from_frame, control_field
+from geodiss.control import Formulation, _cofactor_from_frame, _corrected_rhs, control_field
 from geodiss.gram import system_frame
 from geodiss.integrators import (
     Flow,
     IntegratorConfig,
     Method,
+    _DP_A,
     _DP_DENSE,
-    _dp_steps,
-    _evaluator,
+    _DP_ERR,
+    _STEP_FLOOR,
+    _Step,
+    _first_step,
+    _landing_scope,
+    _lockstep,
+    _step_control,
     flow_agreement_band,
     integrate,
     integrate_ensemble,
@@ -57,6 +66,147 @@ def antibowl():
     return DissipativeSystem(X=VectorField(2, lambda p: np.zeros(2)),
                              conserved=(), dissipated=G,
                              metric=MetricField.euclidean(2))
+
+
+# The solo step loop that the lockstep loop replaced, verbatim: the reference
+# that every run of integrate, integrate_ensemble and _lockstep is held to,
+# bit for bit, with the exception each one raises.
+def _guard_nonfinite(fn):
+    """Report mid-run non-finite field values as integration failures.
+
+    A state can pass the finiteness check while its differentials or Gram
+    data overflow; once integration has started that is a trajectory leaving
+    the representable domain, not a defect of the field definitions.
+    """
+    def wrapped(*args):
+        try:
+            return fn(*args)
+        except NonFiniteValue as exc:
+            raise NonFiniteState(str(exc)) from exc
+    return wrapped
+
+
+def _rk4_step(rhs, x, h, k1):
+    k2 = rhs(x + 0.5 * h * k1)
+    k3 = rhs(x + 0.5 * h * k2)
+    k4 = rhs(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _evaluator(system: DissipativeSystem, flow: Flow):
+    """Right-hand side of the flow at p, with the control field behind it.
+
+    The unperturbed flow has no control field and returns ``None`` for it.
+    """
+    if flow is Flow.PERTURBED:
+        evaluate = _corrected_rhs(system)
+    else:
+        def evaluate(p):
+            return system.X(p), None
+    return _guard_nonfinite(evaluate)
+
+
+def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig,
+              flow: Flow = Flow.PERTURBED, bound: float | None = None, seed=None):
+    """Generate the accepted steps of one run from x up to config.t_end.
+
+    ``seed`` is the evaluation at x when the caller already has it. Step
+    control depends on nothing but the run itself, so a consumer that stops
+    early has seen exactly the steps of the full run up to that point.
+
+    An adaptive try whose stages leave the finite range, or whose error
+    estimate is not finite, is rejected with the smallest shrink factor;
+    the step floor and the step budget still bound the run. A fixed step
+    that leaves the finite range raises :class:`NonFiniteState`.
+    """
+    evaluate = _evaluator(system, flow)
+
+    def rhs(p):
+        return evaluate(p)[0]
+
+    h_ctrl = _first_step(config)
+    k_first = (seed if seed is not None else evaluate(x))[0]
+    leaf_target = None
+    if config.leaf_reprojection and system.k:
+        leaf_target = system.leaf_value(x)
+    t = 0.0
+    t_end = config.t_end
+    # the last step ends within this roundoff band below t_end
+    t_stop = t_end - _STEP_FLOOR * t_end
+    fac_old = 1e-4
+    n_acc = 0
+    n_rej = 0
+    adaptive = config.method is Method.RK45_ADAPTIVE
+    min_h = _STEP_FLOOR * t_end
+
+    while t < t_stop:
+        if n_acc + n_rej >= config.max_steps:
+            raise MaxStepsExceeded(
+                f"exceeded {config.max_steps} steps at t={t:.6g} of {t_end:.6g}"
+            )
+        if adaptive and h_ctrl < min_h:
+            raise StepUnderflow(f"step size {h_ctrl:.3e} below floor at t={t:.6g}")
+        h_try = h_ctrl if adaptive else config.h0
+        h_try = min(h_try, t_end - t)
+
+        if adaptive:
+            stages = np.empty((7, x.size))
+            stages[0] = k_first
+            # a try that leaves the finite range is rejected below, through
+            # NonFiniteState or a non-finite err: its overflows warn no one
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for s in range(1, 7):
+                        xs = x + h_try * (_DP_A[s] @ stages[:s])
+                        stages[s], v0_new = evaluate(xs)
+            except NonFiniteState:
+                err = np.inf
+            else:
+                # B5 is A[6] with a trailing zero: the last stage point is the
+                # new state, so stage 7 is the right-hand side there (FSAL)
+                x_new = xs
+                err_vec = h_try * (_DP_ERR @ stages)
+                scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+                q = (err_vec / scale) ** 2
+                err = float(np.sqrt(np.add.reduce(q) / q.size))
+            if not math.isfinite(err):
+                err = np.inf  # rejected with the smallest shrink factor
+            accepted, h_ctrl, fac_old = _step_control(err, h_try, fac_old)
+            if not accepted:
+                n_rej += 1
+                continue
+        else:
+            stages = None
+            # a step that leaves the finite range raises NonFiniteState, from
+            # a stage or from the check below: its overflows warn no one
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_new = _rk4_step(rhs, x, h_try, k_first)
+
+        with _landing_scope(config):
+            if not np.isfinite(x_new).all():
+                raise NonFiniteState(f"state became non-finite at t={t + h_try:.6g}")
+            if bound is not None and float(np.linalg.norm(x_new)) > bound:
+                raise UnboundedTrajectory(
+                    f"state norm exceeded {bound:.3e} at t={t + h_try:.6g}"
+                )
+
+            if leaf_target is not None:
+                x_new = project_to_leaf(system, x_new, leaf_target)
+                stages = None
+
+            if stages is not None:
+                k_new = stages[6]
+            else:
+                k_new, v0_new = evaluate(x_new)
+
+        n_acc += 1
+        final = t + h_try >= t_stop
+        step = _Step(t, h_try, x, x_new, k_first, k_new, stages, v0_new,
+                     n_acc, n_rej, final, final or n_acc % config.record_every == 0)
+        yield step
+        t = step.t_new
+        x = x_new
+        k_first = k_new
 
 
 def test_adaptive_scheme_matches_the_logistic_closed_form(mexhat):
@@ -428,13 +578,30 @@ def test_frame_count_and_recorded_diagnostics(rigid, monkeypatch, method,
         assert np.array_equal(tr.conserved_values[j], system.leaf_value(x))
 
 
+def _assert_same_steps(got, ref):
+    """Two sequences of :class:`_Step`s hold the same steps, bitwise."""
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        for name in ("t", "h", "t_new", "accepted", "rejected", "final", "recorded"):
+            assert getattr(a, name) == getattr(b, name), name
+        for name in ("x", "x_new", "f", "f_new", "stages", "v0_new"):
+            u, v = getattr(a, name), getattr(b, name)
+            assert (u is None) == (v is None), name
+            if u is not None:
+                assert (u.shape, u.tobytes()) == (v.shape, v.tobytes()), name
+
+
 @pytest.mark.parametrize("record_every", [1, 3, 7])
 def test_step_generator_decides_records_and_counters(rigid, record_every):
-    # integrate records exactly the steps _dp_steps flags, and its counters
-    # are those of the last step
+    # integrate records exactly the steps the one-row loop flags, and its
+    # counters are those of the last step; the steps are the reference's
     cfg = IntegratorConfig(h0=0.5, t_end=3.0, record_every=record_every)
     x0 = np.array([0.6, 0.48, 0.64])
-    steps = list(_dp_steps(rigid.system, x0, cfg))
+    run = _lockstep(rigid.system, x0, cfg)
+    v0 = next(run)
+    steps = list(run)
+    _assert_same_steps(steps, list(_dp_steps(rigid.system, x0, cfg)))
+    assert v0.tobytes() == _corrected_rhs(rigid.system)(x0)[1].tobytes()
     tr = integrate(rigid.system, x0, cfg)
     expected = np.array([0.0] + [s.t_new for s in steps if s.recorded])
     assert tr.times.tobytes() == expected.tobytes()
@@ -525,24 +692,33 @@ def lockstep_systems(rigid, mexhat):
 
 
 def _assert_rows_match_solo_runs(system, starts, cfg, bound=None):
-    """Every lockstep row takes the steps, the failure and the bits of its solo run."""
+    """Every lockstep row, and every solo integrate run, takes the steps, the
+    failure and the bits of the reference loop's run."""
+    refs, reached = [], []
+    for x0 in starts:
+        # the reference's per-step diagnostics of a run that lands on a huge
+        # state may warn where integrate's scoped block evaluation does not
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            refs.append(_reference_run(system, x0, cfg, bound=bound))
+            # the states a failed run reached: its start and each step's end
+            reached.append([x0])
+            if isinstance(refs[-1], IntegrationFailure):
+                with pytest.raises(type(refs[-1])):
+                    for step in _dp_steps(system, x0, cfg, bound=bound):
+                        reached[-1].append(step.x_new)
     run = integrate_ensemble(system, starts, cfg, bound=bound)
-    for i, x0 in enumerate(starts):
-        try:
-            tr = integrate(system, x0, cfg, bound=bound)
-        except IntegrationFailure as exc:
-            assert run.failures[i] == type(exc).__name__, i
-            # the steps taken up to the failure are the step generator's
-            n_steps = 0
-            with pytest.raises(type(exc)):
-                for _ in _dp_steps(system, x0, cfg, bound=bound):
-                    n_steps += 1
-            assert run.n_accepted[i] == n_steps, i
+    for i, (x0, ref) in enumerate(zip(starts, refs)):
+        _assert_integrate_is(ref, system, x0, cfg, bound=bound)
+        if isinstance(ref, IntegrationFailure):
+            assert run.failures[i] == type(ref).__name__, i
+            assert run.n_accepted[i] == len(reached[i]) - 1, i
+            assert run.final[i].tobytes() == reached[i][-1].tobytes(), i
             continue
         assert run.failures[i] is None, i
-        assert (run.n_accepted[i], run.n_rejected[i]) == (tr.n_accepted, tr.n_rejected), i
-        assert run.g_max[i] == np.max(tr.dissipated_values), i
-        assert run.final[i].tobytes() == tr.final_state.tobytes(), i
+        assert (run.n_accepted[i], run.n_rejected[i]) == ref["counters"], i
+        assert run.g_max[i] == np.max(ref["dissipated_values"]), i
+        assert run.final[i].tobytes() == ref["states"][-1].tobytes(), i
     return run
 
 
@@ -694,9 +870,24 @@ def _state_at(step, t):
     return step.x + s * (ydiff + s1 * (bspl + s * inner))
 
 
-def _assert_bitwise_reference(system, x0, cfg, flow=Flow.PERTURBED, checkpoints=None):
-    ref = _per_step_reference(system, x0, cfg, flow, checkpoints)
-    tr = integrate(system, x0, cfg, flow, checkpoints)
+def _reference_run(system, x0, cfg, flow=Flow.PERTURBED, checkpoints=None, bound=None):
+    """The per-step reference's outputs, or the failure it raises."""
+    try:
+        return _per_step_reference(system, x0, cfg, flow, checkpoints, bound)
+    except IntegrationFailure as exc:
+        return exc
+
+
+def _assert_integrate_is(ref, system, x0, cfg, flow=Flow.PERTURBED, checkpoints=None,
+                         bound=None):
+    """integrate gives the reference outputs ``ref`` bitwise, or raises the
+    reference's failure, of the same class and with the same message."""
+    if isinstance(ref, IntegrationFailure):
+        with pytest.raises(IntegrationFailure) as got:
+            integrate(system, x0, cfg, flow, checkpoints, bound)
+        assert (type(got.value), str(got.value)) == (type(ref), str(ref))
+        return None
+    tr = integrate(system, x0, cfg, flow, checkpoints, bound)
     for name in _RECORD_FIELDS + _RATE_FIELDS:
         got = getattr(tr, name)
         assert (got.dtype, got.shape) == (ref[name].dtype, ref[name].shape), name
@@ -705,6 +896,12 @@ def _assert_bitwise_reference(system, x0, cfg, flow=Flow.PERTURBED, checkpoints=
     if checkpoints is not None:
         assert tr.checkpoint_states.tobytes() == ref["checkpoint_states"].tobytes()
     return tr
+
+
+def _assert_bitwise_reference(system, x0, cfg, flow=Flow.PERTURBED, checkpoints=None,
+                              bound=None):
+    ref = _reference_run(system, x0, cfg, flow, checkpoints, bound)
+    return _assert_integrate_is(ref, system, x0, cfg, flow, checkpoints, bound)
 
 
 @pytest.fixture(scope="module")
@@ -722,21 +919,34 @@ def diagnostic_systems(rigid, mexhat):
        record_every=st.sampled_from([1, 3, 7]),
        block=st.sampled_from([1, 5, 512]),
        with_checkpoints=st.booleans(),
-       seed=st.integers(0, 2 ** 16))
+       seed=st.integers(0, 2 ** 16),
+       bound=st.sampled_from([None, 1.0, 3.0]),
+       max_steps=st.sampled_from([25, 1_000_000]))
+# failures after steps and checkpoints: the bound, and the step budget of a
+# re-projected RK4 run and of an unperturbed run
+@example(name="sombrero", method=Method.RK45_ADAPTIVE, reproject=False,
+         flow=Flow.PERTURBED, record_every=3, block=5, with_checkpoints=True, seed=0,
+         bound=1.0, max_steps=1_000_000)
+@example(name="rigid", method=Method.RK4_FIXED, reproject=True, flow=Flow.PERTURBED,
+         record_every=3, block=5, with_checkpoints=True, seed=4, bound=None, max_steps=25)
+@example(name="sombrero", method=Method.RK45_ADAPTIVE, reproject=True,
+         flow=Flow.UNPERTURBED, record_every=1, block=512, with_checkpoints=True, seed=5,
+         bound=None, max_steps=25)
 def test_block_diagnostics_are_bitwise_the_per_step_ones(
         diagnostic_systems, name, method, reproject, flow, record_every, block,
-        with_checkpoints, seed):
+        with_checkpoints, seed, bound, max_steps):
     system = diagnostic_systems[name]
     x0 = np.random.default_rng(seed).uniform(-0.4, 0.4, size=system.dim)
     x0[0] += 0.6
     t_end = 0.3 if name == "random_poly" else 2.0
     cfg = IntegratorConfig(method=method, h0=0.05 if method is Method.RK4_FIXED else 0.01,
                            rel_tol=1e-9, abs_tol=1e-11, t_end=t_end,
-                           record_every=record_every, leaf_reprojection=reproject)
+                           record_every=record_every, leaf_reprojection=reproject,
+                           max_steps=max_steps)
     cps = np.linspace(0.0, t_end, 23) if with_checkpoints else None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geodiss.integrators, "_DIAG_BLOCK", block)
-        _assert_bitwise_reference(system, x0, cfg, flow, cps)
+        _assert_bitwise_reference(system, x0, cfg, flow, cps, bound)
 
 
 @pytest.mark.parametrize("flow", [Flow.PERTURBED, Flow.UNPERTURBED])
@@ -841,15 +1051,18 @@ def test_loop_failures_match_the_per_step_order(rigid, mexhat, antibowl, monkeyp
     # enough: the same class and message as a per-step evaluation
     calls = []
     if case == "refused":
-        real = geodiss.integrators.project_to_leaf
+        real = geodiss.fields._project_rows
 
-        def refuse(system, x, leaf_value, tol=1e-12, max_iter=50):
+        def refuse(system, pts, leaf_value, tol=1e-12, max_iter=50):
             calls.append(1)
+            y, converged, degenerate = real(system, pts, leaf_value, tol, max_iter)
             if len(calls) > 520:
-                raise LeafProjectionFailure("projection refused")
-            return real(system, x, leaf_value, tol, max_iter)
+                converged = np.zeros_like(converged)
+            return y, converged, degenerate
 
-        monkeypatch.setattr(geodiss.integrators, "project_to_leaf", refuse)
+        # the loop's re-projection, and the reference's project_to_leaf
+        monkeypatch.setattr(geodiss.integrators, "_project_rows", refuse)
+        monkeypatch.setattr(geodiss.fields, "_project_rows", refuse)
     system, x0, cfg, bound = {
         "bound": (mexhat.system, [0.4, 0.0, 0.1],
                   IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=20.0), 0.99),
@@ -878,7 +1091,12 @@ def test_batched_dense_read_out_is_bitwise_the_scalar_one(rigid, method, reproje
                                                           fractions):
     cfg = IntegratorConfig(method=method, h0=0.3 if method is Method.RK4_FIXED else 0.5,
                            t_end=3.0, leaf_reprojection=reproject)
-    for step in _dp_steps(rigid.system, np.array([0.6, 0.48, 0.64]), cfg):
+    x0 = np.array([0.6, 0.48, 0.64])
+    run = _lockstep(rigid.system, x0, cfg)
+    next(run)
+    steps = list(run)
+    _assert_same_steps(steps, list(_dp_steps(rigid.system, x0, cfg)))
+    for step in steps:
         ts = np.sort(step.t + step.h * np.array(fractions + [0.0, 1.0]))
         rows = step.states_at(ts)
         for t, row in zip(ts, rows):

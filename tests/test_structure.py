@@ -1,9 +1,12 @@
 """Point classification, equilibrium search, stability, limit-set probes."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import geodiss.gram
 import geodiss.structure as structure_mod
 from geodiss.errors import (
     IdentityFailure,
@@ -265,6 +268,43 @@ def test_refinement_never_evaluates_outside_its_trust_ball(mexhat, monkeypatch):
     assert len(points) > 1
     # central differences step at most sqrt(eps) max(1, |x_i|) off a point
     assert max(np.linalg.norm(p - x0) for p in points) <= trust + 1e-7
+
+
+def _class_bits(cls):
+    """A :class:`PointClass` with its floats as their exact bits."""
+    return (cls.kind, cls.det_full.hex(), cls.grad_g_norm.hex(), cls.scale.hex(),
+            cls.tol_inv, cls.tol_g)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["rigid", "sombrero", "random_poly", "callable_metric"]),
+       seed=st.integers(0, 2 ** 16),
+       n_rows=st.integers(0, 5),
+       critical_row=st.booleans(),
+       floor=st.sampled_from([-1e-10, 0.9]),
+       tols=st.sampled_from([(1e-9, 1e-6), (1e-12, 1e-8), (0.5, 0.3)]))
+def test_stacked_classification_is_the_point_one(name, seed, n_rows, critical_row,
+                                                 floor, tols):
+    # the refinement accepts its points on one stacked frame: each class,
+    # and each warning in row order, is classify_point's
+    system = _gn_system(name, seed).system
+    pts = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n_rows, system.dim))
+    if critical_row and n_rows:
+        pts[0, :2] = 0.0  # the sombrero's axis, where G's gradient vanishes
+    default = geodiss.gram.GRAM_NEGATIVITY_FLOOR
+    geodiss.gram.GRAM_NEGATIVITY_FLOOR = floor
+    try:
+        with warnings.catch_warnings(record=True) as got_warned:
+            warnings.simplefilter("always")
+            got = structure_mod._classify_rows(system, pts, *tols)
+        with warnings.catch_warnings(record=True) as ref_warned:
+            warnings.simplefilter("always")
+            ref = [classify_point(system, p, *tols) for p in pts]
+    finally:
+        geodiss.gram.GRAM_NEGATIVITY_FLOOR = default
+    assert [_class_bits(c) for c in got] == [_class_bits(c) for c in ref]
+    assert ([(w.category, str(w.message)) for w in got_warned]
+            == [(w.category, str(w.message)) for w in ref_warned])
 
 
 def test_stability_verdicts_on_the_momentum_sphere(rigid):
