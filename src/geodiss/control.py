@@ -11,24 +11,31 @@ the symmetric-tensor contraction, and scaled tangent projection. Keeping all
 three allows cross-checks at roundoff level.
 
 The corrected flow's right-hand side is also one kernel bound to a system,
-``_corrected_rhs``: it looks the fields, the metric and the cofactor minors
-up once, and at each point runs the bodies that :func:`system_frame` and the
-cofactor expansion run, without building a :class:`SystemFrame`. The
-integrators' stages and :func:`dissipated_rhs` evaluate it; the frames stay
-for the structure probes and ``geodiss verify``, and as the reference the
-kernel is tested against, bitwise. Kernel and frames share one point body,
-``_cofactor``: it takes the Gram matrix as Python floats (the kernel builds
-them with ``_gram_cells``, the frames read theirs once) and the minors of
-size at most 2 on them; sizes 3 and up go through ``np.linalg.det``. The
-cofactor expansion of a stack of Gram matrices, ``_cofactors``, reads 1x1
-and 2x2 minors off views of the flattened stack, with no gathered copy per
-minor.
+``_corrected_rhs``: it binds each field's differential once, reads a
+constant metric's checked pair directly once it exists, and at each point
+runs the bodies that :func:`system_frame` and the cofactor expansion run,
+without building a :class:`SystemFrame`. The integrators' stages and
+:func:`dissipated_rhs` evaluate it; the frames stay for the structure
+probes and ``geodiss verify``, and as the reference the kernel is tested
+against, bitwise. Kernel and frames share one point body, ``_cofactor``:
+it takes the Gram matrix as Python floats (the kernel builds them with
+``_gram_cells``, the frames read theirs once), and up to two conserved
+quantities it takes the minors and the sum of the terms det times
+gradient on the floats, in numpy's IEEE operations; a sum that overflows
+or turns NaN is taken again in numpy, for numpy's warnings. Sizes 3 and up
+go through ``np.linalg.det``. The kernel's two Gram products are
+``np.dot`` where no partial sum can overflow (``gram._dot_bound``), the
+same BLAS product as ``@``, bit for bit, at less cost per call, and ``@``
+elsewhere, whose overflow warnings name matmul. The cofactor expansion of
+a stack of Gram matrices, ``_cofactors``, reads 1x1 and 2x2 minors off
+views of the flattened stack, with no gathered copy per minor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
@@ -41,6 +48,8 @@ from .gram import (
     _det_conserved,
     _dets_conserved,
     _differential_stack,
+    _differentials_at,
+    _dot_bound,
     _gram_cells,
     _metric_at,
     _metric_grads,
@@ -92,10 +101,30 @@ def _cofactor(cells: list, grads: np.ndarray, minors: tuple) -> np.ndarray:
     ``cells`` is the Gram matrix row-major as Python floats, and ``minors``
     is ``_cofactor_minors(k)``. The determinants of size at most 2 are taken
     on the floats; a larger minor is gathered for ``np.linalg.det``.
+
+    Up to k = 2 the sum of the terms, det times gradient, is taken on the
+    gradients' floats too: the elementwise IEEE operations numpy does,
+    without its cost per call. Numpy warns where a value overflows or turns
+    NaN, so a sum that is not finite is taken again in numpy, as it is for
+    k > 2, where ``np.linalg.det`` may warn between the terms.
     """
     k = len(minors)
     gram = np.array(cells).reshape(k + 1, k + 1) if k > 2 else None
-    v0 = _det_conserved(gram, k, cells) * grads[k]
+    det_c = _det_conserved(gram, k, cells)
+    if k <= 2:
+        coefs = [sign * _small_det(cells, idx) for sign, _, idx in minors]
+        cols = zip(*grads.tolist())  # the dissipated gradient's entry last
+        if k == 1:
+            (c,) = coefs
+            v0 = [det_c * g + c * a for a, g in cols]
+        elif k == 0:
+            v0 = [det_c * g for (g,) in cols]
+        else:
+            c, d = coefs
+            v0 = [det_c * g + c * a + d * b for a, b, g in cols]
+        if isfinite(sum(v0)):
+            return np.array(v0)
+    v0 = det_c * grads[k]
     for i, (sign, flat, idx) in enumerate(minors):
         det = _small_det(cells, idx) if k <= 2 else checked_det(gram.take(flat))
         v0 += (sign * det) * grads[i]
@@ -109,22 +138,37 @@ def _cofactor_from_frame(fr: SystemFrame) -> np.ndarray:
 def _corrected_rhs(system: DissipativeSystem):
     """The corrected flow's right-hand side, as one kernel bound to the system.
 
-    Returns ``evaluate(p) -> (X(p) - v0, v0)`` for a point p already checked
-    by :func:`geodiss.fields.as_point`. It is the arithmetic, the checks and
-    the warnings of ``system.X(p) - _cofactor_from_frame(system_frame(system,
-    p))``, bitwise, with the fields, the metric and the cofactor minors
-    looked up once and no :class:`SystemFrame` built.
+    Returns ``evaluate(p) -> (X(p) - v0, v0, None)`` for a point p already
+    checked by :func:`geodiss.fields.as_point`: the triple of
+    ``integrators._flow_rows`` at a point, whose differentials are finite
+    wherever it returns. It is the arithmetic, the checks and the warnings
+    of ``system.X(p) - _cofactor_from_frame(system_frame(system, p))``,
+    bitwise, with the differentials bound once, a constant metric's pair
+    read directly once the first call has checked it, and no
+    :class:`SystemFrame` built. Below ``gram._dot_bound`` of that pair the
+    Gram products are ``np.dot``, elsewhere ``@``.
     """
-    fields_ = system.all_fields()
+    d_at = _differentials_at(system.all_fields())
     metric_at = _metric_at(system.metric)
     minors = _cofactor_minors(system.k)
     X = system.X
+    pair = None  # a constant metric's checked pair, once it exists
+    bound = 0.0  # differentials of a smaller size take the products by np.dot
 
     def evaluate(p):
-        diffs = _differential_stack(fields_, p)
-        grads = _metric_grads(diffs, *metric_at(p))
-        v0 = _cofactor(_gram_cells(diffs, grads), grads, minors)
-        return X._at(p) - v0, v0
+        nonlocal pair, bound
+        diffs, size = _differential_stack(d_at, p)
+        if size < bound:
+            grads = diffs.dot(pair[1])
+            gram = diffs.dot(grads.T)
+        else:
+            gmat, ginv = pair or metric_at(p)
+            if pair is None and ginv is not None:
+                pair, bound = (gmat, ginv), _dot_bound(ginv)
+            grads = _metric_grads(diffs, gmat, ginv)
+            gram = diffs @ grads.T
+        v0 = _cofactor(_gram_cells(gram), grads, minors)
+        return X._at(p) - v0, v0, None
 
     return evaluate
 

@@ -98,14 +98,25 @@ class ScalarField:
 
     def _d_at(self, p: np.ndarray) -> np.ndarray:
         """:meth:`d` at a point already checked by :func:`as_point`."""
-        if self.differential is None:
-            return central_difference(self.value, p)
-        df = np.asarray(self.differential(p), dtype=float)
-        if df.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"differential of {self.label or 'field'} returned shape {df.shape}"
-            )
-        return df
+        return self._d_bound()(p)
+
+    def _d_bound(self) -> Callable[[np.ndarray], np.ndarray]:
+        """:meth:`_d_at` with the field's attributes looked up once, for a
+        caller that takes the differential at many points: central
+        differences without an analytic differential, else the differential
+        as a float array, refused unless its shape is (dim,)."""
+        value, differential = self.value, self.differential
+        if differential is None:
+            return lambda p: central_difference(value, p)
+        shape, label = (self.dim,), self.label or "field"
+
+        def d_at(p):
+            df = np.asarray(differential(p), dtype=float)
+            if df.shape != shape:
+                raise DimensionMismatch(f"differential of {label} returned shape {df.shape}")
+            return df
+
+        return d_at
 
     def values(self, pts) -> np.ndarray:
         """Values at each row of an (m, dim) stack, bitwise ``self(row)``."""
@@ -125,7 +136,8 @@ class ScalarField:
     def _diffs_at(self, p: np.ndarray) -> np.ndarray:
         """:meth:`diffs` at a stack already checked by :func:`as_stack`."""
         if not self.stacked or self.differential is None:
-            return np.array([self._d_at(row) for row in p]).reshape(p.shape)
+            d_at = self._d_bound()
+            return np.array([d_at(row) for row in p]).reshape(p.shape)
         df = np.asarray(self.differential(p), dtype=float)
         if df.shape != p.shape:
             raise DimensionMismatch(

@@ -314,7 +314,8 @@ def _flow_rows(system: DissipativeSystem, flow: Flow):
     rows that have one, or None when all do. A row whose differentials are
     not finite, where the point kernel :func:`geodiss.control._corrected_rhs`
     raises, gets NaN and a False flag. A point or a one-row stack runs that
-    point kernel; a larger stack runs the stacked bodies of
+    point kernel, whose triple a point's evaluation returns as it is; a
+    larger stack runs the stacked bodies of
     :func:`system_frames` and ``_cofactor_from_frames``, each row bitwise
     the point kernel.
     """
@@ -329,11 +330,10 @@ def _flow_rows(system: DissipativeSystem, flow: Flow):
     def evaluate(pts):
         if pts.ndim == 1:
             try:
-                rhs, v0 = point(pts)
+                return point(pts)
             except NonFiniteValue:
                 nan = np.full(pts.shape, np.nan)
                 return nan, nan, np.False_
-            return rhs, v0, None
         if len(pts) == 1:
             rhs, v0, ok = evaluate(pts[0])
             return rhs[None], v0[None], None if ok is None else ok[None]
@@ -837,7 +837,10 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
     held = 0
 
     def flush():
-        g = system.dissipated.values(np.concatenate(ends))
+        # where a solo run's failure flush evaluates them: a fixed step's
+        # state may be finite but huge, and its overflows warn no one
+        with _landing_scope(config):
+            g = system.dissipated.values(np.concatenate(ends))
         # row by row in step order, as np.maximum would fold them; unlike
         # np.maximum, its unbuffered loop warns on a NaN
         with np.errstate(invalid="ignore"):

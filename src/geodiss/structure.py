@@ -472,6 +472,28 @@ def stability_classify(system: DissipativeSystem, equilibrium,
     order, so the verdict does not depend on the chunking; at most
     ``20 * leaf_samples`` candidates are drawn.
     """
+    deltas, isolated = _stability_samples(system, equilibrium, leaf_samples, radius)
+    if not deltas.size:
+        return Stability.UNDETERMINED
+    if isolated and np.all(deltas > 0.0):
+        return Stability.ASYMPTOTICALLY_STABLE
+    if isolated and np.any(deltas < 0.0):
+        return Stability.UNSTABLE
+    return Stability.UNDETERMINED
+
+
+def _stability_samples(system: DissipativeSystem, equilibrium, leaf_samples: int,
+                       radius: float) -> tuple[np.ndarray, bool]:
+    """The samples of :func:`stability_classify`: each accepted sample's
+    G(sample) - G(equilibrium), in acceptance order, and whether no sample
+    lies on the degeneracy set.
+
+    A chunk's converged projections within (1e-12, 2 radius] of the
+    equilibrium are its accepted samples, each bitwise what a sample at a
+    time gives: their distances are ``_row_norms``, their classes one
+    stacked frame (``_classify_rows``) and their dissipated values one
+    stacked call.
+    """
     x_e = as_point(equilibrium, system.dim)
     target = system.leaf_value(x_e)
     g_e = system.dissipated(x_e)
@@ -496,22 +518,16 @@ def stability_classify(system: DissipativeSystem, equilibrium,
         if not starts:
             continue
         ys, converged, _ = _project_rows(system, np.array(starts), target)
-        for y in ys[converged]:
-            dist = float(np.linalg.norm(y - x_e))
-            if dist < 1e-12 or dist > 2.0 * radius:
-                continue
-            if classify_point(system, y).in_invariant_set:
-                isolated = False
-            deltas.append(system.dissipated(y) - g_e)
-    if not deltas:
-        return Stability.UNDETERMINED
-
-    deltas = np.array(deltas)
-    if isolated and np.all(deltas > 0.0):
-        return Stability.ASYMPTOTICALLY_STABLE
-    if isolated and np.any(deltas < 0.0):
-        return Stability.UNSTABLE
-    return Stability.UNDETERMINED
+        ys = ys[converged]
+        dist = _row_norms(ys - x_e)
+        ys = ys[~((dist < 1e-12) | (dist > 2.0 * radius))]
+        if not len(ys):
+            continue
+        classes = _classify_rows(system, ys, DEFAULT_TOL_INV, DEFAULT_TOL_G)
+        if any(c.in_invariant_set for c in classes):
+            isolated = False
+        deltas += (system.dissipated.values(ys) - g_e).tolist()
+    return np.array(deltas), isolated
 
 
 def escape_test(system: DissipativeSystem, equilibrium,

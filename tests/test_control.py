@@ -1,4 +1,5 @@
 """The control field: three constructions, structural identities, covariance."""
+import contextlib
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from geodiss.control import (
     Formulation,
     _cofactor_from_frame,
     _cofactor_from_frames,
+    _cofactor_minors,
     _corrected_rhs,
     control_field,
     dissipated_rhs,
@@ -19,7 +21,13 @@ from geodiss.control import (
     identity_scales,
     tensor_matrix,
 )
-from geodiss.errors import DimensionMismatch, NonFiniteState, NonFiniteValue, SingularLeaf
+from geodiss.errors import (
+    DimensionMismatch,
+    GeodissError,
+    NonFiniteState,
+    NonFiniteValue,
+    SingularLeaf,
+)
 from geodiss.integrators import Flow, IntegratorConfig, _flow_rows, integrate
 from geodiss.fields import (
     DissipativeSystem,
@@ -27,7 +35,17 @@ from geodiss.fields import (
     ScalarField,
     VectorField,
 )
-from geodiss.gram import _frame_arrays, _metric_at, checked_det, system_frame, system_frames
+from geodiss.gram import (
+    _check_floor,
+    _diag_product,
+    _frame_arrays,
+    _metric_at,
+    _metric_grads,
+    _nonfinite_differential,
+    checked_det,
+    system_frame,
+    system_frames,
+)
 from conftest import euclid3_pair, seeded_pair, with_callable_metric
 
 
@@ -245,20 +263,65 @@ def _catalog_system(i):
     return (rigid_body().system, mexican_hat().system, gradient_only().system)[i]
 
 
+def _with_edited_field(system, i, edit):
+    """The system with field i (conserved first, dissipated last) left
+    without a differential, for central differences, or with one that
+    answers one entry short."""
+    fields_ = list(system.all_fields())
+    f = fields_[i]
+    if edit == "no_differential":
+        differential = None
+    else:
+        def differential(p, d=f.differential):
+            return d(p)[..., :-1]
+    fields_[i] = ScalarField(f.dim, f.value, differential=differential, label=f.label,
+                             stacked=f.stacked)
+    return DissipativeSystem(X=system.X, conserved=tuple(fields_[:-1]),
+                             dissipated=fields_[-1], metric=system.metric)
+
+
 @st.composite
-def _kernel_cases(draw):
-    """A catalog or random polynomial system, and a point of it."""
+def _kernel_cases(draw, scaled=False):
+    """A catalog or random polynomial system, a point of it and a negativity floor.
+
+    A random system has dimension 2 to 6 and 0 to 4 conserved quantities,
+    and may take a callable metric; one of its fields may lose its
+    differential, for central differences, or answer in the wrong shape.
+    Coordinates may be +0.0 or -0.0. With ``scaled`` the point may also be
+    scaled by 1e80 or 1e160, where the Gram products overflow, or hold a
+    NaN. The floor is the default or +0.9, where most Gram determinants of
+    two or more conserved gradients warn.
+    """
     if draw(st.booleans()):
         system = _catalog_system(draw(st.integers(0, 2)))
     else:
-        dim = draw(st.integers(2, 5))
-        k = draw(st.integers(0, min(3, dim - 1)))
+        dim = draw(st.integers(2, 6))
+        k = draw(st.integers(0, min(4, dim - 1)))
         system = random_poly(dim, k, seed=draw(st.integers(0, 1000))).system
         if draw(st.booleans()):
             system = with_callable_metric(system)
+        edit = draw(st.sampled_from([None, None, "no_differential", "wrong_shape"]))
+        if edit is not None:
+            system = _with_edited_field(system, draw(st.integers(0, k)), edit)
     coords = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
-    return system, np.array(draw(st.lists(coords, min_size=system.dim,
-                                          max_size=system.dim)))
+    p = np.array(draw(st.lists(coords, min_size=system.dim, max_size=system.dim)))
+    for i in sorted(draw(st.sets(st.integers(0, system.dim - 1), max_size=2))):
+        p[i] = draw(st.sampled_from([0.0, -0.0]))
+    if scaled:
+        p = p * draw(st.sampled_from([1.0, 1e80, 1e160]))
+        if draw(st.integers(0, 4)) == 0:
+            p[draw(st.integers(0, system.dim - 1))] = np.nan
+    return system, p, draw(st.sampled_from([geodiss.gram.GRAM_NEGATIVITY_FLOOR, 0.9]))
+
+
+@contextlib.contextmanager
+def _negativity_floor(floor):
+    default = geodiss.gram.GRAM_NEGATIVITY_FLOOR
+    geodiss.gram.GRAM_NEGATIVITY_FLOOR = floor
+    try:
+        yield
+    finally:
+        geodiss.gram.GRAM_NEGATIVITY_FLOOR = default
 
 
 def _with_warnings(fn):
@@ -269,6 +332,18 @@ def _with_warnings(fn):
     return out, [(w.category, str(w.message)) for w in caught]
 
 
+def _outcome(fn):
+    """The bytes of each array fn returns (None stays None), or the class
+    and message of the package error it raises; and its warnings, as
+    :func:`_with_warnings` lists them."""
+    def bits():
+        try:
+            return tuple(None if a is None else np.asarray(a).tobytes() for a in fn())
+        except GeodissError as exc:
+            return type(exc), str(exc)
+    return _with_warnings(bits)
+
+
 def _frame_path(system, p):
     v0 = _cofactor_from_frame(system_frame(system, p))
     return system.X(p) - v0, v0
@@ -277,13 +352,15 @@ def _frame_path(system, p):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_kernel_cases())
 def test_corrected_rhs_kernel_is_the_frame_path_bitwise(case):
-    system, p = case
-    (rhs, v0), warned = _with_warnings(lambda: _corrected_rhs(system)(p))
-    (ref_rhs, ref_v0), ref_warned = _with_warnings(lambda: _frame_path(system, p))
-    assert rhs.tobytes() == ref_rhs.tobytes()
-    assert v0.tobytes() == ref_v0.tobytes()
-    assert warned == ref_warned
-    assert dissipated_rhs(system, p).tobytes() == ref_rhs.tobytes()
+    system, p, floor = case
+    kernel = _corrected_rhs(system)
+    with _negativity_floor(floor):
+        ref = _outcome(lambda: _frame_path(system, p) + (None,))
+        # the first call checks a constant metric, later ones read its pair
+        for _ in range(2):
+            assert _outcome(lambda: kernel(p)) == ref
+        rhs = _outcome(lambda: (dissipated_rhs(system, p),))
+    assert rhs == ((ref[0][:1] if len(ref[0]) == 3 else ref[0]), ref[1])
 
 
 def test_corrected_rhs_kernel_raises_the_frame_path_non_finite_error():
@@ -348,26 +425,26 @@ def _scalar_reference(system, p):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_kernel_cases(), st.sampled_from([None, 0.9]))
-def test_point_bodies_are_the_numpy_scalar_arithmetic_bitwise(case, floor):
+@given(_kernel_cases())
+def test_point_bodies_are_the_numpy_scalar_arithmetic_bitwise(case):
     # at a floor of +0.9 most Gram determinants of two or more conserved
     # gradients warn
-    system, p = case
-    default = geodiss.gram.GRAM_NEGATIVITY_FLOOR
-    geodiss.gram.GRAM_NEGATIVITY_FLOOR = default if floor is None else floor
-    try:
-        (ref_rhs, ref_v0, ref_det), ref_warned = _with_warnings(
-            lambda: _scalar_reference(system, p))
-        (rhs, v0), warned = _with_warnings(lambda: _corrected_rhs(system)(p))
-        fr = system_frame(system, p)
-        frame_v0, frame_warned = _with_warnings(lambda: _cofactor_from_frame(fr))
-        det, det_warned = _with_warnings(fr.det_conserved)
-    finally:
-        geodiss.gram.GRAM_NEGATIVITY_FLOOR = default
-    assert rhs.tobytes() == ref_rhs.tobytes()
-    assert v0.tobytes() == frame_v0.tobytes() == ref_v0.tobytes()
-    assert type(det) is float and det.hex() == ref_det.hex()
-    assert warned == frame_warned == det_warned == ref_warned
+    system, p, floor = case
+    with _negativity_floor(floor):
+        ref = _outcome(lambda: _scalar_reference(system, p))
+        got = _outcome(lambda: _corrected_rhs(system)(p))
+        frame_v0 = _outcome(lambda: (_cofactor_from_frame(system_frame(system, p)),))
+        det = _outcome(lambda: (system_frame(system, p).det_conserved(),))
+    if len(ref[0]) == 2:  # the class and message of a refused point
+        assert got == frame_v0 == det == ref
+        return
+    (rhs, v0, det_c), warned = ref
+    assert got == ((rhs, v0, None), warned)
+    assert frame_v0 == ((v0,), warned)
+    assert det == ((det_c,), warned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert type(system_frame(system, p).det_conserved()) is float
 
 
 def test_point_bodies_keep_the_differential_fallback_and_shape_check():
@@ -380,7 +457,7 @@ def test_point_bodies_keep_the_differential_fallback_and_shape_check():
                                dissipated=G, metric=MetricField.euclidean(3))
     for p in np.random.default_rng(8).uniform(-2.0, 2.0, size=(20, 3)):
         ref_rhs, ref_v0, ref_det = _scalar_reference(system, p)
-        rhs, v0 = _corrected_rhs(system)(p)
+        rhs, v0, _ = _corrected_rhs(system)(p)
         assert rhs.tobytes() == ref_rhs.tobytes()
         assert v0.tobytes() == ref_v0.tobytes()
         assert system_frame(system, p).det_conserved().hex() == ref_det.hex()
@@ -392,6 +469,99 @@ def test_point_bodies_keep_the_differential_fallback_and_shape_check():
     with pytest.raises(DimensionMismatch) as kernel:
         _corrected_rhs(bad)(p)
     assert str(kernel.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# the point kernel against a frozen copy of the kernel it replaced
+# ---------------------------------------------------------------------------
+
+def _frozen_differential_stack(fields_, x):
+    rows = np.empty((len(fields_), x.size))
+    for i, f in enumerate(fields_):
+        rows[i] = f._d_at(x)
+    # counting is the cheaper all() on a few entries
+    if np.count_nonzero(np.isfinite(rows)) != rows.size:
+        raise _nonfinite_differential(x)
+    return rows
+
+
+def _frozen_small_det(cells, idx):
+    if len(idx) == 1:
+        return cells[idx[0]]
+    a, b, c, d = [cells[i] for i in idx]
+    return a * d - b * c
+
+
+def _frozen_det_conserved(gram, k, cells=None):
+    if k > 2:
+        block = gram[:k, :k]
+        det, scale = checked_det(block), _diag_product(block)
+    else:
+        if cells is None:
+            cells = gram.ravel().tolist()
+        if k == 0:
+            det = scale = 1.0
+        elif k == 1:
+            det = scale = cells[0]
+        else:
+            # cells 0, 1, 3 and 4 of the flattened 3x3 matrix
+            a, b, _, c, d = cells[:5]
+            det, scale = a * d - b * c, a * d
+    _check_floor(det, scale)
+    return det
+
+
+def _frozen_gram_cells(diffs, grads):
+    raw = (diffs @ grads.T).tolist()
+    if len(raw) == 2:  # one conserved quantity: the common case, spelt out
+        (a, b), (c, d) = raw
+        off = 0.5 * (b + c)
+        return [0.5 * (a + a), off, off, 0.5 * (d + d)]
+    return [0.5 * (a + b) for row, col in zip(raw, zip(*raw)) for a, b in zip(row, col)]
+
+
+def _frozen_cofactor(cells, grads, minors):
+    k = len(minors)
+    gram = np.array(cells).reshape(k + 1, k + 1) if k > 2 else None
+    v0 = _frozen_det_conserved(gram, k, cells) * grads[k]
+    for i, (sign, flat, idx) in enumerate(minors):
+        det = _frozen_small_det(cells, idx) if k <= 2 else checked_det(gram.take(flat))
+        v0 += (sign * det) * grads[i]
+    return v0
+
+
+def _frozen_corrected_rhs(system):
+    """The point kernel as it was before its per-call cost was cut: numpy
+    for every sum and product, a numpy finiteness check, and the metric
+    looked up at every call."""
+    fields_ = system.all_fields()
+    metric_at = _metric_at(system.metric)
+    minors = _cofactor_minors(system.k)
+    X = system.X
+
+    def evaluate(p):
+        diffs = _frozen_differential_stack(fields_, p)
+        grads = _metric_grads(diffs, *metric_at(p))
+        v0 = _frozen_cofactor(_frozen_gram_cells(diffs, grads), grads, minors)
+        return X._at(p) - v0, v0
+
+    return evaluate
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_kernel_cases(scaled=True))
+def test_point_kernel_is_the_frozen_kernel_bitwise(case):
+    # every bit of X - v0 and v0, signed zeros included, every warning in
+    # its order, and the class and message of a refused point; at 1e80 and
+    # 1e160 the Gram products overflow, and numpy's warnings name matmul
+    system, p, floor = case
+    kernel = _corrected_rhs(system)
+    frozen = _frozen_corrected_rhs(system)
+    with _negativity_floor(floor):
+        ref = _outcome(lambda: frozen(p) + (None,))
+        # the first call checks a constant metric, later ones read its pair
+        for _ in range(3):
+            assert _outcome(lambda: kernel(p)) == ref
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,10 @@ def _evaluator(system: DissipativeSystem, flow: Flow):
     The unperturbed flow has no control field and returns ``None`` for it.
     """
     if flow is Flow.PERTURBED:
-        evaluate = _corrected_rhs(system)
+        kernel = _corrected_rhs(system)
+
+        def evaluate(p):
+            return kernel(p)[:2]
     else:
         def evaluate(p):
             return system.X(p), None
@@ -789,6 +792,19 @@ def test_lockstep_rows_fail_alone_on_non_finite_states(antibowl):
             antibowl, starts, IntegratorConfig(method=Method.RK4_FIXED, h0=0.05, t_end=1.0))
     assert adaptive.failures == ["StepUnderflow", None, "StepUnderflow", None]
     assert fixed.failures == ["NonFiniteState", None, "NonFiniteState", None]
+
+
+def test_fixed_step_ensemble_warns_where_its_solo_runs_warn():
+    # fixed RK4 steps land on finite but huge states where G overflows;
+    # four of the five runs then fail on a non-finite slope, and neither a
+    # solo run nor the ensemble warns, while each row keeps its solo bits
+    system = random_poly(4, 2, seed=5).system
+    starts = np.random.default_rng(4).uniform(-1.2, 1.2, (5, 4))
+    cfg = IntegratorConfig(method=Method.RK4_FIXED, h0=0.05, t_end=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run = _assert_rows_match_solo_runs(system, starts, cfg)
+    assert run.failures.count("NonFiniteState") == 4
 
 
 # ---------------------------------------------------------------------------

@@ -393,14 +393,14 @@ def test_stability_probes_are_the_one_at_a_time_draw(rigid, mexhat, monkeypatch,
         return y, converged, degenerate
 
     got = []
-    classify = structure_mod.classify_point
+    classify = structure_mod._classify_rows
 
-    def recording_classify(system, x, *args, **kwargs):
-        got.append(np.asarray(x).tobytes())
-        return classify(system, x, *args, **kwargs)
+    def recording_classify(system, pts, *args, **kwargs):
+        got.extend(np.asarray(row).tobytes() for row in pts)
+        return classify(system, pts, *args, **kwargs)
 
     monkeypatch.setattr(structure_mod, "_project_rows", failing_rows)
-    monkeypatch.setattr(structure_mod, "classify_point", recording_classify)
+    monkeypatch.setattr(structure_mod, "_classify_rows", recording_classify)
     verdict = stability_classify(system, x_e, leaf_samples=leaf_samples, radius=radius)
     assert got == expected
     assert len(rows_seen) == n_projected
@@ -409,6 +409,99 @@ def test_stability_probes_are_the_one_at_a_time_draw(rigid, mexhat, monkeypatch,
         assert verdict is Stability.UNDETERMINED
     else:
         assert len(got) == leaf_samples
+
+
+def _per_sample_stability(system, equilibrium, leaf_samples=200, radius=0.1):
+    """The stability probe with one point frame and one G call per sample:
+    ``(deltas, isolated, verdict)``, the loop the stacked probe replaced."""
+    x_e = np.asarray(equilibrium, dtype=float)
+    target = system.leaf_value(x_e)
+    g_e = system.dissipated(x_e)
+    basis = leaf_tangent_basis(system, x_e)
+    free_dim = basis.shape[0]
+    rng = np.random.default_rng(structure_mod._PROBE_SEED)
+
+    deltas = []
+    isolated = True
+    attempts = 0
+    while len(deltas) < leaf_samples and attempts < 20 * leaf_samples:
+        chunk = min(leaf_samples - len(deltas), 20 * leaf_samples - attempts)
+        attempts += chunk
+        starts = []
+        for _ in range(chunk):
+            direction = basis.T @ rng.normal(size=free_dim)
+            nrm = float(np.linalg.norm(direction))
+            if nrm == 0.0:
+                continue
+            r = radius * rng.uniform() ** (1.0 / free_dim)
+            starts.append(x_e + (r / nrm) * direction)
+        if not starts:
+            continue
+        ys, converged, _ = _project_rows(system, np.array(starts), target)
+        for y in ys[converged]:
+            dist = float(np.linalg.norm(y - x_e))
+            if dist < 1e-12 or dist > 2.0 * radius:
+                continue
+            if classify_point(system, y).in_invariant_set:
+                isolated = False
+            deltas.append(system.dissipated(y) - g_e)
+    if not deltas:
+        return np.array(deltas), isolated, Stability.UNDETERMINED
+
+    deltas = np.array(deltas)
+    if isolated and np.all(deltas > 0.0):
+        return deltas, isolated, Stability.ASYMPTOTICALLY_STABLE
+    if isolated and np.any(deltas < 0.0):
+        return deltas, isolated, Stability.UNSTABLE
+    return deltas, isolated, Stability.UNDETERMINED
+
+
+def _stability_cases():
+    """(system, point) pairs: the catalog equilibria, a point whose samples
+    meet the degeneracy set, and the roots ``find_equilibria`` finds on
+    random polynomial systems."""
+    rigid, mexhat = rigid_body(), mexican_hat()
+    cases = [(rigid.system, x) for x in rigid.known_equilibria]
+    cases += [(mexhat.system, np.zeros(3)), (mexhat.system, np.array([0.0, 0.0, 0.4]))]
+    # the sphere/weights system of the 4-D basin runs: stable at +-e1,
+    # unstable at the other axes
+    weights = np.array([0.5, 1.0, 1.5, 2.0])
+    sphere = DissipativeSystem(
+        X=VectorField(4, lambda x: np.zeros(4)),
+        conserved=(ScalarField(4, lambda x: 0.5 * float(x @ x),
+                               differential=lambda x: np.array(x, dtype=float)),),
+        dissipated=ScalarField(4, lambda x: float(weights @ (x * x)),
+                               differential=lambda x: 2.0 * weights * x),
+        metric=MetricField.euclidean(4))
+    cases += [(sphere, sign * e) for e in np.eye(4) for sign in (1.0, -1.0)]
+    # G = x1^4 is critical on the line x1 = 0, so some samples at the origin
+    # lie on the degeneracy set
+    quartic = DissipativeSystem(
+        X=VectorField(2, lambda x: np.zeros(2)), conserved=(),
+        dissipated=ScalarField(2, lambda x: float(x[0] ** 4),
+                               differential=lambda x: np.array([4.0 * x[0] ** 3, 0.0])),
+        metric=MetricField.euclidean(2))
+    cases.append((quartic, np.zeros(2)))
+    for dim, seed in ((2, 0), (2, 4), (3, 3), (3, 4)):
+        system = random_poly(dim, 0, seed).system
+        seeds = np.random.default_rng(seed).uniform(-1.5, 1.5, (16, dim))
+        cases += [(system, r.location) for r in find_equilibria(system, seeds)[0]]
+    return cases
+
+
+def test_stability_probe_is_the_per_sample_loop_bitwise():
+    # each chunk's accepted samples are classified on one stacked frame and
+    # their G taken in one call: the deltas, the isolation flag and the
+    # verdict are those of one frame and one G call per sample
+    verdicts = set()
+    for i, (system, x) in enumerate(_stability_cases()):
+        deltas, isolated, verdict = _per_sample_stability(system, x)
+        got, got_isolated = structure_mod._stability_samples(system, x, 200, 0.1)
+        assert got.tobytes() == deltas.tobytes(), i
+        assert got_isolated == isolated, i
+        assert stability_classify(system, x) is verdict, i
+        verdicts.add(verdict)
+    assert verdicts == set(Stability)
 
 
 def test_escape_test_agrees_with_the_verdicts(rigid):
@@ -470,7 +563,7 @@ def test_leaf_diagnostics_warns_once_and_takes_the_kernel_rate(monkeypatch):
         return out, [str(w.message) for w in caught]
 
     d, warned = messages(lambda: leaf_diagnostics(system, x))
-    (rhs, _), kernel_warned = messages(lambda: _corrected_rhs(system)(x))
+    (rhs, _, _), kernel_warned = messages(lambda: _corrected_rhs(system)(x))
     assert len(warned) == 1 and warned == kernel_warned
     assert d.g_rate == float(system.dissipated.d(x) @ rhs)
 
