@@ -23,12 +23,9 @@ it takes the Gram matrix as Python floats (the kernel builds them with
 quantities it takes the minors and the sum of the terms det times
 gradient on the floats, in numpy's IEEE operations; a sum that overflows
 or turns NaN is taken again in numpy, for numpy's warnings. Sizes 3 and up
-go through ``np.linalg.det``. The kernel's two Gram products are
-``np.dot`` where no partial sum can overflow (``gram._dot_bound``), the
-same BLAS product as ``@``, bit for bit, at less cost per call, and ``@``
-elsewhere, whose overflow warnings name matmul. The cofactor expansion of
-a stack of Gram matrices, ``_cofactors``, reads 1x1 and 2x2 minors off
-views of the flattened stack, with no gathered copy per minor.
+go through ``np.linalg.det``. The cofactor expansion of a stack of Gram
+matrices, ``_cofactors``, reads 1x1 and 2x2 minors off views of the
+flattened stack, with no gathered copy per minor.
 """
 from __future__ import annotations
 
@@ -49,7 +46,6 @@ from .gram import (
     _dets_conserved,
     _differential_stack,
     _differentials_at,
-    _dot_bound,
     _gram_cells,
     _metric_at,
     _metric_grads,
@@ -112,16 +108,11 @@ def _cofactor(cells: list, grads: np.ndarray, minors: tuple) -> np.ndarray:
     gram = np.array(cells).reshape(k + 1, k + 1) if k > 2 else None
     det_c = _det_conserved(gram, k, cells)
     if k <= 2:
-        coefs = [sign * _small_det(cells, idx) for sign, _, idx in minors]
-        cols = zip(*grads.tolist())  # the dissipated gradient's entry last
-        if k == 1:
-            (c,) = coefs
-            v0 = [det_c * g + c * a for a, g in cols]
-        elif k == 0:
-            v0 = [det_c * g for (g,) in cols]
-        else:
-            c, d = coefs
-            v0 = [det_c * g + c * a + d * b for a, b, g in cols]
+        rows = grads.tolist()
+        v0 = [det_c * g for g in rows[k]]
+        for (sign, _, idx), row in zip(minors, rows):
+            c = sign * _small_det(cells, idx)
+            v0 = [v + c * a for v, a in zip(v0, row)]
         if isfinite(sum(v0)):
             return np.array(v0)
     v0 = det_c * grads[k]
@@ -145,29 +136,22 @@ def _corrected_rhs(system: DissipativeSystem):
     of ``system.X(p) - _cofactor_from_frame(system_frame(system, p))``,
     bitwise, with the differentials bound once, a constant metric's pair
     read directly once the first call has checked it, and no
-    :class:`SystemFrame` built. Below ``gram._dot_bound`` of that pair the
-    Gram products are ``np.dot``, elsewhere ``@``.
+    :class:`SystemFrame` built.
     """
     d_at = _differentials_at(system.all_fields())
     metric_at = _metric_at(system.metric)
     minors = _cofactor_minors(system.k)
     X = system.X
     pair = None  # a constant metric's checked pair, once it exists
-    bound = 0.0  # differentials of a smaller size take the products by np.dot
 
     def evaluate(p):
-        nonlocal pair, bound
-        diffs, size = _differential_stack(d_at, p)
-        if size < bound:
-            grads = diffs.dot(pair[1])
-            gram = diffs.dot(grads.T)
-        else:
-            gmat, ginv = pair or metric_at(p)
-            if pair is None and ginv is not None:
-                pair, bound = (gmat, ginv), _dot_bound(ginv)
-            grads = _metric_grads(diffs, gmat, ginv)
-            gram = diffs @ grads.T
-        v0 = _cofactor(_gram_cells(gram), grads, minors)
+        nonlocal pair
+        diffs = _differential_stack(d_at, p)
+        gmat, ginv = pair or metric_at(p)
+        if pair is None and ginv is not None:
+            pair = gmat, ginv
+        grads = _metric_grads(diffs, gmat, ginv)
+        v0 = _cofactor(_gram_cells(diffs, grads), grads, minors)
         return X._at(p) - v0, v0, None
 
     return evaluate

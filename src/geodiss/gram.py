@@ -26,17 +26,14 @@ Python floats, and the Gram minors are read once as Python floats: a
 determinant of size at most 2 and its negativity-floor check are taken on
 those floats (``_det_conserved``, ``_small_det``), in the IEEE operations
 :func:`checked_det` does on numpy scalars; sizes 3 and up go through
-``np.linalg.det``. ``_dot_bound`` tells the point kernel where its two Gram
-products may be ``np.dot`` instead of ``@``: the same BLAS product, bit for
-bit, but numpy's overflow warning names the function, so ``np.dot`` runs
-only where no partial sum can overflow.
+``np.linalg.det``.
 """
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
-from math import inf, isfinite, sqrt
+from collections.abc import Sequence
+from math import isfinite
 
 import numpy as np
 
@@ -46,8 +43,6 @@ from .fields import DissipativeSystem, MetricField, ScalarField, as_point, as_st
 # Gram determinants are mathematically nonnegative; anything more negative
 # than this (relative to the diagonal product) signals numerical trouble.
 GRAM_NEGATIVITY_FLOOR = -1e-10
-# no partial sum of a point frame's products that stays below this overflows
-_DOT_CEILING = 1e300
 
 
 def _nonfinite_differential(x: np.ndarray) -> NonFiniteValue:
@@ -60,19 +55,15 @@ def _differentials_at(fields_: Sequence[ScalarField]) -> tuple:
     return tuple(f._d_bound() for f in fields_)
 
 
-def _differential_stack(d_at: tuple, x: np.ndarray) -> tuple[np.ndarray, float]:
+def _differential_stack(d_at: tuple, x: np.ndarray) -> np.ndarray:
     """The (k+1, n) differentials of the bound callables ``d_at`` at x, checked
-    finite, and the sum of their entries' magnitudes.
-
-    The check runs on Python floats: that sum is finite unless some entry
-    is not, or the sum overflows; only then is each entry checked.
-    """
+    finite on their Python floats: their sum is finite unless some entry is
+    not, or the sum overflows; only then is each entry checked."""
     rows = np.array([d(x) for d in d_at])
     flat = rows.ravel().tolist()
-    size = sum(map(abs, flat))
-    if not isfinite(size) and not all(map(isfinite, flat)):
+    if not (isfinite(sum(flat)) or all(map(isfinite, flat))):
         raise _nonfinite_differential(x)
-    return rows, size
+    return rows
 
 
 def checked_det(mat: np.ndarray, diag_scale: float | None = None) -> float:
@@ -312,14 +303,13 @@ def _frame_arrays(diffs: np.ndarray, gmat: np.ndarray,
     return grads, 0.5 * (gram + gram.T)
 
 
-def _gram_cells(gram: np.ndarray) -> list:
-    """The symmetrized Gram matrix of :func:`_frame_arrays`, row-major, as
-    Python floats, from the product ``diffs @ grads.T``.
+def _gram_cells(diffs: np.ndarray, grads: np.ndarray) -> list:
+    """The Gram matrix of :func:`_frame_arrays`, row-major, as Python floats.
 
     Its symmetrization 0.5 (G + G^T) is taken on the floats of G: the IEEE
     operations numpy does on the array, at less cost for so few entries.
     """
-    raw = gram.tolist()
+    raw = (diffs @ grads.T).tolist()
     if len(raw) == 2:  # one conserved quantity: the common case, spelt out
         (a, b), (c, d) = raw
         off = 0.5 * (b + c)
@@ -327,28 +317,9 @@ def _gram_cells(gram: np.ndarray) -> list:
     return [0.5 * (a + b) for row, col in zip(raw, zip(*raw)) for a, b in zip(row, col)]
 
 
-def _dot_bound(ginv: np.ndarray) -> float:
-    """The bound on the sum of |differential entries| below which neither
-    product of a point frame, diffs ginv and diffs grads^T, can overflow.
-
-    ``np.dot`` and ``@`` run the same BLAS product on 2-D float arrays, bit
-    for bit, and ``np.dot`` costs less per call; but where a product
-    overflows, numpy's warning names the function. With entries of at most
-    M in magnitude, g = max |ginv| and n columns, a partial sum of a
-    gradient is at most n M g and of a Gram entry n^2 M^2 g; both stay
-    below ``_DOT_CEILING``, whose margin to the largest float covers the
-    rounding. Zero when ginv is not finite.
-    """
-    n = len(ginv)
-    g = float(np.max(np.abs(ginv)))
-    if not 0.0 < g < inf:
-        return 0.0
-    return min(sqrt(_DOT_CEILING / g) / n, _DOT_CEILING / (n * g))
-
-
 def system_frame(system: DissipativeSystem, x) -> SystemFrame:
     p = as_point(x, system.dim)
-    diffs, _ = _differential_stack(_differentials_at(system.all_fields()), p)
+    diffs = _differential_stack(_differentials_at(system.all_fields()), p)
     gmat, ginv = _metric_at(system.metric)(p)
     grads, gram = _frame_arrays(diffs, gmat, ginv)
     return SystemFrame(x=p, gmat=gmat, diffs=diffs, grads=grads, gram=gram)

@@ -822,7 +822,10 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
     bound=bound)`` in the same arithmetic. The dissipated value is
     evaluated at the states a solo run records a block of ``_DIAG_BLOCK``
     of them at a time, as :func:`integrate`'s diagnostics are, and each
-    row's max is taken over its own. Nothing else is recorded; see
+    row's max is taken over its own. The records of a row that has failed
+    by then are evaluated under the numpy error state of a solo run's
+    failure flush (``_landing_scope``), the others outside it, as a solo
+    run's regular flushes are. Nothing else is recorded; see
     :class:`EnsembleRun`.
     """
     x = as_stack(starts, system.dim)
@@ -837,14 +840,22 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
     held = 0
 
     def flush():
-        # where a solo run's failure flush evaluates them: a fixed step's
-        # state may be finite but huge, and its overflows warn no one
-        with _landing_scope(config):
-            g = system.dissipated.values(np.concatenate(ends))
+        owner = np.concatenate(owners)
+        pts = np.concatenate(ends)
+        # the records of a row that has failed by now are evaluated where its
+        # solo run's failure flush evaluates them: a fixed step may have
+        # landed on a finite but huge state, whose overflows warn no one;
+        # the others as a solo run's regular flushes are
+        failed = np.array([run.failures[i] is not None for i in owner.tolist()])
+        g = np.empty(len(pts))
+        for scope, sel in ((_NO_SCOPE, ~failed), (_landing_scope(config), failed)):
+            if sel.any():
+                with scope:
+                    g[sel] = system.dissipated.values(pts[sel])
         # row by row in step order, as np.maximum would fold them; unlike
         # np.maximum, its unbuffered loop warns on a NaN
         with np.errstate(invalid="ignore"):
-            np.maximum.at(run.g_max, np.concatenate(owners), g)
+            np.maximum.at(run.g_max, owner, g)
         owners.clear()
         ends.clear()
 

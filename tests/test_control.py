@@ -564,6 +564,19 @@ def test_point_kernel_is_the_frozen_kernel_bitwise(case):
             assert _outcome(lambda: kernel(p)) == ref
 
 
+@pytest.mark.parametrize("second", [1e308, -1e308, np.inf, np.nan])
+def test_point_kernel_checks_each_differential_where_their_sum_is_not_finite(second):
+    # finite differentials near the largest float may sum to +-inf or NaN:
+    # the kernel refuses only a non-finite entry, as the frozen kernel does
+    d = np.array([1e308, second])
+    system = DissipativeSystem(VectorField(2, lambda p: p), (),
+                               ScalarField(2, lambda p: 0.0, lambda p: d),
+                               MetricField.euclidean(2))
+    p = np.array([0.5, -0.0])
+    ref = _outcome(lambda: _frozen_corrected_rhs(system)(p) + (None,))
+    assert _outcome(lambda: _corrected_rhs(system)(p)) == ref
+
+
 # ---------------------------------------------------------------------------
 # the stacked corrected-flow kernel against the frame stack path
 # ---------------------------------------------------------------------------

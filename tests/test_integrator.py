@@ -807,6 +807,32 @@ def test_fixed_step_ensemble_warns_where_its_solo_runs_warn():
     assert run.failures.count("NonFiniteState") == 4
 
 
+def test_fixed_step_ensemble_row_that_finishes_on_a_huge_state_warns_as_its_solo_run():
+    # x' = x, barely damped by a quartic G under a huge constant metric:
+    # RK4 finishes near x = 6.7e86, where G = x^4 overflows while the flow
+    # stays finite. The solo run's final flush evaluates G outside any
+    # error state and warns, so the ensemble warns there too
+    system = DissipativeSystem(
+        VectorField(1, lambda p: p),
+        (),
+        ScalarField(1, lambda p: p[0] ** 4, lambda p: 4.0 * p ** 3),
+        MetricField.constant([[1e300]]))
+    cfg = IntegratorConfig(method=Method.RK4_FIXED, h0=0.5, t_end=200.0)
+    with warnings.catch_warnings(record=True) as solo:
+        warnings.simplefilter("always")
+        traj = integrate(system, [1.0], cfg)
+    with warnings.catch_warnings(record=True) as ensemble:
+        warnings.simplefilter("always")
+        run = integrate_ensemble(system, [[1.0]], cfg)
+    assert run.failures == [None]
+    assert run.g_max[0] == np.max(traj.dissipated_values) == np.inf
+    assert run.final[0].tobytes() == traj.states[-1].tobytes()
+    assert (run.n_accepted[0], run.n_rejected[0]) == (traj.n_accepted, traj.n_rejected)
+    said = {str(w.message) for w in ensemble}
+    assert "overflow encountered in scalar power" in said
+    assert said <= {str(w.message) for w in solo}
+
+
 # ---------------------------------------------------------------------------
 # the block diagnostics of integrate against a per-step evaluation
 # ---------------------------------------------------------------------------
