@@ -51,8 +51,8 @@ from .gram import system_frames
 from .integrators import IntegratorConfig, _lockstep, integrate_ensemble
 from .structure import (
     Stability,
+    _classify_rows,
     _refine_rows,
-    classify_point,
     refine_to_invariant_set,
     stability_classify,
 )
@@ -891,8 +891,7 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
     max_det = 0.0
     max_g = 0.0
     on_inv = True
-    for p in phase_states:
-        cls = classify_point(system, p, tol_inv=1e-12, tol_g=1e-8)
+    for cls in _classify_rows(system, phase_states, tol_inv=1e-12, tol_g=1e-8):
         max_det = max(max_det, cls.det_full)
         max_g = max(max_g, cls.grad_g_norm)
         if not cls.in_invariant_set:

@@ -10,22 +10,24 @@ Three equivalent constructions are provided: a cofactor expansion (default),
 the symmetric-tensor contraction, and scaled tangent projection. Keeping all
 three allows cross-checks at roundoff level.
 
-The corrected flow's right-hand side is also one kernel bound to a system,
-``_corrected_rhs``: it binds each field's differential once, reads a
-constant metric's checked pair directly once it exists, and at each point
-runs the bodies that :func:`system_frame` and the cofactor expansion run,
+The corrected flow's right-hand side at a point is one kernel bound to a
+system, ``_corrected_rhs``, the package's only evaluation at a single
+point that is not a batch of one: it binds each field's differential once,
+reads a constant metric's checked pair directly once it exists, and runs
+the point bodies of :mod:`geodiss.gram` and ``_cofactor`` on Python floats,
 without building a :class:`SystemFrame`. The integrators' stages and
-:func:`dissipated_rhs` evaluate it; the frames stay for the structure
-probes and ``geodiss verify``, and as the reference the kernel is tested
-against, bitwise. Kernel and frames share one point body, ``_cofactor``:
-it takes the Gram matrix as Python floats (the kernel builds them with
-``_gram_cells``, the frames read theirs once), and up to two conserved
-quantities it takes the minors and the sum of the terms det times
-gradient on the floats, in numpy's IEEE operations; a sum that overflows
-or turns NaN is taken again in numpy, for numpy's warnings. Sizes 3 and up
-go through ``np.linalg.det``. The cofactor expansion of a stack of Gram
+:func:`dissipated_rhs` evaluate it, and a test holds it bitwise to the
+frame path. Up to two conserved quantities ``_cofactor`` takes the minors
+and the sum of the terms det times gradient on the floats, in numpy's IEEE
+operations; a sum that overflows or turns NaN is taken again in numpy, for
+numpy's warnings. Sizes 3 and up go through ``np.linalg.det``.
+
+Everything else reads frames. The cofactor expansion of a stack of Gram
 matrices, ``_cofactors``, reads 1x1 and 2x2 minors off views of the
-flattened stack, with no gathered copy per minor.
+flattened stack, with no gathered copy per minor; the cofactor field at a
+point frame, ``_cofactor_from_frame``, is that expansion on a batch of
+one. The three formulations, the structure probes and ``geodiss verify``
+read point frames.
 """
 from __future__ import annotations
 
@@ -122,21 +124,20 @@ def _cofactor(cells: list, grads: np.ndarray, minors: tuple) -> np.ndarray:
     return v0
 
 
-def _cofactor_from_frame(fr: SystemFrame) -> np.ndarray:
-    return _cofactor(fr.gram.ravel().tolist(), fr.grads, _cofactor_minors(fr.k))
-
-
 def _corrected_rhs(system: DissipativeSystem):
     """The corrected flow's right-hand side, as one kernel bound to the system.
 
     Returns ``evaluate(p) -> (X(p) - v0, v0, None)`` for a point p already
     checked by :func:`geodiss.fields.as_point`: the triple of
     ``integrators._flow_rows`` at a point, whose differentials are finite
-    wherever it returns. It is the arithmetic, the checks and the warnings
-    of ``system.X(p) - _cofactor_from_frame(system_frame(system, p))``,
-    bitwise, with the differentials bound once, a constant metric's pair
+    wherever it returns. Its values and checks are those of
+    ``system.X(p) - _cofactor_from_frame(system_frame(system, p))``,
+    bitwise, and so are its warnings wherever the Gram products stay
+    finite, with the differentials bound once, a constant metric's pair
     read directly once the first call has checked it, and no
-    :class:`SystemFrame` built.
+    :class:`SystemFrame` built. A differential of the wrong shape is
+    refused with the message of the point call ``ScalarField.d``, where the
+    frame says what ``ScalarField.diffs`` says.
     """
     d_at = _differentials_at(system.all_fields())
     metric_at = _metric_at(system.metric)
@@ -180,8 +181,13 @@ def _cofactors(gram: np.ndarray, grads: np.ndarray, minors: tuple) -> np.ndarray
 
 
 def _cofactor_from_frames(frames: FrameStack) -> np.ndarray:
-    """:func:`_cofactor_from_frame` at every row of a frame stack, bitwise row for row."""
+    """The cofactor control field at every row of a frame stack."""
     return _cofactors(frames.gram, frames.grads, _cofactor_minors(frames.k))
+
+
+def _cofactor_from_frame(fr: SystemFrame) -> np.ndarray:
+    """The cofactor control field at a frame: :func:`_cofactors` on a batch of one."""
+    return _cofactors(fr.gram[None], fr.grads[None], _cofactor_minors(fr.k))[0]
 
 
 def control_field(system: DissipativeSystem, x,

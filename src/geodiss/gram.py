@@ -1,32 +1,37 @@
-"""Per-point Gram data of metric gradients and their determinants.
+"""Gram data of metric gradients and their determinants, at a stack of points.
 
-:func:`system_frame` evaluates, at one point, the differentials of the
-conserved quantities and of the dissipated one, their metric gradients, and
-their pairing matrix, whose entry (i, j) is the metric inner product of
-gradients i and j. Determinants of its blocks are the only linear-algebra
-primitive the control-field construction needs; the empty determinant is 1
-by convention.
+:func:`system_frames` evaluates, at each row of an (m, n) stack of points,
+the differentials of the conserved quantities and of the dissipated one,
+their metric gradients, and their pairing matrix, whose entry (i, j) is the
+metric inner product of gradients i and j, as a :class:`FrameStack`.
+Determinants of its blocks are the only linear-algebra primitive the
+control-field construction needs; the empty determinant is 1 by
+convention. A row whose differentials are not finite is flagged rather
+than raised, so one bad row does not stop the others. One reduction over
+the whole stack of differentials tells whether any row is flagged, and the
+rows are flagged one by one only when some are. The negativity-floor scan
+of the determinants, and the diagonal products it compares against, run
+only when some row could warn: when the floor is positive or a determinant
+negative.
 
-:func:`system_frames` is the same evaluation over an (m, n) stack of points,
-as a :class:`FrameStack`. Each row gives the bits of the point call; a row
-whose differentials are not finite is flagged rather than raised, so one
-bad row does not stop the others. One reduction over the whole stack of
-differentials tells whether any row is flagged, and the rows are flagged
-one by one only when some are. The negativity-floor scan of stacked
-determinants, and the diagonal products it compares against, run only when
-some row could warn: when the floor is positive or a determinant negative.
+A point frame is a batch of one: :func:`system_frame` is
+:func:`system_frames` on one row, raising where that row is flagged, and
+the :class:`SystemFrame` methods and :func:`checked_det` run the stacked
+determinant bodies (``_checked_dets``, ``_dets_conserved``,
+``_diag_products``) on one matrix. The integrators' stacked kernel calls
+the array body ``_stack_arrays`` directly.
 
-Both are thin wrappers over array bodies (``_differential_stack``,
-``_frame_arrays``, ``_stack_arrays``), which the integrators' bound kernels
-call directly, so a stage point builds no frame object; the point kernel
-takes its Gram matrix as Python floats (``_gram_cells``). At a point, each
-field's differential is a callable bound once (``_differentials_at``), the
-differentials are stacked by one array call and checked finite on their
-Python floats, and the Gram minors are read once as Python floats: a
-determinant of size at most 2 and its negativity-floor check are taken on
-those floats (``_det_conserved``, ``_small_det``), in the IEEE operations
-:func:`checked_det` does on numpy scalars; sizes 3 and up go through
-``np.linalg.det``.
+The one evaluation at a single point outside this family is the corrected
+flow's bound point kernel, ``control._corrected_rhs``, which a long solo
+integration calls at every stage, and for which a one-row stack costs more
+than the whole kernel. Its bodies live here. Each field's differential is
+a callable bound once (``_differentials_at``); the differentials are
+stacked by one array call and checked finite on their Python floats
+(``_differential_stack``); the Gram matrix is read as Python floats
+(``_gram_cells``); and a determinant of size at most 2 and its
+negativity-floor check are taken on those floats (``_det_conserved``,
+``_small_det``), in the IEEE operations the stacked bodies do on arrays.
+Sizes 3 and up go through ``np.linalg.det``.
 """
 from __future__ import annotations
 
@@ -71,17 +76,10 @@ def checked_det(mat: np.ndarray, diag_scale: float | None = None) -> float:
 
     ``diag_scale`` is the product of diagonal entries of the Gram matrix the
     determinant belongs to; a determinant below the negativity floor relative
-    to that scale emits a health warning but is still returned.
+    to that scale emits a health warning but is still returned. This is
+    :func:`_checked_dets` on a batch of one.
     """
-    r = mat.shape[0]
-    if r == 0:
-        det = 1.0
-    elif r == 1:
-        det = float(mat[0, 0])
-    elif r == 2:
-        det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
-    else:
-        det = float(np.linalg.det(mat))
+    det = float(_checked_dets(mat[None])[0])
     if diag_scale is not None:
         _check_floor(det, diag_scale)
     return det
@@ -103,7 +101,7 @@ def _small_det(cells: list, idx: tuple) -> float:
 
     ``cells`` is the matrix read once by ``ravel().tolist()``, and ``idx``
     the block's flat indices in row-major order: one or four. These are the
-    IEEE operations :func:`checked_det` does on numpy scalars.
+    IEEE operations :func:`_checked_dets` does on arrays.
     """
     if len(idx) == 1:
         return cells[idx[0]]
@@ -113,7 +111,8 @@ def _small_det(cells: list, idx: tuple) -> float:
 
 @dataclass(frozen=True)
 class SystemFrame:
-    """Shared per-point evaluation: metric, differentials, gradients, Gram data.
+    """Metric, differentials, gradients and Gram data at one point: one row of
+    a :class:`FrameStack`.
 
     Rows are ordered conserved quantities first, dissipated quantity last, so
     ``gram[:k, :k]`` is the conserved-only block and index k refers to the
@@ -131,10 +130,10 @@ class SystemFrame:
         return self.gram.shape[0] - 1
 
     def det_conserved(self) -> float:
-        return _det_conserved(self.gram, self.k)
+        return float(_dets_conserved(self.gram[None], self.k)[0])
 
     def det_full(self) -> float:
-        return checked_det(self.gram, diag_scale=_diag_product(self.gram))
+        return float(_checked_dets(self.gram[None], floor_check=True)[0])
 
     def grad_g(self) -> np.ndarray:
         return self.grads[self.k]
@@ -144,15 +143,16 @@ class SystemFrame:
 
     def classification_scale(self) -> float:
         """Product of squared gradient norms of all fields; empty product is 1."""
-        return _diag_product(self.gram)
+        return float(_diag_products(self.gram[None])[0])
 
 
 def _checked_dets(mats: np.ndarray, floor_check: bool = False) -> np.ndarray:
-    """:func:`checked_det` of each matrix of an (m, r, r) stack, row for row.
+    """Determinant of each matrix of an (m, r, r) stack: explicit formulas
+    up to size 2, ``np.linalg.det`` above.
 
     With ``floor_check``, each determinant is checked against the
     negativity floor relative to its matrix's diagonal product, and one
-    below it warns once for its row, with the point call's message. A
+    below it warns once for its row, with :func:`checked_det`'s message. A
     determinant of at least 0 never lies below a floor of at most 0, so the
     scan, and the diagonal products it needs, run only when the floor is
     positive or some determinant is negative.
@@ -180,7 +180,8 @@ def _checked_dets(mats: np.ndarray, floor_check: bool = False) -> np.ndarray:
 
 
 def _diag_products(mats: np.ndarray) -> np.ndarray:
-    """:func:`_diag_product` of each matrix of an (m, r, r) stack."""
+    """Product of the diagonal of each matrix of an (m, r, r) stack, without
+    a numpy reduction for sizes up to 2."""
     r = mats.shape[1]
     if r == 0:
         return np.ones(len(mats))
@@ -196,7 +197,7 @@ class FrameStack:
     """:class:`SystemFrame` data of an (m, n) stack of points, one row per point.
 
     ``finite`` flags the rows whose differentials are all finite. A flagged
-    row is where the point call raises :class:`NonFiniteValue`; it carries
+    row is where :func:`system_frame` raises :class:`NonFiniteValue`; it carries
     zero differentials and gradients instead, so the rest of the stack
     evaluates without warnings, and its values mean nothing. ``gmat`` is
     the metric matrix of each row, the identity at a flagged row; a
@@ -216,7 +217,7 @@ class FrameStack:
         return self.gram.shape[1] - 1
 
     def require_finite(self) -> None:
-        """Raise the point call's :class:`NonFiniteValue` for the first flagged row."""
+        """Raise :class:`NonFiniteValue` for the first flagged row, naming its point."""
         if not self.finite.all():
             raise _nonfinite_differential(self.x[int(np.argmin(self.finite))])
 
@@ -234,44 +235,31 @@ class FrameStack:
 
 
 def _dets_conserved(gram: np.ndarray, k: int) -> np.ndarray:
-    """:func:`_det_conserved` of each matrix of an (m, k+1, k+1) Gram stack."""
+    """Checked determinant of the conserved block of each matrix of an
+    (m, k+1, k+1) Gram stack."""
     return _checked_dets(gram[:, :k, :k], floor_check=True)
 
 
-def _diag_product(mat: np.ndarray) -> float:
-    """Product of the diagonal, without a numpy reduction for sizes up to 2."""
-    r = mat.shape[0]
-    if r == 0:
-        return 1.0
-    if r == 1:
-        return float(mat[0, 0])
-    if r == 2:
-        return float(mat[0, 0] * mat[1, 1])
-    return float(np.prod(np.diag(mat)))
-
-
-def _det_conserved(gram: np.ndarray, k: int, cells: list | None = None) -> float:
+def _det_conserved(gram: np.ndarray, k: int, cells: list) -> float:
     """Checked determinant of the conserved block of a (k+1, k+1) Gram matrix.
 
     Up to k = 2 the determinant and the diagonal product it is checked
-    against are taken on ``cells``, the Gram matrix as Python floats (read
-    here unless the caller has read them); a larger block goes through
-    ``np.linalg.det``. Either way the values are :func:`checked_det`'s.
+    against are taken on ``cells``, the Gram matrix row-major as Python
+    floats, in the IEEE operations :func:`_checked_dets` does on arrays. A
+    larger block takes both on a batch of one; its diagonal product is
+    taken even where no floor check needs it, for numpy's overflow warning.
     """
     if k > 2:
-        block = gram[:k, :k]
-        det, scale = checked_det(block), _diag_product(block)
+        block = gram[None, :k, :k]
+        det, scale = float(_checked_dets(block)[0]), float(_diag_products(block)[0])
+    elif k == 0:
+        det = scale = 1.0
+    elif k == 1:
+        det = scale = cells[0]
     else:
-        if cells is None:
-            cells = gram.ravel().tolist()
-        if k == 0:
-            det = scale = 1.0
-        elif k == 1:
-            det = scale = cells[0]
-        else:
-            # cells 0, 1, 3 and 4 of the flattened 3x3 matrix
-            a, b, _, c, d = cells[:5]
-            det, scale = a * d - b * c, a * d
+        # cells 0, 1, 3 and 4 of the flattened 3x3 matrix
+        a, b, _, c, d = cells[:5]
+        det, scale = a * d - b * c, a * d
     _check_floor(det, scale)
     return det
 
@@ -295,16 +283,9 @@ def _metric_grads(diffs: np.ndarray, gmat: np.ndarray,
     return np.linalg.solve(gmat, diffs.T).T
 
 
-def _frame_arrays(diffs: np.ndarray, gmat: np.ndarray,
-                  ginv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Metric gradients of the (k+1, n) differentials, and their symmetrized Gram matrix."""
-    grads = _metric_grads(diffs, gmat, ginv)
-    gram = diffs @ grads.T
-    return grads, 0.5 * (gram + gram.T)
-
-
 def _gram_cells(diffs: np.ndarray, grads: np.ndarray) -> list:
-    """The Gram matrix of :func:`_frame_arrays`, row-major, as Python floats.
+    """The symmetrized Gram matrix of (k+1, n) differentials and their metric
+    gradients, row-major, as Python floats.
 
     Its symmetrization 0.5 (G + G^T) is taken on the floats of G: the IEEE
     operations numpy does on the array, at less cost for so few entries.
@@ -318,21 +299,24 @@ def _gram_cells(diffs: np.ndarray, grads: np.ndarray) -> list:
 
 
 def system_frame(system: DissipativeSystem, x) -> SystemFrame:
+    """The frame at one point: :func:`system_frames` on a batch of one, which
+    raises :class:`NonFiniteValue` where a differential is not finite."""
     p = as_point(x, system.dim)
-    diffs = _differential_stack(_differentials_at(system.all_fields()), p)
-    gmat, ginv = _metric_at(system.metric)(p)
-    grads, gram = _frame_arrays(diffs, gmat, ginv)
-    return SystemFrame(x=p, gmat=gmat, diffs=diffs, grads=grads, gram=gram)
+    frames = system_frames(system, p[None])
+    frames.require_finite()
+    gmat = frames.gmat if frames.gmat.ndim == 2 else frames.gmat[0]
+    return SystemFrame(x=p, gmat=gmat, diffs=frames.diffs[0], grads=frames.grads[0],
+                       gram=frames.gram[0])
 
 
 def system_frames(system: DissipativeSystem, pts) -> FrameStack:
-    """:func:`system_frame` at every row of an (m, n) stack, bitwise row for row.
+    """The frame of every row of an (m, n) stack, as a :class:`FrameStack`.
 
     Stacked fields are called once for the whole stack and point-only ones
     row by row; the metric solve, the gradients and the Gram matrices are
-    stacked matmuls and solves, which numpy evaluates one row at a time in
-    the point call's arithmetic. A callable metric is evaluated at the
-    finite rows only.
+    stacked matmuls and solves, which numpy evaluates one row at a time, so
+    each row's bits do not depend on the other rows. A callable metric is
+    evaluated at the finite rows only.
     """
     p = as_stack(pts, system.dim)
     gmat, diffs, grads, gram, finite = _stack_arrays(system.all_fields(), system.metric, p)

@@ -115,42 +115,34 @@ def classify_point(system: DissipativeSystem, x,
     ``tol_inv`` times the product of all squared gradient norms (so the ratio
     is a scale-free measure of gradient dependence, at most 1 by Hadamard's
     bound). The critical branch is checked first because the scale itself
-    collapses when the dissipated gradient vanishes.
+    collapses when the dissipated gradient vanishes. This is
+    ``_classify_rows`` on a batch of one.
     """
-    fr = system_frame(system, x)
-    return _point_class(fr.det_full(), fr.grad_g_norm(), fr.classification_scale(),
-                        tol_inv, tol_g)
-
-
-def _point_class(det_full: float, grad_g_norm: float, scale: float,
-                 tol_inv: float, tol_g: float) -> PointClass:
-    """The :class:`PointClass` of a frame's full Gram determinant, dissipated
-    gradient norm and classification scale: critical first, then dependent,
-    else generic."""
-    if grad_g_norm <= tol_g:
-        kind = PointKind.INV_CRITICAL
-    elif det_full <= tol_inv * scale:
-        kind = PointKind.INV_DEPENDENT
-    else:
-        kind = PointKind.GENERIC
-    return PointClass(kind=kind, det_full=det_full, grad_g_norm=grad_g_norm,
-                      scale=scale, tol_inv=tol_inv, tol_g=tol_g)
+    return _classify_rows(system, as_point(x, system.dim)[None], tol_inv, tol_g)[0]
 
 
 def _classify_rows(system: DissipativeSystem, pts: np.ndarray,
                    tol_inv: float, tol_g: float) -> list:
     """:func:`classify_point` at every row of an (m, n) stack, from one stacked frame.
 
-    Each :class:`PointClass` and each warning, in row order, is the point
-    call's; a row whose differentials are not finite raises the point
-    call's :class:`NonFiniteValue` for the first such row.
+    A row is critical first, then dependent, else generic. Its warnings
+    come in row order; a row whose differentials are not finite raises
+    :class:`NonFiniteValue` for the first such row.
     """
     frames = system_frames(system, pts)
     frames.require_finite()
-    return [_point_class(det, norm, scale, tol_inv, tol_g)
-            for det, norm, scale in zip(frames.det_full().tolist(),
-                                        frames.grad_g_norm().tolist(),
-                                        frames.classification_scale().tolist())]
+    out = []
+    for det, norm, scale in zip(frames.det_full().tolist(), frames.grad_g_norm().tolist(),
+                                frames.classification_scale().tolist()):
+        if norm <= tol_g:
+            kind = PointKind.INV_CRITICAL
+        elif det <= tol_inv * scale:
+            kind = PointKind.INV_DEPENDENT
+        else:
+            kind = PointKind.GENERIC
+        out.append(PointClass(kind=kind, det_full=det, grad_g_norm=norm, scale=scale,
+                              tol_inv=tol_inv, tol_g=tol_g))
+    return out
 
 
 @dataclass(frozen=True)
@@ -387,8 +379,10 @@ def find_equilibria(system: DissipativeSystem, seeds,
         roots.append((x, float(np.linalg.norm(r[:system.dim]))))
 
     reports = []
-    for x, rhs_norm in roots:
-        cls = classify_point(system, x, tol_inv=tol_inv, tol_g=tol_g)
+    classes = _classify_rows(
+        system, np.array([x for x, _ in roots]).reshape(len(roots), system.dim),
+        tol_inv, tol_g)
+    for (x, rhs_norm), cls in zip(roots, classes):
         in_unpert = float(np.linalg.norm(system.X(x))) <= eq_tol
         in_inv = cls.in_invariant_set
         reports.append(EquilibriumReport(

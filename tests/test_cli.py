@@ -226,14 +226,15 @@ def test_verify_builds_one_frame_per_point(tmp_path, capsys, monkeypatch):
 
 def test_verify_catches_corrupted_differential(tmp_path, capsys, monkeypatch):
     # shift the dissipated differential away from the value, which the
-    # derivative consistency check must flag
+    # derivative consistency check must flag; the shifted differential takes
+    # one point at a time, so the field is not stacked
     real = geodiss.catalog.from_name
 
     def corrupted(spec):
         entry = real(spec)
         orig = entry.system.dissipated
         bad = dataclasses.replace(orig, differential=lambda x: orig.d(x) + 1e-3,
-                                  label=orig.label + "(corrupted)")
+                                  label=orig.label + "(corrupted)", stacked=False)
         return dataclasses.replace(
             entry, system=dataclasses.replace(entry.system, dissipated=bad))
 

@@ -36,9 +36,10 @@ from geodiss.fields import (
     VectorField,
 )
 from geodiss.gram import (
+    SystemFrame,
     _check_floor,
-    _diag_product,
-    _frame_arrays,
+    _differential_stack,
+    _differentials_at,
     _metric_at,
     _metric_grads,
     _nonfinite_differential,
@@ -46,6 +47,7 @@ from geodiss.gram import (
     system_frame,
     system_frames,
 )
+from geodiss.structure import PointKind, classify_point
 from conftest import euclid3_pair, seeded_pair, with_callable_metric
 
 
@@ -356,11 +358,27 @@ def test_corrected_rhs_kernel_is_the_frame_path_bitwise(case):
     kernel = _corrected_rhs(system)
     with _negativity_floor(floor):
         ref = _outcome(lambda: _frame_path(system, p) + (None,))
+        shape_error = _wrong_shape_outcomes(system, p)
+        if shape_error is not None:
+            point_error, stack_error = shape_error
+            assert ref == stack_error
+            ref = point_error
         # the first call checks a constant metric, later ones read its pair
         for _ in range(2):
             assert _outcome(lambda: kernel(p)) == ref
         rhs = _outcome(lambda: (dissipated_rhs(system, p),))
     assert rhs == ((ref[0][:1] if len(ref[0]) == 3 else ref[0]), ref[1])
+
+
+def _wrong_shape_outcomes(system, p):
+    """Where a differential answers p in the wrong shape, the outcomes of the
+    point call ``f.d(p)`` and of the stacked call ``system_frames`` on p as a
+    batch of one, which say so in their own words: the bound kernel refuses p
+    with the first, a point frame with the second. None elsewhere."""
+    point_error = _outcome(lambda: tuple(f.d(p) for f in system.all_fields()))
+    if point_error[0][0] is not DimensionMismatch:
+        return None
+    return point_error, _outcome(lambda: (system_frames(system, p[None]).gram,))
 
 
 def test_corrected_rhs_kernel_raises_the_frame_path_non_finite_error():
@@ -405,22 +423,22 @@ def test_corrected_rhs_kernel_warns_as_the_frame_path(monkeypatch):
 
 def _scalar_reference(system, p):
     """``(X - v0, v0, det_conserved)`` at p: the differentials as an array of
-    ``f.d(p)``, and every determinant by ``checked_det`` on numpy views and
+    ``f.d(p)``, and every determinant by ``_frozen_checked_det`` on numpy views and
     gathered minors, summed term by term."""
     k = system.k
     diffs = np.array([f.d(p) for f in system.all_fields()])
     if not np.isfinite(diffs).all():
         raise NonFiniteValue(f"non-finite differential among fields at {p.tolist()}")
-    grads, gram = _frame_arrays(diffs, *_metric_at(system.metric)(p))
+    grads, gram = _frozen_frame_arrays(diffs, *_metric_at(system.metric)(p))
     block = gram[:k, :k]
-    det_c = checked_det(block, diag_scale=float(np.prod(np.diag(block))))
+    det_c = _frozen_checked_det(block, diag_scale=float(np.prod(np.diag(block))))
     v0 = det_c * grads[k]
     for i in range(k):
         # conserved rows; column i swapped out for the dissipated column k
         cols = [c for c in range(k) if c != i] + [k]
         flat = np.array([[r * (k + 1) + c for c in cols] for r in range(k)])
         sign = -1.0 if (i + k) % 2 else 1.0
-        v0 = v0 + sign * checked_det(gram.take(flat)) * grads[i]
+        v0 = v0 + sign * _frozen_checked_det(gram.take(flat)) * grads[i]
     return system.X(p) - v0, v0, det_c
 
 
@@ -436,7 +454,12 @@ def test_point_bodies_are_the_numpy_scalar_arithmetic_bitwise(case):
         frame_v0 = _outcome(lambda: (_cofactor_from_frame(system_frame(system, p)),))
         det = _outcome(lambda: (system_frame(system, p).det_conserved(),))
     if len(ref[0]) == 2:  # the class and message of a refused point
-        assert got == frame_v0 == det == ref
+        assert got == ref
+        shape_error = _wrong_shape_outcomes(system, p)
+        if shape_error is not None:
+            assert shape_error[0] == ref
+            ref = shape_error[1]
+        assert frame_v0 == det == ref
         return
     (rhs, v0, det_c), warned = ref
     assert got == ((rhs, v0, None), warned)
@@ -495,7 +518,7 @@ def _frozen_small_det(cells, idx):
 def _frozen_det_conserved(gram, k, cells=None):
     if k > 2:
         block = gram[:k, :k]
-        det, scale = checked_det(block), _diag_product(block)
+        det, scale = _frozen_checked_det(block), _frozen_diag_product(block)
     else:
         if cells is None:
             cells = gram.ravel().tolist()
@@ -525,7 +548,8 @@ def _frozen_cofactor(cells, grads, minors):
     gram = np.array(cells).reshape(k + 1, k + 1) if k > 2 else None
     v0 = _frozen_det_conserved(gram, k, cells) * grads[k]
     for i, (sign, flat, idx) in enumerate(minors):
-        det = _frozen_small_det(cells, idx) if k <= 2 else checked_det(gram.take(flat))
+        det = (_frozen_small_det(cells, idx) if k <= 2
+               else _frozen_checked_det(gram.take(flat)))
         v0 += (sign * det) * grads[i]
     return v0
 
@@ -550,6 +574,10 @@ def _frozen_corrected_rhs(system):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_kernel_cases(scaled=True))
+# three conserved quantities where the Gram products overflow: numpy warns
+# on the conserved block's diagonal product, which no floor check needs
+@example((random_poly(4, 3, seed=0).system, np.array([0.5, -1.2, 0.8, 1.5]) * 1e40,
+          geodiss.gram.GRAM_NEGATIVITY_FLOOR))
 def test_point_kernel_is_the_frozen_kernel_bitwise(case):
     # every bit of X - v0 and v0, signed zeros included, every warning in
     # its order, and the class and message of a refused point; at 1e80 and
@@ -649,3 +677,158 @@ def test_stacked_rhs_kernel_is_the_frame_stack_path_bitwise(case):
     assert rhs.tobytes() == ref.tobytes()
     assert [row.tobytes() for row in rhs[ref_ok]] == [row.tobytes() for row in point]
     assert warned == ref_warned == point_warned
+
+
+# ---------------------------------------------------------------------------
+# the point frame against a frozen copy of the point frame it replaced
+# ---------------------------------------------------------------------------
+
+def _frozen_checked_det(mat, diag_scale=None):
+    r = mat.shape[0]
+    if r == 0:
+        det = 1.0
+    elif r == 1:
+        det = float(mat[0, 0])
+    elif r == 2:
+        det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
+    else:
+        det = float(np.linalg.det(mat))
+    if diag_scale is not None:
+        _check_floor(det, diag_scale)
+    return det
+
+
+def _frozen_diag_product(mat):
+    r = mat.shape[0]
+    if r == 0:
+        return 1.0
+    if r == 1:
+        return float(mat[0, 0])
+    if r == 2:
+        return float(mat[0, 0] * mat[1, 1])
+    return float(np.prod(np.diag(mat)))
+
+
+def _frozen_frame_arrays(diffs, gmat, ginv):
+    grads = _metric_grads(diffs, gmat, ginv)
+    gram = diffs @ grads.T
+    return grads, 0.5 * (gram + gram.T)
+
+
+def _frozen_system_frame(system, p):
+    """The point frame as it was before it became a batch of one of the
+    stacked frames: its own differential stack, gradients and Gram matrix."""
+    diffs = _differential_stack(_differentials_at(system.all_fields()), p)
+    gmat, ginv = _metric_at(system.metric)(p)
+    grads, gram = _frozen_frame_arrays(diffs, gmat, ginv)
+    return SystemFrame(x=p, gmat=gmat, diffs=diffs, grads=grads, gram=gram)
+
+
+def _frozen_classify(fr, tol_inv, tol_g):
+    det_full = _frozen_checked_det(fr.gram, diag_scale=_frozen_diag_product(fr.gram))
+    norm, scale = fr.grad_g_norm(), _frozen_diag_product(fr.gram)
+    if norm <= tol_g:
+        kind = PointKind.INV_CRITICAL
+    elif det_full <= tol_inv * scale:
+        kind = PointKind.INV_DEPENDENT
+    else:
+        kind = PointKind.GENERIC
+    return kind, det_full, norm, scale
+
+
+def _frame_calls(frame, det_conserved, det_full, scale, classify, cofactor):
+    """Every value a point frame gives, each as an :func:`_outcome`
+    callable: the frame's arrays, its methods, the classification at two
+    pairs of tolerances and the cofactor control field."""
+    def bits(kind, *values):
+        return np.asarray(kind.value), np.array(values)
+
+    return [
+        lambda: (lambda fr: (fr.x, fr.gmat, fr.diffs, fr.grads, fr.gram))(frame()),
+        lambda: (det_conserved(frame()),),
+        lambda: (det_full(frame()),),
+        lambda: (scale(frame()),),
+        lambda: (frame().grad_g_norm(), frame().grad_g()),
+        lambda: bits(*classify(frame(), 1e-9, 1e-6)),
+        lambda: bits(*classify(frame(), 0.5, 0.3)),
+        lambda: (cofactor(frame()),),
+    ]
+
+
+def _kept(p):
+    """What of an :func:`_outcome` at p the frozen point frame must match.
+
+    All of it, unless p is scaled past the cases' coordinates of at most 2,
+    where the Gram products overflow: there numpy words its warnings for
+    array arithmetic, not for scalars, and skips a diagonal product that no
+    floor check needs, so its RuntimeWarnings are left out.
+    """
+    if not np.nanmax(np.abs(p), initial=0.0) > 2.0:
+        return lambda outcome: outcome
+    return lambda outcome: (outcome[0], [w for w in outcome[1] if w[0] is not RuntimeWarning])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_kernel_cases(scaled=True))
+def test_point_frame_is_the_frozen_point_frame_bitwise(case):
+    # every array and value of the frame, its methods, classify_point and
+    # the cofactor field: their bits, every warning in its order, and the
+    # class and message of a refused point; a differential of the wrong
+    # shape is refused with system_frames' message
+    system, p, floor = case
+    minors = _cofactor_minors(system.k)
+
+    def live_classify(fr, tol_inv, tol_g):
+        cls = classify_point(system, fr.x, tol_inv=tol_inv, tol_g=tol_g)
+        return cls.kind, cls.det_full, cls.grad_g_norm, cls.scale
+
+    live = _frame_calls(
+        lambda: system_frame(system, p), SystemFrame.det_conserved,
+        SystemFrame.det_full, SystemFrame.classification_scale, live_classify,
+        _cofactor_from_frame)
+    frozen = _frame_calls(
+        lambda: _frozen_system_frame(system, p),
+        lambda fr: _frozen_det_conserved(fr.gram, fr.k),
+        lambda fr: _frozen_checked_det(fr.gram, diag_scale=_frozen_diag_product(fr.gram)),
+        lambda fr: _frozen_diag_product(fr.gram), _frozen_classify,
+        lambda fr: _frozen_cofactor(fr.gram.ravel().tolist(), fr.grads, minors))
+    keep = _kept(p)
+    with _negativity_floor(floor):
+        shape_error = _wrong_shape_outcomes(system, p)
+        for got, ref in zip(live, frozen):
+            ref = _outcome(ref)
+            if shape_error is not None:
+                assert ref == shape_error[0]
+                ref = shape_error[1]
+            assert keep(_outcome(got)) == keep(ref)
+        if shape_error is None and len(_outcome(live[0])[0]) == 5:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fr = system_frame(system, p)
+                assert fr.gmat.shape == (system.dim, system.dim)
+                assert all(type(v) is float for v in (
+                    fr.det_conserved(), fr.det_full(), fr.classification_scale(),
+                    fr.grad_g_norm()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_kernel_cases(scaled=True))
+def test_checked_det_is_the_frozen_checked_det_bitwise(case):
+    # every leading block of the Gram matrix, sizes 0 to k + 1, with no
+    # scale, with its own diagonal product and with a scale of 0
+    system, p, floor = case
+    keep = _kept(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            gram = _frozen_system_frame(system, p).gram
+        except GeodissError:
+            return
+        blocks = [gram[:r, :r] for r in range(system.k + 2)]
+        scales = [(None, _frozen_diag_product(block), 0.0) for block in blocks]
+    with _negativity_floor(floor):
+        for block, block_scales in zip(blocks, scales):
+            for scale in block_scales:
+                assert (keep(_outcome(lambda: (checked_det(block, diag_scale=scale),)))
+                        == keep(_outcome(
+                            lambda: (_frozen_checked_det(block, diag_scale=scale),))))
