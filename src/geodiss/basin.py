@@ -32,6 +32,7 @@ detection consumes the solo step generator.
 from __future__ import annotations
 
 import inspect
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -62,9 +63,15 @@ GRID_DIM_LIMIT = 3
 _SEED_TRUST = 0.1
 # orbit points read off the period-detection run
 _DENSE_STATES = 2048
-# rows per block of the sampled path's neighbour search: its distance block
-# holds this many rows of all candidates, so memory grows linearly with them
-_KNN_BLOCK = 128
+# the sampled path's neighbour search (_knn_rows): the coordinates hashed into
+# cells, so a row reads at most 3 ** 4 = 81 cells; the rows whose k-th
+# distance sets the cell width; the cells along a hashed axis, so a packed
+# cell key fits in int64; and the floats that one block of candidate pairs
+# holds, so memory grows linearly in the rows
+_HASH_AXES = 4
+_WIDTH_PROBES = 64
+_CELLS_PER_AXIS = 2 ** 15
+_PAIR_FLOATS = 2 ** 15
 # the sampler's work bounds, as in the config schema; a grid holds
 # cells_per_axis ** dim cells, at most _CELL_BUDGET
 _MAX_SAMPLES = 2 ** 20
@@ -78,7 +85,8 @@ class SamplerConfig:
 
     Dimensions up to GRID_DIM_LIMIT use a regular grid with face-adjacency
     flood fill; higher dimensions fall back to random samples joined through
-    mutual nearest neighbors.
+    mutual nearest neighbors: each sample's ``neighbor_count`` nearest, found
+    exactly by a cell-hash search whose memory grows linearly in the samples.
     """
 
     cells_per_axis: int = 64
@@ -138,13 +146,18 @@ def _face_flood(inside: np.ndarray, start: int, n_cells: int, n: int) -> np.ndar
             steps.append(frontier[coords[axis] > 0] - strides[axis])
             steps.append(frontier[coords[axis] < n_cells - 1] + strides[axis])
         nxt = np.concatenate(steps)
-        nxt = np.sort(nxt[inside[nxt] & ~seen[nxt]])
-        # deduplicated by hand: np.unique imports numpy.ma, about 1 MB
-        first = np.ones(nxt.size, dtype=bool)
-        first[1:] = nxt[1:] != nxt[:-1]
-        frontier = nxt[first]
-        seen[frontier] = True
+        frontier = _mark_new(nxt[inside[nxt]], seen)
     return np.flatnonzero(seen)
+
+
+def _mark_new(nxt: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """The distinct indices of ``nxt`` not yet ``seen``, sorted, now marked seen."""
+    nxt = np.sort(nxt[~seen[nxt]])
+    # deduplicated by hand: np.unique imports numpy.ma, about 1 MB
+    first = np.ones(nxt.size, dtype=bool)
+    first[1:] = nxt[1:] != nxt[:-1]
+    seen[nxt[first]] = True
+    return nxt[first]
 
 
 def _median(values: np.ndarray) -> float:
@@ -159,6 +172,134 @@ def _median(values: np.ndarray) -> float:
     if a.size % 2:
         return float(a[mid])
     return float((a[mid - 1] + a[mid]) / 2.0)
+
+
+def _knn_rows(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k nearest other rows, by distance then index, and its k-th distance.
+
+    Exact, by the cell method (Bentley, Stanat & Williams, 1977): the rows are
+    hashed into cubic cells on at most _HASH_AXES of the widest coordinates,
+    and each row measures only the rows of its own and the adjacent cells.
+    Every distance is ``np.linalg.norm(a - b)`` over all coordinates, as an
+    all-pairs search takes it, so the k-th distances are that search's bits,
+    and so are the neighbours but where an exact tie straddles the k-th
+    place, which goes to the lower index. The first cell width comes from a
+    stride of probe rows. Requires 1 <= k < len(pts).
+    """
+    m = len(pts)
+    lo = pts.min(axis=0)
+    extent = pts.max(axis=0) - lo
+    axes = np.argsort(-extent, kind="stable")[:_HASH_AXES]
+    hashed = pts[:, axes] - lo[axes]
+    widest = float(extent[axes[0]])
+    least = widest / _CELLS_PER_AXIS
+    order = np.empty((m, k), dtype=np.intp)
+    kth = np.empty(m)
+    # the probes start from the width at which m rows spread evenly over the
+    # hashed box would put k in a cell; the others from their k-th distances
+    probes = np.arange(0, m, -(-m // _WIDTH_PROBES))
+    width = widest * (k / m) ** (1.0 / len(axes))
+    _cell_search(pts, hashed, probes, max(width, least) or 1.0, order, kth)
+    rest = np.ones(m, dtype=bool)
+    rest[probes] = False
+    width = 1.25 * _median(kth[probes])
+    _cell_search(pts, hashed, np.flatnonzero(rest), max(width, least) or 1.0, order, kth)
+    return order, kth
+
+
+def _cell_search(pts: np.ndarray, hashed: np.ndarray, rows: np.ndarray, width: float,
+                 order: np.ndarray, kth: np.ndarray) -> None:
+    """Fill ``order`` and ``kth`` at ``rows`` from cells of ``width`` and wider.
+
+    A row's neighbours are final once its k-th distance lies below its
+    certified radius, the width plus its distance to its own cell's nearest
+    face: a row outside the adjacent cells is at least that far in one hashed
+    coordinate, so at least that far. The rows not certified are searched
+    again at twice the width; once one cell holds every row, all are.
+    """
+    m, n = pts.shape
+    k = order.shape[1]
+    h = hashed.shape[1]
+    # the adjacent cells in every hashed axis but the last; along the last,
+    # a cell and its two neighbours are adjacent keys, so one range of rows
+    near = np.array(list(itertools.product((-1, 0, 1), repeat=h - 1)),
+                    dtype=np.int64).reshape(-1, h - 1)
+    while rows.size:
+        t = hashed / width
+        cell = np.floor(t).astype(np.int64)
+        # keys packed in C order, with a margin cell on either side
+        dims = cell.max(axis=0) + 3
+        strides = np.cumprod(np.concatenate([[1], dims[:0:-1]]))[::-1]
+        key = (cell + 1) @ strides
+        near_keys = near @ strides[:-1]
+        # the rounding of t, of the distances and of the radius, with room
+        slack = 16 * np.finfo(float).eps * (float(t.max()) + n + 4)
+        reach = width * (1.0 + np.min(np.minimum(t - cell, cell + 1 - t), axis=1)) * (1.0 - slack)
+        perm = np.argsort(key, kind="stable")
+        sorted_key = key[perm]
+        todo = np.zeros(m, dtype=bool)
+        todo[rows] = True
+        rows = perm[todo[perm]]          # in cell order, so a block's counts are alike
+        left = []
+        # the rows whose cell ranges are looked up at once, within the budget
+        for chunk in np.array_split(rows, -(-rows.size * len(near) // _PAIR_FLOATS)):
+            base = key[chunk, None] + near_keys
+            start = np.searchsorted(sorted_key, base - 1, "left")
+            lens = np.searchsorted(sorted_key, base + 1, "right") - start
+            counts = lens.sum(axis=1)
+            # blocks of rows, each padded to its largest candidate count
+            step = max(1, _PAIR_FLOATS // (n * max(int(counts.max()), k)))
+            for s in range(0, chunk.size, step):
+                e = s + step
+                r, cnt, ln = chunk[s:e], counts[s:e], lens[s:e].ravel()
+                # each candidate's place in the cell order
+                where = (np.repeat(start[s:e].ravel() - (np.cumsum(ln) - ln), ln)
+                         + np.arange(cnt.sum()))
+                idx = np.repeat(r[:, None], max(int(cnt.max()), k), axis=1)
+                idx[np.repeat(np.arange(r.size), cnt),
+                    np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)] = perm[where]
+                dist = np.linalg.norm(pts[r, None, :] - pts[idx], axis=2)
+                # the row itself and the padding: NaN is never below or at a k-th distance
+                dist[idx == r[:, None]] = np.nan
+                kd = np.partition(dist, k - 1, axis=1)[:, k - 1]
+                done = (kd < reach[r]) | (cnt == m)
+                order[r[done]] = _k_smallest(dist[done], idx[done], kd[done], k)
+                kth[r[done]] = kd[done]
+                left.append(r[~done])
+        rows = np.concatenate(left)
+        width *= 2.0
+
+
+def _k_smallest(dist: np.ndarray, idx: np.ndarray, kd: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the k entries of ``idx`` of least (``dist``, ``idx``), so sorted;
+    ``kd`` holds each row's k-th smallest distance."""
+    below = dist < kd[:, None]
+    at = dist == kd[:, None]
+    need = k - below.sum(axis=1)
+    take = below | at
+    tied = np.flatnonzero(at.sum(axis=1) > need)
+    if tied.size:
+        # an exact tie across the k-th place goes to the lower indices
+        last = np.sort(np.where(at[tied], idx[tied], np.iinfo(np.intp).max), axis=1)
+        take[tied] &= below[tied] | (idx[tied] <= last[np.arange(tied.size), need[tied] - 1, None])
+    picked, d = idx[take].reshape(-1, k), dist[take].reshape(-1, k)
+    return np.take_along_axis(picked, np.lexsort((picked, d)), axis=1)
+
+
+def _mutual_flood(order: np.ndarray) -> np.ndarray:
+    """The rows joined to row 0 through mutual neighbours, sorted: rows i and
+    j join when each is in the other's row of ``order``."""
+    m = len(order)
+    # the pairs (i, j) as sorted keys i * m + j, and each pair reversed
+    keys = (np.arange(m)[:, None] * m + np.sort(order, axis=1)).ravel()
+    back = order * m + np.arange(m)[:, None]
+    mutual = keys[np.minimum(np.searchsorted(keys, back), keys.size - 1)] == back
+    seen = np.zeros(m, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    while frontier.size:
+        frontier = _mark_new(order[frontier][mutual[frontier]], seen)
+    return np.flatnonzero(seen)
 
 
 class _LeafTable:
@@ -275,27 +416,9 @@ class _LeafTable:
         k_nn = min(self.cfg.neighbor_count, m - 1)
         if k_nn <= 0:
             return cand, self.hw, False
-        # each row's k nearest candidates, one block of rows at a time
-        order = np.empty((m, k_nn), dtype=np.intp)
-        kth = np.empty(m)
-        for start in range(0, m, _KNN_BLOCK):
-            block = np.arange(start, min(start + _KNN_BLOCK, m))
-            dist = np.linalg.norm(pts[block, None, :] - pts[None, :, :], axis=2)
-            dist[block - start, block] = np.inf
-            order[block] = np.argsort(dist, axis=1)[:, :k_nn]
-            kth[block] = dist[block - start, order[block, -1]]
-        neigh = [set(row.tolist()) for row in order]
+        order, kth = _knn_rows(pts, k_nn)
         spacing = _median(kth)
-
-        seen = {0}
-        queue = [0]
-        while queue:
-            cur = queue.pop()
-            for j in neigh[cur]:
-                if cur in neigh[j] and j not in seen:   # mutual edge only
-                    seen.add(j)
-                    queue.append(j)
-        rows = cand[sorted(seen)]
+        rows = cand[_mutual_flood(order)]
         touches = bool(np.any(np.max(np.abs(self.points[rows] - self.anchor), axis=1)
                               > self.hw - 2.0 * spacing))
         return rows, spacing, touches

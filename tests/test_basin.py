@@ -16,6 +16,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -199,13 +200,21 @@ def _per_point_table(system, anchor, cfg):
     return np.array([anchor] + found), np.array(g), np.array(cells, dtype=np.intp)
 
 
-def _sphere_4d_stacked():
-    """_sphere_weights_4d as the CLI builds it: stacked polynomial fields."""
+def _squares_system(weights):
+    """F = |x|^2 / 2 and G = sum a_i x_i^2 on R^n, as the CLI builds them:
+    stacked polynomial fields."""
+    n = len(weights)
+
     def squares(coefs):
-        return {"terms": [{"coef": c, "powers": [2 * (j == i) for j in range(4)]}
+        return {"terms": [{"coef": c, "powers": [2 * (j == i) for j in range(n)]}
                           for i, c in enumerate(coefs)]}
-    return _build_system({"dim": 4, "conserved": [squares([0.5] * 4)],
-                          "dissipated": squares([0.5, 1.0, 1.5, 2.0])})[0]
+    return _build_system({"dim": n, "conserved": [squares([0.5] * n)],
+                          "dissipated": squares(list(weights))})[0]
+
+
+def _sphere_4d_stacked():
+    """_sphere_weights_4d as the CLI builds it."""
+    return _squares_system([0.5, 1.0, 1.5, 2.0])
 
 
 def test_row_norms_are_bitwise_the_point_norms():
@@ -328,17 +337,157 @@ def _all_pairs_select(table, level):
     return cand[sorted(seen)], spacing
 
 
+_FROZEN_KNN_BLOCK = 128
+
+
+def _frozen_sampled_select(self, level: float):
+    """The sampled selection as it was before the cell-hash search, verbatim:
+    k nearest candidates by an all-candidates distance block of 128 rows at a
+    time, then a breadth-first search over Python sets. Returns its rows,
+    spacing and boundary flag, and its neighbours and k-th distances."""
+    cand = np.concatenate([[0], 1 + np.flatnonzero(self.g[1:] < level)])
+    pts = self.points[cand]
+    m = len(pts)
+    k_nn = min(self.cfg.neighbor_count, m - 1)
+    if k_nn <= 0:
+        return cand, self.hw, False, None, None
+    # each row's k nearest candidates, one block of rows at a time
+    order = np.empty((m, k_nn), dtype=np.intp)
+    kth = np.empty(m)
+    for start in range(0, m, _FROZEN_KNN_BLOCK):
+        block = np.arange(start, min(start + _FROZEN_KNN_BLOCK, m))
+        dist = np.linalg.norm(pts[block, None, :] - pts[None, :, :], axis=2)
+        dist[block - start, block] = np.inf
+        order[block] = np.argsort(dist, axis=1)[:, :k_nn]
+        kth[block] = dist[block - start, order[block, -1]]
+    neigh = [set(row.tolist()) for row in order]
+    spacing = basin_mod._median(kth)
+
+    seen = {0}
+    queue = [0]
+    while queue:
+        cur = queue.pop()
+        for j in neigh[cur]:
+            if cur in neigh[j] and j not in seen:   # mutual edge only
+                seen.add(j)
+                queue.append(j)
+    rows = cand[sorted(seen)]
+    touches = bool(np.any(np.max(np.abs(self.points[rows] - self.anchor), axis=1)
+                          > self.hw - 2.0 * spacing))
+    return rows, spacing, touches, order, kth
+
+
+def _assert_frozen_selection(table, level):
+    """The selection, its neighbour sets and its k-th distances are the frozen
+    blocked search's bits; returns the number of candidates."""
+    rows, spacing, touches, ref_order, ref_kth = _frozen_sampled_select(table, level)
+    got, got_spacing, got_touches = basin_mod._LeafTable._sampled_select(table, level)
+    assert np.array_equal(got, rows)
+    assert np.float64(got_spacing).tobytes() == np.float64(spacing).tobytes()
+    assert got_touches == touches
+    cand = np.concatenate([[0], 1 + np.flatnonzero(table.g[1:] < level)])
+    if ref_order is not None:
+        order, kth = basin_mod._knn_rows(table.points[cand], ref_order.shape[1])
+        assert kth.tobytes() == ref_kth.tobytes()
+        assert np.array_equal(np.sort(order, axis=1), np.sort(ref_order, axis=1))
+    return len(cand)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("neighbor_count", [1, 2, 3, 10, 32])
+def test_sampled_selection_is_the_frozen_blocked_selection(seed, neighbor_count):
+    table = basin_mod._LeafTable(_sphere_4d_stacked(), np.eye(4)[0], np.array([0.5]),
+                                 SamplerConfig(n_samples=1024, halfwidth=1.5, seed=seed,
+                                               neighbor_count=neighbor_count))
+    sizes = [_assert_frozen_selection(table, level) for level in (0.6, 0.95, 1.1, 3.0)]
+    assert sizes[-1] > 512
+
+
+@pytest.mark.parametrize("case", ["bowl4", "sphere6", "sphere8", "few_samples"])
+def test_sampled_selection_is_the_frozen_blocked_selection_elsewhere(bowl4, case):
+    # bowl4 has no conserved quantity, so its candidates fill the 4-D box;
+    # the 6-D and 8-D spheres are hashed on four of their axes; 20 samples
+    # with 32 neighbours join every candidate to every other
+    if case == "bowl4":
+        table = basin_mod._LeafTable(bowl4.system, np.zeros(4), np.zeros(0),
+                                     SamplerConfig(n_samples=1500, halfwidth=1.0, seed=4))
+        levels = (0.1, 0.5, 10.0)
+    elif case == "few_samples":
+        table = basin_mod._LeafTable(_sphere_4d_stacked(), np.eye(4)[0], np.array([0.5]),
+                                     SamplerConfig(n_samples=20, halfwidth=1.5, seed=4,
+                                                   neighbor_count=32))
+        levels = (0.6, 0.95, 3.0)
+    else:
+        n = int(case[-1])
+        weights = [0.5 * (i + 1) for i in range(n)]
+        table = basin_mod._LeafTable(_squares_system(weights), np.eye(n)[0], np.array([0.5]),
+                                     SamplerConfig(n_samples=1024, halfwidth=1.5, seed=n))
+        levels = (0.95, 1.5, 2.0 * n)
+    sizes = [_assert_frozen_selection(table, level) for level in levels]
+    assert sizes[-1] > (20 if case == "few_samples" else 500)
+
+
+@pytest.mark.parametrize("neighbor_count", [1, 3, 10])
+def test_sampled_selection_on_a_line_is_the_frozen_blocked_selection(neighbor_count):
+    # every candidate on one line: three of the four coordinates are equal
+    rng = np.random.default_rng(8)
+    points = np.zeros((600, 4))
+    points[:, 0] = rng.uniform(-1.0, 1.0, size=600)
+    table = SimpleNamespace(points=points, g=np.concatenate([[np.nan], np.abs(points[1:, 0])]),
+                            anchor=points[0], hw=1.0,
+                            cfg=SamplerConfig(neighbor_count=neighbor_count))
+    assert [_assert_frozen_selection(table, level) for level in (0.3, 2.0)][-1] == 600
+
+
+def test_neighbour_ties_go_to_the_lower_index():
+    # a 4^4 lattice and a copy of its first 64 points: every row has exact
+    # ties at its k-th distance, zero for the copies, one on the lattice
+    lattice = np.stack(np.meshgrid(*[np.arange(4.0)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    pts = np.vstack([lattice, lattice[:64]])
+    m = len(pts)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    by_distance_then_index = np.lexsort((np.broadcast_to(np.arange(m), (m, m)), dist), axis=1)
+    for k in (1, 2, 3, 5, 8, 20):
+        order, kth = basin_mod._knn_rows(pts, k)
+        assert np.array_equal(order, by_distance_then_index[:, :k])
+        assert kth.tobytes() == _frozen_sampled_select(SimpleNamespace(
+            points=pts, g=np.zeros(m), anchor=pts[0], hw=10.0,
+            cfg=SamplerConfig(neighbor_count=k)), 1.0)[4].tobytes()
+
+
+def test_neighbours_never_hold_the_row_itself_when_distances_overflow():
+    # every squared distance overflows to inf: each row still gets k other
+    # rows, the lowest indices, and the k-th distance inf
+    pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(40, 4)) * 1e200
+    with np.errstate(over="ignore"):
+        order, kth = basin_mod._knn_rows(pts, 5)
+    others = [[j for j in range(40) if j != i][:5] for i in range(40)]
+    assert order.tolist() == others
+    assert np.all(np.isinf(kth))
+
+
 def test_sampled_selection_in_blocks_is_the_all_pairs_selection():
     system = _sphere_4d_stacked()
     table = basin_mod._LeafTable(system, np.eye(4)[0], np.array([0.5]),
                                  SamplerConfig(n_samples=1024, halfwidth=1.5, seed=3))
-    # at the top level the candidates span several blocks
-    assert np.sum(table.g[1:] < 3.0) > 4 * basin_mod._KNN_BLOCK
+    # at the top level more than 512 rows are candidates
+    assert np.sum(table.g[1:] < 3.0) > 512
     for level in (0.6, 0.95, 1.1, 3.0):
         component, rows = table.select(level)
         ref_rows, ref_spacing = _all_pairs_select(table, level)
         assert np.array_equal(rows, ref_rows)
         assert component.spacing == ref_spacing
+
+
+def _select_peak(table, level):
+    """``table.select(level)`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        component, rows = table.select(level)
+        return rows, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_sampled_selection_memory_is_linear_in_the_rows(bowl4):
@@ -347,14 +496,19 @@ def test_sampled_selection_memory_is_linear_in_the_rows(bowl4):
     table = basin_mod._LeafTable(bowl4.system, np.zeros(4), np.zeros(0),
                                  SamplerConfig(n_samples=2999, halfwidth=1.0))
     assert len(table.points) == 3000
-    tracemalloc.start()
-    try:
-        component, rows = table.select(10.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows, peak = _select_peak(table, 10.0)
     assert len(rows) > 2900
-    assert peak < 64 * 2 ** 20
+    assert peak < 8 * 2 ** 20
+
+
+def test_sampled_selection_memory_at_16384_samples():
+    # about 5,200 candidates on the 4-D sphere, where a distance block of 128
+    # rows of all candidates (_frozen_sampled_select) peaks at 56.5 MB
+    table = basin_mod._LeafTable(_sphere_4d_stacked(), np.eye(4)[0], np.array([0.5]),
+                                 SamplerConfig(n_samples=16384, halfwidth=1.5))
+    rows, peak = _select_peak(table, 0.95)
+    assert len(rows) > 5000
+    assert peak < 16 * 2 ** 20
 
 
 def test_box_halfwidth_has_one_rule(bowl4):
@@ -923,6 +1077,26 @@ def test_period_detection_without_a_return_searches_the_whole_window(mexhat):
         basin_mod._detect_period(mexhat.system, np.array([2.0, 0.0, 0.0]),
                                  IntegratorConfig(), t_search=8.0, coarse_tol=0.2,
                                  recur_tol=1e-8)
+
+
+# (n_samples, level) -> seeds at which the sampled certificate on the 4-D
+# sphere/weights system passes above its true threshold 1.0: the component
+# never nears the box face, and the samples leave the saddle neck near +-e2
+# almost empty, so the witness scan never sees a saddle
+_FALSE_PASSES = {(512, 1.02): (2, 7, 10, 14, 16, 18, 22, 24, 31, 34, 36, 37, 38),
+                 (512, 1.1): (2, 22, 24, 38),
+                 (256, 1.02): (7, 36)}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_sampled_certificate_does_not_pass_above_the_threshold():
+    system = _sphere_4d_stacked()
+    passed = [(n_samples, level, seed)
+              for (n_samples, level), seeds in _FALSE_PASSES.items() for seed in seeds
+              if basin_certify(system, np.eye(4)[0], level,
+                               SamplerConfig(n_samples=n_samples, halfwidth=1.5, seed=seed),
+                               stability=AS).passed]
+    assert passed == []
 
 
 @pytest.mark.parametrize("n_samples", [1, 3])
