@@ -5,17 +5,21 @@ periodic orbit inside the degeneracy set. Both rest on the same argument: a
 bounded connected component of the strict sublevel set of the dissipated
 quantity at level ``c``, on the target's leaf and containing the target,
 whose only degeneracy-set points lie on the target, lies in the target's
-basin. One function judges a level against either target, from the
-component and its witnesses:
+basin. A level is judged against either target in two halves, from the
+component and its witnesses: its geometry,
 
   1. the component is bounded (it stays away from the sampling box boundary),
   2. every point of the degeneracy set found inside it lies on the target,
+
+and its trajectory ensemble, a seeded draw of starts and a verdict read off
+their rows of an ensemble run,
+
   3. trajectories of the corrected flow started inside it converge to the
      target.
 
-The equilibrium and orbit certificates and the threshold search call it;
-the orbit certificate adds only what is its own (seed refinement, period
-detection, phase checks and a coverage test).
+The equilibrium and orbit certificates and the threshold search use both
+halves; the orbit certificate adds only what is its own (seed refinement,
+period detection, phase checks and a coverage test).
 
 Items 2 and 3 are sampling evidence with verified witnesses, not proofs of
 absence: a reported witness is always refined until it classifies inside the
@@ -24,10 +28,11 @@ but the scan can only disprove the certificate, never establish that no
 witness was missed between samples.
 
 The witness scores of all members and the control-field rates of all
-starts each come from one stacked frame, and the trajectory ensemble is one
-lockstep call (``integrators.integrate_ensemble``) over all its starts,
-whose rows take the steps of their solo runs; only the orbit's period
-detection consumes the solo step generator.
+starts each come from one stacked frame, and a certificate's trajectory
+ensemble is one lockstep call (``integrators.integrate_ensemble``) over all
+its starts, whose rows take the steps of their solo runs; the threshold
+search runs the ensembles of all the levels it plans in one such call. Only
+the orbit's period detection consumes the solo step generator.
 """
 from __future__ import annotations
 
@@ -49,7 +54,13 @@ from .errors import (
 )
 from .fields import DissipativeSystem, _project_rows, _row_norms, as_point
 from .gram import system_frames
-from .integrators import IntegratorConfig, _lockstep, integrate_ensemble
+from .integrators import (
+    EnsembleRun,
+    IntegratorConfig,
+    _check_t_end,
+    _lockstep,
+    integrate_ensemble,
+)
 from .structure import (
     Stability,
     _classify_rows,
@@ -77,6 +88,9 @@ _PAIR_FLOATS = 2 ** 15
 _MAX_SAMPLES = 2 ** 20
 _MAX_CELLS_PER_AXIS = 256
 _CELL_BUDGET = _MAX_CELLS_PER_AXIS ** GRID_DIM_LIMIT
+# the rows the leaf table projects, or evaluates G at, in one call, which
+# bounds the memory of its build
+_TABLE_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -337,8 +351,12 @@ class _LeafTable:
             self.method = "sampled"
             found = self._sampled_points()
         self.points = np.vstack([anchor[None], found])
-        # the anchor always joins, so its value is never compared
-        self.g = np.concatenate([[np.nan], system.dissipated.values(found)])
+        # the anchor always joins, so its value is never compared; each row's
+        # value is its own, so blocks of rows give the bits of one call
+        self.g = np.full(len(self.points), np.nan)
+        for s in range(1, len(self.points), _TABLE_BLOCK):
+            self.g[s:s + _TABLE_BLOCK] = system.dissipated.values(
+                self.points[s:s + _TABLE_BLOCK])
         self._ratios = np.full(len(self.points), np.nan)
         self._gnorms = np.full(len(self.points), np.nan)
         self._refined: dict[tuple[int, float], np.ndarray | None] = {}
@@ -366,8 +384,7 @@ class _LeafTable:
             # a NaN gap passes, as it does not exceed the bound
             cells = cells[~(gap > 1.5 * diag * _row_norms(f.diffs(c)) + 1e-12)]
         c = centers[cells]
-        y, converged, _ = _project_rows(system, c, self.leaf_value,
-                                        tol=1e-10, max_iter=20)
+        y, converged = self._project(c)
         keep = converged & ~(_row_norms(y - c) > diag)
         return y[keep], cells[keep]
 
@@ -376,10 +393,24 @@ class _LeafTable:
         system, anchor, hw = self.system, self.anchor, self.hw
         rng = np.random.default_rng(self.cfg.seed)
         raw = anchor + rng.uniform(-hw, hw, size=(self.cfg.n_samples, system.dim))
-        y, converged, _ = _project_rows(system, raw, self.leaf_value,
-                                        tol=1e-10, max_iter=20)
+        y, converged = self._project(raw)
         keep = converged & ~(np.max(np.abs(y - anchor), axis=1) > hw)
         return y[keep]
+
+    def _project(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row projected onto the anchor's leaf, and whether it converged.
+
+        ``_project_rows`` on blocks of _TABLE_BLOCK rows: each row takes
+        the steps of its own projection, so the blocks give the bits of one
+        call over all rows, in memory bounded by the block.
+        """
+        y = np.empty_like(pts)
+        converged = np.empty(len(pts), dtype=bool)
+        for s in range(0, len(pts), _TABLE_BLOCK):
+            e = s + _TABLE_BLOCK
+            y[s:e], converged[s:e], _ = _project_rows(self.system, pts[s:e], self.leaf_value,
+                                                      tol=1e-10, max_iter=20)
+        return y, converged
 
     def select(self, level: float) -> tuple[SublevelComponent, np.ndarray]:
         """The component at ``level`` and the table row of each of its members."""
@@ -585,6 +616,52 @@ def _equilibrium(x_e: np.ndarray, target_radius: float) -> _Target:
     return _Target("target", dist, target_radius, float(np.linalg.norm(x_e)))
 
 
+def _ensemble_setup(target, anchor: np.ndarray, opts) -> tuple[IntegratorConfig, float]:
+    """The integrator config (whose own ``t_end`` each level's horizon
+    replaces) and the state-norm bound of a target's ensembles: the same at
+    every level, so every level's draw runs under them."""
+    config = opts["integrator"] or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    return config, target.reach + 10.0 * _halfwidth(anchor, opts["sampler"])
+
+
+@dataclass(frozen=True)
+class _Draw:
+    """A level's trajectory ensemble before it runs: the seeded starts and
+    the horizon they run to."""
+
+    level: float
+    starts: np.ndarray
+    horizon: float
+
+
+def _draw_ensemble(system, component, target, opts, config: IntegratorConfig) -> _Draw:
+    """A seeded draw of the members to integrate toward the target.
+
+    The draw raises what an ensemble run under ``config`` would refuse as
+    input, so a level whose draw succeeds runs in any ensemble call.
+    """
+    members = component.members
+    rng = np.random.default_rng(opts["traj_seed"])
+    if len(members) > opts["n_trajectories"]:
+        starts = members[rng.choice(len(members), opts["n_trajectories"], replace=False)]
+    else:
+        starts = members
+    t_end = opts["horizon"]
+    if t_end is None:
+        t_end = _auto_horizon(system, starts, target.distance)
+    _check_t_end(config, t_end)
+    return _Draw(level=component.level, starts=starts, horizon=t_end)
+
+
+def _run_draws(system, draws: list[_Draw], config: IntegratorConfig,
+               bound: float) -> EnsembleRun:
+    """One lockstep ensemble over the starts of every draw, in draw order,
+    each row ending at its own draw's horizon."""
+    return integrate_ensemble(
+        system, np.concatenate([d.starts for d in draws]), config,
+        bound=bound, t_ends=[d.horizon for d in draws for _ in d.starts])
+
+
 @dataclass(frozen=True)
 class _EnsembleEvidence:
     starts: np.ndarray
@@ -595,30 +672,19 @@ class _EnsembleEvidence:
     reasons: list
 
 
-def _ensemble_evidence(system, component, target, opts) -> _EnsembleEvidence:
-    """Integrate a seeded draw of the members toward the target.
+def _ensemble_evidence(draw: _Draw, run: EnsembleRun, rows: slice, target, opts,
+                       config: IntegratorConfig) -> _EnsembleEvidence:
+    """The verdict of a draw's ensemble, read off its ``rows`` of ``run``.
 
     The max of the dissipated value over every recorded state is forward
     invariance evidence: a certified component must never be exited upward,
     so it is compared against the level plus the integrator band.
     """
-    members, level = component.members, component.level
-    rng = np.random.default_rng(opts["traj_seed"])
-    if len(members) > opts["n_trajectories"]:
-        starts = members[rng.choice(len(members), opts["n_trajectories"], replace=False)]
-    else:
-        starts = members
-    t_end = opts["horizon"]
-    if t_end is None:
-        t_end = _auto_horizon(system, starts, target.distance)
-    bound = target.reach + 10.0 * _halfwidth(component.anchor, opts["sampler"])
-
-    base = opts["integrator"] or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    run = integrate_ensemble(system, starts, replace(base, t_end=t_end), bound=bound)
     converged = 0
     failures = []
     g_max = -np.inf
-    for x0, error, g, final in zip(starts, run.failures, run.g_max.tolist(), run.final):
+    for x0, error, g, final in zip(draw.starts, run.failures[rows],
+                                   run.g_max[rows].tolist(), run.final[rows]):
         if error is not None:
             failures.append({"start": x0.tolist(), "finalDistance": None,
                              "error": error})
@@ -632,12 +698,13 @@ def _ensemble_evidence(system, component, target, opts) -> _EnsembleEvidence:
                              "finalDistance": d, "error": None})
 
     reasons = []
-    if converged < len(starts):
+    if converged < len(draw.starts):
         reasons.append(f"trajectories failed to converge to the {target.name}")
-    if g_max > level + 10.0 * base.local_tol(abs(level)):
+    if g_max > draw.level + 10.0 * config.local_tol(abs(draw.level)):
         reasons.append("a trajectory exited the sublevel set upward")
-    return _EnsembleEvidence(starts=starts, horizon=t_end, converged=converged,
-                             failures=failures, g_max=float(g_max), reasons=reasons)
+    return _EnsembleEvidence(starts=draw.starts, horizon=draw.horizon,
+                             converged=converged, failures=failures,
+                             g_max=float(g_max), reasons=reasons)
 
 
 @dataclass(frozen=True)
@@ -647,22 +714,21 @@ class _Judgement:
     near: np.ndarray
     far: np.ndarray
     reasons: list                        # boundary contact, a missing or far witness
-    ensemble: _EnsembleEvidence | None   # None: skipped after a geometric failure
+    ensemble: _EnsembleEvidence | None   # None: not run, as after a geometric failure
 
 
-def _judge_level(system, component, witnesses, target, opts, *,
-                 lazy_ensemble=False) -> _Judgement:
-    """The basin argument at one level, for either kind of target.
+def _judge_geometry(system, component, witnesses, target) -> _Judgement:
+    """The geometric half of the basin argument at one level, for either kind of target.
 
     A bounded component whose only degeneracy-set points lie on the target
     lies in the target's basin. So the level fails geometrically when the
     component reaches the box boundary, when a witness lies farther than
     ``witness_tol`` from the target, or when the target needs a witness and
-    the scan found none; the trajectory ensemble then tests convergence and
-    forward invariance. A sampled component of fewer than dim + 1 members,
-    too few to span a simplex of the chart, carries no containment evidence
-    and fails too. ``lazy_ensemble`` skips the ensemble once geometry has
-    failed the level.
+    the scan found none; the trajectory ensemble (``_draw_ensemble``, then
+    ``_ensemble_evidence`` on its run) then tests convergence and forward
+    invariance. A sampled component of fewer than dim + 1 members, too few
+    to span a simplex of the chart, carries no containment evidence and
+    fails too.
     """
     dists = np.array([target.distance(w) for w in witnesses])
     far = witnesses[dists > target.witness_tol]
@@ -676,26 +742,29 @@ def _judge_level(system, component, witnesses, target, opts, *,
         reasons.append(f"degeneracy-set scan found no witness at the {target.name}")
     if far.size:
         reasons.append(f"degeneracy-set witnesses found away from the {target.name}")
-    ensemble = None
-    if not (lazy_ensemble and reasons):
-        ensemble = _ensemble_evidence(system, component, target, opts)
     return _Judgement(component=component, witnesses=witnesses,
                       near=witnesses[dists <= target.witness_tol], far=far,
-                      reasons=reasons, ensemble=ensemble)
+                      reasons=reasons, ensemble=None)
 
 
 def _certify_level(system, anchor, level, target, opts) -> _Judgement:
     """Judge a level on a freshly built component and witness scan.
 
     The certificates take this uncached path through the public functions,
-    which the threshold search's leaf table must agree with.
+    which the threshold search's leaf table must agree with. The level's
+    ensemble is one lockstep call.
     """
     component = sublevel_component(system, anchor, level, opts["sampler"])
     witnesses = scan_invariant_witnesses(system, component,
                                          max_refine=opts["max_refine"],
                                          susp_ratio=opts["susp_ratio"],
                                          susp_g=opts["susp_g"])
-    return _judge_level(system, component, witnesses, target, opts)
+    judged = _judge_geometry(system, component, witnesses, target)
+    config, bound = _ensemble_setup(target, component.anchor, opts)
+    draw = _draw_ensemble(system, component, target, opts, config)
+    return replace(judged, ensemble=_ensemble_evidence(
+        draw, _run_draws(system, [draw], config, bound), slice(None), target, opts,
+        config))
 
 
 def _require_stable(system: DissipativeSystem, x_e: np.ndarray,
@@ -1070,6 +1139,23 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
     a witness scan over cached results, and its trajectory ensemble runs
     only when no geometric reason (boundary contact, a missing or far
     witness) has already failed it.
+
+    The search speculates, in three phases. Plan: from the current state of
+    the bisection, ``level_max`` first, it walks the levels on the guess
+    that a level passes exactly when its geometry passes, judging each
+    level's geometry and drawing the ensemble (starts, horizon, bound) of
+    each level whose geometry passes. Run: the ensembles of every planned
+    level are one lockstep ``integrate_ensemble`` call, each row ending at
+    its own level's horizon. Commit: the planned levels are walked in
+    order; the first whose ensemble fails is recorded as failed, the rest
+    of the plan is dropped, and from there on each level is judged and
+    integrated alone. So at most one speculative tail per search is
+    integrated in vain. The table caches only pure memos and each row takes
+    the steps of its solo run, so ``(level, history)``, every verdict and
+    every trajectory are those of judging the levels one after another. An
+    error raised while planning a level (or by a speculative run, which is
+    then redone a level at a time) is raised only if the committed walk
+    reaches that level.
     """
     x_e = as_point(equilibrium, system.dim)
     g_e = float(system.dissipated(x_e))
@@ -1087,32 +1173,75 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
 
     table = _LeafTable(system, x_e, system.leaf_value(x_e), sampler or SamplerConfig())
     target = _equilibrium(x_e, opts["target_radius"])
+    config, bound = _ensemble_setup(target, x_e, opts)
+    last = max(steps, 0)  # level_max is probed first, then up to ``steps`` midpoints
+
+    def advance(state, level, ok):
+        """The bisection's ``(lo, hi, probed)`` after ``level`` passed (ok) or
+        failed, or None where level_max passed, which ends the search. Every
+        level is at least g_e, since fl(lo + hi) / 2 >= lo."""
+        lo, hi, probed = state
+        if not ok:
+            return lo, level, probed + 1
+        return None if probed == 0 else (level, hi, probed + 1)
+
+    def plan(state, speculate):
+        """The levels of the bisection from ``state``, each guessed to pass
+        exactly when its geometry does, or only the next one: ``(level,
+        draw, error)``, the draw None where geometry failed."""
+        planned = []
+        while state is not None and state[2] <= last and (speculate or not planned):
+            lo, hi, probed = state
+            level = level_max if probed == 0 else 0.5 * (lo + hi)
+            try:
+                component, rows = table.select(level)
+                geometry = _judge_geometry(system, component,
+                                           table.witnesses(component, rows, opts), target)
+                draw = (None if geometry.reasons
+                        else _draw_ensemble(system, component, target, opts, config))
+            except Exception as exc:
+                # raised by the committed walk, if it reaches this level
+                planned.append((level, None, exc))
+                break
+            planned.append((level, draw, None))
+            state = advance(state, level, draw is not None)
+        return planned
+
     history = []
-
-    def passes(level):
-        # where basin_certify would raise AnchorOutsideLevel: a failed level
-        # with no history entry
-        if not g_e <= level:
-            return False
-        component, rows = table.select(level)
-        judged = _judge_level(system, component, table.witnesses(component, rows, opts),
-                              target, opts, lazy_ensemble=True)
-        ok = not judged.reasons and not judged.ensemble.reasons
-        history.append((level, ok))
-        return ok
-
-    if passes(level_max):
-        return level_max, history
-    lo, hi = g_e, level_max
-    lo_passed = False
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo, lo_passed = mid, True
-        else:
-            hi = mid
-    if not lo_passed:
+    state = (g_e, level_max, 0)
+    speculate = True
+    while state[2] <= last:
+        planned = plan(state, speculate)
+        draws = [draw for _, draw, _ in planned if draw is not None]
+        try:
+            run = _run_draws(system, draws, config, bound) if draws else None
+        except Exception:
+            if not speculate:
+                raise
+            # redone a level at a time, so the error comes from the level
+            # the sequential search would meet it at, if any
+            speculate = False
+            continue
+        at = 0
+        for level, draw, error in planned:
+            if error is not None:
+                raise error
+            ok = False
+            if draw is not None:
+                rows = slice(at, at + len(draw.starts))
+                at = rows.stop
+                ok = not _ensemble_evidence(draw, run, rows, target, opts, config).reasons
+            history.append((level, ok))
+            state = advance(state, level, ok)
+            if state is None:
+                return level_max, history
+            if ok != (draw is not None):
+                # the ensemble failed a level its geometry passed: the rest
+                # of the plan bisected the other way
+                speculate = False
+                break
+    if not any(ok for _, ok in history):
         raise NoValidLevel(
             f"no level in ({g_e:.6g}, {level_max:.6g}] certifies "
             f"after {steps} bisection steps")
-    return lo, history
+    return state[0], history

@@ -18,9 +18,10 @@ value is bitwise the one a per-step evaluation gives. A stage of one start
 is one call of the kernel that :func:`geodiss.control._corrected_rhs` binds
 to the system once per run: a run builds no
 :class:`~geodiss.gram.SystemFrame`. :func:`integrate_ensemble` runs the loop
-on a stack of corrected-flow starts and keeps only what a basin ensemble
-reads: each row's max of the dissipated value over the states a solo run
-records, its final state, its step counts and its failure.
+on a stack of corrected-flow starts, each to its own end time if given
+one, and keeps only what a basin ensemble reads: each row's max of the
+dissipated value over the states a solo run records, its final state, its
+step counts and its failure.
 
 Trajectories never get silently re-projected onto a leaf; an optional Newton
 re-projection after each accepted step can be switched on in the config, and
@@ -37,6 +38,7 @@ live above it.
 from __future__ import annotations
 
 import contextlib
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -273,20 +275,32 @@ class _Step:
         return out
 
 
-def _first_step(config: IntegratorConfig) -> float:
+def _first_step(config: IntegratorConfig, t_end: float | None = None) -> float:
     """The first step size, min(h0, t_end), checked against an adaptive run's floor.
 
-    An adaptive run whose first step already lies below the step floor
+    ``t_end`` is a run's own end time in place of ``config.t_end``. An
+    adaptive run whose first step already lies below the step floor
     1e-14 t_end could only collapse: that is an input problem, raised as
     :class:`InitialStepBelowFloor` before any step.
     """
-    h = min(config.h0, config.t_end)
-    if config.method is Method.RK45_ADAPTIVE and h < _STEP_FLOOR * config.t_end:
+    if t_end is None:
+        t_end = config.t_end
+    h = min(config.h0, t_end)
+    if config.method is Method.RK45_ADAPTIVE and h < _STEP_FLOOR * t_end:
         raise InitialStepBelowFloor(
             f"the first step min(h0, t_end) = {h:.3e} (h0 = {config.h0:.6g}, "
-            f"t_end = {config.t_end:.6g}) lies below the step floor "
-            f"{_STEP_FLOOR:g} * t_end = {_STEP_FLOOR * config.t_end:.3e}")
+            f"t_end = {t_end:.6g}) lies below the step floor "
+            f"{_STEP_FLOOR:g} * t_end = {_STEP_FLOOR * t_end:.3e}")
     return h
+
+
+def _check_t_end(config: IntegratorConfig, t_end: float) -> None:
+    """Refuse an ensemble row's end time before any evaluation: ValueError
+    when it is not positive, :class:`InitialStepBelowFloor` when an adaptive
+    first step lies below its floor."""
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
+    _first_step(config, t_end)
 
 
 def _step_control(err: float, h_try: float, fac_old: float) -> tuple[bool, float, float]:
@@ -350,13 +364,14 @@ def _flow_rows(system: DissipativeSystem, flow: Flow):
 
 def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig,
               flow: Flow = Flow.PERTURBED, bound: float | None = None,
-              out: EnsembleRun | None = None):
+              out: EnsembleRun | None = None, t_ends: list | None = None):
     """Run either flow from a start x of shape (n,), or from each row of an (m, n) stack x.
 
     The package's one step loop. Each row has its own time, step size,
-    controller memory and counters, is checked alone against the step
-    budget, the step floor, non-finite tries, ``bound`` and the leaf
-    re-projection, and drops out alone, so it takes the steps of a run of
+    controller memory and counters, its own end time (row i's
+    ``t_ends[i]``, or ``config.t_end`` for all), is checked alone
+    against the step budget, the step floor, non-finite tries, ``bound``
+    and the leaf re-projection, and drops out alone, so it takes the steps of a run of
     its own in the same arithmetic: numpy evaluates the stage products one
     row at a time, and the controller runs on Python floats row by row. An
     adaptive try whose stages leave the finite range, or whose error is not
@@ -375,16 +390,18 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     full run up to there.
 
     The running rows are a compact working set, in start order: states and
-    slopes as arrays, times, controller scalars and counters as Python
-    lists. A try in which every row steps replaces the arrays whole; the
-    set is compacted only when a row finishes or fails. A point's arrays
+    slopes as arrays, times, end times, controller scalars and counters as
+    Python lists. A try in which every row steps replaces the arrays whole;
+    the set is compacted only when a row finishes or fails. A point's arrays
     stay unbatched, (n,) and (7, n), where numpy's calls cost the least.
     """
     point = x.ndim == 1
     n = x.shape[-1]
-    t_end = config.t_end
-    t_stop = t_end - _STEP_FLOOR * t_end  # the last step ends within this band
-    min_h = _STEP_FLOOR * t_end
+    # each row's end time, the band its last step ends within, and its step
+    # floor, as lists over the working set
+    t_end = [config.t_end] * (1 if point else len(x)) if t_ends is None else list(t_ends)
+    t_stop = [te - _STEP_FLOOR * te for te in t_end]
+    min_h = [_STEP_FLOOR * te for te in t_end]
     adaptive = config.method is Method.RK45_ADAPTIVE
     every = config.record_every
     kernel = _flow_rows(system, flow)
@@ -399,13 +416,13 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
             out.failures[i] = NonFiniteState(str(_nonfinite_differential(x[i])))
         rows = np.flatnonzero(ok).tolist()
         xa, ka = x[ok], ka[ok]
+        t_end, t_stop, min_h = ([v[i] for i in rows] for v in (t_end, t_stop, min_h))
     live = len(rows)
     everyone = range(live)
     yield v0 if point else (rows, everyone, xa)
     if not rows:
         return
 
-    h0 = _first_step(config)
     targets = None
     if config.leaf_reprojection and system.k:
         targets = np.empty((live, system.k))
@@ -414,7 +431,7 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     # the working set's Python lists: each running row's time, step size,
     # controller memory and counters
     ta = [0.0] * live
-    h_ctrl = [h0] * live
+    h_ctrl = [_first_step(config, te) for te in t_end]
     fac_old = [1e-4] * live
     n_acc = [0] * live
     n_rej = [0] * live
@@ -447,10 +464,10 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
         if tries >= config.max_steps:
             for j, t in enumerate(ta):
                 ended.setdefault(j, MaxStepsExceeded(
-                    f"exceeded {config.max_steps} steps at t={t:.6g} of {t_end:.6g}"))
-        elif adaptive and min(h_ctrl) < min_h:
+                    f"exceeded {config.max_steps} steps at t={t:.6g} of {t_end[j]:.6g}"))
+        elif adaptive and any(map(operator.lt, h_ctrl, min_h)):
             for j, (hc, t) in enumerate(zip(h_ctrl, ta)):
-                if hc < min_h:
+                if hc < min_h[j]:
                     ended.setdefault(j, StepUnderflow(
                         f"step size {hc:.3e} below floor at t={t:.6g}"))
         if ended:
@@ -467,8 +484,9 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
             keep = [j for j in range(live) if j not in ended]
             if not keep:
                 return
-            rows, ta, h_ctrl, fac_old, n_acc, n_rej = (
-                [v[j] for j in keep] for v in (rows, ta, h_ctrl, fac_old, n_acc, n_rej))
+            rows, ta, h_ctrl, fac_old, n_acc, n_rej, t_end, t_stop, min_h = (
+                [v[j] for j in keep]
+                for v in (rows, ta, h_ctrl, fac_old, n_acc, n_rej, t_end, t_stop, min_h))
             xa, ka = xa[keep], ka[keep]
             if targets is not None:
                 targets = targets[keep]
@@ -479,8 +497,8 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
 
         # the tries' sizes (a fixed step's h_ctrl stays min(h0, t_end)); a
         # point's without the call a comprehension costs
-        h = ([min(h_ctrl[0], t_end - ta[0])] if point
-             else [min(hc, t_end - t) for hc, t in zip(h_ctrl, ta)])
+        h = ([min(h_ctrl[0], t_end[0] - ta[0])] if point
+             else [min(hc, te - t) for hc, te, t in zip(h_ctrl, t_end, ta)])
         # the sizes as a column, or one row's as a Python float: the same
         # products, and the float skips numpy's broadcasting
         h_col = h[0] if live == 1 else np.array(h).reshape(live, 1)
@@ -590,7 +608,7 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
         for j in stepped:
             n_acc[j] += 1
             ta[j] += h[j]
-            if ta[j] >= t_stop:
+            if ta[j] >= t_stop[j]:
                 ended[j] = None
                 recorded.append(j)
             elif n_acc[j] % every == 0:
@@ -813,15 +831,19 @@ class EnsembleRun:
 
 
 def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConfig,
-                       bound: float | None = None) -> EnsembleRun:
+                       bound: float | None = None, t_ends=None) -> EnsembleRun:
     """Integrate the corrected flow from every row of an (m, dim) stack, in lockstep.
 
     This drains the one step loop, ``_lockstep``, over all rows at once.
-    A failure ends its row only and is reported by class name. Every row
-    takes exactly the steps of its solo ``integrate(system, row, config,
-    bound=bound)`` in the same arithmetic. The dissipated value is
-    evaluated at the states a solo run records a block of ``_DIAG_BLOCK``
-    of them at a time, as :func:`integrate`'s diagnostics are, and each
+    ``t_ends``, one end time per row, replaces ``config.t_end``, so rows of
+    several horizons share one call. An end time that is not positive, or
+    whose adaptive first step lies below its step floor, is an input error
+    refused before any evaluation. A failure ends its row only and is
+    reported by class name. Every row i takes exactly the steps of its solo
+    ``integrate(system, row, replace(config, t_end=t_ends[i]), bound=bound)``
+    in the same arithmetic, and ends when it reaches its own end time. The
+    dissipated value is evaluated at the states a solo run records a block
+    of ``_DIAG_BLOCK`` of them at a time, as :func:`integrate`'s diagnostics are, and each
     row's max is taken over its own. The records of a row that has failed
     by then are evaluated under the numpy error state of a solo run's
     failure flush (``_landing_scope``), the others outside it, as a solo
@@ -829,10 +851,16 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
     :class:`EnsembleRun`.
     """
     x = as_stack(starts, system.dim)
-    if config.t_end <= 0:
-        raise ValueError("t_end must be positive")
-    _first_step(config)  # an input error, refused before any evaluation
     m = len(x)
+    if t_ends is not None:
+        t_ends = np.asarray(t_ends, dtype=float)
+        if t_ends.shape != (m,):
+            raise ValueError(f"expected {m} end times, got shape {t_ends.shape}")
+        t_ends = t_ends.tolist()
+    # input errors, refused before any evaluation: each distinct end time
+    # once, in row order
+    for t_end in dict.fromkeys([config.t_end] if t_ends is None else t_ends):
+        _check_t_end(config, t_end)
     run = EnsembleRun(g_max=np.full(m, -np.inf), final=x.copy(),
                       n_accepted=np.zeros(m, dtype=int), n_rejected=np.zeros(m, dtype=int),
                       failures=[None] * m)
@@ -859,7 +887,8 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
         owners.clear()
         ends.clear()
 
-    for rows, recorded, states in _lockstep(system, x, config, Flow.PERTURBED, bound, run):
+    for rows, recorded, states in _lockstep(system, x, config, Flow.PERTURBED, bound, run,
+                                            t_ends):
         if len(recorded) == len(rows):
             owners.append(rows)
             ends.append(states)

@@ -12,10 +12,12 @@ Ground truth used throughout:
 """
 
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +42,7 @@ from geodiss import (
     classify_point,
     distance_to_orbit,
     gradient_only,
+    integrate_ensemble,
     periodic_orbit_certify,
     scan_invariant_witnesses,
     sublevel_component,
@@ -511,6 +514,30 @@ def test_sampled_selection_memory_at_16384_samples():
     assert peak < 16 * 2 ** 20
 
 
+def test_leaf_table_build_projects_in_bounded_blocks():
+    # 65,536 samples of the 4-D sphere, projected and evaluated in blocks of
+    # 16,384 rows: the build's traced peak stays under 12 MB (9.9 MB; 14.6 MB
+    # with G evaluated on all rows at once, 23.3 MB with them also projected
+    # at once), and the table holds the bits of one projection and one
+    # evaluation of G over all rows
+    system, anchor = _sphere_4d_stacked(), np.eye(4)[0]
+    cfg = SamplerConfig(n_samples=2 ** 16, halfwidth=1.5)
+    tracemalloc.start()
+    try:
+        table = basin_mod._LeafTable(system, anchor, np.array([0.5]), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+    raw = anchor + np.random.default_rng(cfg.seed).uniform(-1.5, 1.5, size=(2 ** 16, 4))
+    y, converged, _ = basin_mod._project_rows(system, raw, np.array([0.5]),
+                                              tol=1e-10, max_iter=20)
+    found = y[converged & ~(np.max(np.abs(y - anchor), axis=1) > 1.5)]
+    assert len(found) > 3 * basin_mod._TABLE_BLOCK
+    assert table.points[1:].tobytes() == found.tobytes()
+    assert table.g[1:].tobytes() == system.dissipated.values(found).tobytes()
+
+
 def test_box_halfwidth_has_one_rule(bowl4):
     # the rule the leaf table and the trajectory bound read: a configured
     # half-width is used as given, however small; only None means automatic
@@ -962,32 +989,268 @@ def test_threshold_search_projects_once_and_integrates_only_where_geometry_passe
     assert n_integrated == expected
 
 
+def _record_search(monkeypatch):
+    """Record what a threshold search judges: every level's geometry, as the
+    plan judges it; every ensemble verdict, as the committed walk reads it;
+    and the starts of every ensemble call."""
+    seen = SimpleNamespace(geometry=[], evidence=[], calls=[])
+    judge, read, integrate = (basin_mod._judge_geometry, basin_mod._ensemble_evidence,
+                              basin_mod.integrate_ensemble)
+
+    def recording_judge(system, component, *args):
+        judged = judge(system, component, *args)
+        seen.geometry.append((component.level, judged.reasons))
+        return judged
+
+    def recording_read(draw, *args):
+        evidence = read(draw, *args)
+        seen.evidence.append((draw.level, evidence))
+        return evidence
+
+    def recording_integrate(system, starts, *args, **kwargs):
+        seen.calls.append(np.array(starts))
+        return integrate(system, starts, *args, **kwargs)
+
+    monkeypatch.setattr(basin_mod, "_judge_geometry", recording_judge)
+    monkeypatch.setattr(basin_mod, "_ensemble_evidence", recording_read)
+    monkeypatch.setattr(basin_mod, "integrate_ensemble", recording_integrate)
+    return seen
+
+
 def test_threshold_search_reasons_at_each_level(rigid, monkeypatch):
     # levels that fail geometrically skip the ensemble; a level that passes
-    # geometry can still fail on it
-    judged = []
-    judge = basin_mod._judge_level
-
-    def recording_judge(*args, **kwargs):
-        j = judge(*args, **kwargs)
-        judged.append((j.component.level, j.reasons,
-                       None if j.ensemble is None else j.ensemble.reasons))
-        return j
-
-    monkeypatch.setattr(basin_mod, "_judge_level", recording_judge)
+    # geometry can still fail on it, which drops the rest of the plan
+    seen = _record_search(monkeypatch)
     level, history = threshold_search(
         rigid.system, MAJOR, 0.4, steps=3, sampler=SamplerConfig(cells_per_axis=16),
         stability=AS, n_trajectories=3, traj_seed=3, horizon=20.0, converge_tol=6e-4)
     geometry = ["component reaches the sampling box boundary, containment unverified",
                 "degeneracy-set witnesses found away from the target"]
+    # the committed judgements, in order: each history level's geometry, and
+    # its ensemble's verdict where its geometry passed
+    planned = dict(seen.geometry)
+    ensembles = {lvl: evidence.reasons for lvl, evidence in seen.evidence}
+    judged = [(lvl, planned[lvl], ensembles.get(lvl)) for lvl, _ in history]
     assert judged == [
         (history[0][0], geometry, None),
         (history[1][0], geometry, None),
         (history[2][0], [], ["trajectories failed to converge to the target"]),
         (history[3][0], [], []),
     ]
+    assert [lvl for lvl, _ in seen.evidence] == [lvl for lvl, _ in history[2:]]
     assert [ok for _, ok in history] == [False, False, False, True]
     assert level == history[3][0]
+    # the plan guessed that the third level passes and judged the midpoint
+    # above it, which failed geometrically; that judgement was dropped, and
+    # the search went on below the third level one level at a time
+    dropped = [(lvl, reasons) for lvl, reasons in seen.geometry
+               if lvl not in dict(history)]
+    assert dropped == [(0.5 * (history[1][0] + history[2][0]), geometry)]
+    assert [lvl for lvl, _ in seen.geometry] == [
+        history[0][0], history[1][0], history[2][0], dropped[0][0], history[3][0]]
+    assert [len(starts) for starts in seen.calls] == [3, 3]
+
+
+def _frozen_sequential_search(system, equilibrium, level_max, steps, sampler,
+                              **certify_kwargs):
+    """The threshold search before it speculated, verbatim but for what it
+    returns: ``(level, history, evidence)``, with level None where it raised
+    NoValidLevel, and each history level's ensemble evidence (None where
+    geometry failed it). One integrate_ensemble call per level whose
+    geometry passes, one level after another."""
+    x_e = np.asarray(equilibrium, dtype=float)
+    g_e = float(system.dissipated(x_e))
+    call = inspect.signature(basin_certify).bind(
+        system, x_e, level_max, sampler, **certify_kwargs)
+    call.apply_defaults()
+    opts = call.arguments
+    table = basin_mod._LeafTable(system, x_e, system.leaf_value(x_e),
+                                 sampler or SamplerConfig())
+    target = basin_mod._equilibrium(x_e, opts["target_radius"])
+    history, evidence = [], []
+
+    def ensemble_evidence(component):
+        members, level = component.members, component.level
+        rng = np.random.default_rng(opts["traj_seed"])
+        if len(members) > opts["n_trajectories"]:
+            starts = members[rng.choice(len(members), opts["n_trajectories"], replace=False)]
+        else:
+            starts = members
+        t_end = opts["horizon"]
+        if t_end is None:
+            t_end = basin_mod._auto_horizon(system, starts, target.distance)
+        bound = target.reach + 10.0 * basin_mod._halfwidth(component.anchor, opts["sampler"])
+        base = opts["integrator"] or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+        run = integrate_ensemble(system, starts, dataclasses.replace(base, t_end=t_end),
+                                 bound=bound)
+        converged = 0
+        failures = []
+        g_max = -np.inf
+        for x0, error, g, final in zip(starts, run.failures, run.g_max.tolist(), run.final):
+            if error is not None:
+                failures.append({"start": x0.tolist(), "finalDistance": None,
+                                 "error": error})
+                continue
+            g_max = max(g_max, g)
+            d = target.distance(final)
+            if d <= opts["converge_tol"]:
+                converged += 1
+            else:
+                failures.append({"start": x0.tolist(), "final": final.tolist(),
+                                 "finalDistance": d, "error": None})
+        reasons = []
+        if converged < len(starts):
+            reasons.append(f"trajectories failed to converge to the {target.name}")
+        if g_max > level + 10.0 * base.local_tol(abs(level)):
+            reasons.append("a trajectory exited the sublevel set upward")
+        return basin_mod._EnsembleEvidence(starts=starts, horizon=t_end, converged=converged,
+                                           failures=failures, g_max=float(g_max),
+                                           reasons=reasons)
+
+    def passes(level):
+        if not g_e <= level:
+            return False
+        component, rows = table.select(level)
+        witnesses = table.witnesses(component, rows, opts)
+        dists = np.array([target.distance(w) for w in witnesses])
+        far = witnesses[dists > target.witness_tol]
+        reasons = []
+        if component.method == "sampled" and len(component.members) < system.dim + 1:
+            reasons.append("component holds too few samples, containment unverified")
+        if component.touches_boundary:
+            reasons.append("component reaches the sampling box boundary, "
+                           "containment unverified")
+        if target.needs_witness and witnesses.size == 0:
+            reasons.append(f"degeneracy-set scan found no witness at the {target.name}")
+        if far.size:
+            reasons.append(f"degeneracy-set witnesses found away from the {target.name}")
+        ensemble = None if reasons else ensemble_evidence(component)
+        ok = not reasons and not ensemble.reasons
+        history.append((level, ok))
+        evidence.append(ensemble)
+        return ok
+
+    if passes(level_max):
+        return level_max, history, evidence
+    lo, hi = g_e, level_max
+    lo_passed = False
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            lo, lo_passed = mid, True
+        else:
+            hi = mid
+    return (lo if lo_passed else None), history, evidence
+
+
+_SEARCH_CASES = {
+    # test_threshold_search_verdicts_match_fresh_certificates
+    "rigid_grid": ("rigid", MAJOR, 0.4, 4, SamplerConfig(cells_per_axis=16),
+                   {"n_trajectories": 3, "traj_seed": 3}),
+    "sphere4_sampled": ("sphere4", np.eye(4)[0], 1.3, 3,
+                        SamplerConfig(n_samples=512, halfwidth=1.5, seed=2),
+                        {"n_trajectories": 3, "traj_seed": 3}),
+    # test_threshold_search_reasons_at_each_level, and with more steps, so
+    # that the dropped tail holds levels whose geometry passed
+    "ensemble_failure": ("rigid", MAJOR, 0.4, 3, SamplerConfig(cells_per_axis=16),
+                         {"n_trajectories": 3, "traj_seed": 3, "horizon": 20.0,
+                          "converge_tol": 6e-4}),
+    "ensemble_failure_5": ("rigid", MAJOR, 0.4, 5, SamplerConfig(cells_per_axis=16),
+                           {"n_trajectories": 3, "traj_seed": 3, "horizon": 20.0,
+                            "converge_tol": 6e-4}),
+    # test_threshold_search_when_nothing_certifies
+    "nothing_certifies": ("rigid", MAJOR, 0.2, 2, SamplerConfig(cells_per_axis=32),
+                          {"n_trajectories": 4, "traj_seed": 3, "horizon": 1e-3,
+                           "converge_tol": 1e-14}),
+    # test_threshold_search_returns_level_max_when_it_passes
+    "level_max_passes": ("rigid", MAJOR, 0.2, 4, SamplerConfig(cells_per_axis=40),
+                         {"n_trajectories": 6, "traj_seed": 3}),
+    # the automatic horizon differs from level to level
+    "auto_horizons": ("rigid", MAJOR, 0.4, 5, SamplerConfig(cells_per_axis=14),
+                      {"n_trajectories": 4, "traj_seed": 5}),
+}
+
+# (ensemble calls, rows integrated and then discarded) of each case
+_SPECULATION = {"rigid_grid": (1, 0), "sphere4_sampled": (1, 0),
+                "ensemble_failure": (2, 0), "ensemble_failure_5": (4, 6),
+                "nothing_certifies": (3, 0), "level_max_passes": (1, 0),
+                "auto_horizons": (1, 0)}
+
+
+def _same_evidence(a, b):
+    return (a.starts.tobytes() == b.starts.tobytes() and a.horizon == b.horizon
+            and a.converged == b.converged and a.failures == b.failures
+            and a.g_max == b.g_max and a.reasons == b.reasons)
+
+
+def _warned(run):
+    """What ``run()`` returns or raises, and the warnings it emits, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = run()
+        except NoValidLevel as exc:
+            out = exc
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("case", sorted(_SEARCH_CASES))
+def test_threshold_search_is_the_frozen_sequential_search(rigid, case, monkeypatch):
+    # the plan, the one speculative run and the committed walk give the
+    # sequential search's (level, history), ensemble evidence and warnings,
+    # bitwise
+    name, target, level_max, steps, sampler, kwargs = _SEARCH_CASES[case]
+    system = rigid.system if name == "rigid" else _sphere_weights_4d()
+    kwargs = {"stability": AS, **kwargs}
+    (ref_level, ref_history, ref_evidence), ref_warned = _warned(
+        lambda: _frozen_sequential_search(system, target, level_max, steps, sampler,
+                                          **kwargs))
+    seen = _record_search(monkeypatch)
+    out, warned = _warned(lambda: threshold_search(
+        system, target, level_max, steps=steps, sampler=sampler, **kwargs))
+    assert warned == ref_warned
+    if ref_level is None:
+        assert isinstance(out, NoValidLevel)
+        history = [(lvl, False) for lvl, _ in ref_history]
+    else:
+        level, history = out
+        assert level == ref_level
+        assert history == ref_history
+    # every committed verdict, read in order, is the sequential one
+    assert [lvl for lvl, _ in seen.evidence] == [
+        lvl for (lvl, _), ev in zip(ref_history, ref_evidence) if ev is not None]
+    for (_, evidence), ref in zip(seen.evidence, [ev for ev in ref_evidence if ev]):
+        assert _same_evidence(evidence, ref)
+    # the plan judged every history level, and in one call integrated every
+    # start of a level whose geometry passed, up to the first failed ensemble
+    assert {lvl for lvl, _ in ref_history} <= {lvl for lvl, _ in seen.geometry}
+    used = sum(len(ev.starts) for ev in ref_evidence if ev is not None)
+    integrated = sum(len(starts) for starts in seen.calls)
+    assert (len(seen.calls), integrated - used) == _SPECULATION[case]
+
+
+def test_threshold_search_redoes_a_speculative_run_that_raises(rigid, monkeypatch):
+    # an error out of the one speculative call is raised only where the
+    # sequential search meets it: here no single level's call raises, so the
+    # search redoes the plan one level at a time and finds the same level
+    integrate = basin_mod.integrate_ensemble
+    calls = []
+
+    def refusing_integrate(system, starts, *args, **kwargs):
+        calls.append(len(starts))
+        if len(set(kwargs["t_ends"])) > 1:
+            raise RuntimeError("a row of a speculative level failed to run")
+        return integrate(system, starts, *args, **kwargs)
+
+    name, target, level_max, steps, sampler, kwargs = _SEARCH_CASES["auto_horizons"]
+    kwargs = {"stability": AS, **kwargs}
+    ref_level, ref_history, _ = _frozen_sequential_search(
+        rigid.system, target, level_max, steps, sampler, **kwargs)
+    monkeypatch.setattr(basin_mod, "integrate_ensemble", refusing_integrate)
+    level, history = threshold_search(rigid.system, target, level_max, steps=steps,
+                                      sampler=sampler, **kwargs)
+    assert (level, history) == (ref_level, ref_history)
+    assert calls[0] == sum(calls[1:]) > calls[1]
 
 
 def test_threshold_search_rejects_unstable_target_before_any_work(rigid, monkeypatch):

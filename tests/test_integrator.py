@@ -1,5 +1,6 @@
 """Trajectory integration: accuracy, structure diagnostics, failure modes."""
 import ast
+import dataclasses
 import io
 import math
 import sys
@@ -694,25 +695,28 @@ def lockstep_systems(rigid, mexhat):
             "rigid_callable_metric": with_callable_metric(rigid.system)}
 
 
-def _assert_rows_match_solo_runs(system, starts, cfg, bound=None):
+def _assert_rows_match_solo_runs(system, starts, cfg, bound=None, t_ends=None):
     """Every lockstep row, and every solo integrate run, takes the steps, the
-    failure and the bits of the reference loop's run."""
+    failure and the bits of the reference loop's run; row i's run ends at
+    ``t_ends[i]`` when end times are given."""
+    cfgs = ([cfg] * len(starts) if t_ends is None
+            else [dataclasses.replace(cfg, t_end=t) for t in t_ends])
     refs, reached = [], []
-    for x0 in starts:
+    for x0, row_cfg in zip(starts, cfgs):
         # the reference's per-step diagnostics of a run that lands on a huge
         # state may warn where integrate's scoped block evaluation does not
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore", RuntimeWarning)
-            refs.append(_reference_run(system, x0, cfg, bound=bound))
+            refs.append(_reference_run(system, x0, row_cfg, bound=bound))
             # the states a failed run reached: its start and each step's end
             reached.append([x0])
             if isinstance(refs[-1], IntegrationFailure):
                 with pytest.raises(type(refs[-1])):
-                    for step in _dp_steps(system, x0, cfg, bound=bound):
+                    for step in _dp_steps(system, x0, row_cfg, bound=bound):
                         reached[-1].append(step.x_new)
-    run = integrate_ensemble(system, starts, cfg, bound=bound)
-    for i, (x0, ref) in enumerate(zip(starts, refs)):
-        _assert_integrate_is(ref, system, x0, cfg, bound=bound)
+    run = integrate_ensemble(system, starts, cfg, bound=bound, t_ends=t_ends)
+    for i, (x0, ref, row_cfg) in enumerate(zip(starts, refs, cfgs)):
+        _assert_integrate_is(ref, system, x0, row_cfg, bound=bound)
         if isinstance(ref, IntegrationFailure):
             assert run.failures[i] == type(ref).__name__, i
             assert run.n_accepted[i] == len(reached[i]) - 1, i
@@ -757,6 +761,70 @@ def test_lockstep_rows_equal_their_solo_runs(lockstep_systems, name, method, rec
             # the failure the checks there find, with no numpy warning
             warnings.simplefilter("error", RuntimeWarning)
         _assert_rows_match_solo_runs(system, starts, cfg, bound)
+
+
+def test_ensemble_rows_end_at_their_own_t_end(rigid):
+    # one call, five end times: each row takes the steps of its solo run to
+    # its own t_end, so the rows end on different tries; the fourth row
+    # leaves the bound on its first step, and the last runs into the step
+    # budget that the others finish within
+    starts = np.array([[1.0, 0.0, 0.0],
+                       [0.6, 0.48, 0.64],
+                       [0.48, 0.6, 0.64],
+                       [1.6, 0.01, 0.0],
+                       [0.64, 0.6, 0.48]])
+    t_ends = [0.3, 2.0, 0.05, 1.0, 40.0]
+    cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-9, max_steps=60)
+    run = _assert_rows_match_solo_runs(rigid.system, starts, cfg, bound=1.5, t_ends=t_ends)
+    assert run.failures == [None, None, None, "UnboundedTrajectory", "MaxStepsExceeded"]
+    tries = (run.n_accepted + run.n_rejected)[:3].tolist()
+    assert len(set(tries)) == 3 and max(tries) < 60
+    # a fixed step ends its row on its own last, shortened step
+    fixed = dataclasses.replace(cfg, method=Method.RK4_FIXED, h0=0.07, max_steps=1_000_000)
+    run = _assert_rows_match_solo_runs(rigid.system, starts[:3], fixed,
+                                       t_ends=[0.3, 2.0, 0.05])
+    assert run.n_accepted.tolist() == [5, 29, 1]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["rigid", "sombrero", "sphere4d", "random_poly_k2"]),
+       method=st.sampled_from([Method.RK45_ADAPTIVE, Method.RK4_FIXED]),
+       seed=st.integers(0, 2 ** 16),
+       bound=st.sampled_from([None, 1.2]))
+def test_lockstep_rows_with_their_own_t_end_equal_their_solo_runs(lockstep_systems, name,
+                                                                  method, seed, bound):
+    system = lockstep_systems[name]
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(-1.4, 1.4, size=(4, system.dim))
+    t_ends = rng.uniform(0.05, 3.0, size=4).tolist()
+    cfg = IntegratorConfig(method=method, h0=0.05 if method is Method.RK4_FIXED else 0.01,
+                           rel_tol=1e-7, abs_tol=1e-9)
+    with warnings.catch_warnings():
+        if method is Method.RK4_FIXED:
+            warnings.simplefilter("error", RuntimeWarning)
+        _assert_rows_match_solo_runs(system, starts, cfg, bound, t_ends)
+
+
+def test_an_ensemble_row_end_time_is_checked_before_any_evaluation(mexhat, monkeypatch):
+    # a row whose adaptive first step min(h0, t_end) lies below its own step
+    # floor, or whose end time is not positive, is refused as its solo run
+    # refuses it, before the field is evaluated anywhere; the first such row
+    # in row order names the error
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the field was evaluated")
+
+    starts = np.array([[1.5, 0.0, 0.0], [1.2, 0.1, 0.0], [0.9, 0.0, 0.1]])
+    cfg = IntegratorConfig(max_steps=50)
+    with pytest.raises(InitialStepBelowFloor) as solo:
+        integrate(mexhat.system, starts[1], dataclasses.replace(cfg, t_end=1e308))
+    monkeypatch.setattr(geodiss.integrators, "_flow_rows", no_kernel)
+    with pytest.raises(InitialStepBelowFloor) as row:
+        integrate_ensemble(mexhat.system, starts, cfg, t_ends=[1.0, 1e308, 1e300])
+    assert str(row.value) == str(solo.value)
+    for t_ends, error, text in (([1.0, -1.0, 1e308], ValueError, "positive"),
+                                ([1.0, 2.0], ValueError, "expected 3 end times")):
+        with pytest.raises(error, match=text):
+            integrate_ensemble(mexhat.system, starts, cfg, t_ends=t_ends)
 
 
 def test_lockstep_rows_fail_alone(rigid, refused_leaf_projection):
