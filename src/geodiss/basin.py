@@ -362,10 +362,17 @@ class _LeafTable:
         self._refined: dict[tuple[int, float], np.ndarray | None] = {}
 
     def _grid_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """The projected cell centres and their flat cell indices, all cells at once."""
+        """The projected cell centres and their flat cell indices.
+
+        The leaf-gap test runs on blocks of _TABLE_BLOCK cells in C order, so
+        its memory is bounded by the block, not by the cells. Each centre's
+        test depends on that centre alone, so the blocks pass exactly the
+        cells that one test of all cells passes.
+        """
         system, anchor, cfg = self.system, self.anchor, self.cfg
         n = system.dim
         n_cells = cfg.cells_per_axis
+        shape = (n_cells,) * n
         cell = 2.0 * self.hw / n_cells
         diag = cell * np.sqrt(n)
         lo = anchor - self.hw
@@ -373,17 +380,23 @@ class _LeafTable:
         self.diag = float(diag)
         self.anchor_cell = int(np.ravel_multi_index(tuple(
             int(np.clip(np.floor((anchor[i] - lo[i]) / cell), 0, n_cells - 1))
-            for i in range(n)), (n_cells,) * n))
+            for i in range(n)), shape))
 
-        # cell centres in C order of the cells
-        centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        cells = np.arange(len(centers))
-        for f, target in zip(system.conserved, self.leaf_value):
-            c = centers[cells]
-            gap = np.abs(f.values(c) - target)
-            # a NaN gap passes, as it does not exceed the bound
-            cells = cells[~(gap > 1.5 * diag * _row_norms(f.diffs(c)) + 1e-12)]
-        c = centers[cells]
+        def centers(cells):
+            return np.stack([a[i] for a, i in zip(axes, np.unravel_index(cells, shape))],
+                            axis=-1)
+
+        passed = []
+        for s in range(0, n_cells ** n, _TABLE_BLOCK):
+            cells = np.arange(s, min(s + _TABLE_BLOCK, n_cells ** n))
+            for f, target in zip(system.conserved, self.leaf_value):
+                c = centers(cells)
+                gap = np.abs(f.values(c) - target)
+                # a NaN gap passes, as it does not exceed the bound
+                cells = cells[~(gap > 1.5 * diag * _row_norms(f.diffs(c)) + 1e-12)]
+            passed.append(cells)
+        cells = np.concatenate(passed)
+        c = centers(cells)
         y, converged = self._project(c)
         keep = converged & ~(_row_norms(y - c) > diag)
         return y[keep], cells[keep]

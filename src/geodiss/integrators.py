@@ -1,27 +1,27 @@
 """Fixed and adaptive Runge-Kutta integration with structure diagnostics.
 
 Both the conservative flow and the corrected (dissipative) flow integrate
-through one step loop, ``_lockstep``: one tableau, one step controller and
-one set of checks, from one start or from an (m, n) stack of them, each row
-taking exactly the steps of its own run, in the same arithmetic, and
-failing alone with the message its own run raises. :func:`integrate` runs
-it on one start, whose arrays stay unbatched, and records the conserved
-values, the dissipated value, the full Gram determinant and the
-control-field norm at its recorded states. On the corrected flow it also
-audits every accepted step: the finite-difference rate of the dissipated
-quantity over the step is checked against the predicted rate, minus the
-full Gram determinant at the step's midpoint. These diagnostics are
-evaluated after the fact, a block of ``_DIAG_BLOCK`` accepted steps at a
-time, on one stacked frame for the block's midpoints and one for its
-records, so a step costs its stage evaluations and nothing more, and every
-value is bitwise the one a per-step evaluation gives. A stage of one start
-is one call of the kernel that :func:`geodiss.control._corrected_rhs` binds
-to the system once per run: a run builds no
-:class:`~geodiss.gram.SystemFrame`. :func:`integrate_ensemble` runs the loop
-on a stack of corrected-flow starts, each to its own end time if given
-one, and keeps only what a basin ensemble reads: each row's max of the
-dissipated value over the states a solo run records, its final state, its
-step counts and its failure.
+through one step loop, ``_lockstep``: one stage loop over either method's
+stage rows, one step controller and one set of checks, from one start or
+from an (m, n) stack of them, each row taking exactly the steps of its own
+run, in the same arithmetic, and failing alone with the message its own run
+raises. :func:`integrate` runs it on one start, whose arrays stay
+unbatched, and records the conserved values, the dissipated value, the full
+Gram determinant and the control-field norm at its recorded states. On the
+corrected flow it also audits every accepted step: the finite-difference
+rate of the dissipated quantity over the step is checked against the
+predicted rate, minus the full Gram determinant at the step's midpoint.
+These diagnostics are evaluated after the fact, a block of ``_DIAG_BLOCK``
+accepted steps at a time, on one stacked frame for the block's midpoints
+and one for its records, so a step costs its stage evaluations and nothing
+more, and every value is bitwise the one a per-step evaluation gives. A
+stage of one start is one call of the kernel that
+:func:`geodiss.control._corrected_rhs` binds to the system once per run: a
+run builds no :class:`~geodiss.gram.SystemFrame`.
+:func:`integrate_ensemble` runs the loop on a stack of corrected-flow
+starts, each to its own end time if given one, and keeps only what a basin
+ensemble reads: each row's max of the dissipated value over the states a
+solo run records, its final state, its step counts and its failure.
 
 Trajectories never get silently re-projected onto a leaf; an optional Newton
 re-projection after each accepted step can be switched on in the config, and
@@ -75,10 +75,12 @@ _DP_B5 = np.append(_DP_A[6], 0.0)  # FSAL: the last stage row, then 0
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_ERR = _DP_B5 - _DP_B4
-# Quartic term of the continuous extension, on the seven stages.
+# Quartic term of the continuous extension, on the Dormand-Prince stages.
 _DP_DENSE = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
                       -10690763975 / 1880347072, 701980252875 / 199316789632,
                       -1453857185 / 822651844, 69997945 / 29380423])
+# The classical RK4's stage rows; its weights are written out in the step loop.
+_RK4_A = [np.array([]), np.array([1 / 2]), np.array([0.0, 1 / 2]), np.array([0.0, 0.0, 1.0])]
 
 # Step controller constants: safety 0.9, growth capped at 5x, shrink floored
 # at 0.2x, with the usual PI stabilization exponent.
@@ -217,7 +219,7 @@ class _Step:
 
     ``f`` and ``f_new`` are the right-hand sides at the two end states, and
     ``v0_new`` the control field behind ``f_new`` (None on the unperturbed
-    flow). ``stages`` holds the seven Dormand-Prince stages of an RK45 step
+    flow). ``stages`` holds the Dormand-Prince stages of an RK45 step
     whose end state was not re-projected; the extension is then the free
     fourth-order one of the scheme. Otherwise it is the cubic Hermite on the
     end states and their right-hand sides. ``accepted`` and ``rejected``
@@ -373,10 +375,12 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     against the step budget, the step floor, non-finite tries, ``bound``
     and the leaf re-projection, and drops out alone, so it takes the steps of a run of
     its own in the same arithmetic: numpy evaluates the stage products one
-    row at a time, and the controller runs on Python floats row by row. An
-    adaptive try whose stages leave the finite range, or whose error is not
-    finite, is rejected with the smallest shrink factor; a fixed step that
-    leaves it fails its row with :class:`NonFiniteState`.
+    row at a time, and the controller runs on Python floats row by row.
+    Either method's stage s is the slope at x + h (its stage row s @ the
+    stages below s). An adaptive try whose stages leave the finite
+    range, or whose error is not finite, is rejected with the smallest
+    shrink factor; a fixed step that leaves it fails its row with
+    :class:`NonFiniteState`.
 
     A point's run yields the control field at x (None on the unperturbed
     flow), then each accepted step as a :class:`_Step`, and raises the
@@ -393,7 +397,7 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     slopes as arrays, times, end times, controller scalars and counters as
     Python lists. A try in which every row steps replaces the arrays whole;
     the set is compacted only when a row finishes or fails. A point's arrays
-    stay unbatched, (n,) and (7, n), where numpy's calls cost the least.
+    stay unbatched, (n,) and (stages, n), where numpy's calls cost the least.
     """
     point = x.ndim == 1
     n = x.shape[-1]
@@ -436,13 +440,15 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     n_acc = [0] * live
     n_rej = [0] * live
     # a try's stages, and the index of stage s and of the stages below it:
-    # rows of a point's (7, n) array, columns of a stack's (m, 7, n) one
-    stage_shape = xa.shape[:-1] + (7, n)
+    # rows of a point's (stages, n) array, columns of a stack's (m, stages, n) one
+    stage_rows = _DP_A if adaptive else _RK4_A
+    n_stages = len(stage_rows)
+    stage_shape = xa.shape[:-1] + (n_stages, n)
     if point:
-        stage, below = list(range(7)), [slice(s) for s in range(7)]
+        stage, below = list(range(n_stages)), [slice(s) for s in range(n_stages)]
     else:
-        stage = [(slice(None), s) for s in range(7)]
-        below = [(slice(None), slice(s)) for s in range(7)]
+        stage = [(slice(None), s) for s in range(n_stages)]
+        below = [(slice(None), slice(s)) for s in range(n_stages)]
     t_before, x_before, k_before = 0.0, xa, ka  # a point's step starts here
     tries = 0    # every running row has made one try a pass
     ended = {}   # working-set position -> its failure, or None for a finished row
@@ -493,7 +499,7 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
             ended.clear()
             live = len(rows)
             everyone = range(live)
-            stage_shape = (live, 7, n)
+            stage_shape = (live, n_stages, n)
 
         # the tries' sizes (a fixed step's h_ctrl stays min(h0, t_end)); a
         # point's without the call a comprehension costs
@@ -503,53 +509,44 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
         # products, and the float skips numpy's broadcasting
         h_col = h[0] if live == 1 else np.array(h).reshape(live, 1)
         take = None
-        if adaptive:
-            stages = np.empty(stage_shape)
-            stages[stage[0]] = ka
-            good = None
-            # a try that leaves the finite range is rejected below: its
-            # overflows warn no one
-            with np.errstate(over="ignore", invalid="ignore"):
-                for s in range(1, 7):
-                    xs = xa + h_col * (_DP_A[s] @ stages[below[s]])
-                    stages[stage[s]], v0, ok = kernel(xs)
-                    if ok is not None:
-                        good = ok if good is None else good & ok
+        stages = np.empty(stage_shape)
+        stages[stage[0]] = ka
+        good = None
+        # a try that leaves the finite range is rejected, or fails its row,
+        # below: its overflows warn no one
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(1, n_stages):
+                xs = xa + h_col * (stage_rows[s] @ stages[below[s]])
+                stages[stage[s]], v0, ok = kernel(xs)
+                if ok is not None and adaptive:
+                    good = ok if good is None else good & ok
+                elif ok is not None:
+                    drop(np.flatnonzero(~ok), lambda j: NonFiniteState(
+                        str(_nonfinite_differential(xs.reshape(live, n)[j]))))
+            if adaptive:
                 err_vec = h_col * (_DP_ERR @ stages)
                 scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xa), np.abs(xs))
                 q = (err_vec / scale) ** 2
                 err = np.sqrt(np.add.reduce(q, -1) / n)
-            if good is not None:
-                err = np.where(good, err, np.inf)
-            # the controller on Python floats, row by row: its powers must
-            # round as a point run's do (a point's norm is a numpy scalar)
-            for j, e in enumerate([float(err)] if point else err.tolist()):
-                accepted, h_ctrl[j], fac_old[j] = _step_control(e, h[j], fac_old[j])
-                if not accepted:
-                    n_rej[j] += 1
-                    if take is None:
-                        take = np.ones(live, dtype=bool)
-                    take[j] = False
-            # B5 is A[6] with a trailing zero: the last stage point is the
-            # new state, so stage 7 is the right-hand side there (FSAL)
-            x_new, k_new = xs, stages[stage[6]]
-        else:
-            stages = k_new = None
-            # a row that leaves the finite range fails below, through its
-            # first non-finite stage or state: its overflows warn no one
-            with np.errstate(over="ignore", invalid="ignore"):
-                half = 0.5 * h_col
-                x2 = xa + half * ka
-                k2, _, ok2 = kernel(x2)
-                x3 = xa + half * k2
-                k3, _, ok3 = kernel(x3)
-                x4 = xa + h_col * k3
-                k4, _, ok4 = kernel(x4)
-                x_new = xa + (h_col / 6.0) * (ka + 2.0 * k2 + 2.0 * k3 + k4)
-            for pts, ok in ((x2, ok2), (x3, ok3), (x4, ok4)):
-                if ok is not None:
-                    drop(np.flatnonzero(~ok), lambda j: NonFiniteState(
-                        str(_nonfinite_differential(pts.reshape(live, n)[j]))))
+                if good is not None:
+                    err = np.where(good, err, np.inf)
+                # the controller on Python floats, row by row: its powers must
+                # round as a point run's do (a point's norm is a numpy scalar)
+                for j, e in enumerate([float(err)] if point else err.tolist()):
+                    accepted, h_ctrl[j], fac_old[j] = _step_control(e, h[j], fac_old[j])
+                    if not accepted:
+                        n_rej[j] += 1
+                        if take is None:
+                            take = np.ones(live, dtype=bool)
+                        take[j] = False
+                # B5 is the last stage row with a trailing zero: the last stage
+                # point is the new state, and the last stage its slope (FSAL)
+                x_new, k_new = xs, stages[stage[-1]]
+            else:
+                # RK4's weights as written: a w @ stages product rounds
+                # differently. The slope at the new state is evaluated below.
+                k2, k3, k4 = (stages[i] for i in stage[1:])
+                x_new, k_new = xa + (h_col / 6.0) * (ka + 2.0 * k2 + 2.0 * k3 + k4), None
         tries += 1
 
         with _landing_scope(config):
@@ -626,7 +623,7 @@ def _check_checkpoints(cps: np.ndarray, t_end: float) -> None:
     """Raise ValueError unless cps is strictly increasing within [0, t_end]."""
     if cps.ndim != 1 or np.any(np.diff(cps) <= 0):
         raise ValueError("checkpoints must be strictly increasing")
-    if cps[0] < 0 or cps[-1] > t_end + 1e-12:
+    if cps.size and (cps[0] < 0 or cps[-1] > t_end + 1e-12):
         raise ValueError("checkpoints must lie within [0, t_end]")
 
 
@@ -781,7 +778,7 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
         cps = np.asarray(checkpoints, dtype=float)
         _check_checkpoints(cps, config.t_end)
         cp_states = np.empty((cps.size, system.dim))
-        if cps[0] == 0.0:
+        if cps.size and cps[0] == 0.0:
             cp_states[0] = x
             next_cp = 1
     n_cps = 0 if cps is None else cps.size

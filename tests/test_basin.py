@@ -538,6 +538,41 @@ def test_leaf_table_build_projects_in_bounded_blocks():
     assert table.g[1:].tobytes() == system.dissipated.values(found).tobytes()
 
 
+def test_leaf_table_grid_build_tests_the_gap_in_bounded_blocks(rigid):
+    # 64^3 cells of the rigid body at its major axis, whose leaf-gap test
+    # runs on blocks of 16,384 cells: the build's traced peak stays under
+    # 6 MB (2.7 MB, 2 MB of it the cell-to-row slots; 26 MB with every cell
+    # centre built at once), and the table holds the bits of one gap test of
+    # all cells
+    system, anchor = rigid.system, np.array([1.0, 0.0, 0.0])
+    leaf, n, n_cells = system.leaf_value(anchor), 3, 64
+    tracemalloc.start()
+    try:
+        table = basin_mod._LeafTable(system, anchor, leaf, SamplerConfig(cells_per_axis=n_cells))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+    # the all-at-once build: every cell centre from one meshgrid, in C order
+    cell = 2.0 * table.hw / n_cells
+    diag = cell * np.sqrt(n)
+    axes = [anchor[i] - table.hw + (np.arange(n_cells) + 0.5) * cell for i in range(n)]
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    cells = np.arange(len(centers))
+    for f, target in zip(system.conserved, leaf):
+        c = centers[cells]
+        gap = np.abs(f.values(c) - target)
+        cells = cells[~(gap > 1.5 * diag * basin_mod._row_norms(f.diffs(c)) + 1e-12)]
+    c = centers[cells]
+    y, converged, _ = basin_mod._project_rows(system, c, leaf, tol=1e-10, max_iter=20)
+    keep = converged & ~(basin_mod._row_norms(y - c) > diag)
+    # the kept cells come from many blocks
+    assert len(np.unique(cells[keep] // basin_mod._TABLE_BLOCK)) > 4
+    assert table.cells.tobytes() == cells[keep].tobytes()
+    assert table.points[1:].tobytes() == y[keep].tobytes()
+    assert table.g[1:].tobytes() == system.dissipated.values(y[keep]).tobytes()
+
+
 def test_box_halfwidth_has_one_rule(bowl4):
     # the rule the leaf table and the trajectory bound read: a configured
     # half-width is used as given, however small; only None means automatic

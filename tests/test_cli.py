@@ -483,6 +483,16 @@ def test_packaged_schema_passes_its_metaschema(command):
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
+def test_schema_methods_are_the_integrator_methods():
+    # the config's integrator.method admits exactly the integrators' methods,
+    # so neither can gain one without the other
+    from geodiss.integrators import Method
+
+    enum = geodiss.cli._load_schema()["$defs"]["integrator"]["properties"]["method"]["enum"]
+    assert len(enum) == len(set(enum))
+    assert set(enum) == {m.value for m in Method}
+
+
 @pytest.mark.parametrize("command, config", [
     ("simulate", {"system": "mexican_hat", "x0": "nope"}),
     ("verify", {"system": "rigid_body:3,2,1", "n_porbes": 10}),

@@ -5,6 +5,7 @@ import io
 import math
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,11 @@ from geodiss.integrators import (
     IntegratorConfig,
     Method,
     _DP_A,
+    _DP_B4,
+    _DP_B5,
     _DP_DENSE,
     _DP_ERR,
+    _RK4_A,
     _STEP_FLOOR,
     _Step,
     _first_step,
@@ -69,9 +73,47 @@ def antibowl():
                              metric=MetricField.euclidean(2))
 
 
-# The solo step loop that the lockstep loop replaced, verbatim: the reference
-# that every run of integrate, integrate_ensemble and _lockstep is held to,
-# bit for bit, with the exception each one raises.
+# The stage data as exact fractions: the tests' own copy of the coefficients
+# (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.6), which the
+# reference loop below reads as floats and the order-condition test holds
+# the module's stage data to, so a changed coefficient cannot move both sides.
+_EXACT_DP_A = [
+    [],
+    [Fraction(1, 5)],
+    [Fraction(3, 40), Fraction(9, 40)],
+    [Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)],
+    [Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561), Fraction(-212, 729)],
+    [Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247), Fraction(49, 176),
+     Fraction(-5103, 18656)],
+    [Fraction(35, 384), Fraction(0), Fraction(500, 1113), Fraction(125, 192),
+     Fraction(-2187, 6784), Fraction(11, 84)],
+]
+_EXACT_DP_C = [Fraction(0), Fraction(1, 5), Fraction(3, 10), Fraction(4, 5), Fraction(8, 9),
+               Fraction(1), Fraction(1)]
+_EXACT_DP_B4 = [Fraction(5179, 57600), Fraction(0), Fraction(7571, 16695), Fraction(393, 640),
+                Fraction(-92097, 339200), Fraction(187, 2100), Fraction(1, 40)]
+_EXACT_DP_DENSE = [Fraction(-12715105075, 11282082432), Fraction(0),
+                   Fraction(87487479700, 32700410799), Fraction(-10690763975, 1880347072),
+                   Fraction(701980252875, 199316789632), Fraction(-1453857185, 822651844),
+                   Fraction(69997945, 29380423)]
+_EXACT_RK4_A = [[], [Fraction(1, 2)], [Fraction(0), Fraction(1, 2)],
+                [Fraction(0), Fraction(0), Fraction(1)]]
+_EXACT_RK4_C = [Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1)]
+
+
+def _floats(row):
+    return np.array([float(v) for v in row], dtype=float)
+
+
+_REF_DP_A = [_floats(row) for row in _EXACT_DP_A]
+_REF_DP_ERR = np.append(_REF_DP_A[-1], 0.0) - _floats(_EXACT_DP_B4)
+_REF_DP_DENSE = _floats(_EXACT_DP_DENSE)
+
+
+# The solo step loop that the lockstep loop replaced, verbatim but for its own
+# copy of the coefficients: the reference that every run of integrate,
+# integrate_ensemble and _lockstep is held to, bit for bit, with the
+# exception each one raises.
 def _guard_nonfinite(fn):
     """Report mid-run non-finite field values as integration failures.
 
@@ -161,7 +203,7 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     for s in range(1, 7):
-                        xs = x + h_try * (_DP_A[s] @ stages[:s])
+                        xs = x + h_try * (_REF_DP_A[s] @ stages[:s])
                         stages[s], v0_new = evaluate(xs)
             except NonFiniteState:
                 err = np.inf
@@ -169,7 +211,7 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
                 # B5 is A[6] with a trailing zero: the last stage point is the
                 # new state, so stage 7 is the right-hand side there (FSAL)
                 x_new = xs
-                err_vec = h_try * (_DP_ERR @ stages)
+                err_vec = h_try * (_REF_DP_ERR @ stages)
                 scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
                 q = (err_vec / scale) ** 2
                 err = float(np.sqrt(np.add.reduce(q) / q.size))
@@ -219,6 +261,51 @@ def test_adaptive_scheme_matches_the_logistic_closed_form(mexhat):
     tr = integrate(mexhat.system, x0, cfg)
     exact = closed_form_sombrero(x0, 2.0)
     assert np.max(np.abs(tr.final_state - exact)) <= 1e-10
+
+
+def _order_residuals(a, b, c):
+    """Each order condition of the weights b on the stage rows a and nodes
+    c, up to order 4 (Solving ODEs I, II.2), minus its right-hand side."""
+    def rows_at(v):
+        return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+    def quad(*factors):
+        return sum((bi * math.prod(f[i] for f in factors) for i, bi in enumerate(b)),
+                   Fraction(0))
+
+    ac = rows_at(c)
+    c2 = [x * x for x in c]
+    return [quad() - 1, quad(c) - Fraction(1, 2),
+            quad(c2) - Fraction(1, 3), quad(ac) - Fraction(1, 6),
+            quad(c2, c) - Fraction(1, 4), quad(c, ac) - Fraction(1, 8),
+            quad(rows_at(c2)) - Fraction(1, 12), quad(rows_at(ac)) - Fraction(1, 24)]
+
+
+def test_stage_data_meets_the_order_conditions():
+    # the module's stage data are the roundings of the exact fractions
+    for got, exact in [*zip(_DP_A, _EXACT_DP_A), *zip(_RK4_A, _EXACT_RK4_A),
+                       (_DP_B4, _EXACT_DP_B4), (_DP_DENSE, _EXACT_DP_DENSE)]:
+        assert got.tobytes() == _floats(exact).tobytes()
+    assert _DP_ERR.tobytes() == (_DP_B5 - _DP_B4).tobytes()
+    # each stage's node is its row sum
+    for a, c in ((_EXACT_DP_A, _EXACT_DP_C), (_EXACT_RK4_A, _EXACT_RK4_C)):
+        assert [sum(row, Fraction(0)) for row in a] == c
+    # FSAL: the fifth-order weights are the last stage row, then 0
+    b5 = _EXACT_DP_A[-1] + [Fraction(0)]
+    assert _DP_B5.tobytes() == np.append(_DP_A[-1], 0.0).tobytes()
+    # the propagation weights have order 5, the embedded ones (b5 minus the
+    # error row) order 4, and the error row sums to 0
+    assert not any(_order_residuals(_EXACT_DP_A, b5, _EXACT_DP_C))
+    assert sum(bi * ci ** 4 for bi, ci in zip(b5, _EXACT_DP_C)) == Fraction(1, 5)
+    assert not any(_order_residuals(_EXACT_DP_A, _EXACT_DP_B4, _EXACT_DP_C))
+    assert sum(x - y for x, y in zip(b5, _EXACT_DP_B4)) == 0
+    # the dense row's quartic term keeps the lower moments: its sum and its
+    # first and second moments in c vanish
+    for q in range(3):
+        assert sum(d * ci ** q for d, ci in zip(_EXACT_DP_DENSE, _EXACT_DP_C)) == 0
+    # RK4's stage rows with its written weights (1, 2, 2, 1)/6 have order 4
+    rk4_b = [Fraction(w, 6) for w in (1, 2, 2, 1)]
+    assert not any(_order_residuals(_EXACT_RK4_A, rk4_b, _EXACT_RK4_C))
 
 
 def test_fixed_step_scheme_has_fourth_order_convergence(mexhat):
@@ -335,6 +422,19 @@ def test_checkpoints_must_be_increasing_and_inside_the_run(mexhat):
         integrate(mexhat.system, x0, cfg, checkpoints=[0.5, 0.5])
     with pytest.raises(ValueError):
         integrate(mexhat.system, x0, cfg, checkpoints=[0.5, 2.0])
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_no_checkpoints_read_no_states(mexhat, method):
+    # an empty checkpoint list is a run with no states to read off: the
+    # records are those of a run without checkpoints
+    x0 = np.array([1.5, 0.0, 0.0])
+    cfg = IntegratorConfig(method=method, h0=0.05, t_end=1.0)
+    plain = integrate(mexhat.system, x0, cfg)
+    tr = integrate(mexhat.system, x0, cfg, checkpoints=[])
+    assert tr.checkpoint_times.shape == (0,)
+    assert tr.checkpoint_states.shape == (0, 3)
+    assert tr.csv_text() == plain.csv_text()
 
 
 def test_csv_round_trip_and_headers(rigid):
@@ -976,7 +1076,7 @@ def _state_at(step, t):
     cubic = ydiff - step.h * step.f_new - bspl
     s = (t - step.t) / step.h
     s1 = 1.0 - s
-    inner = cubic if step.stages is None else cubic + s1 * (step.h * (_DP_DENSE @ step.stages))
+    inner = cubic if step.stages is None else cubic + s1 * (step.h * (_REF_DP_DENSE @ step.stages))
     return step.x + s * (ydiff + s1 * (bspl + s * inner))
 
 
