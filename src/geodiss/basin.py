@@ -27,6 +27,11 @@ degeneracy set at tight tolerance and lies strictly inside the sublevel set,
 but the scan can only disprove the certificate, never establish that no
 witness was missed between samples.
 
+A component is one flood (``_flood``) of a graph over the rows of a leaf
+table through the rows below the level: on the grid the rows' face
+adjacency, built once per table in memory bounded by the rows, not the
+cells; on the sampled path the mutual nearest neighbours at that level.
+
 The witness scores of all members and the control-field rates of all
 starts each come from one stacked frame, and a certificate's trajectory
 ensemble is one lockstep call (``integrators.integrate_ensemble``) over all
@@ -143,35 +148,23 @@ def _halfwidth(anchor: np.ndarray, sampler: SamplerConfig | None) -> float:
     return max(1.0, 2.0 * float(np.linalg.norm(anchor)) + 0.5)
 
 
-def _face_flood(inside: np.ndarray, start: int, n_cells: int, n: int) -> np.ndarray:
-    """Cells (flat C-order indices) face-connected to ``start`` through ``inside``.
-
-    Breadth-first over whole frontiers; the returned indices are sorted, which
-    is the lexicographic order of the cells' index tuples.
-    """
-    strides = [n_cells ** (n - 1 - axis) for axis in range(n)]
-    seen = np.zeros(inside.size, dtype=bool)
+def _flood(nbrs: np.ndarray, allowed: np.ndarray, start: int) -> np.ndarray:
+    """The rows joined to ``start`` through ``allowed`` rows, sorted: row i's
+    neighbours are the entries of ``nbrs[i]``, -1 for none. Breadth-first
+    over whole frontiers."""
+    ok = np.append(allowed, False)   # so a -1 entry reads False
+    seen = np.zeros(len(nbrs), dtype=bool)
     seen[start] = True
     frontier = np.array([start])
     while frontier.size:
-        coords = np.unravel_index(frontier, (n_cells,) * n)
-        steps = []
-        for axis in range(n):
-            steps.append(frontier[coords[axis] > 0] - strides[axis])
-            steps.append(frontier[coords[axis] < n_cells - 1] + strides[axis])
-        nxt = np.concatenate(steps)
-        frontier = _mark_new(nxt[inside[nxt]], seen)
+        nxt = nbrs[frontier].ravel()
+        nxt = np.sort(nxt[ok[nxt] & ~seen[nxt]])
+        # deduplicated by hand: np.unique imports numpy.ma, about 1 MB
+        first = np.ones(nxt.size, dtype=bool)
+        first[1:] = nxt[1:] != nxt[:-1]
+        frontier = nxt[first]
+        seen[frontier] = True
     return np.flatnonzero(seen)
-
-
-def _mark_new(nxt: np.ndarray, seen: np.ndarray) -> np.ndarray:
-    """The distinct indices of ``nxt`` not yet ``seen``, sorted, now marked seen."""
-    nxt = np.sort(nxt[~seen[nxt]])
-    # deduplicated by hand: np.unique imports numpy.ma, about 1 MB
-    first = np.ones(nxt.size, dtype=bool)
-    first[1:] = nxt[1:] != nxt[:-1]
-    seen[nxt[first]] = True
-    return nxt[first]
 
 
 def _median(values: np.ndarray) -> float:
@@ -300,22 +293,6 @@ def _k_smallest(dist: np.ndarray, idx: np.ndarray, kd: np.ndarray, k: int) -> np
     return np.take_along_axis(picked, np.lexsort((picked, d)), axis=1)
 
 
-def _mutual_flood(order: np.ndarray) -> np.ndarray:
-    """The rows joined to row 0 through mutual neighbours, sorted: rows i and
-    j join when each is in the other's row of ``order``."""
-    m = len(order)
-    # the pairs (i, j) as sorted keys i * m + j, and each pair reversed
-    keys = (np.arange(m)[:, None] * m + np.sort(order, axis=1)).ravel()
-    back = order * m + np.arange(m)[:, None]
-    mutual = keys[np.minimum(np.searchsorted(keys, back), keys.size - 1)] == back
-    seen = np.zeros(m, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        frontier = _mark_new(order[frontier][mutual[frontier]], seen)
-    return np.flatnonzero(seen)
-
-
 class _LeafTable:
     """The level-independent half of a sublevel component.
 
@@ -324,7 +301,8 @@ class _LeafTable:
     within one cell diagonal, in C order of the cells; on the sampled path
     they are the seed-drawn samples whose projection stays in the box, in
     draw order. ``g`` holds the dissipated value of every row but the
-    anchor's.
+    anchor's. A grid table also holds its row graph (``nbrs``, ``on_face``),
+    found by a sorted search of ``cells``, with no array of every cell.
 
     ``select(level)`` makes the component at any level from the table alone.
     A row's witness score and its refinements are cached, so a search over
@@ -345,8 +323,7 @@ class _LeafTable:
                     f"the budget of {_CELL_BUDGET} cells")
             self.method = "grid"
             found, self.cells = self._grid_points()
-            self.slot = np.full(cfg.cells_per_axis ** system.dim, -1)
-            self.slot[self.cells] = np.arange(1, len(found) + 1)
+            self._grid_graph()
         else:
             self.method = "sampled"
             found = self._sampled_points()
@@ -401,6 +378,28 @@ class _LeafTable:
         keep = converged & ~(_row_norms(y - c) > diag)
         return y[keep], cells[keep]
 
+    def _grid_graph(self) -> None:
+        """Each row's 2 * dim face-adjacent rows, -1 where a cell has none,
+        whether its cell lies on the box face (row 0 takes the anchor cell's),
+        and the anchor cell's own row, 0 where it has none."""
+        n_cells, n = self.cfg.cells_per_axis, self.system.dim
+        a = self.anchor_cell
+        cells = np.concatenate([[a], self.cells])
+        # a key past the last row, which no cell equals
+        keys = np.append(self.cells, -1)
+        self.nbrs = np.full((len(cells), 2 * n), -1)
+        self.on_face = np.zeros(len(cells), dtype=bool)
+        for axis, c in enumerate(np.unravel_index(cells, (n_cells,) * n)):
+            self.on_face |= (c == 0) | (c == n_cells - 1)
+            stride = n_cells ** (n - 1 - axis)
+            for j, (ok, nb) in enumerate(((c > 0, cells - stride),
+                                          (c < n_cells - 1, cells + stride))):
+                at = np.searchsorted(self.cells, nb)
+                ok &= keys[at] == nb
+                self.nbrs[ok, 2 * axis + j] = at[ok] + 1
+        at = int(np.searchsorted(self.cells, a))
+        self.anchor_row = at + 1 if keys[at] == a else 0
+
     def _sampled_points(self) -> np.ndarray:
         """The seed-drawn samples, projected at once, that stay in the box."""
         system, anchor, hw = self.system, self.anchor, self.hw
@@ -438,20 +437,16 @@ class _LeafTable:
                                  method=self.method), rows
 
     def _grid_select(self, level: float):
-        n_cells, n = self.cfg.cells_per_axis, self.system.dim
-        inside = np.zeros(self.slot.size, dtype=bool)
-        inside[self.cells] = self.g[1:] < level
+        allowed = self.g < level
         # the anchor's cell always joins, holding its leaf point when that is
-        # below the level and the anchor itself otherwise
-        a = self.anchor_cell
-        anchor_row = self.slot[a] if inside[a] else 0
-        inside[a] = True
-        comp = _face_flood(inside, a, n_cells, n)
-        coords = np.unravel_index(comp, (n_cells,) * n)
-        touches = any(bool(np.any((c == 0) | (c == n_cells - 1))) for c in coords)
-        rows = self.slot[comp]
-        rows[comp == a] = anchor_row
-        return rows, self.diag, touches
+        # below the level and the anchor itself, row 0, otherwise
+        start = self.anchor_row if allowed[self.anchor_row] else 0
+        rows = _flood(self.nbrs, allowed, start)
+        if start == 0:
+            # in cell order, row 0 in the anchor cell's place
+            rows = np.insert(rows[1:], np.searchsorted(self.cells[rows[1:] - 1],
+                                                       self.anchor_cell), 0)
+        return rows, self.diag, bool(self.on_face[rows].any())
 
     def _sampled_select(self, level: float):
         cand = np.concatenate([[0], 1 + np.flatnonzero(self.g[1:] < level)])
@@ -462,7 +457,12 @@ class _LeafTable:
             return cand, self.hw, False
         order, kth = _knn_rows(pts, k_nn)
         spacing = _median(kth)
-        rows = cand[_mutual_flood(order)]
+        # rows i and j join when each is in the other's row of order: the
+        # pairs (i, j) as sorted keys i * m + j, and each pair reversed
+        keys = (np.arange(m)[:, None] * m + np.sort(order, axis=1)).ravel()
+        back = order * m + np.arange(m)[:, None]
+        mutual = keys[np.minimum(np.searchsorted(keys, back), keys.size - 1)] == back
+        rows = cand[_flood(np.where(mutual, order, -1), np.ones(m, dtype=bool), 0)]
         touches = bool(np.any(np.max(np.abs(self.points[rows] - self.anchor), axis=1)
                               > self.hw - 2.0 * spacing))
         return rows, spacing, touches

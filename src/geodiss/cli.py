@@ -216,7 +216,7 @@ def _load_config(path: str, command: str) -> dict:
 
     schema_doc = _load_schema()
     if _conforms(config, schema_doc[command], schema_doc["$defs"]):
-        return config
+        return _integral(config, schema_doc[command], schema_doc["$defs"])
 
     # jsonschema (about 0.1 s to import) only explains a config that does
     # not conform, or one the check above cannot judge
@@ -232,7 +232,24 @@ def _load_config(path: str, command: str) -> dict:
     if exc is not None:
         where = exc.json_path if exc.json_path != "$" else "top level"
         raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
-    return config
+    return _integral(config, schema, schema["$defs"])
+
+
+def _integral(value, schema: dict, defs: dict):
+    """A value valid under ``schema`` with each float at an integer position
+    (an integral one, such as 14.0) read as the int it equals."""
+    schema = defs.get(schema.get("$ref", "").removeprefix("#/$defs/"), schema)
+    if schema.get("type") == "integer" and isinstance(value, float):
+        return int(value)
+    for branch in schema.get("oneOf", ()):
+        if _conforms(value, branch, defs):
+            return _integral(value, branch, defs)
+    props = schema.get("properties", {})
+    if isinstance(value, dict):
+        return {k: _integral(v, props[k], defs) if k in props else v for k, v in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_integral(v, schema["items"], defs) for v in value]
+    return value
 
 
 def _build_system(spec):
@@ -323,7 +340,7 @@ def _emit(obj, args, filename: str) -> None:
 def _pick_seed(config: dict, args, default: int = 0) -> int:
     if args.seed is not None:
         return args.seed
-    return int(config.get("seed", default))
+    return config.get("seed", default)
 
 
 def _point(value, dim: int, what: str):
@@ -345,7 +362,7 @@ def _probe_points(config: dict, args, dim: int, listed: str, what: str,
     if not np.isfinite(2.0 * box):
         raise ConfigError(f"'box' {box:g} is too large: the box width 2 * box "
                           "overflows")
-    n = int(config.get(count, default_count))
+    n = config.get(count, default_count)
     return list(rng.uniform(-box, box, size=(n, dim)))
 
 

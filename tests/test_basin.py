@@ -541,9 +541,9 @@ def test_leaf_table_build_projects_in_bounded_blocks():
 def test_leaf_table_grid_build_tests_the_gap_in_bounded_blocks(rigid):
     # 64^3 cells of the rigid body at its major axis, whose leaf-gap test
     # runs on blocks of 16,384 cells: the build's traced peak stays under
-    # 6 MB (2.7 MB, 2 MB of it the cell-to-row slots; 26 MB with every cell
-    # centre built at once), and the table holds the bits of one gap test of
-    # all cells
+    # 6 MB (2.6 MB, the gap test's blocks and the row graph; 26 MB with
+    # every cell centre built at once), and the table holds the bits of one
+    # gap test of all cells
     system, anchor = rigid.system, np.array([1.0, 0.0, 0.0])
     leaf, n, n_cells = system.leaf_value(anchor), 3, 64
     tracemalloc.start()
@@ -571,6 +571,149 @@ def test_leaf_table_grid_build_tests_the_gap_in_bounded_blocks(rigid):
     assert table.cells.tobytes() == cells[keep].tobytes()
     assert table.points[1:].tobytes() == y[keep].tobytes()
     assert table.g[1:].tobytes() == system.dissipated.values(y[keep]).tobytes()
+
+
+def _frozen_face_flood(inside: np.ndarray, start: int, n_cells: int, n: int) -> np.ndarray:
+    strides = [n_cells ** (n - 1 - axis) for axis in range(n)]
+    seen = np.zeros(inside.size, dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        coords = np.unravel_index(frontier, (n_cells,) * n)
+        steps = []
+        for axis in range(n):
+            steps.append(frontier[coords[axis] > 0] - strides[axis])
+            steps.append(frontier[coords[axis] < n_cells - 1] + strides[axis])
+        nxt = np.concatenate(steps)
+        frontier = _frozen_mark_new(nxt[inside[nxt]], seen)
+    return np.flatnonzero(seen)
+
+
+def _frozen_mark_new(nxt: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    nxt = np.sort(nxt[~seen[nxt]])
+    first = np.ones(nxt.size, dtype=bool)
+    first[1:] = nxt[1:] != nxt[:-1]
+    seen[nxt[first]] = True
+    return nxt[first]
+
+
+def _frozen_grid_select(self, level: float):
+    """The grid selection as it was before the row graph, verbatim: a
+    breadth-first flood over a dense array of every cell, read back through
+    a cell-to-row map of every cell. Returns its rows, spacing and boundary
+    flag."""
+    n_cells, n = self.cfg.cells_per_axis, self.system.dim
+    slot = np.full(n_cells ** n, -1)
+    slot[self.cells] = np.arange(1, len(self.cells) + 1)
+    inside = np.zeros(slot.size, dtype=bool)
+    inside[self.cells] = self.g[1:] < level
+    a = self.anchor_cell
+    anchor_row = slot[a] if inside[a] else 0
+    inside[a] = True
+    comp = _frozen_face_flood(inside, a, n_cells, n)
+    coords = np.unravel_index(comp, (n_cells,) * n)
+    touches = any(bool(np.any((c == 0) | (c == n_cells - 1))) for c in coords)
+    rows = slot[comp]
+    rows[comp == a] = anchor_row
+    return rows, self.diag, touches
+
+
+def _assert_frozen_grid_selection(table, level):
+    """The selection is the frozen dense flood's bits; returns its rows."""
+    rows, spacing, touches = _frozen_grid_select(table, level)
+    got, got_spacing, got_touches = basin_mod._LeafTable._grid_select(table, level)
+    assert got.dtype == rows.dtype and got.tobytes() == rows.tobytes(), level
+    assert np.float64(got_spacing).tobytes() == np.float64(spacing).tobytes()
+    assert got_touches is touches
+    component, got = table.select(level)
+    assert component.members.tobytes() == table.points[rows].tobytes()
+    return rows
+
+
+def _grid_levels(table):
+    """Levels across the table's values: fixed ones, its least and largest,
+    quantiles, and either side of the anchor cell's own row."""
+    g = table.g[1:]
+    levels = [0.05, 0.17, 0.2, 0.26, 0.3, 1.0]
+    if g.size:
+        levels += [float(np.nanmin(g)), float(np.nanmax(g)) * 1.01,
+                   *np.nanquantile(g, [0.02, 0.1, 0.3, 0.6]).tolist()]
+    if table.anchor_row:
+        own = float(table.g[table.anchor_row])
+        levels += [own, float(np.nextafter(own, np.inf))]
+    return levels
+
+
+_RIGID_GRIDS = (2, 3, 5, 8, 13, 24, 64)
+
+
+@pytest.mark.parametrize("case", [
+    *[("rigid", anchor, halfwidth, _RIGID_GRIDS, None)
+      for anchor in ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.9, 0.1, 0.0))
+      for halfwidth in (None, 0.7, 1.6)],
+    ("sombrero", (1.0, 0.0, 0.0), 2.8, (10, 12, 16), None),
+    ("rigid", (1.0, 0.0, 0.0), None, (2, 7, 16), "anchor cell"),
+    ("rigid", (1.0, 0.0, 0.0), None, (2, 7, 16), "every cell"),
+], ids=lambda case: "-".join(map(str, case[:3] + case[4:])))
+def test_grid_selection_is_the_frozen_dense_grid_selection(rigid, mexhat, monkeypatch, case):
+    # the rigid body at both ends of its major axis, its minor axis and a
+    # point off the axes, at three half-widths, and the sombrero: the anchor
+    # cell's own row joins at some levels and not at others. Then the rigid
+    # body with the anchor cell's centre, or every centre, refused by the
+    # projection: the anchor stands in for its cell, and a table of the
+    # anchor alone selects only it
+    name, anchor, halfwidth, grids, refused = case
+    system, anchor = (rigid if name == "rigid" else mexhat).system, np.array(anchor)
+    real = basin_mod._LeafTable._project
+
+    def project(self, pts):
+        y, converged = real(self, pts)
+        if refused == "every cell":
+            return y, np.zeros_like(converged)
+        n_cells = self.cfg.cells_per_axis
+        idx = np.array(np.unravel_index(self.anchor_cell, (n_cells,) * 3))
+        centre = anchor - self.hw + (idx + 0.5) * (2.0 * self.hw / n_cells)
+        return y, converged & ~np.all(pts == centre, axis=1)
+
+    if refused:
+        monkeypatch.setattr(basin_mod._LeafTable, "_project", project)
+    owns = set()
+    for n_cells in grids:
+        table = basin_mod._LeafTable(system, anchor, system.leaf_value(anchor),
+                                     SamplerConfig(cells_per_axis=n_cells, halfwidth=halfwidth))
+        assert len(table.points) == 1 or refused != "every cell"
+        for level in _grid_levels(table):
+            rows = _assert_frozen_grid_selection(table, level)
+            if table.anchor_row:
+                owns.add(bool(np.isin(table.anchor_row, rows)))
+            else:
+                assert 0 in rows
+    assert owns == (set() if refused else {True, False})
+
+
+def _build_and_select_peaks(table_args, level):
+    """The traced peaks of a leaf table's build and of one selection."""
+    tracemalloc.start()
+    try:
+        table = basin_mod._LeafTable(*table_args)
+        build = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return table, build, _select_peak(table, level)
+
+
+def test_grid_table_and_selection_memory_is_bounded_by_the_rows(rigid):
+    # 128^3 cells of the rigid body at its major axis, about 28,600 rows,
+    # whose graph takes 1.4 MB: the build peaks at 5.4 MB and a selection at
+    # 0.1 MB, where a cell-to-row map of every cell alone takes 16 MB (an
+    # 18.25 MB build peak) and a mask of every cell 2 MB (a 4.0 MB selection)
+    anchor = np.array([1.0, 0.0, 0.0])
+    table, build, (rows, select) = _build_and_select_peaks(
+        (rigid.system, anchor, rigid.system.leaf_value(anchor),
+         SamplerConfig(cells_per_axis=128)), 0.22)
+    assert len(table.points) > 28000 and len(rows) > 1000
+    assert build < 8 * 2 ** 20
+    assert select < 2 * 2 ** 20
 
 
 def test_box_halfwidth_has_one_rule(bowl4):

@@ -572,6 +572,76 @@ def test_conforming_config_is_loaded_without_jsonschema(tmp_path):
     assert proc.stdout.split() == ["False", "True"]
 
 
+_PLANE = {"dim": 2, "dissipated": {"terms": [{"coef": 0.5, "powers": [2, 0]},
+                                              {"coef": 0.5, "powers": [0, 2]}]}}
+_SIM_SHORT = {"system": RIGID, "x0": [0.6, 0.48, 0.64], "integrator": {"t_end": 0.2}}
+_EQUILIBRIA = {"system": "mexican_hat", "n_seeds": 3, "stability_samples": 4}
+_GRID_BASIN = {"system": RIGID, "target": [1.0, 0.0, 0.0], "level": 0.22,
+               "sampler": {"cells_per_axis": 8}, "n_trajectories": 2}
+_SAMPLED_BASIN = {"system": SPHERE_4D, "target": [1.0, 0.0, 0.0, 0.0], "level": 0.95,
+                  "sampler": {"n_samples": 64, "halfwidth": 1.5}, "n_trajectories": 1}
+
+# one config per integer position of the schema, and the path of its integer
+INTEGER_FIELDS = [
+    ("simulate", {**_SIM_SHORT, "system": _PLANE, "x0": [0.3, 0.1]}, ("system", "dim")),
+    ("simulate", {**_SIM_SHORT, "system": _PLANE, "x0": [0.3, 0.1]},
+     ("system", "dissipated", "terms", 1, "powers", 1)),
+    ("simulate", {**_SIM_SHORT, "integrator": {"t_end": 0.2, "max_steps": 5}},
+     ("integrator", "max_steps")),
+    ("simulate", {**_SIM_SHORT, "integrator": {"t_end": 0.2, "record_every": 3}},
+     ("integrator", "record_every")),
+    ("simulate", {**_SIM_SHORT, "seed": 3}, ("seed",)),
+    ("verify", {"system": RIGID, "n_probes": 3}, ("n_probes",)),
+    ("verify", {"system": RIGID, "n_probes": 3, "seed": 2}, ("seed",)),
+    ("equilibria", _EQUILIBRIA, ("n_seeds",)),
+    ("equilibria", {**_EQUILIBRIA, "seed": 2}, ("seed",)),
+    ("equilibria", _EQUILIBRIA, ("stability_samples",)),
+    ("basin", _GRID_BASIN, ("sampler", "cells_per_axis")),
+    ("basin", _SAMPLED_BASIN, ("sampler", "n_samples")),
+    ("basin", {**_SAMPLED_BASIN, "sampler": {"n_samples": 64, "halfwidth": 1.5,
+                                             "neighbor_count": 4}},
+     ("sampler", "neighbor_count")),
+    ("basin", {**_SAMPLED_BASIN, "sampler": {"n_samples": 64, "halfwidth": 1.5, "seed": 3}},
+     ("sampler", "seed")),
+    ("basin", _GRID_BASIN, ("n_trajectories",)),
+    ("basin", {**_GRID_BASIN, "seed": 3}, ("seed",)),
+    ("basin", {**_GRID_BASIN, "max_refine": 5}, ("max_refine",)),
+    ("basin", {**_GRID_BASIN, "threshold": {"level_max": 0.4, "steps": 2}},
+     ("threshold", "steps")),
+]
+
+
+def test_integer_fields_are_every_integer_of_the_schema():
+    doc = geodiss.cli._load_schema()
+
+    def integers(node):
+        subs = [*node.get("properties", {}).values(), *node.get("oneOf", [])]
+        if "items" in node:
+            subs.append(node["items"])
+        return (node.get("type") == "integer") + sum(integers(sub) for sub in subs)
+
+    nodes = [*doc["$defs"].values(), *(doc[command] for command in geodiss.cli._HANDLERS)]
+    assert sum(integers(node) for node in nodes) == len(INTEGER_FIELDS) == 18
+
+
+@pytest.mark.parametrize("command, config, path", INTEGER_FIELDS,
+                         ids=[f"{c}:{'.'.join(map(str, p))}" for c, _, p in INTEGER_FIELDS])
+def test_integral_float_config_runs_as_its_integer(tmp_path, capsys, command, config, path):
+    # 14.0 is an integer to the schema, as in Draft 2020-12: the run gives
+    # the exit code and stdout of the config written with 14
+    floated = json.loads(json.dumps(config))
+    *head, last = path
+    node = floated
+    for key in head:
+        node = node[key]
+    assert type(node[last]) is int
+    node[last] = float(node[last])
+    assert f"{node[last]!r}".endswith(".0")
+    runs = [_run(capsys, [command, "--config", _write(tmp_path, f"{name}.json", cfg)])[:2]
+            for name, cfg in (("int", config), ("float", floated))]
+    assert runs[0] == runs[1]
+
+
 def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"system": "rigid_body:3,2,1", "n_probes": 2, "seed": 0, "x": "\xff"}')
