@@ -1,8 +1,9 @@
 """Fixed and adaptive Runge-Kutta integration with structure diagnostics.
 
 Both the conservative flow and the corrected (dissipative) flow integrate
-through one step loop, ``_lockstep``: one stage loop over either method's
-stage rows, one step controller and one set of checks, from one start or
+through one step loop, ``_lockstep``: one stage loop over the method's
+:class:`_Tableau` (fixed-step RK4, Dormand-Prince 5(4) or dop853's 8(5,3)),
+one step controller and one set of checks, from one start or
 from an (m, n) stack of them, each row taking exactly the steps of its own
 run, in the same arithmetic, and failing alone with the message its own run
 raises. :func:`integrate` runs it on one start, whose arrays stay
@@ -38,6 +39,7 @@ live above it.
 from __future__ import annotations
 
 import contextlib
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -82,13 +84,121 @@ _DP_DENSE = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799
 # The classical RK4's stage rows; its weights are written out in the step loop.
 _RK4_A = [np.array([]), np.array([1 / 2]), np.array([0.0, 1 / 2]), np.array([0.0, 0.0, 1.0])]
 
+
+def _row(width: int, entries: dict) -> np.ndarray:
+    """A coefficient row of ``width`` columns from its ``{column: coefficient}`` entries."""
+    row = np.zeros(width)
+    for col, value in entries.items():
+        row[col] = value
+    return row
+
+
+# Dormand-Prince 8(5,3): 12 stages, an eighth-order new state b @ stages, a
+# fifth-order error row damped by a third-order one, and a seventh-order
+# continuous extension that takes three more stages. The coefficients of
+# Hairer, Norsett & Wanner, Solving ODEs I, II.10, as printed in their code
+# dop853. Stage row s runs over the s stages below it.
+_DOP853_A = [_row(s, entries) for s, entries in enumerate([
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+])]
+_DOP853_B = _row(12, {
+    0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+    6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+    8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+    10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2})
+_DOP853_E5 = _row(12, {
+    0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
+    6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
+    8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+    10: 0.8192320648511571246570742613e-1, 11: -0.2235530786388629525884427845e-1})
+# the third-order row: b minus the weights bhh of stages 1, 9 and 12
+_DOP853_E3 = _DOP853_B - _row(12, {
+    0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+    11: 0.220588235294117647058823529412e-1})
+# The extension's three extra stages, rows 14 to 16 of the tableau: their
+# rows run over the 12 stages, the slope at the new state (stage 13) and
+# the extra stages below them.
+_DOP853_EXTRA = tuple(_row(s, entries) for s, entries in enumerate([
+    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+], start=13))
+# The extension's terms past the cubic Hermite (dop853's d4 to d7), on the
+# 12 stages, the slope at the new state and the three extra stages.
+_DOP853_DENSE = tuple(_row(16, entries) for entries in [
+    {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
+     8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
+     14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1},
+    {0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
+     6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
+     8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
+     10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
+     12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
+     14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2},
+    {0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
+     6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
+     8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
+     10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
+     14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2},
+    {0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
+     6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
+     8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
+     10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
+     12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
+     14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
+])
+
 # Step controller constants: safety 0.9, growth capped at 5x, shrink floored
-# at 0.2x, with the usual PI stabilization exponent.
+# at 0.2x, with the usual PI stabilization exponent, whose error exponent is
+# 1/(q + 1) - 0.75 beta for Dormand-Prince 5(4) (q = 4) and 1/8 - 0.2 beta
+# for dop853 (Solving ODEs I, II.4 and II.10).
 _SAFETY = 0.9
 _FAC_MAX = 5.0
 _FAC_MIN = 0.2
 _PI_BETA = 0.04
 _ERR_EXPO = 0.2 - 0.75 * _PI_BETA
+_DOP853_EXPO = 1 / 8 - 0.2 * _PI_BETA
 
 # An adaptive step below this fraction of t_end is a collapse, and a run
 # ends within this fraction below t_end.
@@ -114,10 +224,52 @@ class Flow(Enum):
 class Method(Enum):
     RK4_FIXED = "rk4"
     RK45_ADAPTIVE = "rk45"
+    DOP853 = "dop853"
+
+
+@dataclass(frozen=True, eq=False)
+class _Tableau:
+    """A Runge-Kutta method as the step loop reads it.
+
+    Stage s is the slope at x + h (a[s] @ stages[:s]). With ``fsal`` the
+    last stage point is the new state and the last stage its slope;
+    otherwise the new state is x + h (b @ stages), or RK4's weights written
+    out where ``b`` is None, and its slope is evaluated after the step.
+    ``err`` holds an adaptive pair's error rows, none for a fixed step: one
+    row gives an RMS norm, two give dop853's fifth-order estimate damped by
+    its third-order one. ``expo`` is the controller's error exponent.
+    ``dense`` holds the rows of the continuous extension's terms past the
+    cubic Hermite; they run over the stages and, without ``fsal``, the
+    slope at the new state and the ``extra`` stages, whose rows continue
+    the tableau and which are evaluated only when a state inside the step
+    is read.
+    """
+
+    a: list
+    b: np.ndarray | None = None
+    fsal: bool = False
+    err: tuple = ()
+    expo: float = 0.0
+    dense: tuple = ()
+    extra: tuple = ()
+
+
+_TABLEAUS = {
+    Method.RK4_FIXED: _Tableau(a=_RK4_A),
+    Method.RK45_ADAPTIVE: _Tableau(a=_DP_A, fsal=True, err=(_DP_ERR,), expo=_ERR_EXPO,
+                                   dense=(_DP_DENSE,)),
+    Method.DOP853: _Tableau(a=_DOP853_A, b=_DOP853_B, err=(_DOP853_E5, _DOP853_E3),
+                            expo=_DOP853_EXPO, dense=_DOP853_DENSE, extra=_DOP853_EXTRA),
+}
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """How a run steps: the method, its first step ``h0``, the tolerances
+    of an adaptive method, the end time, the step budget, the thinning of
+    the records and the optional leaf re-projection. A value no run can use
+    is refused here with ValueError."""
+
     method: Method = Method.RK45_ADAPTIVE
     h0: float = 0.01
     abs_tol: float = 1e-10
@@ -126,6 +278,24 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
     record_every: int = 1
     leaf_reprojection: bool = False
+
+    def __post_init__(self):
+        # each test fails on NaN
+        if not self.t_end > 0:
+            raise ValueError("t_end must be positive")
+        if not self.h0 > 0:
+            raise ValueError("h0 must be positive")
+        # an error scale abs_tol + rel_tol |x| of 0 on a state component
+        # that is exactly 0 rejects every try (0 / 0), so abs_tol must be
+        # positive; rel_tol 0 is a pure absolute tolerance
+        if not 0 < self.abs_tol < np.inf:
+            raise ValueError("abs_tol must be positive and finite")
+        if not 0 <= self.rel_tol < np.inf:
+            raise ValueError("rel_tol must be finite and non-negative")
+        for name in ("max_steps", "record_every"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer of at least 1")
 
     def local_tol(self, state_norm: float) -> float:
         return self.abs_tol + self.rel_tol * state_norm
@@ -209,7 +379,7 @@ def _landing_scope(config: IntegratorConfig):
     before the run ends in the failure they find. Those overflows warn no
     one, as the stages' do.
     """
-    if config.method is Method.RK45_ADAPTIVE:
+    if config.method is not Method.RK4_FIXED:
         return _NO_SCOPE
     return np.errstate(over="ignore", invalid="ignore")
 
@@ -219,20 +389,25 @@ class _Step:
 
     ``f`` and ``f_new`` are the right-hand sides at the two end states, and
     ``v0_new`` the control field behind ``f_new`` (None on the unperturbed
-    flow). ``stages`` holds the Dormand-Prince stages of an RK45 step
-    whose end state was not re-projected; the extension is then the free
-    fourth-order one of the scheme. Otherwise it is the cubic Hermite on the
-    end states and their right-hand sides. ``accepted`` and ``rejected``
-    count the accepted steps and the rejected tries of the run so far,
-    ``final`` marks the run's last step, and ``recorded`` the steps whose end
-    states the run records: every ``record_every``-th one and the last.
+    flow). ``stages`` holds the stages of an adaptive step whose end state
+    was not re-projected, and ``tableau`` its method: the extension is then
+    the method's own, Dormand-Prince's free fourth-order one or dop853's
+    seventh-order one, whose three extra stages ``kernel`` evaluates when a
+    state inside the step is first read. Otherwise it is the cubic Hermite
+    on the end states and their right-hand sides. ``accepted`` and
+    ``rejected`` count the accepted steps and the rejected tries of the run
+    so far, ``final`` marks the run's last step, and ``recorded`` the steps
+    whose end states the run records: every ``record_every``-th one and the
+    last.
     """
 
     __slots__ = ("t", "h", "t_new", "x", "x_new", "f", "f_new", "stages",
-                 "v0_new", "accepted", "rejected", "final", "recorded", "_coef")
+                 "v0_new", "accepted", "rejected", "final", "recorded",
+                 "tableau", "kernel", "_coef")
 
     def __init__(self, t, h, x, x_new, f, f_new, stages, v0_new,
-                 accepted, rejected, final, recorded):
+                 accepted, rejected, final, recorded,
+                 tableau=_TABLEAUS[Method.RK45_ADAPTIVE], kernel=None):
         self.t = t
         self.h = h
         self.t_new = t + h
@@ -246,7 +421,23 @@ class _Step:
         self.rejected = rejected
         self.final = final
         self.recorded = recorded
+        self.tableau = tableau
+        self.kernel = kernel
         self._coef = None
+
+    def _dense_terms(self) -> list:
+        """The extension's terms past the cubic Hermite: h (row @ stages)
+        for each dense row, on the stages and, for a method without FSAL,
+        the slope at x_new and the extra stages, evaluated here."""
+        tab, k = self.tableau, self.stages
+        if not tab.fsal:
+            k = np.concatenate((k, self.f_new[None], np.empty((len(tab.extra), k.shape[1]))))
+            for s, row in enumerate(tab.extra, start=len(self.stages) + 1):
+                xs = self.x + self.h * (row @ k[:s])
+                k[s], _, ok = self.kernel(xs)
+                if ok is not None:
+                    raise NonFiniteState(str(_nonfinite_differential(xs)))
+        return [self.h * (row @ k) for row in tab.dense]
 
     def states_at(self, ts) -> np.ndarray:
         """States at a sorted array of times in [self.t, ...), one row per time.
@@ -262,18 +453,21 @@ class _Step:
         if not inside:
             return out
         if self._coef is None:
-            # Hairer, Norsett & Wanner, Solving ODEs I, II.6 (dopri5 CONTD5);
-            # without the last term the same form is the cubic Hermite
+            # Hairer, Norsett & Wanner, Solving ODEs I, II.6 and II.10
+            # (dopri5 CONTD5, dop853 CONTD8): the cubic Hermite's terms,
+            # then the method's own
             ydiff = self.x_new - self.x
             bspl = self.h * self.f - ydiff
-            quartic = (None if self.stages is None
-                       else self.h * (_DP_DENSE @ self.stages))
-            self._coef = (ydiff, bspl, ydiff - self.h * self.f_new - bspl, quartic)
-        ydiff, bspl, cubic, quartic = self._coef
+            self._coef = [ydiff, bspl, ydiff - self.h * self.f_new - bspl]
+            if self.stages is not None:
+                self._coef += self._dense_terms()
         s = ((ts[:inside] - self.t) / self.h)[:, None]
         s1 = 1.0 - s
-        inner = cubic if quartic is None else cubic + s1 * quartic
-        out[:inside] = self.x + s * (ydiff + s1 * (bspl + s * inner))
+        # x + s (c0 + s1 (c1 + s (c2 + s1 (c3 + ...)))), from the inside out
+        inner = self._coef[-1]
+        for j in range(len(self._coef) - 1, 0, -1):
+            inner = self._coef[j - 1] + (s1 if j % 2 else s) * inner
+        out[:inside] = self.x + s * inner
         return out
 
 
@@ -288,7 +482,7 @@ def _first_step(config: IntegratorConfig, t_end: float | None = None) -> float:
     if t_end is None:
         t_end = config.t_end
     h = min(config.h0, t_end)
-    if config.method is Method.RK45_ADAPTIVE and h < _STEP_FLOOR * t_end:
+    if config.method is not Method.RK4_FIXED and not h >= _STEP_FLOOR * t_end:
         raise InitialStepBelowFloor(
             f"the first step min(h0, t_end) = {h:.3e} (h0 = {config.h0:.6g}, "
             f"t_end = {t_end:.6g}) lies below the step floor "
@@ -300,24 +494,26 @@ def _check_t_end(config: IntegratorConfig, t_end: float) -> None:
     """Refuse an ensemble row's end time before any evaluation: ValueError
     when it is not positive, :class:`InitialStepBelowFloor` when an adaptive
     first step lies below its floor."""
-    if t_end <= 0:
+    if not t_end > 0:  # NaN too
         raise ValueError("t_end must be positive")
     _first_step(config, t_end)
 
 
-def _step_control(err: float, h_try: float, fac_old: float) -> tuple[bool, float, float]:
+def _step_control(err: float, h_try: float, fac_old: float,
+                  expo: float = _ERR_EXPO) -> tuple[bool, float, float]:
     """The controller's verdict on a try of size h_try with error norm err.
 
     Returns whether the try is accepted, the next step size and the
-    controller's memory of the last accepted error. A try whose error norm
-    is not finite is rejected with the smallest shrink factor.
+    controller's memory of the last accepted error; ``expo`` is the
+    method's error exponent. A try whose error norm is not finite is
+    rejected with the smallest shrink factor.
     """
     if not err <= 1.0:
-        return False, h_try * max(_FAC_MIN, _SAFETY / err ** _ERR_EXPO), fac_old
+        return False, h_try * max(_FAC_MIN, _SAFETY / err ** expo), fac_old
     if err == 0.0:
         fac = _FAC_MAX  # exactly stationary state, grow freely
     else:
-        fac = _SAFETY * err ** (-_ERR_EXPO) * fac_old ** _PI_BETA
+        fac = _SAFETY * err ** (-expo) * fac_old ** _PI_BETA
     return True, h_try * min(_FAC_MAX, max(_FAC_MIN, fac)), max(err, 1e-4)
 
 
@@ -364,6 +560,27 @@ def _flow_rows(system: DissipativeSystem, flow: Flow):
     return evaluate
 
 
+def _error_norm(tab: _Tableau, h_col, stages: np.ndarray, scale: np.ndarray):
+    """The error norm of a try of each row, from the method's error rows.
+
+    One row gives the RMS of h (err @ stages) / scale. dop853's two rows
+    give its fifth-order estimate damped by its third-order one, h s5 /
+    sqrt(n (s5 + 0.01 s3)) with s5 and s3 the sums of squares of the
+    scaled rows (Solving ODEs I, II.10). Elementwise on each row, so a row
+    of a stack gets its point run's bits.
+    """
+    n = scale.shape[-1]
+    if len(tab.err) == 1:
+        q = (h_col * (tab.err[0] @ stages) / scale) ** 2
+        return np.sqrt(np.add.reduce(q, -1) / n)
+    s5, s3 = (np.add.reduce((row @ stages / scale) ** 2, -1) for row in tab.err)
+    deno = s5 + 0.01 * s3
+    # a try whose scaled error rows both vanish has error 0
+    deno = np.where(deno > 0.0, deno, 1.0)
+    h_row = h_col if np.ndim(h_col) == 0 else h_col[:, 0]
+    return h_row * s5 / np.sqrt(n * deno)
+
+
 def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig,
               flow: Flow = Flow.PERTURBED, bound: float | None = None,
               out: EnsembleRun | None = None, t_ends: list | None = None):
@@ -376,11 +593,14 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     and the leaf re-projection, and drops out alone, so it takes the steps of a run of
     its own in the same arithmetic: numpy evaluates the stage products one
     row at a time, and the controller runs on Python floats row by row.
-    Either method's stage s is the slope at x + h (its stage row s @ the
-    stages below s). An adaptive try whose stages leave the finite
-    range, or whose error is not finite, is rejected with the smallest
-    shrink factor; a fixed step that leaves it fails its row with
-    :class:`NonFiniteState`.
+    The method is a :class:`_Tableau`, read in one stage loop: stage s is
+    the slope at x + h (its stage row s @ the stages below s), for RK4's
+    four stages, Dormand-Prince's seven and dop853's twelve alike. An
+    adaptive try whose stages leave the finite range, or whose error is not
+    finite, is rejected with the smallest shrink factor; a fixed step that
+    leaves it fails its row with :class:`NonFiniteState`. Where no stage
+    holds the slope at the new state (RK4, dop853, or a re-projected step),
+    it is evaluated at the stepping rows after the step.
 
     A point's run yields the control field at x (None on the unperturbed
     flow), then each accepted step as a :class:`_Step`, and raises the
@@ -406,7 +626,8 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     t_end = [config.t_end] * (1 if point else len(x)) if t_ends is None else list(t_ends)
     t_stop = [te - _STEP_FLOOR * te for te in t_end]
     min_h = [_STEP_FLOOR * te for te in t_end]
-    adaptive = config.method is Method.RK45_ADAPTIVE
+    tab = _TABLEAUS[config.method]
+    adaptive = bool(tab.err)
     every = config.record_every
     kernel = _flow_rows(system, flow)
 
@@ -441,8 +662,10 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     n_rej = [0] * live
     # a try's stages, and the index of stage s and of the stages below it:
     # rows of a point's (stages, n) array, columns of a stack's (m, stages, n) one
-    stage_rows = _DP_A if adaptive else _RK4_A
+    stage_rows = tab.a
     n_stages = len(stage_rows)
+    # a point's step keeps its stages for the method's own extension
+    keep_stages = point and bool(tab.dense) and targets is None
     stage_shape = xa.shape[:-1] + (n_stages, n)
     if point:
         stage, below = list(range(n_stages)), [slice(s) for s in range(n_stages)]
@@ -523,30 +746,32 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
                 elif ok is not None:
                     drop(np.flatnonzero(~ok), lambda j: NonFiniteState(
                         str(_nonfinite_differential(xs.reshape(live, n)[j]))))
+            if tab.fsal:
+                # B5 is the last stage row with a trailing zero: the last stage
+                # point is the new state, and the last stage its slope (FSAL)
+                x_new, k_new = xs, stages[stage[-1]]
+            elif tab.b is not None:
+                x_new, k_new = xa + h_col * (tab.b @ stages), None
+            else:
+                # RK4's weights as written: a w @ stages product rounds
+                # differently
+                k2, k3, k4 = (stages[i] for i in stage[1:])
+                x_new, k_new = xa + (h_col / 6.0) * (ka + 2.0 * k2 + 2.0 * k3 + k4), None
             if adaptive:
-                err_vec = h_col * (_DP_ERR @ stages)
-                scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xa), np.abs(xs))
-                q = (err_vec / scale) ** 2
-                err = np.sqrt(np.add.reduce(q, -1) / n)
+                scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xa), np.abs(x_new))
+                err = _error_norm(tab, h_col, stages, scale)
                 if good is not None:
                     err = np.where(good, err, np.inf)
                 # the controller on Python floats, row by row: its powers must
                 # round as a point run's do (a point's norm is a numpy scalar)
                 for j, e in enumerate([float(err)] if point else err.tolist()):
-                    accepted, h_ctrl[j], fac_old[j] = _step_control(e, h[j], fac_old[j])
+                    accepted, h_ctrl[j], fac_old[j] = _step_control(e, h[j], fac_old[j],
+                                                                    tab.expo)
                     if not accepted:
                         n_rej[j] += 1
                         if take is None:
                             take = np.ones(live, dtype=bool)
                         take[j] = False
-                # B5 is the last stage row with a trailing zero: the last stage
-                # point is the new state, and the last stage its slope (FSAL)
-                x_new, k_new = xs, stages[stage[-1]]
-            else:
-                # RK4's weights as written: a w @ stages product rounds
-                # differently. The slope at the new state is evaluated below.
-                k2, k3, k4 = (stages[i] for i in stage[1:])
-                x_new, k_new = xa + (h_col / 6.0) * (ka + 2.0 * k2 + 2.0 * k3 + k4), None
         tries += 1
 
         with _landing_scope(config):
@@ -566,7 +791,6 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
             if targets is not None or k_new is None:
                 # no stage holds the slope at the new state: evaluate it
                 # there, after the re-projection
-                stages = None
                 if targets is not None and sel.size:
                     y, conv, degen = _project_rows(system, new_rows[sel], targets[sel])
                     for i in np.flatnonzero(~conv).tolist():
@@ -611,8 +835,9 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
             elif n_acc[j] % every == 0:
                 recorded.append(j)
         if point:
-            step = _Step(t_before, h[0], x_before, xa, k_before, ka, stages, v0,
-                         n_acc[0], n_rej[0], bool(ended), bool(recorded))
+            step = _Step(t_before, h[0], x_before, xa, k_before, ka,
+                         stages if keep_stages else None, v0,
+                         n_acc[0], n_rej[0], bool(ended), bool(recorded), tab, kernel)
             t_before, x_before, k_before = step.t_new, xa, ka
             yield step
         else:
@@ -751,8 +976,10 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
     ``checkpoints`` are read off each step's continuous extension, not
     landed on: step control, and so every record, is the same with or
     without them. RK45 steps use the free fourth-order extension of
-    Dormand-Prince; RK4 steps and re-projected steps use the cubic Hermite
-    on the end states and their right-hand sides. A checkpoint at a step's
+    Dormand-Prince, and dop853 steps its seventh-order one, whose three
+    extra stages are evaluated only on the steps a checkpoint is read
+    inside; RK4 steps and re-projected steps use the cubic Hermite on the
+    end states and their right-hand sides. A checkpoint at a step's
     end gets that end state exactly. ``bound`` aborts with
     :class:`UnboundedTrajectory` when the state norm exceeds it.
 
@@ -768,8 +995,6 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
     it is seen.
     """
     x = as_point(x0, system.dim)
-    if config.t_end <= 0:
-        raise ValueError("t_end must be positive")
 
     cps = None
     cp_states = None
@@ -831,8 +1056,10 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
                        bound: float | None = None, t_ends=None) -> EnsembleRun:
     """Integrate the corrected flow from every row of an (m, dim) stack, in lockstep.
 
-    This drains the one step loop, ``_lockstep``, over all rows at once.
-    ``t_ends``, one end time per row, replaces ``config.t_end``, so rows of
+    This drains the one step loop, ``_lockstep``, over all rows at once, in
+    ``config``'s method: the certificates' ensembles run dop853 unless given
+    a config, as they read only what is kept here and no state inside a
+    step. ``t_ends``, one end time per row, replaces ``config.t_end``, so rows of
     several horizons share one call. An end time that is not positive, or
     whose adaptive first step lies below its step floor, is an input error
     refused before any evaluation. A failure ends its row only and is

@@ -30,6 +30,7 @@ from geodiss import (
     ConfigError,
     DissipativeSystem,
     IntegratorConfig,
+    Method,
     MetricField,
     NoValidLevel,
     NotAsymptoticallyStable,
@@ -42,6 +43,7 @@ from geodiss import (
     classify_point,
     distance_to_orbit,
     gradient_only,
+    integrate,
     integrate_ensemble,
     periodic_orbit_certify,
     scan_invariant_witnesses,
@@ -1232,9 +1234,10 @@ def test_threshold_search_reasons_at_each_level(rigid, monkeypatch):
 def _frozen_sequential_search(system, equilibrium, level_max, steps, sampler,
                               **certify_kwargs):
     """The threshold search before it speculated, verbatim but for what it
-    returns: ``(level, history, evidence)``, with level None where it raised
-    NoValidLevel, and each history level's ensemble evidence (None where
-    geometry failed it). One integrate_ensemble call per level whose
+    returns and for the ensembles' default integrator, which mirrors
+    ``basin._ensemble_setup``'s: ``(level, history, evidence)``, with level
+    None where it raised NoValidLevel, and each history level's ensemble
+    evidence (None where geometry failed it). One integrate_ensemble call per level whose
     geometry passes, one level after another."""
     x_e = np.asarray(equilibrium, dtype=float)
     g_e = float(system.dissipated(x_e))
@@ -1258,7 +1261,8 @@ def _frozen_sequential_search(system, equilibrium, level_max, steps, sampler,
         if t_end is None:
             t_end = basin_mod._auto_horizon(system, starts, target.distance)
         bound = target.reach + 10.0 * basin_mod._halfwidth(component.anchor, opts["sampler"])
-        base = opts["integrator"] or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+        base = opts["integrator"] or IntegratorConfig(method=Method.DOP853, rel_tol=1e-8,
+                                                      abs_tol=1e-10)
         run = integrate_ensemble(system, starts, dataclasses.replace(base, t_end=t_end),
                                  bound=bound)
         converged = 0
@@ -1405,6 +1409,58 @@ def test_threshold_search_is_the_frozen_sequential_search(rigid, case, monkeypat
     used = sum(len(ev.starts) for ev in ref_evidence if ev is not None)
     integrated = sum(len(starts) for starts in seen.calls)
     assert (len(seen.calls), integrated - used) == _SPECULATION[case]
+
+
+# Acceptance 08's threshold search (48 cells per axis, 8 steps, 12
+# trajectories, seed 3) as its RK45 ensembles decided it
+_ACCEPTANCE_08 = (0.24960937499999997, [
+    (0.4, False), (0.2833333333333333, False), (0.22499999999999998, True),
+    (0.25416666666666665, False), (0.23958333333333331, True), (0.24687499999999998, True),
+    (0.2505208333333333, False), (0.24869791666666663, True), (0.24960937499999997, True)])
+
+
+@pytest.mark.parametrize("integrator", [None, IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)])
+def test_acceptance_08_search_is_the_rk45_one(rigid, integrator):
+    # the default dop853 ensembles, and an explicit RK45 config, decide
+    # every level as the RK45 ensembles did
+    out = threshold_search(rigid.system, MAJOR, 0.4, steps=8,
+                           sampler=SamplerConfig(cells_per_axis=48), stability=AS,
+                           n_trajectories=12, traj_seed=3, integrator=integrator)
+    assert out == _ACCEPTANCE_08
+
+
+def test_explicit_integrator_config_runs_as_given(rigid):
+    # an integrator config without a method is RK45, as IntegratorConfig's
+    # own default: every trajectory of the certificate is its solo RK45 run
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    cert = basin_certify(rigid.system, MAJOR, 0.3, n_trajectories=50, stability=AS,
+                         integrator=cfg)
+    report = cert.as_report()
+    assert (report["verdict"], report["componentSize"], report["trajectoriesConverged"],
+            len(report["failedStarts"])) == ("fail", 3944, 27, 23)
+    rng = np.random.default_rng(7)  # basin_certify's traj_seed
+    starts = cert.members[rng.choice(len(cert.members), 50, replace=False)]
+    failed, g_max = [], -np.inf
+    for x0 in starts:
+        tr = integrate(rigid.system, x0, dataclasses.replace(cfg, t_end=report["horizon"]))
+        g_max = max(g_max, float(np.max(tr.dissipated_values)))
+        d = float(np.linalg.norm(tr.final_state - MAJOR))
+        if d > 1e-4:
+            failed.append({"start": x0.tolist(), "final": tr.final_state.tolist(),
+                           "finalDistance": d, "error": None})
+    assert report["failedStarts"] == failed
+    assert report["maxTrajectoryG"] == g_max
+
+
+def test_orbit_certificate_with_dop853_period_detection(mexhat):
+    # period detection reads dop853's seventh-order extension of the run's
+    # steps: the return-time Newton and the orbit samples
+    cert = periodic_orbit_certify(
+        mexhat.system, [1.05, 0.0, 0.02], 0.2, SamplerConfig(cells_per_axis=12, halfwidth=2.8),
+        n_trajectories=4, integrator=IntegratorConfig(method=Method.DOP853, rel_tol=1e-10,
+                                                      abs_tol=1e-12))
+    assert cert.passed and cert.orbit_in_invariant_set and cert.covered
+    assert abs(cert.period - 2.0 * np.pi) <= 1e-9
 
 
 def test_threshold_search_redoes_a_speculative_run_that_raises(rigid, monkeypatch):

@@ -177,6 +177,26 @@ def test_simulate_is_byte_deterministic(tmp_path, capsys):
     assert runs[0] == runs[1]
 
 
+def test_simulate_runs_dop853(tmp_path, capsys):
+    # the eighth-order method through the CLI: two runs write the same
+    # bytes, in fewer steps than RK45's, with clean audits
+    config = {**SIM_CONFIG, "integrator": {**SIM_CONFIG["integrator"], "method": "dop853"}}
+    cfg = _write(tmp_path, "sim.json", config)
+    runs = []
+    for sub in ("a", "b"):
+        out_dir = tmp_path / sub
+        rc, out, _ = _run(capsys, ["simulate", "--config", cfg, "--out", str(out_dir)])
+        assert rc == EXIT_OK
+        runs.append((out, (out_dir / "trajectory.csv").read_bytes(),
+                     (out_dir / "summary.json").read_bytes()))
+    assert runs[0] == runs[1]
+    summary = json.loads(runs[0][0])
+    assert summary["monotone"] is True and summary["rateCheckViolation"] <= 0.0
+    assert summary["conservationDrift"] <= 1e-7
+    rc, out, _ = _run(capsys, ["simulate", "--config", _write(tmp_path, "rk45.json", SIM_CONFIG)])
+    assert summary["accepted"] < json.loads(out)["accepted"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -49,8 +49,12 @@ from geodiss.integrators import (
     _DP_DENSE,
     _DP_ERR,
     _RK4_A,
+    _PI_BETA,
     _STEP_FLOOR,
+    _TABLEAUS,
     _Step,
+    _check_t_end,
+    _error_norm,
     _first_step,
     _landing_scope,
     _lockstep,
@@ -320,6 +324,258 @@ def test_fixed_step_scheme_has_fourth_order_convergence(mexhat):
     assert min(orders) >= 3.7, (errs, orders)
 
 
+# dop853's nodes (Solving ODEs I, II.10): stages 1 to 12, then the three
+# extra stages of its continuous extension
+_DOP853_C = [0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+             0.118350341907227396726757197510, 0.281649658092772603273242802490, 1 / 3,
+             0.25, 4 / 13, 127 / 195, 0.6, 6 / 7, 1.0]
+_DOP853_C_EXTRA = [0.1, 0.2, 7 / 9]
+
+
+def test_dop853_tableau_meets_the_order_conditions():
+    tab = _TABLEAUS[Method.DOP853]
+    assert len(tab.a) == 12 and not tab.fsal and tab.b.shape == (12,)
+    assert tab.expo == 1 / 8 - 0.2 * _PI_BETA
+    # each stage's node is its row sum, the extra stages' too, whose rows run
+    # over the 12 stages, the slope at the new state (node 1) and the extra
+    # stages below them
+    c = np.array(_DOP853_C)
+    for row, node in zip(tab.a, c):
+        assert row.shape == (len(row),) and abs(row.sum() - node) <= 1e-15
+    assert [len(row) for row in tab.extra] == [13, 14, 15]
+    for row, node in zip(tab.extra, _DOP853_C_EXTRA):
+        assert abs(row.sum() - node) <= 1e-15
+    # the weights integrate c^(q-1) exactly up to q = 8
+    for q in range(1, 9):
+        assert abs(tab.b @ c ** (q - 1) - 1 / q) <= 1e-14, q
+    # both error rows sum to 0: each is a difference of two weight rows
+    assert len(tab.err) == 2
+    for row in tab.err:
+        assert row.shape == (12,) and abs(row.sum()) <= 1e-14
+    # the dense rows run over the 16 stages
+    assert [row.shape for row in tab.dense] == [(16,)] * 4
+
+
+def test_dop853_error_norm_is_hairers_estimate():
+    # |h| s5 / sqrt(n (s5 + 0.01 s3)), s5 and s3 the sums of squares of the
+    # scaled fifth- and third-order error rows, written out on Python floats;
+    # each row of a stack is its point's norm, bitwise
+    tab = _TABLEAUS[Method.DOP853]
+    rng = np.random.default_rng(3)
+    stages = rng.normal(size=(4, 12, 3))
+    scale = rng.uniform(1e-3, 1e-2, size=(4, 3))
+    h = [0.3, 0.01, 1.7, 0.05]
+    got = _error_norm(tab, np.array(h)[:, None], stages, scale)
+    for i in range(4):
+        s5, s3 = (sum((sum(w * k for w, k in zip(row.tolist(), stages[i, :, c].tolist()))
+                       / scale[i, c]) ** 2 for c in range(3)) for row in tab.err)
+        assert math.isclose(got[i], h[i] * s5 / math.sqrt(3 * (s5 + 0.01 * s3)), rel_tol=1e-12)
+        assert got[i] == _error_norm(tab, h[i], stages[i], scale[i])
+    # both rows vanish: error 0; a non-finite stage: a non-finite norm
+    assert _error_norm(tab, 0.1, np.zeros((12, 3)), scale[0]) == 0.0
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(_error_norm(tab, 0.1, np.full((12, 3), np.inf), scale[0]))
+
+
+def _one_step(system, x0, method, h):
+    """The state after one accepted step of size h (a run of t_end = h)."""
+    cfg = IntegratorConfig(method=method, h0=h, t_end=h, rel_tol=1e-3, abs_tol=1e-3)
+    tr = integrate(system, x0, cfg)
+    assert (tr.n_accepted, tr.n_rejected) == (1, 0)
+    return tr.final_state
+
+
+def test_dop853_has_eighth_order_on_a_linear_closed_form():
+    # pure descent of |x|^2 / 2 is x(t) = exp(-t) x0: one step's error
+    # shrinks as h^9, so halving h divides it by about 2^9
+    system = gradient_only("quadratic").system
+    x0 = np.array([1.0, -0.5])
+    errs = [float(np.max(np.abs(_one_step(system, x0, Method.DOP853, h) - np.exp(-h) * x0)))
+            for h in (0.8, 0.4, 0.2)]
+    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert min(orders) >= 8.5, (errs, orders)
+
+
+def test_dop853_matches_the_logistic_closed_form(mexhat):
+    # the final state and the checkpoints read off the seventh-order
+    # extension, between step ends and at them
+    x0 = np.array([0.4, 0.3, 0.1])
+    cps = np.array([0.013, 0.5, 1.0, 1.7, 1.9999, 2.0])
+    cfg = IntegratorConfig(method=Method.DOP853, rel_tol=1e-10, abs_tol=1e-12, t_end=2.0)
+    tr = integrate(mexhat.system, x0, cfg, checkpoints=cps)
+    assert np.max(np.abs(tr.final_state - closed_form_sombrero(x0, 2.0))) <= 1e-9
+    for t, state in zip(cps, tr.checkpoint_states):
+        assert np.max(np.abs(state - closed_form_sombrero(x0, t))) <= 1e-9, t
+    assert tr.checkpoint_states[-1].tobytes() == tr.final_state.tobytes()
+
+
+def test_dop853_checkpoints_evaluate_extra_stages_only_on_read_steps(mexhat, monkeypatch):
+    # the extension's three extra stages are evaluated once per step that a
+    # checkpoint reads inside, and never otherwise
+    x0 = np.array([0.4, 0.3, 0.1])
+    cfg = IntegratorConfig(method=Method.DOP853, rel_tol=1e-9, abs_tol=1e-11, t_end=3.0)
+    cps = [0.05, 0.0501, 1.2, 2.0, 3.0]
+    calls, _, _ = _counted_frames(monkeypatch)
+    plain = integrate(mexhat.system, x0, cfg)
+    n_plain = len(calls)
+    dense = integrate(mexhat.system, x0, cfg, checkpoints=cps)
+    assert n_plain == 1 + 11 * (plain.n_accepted + plain.n_rejected) + plain.n_accepted
+    inside = {int(np.searchsorted(plain.times, t, side="right")) for t in cps
+              if t not in plain.times}
+    assert len(calls) - n_plain == n_plain + 3 * len(inside)
+    assert plain.csv_text() == dense.csv_text()
+
+
+def test_dop853_conservation_drift_is_at_most_dp5s(rigid):
+    x0 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    for rel in (1e-6, 1e-8, 1e-10):
+        drift = {method: integrate(rigid.system, x0, IntegratorConfig(
+            method=method, rel_tol=rel, abs_tol=rel * 1e-2, t_end=20.0)).conservation_drift()
+            for method in (Method.RK45_ADAPTIVE, Method.DOP853)}
+        assert drift[Method.DOP853] <= drift[Method.RK45_ADAPTIVE], (rel, drift)
+
+
+def test_dop853_dissipation_is_monotone_and_rate_consistent(rigid, mexhat):
+    # the rate audit's band is the one RK45 runs are held to
+    for system, x0 in ((rigid.system, np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)),
+                       (mexhat.system, np.array([2.0, 0.0, 0.0])),
+                       (mexhat.system, np.array([0.4, 0.0, 0.1]))):
+        for rel in (1e-8, 1e-10):
+            cfg = IntegratorConfig(method=Method.DOP853, rel_tol=rel, abs_tol=rel * 1e-2,
+                                   t_end=30.0)
+            tr = integrate(system, x0, cfg)
+            assert tr.monotonicity_violation() <= 0.0
+            assert tr.rate_check_violation() <= 0.0
+            assert tr.rate_measured.size == tr.n_accepted
+
+
+def test_dop853_takes_at_most_half_of_dp5s_evaluations(mexhat, monkeypatch):
+    # a run the size of the benchmark's sombrero cycle: onto the limit cycle
+    # from radius 0.4 up to t = 100 at rel_tol 1e-10
+    x0 = np.array([0.4 * np.cos(1.0), 0.4 * np.sin(1.0), 0.2])
+    counts, finals = {}, {}
+    for method in (Method.RK45_ADAPTIVE, Method.DOP853):
+        calls, _, _ = _counted_frames(monkeypatch)
+        tr = integrate(mexhat.system, x0, IntegratorConfig(
+            method=method, rel_tol=1e-10, abs_tol=1e-12, t_end=100.0))
+        counts[method], finals[method] = len(calls), tr.final_state
+        monkeypatch.undo()
+    assert counts[Method.DOP853] <= 0.5 * counts[Method.RK45_ADAPTIVE], counts
+    exact = closed_form_sombrero(x0, 100.0)
+    assert np.max(np.abs(finals[Method.DOP853] - exact)) <= 1e-7
+
+
+def _assert_rows_are_solo_dop853_runs(system, starts, cfg, bound=None, t_ends=None):
+    """Every ensemble row takes its solo integrate run's steps, bitwise:
+    counters, final state, max of G over the records, or the failure and
+    the last state reached."""
+    run = integrate_ensemble(system, starts, cfg, bound=bound, t_ends=t_ends)
+    for i, x0 in enumerate(starts):
+        row_cfg = cfg if t_ends is None else dataclasses.replace(cfg, t_end=t_ends[i])
+        try:
+            tr = integrate(system, x0, row_cfg, bound=bound)
+        except IntegrationFailure as exc:
+            assert run.failures[i] == type(exc).__name__, i
+            reached = [x0]
+            steps = _lockstep(system, x0, row_cfg, bound=bound)
+            with pytest.raises(type(exc)):
+                next(steps)  # the control field at x0
+                for step in steps:
+                    reached.append(step.x_new)
+            assert run.final[i].tobytes() == reached[-1].tobytes(), i
+            assert run.n_accepted[i] == len(reached) - 1, i
+            continue
+        assert run.failures[i] is None, i
+        assert (run.n_accepted[i], run.n_rejected[i]) == (tr.n_accepted, tr.n_rejected), i
+        assert run.final[i].tobytes() == tr.final_state.tobytes(), i
+        assert run.g_max[i] == np.max(tr.dissipated_values), i
+    return run
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["rigid", "sombrero", "gradient_only", "sphere4d",
+                             "random_poly_k2", "random_poly_k3", "rigid_callable_metric"]),
+       record_every=st.sampled_from([1, 3]),
+       reproject=st.booleans(),
+       n_starts=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 16),
+       bound=st.sampled_from([None, 1.2, 2.0]),
+       max_steps=st.sampled_from([15, 1_000_000]),
+       own_t_end=st.booleans())
+def test_dop853_ensemble_rows_are_their_solo_runs(lockstep_systems, name, record_every,
+                                                  reproject, n_starts, seed, bound,
+                                                  max_steps, own_t_end):
+    system = lockstep_systems[name]
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(-1.4, 1.4, size=(n_starts, system.dim))
+    t_ends = rng.uniform(0.05, 3.0, size=n_starts).tolist() if own_t_end else None
+    cfg = IntegratorConfig(method=Method.DOP853, rel_tol=1e-7, abs_tol=1e-9, t_end=2.0,
+                           record_every=record_every, leaf_reprojection=reproject,
+                           max_steps=max_steps)
+    _assert_rows_are_solo_dop853_runs(system, starts, cfg, bound, t_ends)
+
+
+def test_dop853_ensemble_rows_fail_alone(rigid, antibowl, refused_leaf_projection):
+    # the fates of the RK45 ensemble tests: an equilibrium, a refused
+    # re-projection, a try that overflows until the budget runs out, a start
+    # outside the bound; then a blowup that collapses onto the step floor
+    starts = np.array([[1.0, 0.0, 0.0],
+                       [0.6, 0.48, 0.64],
+                       300.0 * np.array([0.6, 0.48, 0.64]),
+                       [1.6, 0.01, 0.0]])
+    # dop853 lands within the projection's tolerance of the leaf at h = 0.1,
+    # where RK45 does not: a step of 0.5 does not
+    cfg = IntegratorConfig(method=Method.DOP853, rel_tol=1e-3, abs_tol=1e-6, h0=0.5,
+                           t_end=1.0, max_steps=3, leaf_reprojection=True)
+    run = _assert_rows_are_solo_dop853_runs(rigid.system, starts, cfg, bound=1.5)
+    assert run.failures == [None, "LeafProjectionFailure", "MaxStepsExceeded",
+                            "UnboundedTrajectory"]
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        run = _assert_rows_are_solo_dop853_runs(
+            antibowl, np.array([[1.0, 0.0], [0.1, 0.0], [0.0, 0.9], [0.2, 0.2]]),
+            IntegratorConfig(method=Method.DOP853, t_end=1.0))
+    assert run.failures == ["StepUnderflow", None, "StepUnderflow", None]
+
+
+@pytest.mark.parametrize("kwargs, text", [
+    ({"record_every": 0}, "record_every must be an integer of at least 1"),
+    # every fifth step would be recorded
+    ({"record_every": 2.5}, "record_every must be an integer of at least 1"),
+    ({"max_steps": 0}, "max_steps must be an integer of at least 1"),
+    ({"h0": float("nan")}, "h0 must be positive"),
+    ({"h0": 0.0}, "h0 must be positive"),
+    ({"t_end": float("nan")}, "t_end must be positive"),
+    ({"t_end": -1.0}, "t_end must be positive"),
+    ({"rel_tol": -1.0}, "rel_tol must be finite and non-negative"),
+    ({"rel_tol": float("inf")}, "rel_tol must be finite and non-negative"),
+    ({"abs_tol": float("nan")}, "abs_tol must be positive and finite"),
+    ({"rel_tol": 0.0, "abs_tol": 0.0}, "abs_tol must be positive and finite"),
+    # every try of a state with an exactly-zero component would be rejected
+    ({"abs_tol": 0.0}, "abs_tol must be positive and finite"),
+])
+def test_integrator_config_refuses_values_no_run_can_use(kwargs, text):
+    with pytest.raises(ValueError, match=text):
+        IntegratorConfig(**kwargs)
+    with pytest.raises(ValueError, match=text):
+        dataclasses.replace(IntegratorConfig(), **kwargs)
+    # rel_tol 0 is a pure absolute tolerance; numpy integers are integers
+    IntegratorConfig(rel_tol=0.0, record_every=np.int64(3), max_steps=np.int32(50))
+
+
+def test_end_time_and_first_step_checks_refuse_nan():
+    cfg = IntegratorConfig()
+    for t_end in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            _check_t_end(cfg, t_end)
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        integrate_ensemble(gradient_only().system, [[1.0, 0.0]], cfg, t_ends=[float("nan")])
+    for method in (Method.RK45_ADAPTIVE, Method.DOP853):
+        with pytest.raises(InitialStepBelowFloor):
+            _first_step(dataclasses.replace(cfg, method=method), float("nan"))
+    assert _first_step(dataclasses.replace(cfg, method=Method.RK4_FIXED), 1.0) == 0.01
+
+
 def test_conserved_quantity_drift_shrinks_with_tolerance(rigid):
     x0 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
     drifts = []
@@ -387,6 +643,8 @@ def test_rk4_checkpoints_match_the_closed_form(mexhat):
     (Method.RK4_FIXED, False),
     (Method.RK45_ADAPTIVE, True),
     (Method.RK4_FIXED, True),
+    (Method.DOP853, False),
+    (Method.DOP853, True),
 ])
 def test_records_do_not_depend_on_checkpoints(rigid, method, reproject):
     # checkpoints are read off the continuous extension, never landed on,
@@ -644,6 +902,8 @@ def _counted_frames(monkeypatch):
     (Method.RK45_ADAPTIVE, True, Flow.PERTURBED),
     (Method.RK4_FIXED, False, Flow.PERTURBED),
     (Method.RK45_ADAPTIVE, False, Flow.UNPERTURBED),
+    (Method.DOP853, False, Flow.PERTURBED),
+    (Method.DOP853, True, Flow.PERTURBED),
 ])
 @pytest.mark.parametrize("record_every", [1, 3])
 def test_frame_count_and_recorded_diagnostics(rigid, monkeypatch, method,
@@ -663,6 +923,8 @@ def test_frame_count_and_recorded_diagnostics(rigid, monkeypatch, method,
         expected = 0
     elif method is Method.RK4_FIXED:
         expected = 1 + 3 * acc + acc   # stages 2-4 and the next seed
+    elif method is Method.DOP853:
+        expected = 1 + 11 * (acc + rej) + acc  # stages 2-12 and the next seed
     elif reproject:
         expected = 1 + 6 * (acc + rej) + acc  # ... and the seed after projection
     else:
