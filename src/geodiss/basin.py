@@ -62,7 +62,6 @@ from .gram import system_frames
 from .integrators import (
     EnsembleRun,
     IntegratorConfig,
-    Method,
     _check_t_end,
     _lockstep,
     integrate_ensemble,
@@ -635,14 +634,13 @@ def _ensemble_setup(target, anchor: np.ndarray, opts) -> tuple[IntegratorConfig,
     replaces) and the state-norm bound of a target's ensembles: the same at
     every level, so every level's draw runs under them.
 
-    Without an ``integrator`` option the ensembles run dop853 at rel_tol
-    1e-8, abs_tol 1e-10: they read only each row's max of G and its final
-    state, never a state inside a step, and the eighth-order pair takes
-    about a quarter of Dormand-Prince 5(4)'s tries there. A given config
-    is used as it is, so one without a method runs RK45.
+    Without an ``integrator`` option the ensembles run the default method,
+    dop853, at rel_tol 1e-8, abs_tol 1e-10: they read only each row's max of
+    G and its final state, never a state inside a step, and the eighth-order
+    pair takes about a quarter of Dormand-Prince 5(4)'s tries there. A given
+    config is used as it is.
     """
-    config = opts["integrator"] or IntegratorConfig(method=Method.DOP853, rel_tol=1e-8,
-                                                    abs_tol=1e-10)
+    config = opts["integrator"] or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     return config, target.reach + 10.0 * _halfwidth(anchor, opts["sampler"])
 
 
@@ -1082,6 +1080,12 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
     orbit itself is re-classified at ``n_phases`` phases, and the level is
     then judged exactly as for an equilibrium, with distances measured to the
     densely sampled orbit; the witnesses near the orbit must also cover it.
+
+    Without an ``integrator``, period detection runs the default method,
+    dop853, at rel_tol 1e-10, abs_tol 1e-12, and reads the orbit samples
+    and the return-time Newton off its seventh-order extension; the
+    ensembles then run at their own default tolerances. A given config is
+    used for both.
     """
     seed0 = as_point(seed_point, system.dim)
     cfg = integrator or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)

@@ -268,9 +268,13 @@ class IntegratorConfig:
     """How a run steps: the method, its first step ``h0``, the tolerances
     of an adaptive method, the end time, the step budget, the thinning of
     the records and the optional leaf re-projection. A value no run can use
-    is refused here with ValueError."""
+    is refused here with ValueError.
 
-    method: Method = Method.RK45_ADAPTIVE
+    The default method is dop853: at the tolerances the package runs, its
+    eighth-order steps take a fifth to a quarter of Dormand-Prince 5(4)'s,
+    and its continuous extension is of seventh order."""
+
+    method: Method = Method.DOP853
     h0: float = 0.01
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8

@@ -28,6 +28,7 @@ from geodiss.gram import system_frame
 from geodiss.integrators import (
     Flow,
     IntegratorConfig,
+    Method,
     flow_agreement_band,
     integrate,
 )
@@ -143,9 +144,13 @@ def test_criterion_03_dissipation_rate_matches(rigid, mexhat, capfd):
     """Along corrected-flow trajectories the finite-difference rate of the
     dissipated value matches minus the full Gram determinant at every step
     midpoint within the step-consistent band, and the recorded values are
-    monotone within ten times the integrator tolerance."""
+    monotone within ten times the integrator tolerance, in RK45's steps and
+    in those of the default method, dop853, whose conservation drift is at
+    most RK45's at the same tolerances."""
     with criterion(3, "per-step dissipation-rate consistency", capfd) as t0:
-        cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=30.0)
+        cfg = IntegratorConfig(method=Method.RK45_ADAPTIVE, rel_tol=1e-8, abs_tol=1e-10,
+                               t_end=30.0)
+        default = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=30.0)
         runs = [(rigid.system, UNIT_3),
                 (mexhat.system, np.array([2.0, 0.0, 0.0])),
                 (mexhat.system, np.array([0.4, -0.2, 0.3]))]
@@ -154,6 +159,11 @@ def test_criterion_03_dissipation_rate_matches(rigid, mexhat, capfd):
             assert tr.rate_measured.size > 100
             assert tr.rate_check_violation() <= 0.0
             assert tr.monotonicity_violation() <= 0.0
+            tr853 = integrate(system, x0, default, flow=Flow.PERTURBED)
+            assert tr853.config.method is Method.DOP853
+            assert tr853.rate_check_violation() <= 0.0
+            assert tr853.monotonicity_violation() <= 0.0
+            assert tr853.conservation_drift() <= tr.conservation_drift()
         assert time.perf_counter() - t0 < 30.0
 
 
@@ -165,7 +175,7 @@ def test_criterion_04_conservation_drift_scales(rigid, capfd):
         drifts = []
         for rel in (1e-6, 1e-8, 1e-10):
             cfg = IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2,
-                                   t_end=200.0, record_every=20)
+                                   t_end=200.0, record_every=4)
             tr = integrate(rigid.system, UNIT_3, cfg, flow=Flow.PERTURBED)
             drifts.append(tr.conservation_drift())
         assert drifts[2] <= 1e-7
@@ -225,7 +235,7 @@ def test_criterion_06_invariant_set_is_flow_invariant(rigid, mexhat, capfd):
         assert len(systems) == 100
 
         cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=10.0,
-                               record_every=10)
+                               record_every=2)
         for system, x0 in systems:
             tr = integrate(system, x0, cfg, flow=Flow.PERTURBED)
             for state in tr.states:

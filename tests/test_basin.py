@@ -863,7 +863,8 @@ def test_failed_reprojection_is_a_failed_start(rigid, refused_leaf_projection):
     cert = basin_certify(rigid.system, MAJOR, 0.2,
                          SamplerConfig(cells_per_axis=16), stability=AS,
                          n_trajectories=2, traj_seed=3,
-                         integrator=IntegratorConfig(leaf_reprojection=True))
+                         integrator=IntegratorConfig(method=Method.RK45_ADAPTIVE,
+                                                     leaf_reprojection=True))
     assert not cert.passed
     assert cert.trajectories_converged == 0
     assert [f["error"] for f in cert.failed_starts] == ["LeafProjectionFailure"] * 2
@@ -1005,7 +1006,8 @@ def test_orbit_certificate_reasons_come_in_a_fixed_order(mexhat):
     cert = periodic_orbit_certify(
         mexhat.system, np.array([1.05, 0.0, 0.02]), 0.2,
         sampler=SamplerConfig(cells_per_axis=24, halfwidth=2.0),
-        integrator=IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8), recur_tol=1e-4,
+        integrator=IntegratorConfig(method=Method.RK45_ADAPTIVE, rel_tol=1e-6, abs_tol=1e-8),
+        recur_tol=1e-4,
         max_refine=2, n_phases=40, n_trajectories=2, traj_seed=2, horizon=8.0)
     assert not cert.orbit_in_invariant_set
     assert not cert.covered
@@ -1419,7 +1421,8 @@ _ACCEPTANCE_08 = (0.24960937499999997, [
     (0.2505208333333333, False), (0.24869791666666663, True), (0.24960937499999997, True)])
 
 
-@pytest.mark.parametrize("integrator", [None, IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)])
+@pytest.mark.parametrize("integrator", [
+    None, IntegratorConfig(method=Method.RK45_ADAPTIVE, rel_tol=1e-8, abs_tol=1e-10)])
 def test_acceptance_08_search_is_the_rk45_one(rigid, integrator):
     # the default dop853 ensembles, and an explicit RK45 config, decide
     # every level as the RK45 ensembles did
@@ -1430,9 +1433,9 @@ def test_acceptance_08_search_is_the_rk45_one(rigid, integrator):
 
 
 def test_explicit_integrator_config_runs_as_given(rigid):
-    # an integrator config without a method is RK45, as IntegratorConfig's
-    # own default: every trajectory of the certificate is its solo RK45 run
-    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    # an explicit RK45 integrator config runs as it is given: every
+    # trajectory of the certificate is its solo RK45 run
+    cfg = IntegratorConfig(method=Method.RK45_ADAPTIVE, rel_tol=1e-8, abs_tol=1e-10)
     cert = basin_certify(rigid.system, MAJOR, 0.3, n_trajectories=50, stability=AS,
                          integrator=cfg)
     report = cert.as_report()
@@ -1453,12 +1456,23 @@ def test_explicit_integrator_config_runs_as_given(rigid):
 
 
 def test_orbit_certificate_with_dop853_period_detection(mexhat):
-    # period detection reads dop853's seventh-order extension of the run's
-    # steps: the return-time Newton and the orbit samples
+    # without an integrator, period detection runs the default method,
+    # dop853, and reads its seventh-order extension of the run's steps: the
+    # return-time Newton and the orbit samples
     cert = periodic_orbit_certify(
         mexhat.system, [1.05, 0.0, 0.02], 0.2, SamplerConfig(cells_per_axis=12, halfwidth=2.8),
-        n_trajectories=4, integrator=IntegratorConfig(method=Method.DOP853, rel_tol=1e-10,
-                                                      abs_tol=1e-12))
+        n_trajectories=4)
+    assert cert.passed and cert.orbit_in_invariant_set and cert.covered
+    assert abs(cert.period - 2.0 * np.pi) <= 1e-9
+
+
+def test_orbit_certificate_with_rk45_period_detection(mexhat):
+    # period detection on Dormand-Prince 5(4)'s steps and its free
+    # fourth-order extension, the method a config that names rk45 keeps
+    cert = periodic_orbit_certify(
+        mexhat.system, [1.05, 0.0, 0.02], 0.2, SamplerConfig(cells_per_axis=12, halfwidth=2.8),
+        n_trajectories=4, integrator=IntegratorConfig(method=Method.RK45_ADAPTIVE,
+                                                      rel_tol=1e-10, abs_tol=1e-12))
     assert cert.passed and cert.orbit_in_invariant_set and cert.covered
     assert abs(cert.period - 2.0 * np.pi) <= 1e-9
 

@@ -197,6 +197,22 @@ def test_simulate_runs_dop853(tmp_path, capsys):
     assert summary["accepted"] < json.loads(out)["accepted"]
 
 
+def test_simulate_without_method_runs_dop853(tmp_path, capsys):
+    # an integrator section that names no method steps in dop853, the
+    # default: its stdout and --out files are the bytes of the same section
+    # naming "dop853"
+    plain = {k: v for k, v in SIM_CONFIG["integrator"].items() if k != "method"}
+    runs = []
+    for name, section in (("default", plain), ("dop853", {**plain, "method": "dop853"})):
+        cfg = _write(tmp_path, f"{name}.json", {**SIM_CONFIG, "integrator": section})
+        out_dir = tmp_path / name
+        rc, out, _ = _run(capsys, ["simulate", "--config", cfg, "--out", str(out_dir)])
+        assert rc == EXIT_OK
+        runs.append((out, (out_dir / "trajectory.csv").read_bytes(),
+                     (out_dir / "summary.json").read_bytes()))
+    assert runs[0] == runs[1]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

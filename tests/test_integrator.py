@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodiss.catalog import gradient_only, random_poly
-from geodiss.cli import _build_system
+from geodiss.cli import _build_system, _integrator_config
 from geodiss.errors import (
     InitialStepBelowFloor,
     IntegrationFailure,
@@ -169,6 +169,7 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     the step floor and the step budget still bound the run. A fixed step
     that leaves the finite range raises :class:`NonFiniteState`.
     """
+    assert config.method in (Method.RK45_ADAPTIVE, Method.RK4_FIXED), config.method
     evaluate = _evaluator(system, flow)
 
     def rhs(p):
@@ -824,12 +825,12 @@ def test_leaf_reprojection_at_large_momentum(rigid):
 
 
 def test_failed_reprojection_raises(rigid, refused_leaf_projection):
-    cfg = IntegratorConfig(leaf_reprojection=True, t_end=1.0)
+    cfg = IntegratorConfig(method=Method.RK45_ADAPTIVE, leaf_reprojection=True, t_end=1.0)
     with pytest.raises(LeafProjectionFailure):
         integrate(rigid.system, np.array([0.6, 0.48, 0.64]), cfg)
     # without re-projection the projection is never asked for
     integrate(rigid.system, np.array([0.6, 0.48, 0.64]),
-              IntegratorConfig(t_end=1.0))
+              IntegratorConfig(method=Method.RK45_ADAPTIVE, t_end=1.0))
 
 
 def test_flows_coincide_on_the_degeneracy_set(mexhat):
@@ -961,7 +962,8 @@ def _assert_same_steps(got, ref):
 def test_step_generator_decides_records_and_counters(rigid, record_every):
     # integrate records exactly the steps the one-row loop flags, and its
     # counters are those of the last step; the steps are the reference's
-    cfg = IntegratorConfig(h0=0.5, t_end=3.0, record_every=record_every)
+    cfg = IntegratorConfig(method=Method.RK45_ADAPTIVE, h0=0.5, t_end=3.0,
+                           record_every=record_every)
     x0 = np.array([0.6, 0.48, 0.64])
     run = _lockstep(rigid.system, x0, cfg)
     v0 = next(run)
@@ -1136,7 +1138,8 @@ def test_ensemble_rows_end_at_their_own_t_end(rigid):
                        [1.6, 0.01, 0.0],
                        [0.64, 0.6, 0.48]])
     t_ends = [0.3, 2.0, 0.05, 1.0, 40.0]
-    cfg = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-9, max_steps=60)
+    cfg = IntegratorConfig(method=Method.RK45_ADAPTIVE, rel_tol=1e-7, abs_tol=1e-9,
+                           max_steps=60)
     run = _assert_rows_match_solo_runs(rigid.system, starts, cfg, bound=1.5, t_ends=t_ends)
     assert run.failures == [None, None, None, "UnboundedTrajectory", "MaxStepsExceeded"]
     tries = (run.n_accepted + run.n_rejected)[:3].tolist()
@@ -1199,8 +1202,8 @@ def test_lockstep_rows_fail_alone(rigid, refused_leaf_projection):
                        [0.6, 0.48, 0.64],
                        300.0 * np.array([0.6, 0.48, 0.64]),
                        [1.6, 0.01, 0.0]])
-    cfg = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6, h0=0.1, t_end=0.2, max_steps=3,
-                           leaf_reprojection=True)
+    cfg = IntegratorConfig(method=Method.RK45_ADAPTIVE, rel_tol=1e-3, abs_tol=1e-6, h0=0.1,
+                           t_end=0.2, max_steps=3, leaf_reprojection=True)
     run = _assert_rows_match_solo_runs(rigid.system, starts, cfg, bound=1.5)
     assert run.failures == [None, "LeafProjectionFailure", "MaxStepsExceeded",
                             "UnboundedTrajectory"]
@@ -1217,7 +1220,8 @@ def test_lockstep_rows_fail_alone_on_non_finite_states(antibowl):
     starts = np.array([[1.0, 0.0], [0.1, 0.0], [0.0, 0.9], [0.2, 0.2]])
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        adaptive = _assert_rows_match_solo_runs(antibowl, starts, IntegratorConfig(t_end=1.0))
+        adaptive = _assert_rows_match_solo_runs(
+            antibowl, starts, IntegratorConfig(method=Method.RK45_ADAPTIVE, t_end=1.0))
         fixed = _assert_rows_match_solo_runs(
             antibowl, starts, IntegratorConfig(method=Method.RK4_FIXED, h0=0.05, t_end=1.0))
     assert adaptive.failures == ["StepUnderflow", None, "StepUnderflow", None]
@@ -1426,8 +1430,8 @@ def test_block_diagnostics_are_bitwise_the_per_step_ones(
 def test_block_diagnostics_of_a_run_of_several_blocks(mexhat, flow, record_every):
     # the CI config: about 700 steps, so the records and midpoints of two
     # blocks and a partial one
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=20.0,
-                           record_every=record_every)
+    cfg = IntegratorConfig(method=Method.RK45_ADAPTIVE, rel_tol=1e-10, abs_tol=1e-12,
+                           t_end=20.0, record_every=record_every)
     tr = _assert_bitwise_reference(mexhat.system, [0.4, 0.0, 0.1], cfg, flow,
                                    np.linspace(0.0, 20.0, 301))
     assert tr.n_accepted > geodiss.integrators._DIAG_BLOCK
@@ -1446,8 +1450,8 @@ def test_block_diagnostics_warn_as_the_per_step_ones(monkeypatch):
     x0 = np.array([0.2, -0.1, 0.3, 0.1])
 
     def config(max_steps=1000):
-        return IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, t_end=0.6, record_every=3,
-                                max_steps=max_steps)
+        return IntegratorConfig(method=Method.RK45_ADAPTIVE, rel_tol=1e-8, abs_tol=1e-10,
+                                t_end=0.6, record_every=3, max_steps=max_steps)
 
     steps = list(_dp_steps(clean, x0, config(), Flow.UNPERTURBED))
     ninth, last = steps[8], steps[-1]  # in a full block and in the last one
@@ -1510,6 +1514,12 @@ def test_non_finite_diagnostic_frame_raises_first(rigid, flow, method, j, budget
     assert str(got.value) == message
 
 
+def test_default_method_is_dop853():
+    assert IntegratorConfig().method is Method.DOP853
+    assert _integrator_config({"t_end": 2.0}).method is Method.DOP853
+    assert _integrator_config({"method": "rk45"}).method is Method.RK45_ADAPTIVE
+
+
 def test_non_finite_start_record_of_the_unperturbed_flow(rigid):
     x0 = np.array([0.6, 0.48, 0.64])
     with pytest.raises(NonFiniteState, match=r"fields at \[0.6, 0.48, 0.64\]"):
@@ -1537,11 +1547,13 @@ def test_loop_failures_match_the_per_step_order(rigid, mexhat, antibowl, monkeyp
         monkeypatch.setattr(geodiss.fields, "_project_rows", refuse)
     system, x0, cfg, bound = {
         "bound": (mexhat.system, [0.4, 0.0, 0.1],
-                  IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=20.0), 0.99),
+                  IntegratorConfig(method=Method.RK45_ADAPTIVE, rel_tol=1e-10, abs_tol=1e-12,
+                                   t_end=20.0), 0.99),
         "budget": (mexhat.system, [0.4, 0.0, 0.1],
-                   IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=20.0,
-                                    max_steps=600), None),
-        "floor": (antibowl, [1.0, 0.5], IntegratorConfig(t_end=5.0), None),
+                   IntegratorConfig(method=Method.RK45_ADAPTIVE, rel_tol=1e-10, abs_tol=1e-12,
+                                    t_end=20.0, max_steps=600), None),
+        "floor": (antibowl, [1.0, 0.5],
+                  IntegratorConfig(method=Method.RK45_ADAPTIVE, t_end=5.0), None),
         "refused": (rigid.system, [0.6, 0.48, 0.64],
                     IntegratorConfig(method=Method.RK4_FIXED, h0=0.01, t_end=20.0,
                                      leaf_reprojection=True), None),
