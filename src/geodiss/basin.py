@@ -36,8 +36,10 @@ The witness scores of all members and the control-field rates of all
 starts each come from one stacked frame, and a certificate's trajectory
 ensemble is one lockstep call (``integrators.integrate_ensemble``) over all
 its starts, whose rows take the steps of their solo runs; the threshold
-search runs the ensembles of all the levels it plans in one such call. Only
-the orbit's period detection consumes the solo step generator.
+search runs the ensembles of all the levels it plans in one such call. An
+equilibrium's rows end in its trap (``_trap``), a neighbourhood that G's
+descent never leaves, once within ``converge_tol`` for good. Only the
+orbit's period detection consumes the solo step generator.
 """
 from __future__ import annotations
 
@@ -62,6 +64,7 @@ from .gram import system_frames
 from .integrators import (
     EnsembleRun,
     IntegratorConfig,
+    Method,
     _check_t_end,
     _lockstep,
     integrate_ensemble,
@@ -70,6 +73,7 @@ from .structure import (
     Stability,
     _classify_rows,
     _refine_rows,
+    leaf_tangent_basis,
     refine_to_invariant_set,
     stability_classify,
 )
@@ -96,6 +100,13 @@ _CELL_BUDGET = _MAX_CELLS_PER_AXIS ** GRID_DIM_LIMIT
 # the rows the leaf table projects, or evaluates G at, in one call, which
 # bounds the memory of its build
 _TABLE_BLOCK = 2 ** 14
+# an equilibrium's trap (_trap): the Hessian's difference step relative to
+# max(1, |x_e|), the seeded leaf directions sampled at its radius besides
+# the chart axes, and the margin of delta over one step's change of L
+_TRAP_STEP = float(np.finfo(float).eps) ** 0.25
+_TRAP_SAMPLES = 32
+_TRAP_SEED = 0
+_TRAP_FLOOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -621,27 +632,128 @@ class _Target:
     # an equilibrium fails a scan without any witness; an orbit's own
     # coverage test asks for more
     needs_witness: bool = True
+    point: np.ndarray | None = None         # an equilibrium target's point
 
 
 def _equilibrium(x_e: np.ndarray, target_radius: float) -> _Target:
     def dist(p):
         return float(np.linalg.norm(p - x_e))
-    return _Target("target", dist, target_radius, float(np.linalg.norm(x_e)))
+    return _Target("target", dist, target_radius, float(np.linalg.norm(x_e)), point=x_e)
 
 
-def _ensemble_setup(target, anchor: np.ndarray, opts) -> tuple[IntegratorConfig, float]:
+@dataclass(frozen=True)
+class _Trap:
+    """A forward-invariant neighbourhood of an equilibrium x_e, built by
+    :func:`_trap`: the states within ``radius`` of x_e where L = G - mu .
+    (F - F(x_e)) lies below L(x_e) + ``delta``. Called on an (m, n) stack,
+    it returns the rows inside it, an ensemble's stop test. ``lam`` and
+    ``lam_max`` are the extreme eigenvalues of L's Hessian on the leaf
+    tangent at x_e."""
+
+    center: np.ndarray
+    radius: float
+    delta: float
+    lam: float
+    lam_max: float
+    rise: Callable[[np.ndarray], np.ndarray] = field(repr=False)  # L - L(x_e) on a stack
+
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        inside = _row_norms(states - self.center) < self.radius
+        if inside.any():
+            inside[inside] = self.rise(states[inside]) < self.delta
+        return inside
+
+
+def _trap(system: DissipativeSystem, x_e: np.ndarray, radius: float,
+          config: IntegratorConfig) -> _Trap | None:
+    """The trap about an equilibrium at ``radius`` (the ensembles'
+    ``converge_tol``), or None where none is resolved.
+
+    G never rises along the corrected flow and F stays put, so a set T =
+    {|x - x_e| < r, L(x) < L(x_e) + delta} on the leaf, with L >= L(x_e) +
+    2 delta on the leaf's sphere of radius r, is never left: a row inside T
+    stays within r of x_e to its horizon (the sublevel-set estimate of a
+    region of attraction; Khalil, Nonlinear Systems, 3rd ed., 4.2 and 8.2).
+    mu solves dF^T mu = dG at x_e in least squares, so dL(x_e) = 0 and one
+    step's error off the leaf moves L only to second order, where it moves
+    G by mu . dF. delta is half the smaller of lam r^2 / 2, lam the smallest
+    eigenvalue of a central-difference Hessian of L in the leaf's tangent
+    chart, and the least G - G(x_e) over leaf points projected from radius
+    r. There is no trap for a fixed step, whose error no tolerance bounds,
+    where lam does not exceed the change of the Hessian from step h to 2h
+    (as at a quartic bowl), or where delta does not clear 100 r lam_max
+    ``local_tol(|x_e|)``, a bound on one step's tangential change of L.
+    """
+    if config.method is Method.RK4_FIXED:
+        return None
+    basis = leaf_tangent_basis(system, x_e)
+    d, n = basis.shape
+    g_e = system.dissipated(x_e)
+    f_e = system.leaf_value(x_e)
+    mu = []
+    if system.k:
+        jac = np.vstack([f.d(x_e) for f in system.conserved])
+        mu = np.linalg.lstsq(jac.T, system.dissipated.d(x_e), rcond=None)[0].tolist()
+
+    def rise(pts):
+        """L - L(x_e) on a stack."""
+        out = system.dissipated.values(pts) - g_e
+        for f, m, v in zip(system.conserved, mu, f_e.tolist()):
+            out -= m * (f.values(pts) - v)
+        return out
+
+    # the Hessian's entries (i, j), i <= j, at steps h and 2h, from the
+    # corners x_e + step (+-b_i +- b_j), in one stacked evaluation
+    h = _TRAP_STEP * max(1.0, float(np.linalg.norm(x_e)))
+    upper = np.triu_indices(d)
+    signs_i, signs_j = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
+    pairs = signs_i * basis[upper[0], None] + signs_j * basis[upper[1], None]
+    steps = np.array([h, 2.0 * h])
+    corners = x_e + (steps[:, None, None, None] * pairs).reshape(-1, n)
+    vals = rise(corners).reshape(2, -1, 4) @ np.array([1.0, -1.0, -1.0, 1.0])
+    hess = np.zeros((2, d, d))
+    hess[:, upper[0], upper[1]] = vals / (4.0 * steps[:, None] ** 2)
+    hess[:, upper[1], upper[0]] = hess[:, upper[0], upper[1]]
+    eig = np.linalg.eigvalsh(hess[0])
+    lam, lam_max = float(eig[0]), float(eig[-1])
+    if not lam > float(np.max(np.abs(np.linalg.eigvalsh(hess[1] - hess[0])))):
+        return None
+
+    # G - G(x_e) at leaf points projected from radius r along the chart
+    # axes and seeded directions, in one stacked projection
+    dirs = np.concatenate((basis, -basis, np.random.default_rng(_TRAP_SEED).normal(
+        size=(_TRAP_SAMPLES, d)) @ basis))
+    ys, converged, _ = _project_rows(system, x_e + radius * dirs / _row_norms(dirs)[:, None],
+                                     f_e)
+    if not converged.all():
+        return None
+    sampled = float(np.min(system.dissipated.values(ys) - g_e))
+    delta = 0.5 * float(np.minimum(0.5 * lam * radius ** 2, sampled))  # NaN stays NaN
+    floor = _TRAP_FLOOR * radius * lam_max * config.local_tol(float(np.linalg.norm(x_e)))
+    if not delta > floor:
+        return None
+    return _Trap(center=x_e, radius=radius, delta=delta, lam=lam, lam_max=lam_max, rise=rise)
+
+
+def _ensemble_setup(system, target, anchor: np.ndarray,
+                    opts) -> tuple[IntegratorConfig, float, _Trap | None]:
     """The integrator config (whose own ``t_end`` each level's horizon
-    replaces) and the state-norm bound of a target's ensembles: the same at
-    every level, so every level's draw runs under them.
+    replaces), the state-norm bound and the stop test of a target's
+    ensembles: the same at every level, so every level's draw runs under
+    them.
 
     Without an ``integrator`` option the ensembles run the default method,
     dop853, at rel_tol 1e-8, abs_tol 1e-10: they read only each row's max of
     G and its final state, never a state inside a step, and the eighth-order
     pair takes about a quarter of Dormand-Prince 5(4)'s tries there. A given
-    config is used as it is.
+    config is used as it is. An equilibrium's rows stop in its trap
+    (:func:`_trap`, at radius ``converge_tol``) where it has one, within
+    ``converge_tol`` of it for good; an orbit's run to their horizons.
     """
     config = opts["integrator"] or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    return config, target.reach + 10.0 * _halfwidth(anchor, opts["sampler"])
+    trap = (None if target.point is None
+            else _trap(system, target.point, opts["converge_tol"], config))
+    return config, target.reach + 10.0 * _halfwidth(anchor, opts["sampler"]), trap
 
 
 @dataclass(frozen=True)
@@ -674,12 +786,12 @@ def _draw_ensemble(system, component, target, opts, config: IntegratorConfig) ->
 
 
 def _run_draws(system, draws: list[_Draw], config: IntegratorConfig,
-               bound: float) -> EnsembleRun:
+               bound: float, stop: _Trap | None = None) -> EnsembleRun:
     """One lockstep ensemble over the starts of every draw, in draw order,
-    each row ending at its own draw's horizon."""
+    each row ending at its own draw's horizon, or in the trap ``stop``."""
     return integrate_ensemble(
         system, np.concatenate([d.starts for d in draws]), config,
-        bound=bound, t_ends=[d.horizon for d in draws for _ in d.starts])
+        bound=bound, t_ends=[d.horizon for d in draws for _ in d.starts], stop=stop)
 
 
 @dataclass(frozen=True)
@@ -780,10 +892,10 @@ def _certify_level(system, anchor, level, target, opts) -> _Judgement:
                                          susp_ratio=opts["susp_ratio"],
                                          susp_g=opts["susp_g"])
     judged = _judge_geometry(system, component, witnesses, target)
-    config, bound = _ensemble_setup(target, component.anchor, opts)
+    config, bound, trap = _ensemble_setup(system, target, component.anchor, opts)
     draw = _draw_ensemble(system, component, target, opts, config)
     return replace(judged, ensemble=_ensemble_evidence(
-        draw, _run_draws(system, [draw], config, bound), slice(None), target, opts,
+        draw, _run_draws(system, [draw], config, bound, trap), slice(None), target, opts,
         config))
 
 
@@ -1199,7 +1311,7 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
 
     table = _LeafTable(system, x_e, system.leaf_value(x_e), sampler or SamplerConfig())
     target = _equilibrium(x_e, opts["target_radius"])
-    config, bound = _ensemble_setup(target, x_e, opts)
+    config, bound, trap = _ensemble_setup(system, target, x_e, opts)
     last = max(steps, 0)  # level_max is probed first, then up to ``steps`` midpoints
 
     def advance(state, level, ok):
@@ -1240,7 +1352,7 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
         planned = plan(state, speculate)
         draws = [draw for _, draw, _ in planned if draw is not None]
         try:
-            run = _run_draws(system, draws, config, bound) if draws else None
+            run = _run_draws(system, draws, config, bound, trap) if draws else None
         except Exception:
             if not speculate:
                 raise

@@ -20,7 +20,8 @@ stage of one start is one call of the kernel that
 :func:`geodiss.control._corrected_rhs` binds to the system once per run: a
 run builds no :class:`~geodiss.gram.SystemFrame`.
 :func:`integrate_ensemble` runs the loop on a stack of corrected-flow
-starts, each to its own end time if given one, and keeps only what a basin
+starts, each to its own end time if given one or to the first state an
+optional stop test holds at, and keeps only what a basin
 ensemble reads: each row's max of the dissipated value over the states a
 solo run records, its final state, its step counts and its failure.
 
@@ -587,7 +588,8 @@ def _error_norm(tab: _Tableau, h_col, stages: np.ndarray, scale: np.ndarray):
 
 def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig,
               flow: Flow = Flow.PERTURBED, bound: float | None = None,
-              out: EnsembleRun | None = None, t_ends: list | None = None):
+              out: EnsembleRun | None = None, t_ends: list | None = None,
+              stop=None):
     """Run either flow from a start x of shape (n,), or from each row of an (m, n) stack x.
 
     The package's one step loop. Each row has its own time, step size,
@@ -615,7 +617,10 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     As a row ends, its last state, counters and failure (None when it
     finished), with the message its own run raises, go into row i of
     ``out``. A consumer that stops early has seen exactly the steps of the
-    full run up to there.
+    full run up to there. ``stop``, given only with a stack, is a test
+    ``stop(states) -> (rows,) bool`` on the new states of the rows that
+    stepped in a try: a row it holds ends there as finished, as at its end
+    time, with that state recorded as its last.
 
     The running rows are a compact working set, in start order: states and
     slopes as arrays, times, end times, controller scalars and counters as
@@ -829,11 +834,15 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
                 continue
             xa = np.where(take[:, None], x_new, xa)
             ka = np.where(take[:, None], k_new, ka)
+        held = ()
+        if stop is not None:
+            hit = np.flatnonzero(stop(xa if take is None else xa[stepped])).tolist()
+            held = set(hit if take is None else [stepped[i] for i in hit])
         recorded = []
         for j in stepped:
             n_acc[j] += 1
             ta[j] += h[j]
-            if ta[j] >= t_stop[j]:
+            if ta[j] >= t_stop[j] or j in held:
                 ended[j] = None
                 recorded.append(j)
             elif n_acc[j] % every == 0:
@@ -1043,10 +1052,12 @@ class EnsembleRun:
     that ended start i, else None. For a start that finished, ``g_max`` is
     the max of the dissipated value over the states its solo
     :func:`integrate` records (the start, every ``record_every``-th accepted
-    step and the last one), and ``final`` is its last state. A failed
+    step and the last one), and ``final`` is its last state. A start that
+    the stop test ended finished at the first accepted state the test held
+    at: that state is its last, as if its run ended there. A failed
     start's ``final`` is its last accepted state. ``n_accepted`` and
     ``n_rejected`` count the steps taken and the tries rejected, up to the
-    failure for a failed start.
+    failure or the stop.
     """
 
     g_max: np.ndarray       # (m,)
@@ -1057,7 +1068,7 @@ class EnsembleRun:
 
 
 def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConfig,
-                       bound: float | None = None, t_ends=None) -> EnsembleRun:
+                       bound: float | None = None, t_ends=None, stop=None) -> EnsembleRun:
     """Integrate the corrected flow from every row of an (m, dim) stack, in lockstep.
 
     This drains the one step loop, ``_lockstep``, over all rows at once, in
@@ -1077,6 +1088,13 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
     failure flush (``_landing_scope``), the others outside it, as a solo
     run's regular flushes are. Nothing else is recorded; see
     :class:`EnsembleRun`.
+
+    ``stop``, when given, is a test ``stop(states) -> (rows,) bool`` on the
+    new states of the rows that stepped in a try (never a start or a
+    rejected try). A row it holds at ends there as finished: that state is
+    its ``final`` and its last record, and its counters stop there, as
+    those of its solo run up to that step. With ``stop=None`` every row
+    runs to its end time.
     """
     x = as_stack(starts, system.dim)
     m = len(x)
@@ -1116,7 +1134,7 @@ def integrate_ensemble(system: DissipativeSystem, starts, config: IntegratorConf
         ends.clear()
 
     for rows, recorded, states in _lockstep(system, x, config, Flow.PERTURBED, bound, run,
-                                            t_ends):
+                                            t_ends, stop):
         if len(recorded) == len(rows):
             owners.append(rows)
             ends.append(states)

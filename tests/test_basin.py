@@ -13,6 +13,7 @@ Ground truth used throughout:
 
 import dataclasses
 import inspect
+import itertools
 import json
 import subprocess
 import sys
@@ -50,9 +51,11 @@ from geodiss import (
     sublevel_component,
     threshold_search,
 )
+from geodiss.catalog import random_poly
 from geodiss.cli import _build_system
 from geodiss.errors import LeafProjectionFailure
 from geodiss.fields import project_to_leaf
+from geodiss.structure import find_equilibria, leaf_tangent_basis, stability_classify
 
 AS = Stability.ASYMPTOTICALLY_STABLE
 MAJOR = np.array([1.0, 0.0, 0.0])
@@ -1152,8 +1155,12 @@ def test_threshold_search_projects_once_and_integrates_only_where_geometry_passe
     kwargs = {"stability": AS, "n_trajectories": 3, "traj_seed": 3}
     _, history = threshold_search(rigid.system, MAJOR, 0.4, steps=4,
                                   sampler=sampler, **kwargs)
+    # the leaf table's one projection, then the trap's: its leaf points at
+    # radius converge_tol along the two chart axes of either sign and the
+    # seeded directions
+    assert calls[1:] == [4 + basin_mod._TRAP_SAMPLES]
+    projected = projected[:calls[0]]
     n_projected, n_integrated = len(projected), len(starts)
-    assert len(calls) == 1
     assert 0 < n_projected <= cells ** 3
     assert len(set(projected)) == n_projected
 
@@ -1453,6 +1460,170 @@ def test_explicit_integrator_config_runs_as_given(rigid):
                            "finalDistance": d, "error": None})
     assert report["failedStarts"] == failed
     assert report["maxTrajectoryG"] == g_max
+
+
+_RK45 = IntegratorConfig(method=Method.RK45_ADAPTIVE, rel_tol=1e-8, abs_tol=1e-10)
+
+
+def _leaf_descent_poly(seed):
+    """``random_poly(3, 1, seed)``'s fields and metric with X = 0: the
+    corrected flow descends its cubic G on each leaf of its cubic F."""
+    rp = random_poly(3, 1, seed).system
+    return DissipativeSystem(X=VectorField(3, lambda x: np.zeros(x.shape), stacked=True),
+                             conserved=rp.conserved, dissipated=rp.dissipated,
+                             metric=rp.metric)
+
+
+def _assert_trap_rows_are_solo_runs(system, run, starts, horizon, config, trap, bound=None):
+    """Each row of an ensemble run with ``stop=trap`` against its solo run:
+    a row ends at the first step whose state lies in the trap, with the
+    counters, state and max of G of the solo run at that step, and the solo
+    run stays within the trap's radius of its center from there to the
+    horizon; a row that never enters it is its solo run. Returns the count
+    of stopped rows."""
+    stopped = 0
+    solo = dataclasses.replace(config, t_end=horizon)
+    for i, x0 in enumerate(starts):
+        steps = list(itertools.islice(basin_mod._lockstep(system, x0, solo, bound=bound),
+                                      1, None))
+        inside = [bool(trap(step.x_new[None])[0]) for step in steps]
+        last = inside.index(True) if any(inside) else len(steps) - 1
+        if any(inside):
+            stopped += 1
+            dists = [np.linalg.norm(step.x_new - trap.center) for step in steps[last:]]
+            assert max(dists) < trap.radius
+        end = steps[last]
+        assert (run.n_accepted[i], run.n_rejected[i]) == (end.accepted, end.rejected)
+        assert run.failures[i] is None
+        assert run.final[i].tobytes() == end.x_new.tobytes()
+        states = np.array([x0] + [step.x_new for step in steps[:last + 1]])
+        assert run.g_max[i] == np.max(system.dissipated.values(states))
+    return stopped
+
+
+_TRAP_CERTIFICATES = {
+    # acceptance 08's certificates at 0.2 and 0.3, at either end of the
+    # major axis, and the sampled 4-D sphere/weights certificate at e1:
+    # (system, target, sampler, trajectories, {level: rows stopped})
+    "rigid+e1": ("rigid", MAJOR, None, 50, {0.2: 50, 0.3: 27}),
+    "rigid-e1": ("rigid", -MAJOR, None, 50, {0.2: 50, 0.3: 22}),
+    "sphere4": ("sphere4", np.eye(4)[0], SamplerConfig(n_samples=1024, halfwidth=1.5, seed=7),
+                8, {0.95: 8}),
+}
+
+
+@pytest.mark.parametrize("config", [None, _RK45], ids=["dop853", "rk45"])
+@pytest.mark.parametrize("case", sorted(_TRAP_CERTIFICATES))
+def test_trap_stops_certificate_rows_for_good(rigid, case, config):
+    # every row the trap stops stays within converge_tol of the target to
+    # its horizon, every row is its solo run up to its stop, and the rows
+    # that stop are the ones that converge
+    name, x_e, sampler, n_traj, expected = _TRAP_CERTIFICATES[case]
+    system = rigid.system if name == "rigid" else _sphere_weights_4d()
+    opts = dict(sampler=sampler, n_trajectories=n_traj, traj_seed=7, horizon=None,
+                converge_tol=1e-4, integrator=config)
+    target = basin_mod._equilibrium(x_e, 1e-3)
+    cfg, bound, trap = basin_mod._ensemble_setup(system, target, x_e, opts)
+    stopped = {}
+    for level in expected:
+        component = sublevel_component(system, x_e, level, sampler)
+        draw = basin_mod._draw_ensemble(system, component, target, opts, cfg)
+        run = basin_mod._run_draws(system, [draw], cfg, bound, trap)
+        stopped[level] = _assert_trap_rows_are_solo_runs(
+            system, run, draw.starts, draw.horizon, cfg, trap, bound)
+    assert stopped == expected
+
+
+@pytest.mark.parametrize("config", [None, _RK45], ids=["dop853", "rk45"])
+def test_trap_stops_random_poly_rows_for_good(config):
+    # the asymptotically stable roots find_equilibria finds on three leaf
+    # descents of random cubics, from leaf points 0.01 to 0.1 away
+    cfg = config or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    stopped = rows = 0
+    for seed in (0, 1, 10):
+        system = _leaf_descent_poly(seed)
+        roots = [r.location for r in find_equilibria(
+            system, np.random.default_rng(seed).uniform(-1, 1, (12, 3)))[0]
+            if stability_classify(system, r.location) is AS]
+        assert roots
+        for x_e in roots:
+            trap = basin_mod._trap(system, x_e, 1e-4, cfg)
+            assert trap is not None
+            basis = leaf_tangent_basis(system, x_e)
+            offsets = np.array([[0.01, 0.0], [0.0, -0.03], [-0.05, 0.05], [0.1, 0.02]])
+            starts = np.array([project_to_leaf(system, x_e + off @ basis,
+                                               system.leaf_value(x_e))
+                               for off in offsets])
+            horizon = basin_mod._auto_horizon(system, starts,
+                                              lambda p: float(np.linalg.norm(p - x_e)))
+            run = integrate_ensemble(system, starts, dataclasses.replace(cfg, t_end=horizon),
+                                     stop=trap)
+            stopped += _assert_trap_rows_are_solo_runs(system, run, starts, horizon, cfg, trap)
+            rows += len(starts)
+    assert stopped == rows
+
+
+def test_trap_values_are_the_closed_forms(rigid):
+    # L = G - mu (F - F(x_e)) has the leaf Hessian diag(1/i2 - 1/i1,
+    # 1/i3 - 1/i1) at the rigid body's major axis, and diag(1, 2, 3) at e1
+    # of the sphere/weights system, whose L is x2^2 / 2 + x3^2 + 3 x4^2 / 2
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    r = 1e-4
+    for system, x_e, lam, lam_max in ((rigid.system, MAJOR, 1 / 6, 2 / 3),
+                                      (rigid.system, -MAJOR, 1 / 6, 2 / 3),
+                                      (_sphere_weights_4d(), np.eye(4)[0], 1.0, 3.0)):
+        trap = basin_mod._trap(system, x_e, r, cfg)
+        assert trap.lam == pytest.approx(lam, rel=1e-7)
+        assert trap.lam_max == pytest.approx(lam_max, rel=1e-7)
+        # half of lam r^2 / 2, which the leaf samples at radius r agree with
+        assert trap.delta == pytest.approx(lam * r ** 2 / 4, rel=1e-6)
+        assert trap.delta > 100 * r * lam_max * cfg.local_tol(1.0)
+        # lam d^2 / 2 <= L - L(x_e) <= lam_max d^2 / 2 at a leaf point d
+        # away: inside at r / 4 along each chart axis (lam_max < 8 lam);
+        # outside at 0.9 r, where L has risen past delta, and at 2 r
+        basis = leaf_tangent_basis(system, x_e)
+        leaf = system.leaf_value(x_e)
+        for scale, expected in ((0.25, True), (0.9, False), (2.0, False)):
+            pts = [project_to_leaf(system, x_e + scale * r * b, leaf) for b in basis]
+            assert trap(np.array(pts)).tolist() == [expected] * len(basis)
+
+
+def test_no_trap_without_a_resolved_positive_curvature(rigid, mexhat):
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    # a quartic bowl G = |x|^4 on the plane: L's Hessian vanishes at 0, and
+    # a central difference reads the quartic term as a curvature that
+    # changes with the step
+    quartic = DissipativeSystem(
+        X=VectorField(2, lambda x: np.zeros(x.shape), stacked=True), conserved=(),
+        dissipated=ScalarField(2, lambda x: np.sum(x * x, axis=-1) ** 2,
+                               differential=lambda x: 4.0 * np.sum(x * x) * x),
+        metric=MetricField.euclidean(2))
+    origin = np.zeros(2)
+    assert basin_mod._trap(quartic, origin, 1e-4, cfg) is None
+    # the rigid body's middle axis is a saddle of G on the leaf
+    assert basin_mod._trap(rigid.system, np.array([0.0, 1.0, 0.0]), 1e-4, cfg) is None
+    # a fixed step has no tolerance that bounds its error
+    assert basin_mod._trap(rigid.system, MAJOR, 1e-4,
+                           IntegratorConfig(method=Method.RK4_FIXED)) is None
+    # an orbit's rows run to their horizons
+    orbit = basin_mod._Target("orbit", lambda p: 0.0, 1e-6, 1.0, needs_witness=False)
+    assert basin_mod._ensemble_setup(mexhat.system, orbit, np.array([1.0, 0.0, 0.0]),
+                                     dict(integrator=None, sampler=None,
+                                          converge_tol=1e-4))[2] is None
+    # the quartic bowl's certificate ensemble is the run without a stop test
+    opts = dict(sampler=SamplerConfig(cells_per_axis=16, halfwidth=0.5), n_trajectories=6,
+                traj_seed=7, horizon=None, converge_tol=1e-4, integrator=None)
+    target = basin_mod._equilibrium(origin, 1e-3)
+    config, bound, trap = basin_mod._ensemble_setup(quartic, target, origin, opts)
+    assert trap is None
+    component = sublevel_component(quartic, origin, 0.01, opts["sampler"])
+    draw = basin_mod._draw_ensemble(quartic, component, target, opts, config)
+    run = basin_mod._run_draws(quartic, [draw], config, bound, trap)
+    ref = integrate_ensemble(quartic, draw.starts, dataclasses.replace(config, t_end=draw.horizon),
+                             bound=bound)
+    for name in ("g_max", "final", "n_accepted", "n_rejected"):
+        assert getattr(run, name).tobytes() == getattr(ref, name).tobytes()
+    assert run.failures == ref.failures
 
 
 def test_orbit_certificate_with_dop853_period_detection(mexhat):

@@ -32,6 +32,7 @@ from geodiss.fields import (
     MetricField,
     ScalarField,
     VectorField,
+    _row_norms,
     project_to_leaf,
 )
 import geodiss.fields
@@ -1149,6 +1150,42 @@ def test_ensemble_rows_end_at_their_own_t_end(rigid):
     run = _assert_rows_match_solo_runs(rigid.system, starts[:3], fixed,
                                        t_ends=[0.3, 2.0, 0.05])
     assert run.n_accepted.tolist() == [5, 29, 1]
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_ensemble_rows_end_where_the_stop_test_holds(lockstep_systems, method):
+    # a row ends at the first accepted state the stop test holds at, before
+    # its end time, with its solo run's counters and state there, and its
+    # max of G over the solo run's records up to there; the test never sees
+    # a start or a rejected try, and a row it never holds at is its solo run
+    system = lockstep_systems["random_poly_k2"]  # G = |x|^2 / 2 descends
+    starts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, system.dim))
+    starts[0] *= 0.1  # inside the stop region from the start
+    cfg = IntegratorConfig(method=method, h0=0.05, rel_tol=1e-7, abs_tol=1e-9, t_end=3.0,
+                           record_every=3)
+    seen = []
+
+    def stop(states):
+        seen.extend(map(tuple, states))
+        return _row_norms(states) < 0.75
+
+    run = integrate_ensemble(system, starts, cfg, stop=stop)
+    reached = set()
+    kinds = set()
+    for i, x0 in enumerate(starts):
+        steps = list(_lockstep(system, x0, cfg))[1:]
+        reached.update(tuple(step.x_new) for step in steps)
+        held = [j for j, step in enumerate(steps) if np.linalg.norm(step.x_new) < 0.75]
+        end = steps[held[0]] if held else steps[-1]
+        kinds.add("first" if end is steps[0] else "horizon" if end is steps[-1] else "inside")
+        assert (run.n_accepted[i], run.n_rejected[i]) == (end.accepted, end.rejected)
+        assert run.final[i].tobytes() == end.x_new.tobytes()
+        records = [x0] + [step.x_new for step in steps[:end.accepted]
+                          if step.accepted % 3 == 0 or step is end]
+        assert run.g_max[i] == np.max(system.dissipated.values(np.array(records)))
+        assert run.failures[i] is None
+    assert run.n_accepted[0] == 1 and kinds == {"first", "inside", "horizon"}
+    assert set(seen) <= reached
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
