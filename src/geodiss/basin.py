@@ -32,14 +32,15 @@ table through the rows below the level: on the grid the rows' face
 adjacency, built once per table in memory bounded by the rows, not the
 cells; on the sampled path the mutual nearest neighbours at that level.
 
-The witness scores of all members and the control-field rates of all
-starts each come from one stacked frame, and a certificate's trajectory
-ensemble is one lockstep call (``integrators.integrate_ensemble``) over all
-its starts, whose rows take the steps of their solo runs; the threshold
-search runs the ensembles of all the levels it plans in one such call. An
-equilibrium's rows end in its trap (``_trap``), a neighbourhood that G's
-descent never leaves, once within ``converge_tol`` for good. Only the
-orbit's period detection consumes the solo step generator.
+The witness scores of all members come from one stacked frame, and the
+control-field rates of all starts, which set the automatic horizon, from
+one call of the integrators' corrected-flow kernel. A certificate's
+trajectory ensemble is one lockstep call (``integrators.integrate_ensemble``)
+over all its starts, whose rows take the steps of their solo runs; the
+threshold search runs the ensembles of all the levels it plans in one such
+call. An equilibrium's rows end in its trap (``_trap``), a neighbourhood
+that G's descent never leaves, once within ``converge_tol`` for good. Only
+the orbit's period detection consumes the solo step generator.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import _cofactor_from_frames, dissipated_rhs
+from .control import dissipated_rhs
 from .errors import (
     AnchorOutsideLevel,
     ConfigError,
@@ -60,7 +61,7 @@ from .errors import (
     NotPeriodic,
 )
 from .fields import DissipativeSystem, _project_rows, _row_norms, as_point
-from .gram import system_frames
+from .gram import _nonfinite_differential, system_frames
 from .integrators import (
     EnsembleRun,
     IntegratorConfig,
@@ -72,6 +73,7 @@ from .integrators import (
 from .structure import (
     Stability,
     _classify_rows,
+    _control_rows,
     _refine_rows,
     leaf_tangent_basis,
     refine_to_invariant_set,
@@ -107,6 +109,10 @@ _TRAP_STEP = float(np.finfo(float).eps) ** 0.25
 _TRAP_SAMPLES = 32
 _TRAP_SEED = 0
 _TRAP_FLOOR = 100.0
+# the bounds of the automatic ensemble horizon, 50 over the starts' median
+# control-field rate |v0| / distance (_auto_horizon)
+_HORIZON_FLOOR = 20.0
+_HORIZON_CAP = 500.0
 
 
 @dataclass(frozen=True)
@@ -602,23 +608,25 @@ def scan_invariant_witnesses(system: DissipativeSystem,
 
 
 def _control_norms(system: DissipativeSystem, pts: np.ndarray) -> np.ndarray:
-    """Euclidean norm of the control field at each point, from one stacked frame."""
-    frames = system_frames(system, pts)
-    frames.require_finite()
-    return _row_norms(_cofactor_from_frames(frames))
+    """Euclidean norm of the control field at each row of an (m, n) stack,
+    from the integrators' kernel; the first row whose differentials are not
+    finite raises :class:`NonFiniteValue`."""
+    v0, ok = _control_rows(system)(pts)
+    if ok is not None:
+        raise _nonfinite_differential(pts[int(np.argmin(ok))])
+    return _row_norms(v0)
 
 
-def _auto_horizon(system: DissipativeSystem, starts, distance_fn,
-                  floor: float = 20.0, cap: float = 500.0) -> float:
+def _auto_horizon(system: DissipativeSystem, starts, distance_fn) -> float:
     dists = np.array([distance_fn(x) for x in starts])
     away = dists > 1e-6
     if not away.any():
-        return floor
+        return _HORIZON_FLOOR
     rates = _control_norms(system, starts[away]) / dists[away]
     med = _median(rates)
     if med <= 0:
-        return cap
-    return float(np.clip(50.0 / med, floor, cap))
+        return _HORIZON_CAP
+    return float(np.clip(50.0 / med, _HORIZON_FLOOR, _HORIZON_CAP))
 
 
 @dataclass(frozen=True)
@@ -1066,7 +1074,6 @@ def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
     on into further steps of the same run.
     """
     steps = _lockstep(system, y0, replace(cfg, t_end=t_search))
-    next(steps)  # the control field at y0
     kept = []
     d = [0.0]
     rec_times = [0.0]

@@ -26,8 +26,9 @@ Everything else reads frames. The cofactor expansion of a stack of Gram
 matrices, ``_cofactors``, reads 1x1 and 2x2 minors off views of the
 flattened stack, with no gathered copy per minor; the cofactor field at a
 point frame, ``_cofactor_from_frame``, is that expansion on a batch of
-one. The three formulations, the structure probes and ``geodiss verify``
-read point frames.
+one. An integration's records read it off their record frames, and the
+integrators' kernel off the frame arrays of a stack. The three formulations,
+the structure probes and ``geodiss verify`` read point frames.
 """
 from __future__ import annotations
 

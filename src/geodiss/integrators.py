@@ -7,18 +7,18 @@ one step controller and one set of checks, from one start or
 from an (m, n) stack of them, each row taking exactly the steps of its own
 run, in the same arithmetic, and failing alone with the message its own run
 raises. :func:`integrate` runs it on one start, whose arrays stay
-unbatched, and records the conserved values, the dissipated value, the full
-Gram determinant and the control-field norm at its recorded states. On the
-corrected flow it also audits every accepted step: the finite-difference
-rate of the dissipated quantity over the step is checked against the
-predicted rate, minus the full Gram determinant at the step's midpoint.
-These diagnostics are evaluated after the fact, a block of ``_DIAG_BLOCK``
+unbatched and whose run yields only its accepted steps, and records the
+conserved values, the dissipated value, the full Gram determinant and the
+control-field norm at its recorded states. On the corrected flow it also
+audits every accepted step: the finite-difference rate of the dissipated
+quantity over the step is checked against the predicted rate, minus the
+full Gram determinant at the step's midpoint. These diagnostics, control
+fields included, are evaluated after the fact, a block of ``_DIAG_BLOCK``
 accepted steps at a time, on one stacked frame for the block's midpoints
 and one for its records, so a step costs its stage evaluations and nothing
 more, and every value is bitwise the one a per-step evaluation gives. A
 stage of one start is one call of the kernel that
-:func:`geodiss.control._corrected_rhs` binds to the system once per run: a
-run builds no :class:`~geodiss.gram.SystemFrame`.
+:func:`geodiss.control._corrected_rhs` binds to the system once per run.
 :func:`integrate_ensemble` runs the loop on a stack of corrected-flow
 starts, each to its own end time if given one or to the first state an
 optional stop test holds at, and keeps only what a basin
@@ -392,9 +392,8 @@ def _landing_scope(config: IntegratorConfig):
 class _Step:
     """One accepted step from (t, x) to (t_new, x_new) and its continuous extension.
 
-    ``f`` and ``f_new`` are the right-hand sides at the two end states, and
-    ``v0_new`` the control field behind ``f_new`` (None on the unperturbed
-    flow). ``stages`` holds the stages of an adaptive step whose end state
+    ``f`` and ``f_new`` are the right-hand sides at the two end states.
+    ``stages`` holds the stages of an adaptive step whose end state
     was not re-projected, and ``tableau`` its method: the extension is then
     the method's own, Dormand-Prince's free fourth-order one or dop853's
     seventh-order one, whose three extra stages ``kernel`` evaluates when a
@@ -407,11 +406,9 @@ class _Step:
     """
 
     __slots__ = ("t", "h", "t_new", "x", "x_new", "f", "f_new", "stages",
-                 "v0_new", "accepted", "rejected", "final", "recorded",
-                 "tableau", "kernel", "_coef")
+                 "accepted", "rejected", "final", "recorded", "tableau", "kernel", "_coef")
 
-    def __init__(self, t, h, x, x_new, f, f_new, stages, v0_new,
-                 accepted, rejected, final, recorded,
+    def __init__(self, t, h, x, x_new, f, f_new, stages, accepted, rejected, final, recorded,
                  tableau=_TABLEAUS[Method.RK45_ADAPTIVE], kernel=None):
         self.t = t
         self.h = h
@@ -421,7 +418,6 @@ class _Step:
         self.f = f
         self.f_new = f_new
         self.stages = stages
-        self.v0_new = v0_new
         self.accepted = accepted
         self.rejected = rejected
         self.final = final
@@ -528,9 +524,10 @@ def _flow_rows(system: DissipativeSystem, flow: Flow):
     Returns ``evaluate(pts) -> (rhs, v0, ok)`` for a checked point (n,) or
     stack (m, n): the right-hand side at each row, the control field behind
     it (None on the unperturbed flow, whose right-hand side is X), and the
-    rows that have one, or None when all do. A row whose differentials are
-    not finite, where the point kernel :func:`geodiss.control._corrected_rhs`
-    raises, gets NaN and a False flag. A point or a one-row stack runs that
+    rows that have one, or None when all do; the step loop reads only the
+    right-hand side. A row whose differentials are not finite, where the
+    point kernel :func:`geodiss.control._corrected_rhs` raises, gets NaN
+    and a False flag. A point or a one-row stack runs that
     point kernel, whose triple a point's evaluation returns as it is; a
     larger stack runs the stacked bodies of
     :func:`system_frames` and ``_cofactor_from_frames``, each row bitwise
@@ -608,9 +605,8 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     holds the slope at the new state (RK4, dop853, or a re-projected step),
     it is evaluated at the stepping rows after the step.
 
-    A point's run yields the control field at x (None on the unperturbed
-    flow), then each accepted step as a :class:`_Step`, and raises the
-    :class:`IntegrationFailure` that ends it, with its message. A stack's
+    A point's run yields each accepted step as a :class:`_Step`, and raises
+    the :class:`IntegrationFailure` that ends it, with its message. A stack's
     run yields ``(rows, recorded, states)`` for the start and for each try
     in which some row stepped: the start index of each working-set
     position, the positions whose new state a run records, and the states.
@@ -640,7 +636,7 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     every = config.record_every
     kernel = _flow_rows(system, flow)
 
-    ka, v0, ok = kernel(x)
+    ka, _, ok = kernel(x)
     xa = x
     rows = [0] if point else list(range(len(x)))
     if ok is not None:
@@ -653,9 +649,10 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
         t_end, t_stop, min_h = ([v[i] for i in rows] for v in (t_end, t_stop, min_h))
     live = len(rows)
     everyone = range(live)
-    yield v0 if point else (rows, everyone, xa)
-    if not rows:
-        return
+    if not point:
+        yield rows, everyone, xa
+        if not rows:
+            return
 
     targets = None
     if config.leaf_reprojection and system.k:
@@ -749,7 +746,7 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(1, n_stages):
                 xs = xa + h_col * (stage_rows[s] @ stages[below[s]])
-                stages[stage[s]], v0, ok = kernel(xs)
+                stages[stage[s]], _, ok = kernel(xs)
                 if ok is not None and adaptive:
                     good = ok if good is None else good & ok
                 elif ok is not None:
@@ -812,15 +809,12 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
                     sel = sel[conv]
                     new_rows[sel] = y[conv]
                 if sel.size == live:
-                    k_new, v0, ok = kernel(x_new)
+                    k_new, _, ok = kernel(x_new)
                 else:
                     k_new = np.empty_like(xa)
-                    v0 = None if flow is Flow.UNPERTURBED else np.empty_like(xa)
                     ok = None
                     if sel.size:
-                        k_new[sel], v0_sel, ok = kernel(x_new[sel])
-                        if v0 is not None:
-                            v0[sel] = v0_sel
+                        k_new[sel], _, ok = kernel(x_new[sel])
                 if ok is not None:
                     drop(sel[np.flatnonzero(~ok)], lambda j: NonFiniteState(
                         str(_nonfinite_differential(new_rows[j]))))
@@ -849,7 +843,7 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
                 recorded.append(j)
         if point:
             step = _Step(t_before, h[0], x_before, xa, k_before, ka,
-                         stages if keep_stages else None, v0,
+                         stages if keep_stages else None,
                          n_acc[0], n_rej[0], bool(ended), bool(recorded), tab, kernel)
             t_before, x_before, k_before = step.t_new, xa, ka
             yield step
@@ -868,19 +862,18 @@ def _check_checkpoints(cps: np.ndarray, t_end: float) -> None:
 class _Diagnostics:
     """Records and rate audit of one run, evaluated a block of steps at a time.
 
-    ``add`` buffers an accepted step: its start time, its size, its end
-    state and, for a recorded step, the control field there. ``flush``
-    evaluates the buffer: the dissipated value at each end state, one
-    stacked frame at the steps' midpoints for the rate audit of the
-    corrected flow, and one at the recorded states for their Gram
-    determinants and control-field norms. A block is flushed when it holds
+    ``add`` buffers an accepted step: its start time, its size and its end
+    state. ``flush`` evaluates the buffer: the dissipated value at each end
+    state, one stacked frame at the steps' midpoints for the rate audit of
+    the corrected flow, and one at the recorded states for their Gram
+    determinants and control fields. A block is flushed when it holds
     ``_DIAG_BLOCK`` steps, and at the end of the run. Every value is
     bitwise the one a per-step evaluation gives, and a non-finite frame
     raises what a per-step evaluation raises first.
     """
 
     def __init__(self, system: DissipativeSystem, flow: Flow, config: IntegratorConfig,
-                 x0: np.ndarray, v0):
+                 x0: np.ndarray):
         self.system = system
         self.flow = flow
         self.config = config
@@ -888,7 +881,6 @@ class _Diagnostics:
         self.g = system.dissipated(x0)   # and its dissipated value
         self.t, self.h, self.ends = [], [], []
         self.recs = [0]                  # recorded positions in [x, *ends]
-        self.v0 = [v0]                   # the control fields there
         self.blocks = []
 
     def add(self, step: _Step) -> None:
@@ -897,22 +889,21 @@ class _Diagnostics:
         self.ends.append(step.x_new)
         if step.recorded:
             self.recs.append(len(self.ends))
-            self.v0.append(step.v0_new)
         if len(self.ends) == _DIAG_BLOCK:
             self.flush()
 
     def flush(self) -> None:
-        t, h, ends, recs, v0 = self.t, self.h, self.ends, self.recs, self.v0
+        t, h, ends, recs = self.t, self.h, self.ends, self.recs
         if not ends and not recs:
             return
-        self.t, self.h, self.ends, self.recs, self.v0 = [], [], [], [], []
+        self.t, self.h, self.ends, self.recs = [], [], [], []
         system, cfg = self.system, self.config
         pts = np.array([self.x, *ends])
         at = np.array(recs, dtype=int)
         audit = self.flow is Flow.PERTURBED and bool(ends)
         mids = system_frames(system, 0.5 * (pts[:-1] + pts[1:])) if audit else None
         frames = system_frames(system, pts[at])
-        self._raise_first_nonfinite(mids, frames, t, h, ends, recs, v0)
+        self._raise_first_nonfinite(mids, frames, t, h, ends, recs)
 
         g = np.empty(len(pts))
         g[0] = self.g
@@ -921,10 +912,7 @@ class _Diagnostics:
         conserved = np.empty((len(at), system.k))
         for j, f in enumerate(system.conserved):
             conserved[:, j] = f.values(states)
-        if self.flow is Flow.PERTURBED:
-            v0 = np.array(v0).reshape(states.shape)  # kept from the run
-        else:
-            v0 = _cofactor_from_frames(frames)
+        v0 = _cofactor_from_frames(frames)
         q = (v0[:, None, :] @ frames.gmat @ v0[:, :, None])[:, 0, 0]
         H = np.array(h)
         T = np.array(t)
@@ -954,14 +942,14 @@ class _Diagnostics:
         self.x = pts[-1]
         self.g = g[-1]
 
-    def _raise_first_nonfinite(self, mids, frames, t, h, ends, recs, v0) -> None:
+    def _raise_first_nonfinite(self, mids, frames, t, h, ends, recs) -> None:
         """Raise the per-step order's first non-finite frame of a block, if any.
 
         The diagnostics before that frame are flushed first, so their
         warnings are emitted as a per-step evaluation emits them. A
-        corrected-flow record's frame was finite at the step that reached
-        it, and the unperturbed flow has no midpoints, so at most one of
-        the two stacks holds a flagged row.
+        corrected-flow record's frame is flagged only at a start where the
+        run failed before its first step, and the unperturbed flow has no
+        midpoints, so at most one of the two stacks holds a flagged row.
         """
         bad = mids if mids is not None and not mids.finite.all() else frames
         if bad.finite.all():
@@ -971,7 +959,7 @@ class _Diagnostics:
         n_steps, below = (i, i + 1) if bad is mids else (recs[i], recs[i])
         n_recs = sum(r < below for r in recs)
         self.t, self.h, self.ends = t[:n_steps], h[:n_steps], ends[:n_steps]
-        self.recs, self.v0 = recs[:n_recs], v0[:n_recs]
+        self.recs = recs[:n_recs]
         self.flush()
         raise NonFiniteState(str(_nonfinite_differential(bad.x[i])))
 
@@ -1021,10 +1009,9 @@ def integrate(system: DissipativeSystem, x0, config: IntegratorConfig,
             next_cp = 1
     n_cps = 0 if cps is None else cps.size
 
-    steps = _lockstep(system, x, config, flow, bound)
-    diag = _Diagnostics(system, flow, config, x, next(steps))
+    diag = _Diagnostics(system, flow, config, x)
     try:
-        for step in steps:
+        for step in _lockstep(system, x, config, flow, bound):
             diag.add(step)
             if next_cp < n_cps and (cps[next_cp] <= step.t_new or step.final):
                 stop = (n_cps if step.final

@@ -1,7 +1,8 @@
 """Deterministic serialization of results.
 
-All floats are round-tripped through a fixed 17-significant-digit decimal
-form before JSON encoding, keys are sorted, and files are written atomically
+JSON floats are Python's shortest repr that reads back to the same double,
+with keys sorted; CSV values take 17 significant digits (``FLOAT_FORMAT``),
+which read back to the same double too. Files are written atomically
 (temporary file in the same directory, then rename), so identical inputs
 produce byte-identical outputs regardless of platform dict ordering or
 scheduling.
@@ -16,10 +17,6 @@ from enum import Enum
 import numpy as np
 
 FLOAT_FORMAT = "%.17g"
-
-
-def canonical_float(x: float) -> float:
-    return float(FLOAT_FORMAT % float(x))
 
 
 def canonical(value):
@@ -37,7 +34,7 @@ def canonical(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return canonical_float(float(value))
+        return float(value)
     return value
 
 

@@ -12,9 +12,10 @@ run the integrator, which sits below this module and knows nothing of it.
 
 The equilibrium search and the refinement onto the degeneracy set share one
 damped Gauss-Newton on the leaf, ``_leaf_gauss_newton_rows``, which runs a
-stack of starts in lockstep on stacked frames: the corrected flow's rows
-for the search, the control field's for the refinement. Each row takes the
-steps of a run of its own, bitwise. ``find_equilibria`` searches all its
+stack of starts in lockstep on the integrators' corrected-flow kernel
+(``integrators._flow_rows``): its right-hand side for the search, its
+control field for the refinement. Each row takes the steps of a run of its
+own, bitwise. ``find_equilibria`` searches all its
 seeds in one call; ``_refine_rows`` refines all the starts of a witness
 scan, a degeneracy-set sample or an omega-limit probe in one call, and
 :func:`refine_to_invariant_set` is that call on a batch of one.
@@ -26,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .control import _cofactor_from_frame, _cofactor_from_frames, _projection_from_frame
+from .control import _cofactor_from_frame, _projection_from_frame
 from .errors import NonPositiveDefiniteMetric, NotOnInvariantSet, UnboundedTrajectory
 from .fields import (
     DissipativeSystem,
@@ -45,6 +46,9 @@ DEFAULT_TOL_G = 1e-6
 _EQUILIBRIUM_TOL_FLOOR = 1e-8
 # points asked of a system's analytic sampler of the degeneracy set
 _INV_SAMPLE_COUNT = 512
+# without one, the jittered starts per trajectory state and their trust radius
+_JITTER_PER_STATE = 4
+_JITTER_TRUST = 1.0
 # central-difference step of the Gauss-Newton Jacobian, sqrt(eps) max(1, |x_i|)
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
 # step halvings per Gauss-Newton iteration of the equilibrium search
@@ -186,12 +190,15 @@ def _rhs_rows(system: DissipativeSystem):
 
 
 def _control_rows(system: DissipativeSystem):
-    """The control field on stacks: ``evaluate(pts) -> (v0, finite)``, from one stacked frame."""
-    def evaluate(pts):
-        frames = system_frames(system, pts)
-        return _cofactor_from_frames(frames), frames.finite
+    """The control field on stacks: ``evaluate(pts) -> (v0, finite)``, the
+    integrators' kernel without its right-hand side."""
+    evaluate = _flow_rows(system, Flow.PERTURBED)
 
-    return evaluate
+    def control_rows(pts):
+        _, v0, ok = evaluate(pts)
+        return v0, ok
+
+    return control_rows
 
 
 def _leaf_gauss_newton_rows(field, system: DissipativeSystem, x0: np.ndarray,
@@ -634,15 +641,14 @@ class OmegaProbe:
 
 
 def _generic_inv_samples(system: DissipativeSystem, trajectory_states: np.ndarray,
-                         leaf_value: np.ndarray, per_state: int = 4,
-                         trust: float = 1.0) -> np.ndarray:
+                         leaf_value: np.ndarray) -> np.ndarray:
     """Fallback sample set of the degeneracy set: refine from trajectory-shaped jitter."""
     rng = np.random.default_rng(1234)
     starts = [p + rng.normal(scale=0.05, size=p.size)
               for p in trajectory_states[:: max(1, len(trajectory_states) // 32)]
-              for _ in range(per_state)]
+              for _ in range(_JITTER_PER_STATE)]
     found = [y for y in _refine_rows(system, np.array(starts).reshape(-1, system.dim),
-                                     leaf_value, trust)
+                                     leaf_value, _JITTER_TRUST)
              if y is not None]
     if not found:
         return np.zeros((0, system.dim))

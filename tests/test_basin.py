@@ -13,7 +13,6 @@ Ground truth used throughout:
 
 import dataclasses
 import inspect
-import itertools
 import json
 import subprocess
 import sys
@@ -1484,8 +1483,7 @@ def _assert_trap_rows_are_solo_runs(system, run, starts, horizon, config, trap, 
     stopped = 0
     solo = dataclasses.replace(config, t_end=horizon)
     for i, x0 in enumerate(starts):
-        steps = list(itertools.islice(basin_mod._lockstep(system, x0, solo, bound=bound),
-                                      1, None))
+        steps = list(basin_mod._lockstep(system, x0, solo, bound=bound))
         inside = [bool(trap(step.x_new[None])[0]) for step in steps]
         last = inside.index(True) if any(inside) else len(steps) - 1
         if any(inside):
@@ -1709,9 +1707,7 @@ def test_period_detection_stops_at_the_first_return(mexhat, monkeypatch):
     lockstep = basin_mod._lockstep
 
     def counting_steps(*args, **kwargs):
-        run = lockstep(*args, **kwargs)
-        yield next(run)  # the control field at the start
-        for step in run:
+        for step in lockstep(*args, **kwargs):
             steps.append(step.t_new)
             yield step
 

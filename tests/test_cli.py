@@ -13,11 +13,14 @@ Every test drives ``main(argv)`` in-process (one subprocess test covers the
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import geodiss
 import geodiss.catalog
@@ -161,6 +164,27 @@ def test_report_json_refuses_non_finite_numbers(value):
         json_text({"value": value})
     assert _strict_json(json_text({"value": None, "finite": 1.5})) == {
         "value": None, "finite": 1.5}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(value=st.floats(allow_nan=False, allow_infinity=False))
+@example(value=0.0)
+@example(value=-0.0)
+@example(value=5e-324)
+@example(value=-5e-324)
+@example(value=2.2250738585072009e-308)  # the largest subnormal
+@example(value=sys.float_info.max)
+@example(value=0.1)
+def test_report_json_keeps_the_bits_of_every_finite_float(value):
+    # a JSON float is Python's shortest repr that reads back to the same
+    # double: a Python float, a numpy scalar and an array entry all survive
+    from geodiss.report import json_text
+
+    text = json_text({"float": value, "scalar": np.float64(value), "array": np.array([value])})
+    got = json.loads(text)
+    for read in (got["float"], got["scalar"], got["array"][0]):
+        assert type(read) is float
+        assert struct.pack("<d", read) == struct.pack("<d", value)
 
 
 def test_simulate_is_byte_deterministic(tmp_path, capsys):

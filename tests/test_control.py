@@ -637,12 +637,15 @@ def _kernel_stacks(draw):
 
 def _frame_stack_path(system, pts):
     """``X.values(p) - _cofactor_from_frames(system_frames(system, p))`` at the
-    rows with finite differentials, NaN at the others, and their flags."""
+    rows with finite differentials, NaN at the others, the control field
+    ``_cofactor_from_frames`` at every row, and the flags."""
     frames = system_frames(system, pts)
     ok = frames.finite
     out = np.full(pts.shape, np.nan)
-    out[ok] = system.X.values(pts[ok]) - _cofactor_from_frames(frames)[ok]
-    return out, ok
+    x_ok = system.X.values(pts[ok])
+    v0 = _cofactor_from_frames(frames)
+    out[ok] = x_ok - v0[ok]
+    return out, v0, ok
 
 
 _ONE_ROW_SYSTEM = random_poly(4, 2, seed=3).system
@@ -662,9 +665,10 @@ def test_stacked_rhs_kernel_is_the_frame_stack_path_bitwise(case):
     default = geodiss.gram.GRAM_NEGATIVITY_FLOOR
     geodiss.gram.GRAM_NEGATIVITY_FLOOR = floor
     try:
-        (rhs, _, ok), warned = _with_warnings(
+        (rhs, v0, ok), warned = _with_warnings(
             lambda: _flow_rows(system, Flow.PERTURBED)(pts))
-        (ref, ref_ok), ref_warned = _with_warnings(lambda: _frame_stack_path(system, pts))
+        (ref, ref_v0, ref_ok), ref_warned = _with_warnings(
+            lambda: _frame_stack_path(system, pts))
         # the point kernel at the finite rows, in row order
         point, point_warned = _with_warnings(
             lambda: [_frame_path(system, p)[0] for p in pts[ref_ok]])
@@ -675,6 +679,9 @@ def test_stacked_rhs_kernel_is_the_frame_stack_path_bitwise(case):
     if ok is not None:
         assert ok.tolist() == ref_ok.tolist()
     assert rhs.tobytes() == ref.tobytes()
+    # the control field the refinement and the automatic horizon read
+    assert v0.shape == pts.shape
+    assert [row.tobytes() for row in v0[ref_ok]] == [row.tobytes() for row in ref_v0[ref_ok]]
     assert [row.tobytes() for row in rhs[ref_ok]] == [row.tobytes() for row in point]
     assert warned == ref_warned == point_warned
 

@@ -142,18 +142,14 @@ def _rk4_step(rhs, x, h, k1):
 
 
 def _evaluator(system: DissipativeSystem, flow: Flow):
-    """Right-hand side of the flow at p, with the control field behind it.
-
-    The unperturbed flow has no control field and returns ``None`` for it.
-    """
+    """Right-hand side of the flow at p."""
     if flow is Flow.PERTURBED:
         kernel = _corrected_rhs(system)
 
         def evaluate(p):
-            return kernel(p)[:2]
+            return kernel(p)[0]
     else:
-        def evaluate(p):
-            return system.X(p), None
+        evaluate = system.X
     return _guard_nonfinite(evaluate)
 
 
@@ -171,13 +167,9 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     that leaves the finite range raises :class:`NonFiniteState`.
     """
     assert config.method in (Method.RK45_ADAPTIVE, Method.RK4_FIXED), config.method
-    evaluate = _evaluator(system, flow)
-
-    def rhs(p):
-        return evaluate(p)[0]
-
+    rhs = _evaluator(system, flow)
     h_ctrl = _first_step(config)
-    k_first = (seed if seed is not None else evaluate(x))[0]
+    k_first = seed if seed is not None else rhs(x)
     leaf_target = None
     if config.leaf_reprojection and system.k:
         leaf_target = system.leaf_value(x)
@@ -210,7 +202,7 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
                 with np.errstate(over="ignore", invalid="ignore"):
                     for s in range(1, 7):
                         xs = x + h_try * (_REF_DP_A[s] @ stages[:s])
-                        stages[s], v0_new = evaluate(xs)
+                        stages[s] = rhs(xs)
             except NonFiniteState:
                 err = np.inf
             else:
@@ -249,11 +241,11 @@ def _dp_steps(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
             if stages is not None:
                 k_new = stages[6]
             else:
-                k_new, v0_new = evaluate(x_new)
+                k_new = rhs(x_new)
 
         n_acc += 1
         final = t + h_try >= t_stop
-        step = _Step(t, h_try, x, x_new, k_first, k_new, stages, v0_new,
+        step = _Step(t, h_try, x, x_new, k_first, k_new, stages,
                      n_acc, n_rej, final, final or n_acc % config.record_every == 0)
         yield step
         t = step.t_new
@@ -481,7 +473,6 @@ def _assert_rows_are_solo_dop853_runs(system, starts, cfg, bound=None, t_ends=No
             reached = [x0]
             steps = _lockstep(system, x0, row_cfg, bound=bound)
             with pytest.raises(type(exc)):
-                next(steps)  # the control field at x0
                 for step in steps:
                     reached.append(step.x_new)
             assert run.final[i].tobytes() == reached[-1].tobytes(), i
@@ -952,7 +943,7 @@ def _assert_same_steps(got, ref):
     for a, b in zip(got, ref):
         for name in ("t", "h", "t_new", "accepted", "rejected", "final", "recorded"):
             assert getattr(a, name) == getattr(b, name), name
-        for name in ("x", "x_new", "f", "f_new", "stages", "v0_new"):
+        for name in ("x", "x_new", "f", "f_new", "stages"):
             u, v = getattr(a, name), getattr(b, name)
             assert (u is None) == (v is None), name
             if u is not None:
@@ -966,11 +957,8 @@ def test_step_generator_decides_records_and_counters(rigid, record_every):
     cfg = IntegratorConfig(method=Method.RK45_ADAPTIVE, h0=0.5, t_end=3.0,
                            record_every=record_every)
     x0 = np.array([0.6, 0.48, 0.64])
-    run = _lockstep(rigid.system, x0, cfg)
-    v0 = next(run)
-    steps = list(run)
+    steps = list(_lockstep(rigid.system, x0, cfg))
     _assert_same_steps(steps, list(_dp_steps(rigid.system, x0, cfg)))
-    assert v0.tobytes() == _corrected_rhs(rigid.system)(x0)[1].tobytes()
     tr = integrate(rigid.system, x0, cfg)
     expected = np.array([0.0] + [s.t_new for s in steps if s.recorded])
     assert tr.times.tobytes() == expected.tobytes()
@@ -1173,7 +1161,7 @@ def test_ensemble_rows_end_where_the_stop_test_holds(lockstep_systems, method):
     reached = set()
     kinds = set()
     for i, x0 in enumerate(starts):
-        steps = list(_lockstep(system, x0, cfg))[1:]
+        steps = list(_lockstep(system, x0, cfg))
         reached.update(tuple(step.x_new) for step in steps)
         held = [j for j, step in enumerate(steps) if np.linalg.norm(step.x_new) < 0.75]
         end = steps[held[0]] if held else steps[-1]
@@ -1318,9 +1306,9 @@ def _per_step_reference(system, x0, cfg, flow=Flow.PERTURBED, checkpoints=None,
     """integrate's outputs, evaluated step by step on point frames.
 
     Each record and each rate midpoint gets its own ``system_frame`` right
-    after its step; a corrected-flow record takes its control field from the
-    step that reached it. Returns a dict of the arrays and counters, or
-    raises the first failure of that order.
+    after its step, and a record takes its control field from its frame.
+    Returns a dict of the arrays and counters, or raises the first failure
+    of that order.
     """
     cols = {name: [] for name in _RECORD_FIELDS + _RATE_FIELDS}
 
@@ -1330,10 +1318,9 @@ def _per_step_reference(system, x0, cfg, flow=Flow.PERTURBED, checkpoints=None,
         except NonFiniteValue as exc:
             raise NonFiniteState(str(exc)) from exc
 
-    def record(t, p, h, g, v0):
+    def record(t, p, h, g):
         fr = frame(p)
-        if v0 is None:
-            v0 = _cofactor_from_frame(fr)
+        v0 = _cofactor_from_frame(fr)
         for name, value in zip(_RECORD_FIELDS, (
                 t, p.copy(), [f(p) for f in system.conserved], g, fr.det_full(),
                 float(np.sqrt(max(v0 @ fr.gmat @ v0, 0.0))), h)):
@@ -1344,7 +1331,7 @@ def _per_step_reference(system, x0, cfg, flow=Flow.PERTURBED, checkpoints=None,
     cp_states = []
     seed = _evaluator(system, flow)(x)
     g_prev = system.dissipated(x)
-    record(0.0, x, 0.0, g_prev, seed[1])
+    record(0.0, x, 0.0, g_prev)
     for step in _dp_steps(system, x, cfg, flow, bound, seed):
         g_new = system.dissipated(step.x_new)
         if flow is Flow.PERTURBED:
@@ -1362,7 +1349,7 @@ def _per_step_reference(system, x0, cfg, flow=Flow.PERTURBED, checkpoints=None,
                 cps[len(cp_states)] <= step.t_new or step.final):
             cp_states.append(_state_at(step, cps[len(cp_states)]))
         if step.recorded:
-            record(step.t_new, step.x_new, step.h, g_new, step.v0_new)
+            record(step.t_new, step.x_new, step.h, g_new)
     out = {name: np.array(values) for name, values in cols.items()}
     out["conserved_values"] = out["conserved_values"].reshape(len(out["times"]), system.k)
     out["counters"] = (step.accepted, step.rejected)
@@ -1613,9 +1600,7 @@ def test_batched_dense_read_out_is_bitwise_the_scalar_one(rigid, method, reproje
     cfg = IntegratorConfig(method=method, h0=0.3 if method is Method.RK4_FIXED else 0.5,
                            t_end=3.0, leaf_reprojection=reproject)
     x0 = np.array([0.6, 0.48, 0.64])
-    run = _lockstep(rigid.system, x0, cfg)
-    next(run)
-    steps = list(run)
+    steps = list(_lockstep(rigid.system, x0, cfg))
     _assert_same_steps(steps, list(_dp_steps(rigid.system, x0, cfg)))
     for step in steps:
         ts = np.sort(step.t + step.h * np.array(fractions + [0.0, 1.0]))

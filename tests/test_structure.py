@@ -252,18 +252,18 @@ def test_refinement_never_evaluates_outside_its_trust_ball(mexhat, monkeypatch):
     # a Gauss-Newton trial outside the ball is halved before it is evaluated
     x0, trust = np.array([2.0, 0.0, 0.0]), 0.05
     points = []
-    frame, frames = structure_mod.system_frame, structure_mod.system_frames
+    flow_rows = structure_mod._flow_rows
 
-    def recording_frame(system, x):
-        points.append(np.array(x, dtype=float))
-        return frame(system, x)
+    def recording_flow_rows(system, flow):
+        evaluate = flow_rows(system, flow)
 
-    def recording_frames(system, pts):
-        points.extend(np.array(pts, dtype=float))
-        return frames(system, pts)
+        def recording(pts):
+            points.extend(np.array(pts, dtype=float).reshape(-1, system.dim))
+            return evaluate(pts)
 
-    monkeypatch.setattr(structure_mod, "system_frame", recording_frame)
-    monkeypatch.setattr(structure_mod, "system_frames", recording_frames)
+        return recording
+
+    monkeypatch.setattr(structure_mod, "_flow_rows", recording_flow_rows)
     assert refine_to_invariant_set(mexhat.system, x0, trust_radius=trust) is None
     assert len(points) > 1
     # central differences step at most sqrt(eps) max(1, |x_i|) off a point
