@@ -34,24 +34,26 @@ cells; on the sampled path the mutual nearest neighbours at that level.
 
 The witness scores of all members come from one stacked frame, and the
 control-field rates of all starts, which set the automatic horizon, from
-one call of the integrators' corrected-flow kernel. A certificate's
-trajectory ensemble is one lockstep call (``integrators.integrate_ensemble``)
-over all its starts, whose rows take the steps of their solo runs; the
-threshold search runs the ensembles of all the levels it plans in one such
-call. An equilibrium's rows end in its trap (``_trap``), a neighbourhood
-that G's descent never leaves, once within ``converge_tol`` for good. Only
-the orbit's period detection consumes the solo step generator.
+one call of the corrected-flow evaluator, ``control._corrected_rows``. A
+certificate's trajectory ensemble is one lockstep call
+(``integrators.integrate_ensemble``) over all its starts, whose rows take
+the steps of their solo runs; the threshold search runs the ensembles of
+all the levels it plans in one such call. An equilibrium's rows end in its
+trap (``_trap``), a neighbourhood that G's descent never leaves, once
+within ``converge_tol`` for good. Only the orbit's period detection
+consumes the solo step generator.
 """
 from __future__ import annotations
 
 import inspect
 import itertools
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import dissipated_rhs
+from .control import _corrected_rows, dissipated_rhs
 from .errors import (
     AnchorOutsideLevel,
     ConfigError,
@@ -73,7 +75,6 @@ from .integrators import (
 from .structure import (
     Stability,
     _classify_rows,
-    _control_rows,
     _refine_rows,
     leaf_tangent_basis,
     refine_to_invariant_set,
@@ -115,6 +116,19 @@ _HORIZON_FLOOR = 20.0
 _HORIZON_CAP = 500.0
 
 
+def _require_count(name: str, value, least: int) -> None:
+    """Refuse, with :class:`ConfigError`, a count or seed that is not an
+    integer of at least ``least``; an integral float such as 14.0 is not one."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _require_draw(n_trajectories, traj_seed) -> None:
+    """Refuse a trajectory count or draw seed outside the config schema's bounds."""
+    _require_count("n_trajectories", n_trajectories, 1)
+    _require_count("traj_seed", traj_seed, 0)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """How the sublevel component is discretized.
@@ -135,9 +149,7 @@ class SamplerConfig:
         # the bounds of the config schema's sampler
         for name, least in (("cells_per_axis", 2), ("n_samples", 1),
                             ("neighbor_count", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if value < least:
-                raise ConfigError(f"sampler {name} must be at least {least}, got {value}")
+            _require_count(f"sampler {name}", getattr(self, name), least)
         for name, most in (("cells_per_axis", _MAX_CELLS_PER_AXIS),
                            ("n_samples", _MAX_SAMPLES)):
             value = getattr(self, name)
@@ -609,9 +621,9 @@ def scan_invariant_witnesses(system: DissipativeSystem,
 
 def _control_norms(system: DissipativeSystem, pts: np.ndarray) -> np.ndarray:
     """Euclidean norm of the control field at each row of an (m, n) stack,
-    from the integrators' kernel; the first row whose differentials are not
-    finite raises :class:`NonFiniteValue`."""
-    v0, ok = _control_rows(system)(pts)
+    from the corrected-flow evaluator; the first row whose differentials are
+    not finite raises :class:`NonFiniteValue`."""
+    _, v0, ok = _corrected_rows(system)(pts)
     if ok is not None:
         raise _nonfinite_differential(pts[int(np.argmin(ok))])
     return _row_norms(v0)
@@ -1015,9 +1027,12 @@ def basin_certify(system: DissipativeSystem, equilibrium, level: float,
     leaf-restricted stability verdict is asymptotically stable (pass a
     precomputed verdict through ``stability`` to skip the sampling test), and
     :class:`AnchorOutsideLevel` when the level is below the equilibrium's own
-    dissipated value.
+    dissipated value. A ``n_trajectories`` that is not an integer of at
+    least 1, or a ``traj_seed`` that is not one of at least 0, is refused
+    with :class:`ConfigError` before any work.
     """
     x_e = as_point(equilibrium, system.dim)
+    _require_draw(n_trajectories, traj_seed)
     verdict = _require_stable(system, x_e, stability)
     judged = _certify_level(system, x_e, level, _equilibrium(x_e, target_radius), dict(
         sampler=sampler, max_refine=max_refine, susp_ratio=susp_ratio, susp_g=susp_g,
@@ -1207,6 +1222,7 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
     used for both.
     """
     seed0 = as_point(seed_point, system.dim)
+    _require_draw(n_trajectories, traj_seed)
     cfg = integrator or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
     y0 = refine_to_invariant_set(system, seed0, trust_radius=_SEED_TRUST)
     if y0 is None:
@@ -1314,6 +1330,7 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
         system, x_e, level_max, sampler, **certify_kwargs)
     call.apply_defaults()
     opts = call.arguments
+    _require_draw(opts["n_trajectories"], opts["traj_seed"])
     _require_stable(system, x_e, opts["stability"])
 
     table = _LeafTable(system, x_e, system.leaf_value(x_e), sampler or SamplerConfig())

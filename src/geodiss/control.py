@@ -10,25 +10,24 @@ Three equivalent constructions are provided: a cofactor expansion (default),
 the symmetric-tensor contraction, and scaled tangent projection. Keeping all
 three allows cross-checks at roundoff level.
 
-The corrected flow's right-hand side at a point is one kernel bound to a
-system, ``_corrected_rhs``, the package's only evaluation at a single
-point that is not a batch of one: it binds each field's differential once,
-reads a constant metric's checked pair directly once it exists, and runs
-the point bodies of :mod:`geodiss.gram` and ``_cofactor`` on Python floats,
-without building a :class:`SystemFrame`. The integrators' stages and
-:func:`dissipated_rhs` evaluate it, and a test holds it bitwise to the
-frame path. Up to two conserved quantities ``_cofactor`` takes the minors
-and the sum of the terms det times gradient on the floats, in numpy's IEEE
-operations; a sum that overflows or turns NaN is taken again in numpy, for
-numpy's warnings. Sizes 3 and up go through ``np.linalg.det``.
+The corrected flow X - v0 has one evaluator, ``_corrected_rows``, bound to
+a system once per run: at a point or a stack of points it returns the
+right-hand side, the control field and the rows whose differentials are
+finite. The integrators' stages, :func:`dissipated_rhs`, the equilibrium
+search, the refinement onto the degeneracy set and the automatic horizon
+all evaluate it. Its body goes by input size: a point or a one-row stack,
+the case of a long solo integration, runs on Python floats, in numpy's
+IEEE operations, and a larger stack runs the stacked frame arrays and the
+cofactor expansion ``_cofactors``. Tests hold both to the frame path
+bitwise.
 
 Everything else reads frames. The cofactor expansion of a stack of Gram
 matrices, ``_cofactors``, reads 1x1 and 2x2 minors off views of the
 flattened stack, with no gathered copy per minor; the cofactor field at a
 point frame, ``_cofactor_from_frame``, is that expansion on a batch of
-one. An integration's records read it off their record frames, and the
-integrators' kernel off the frame arrays of a stack. The three formulations,
-the structure probes and ``geodiss verify`` read point frames.
+one. An integration's records read it off their record frames. The three
+formulations, the structure probes and ``geodiss verify`` read point
+frames.
 """
 from __future__ import annotations
 
@@ -44,15 +43,12 @@ from .fields import DissipativeSystem, as_point
 from .gram import (
     FrameStack,
     SystemFrame,
+    _check_floor,
     _checked_dets,
-    _det_conserved,
+    _diag_products,
     _dets_conserved,
-    _differential_stack,
-    _differentials_at,
-    _gram_cells,
-    _metric_at,
-    _metric_grads,
-    _small_det,
+    _nonfinite_differential,
+    _stack_arrays,
     checked_det,
     system_frame,
 )
@@ -94,73 +90,10 @@ def _cofactor_minors(k: int) -> tuple:
     return tuple(out)
 
 
-def _cofactor(cells: list, grads: np.ndarray, minors: tuple) -> np.ndarray:
-    """The cofactor control field of a (k+1, k+1) Gram matrix and its k+1 gradients.
-
-    ``cells`` is the Gram matrix row-major as Python floats, and ``minors``
-    is ``_cofactor_minors(k)``. The determinants of size at most 2 are taken
-    on the floats; a larger minor is gathered for ``np.linalg.det``.
-
-    Up to k = 2 the sum of the terms, det times gradient, is taken on the
-    gradients' floats too: the elementwise IEEE operations numpy does,
-    without its cost per call. Numpy warns where a value overflows or turns
-    NaN, so a sum that is not finite is taken again in numpy, as it is for
-    k > 2, where ``np.linalg.det`` may warn between the terms.
-    """
-    k = len(minors)
-    gram = np.array(cells).reshape(k + 1, k + 1) if k > 2 else None
-    det_c = _det_conserved(gram, k, cells)
-    if k <= 2:
-        rows = grads.tolist()
-        v0 = [det_c * g for g in rows[k]]
-        for (sign, _, idx), row in zip(minors, rows):
-            c = sign * _small_det(cells, idx)
-            v0 = [v + c * a for v, a in zip(v0, row)]
-        if isfinite(sum(v0)):
-            return np.array(v0)
-    v0 = det_c * grads[k]
-    for i, (sign, flat, idx) in enumerate(minors):
-        det = _small_det(cells, idx) if k <= 2 else checked_det(gram.take(flat))
-        v0 += (sign * det) * grads[i]
-    return v0
-
-
-def _corrected_rhs(system: DissipativeSystem):
-    """The corrected flow's right-hand side, as one kernel bound to the system.
-
-    Returns ``evaluate(p) -> (X(p) - v0, v0, None)`` for a point p already
-    checked by :func:`geodiss.fields.as_point`: the triple of
-    ``integrators._flow_rows`` at a point, whose differentials are finite
-    wherever it returns. Its values and checks are those of
-    ``system.X(p) - _cofactor_from_frame(system_frame(system, p))``,
-    bitwise, and so are its warnings wherever the Gram products stay
-    finite, with the differentials bound once, a constant metric's pair
-    read directly once the first call has checked it, and no
-    :class:`SystemFrame` built. A differential of the wrong shape is
-    refused with the message of the point call ``ScalarField.d``, where the
-    frame says what ``ScalarField.diffs`` says.
-    """
-    d_at = _differentials_at(system.all_fields())
-    metric_at = _metric_at(system.metric)
-    minors = _cofactor_minors(system.k)
-    X = system.X
-    pair = None  # a constant metric's checked pair, once it exists
-
-    def evaluate(p):
-        nonlocal pair
-        diffs = _differential_stack(d_at, p)
-        gmat, ginv = pair or metric_at(p)
-        if pair is None and ginv is not None:
-            pair = gmat, ginv
-        grads = _metric_grads(diffs, gmat, ginv)
-        v0 = _cofactor(_gram_cells(diffs, grads), grads, minors)
-        return X._at(p) - v0, v0, None
-
-    return evaluate
-
-
 def _cofactors(gram: np.ndarray, grads: np.ndarray, minors: tuple) -> np.ndarray:
-    """:func:`_cofactor` of each row of an (m, k+1, k+1) Gram stack, bitwise row for row.
+    """The cofactor control field of each row of an (m, k+1, k+1) Gram stack
+    and its (m, k+1, n) gradients, bitwise row for row the point body of
+    :func:`_corrected_rows`.
 
     A 1x1 or 2x2 minor's determinant is read off column views of the
     flattened Gram stack, in the arithmetic of :func:`_checked_dets`; a
@@ -189,6 +122,115 @@ def _cofactor_from_frames(frames: FrameStack) -> np.ndarray:
 def _cofactor_from_frame(fr: SystemFrame) -> np.ndarray:
     """The cofactor control field at a frame: :func:`_cofactors` on a batch of one."""
     return _cofactors(fr.gram[None], fr.grads[None], _cofactor_minors(fr.k))[0]
+
+
+def _corrected_rows(system: DissipativeSystem):
+    """The corrected flow X - v0, bound to the system, at a point or a stack.
+
+    Returns ``evaluate(pts) -> (rhs, v0, ok)`` for a checked point (n,) or
+    stack (m, n): the right-hand side and control field of each row, and
+    the rows whose differentials are finite, or None when all are; a row
+    that is not gets NaN and a False flag. Each row is bitwise
+    ``system.X(p) - _cofactor_from_frame(system_frame(system, p))``, its
+    warnings too wherever the Gram products stay finite.
+
+    The body goes by input size. A point or a one-row stack, the case of a
+    long solo integration, runs on Python floats in numpy's IEEE
+    operations, at less cost than a one-row stack of the array bodies; it
+    refuses a differential of the wrong shape with the message of the
+    point call ``ScalarField.d``. A sum of the terms det times gradient
+    that overflows or turns NaN, and any sum for k > 2, is taken in numpy,
+    for numpy's warnings. A larger stack runs ``_stack_arrays`` and
+    :func:`_cofactors`.
+    """
+    fields_ = system.all_fields()
+    d_at = tuple(f._d_bound() for f in fields_)
+    metric = system.metric
+    k = system.k
+    minors = _cofactor_minors(k)
+    X = system.X
+    pair = None  # a constant metric's checked pair, once it exists
+
+    def point(p):
+        nonlocal pair
+        diffs = np.array([d(p) for d in d_at])
+        # their sum is finite unless some entry is not, or the sum
+        # overflows; only then is each entry checked
+        flat = diffs.ravel().tolist()
+        if not (isfinite(sum(flat)) or all(map(isfinite, flat))):
+            nan = np.full(p.shape, np.nan)
+            return nan, nan, np.False_
+        if pair is not None:
+            gmat, ginv = pair
+        elif metric.is_constant:
+            gmat, ginv = pair = metric.constant_pair(p)
+        else:
+            gmat, ginv = metric._checked(p), None
+        if ginv is not None:
+            grads = diffs @ ginv
+        else:
+            grads = np.linalg.solve(gmat, diffs.T).T
+        # the Gram matrix row-major, its symmetrization 0.5 (G + G^T) taken
+        # on the floats of G
+        raw = (diffs @ grads.T).tolist()
+        if k == 1:  # the common case, spelt out
+            (a, b), (c, d) = raw
+            off = 0.5 * (b + c)
+            cells = [0.5 * (a + a), off, off, 0.5 * (d + d)]
+        else:
+            cells = [0.5 * (a + b) for row, col in zip(raw, zip(*raw)) for a, b in zip(row, col)]
+        # the conserved block's determinant and the diagonal product it is
+        # checked against; a larger block takes its diagonal product even
+        # where no floor check needs it, for numpy's overflow warning
+        if k > 2:
+            gram = np.array(cells).reshape(k + 1, k + 1)
+            block = gram[None, :k, :k]
+            det_c, scale = float(_checked_dets(block)[0]), float(_diag_products(block)[0])
+        elif k == 0:
+            det_c = scale = 1.0
+        elif k == 1:
+            det_c = scale = cells[0]
+        else:
+            # cells 0, 1, 3 and 4 of the flattened 3x3 matrix
+            a, b, _, c, d = cells[:5]
+            det_c, scale = a * d - b * c, a * d
+        _check_floor(det_c, scale)
+        v0 = None
+        if k <= 2:
+            dets = [cells[idx[0]] if k == 1
+                    else cells[idx[0]] * cells[idx[3]] - cells[idx[1]] * cells[idx[2]]
+                    for _, _, idx in minors]
+            rows = grads.tolist()
+            terms = [det_c * g for g in rows[k]]
+            for (sign, _, _), det, row in zip(minors, dets, rows):
+                c = sign * det
+                terms = [v + c * a for v, a in zip(terms, row)]
+            if isfinite(sum(terms)):
+                v0 = np.array(terms)
+        if v0 is None:
+            v0 = det_c * grads[k]
+            for i, (sign, flat, _) in enumerate(minors):
+                det = dets[i] if k <= 2 else checked_det(gram.take(flat))
+                v0 += (sign * det) * grads[i]
+        return X._at(p) - v0, v0, None
+
+    def evaluate(pts):
+        if pts.ndim == 2 and len(pts) != 1:
+            _, _, grads, gram, ok = _stack_arrays(fields_, metric, pts)
+            v0 = _cofactors(gram, grads, minors)
+            if ok is None:
+                return X._values_at(pts) - v0, v0, None
+            out = np.full(pts.shape, np.nan)
+            out[ok] = X._values_at(pts[ok]) - v0[ok]
+            return out, v0, ok
+        # one call site, so that a floor warning has one location
+        row = pts.ndim == 2
+        rhs, v0, ok = point(pts[0] if row else pts)
+        if not row:
+            return rhs, v0, ok
+        return rhs[None], v0[None], None if ok is None else ok[None]
+
+    return evaluate
 
 
 def control_field(system: DissipativeSystem, x,
@@ -275,8 +317,14 @@ _V0_BUILDERS = {
 
 
 def dissipated_rhs(system: DissipativeSystem, x) -> np.ndarray:
-    """Right-hand side of the corrected flow: X minus the control field."""
-    return _corrected_rhs(system)(as_point(x, system.dim))[0]
+    """Right-hand side of the corrected flow: X minus the control field.
+
+    Raises :class:`NonFiniteValue` where a differential is not finite."""
+    p = as_point(x, system.dim)
+    rhs, _, ok = _corrected_rows(system)(p)
+    if ok is not None:
+        raise _nonfinite_differential(p)
+    return rhs
 
 
 def dissipation_rate(system: DissipativeSystem, x) -> float:

@@ -18,27 +18,17 @@ A point frame is a batch of one: :func:`system_frame` is
 :func:`system_frames` on one row, raising where that row is flagged, and
 the :class:`SystemFrame` methods and :func:`checked_det` run the stacked
 determinant bodies (``_checked_dets``, ``_dets_conserved``,
-``_diag_products``) on one matrix. The integrators' stacked kernel calls
-the array body ``_stack_arrays`` directly.
-
-The one evaluation at a single point outside this family is the corrected
-flow's bound point kernel, ``control._corrected_rhs``, which a long solo
-integration calls at every stage, and for which a one-row stack costs more
-than the whole kernel. Its bodies live here. Each field's differential is
-a callable bound once (``_differentials_at``); the differentials are
-stacked by one array call and checked finite on their Python floats
-(``_differential_stack``); the Gram matrix is read as Python floats
-(``_gram_cells``); and a determinant of size at most 2 and its
-negativity-floor check are taken on those floats (``_det_conserved``,
-``_small_det``), in the IEEE operations the stacked bodies do on arrays.
-Sizes 3 and up go through ``np.linalg.det``.
+``_diag_products``) on one matrix. The corrected-flow evaluator
+``control._corrected_rows`` calls the array body ``_stack_arrays`` on a
+stack of more than one row, and on a point or a one-row stack its own
+body on Python floats, which checks its determinants against the floor
+with ``_check_floor``.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 from collections.abc import Sequence
-from math import isfinite
 
 import numpy as np
 
@@ -53,22 +43,6 @@ GRAM_NEGATIVITY_FLOOR = -1e-10
 def _nonfinite_differential(x: np.ndarray) -> NonFiniteValue:
     """The error of a point x where some field's differential is not finite."""
     return NonFiniteValue(f"non-finite differential among fields at {x.tolist()}")
-
-
-def _differentials_at(fields_: Sequence[ScalarField]) -> tuple:
-    """Each field's differential at a checked point, bound once (``ScalarField._d_bound``)."""
-    return tuple(f._d_bound() for f in fields_)
-
-
-def _differential_stack(d_at: tuple, x: np.ndarray) -> np.ndarray:
-    """The (k+1, n) differentials of the bound callables ``d_at`` at x, checked
-    finite on their Python floats: their sum is finite unless some entry is
-    not, or the sum overflows; only then is each entry checked."""
-    rows = np.array([d(x) for d in d_at])
-    flat = rows.ravel().tolist()
-    if not (isfinite(sum(flat)) or all(map(isfinite, flat))):
-        raise _nonfinite_differential(x)
-    return rows
 
 
 def checked_det(mat: np.ndarray, diag_scale: float | None = None) -> float:
@@ -94,19 +68,6 @@ def _check_floor(det: float, diag_scale: float) -> None:
             NumericalHealthWarning,
             stacklevel=3,
         )
-
-
-def _small_det(cells: list, idx: tuple) -> float:
-    """Determinant of a block of at most 2x2 of a Gram matrix, on Python floats.
-
-    ``cells`` is the matrix read once by ``ravel().tolist()``, and ``idx``
-    the block's flat indices in row-major order: one or four. These are the
-    IEEE operations :func:`_checked_dets` does on arrays.
-    """
-    if len(idx) == 1:
-        return cells[idx[0]]
-    a, b, c, d = [cells[i] for i in idx]
-    return a * d - b * c
 
 
 @dataclass(frozen=True)
@@ -238,64 +199,6 @@ def _dets_conserved(gram: np.ndarray, k: int) -> np.ndarray:
     """Checked determinant of the conserved block of each matrix of an
     (m, k+1, k+1) Gram stack."""
     return _checked_dets(gram[:, :k, :k], floor_check=True)
-
-
-def _det_conserved(gram: np.ndarray, k: int, cells: list) -> float:
-    """Checked determinant of the conserved block of a (k+1, k+1) Gram matrix.
-
-    Up to k = 2 the determinant and the diagonal product it is checked
-    against are taken on ``cells``, the Gram matrix row-major as Python
-    floats, in the IEEE operations :func:`_checked_dets` does on arrays. A
-    larger block takes both on a batch of one; its diagonal product is
-    taken even where no floor check needs it, for numpy's overflow warning.
-    """
-    if k > 2:
-        block = gram[None, :k, :k]
-        det, scale = float(_checked_dets(block)[0]), float(_diag_products(block)[0])
-    elif k == 0:
-        det = scale = 1.0
-    elif k == 1:
-        det = scale = cells[0]
-    else:
-        # cells 0, 1, 3 and 4 of the flattened 3x3 matrix
-        a, b, _, c, d = cells[:5]
-        det, scale = a * d - b * c, a * d
-    _check_floor(det, scale)
-    return det
-
-
-def _metric_at(metric: MetricField):
-    """The function p -> (metric matrix at p, its inverse or None), for a checked point p.
-
-    A constant metric gives its checked pair, cached on first use; a
-    callable metric gives its checked matrix at p, and no inverse.
-    """
-    if metric.is_constant:
-        return metric.constant_pair
-    return lambda p: (metric._checked(p), None)
-
-
-def _metric_grads(diffs: np.ndarray, gmat: np.ndarray,
-                  ginv: np.ndarray | None) -> np.ndarray:
-    """Metric gradients of the (k+1, n) differentials; with no inverse, solved against ``gmat``."""
-    if ginv is not None:
-        return diffs @ ginv
-    return np.linalg.solve(gmat, diffs.T).T
-
-
-def _gram_cells(diffs: np.ndarray, grads: np.ndarray) -> list:
-    """The symmetrized Gram matrix of (k+1, n) differentials and their metric
-    gradients, row-major, as Python floats.
-
-    Its symmetrization 0.5 (G + G^T) is taken on the floats of G: the IEEE
-    operations numpy does on the array, at less cost for so few entries.
-    """
-    raw = (diffs @ grads.T).tolist()
-    if len(raw) == 2:  # one conserved quantity: the common case, spelt out
-        (a, b), (c, d) = raw
-        off = 0.5 * (b + c)
-        return [0.5 * (a + a), off, off, 0.5 * (d + d)]
-    return [0.5 * (a + b) for row, col in zip(raw, zip(*raw)) for a, b in zip(row, col)]
 
 
 def system_frame(system: DissipativeSystem, x) -> SystemFrame:

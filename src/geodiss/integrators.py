@@ -17,8 +17,9 @@ fields included, are evaluated after the fact, a block of ``_DIAG_BLOCK``
 accepted steps at a time, on one stacked frame for the block's midpoints
 and one for its records, so a step costs its stage evaluations and nothing
 more, and every value is bitwise the one a per-step evaluation gives. A
-stage of one start is one call of the kernel that
-:func:`geodiss.control._corrected_rhs` binds to the system once per run.
+corrected-flow stage, of one start or of a stack, is one call of the
+evaluator that ``control._corrected_rows`` binds to the system once per
+run; an unperturbed stage evaluates X alone.
 :func:`integrate_ensemble` runs the loop on a stack of corrected-flow
 starts, each to its own end time if given one or to the first state an
 optional stop test holds at, and keeps only what a basin
@@ -47,19 +48,18 @@ from enum import Enum
 
 import numpy as np
 
-from .control import _cofactor_from_frames, _cofactor_minors, _cofactors, _corrected_rhs
+from .control import _cofactor_from_frames, _corrected_rows
 from .errors import (
     GeodissError,
     InitialStepBelowFloor,
     LeafProjectionFailure,
     MaxStepsExceeded,
     NonFiniteState,
-    NonFiniteValue,
     StepUnderflow,
     UnboundedTrajectory,
 )
 from .fields import DissipativeSystem, _project_rows, _row_norms, as_point, as_stack
-from .gram import _nonfinite_differential, _stack_arrays, system_frames
+from .gram import _nonfinite_differential, system_frames
 from .report import csv_text
 
 
@@ -518,50 +518,6 @@ def _step_control(err: float, h_try: float, fac_old: float,
     return True, h_try * min(_FAC_MAX, max(_FAC_MIN, fac)), max(err, 1e-4)
 
 
-def _flow_rows(system: DissipativeSystem, flow: Flow):
-    """Either flow's right-hand side, bound to the system, at a point or on a stack.
-
-    Returns ``evaluate(pts) -> (rhs, v0, ok)`` for a checked point (n,) or
-    stack (m, n): the right-hand side at each row, the control field behind
-    it (None on the unperturbed flow, whose right-hand side is X), and the
-    rows that have one, or None when all do; the step loop reads only the
-    right-hand side. A row whose differentials are not finite, where the
-    point kernel :func:`geodiss.control._corrected_rhs` raises, gets NaN
-    and a False flag. A point or a one-row stack runs that
-    point kernel, whose triple a point's evaluation returns as it is; a
-    larger stack runs the stacked bodies of
-    :func:`system_frames` and ``_cofactor_from_frames``, each row bitwise
-    the point kernel.
-    """
-    X = system.X
-    if flow is Flow.UNPERTURBED:
-        return lambda pts: (X._at(pts) if pts.ndim == 1 else X._values_at(pts), None, None)
-    fields_ = system.all_fields()
-    metric = system.metric
-    minors = _cofactor_minors(system.k)
-    point = _corrected_rhs(system)
-
-    def evaluate(pts):
-        if pts.ndim == 1:
-            try:
-                return point(pts)
-            except NonFiniteValue:
-                nan = np.full(pts.shape, np.nan)
-                return nan, nan, np.False_
-        if len(pts) == 1:
-            rhs, v0, ok = evaluate(pts[0])
-            return rhs[None], v0[None], None if ok is None else ok[None]
-        _, _, grads, gram, ok = _stack_arrays(fields_, metric, pts)
-        v0 = _cofactors(gram, grads, minors)
-        if ok is None:
-            return X._values_at(pts) - v0, v0, None
-        out = np.full(pts.shape, np.nan)
-        out[ok] = X._values_at(pts[ok]) - v0[ok]
-        return out, v0, ok
-
-    return evaluate
-
-
 def _error_norm(tab: _Tableau, h_col, stages: np.ndarray, scale: np.ndarray):
     """The error norm of a try of each row, from the method's error rows.
 
@@ -603,7 +559,9 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     finite, is rejected with the smallest shrink factor; a fixed step that
     leaves it fails its row with :class:`NonFiniteState`. Where no stage
     holds the slope at the new state (RK4, dop853, or a re-projected step),
-    it is evaluated at the stepping rows after the step.
+    it is evaluated at the stepping rows after the step. A slope is the
+    corrected flow's ``_corrected_rows``, whose rows with non-finite
+    differentials come back flagged, or the unperturbed flow's X.
 
     A point's run yields each accepted step as a :class:`_Step`, and raises
     the :class:`IntegrationFailure` that ends it, with its message. A stack's
@@ -634,7 +592,13 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     tab = _TABLEAUS[config.method]
     adaptive = bool(tab.err)
     every = config.record_every
-    kernel = _flow_rows(system, flow)
+    if flow is Flow.PERTURBED:
+        kernel = _corrected_rows(system)
+    else:
+        X = system.X
+
+        def kernel(pts):
+            return X._at(pts) if pts.ndim == 1 else X._values_at(pts), None, None
 
     ka, _, ok = kernel(x)
     xa = x

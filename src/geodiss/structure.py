@@ -12,8 +12,8 @@ run the integrator, which sits below this module and knows nothing of it.
 
 The equilibrium search and the refinement onto the degeneracy set share one
 damped Gauss-Newton on the leaf, ``_leaf_gauss_newton_rows``, which runs a
-stack of starts in lockstep on the integrators' corrected-flow kernel
-(``integrators._flow_rows``): its right-hand side for the search, its
+stack of starts in lockstep on the corrected-flow evaluator
+``control._corrected_rows``: its right-hand side for the search, its
 control field for the refinement. Each row takes the steps of a run of its
 own, bitwise. ``find_equilibria`` searches all its
 seeds in one call; ``_refine_rows`` refines all the starts of a witness
@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .control import _cofactor_from_frame, _projection_from_frame
+from .control import _cofactor_from_frame, _corrected_rows, _projection_from_frame
 from .errors import NonPositiveDefiniteMetric, NotOnInvariantSet, UnboundedTrajectory
 from .fields import (
     DissipativeSystem,
@@ -38,7 +38,7 @@ from .fields import (
     project_to_leaf,
 )
 from .gram import _nonfinite_differential, checked_det, system_frame, system_frames
-from .integrators import Flow, IntegratorConfig, _flow_rows, integrate
+from .integrators import Flow, IntegratorConfig, integrate
 
 DEFAULT_TOL_INV = 1e-9
 DEFAULT_TOL_G = 1e-6
@@ -175,30 +175,6 @@ class EquilibriumReport:
             "stability": self.stability.value,
             "leafValue": self.leaf_value.tolist(),
         }
-
-
-def _rhs_rows(system: DissipativeSystem):
-    """The corrected flow on stacks: ``evaluate(pts) -> (rhs, finite)``, the
-    integrators' kernel without its control field."""
-    evaluate = _flow_rows(system, Flow.PERTURBED)
-
-    def rhs_rows(pts):
-        rhs, _, ok = evaluate(pts)
-        return rhs, ok
-
-    return rhs_rows
-
-
-def _control_rows(system: DissipativeSystem):
-    """The control field on stacks: ``evaluate(pts) -> (v0, finite)``, the
-    integrators' kernel without its right-hand side."""
-    evaluate = _flow_rows(system, Flow.PERTURBED)
-
-    def control_rows(pts):
-        _, v0, ok = evaluate(pts)
-        return v0, ok
-
-    return control_rows
 
 
 def _leaf_gauss_newton_rows(field, system: DissipativeSystem, x0: np.ndarray,
@@ -370,8 +346,9 @@ def find_equilibria(system: DissipativeSystem, seeds,
     x0 = np.array(starts).reshape(len(starts), system.dim)
     targets = np.array([system.leaf_value(p) for p in starts]).reshape(len(starts), system.k)
     # a zero residual is an exact root, where the step is zero too
+    rows = _corrected_rows(system)
     xs, rs, converged = _leaf_gauss_newton_rows(
-        _rhs_rows(system), system, x0, targets,
+        lambda pts: rows(pts)[::2], system, x0, targets,
         max_iter=max_iter, max_halvings=_EQUILIBRIUM_HALVINGS,
         residual_floor=0.0, newton_tol=newton_tol)
     # each root with the norm of the corrected-flow RHS the search ended on
@@ -425,8 +402,9 @@ def _refine_rows(system: DissipativeSystem, starts: np.ndarray, leaf_value,
     x0 = as_stack(starts, system.dim)
     target = np.asarray(leaf_value, dtype=float).ravel()
     trust = np.broadcast_to(np.asarray(trust_radii, dtype=float), (len(x0),))
+    rows = _corrected_rows(system)
     ys, _, _ = _leaf_gauss_newton_rows(
-        _control_rows(system), system, x0, np.broadcast_to(target, (len(x0), system.k)),
+        lambda pts: rows(pts)[1:], system, x0, np.broadcast_to(target, (len(x0), system.k)),
         max_iter=_REFINE_MAX_ITER, max_halvings=_REFINE_HALVINGS,
         residual_floor=_REFINE_RESIDUAL_FLOOR, trust_radius=trust)
     out = []

@@ -772,6 +772,43 @@ def test_sampler_work_is_bounded_before_any_work(rigid, monkeypatch):
         sublevel_component(rigid.system, MAJOR, 0.2, SamplerConfig(cells_per_axis=8))
 
 
+def test_sampler_config_refuses_counts_that_are_not_integers():
+    # a float count once reached numpy and ended in an untyped TypeError:
+    # cells_per_axis 14.0 on the grid, n_samples 512.0 and neighbor_count
+    # 10.0 on the sampled path, and a seed of 1.5 in SeedSequence
+    for bad in ({"cells_per_axis": 14.0}, {"n_samples": 512.0}, {"neighbor_count": 10.0},
+                {"seed": 1.5}, {"seed": 0.0}, {"cells_per_axis": "14"}, {"seed": None}):
+        name = next(iter(bad))
+        with pytest.raises(ConfigError, match=f"sampler {name} must be an integer of at least"):
+            SamplerConfig(**bad)
+    # numpy's integers are integers
+    SamplerConfig(cells_per_axis=np.int64(14), n_samples=np.int32(512),
+                  neighbor_count=np.uint8(10), seed=np.int64(0))
+
+
+def test_certificates_refuse_trajectory_options_outside_the_schema(rigid, mexhat, monkeypatch):
+    # n_trajectories 0 once returned a conditional pass with no trajectory
+    # behind it, and -1, 2.5, 4.0 and a traj_seed of 1.5 ended in untyped
+    # errors; all three entry points refuse them before any work, the
+    # threshold search before it builds its table
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("_LeafTable", "_require_stable", "refine_to_invariant_set"):
+        monkeypatch.setattr(basin_mod, name, no_work)
+    sampler = SamplerConfig(cells_per_axis=32)
+    for bad in ({"n_trajectories": 0}, {"n_trajectories": -1}, {"n_trajectories": 2.5},
+                {"n_trajectories": 4.0}, {"traj_seed": 1.5}, {"traj_seed": -1}):
+        name = next(iter(bad))
+        for certify in (
+                lambda: basin_certify(rigid.system, MAJOR, 0.2, sampler, **bad),
+                lambda: threshold_search(rigid.system, MAJOR, 0.4, 4, sampler, **bad),
+                lambda: periodic_orbit_certify(mexhat.system, [1.05, 0.0, 0.02], 0.2,
+                                               sampler, **bad)):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer of at least"):
+                certify()
+
+
 # ---------------------------------------------------------------------------
 # distance to a sampled closed orbit
 # ---------------------------------------------------------------------------
@@ -1559,6 +1596,27 @@ def test_trap_stops_random_poly_rows_for_good(config):
             stopped += _assert_trap_rows_are_solo_runs(system, run, starts, horizon, cfg, trap)
             rows += len(starts)
     assert stopped == rows
+
+
+@pytest.mark.parametrize("config", [None, _RK45], ids=["dop853", "rk45"])
+def test_trap_stops_a_row_at_its_first_step(rigid, config):
+    # starts already inside the trap, at a quarter of its radius along each
+    # chart axis, stop at their first accepted step; a start outside it, at
+    # 0.02 along the first axis, runs on into it
+    cfg = config or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    r = 1e-4
+    trap = basin_mod._trap(rigid.system, MAJOR, r, cfg)
+    basis = leaf_tangent_basis(rigid.system, MAJOR)
+    leaf = rigid.system.leaf_value(MAJOR)
+    starts = np.array([project_to_leaf(rigid.system, MAJOR + off, leaf)
+                       for off in (0.25 * r * basis[0], 0.25 * r * basis[1], 0.02 * basis[0])])
+    assert trap(starts).tolist() == [True, True, False]
+    horizon = 50.0
+    run = integrate_ensemble(rigid.system, starts, dataclasses.replace(cfg, t_end=horizon),
+                             stop=trap)
+    assert run.n_accepted[:2].tolist() == [1, 1]
+    assert run.n_accepted[2] > 1
+    assert _assert_trap_rows_are_solo_runs(rigid.system, run, starts, horizon, cfg, trap) == 3
 
 
 def test_trap_values_are_the_closed_forms(rigid):

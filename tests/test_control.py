@@ -14,7 +14,7 @@ from geodiss.control import (
     _cofactor_from_frame,
     _cofactor_from_frames,
     _cofactor_minors,
-    _corrected_rhs,
+    _corrected_rows,
     control_field,
     dissipated_rhs,
     dissipation_rate,
@@ -28,7 +28,7 @@ from geodiss.errors import (
     NonFiniteValue,
     SingularLeaf,
 )
-from geodiss.integrators import Flow, IntegratorConfig, _flow_rows, integrate
+from geodiss.integrators import IntegratorConfig, integrate
 from geodiss.fields import (
     DissipativeSystem,
     MetricField,
@@ -38,10 +38,6 @@ from geodiss.fields import (
 from geodiss.gram import (
     SystemFrame,
     _check_floor,
-    _differential_stack,
-    _differentials_at,
-    _metric_at,
-    _metric_grads,
     _nonfinite_differential,
     checked_det,
     system_frame,
@@ -258,8 +254,35 @@ def test_identity_scales_shape():
 
 
 # ---------------------------------------------------------------------------
-# the bound corrected-flow kernel against the frame path
+# the corrected-flow evaluator's point branch against the frame path
 # ---------------------------------------------------------------------------
+
+def _point_branch(system, one_row=False):
+    """The point branch of ``_corrected_rows``, at a point p or at the
+    one-row stack p[None], as the triple ``(X - v0, v0, None)``. Where the
+    differentials are not finite the evaluator flags the row with NaN and
+    False, which this raises as ``dissipated_rhs`` does."""
+    evaluate = _corrected_rows(system)
+
+    def at(p):
+        if one_row:
+            rhs, v0, ok = evaluate(p[None])
+            assert rhs.shape == v0.shape == (1, p.size)
+            rhs, v0, ok = rhs[0], v0[0], None if ok is None else ok[0]
+        else:
+            rhs, v0, ok = evaluate(p)
+        if ok is not None:
+            assert not ok and np.isnan(rhs).all() and np.isnan(v0).all()
+            raise _nonfinite_differential(p)
+        return rhs, v0, None
+
+    return at
+
+
+def _point_branches(system):
+    """The point branch at a point and at a one-row stack."""
+    return _point_branch(system), _point_branch(system, one_row=True)
+
 
 def _catalog_system(i):
     return (rigid_body().system, mexican_hat().system, gradient_only().system)[i]
@@ -355,7 +378,6 @@ def _frame_path(system, p):
 @given(_kernel_cases())
 def test_corrected_rhs_kernel_is_the_frame_path_bitwise(case):
     system, p, floor = case
-    kernel = _corrected_rhs(system)
     with _negativity_floor(floor):
         ref = _outcome(lambda: _frame_path(system, p) + (None,))
         shape_error = _wrong_shape_outcomes(system, p)
@@ -364,8 +386,9 @@ def test_corrected_rhs_kernel_is_the_frame_path_bitwise(case):
             assert ref == stack_error
             ref = point_error
         # the first call checks a constant metric, later ones read its pair
-        for _ in range(2):
-            assert _outcome(lambda: kernel(p)) == ref
+        for kernel in _point_branches(system):
+            for _ in range(2):
+                assert _outcome(lambda: kernel(p)) == ref
         rhs = _outcome(lambda: (dissipated_rhs(system, p),))
     assert rhs == ((ref[0][:1] if len(ref[0]) == 3 else ref[0]), ref[1])
 
@@ -373,8 +396,9 @@ def test_corrected_rhs_kernel_is_the_frame_path_bitwise(case):
 def _wrong_shape_outcomes(system, p):
     """Where a differential answers p in the wrong shape, the outcomes of the
     point call ``f.d(p)`` and of the stacked call ``system_frames`` on p as a
-    batch of one, which say so in their own words: the bound kernel refuses p
-    with the first, a point frame with the second. None elsewhere."""
+    batch of one, which say so in their own words: the evaluator's point
+    branch refuses p with the first, a point frame with the second. None
+    elsewhere."""
     point_error = _outcome(lambda: tuple(f.d(p) for f in system.all_fields()))
     if point_error[0][0] is not DimensionMismatch:
         return None
@@ -394,14 +418,15 @@ def test_corrected_rhs_kernel_raises_the_frame_path_non_finite_error():
         system_frame(system, p)
     with pytest.raises(NonFiniteValue) as local:
         _scalar_reference(system, p)
-    with pytest.raises(NonFiniteValue) as kernel:
-        _corrected_rhs(system)(p)
+    for branch in _point_branches(system):
+        with pytest.raises(NonFiniteValue) as kernel:
+            branch(p)
+        assert str(kernel.value) == str(ref.value)
     with pytest.raises(NonFiniteValue) as rhs:
         dissipated_rhs(system, p)
     with pytest.raises(NonFiniteState) as run:
         integrate(system, p, IntegratorConfig(t_end=1.0))
-    assert (str(kernel.value) == str(rhs.value) == str(run.value) == str(ref.value)
-            == str(local.value))
+    assert str(rhs.value) == str(run.value) == str(ref.value) == str(local.value)
 
 
 def test_corrected_rhs_kernel_warns_as_the_frame_path(monkeypatch):
@@ -410,11 +435,11 @@ def test_corrected_rhs_kernel_warns_as_the_frame_path(monkeypatch):
     pts = np.random.default_rng(6).uniform(-1.0, 1.0, size=(12, 5))
     for system in (random_poly(5, 3, seed=2).system,
                    with_callable_metric(random_poly(5, 2, seed=9).system)):
-        kernel = _corrected_rhs(system)
-        _, warned = _with_warnings(lambda: [kernel(p) for p in pts])
         _, ref_warned = _with_warnings(lambda: [_frame_path(system, p) for p in pts])
-        assert warned == ref_warned
-        assert len(warned) > 0
+        for kernel in _point_branches(system):
+            _, warned = _with_warnings(lambda: [kernel(p) for p in pts])
+            assert warned == ref_warned
+        assert len(ref_warned) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +454,7 @@ def _scalar_reference(system, p):
     diffs = np.array([f.d(p) for f in system.all_fields()])
     if not np.isfinite(diffs).all():
         raise NonFiniteValue(f"non-finite differential among fields at {p.tolist()}")
-    grads, gram = _frozen_frame_arrays(diffs, *_metric_at(system.metric)(p))
+    grads, gram = _frozen_frame_arrays(diffs, *_frozen_metric_at(system.metric)(p))
     block = gram[:k, :k]
     det_c = _frozen_checked_det(block, diag_scale=float(np.prod(np.diag(block))))
     v0 = det_c * grads[k]
@@ -450,9 +475,10 @@ def test_point_bodies_are_the_numpy_scalar_arithmetic_bitwise(case):
     system, p, floor = case
     with _negativity_floor(floor):
         ref = _outcome(lambda: _scalar_reference(system, p))
-        got = _outcome(lambda: _corrected_rhs(system)(p))
+        got, got_row = (_outcome(lambda: kernel(p)) for kernel in _point_branches(system))
         frame_v0 = _outcome(lambda: (_cofactor_from_frame(system_frame(system, p)),))
         det = _outcome(lambda: (system_frame(system, p).det_conserved(),))
+    assert got_row == got
     if len(ref[0]) == 2:  # the class and message of a refused point
         assert got == ref
         shape_error = _wrong_shape_outcomes(system, p)
@@ -480,23 +506,37 @@ def test_point_bodies_keep_the_differential_fallback_and_shape_check():
                                dissipated=G, metric=MetricField.euclidean(3))
     for p in np.random.default_rng(8).uniform(-2.0, 2.0, size=(20, 3)):
         ref_rhs, ref_v0, ref_det = _scalar_reference(system, p)
-        rhs, v0, _ = _corrected_rhs(system)(p)
-        assert rhs.tobytes() == ref_rhs.tobytes()
-        assert v0.tobytes() == ref_v0.tobytes()
+        for kernel in _point_branches(system):
+            rhs, v0, _ = kernel(p)
+            assert rhs.tobytes() == ref_rhs.tobytes()
+            assert v0.tobytes() == ref_v0.tobytes()
         assert system_frame(system, p).det_conserved().hex() == ref_det.hex()
     bad = DissipativeSystem(
         X=system.X, conserved=(F,), metric=system.metric,
         dissipated=ScalarField(3, G.value, differential=lambda p: p[:2], label="g"))
     with pytest.raises(DimensionMismatch) as ref:
         _scalar_reference(bad, p)
-    with pytest.raises(DimensionMismatch) as kernel:
-        _corrected_rhs(bad)(p)
-    assert str(kernel.value) == str(ref.value)
+    for branch in _point_branches(bad):
+        with pytest.raises(DimensionMismatch) as kernel:
+            branch(p)
+        assert str(kernel.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------
-# the point kernel against a frozen copy of the kernel it replaced
+# the point branch against a frozen copy of the kernel it replaced
 # ---------------------------------------------------------------------------
+
+def _frozen_metric_at(metric):
+    if metric.is_constant:
+        return metric.constant_pair
+    return lambda p: (metric._checked(p), None)
+
+
+def _frozen_metric_grads(diffs, gmat, ginv):
+    if ginv is not None:
+        return diffs @ ginv
+    return np.linalg.solve(gmat, diffs.T).T
+
 
 def _frozen_differential_stack(fields_, x):
     rows = np.empty((len(fields_), x.size))
@@ -559,13 +599,13 @@ def _frozen_corrected_rhs(system):
     for every sum and product, a numpy finiteness check, and the metric
     looked up at every call."""
     fields_ = system.all_fields()
-    metric_at = _metric_at(system.metric)
+    metric_at = _frozen_metric_at(system.metric)
     minors = _cofactor_minors(system.k)
     X = system.X
 
     def evaluate(p):
         diffs = _frozen_differential_stack(fields_, p)
-        grads = _metric_grads(diffs, *metric_at(p))
+        grads = _frozen_metric_grads(diffs, *metric_at(p))
         v0 = _frozen_cofactor(_frozen_gram_cells(diffs, grads), grads, minors)
         return X._at(p) - v0, v0
 
@@ -583,13 +623,13 @@ def test_point_kernel_is_the_frozen_kernel_bitwise(case):
     # its order, and the class and message of a refused point; at 1e80 and
     # 1e160 the Gram products overflow, and numpy's warnings name matmul
     system, p, floor = case
-    kernel = _corrected_rhs(system)
     frozen = _frozen_corrected_rhs(system)
     with _negativity_floor(floor):
         ref = _outcome(lambda: frozen(p) + (None,))
         # the first call checks a constant metric, later ones read its pair
-        for _ in range(3):
-            assert _outcome(lambda: kernel(p)) == ref
+        for kernel in _point_branches(system):
+            for _ in range(3):
+                assert _outcome(lambda: kernel(p)) == ref
 
 
 @pytest.mark.parametrize("second", [1e308, -1e308, np.inf, np.nan])
@@ -602,7 +642,8 @@ def test_point_kernel_checks_each_differential_where_their_sum_is_not_finite(sec
                                MetricField.euclidean(2))
     p = np.array([0.5, -0.0])
     ref = _outcome(lambda: _frozen_corrected_rhs(system)(p) + (None,))
-    assert _outcome(lambda: _corrected_rhs(system)(p)) == ref
+    for kernel in _point_branches(system):
+        assert _outcome(lambda: kernel(p)) == ref
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +694,7 @@ _ONE_ROW_SYSTEM = random_poly(4, 2, seed=3).system
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_kernel_stacks())
-# a one-row stack runs the point kernel: a finite row, a row with a NaN
+# a one-row stack runs the point branch: a finite row, a row with a NaN
 # coordinate, and a row whose Gram determinants warn at floor 0.9
 @example((_ONE_ROW_SYSTEM, np.array([[0.3, -0.5, 0.8, 0.1]]),
           geodiss.gram.GRAM_NEGATIVITY_FLOOR))
@@ -666,10 +707,10 @@ def test_stacked_rhs_kernel_is_the_frame_stack_path_bitwise(case):
     geodiss.gram.GRAM_NEGATIVITY_FLOOR = floor
     try:
         (rhs, v0, ok), warned = _with_warnings(
-            lambda: _flow_rows(system, Flow.PERTURBED)(pts))
+            lambda: _corrected_rows(system)(pts))
         (ref, ref_v0, ref_ok), ref_warned = _with_warnings(
             lambda: _frame_stack_path(system, pts))
-        # the point kernel at the finite rows, in row order
+        # the frame path at each finite row alone, in row order
         point, point_warned = _with_warnings(
             lambda: [_frame_path(system, p)[0] for p in pts[ref_ok]])
     finally:
@@ -717,7 +758,7 @@ def _frozen_diag_product(mat):
 
 
 def _frozen_frame_arrays(diffs, gmat, ginv):
-    grads = _metric_grads(diffs, gmat, ginv)
+    grads = _frozen_metric_grads(diffs, gmat, ginv)
     gram = diffs @ grads.T
     return grads, 0.5 * (gram + gram.T)
 
@@ -725,8 +766,8 @@ def _frozen_frame_arrays(diffs, gmat, ginv):
 def _frozen_system_frame(system, p):
     """The point frame as it was before it became a batch of one of the
     stacked frames: its own differential stack, gradients and Gram matrix."""
-    diffs = _differential_stack(_differentials_at(system.all_fields()), p)
-    gmat, ginv = _metric_at(system.metric)(p)
+    diffs = _frozen_differential_stack(system.all_fields(), p)
+    gmat, ginv = _frozen_metric_at(system.metric)(p)
     grads, gram = _frozen_frame_arrays(diffs, gmat, ginv)
     return SystemFrame(x=p, gmat=gmat, diffs=diffs, grads=grads, gram=gram)
 

@@ -38,8 +38,8 @@ from geodiss.fields import (
 import geodiss.fields
 import geodiss.gram
 import geodiss.integrators
-from geodiss.control import Formulation, _cofactor_from_frame, _corrected_rhs, control_field
-from geodiss.gram import system_frame
+from geodiss.control import Formulation, _cofactor_from_frame, _corrected_rows, control_field
+from geodiss.gram import _nonfinite_differential, system_frame
 from geodiss.integrators import (
     Flow,
     IntegratorConfig,
@@ -144,10 +144,13 @@ def _rk4_step(rhs, x, h, k1):
 def _evaluator(system: DissipativeSystem, flow: Flow):
     """Right-hand side of the flow at p."""
     if flow is Flow.PERTURBED:
-        kernel = _corrected_rhs(system)
+        kernel = _corrected_rows(system)
 
         def evaluate(p):
-            return kernel(p)[0]
+            rhs, _, ok = kernel(p)
+            if ok is not None:
+                raise _nonfinite_differential(p)
+            return rhs
     else:
         evaluate = system.X
     return _guard_nonfinite(evaluate)
@@ -861,7 +864,7 @@ def _counted_frames(monkeypatch):
     calls = []
     frames = []
     rows = []
-    real_rhs = geodiss.integrators._corrected_rhs
+    real_rhs = geodiss.integrators._corrected_rows
     real_frame = geodiss.gram.system_frame
     real_stacked = geodiss.integrators.system_frames
 
@@ -881,7 +884,7 @@ def _counted_frames(monkeypatch):
         rows.append(len(pts))
         return real_stacked(system, pts)
 
-    monkeypatch.setattr(geodiss.integrators, "_corrected_rhs", counted_rhs)
+    monkeypatch.setattr(geodiss.integrators, "_corrected_rows", counted_rhs)
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("geodiss")
                 and getattr(module, "system_frame", None) is real_frame):
@@ -1001,6 +1004,23 @@ def test_package_import_graph_is_acyclic():
 
     for module in sorted(graph):
         visit(module)
+
+
+def test_package_modules_read_every_module_level_import():
+    # a name a module imports at its top and never reads is a leftover
+    unused = []
+    for path in sorted(Path(geodiss.integrators.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__"):
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{stmt.lineno} {name}")
+    assert unused == []
 
 
 def test_integrators_import_only_at_module_top():
@@ -1207,7 +1227,7 @@ def test_an_ensemble_row_end_time_is_checked_before_any_evaluation(mexhat, monke
     cfg = IntegratorConfig(max_steps=50)
     with pytest.raises(InitialStepBelowFloor) as solo:
         integrate(mexhat.system, starts[1], dataclasses.replace(cfg, t_end=1e308))
-    monkeypatch.setattr(geodiss.integrators, "_flow_rows", no_kernel)
+    monkeypatch.setattr(geodiss.integrators, "_corrected_rows", no_kernel)
     with pytest.raises(InitialStepBelowFloor) as row:
         integrate_ensemble(mexhat.system, starts, cfg, t_ends=[1.0, 1e308, 1e300])
     assert str(row.value) == str(solo.value)

@@ -134,10 +134,10 @@ def test_equilibrium_search_evaluates_no_point_twice(rigid, mexhat, monkeypatch)
     # the solver carries each accepted trial's residual into the next
     # iteration, and the reports read the residual the search ended on
     points = []
-    rhs_rows = structure_mod._rhs_rows
+    corrected_rows = structure_mod._corrected_rows
 
-    def recording_rhs_rows(system):
-        evaluate = rhs_rows(system)
+    def recording_rows(system):
+        evaluate = corrected_rows(system)
 
         def recording(pts):
             points.extend(np.asarray(p, dtype=float).tobytes() for p in pts)
@@ -145,7 +145,7 @@ def test_equilibrium_search_evaluates_no_point_twice(rigid, mexhat, monkeypatch)
 
         return recording
 
-    monkeypatch.setattr(structure_mod, "_rhs_rows", recording_rhs_rows)
+    monkeypatch.setattr(structure_mod, "_corrected_rows", recording_rows)
     for system in (rigid.system, mexhat.system):
         seeds = np.random.default_rng(4).uniform(-1.5, 1.5, size=(6, 3))
         points.clear()
@@ -252,10 +252,10 @@ def test_refinement_never_evaluates_outside_its_trust_ball(mexhat, monkeypatch):
     # a Gauss-Newton trial outside the ball is halved before it is evaluated
     x0, trust = np.array([2.0, 0.0, 0.0]), 0.05
     points = []
-    flow_rows = structure_mod._flow_rows
+    corrected_rows = structure_mod._corrected_rows
 
-    def recording_flow_rows(system, flow):
-        evaluate = flow_rows(system, flow)
+    def recording_rows(system):
+        evaluate = corrected_rows(system)
 
         def recording(pts):
             points.extend(np.array(pts, dtype=float).reshape(-1, system.dim))
@@ -263,7 +263,7 @@ def test_refinement_never_evaluates_outside_its_trust_ball(mexhat, monkeypatch):
 
         return recording
 
-    monkeypatch.setattr(structure_mod, "_flow_rows", recording_flow_rows)
+    monkeypatch.setattr(structure_mod, "_corrected_rows", recording_rows)
     assert refine_to_invariant_set(mexhat.system, x0, trust_radius=trust) is None
     assert len(points) > 1
     # central differences step at most sqrt(eps) max(1, |x_i|) off a point
@@ -548,7 +548,7 @@ def test_leaf_diagnostics_warns_once_and_takes_the_kernel_rate(monkeypatch):
     import warnings
 
     import geodiss.gram
-    from geodiss.control import _corrected_rhs
+    from geodiss.control import _corrected_rows
 
     # a positive floor makes the conserved determinant of two gradients warn:
     # once a call, as the corrected-flow kernel at the same point does
@@ -563,7 +563,7 @@ def test_leaf_diagnostics_warns_once_and_takes_the_kernel_rate(monkeypatch):
         return out, [str(w.message) for w in caught]
 
     d, warned = messages(lambda: leaf_diagnostics(system, x))
-    (rhs, _, _), kernel_warned = messages(lambda: _corrected_rhs(system)(x))
+    (rhs, _, _), kernel_warned = messages(lambda: _corrected_rows(system)(x))
     assert len(warned) == 1 and warned == kernel_warned
     assert d.g_rate == float(system.dissipated.d(x) @ rhs)
 
@@ -671,20 +671,28 @@ def _leaf_gauss_newton(field, system, x0, target, max_iter, max_halvings,
 
 # the two residual fields: the control field for refinement (floor 1e-14, no
 # stationarity exit) and the corrected flow for equilibria (floor 0,
-# newton_tol 1e-10), as a point field for the reference and a stacked one
+# newton_tol 1e-10), as a point field for the reference and as the slice of
+# the evaluator's triple that the lockstep solver reads
 _GN_FIELDS = {
     "refine": (lambda s: lambda p: _cofactor_from_frame(system_frame(s, p)),
-               structure_mod._control_rows, 1e-14, None),
+               slice(1, None), 1e-14, None),
     "equilibria": (lambda s: lambda p: dissipated_rhs(s, p),
-                   structure_mod._rhs_rows, 0.0, 1e-10),
+                   slice(None, None, 2), 0.0, 1e-10),
 }
+
+
+def _stacked_field(system, part):
+    """The slice ``part`` of the corrected-flow evaluator's triple, as the
+    solver's stacked field ``(values, ok)``."""
+    evaluate = structure_mod._corrected_rows(system)
+    return lambda pts: evaluate(pts)[part]
 
 
 def _gn_parity(system, kind, x0s, targets, trusts, max_iter, max_halvings):
     """Run the lockstep loop and the reference on every row; assert bitwise
     equality, or the same exception as the first reference row that raises.
     Returns the reference results, or None when a row raised."""
-    point_field, stacked_field, floor, newton_tol = _GN_FIELDS[kind]
+    point_field, part, floor, newton_tol = _GN_FIELDS[kind]
     field = point_field(system)
     ref, first_exc = [], None
     for x0, target, trust in zip(x0s, targets, trusts):
@@ -694,7 +702,7 @@ def _gn_parity(system, kind, x0s, targets, trusts, max_iter, max_halvings):
         except IdentityFailure as exc:
             first_exc = exc
             break
-    args = (stacked_field(system), system, x0s, targets, max_iter, max_halvings,
+    args = (_stacked_field(system, part), system, x0s, targets, max_iter, max_halvings,
             floor, np.array(trusts), newton_tol)
     if first_exc is not None:
         with pytest.raises(type(first_exc)) as got:
@@ -827,9 +835,9 @@ def test_lockstep_gauss_newton_raises_the_first_failing_row(kind, failure):
     assert _gn_parity(system, kind, x0s, targets, [0.5, 0.5, 0.5], 25, 20) is None
     assert _gn_parity(system, kind, x0s[[0, 2]], targets[[0, 2]], [0.5, 0.5], 25, 20) is None
     # the message names row 1's point x + h e_1, not row 2's start
-    _, stacked_field, floor, newton_tol = _GN_FIELDS[kind]
+    _, part, floor, newton_tol = _GN_FIELDS[kind]
     with pytest.raises(error, match=r"at \[1\.00000001"):
-        structure_mod._leaf_gauss_newton_rows(stacked_field(system), system, x0s, targets,
+        structure_mod._leaf_gauss_newton_rows(_stacked_field(system, part), system, x0s, targets,
                                               25, 20, floor, 0.5, newton_tol)
 
 
