@@ -67,7 +67,7 @@ from .gram import _nonfinite_differential, system_frames
 from .integrators import (
     EnsembleRun,
     IntegratorConfig,
-    Method,
+    _adaptive,
     _check_t_end,
     _lockstep,
     integrate_ensemble,
@@ -704,7 +704,7 @@ def _trap(system: DissipativeSystem, x_e: np.ndarray, radius: float,
     (as at a quartic bowl), or where delta does not clear 100 r lam_max
     ``local_tol(|x_e|)``, a bound on one step's tangential change of L.
     """
-    if config.method is Method.RK4_FIXED:
+    if not _adaptive(config):
         return None
     basis = leaf_tangent_basis(system, x_e)
     d, n = basis.shape
@@ -1223,6 +1223,7 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
     """
     seed0 = as_point(seed_point, system.dim)
     _require_draw(n_trajectories, traj_seed)
+    _require_count("n_phases", n_phases, 1)
     cfg = integrator or IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
     y0 = refine_to_invariant_set(system, seed0, trust_radius=_SEED_TRUST)
     if y0 is None:
@@ -1331,12 +1332,12 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
     call.apply_defaults()
     opts = call.arguments
     _require_draw(opts["n_trajectories"], opts["traj_seed"])
+    _require_count("steps", steps, 1)
     _require_stable(system, x_e, opts["stability"])
 
     table = _LeafTable(system, x_e, system.leaf_value(x_e), sampler or SamplerConfig())
     target = _equilibrium(x_e, opts["target_radius"])
     config, bound, trap = _ensemble_setup(system, target, x_e, opts)
-    last = max(steps, 0)  # level_max is probed first, then up to ``steps`` midpoints
 
     def advance(state, level, ok):
         """The bisection's ``(lo, hi, probed)`` after ``level`` passed (ok) or
@@ -1352,7 +1353,7 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
         exactly when its geometry does, or only the next one: ``(level,
         draw, error)``, the draw None where geometry failed."""
         planned = []
-        while state is not None and state[2] <= last and (speculate or not planned):
+        while state is not None and state[2] <= steps and (speculate or not planned):
             lo, hi, probed = state
             level = level_max if probed == 0 else 0.5 * (lo + hi)
             try:
@@ -1369,10 +1370,11 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
             state = advance(state, level, draw is not None)
         return planned
 
+    # level_max is probed first, then up to ``steps`` midpoints
     history = []
     state = (g_e, level_max, 0)
     speculate = True
-    while state[2] <= last:
+    while state[2] <= steps:
         planned = plan(state, speculate)
         draws = [draw for _, draw, _ in planned if draw is not None]
         try:

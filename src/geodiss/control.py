@@ -15,17 +15,17 @@ a system once per run: at a point or a stack of points it returns the
 right-hand side, the control field and the rows whose differentials are
 finite. The integrators' stages, :func:`dissipated_rhs`, the equilibrium
 search, the refinement onto the degeneracy set and the automatic horizon
-all evaluate it. Its body goes by input size: a point or a one-row stack,
-the case of a long solo integration, runs on Python floats, in numpy's
-IEEE operations, and a larger stack runs the stacked frame arrays and the
-cofactor expansion ``_cofactors``. Tests hold both to the frame path
-bitwise.
+all evaluate it. Its Gram and cofactor arithmetic is the cofactor
+expansion ``_cofactors`` of a Gram stack, except at a point or a one-row
+stack of a system with one conserved quantity, the case of a long solo
+integration, which runs it on Python floats, in numpy's IEEE operations.
+Tests hold both to the frame path bitwise.
 
 Everything else reads frames. The cofactor expansion of a stack of Gram
-matrices, ``_cofactors``, reads 1x1 and 2x2 minors off views of the
-flattened stack, with no gathered copy per minor; the cofactor field at a
-point frame, ``_cofactor_from_frame``, is that expansion on a batch of
-one. An integration's records read it off their record frames. The three
+matrices, ``_cofactors``, reads a 1x1 minor off a view of the flattened
+stack and gathers a larger one; the cofactor field at a point frame,
+``_cofactor_from_frame``, is that expansion on a batch of one. An
+integration's records read it off their record frames. The three
 formulations, the structure probes and ``geodiss verify`` read point
 frames.
 """
@@ -45,7 +45,6 @@ from .gram import (
     SystemFrame,
     _check_floor,
     _checked_dets,
-    _diag_products,
     _dets_conserved,
     _nonfinite_differential,
     _stack_arrays,
@@ -95,9 +94,8 @@ def _cofactors(gram: np.ndarray, grads: np.ndarray, minors: tuple) -> np.ndarray
     and its (m, k+1, n) gradients, bitwise row for row the point body of
     :func:`_corrected_rows`.
 
-    A 1x1 or 2x2 minor's determinant is read off column views of the
-    flattened Gram stack, in the arithmetic of :func:`_checked_dets`; a
-    larger minor is gathered for ``np.linalg.det``.
+    A 1x1 minor's determinant is read off a column view of the flattened
+    Gram stack; a larger minor is gathered for :func:`_checked_dets`.
     """
     k = len(minors)
     v0 = _dets_conserved(gram, k)[:, None] * grads[:, k]
@@ -105,9 +103,6 @@ def _cofactors(gram: np.ndarray, grads: np.ndarray, minors: tuple) -> np.ndarray
     for i, (sign, flat, cells) in enumerate(minors):
         if k == 1:
             det = flat_gram[:, cells[0]]
-        elif k == 2:
-            a, b, c, d = [flat_gram[:, j] for j in cells]
-            det = a * d - b * c
         else:
             det = _checked_dets(flat_gram[:, flat])
         v0 = v0 + (sign * det)[:, None] * grads[:, i]
@@ -134,14 +129,16 @@ def _corrected_rows(system: DissipativeSystem):
     ``system.X(p) - _cofactor_from_frame(system_frame(system, p))``, its
     warnings too wherever the Gram products stay finite.
 
-    The body goes by input size. A point or a one-row stack, the case of a
-    long solo integration, runs on Python floats in numpy's IEEE
-    operations, at less cost than a one-row stack of the array bodies; it
-    refuses a differential of the wrong shape with the message of the
-    point call ``ScalarField.d``. A sum of the terms det times gradient
-    that overflows or turns NaN, and any sum for k > 2, is taken in numpy,
-    for numpy's warnings. A larger stack runs ``_stack_arrays`` and
-    :func:`_cofactors`.
+    A point or a one-row stack takes each differential through its bound
+    point call, so one of the wrong shape is refused with the message of
+    the point call ``ScalarField.d``, and tests their finiteness on Python
+    floats. With one conserved quantity, the case of a long solo
+    integration, its Gram cells, floor check and cofactor sum run on
+    Python floats in numpy's IEEE operations, at less cost than a one-row
+    stack of the array bodies; a sum that overflows or turns NaN is taken
+    in numpy, for numpy's warnings. Any other k runs :func:`_cofactors` on
+    a batch of one, in the frame path's arithmetic. A larger stack runs
+    ``_stack_arrays`` and :func:`_cofactors`.
     """
     fields_ = system.all_fields()
     d_at = tuple(f._d_bound() for f in fields_)
@@ -170,48 +167,26 @@ def _corrected_rows(system: DissipativeSystem):
             grads = diffs @ ginv
         else:
             grads = np.linalg.solve(gmat, diffs.T).T
-        # the Gram matrix row-major, its symmetrization 0.5 (G + G^T) taken
-        # on the floats of G
-        raw = (diffs @ grads.T).tolist()
-        if k == 1:  # the common case, spelt out
-            (a, b), (c, d) = raw
-            off = 0.5 * (b + c)
-            cells = [0.5 * (a + a), off, off, 0.5 * (d + d)]
+        if k != 1:
+            # the frame path's own arithmetic on a batch of one
+            gram = diffs @ grads.T
+            v0 = _cofactors(0.5 * (gram + gram.T)[None], grads[None], minors)[0]
+            return X._at(p) - v0, v0, None
+        # one conserved quantity: the Gram cells, the floor check and the
+        # cofactor sum on Python floats, symmetrized as 0.5 (G + G^T)
+        (a, b), (c, _) = (diffs @ grads.T).tolist()
+        det_c, minor = 0.5 * (a + a), 0.5 * (b + c)
+        _check_floor(det_c, det_c)
+        # the minor's cofactor sign is -1; a sum that overflows or turns NaN
+        # is taken in numpy, for numpy's warnings
+        cof = -1.0 * minor
+        f_row, g_row = grads.tolist()
+        terms = [det_c * g + cof * f for g, f in zip(g_row, f_row)]
+        if isfinite(sum(terms)):
+            v0 = np.array(terms)
         else:
-            cells = [0.5 * (a + b) for row, col in zip(raw, zip(*raw)) for a, b in zip(row, col)]
-        # the conserved block's determinant and the diagonal product it is
-        # checked against; a larger block takes its diagonal product even
-        # where no floor check needs it, for numpy's overflow warning
-        if k > 2:
-            gram = np.array(cells).reshape(k + 1, k + 1)
-            block = gram[None, :k, :k]
-            det_c, scale = float(_checked_dets(block)[0]), float(_diag_products(block)[0])
-        elif k == 0:
-            det_c = scale = 1.0
-        elif k == 1:
-            det_c = scale = cells[0]
-        else:
-            # cells 0, 1, 3 and 4 of the flattened 3x3 matrix
-            a, b, _, c, d = cells[:5]
-            det_c, scale = a * d - b * c, a * d
-        _check_floor(det_c, scale)
-        v0 = None
-        if k <= 2:
-            dets = [cells[idx[0]] if k == 1
-                    else cells[idx[0]] * cells[idx[3]] - cells[idx[1]] * cells[idx[2]]
-                    for _, _, idx in minors]
-            rows = grads.tolist()
-            terms = [det_c * g for g in rows[k]]
-            for (sign, _, _), det, row in zip(minors, dets, rows):
-                c = sign * det
-                terms = [v + c * a for v, a in zip(terms, row)]
-            if isfinite(sum(terms)):
-                v0 = np.array(terms)
-        if v0 is None:
-            v0 = det_c * grads[k]
-            for i, (sign, flat, _) in enumerate(minors):
-                det = dets[i] if k <= 2 else checked_det(gram.take(flat))
-                v0 += (sign * det) * grads[i]
+            v0 = det_c * grads[1]
+            v0 += cof * grads[0]
         return X._at(p) - v0, v0, None
 
     def evaluate(pts):

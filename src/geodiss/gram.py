@@ -20,9 +20,10 @@ the :class:`SystemFrame` methods and :func:`checked_det` run the stacked
 determinant bodies (``_checked_dets``, ``_dets_conserved``,
 ``_diag_products``) on one matrix. The corrected-flow evaluator
 ``control._corrected_rows`` calls the array body ``_stack_arrays`` on a
-stack of more than one row, and on a point or a one-row stack its own
-body on Python floats, which checks its determinants against the floor
-with ``_check_floor``.
+stack of more than one row. At a point or a one-row stack of a system
+with one conserved quantity its own body runs on Python floats and checks
+its determinant against the floor with ``_check_floor``; at any other k
+it runs the frame path's Gram arithmetic on a batch of one.
 """
 from __future__ import annotations
 

@@ -264,6 +264,11 @@ _TABLEAUS = {
 }
 
 
+def _adaptive(config: IntegratorConfig) -> bool:
+    """Whether the config's method is an adaptive pair: its tableau has error rows."""
+    return bool(_TABLEAUS[config.method].err)
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """How a run steps: the method, its first step ``h0``, the tolerances
@@ -384,7 +389,7 @@ def _landing_scope(config: IntegratorConfig):
     before the run ends in the failure they find. Those overflows warn no
     one, as the stages' do.
     """
-    if config.method is not Method.RK4_FIXED:
+    if _adaptive(config):
         return _NO_SCOPE
     return np.errstate(over="ignore", invalid="ignore")
 
@@ -483,7 +488,7 @@ def _first_step(config: IntegratorConfig, t_end: float | None = None) -> float:
     if t_end is None:
         t_end = config.t_end
     h = min(config.h0, t_end)
-    if config.method is not Method.RK4_FIXED and not h >= _STEP_FLOOR * t_end:
+    if _adaptive(config) and not h >= _STEP_FLOOR * t_end:
         raise InitialStepBelowFloor(
             f"the first step min(h0, t_end) = {h:.3e} (h0 = {config.h0:.6g}, "
             f"t_end = {t_end:.6g}) lies below the step floor "
@@ -590,7 +595,7 @@ def _lockstep(system: DissipativeSystem, x: np.ndarray, config: IntegratorConfig
     t_stop = [te - _STEP_FLOOR * te for te in t_end]
     min_h = [_STEP_FLOOR * te for te in t_end]
     tab = _TABLEAUS[config.method]
-    adaptive = bool(tab.err)
+    adaptive = _adaptive(config)
     every = config.record_every
     if flow is Flow.PERTURBED:
         kernel = _corrected_rows(system)

@@ -790,7 +790,8 @@ def test_certificates_refuse_trajectory_options_outside_the_schema(rigid, mexhat
     # n_trajectories 0 once returned a conditional pass with no trajectory
     # behind it, and -1, 2.5, 4.0 and a traj_seed of 1.5 ended in untyped
     # errors; all three entry points refuse them before any work, the
-    # threshold search before it builds its table
+    # threshold search before it builds its table, and so do the orbit
+    # certificate its n_phases and the threshold search its steps
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
@@ -807,6 +808,15 @@ def test_certificates_refuse_trajectory_options_outside_the_schema(rigid, mexhat
                                                sampler, **bad)):
             with pytest.raises(ConfigError, match=f"{name} must be an integer of at least"):
                 certify()
+    # n_phases 0 once ended in an untyped ValueError and 2.5 in an
+    # IndexError after the whole orbit certificate had run; steps 2.5 ran as
+    # 2, and -3 probed only level_max
+    for bad in ({"n_phases": 0}, {"n_phases": 2.5}):
+        with pytest.raises(ConfigError, match="n_phases must be an integer of at least 1"):
+            periodic_orbit_certify(mexhat.system, [1.05, 0.0, 0.02], 0.2, sampler, **bad)
+    for steps in (2.5, 0, -3):
+        with pytest.raises(ConfigError, match="steps must be an integer of at least 1"):
+            threshold_search(rigid.system, MAJOR, 0.4, steps, sampler)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import geodiss.control
 import geodiss.gram
 from geodiss.catalog import gradient_only, mexican_hat, random_poly, rigid_body
 from geodiss.control import (
@@ -614,22 +615,54 @@ def _frozen_corrected_rhs(system):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_kernel_cases(scaled=True))
-# three conserved quantities where the Gram products overflow: numpy warns
-# on the conserved block's diagonal product, which no floor check needs
+# three conserved quantities where the Gram products overflow: the frame
+# path's warnings, not the frozen kernel's, which warned on the conserved
+# block's diagonal product where no floor check needs it
 @example((random_poly(4, 3, seed=0).system, np.array([0.5, -1.2, 0.8, 1.5]) * 1e40,
           geodiss.gram.GRAM_NEGATIVITY_FLOOR))
 def test_point_kernel_is_the_frozen_kernel_bitwise(case):
     # every bit of X - v0 and v0, signed zeros included, every warning in
     # its order, and the class and message of a refused point; at 1e80 and
-    # 1e160 the Gram products overflow, and numpy's warnings name matmul
+    # 1e160 the Gram products overflow, and numpy's warnings name matmul.
+    # One conserved quantity keeps the frozen kernel's float body; any
+    # other k runs the frame path's arithmetic, which it matches wherever
+    # the point is not scaled out of the unit box or NaN
     system, p, floor = case
     frozen = _frozen_corrected_rhs(system)
     with _negativity_floor(floor):
-        ref = _outcome(lambda: frozen(p) + (None,))
+        if system.k == 1 or (np.abs(p) <= 2.0).all():
+            ref = _outcome(lambda: frozen(p) + (None,))
+        else:
+            ref = _outcome(lambda: _frame_path(system, p) + (None,))
+            shape_error = _wrong_shape_outcomes(system, p)
+            if shape_error is not None:
+                ref = shape_error[0]
         # the first call checks a constant metric, later ones read its pair
         for kernel in _point_branches(system):
             for _ in range(3):
                 assert _outcome(lambda: kernel(p)) == ref
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_point_kernel_runs_the_stacked_cofactors_unless_k_is_one(k, monkeypatch):
+    # the float body serves one conserved quantity; any other k takes the
+    # stacked cofactor expansion on a batch of one, once per call
+    calls = []
+    cofactors = geodiss.control._cofactors
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return cofactors(*args)
+
+    monkeypatch.setattr(geodiss.control, "_cofactors", counted)
+    system = random_poly(5, k, seed=4).system
+    evaluate = _corrected_rows(system)
+    p = np.array([0.3, -0.5, 0.8, 0.1, -0.2])
+    for pts in (p, p[None], p, p[None]):
+        evaluate(pts)
+    assert calls == ([] if k == 1 else [1, 1, 1, 1])
+    evaluate(np.stack([p, -p]))
+    assert calls[-1] == 2
 
 
 @pytest.mark.parametrize("second", [1e308, -1e308, np.inf, np.nan])
