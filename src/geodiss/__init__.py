@@ -26,6 +26,7 @@ _EXPORTS = {
     "NonFiniteValue": "errors",
     "NonPositiveDefiniteMetric": "errors",
     "SingularLeaf": "errors",
+    "PremiseViolation": "errors",
     "StepUnderflow": "errors",
     "MaxStepsExceeded": "errors",
     "NonFiniteState": "errors",

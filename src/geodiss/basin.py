@@ -17,6 +17,12 @@ their rows of an ensemble run,
   3. trajectories of the corrected flow started inside it converge to the
      target.
 
+The argument rests on the paper's premise that X annihilates every
+conserved quantity and G, so that G falls at rate -det Gamma along the
+corrected flow: a member of a judged component, or an orbit phase, where it
+fails is refused with :class:`PremiseViolation` before any witness scan or
+ensemble (``fields._require_premise``).
+
 The equilibrium and orbit certificates and the threshold search use both
 halves; the orbit certificate adds only what is its own (seed refinement,
 period detection, phase checks and a coverage test).
@@ -62,7 +68,13 @@ from .errors import (
     NotOnInvariantSet,
     NotPeriodic,
 )
-from .fields import DissipativeSystem, _project_rows, _row_norms, as_point
+from .fields import (
+    DissipativeSystem,
+    _project_rows,
+    _require_premise,
+    _row_norms,
+    as_point,
+)
 from .gram import _nonfinite_differential, system_frames
 from .integrators import (
     EnsembleRun,
@@ -334,8 +346,9 @@ class _LeafTable:
     found by a sorted search of ``cells``, with no array of every cell.
 
     ``select(level)`` makes the component at any level from the table alone.
-    A row's witness score and its refinements are cached, so a search over
-    levels projects, scores and refines each point once.
+    A row's witness score, its refinements and its passing the premise
+    check are cached, so a search over levels projects, scores, refines and
+    checks each point once.
     """
 
     def __init__(self, system: DissipativeSystem, anchor: np.ndarray,
@@ -365,6 +378,7 @@ class _LeafTable:
                 self.points[s:s + _TABLE_BLOCK])
         self._ratios = np.full(len(self.points), np.nan)
         self._gnorms = np.full(len(self.points), np.nan)
+        self._premise_ok = np.zeros(len(self.points), dtype=bool)
         self._refined: dict[tuple[int, float], np.ndarray | None] = {}
 
     def _grid_points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -495,6 +509,14 @@ class _LeafTable:
         touches = bool(np.any(np.max(np.abs(self.points[rows] - self.anchor), axis=1)
                               > self.hw - 2.0 * spacing))
         return rows, spacing, touches
+
+    def require_premise(self, rows: np.ndarray) -> None:
+        """``_require_premise`` on a selected component's rows, each row
+        evaluated until it has passed once."""
+        todo = rows[~self._premise_ok[rows]]
+        if todo.size:
+            _require_premise(self.system, self.points[todo])
+            self._premise_ok[todo] = True
 
     def witnesses(self, component: SublevelComponent, rows: np.ndarray,
                   opts) -> np.ndarray:
@@ -903,10 +925,12 @@ def _certify_level(system, anchor, level, target, opts) -> _Judgement:
     """Judge a level on a freshly built component and witness scan.
 
     The certificates take this uncached path through the public functions,
-    which the threshold search's leaf table must agree with. The level's
-    ensemble is one lockstep call.
+    which the threshold search's leaf table must agree with. The members
+    are checked against the premise first, and the level's ensemble is one
+    lockstep call.
     """
     component = sublevel_component(system, anchor, level, opts["sampler"])
+    _require_premise(system, component.members)
     witnesses = scan_invariant_witnesses(system, component,
                                          max_refine=opts["max_refine"],
                                          susp_ratio=opts["susp_ratio"],
@@ -1029,7 +1053,9 @@ def basin_certify(system: DissipativeSystem, equilibrium, level: float,
     :class:`AnchorOutsideLevel` when the level is below the equilibrium's own
     dissipated value. A ``n_trajectories`` that is not an integer of at
     least 1, or a ``traj_seed`` that is not one of at least 0, is refused
-    with :class:`ConfigError` before any work.
+    with :class:`ConfigError` before any work, and a component member where
+    X does not annihilate every field with :class:`PremiseViolation` before
+    the witness scan.
     """
     x_e = as_point(equilibrium, system.dim)
     _require_draw(n_trajectories, traj_seed)
@@ -1219,7 +1245,8 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
     dop853, at rel_tol 1e-10, abs_tol 1e-12, and reads the orbit samples
     and the return-time Newton off its seventh-order extension; the
     ensembles then run at their own default tolerances. A given config is
-    used for both.
+    used for both. An orbit phase or component member where X does not
+    annihilate every field is refused with :class:`PremiseViolation`.
     """
     seed0 = as_point(seed_point, system.dim)
     _require_draw(n_trajectories, traj_seed)
@@ -1242,6 +1269,7 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
 
     phase_idx = (np.arange(n_phases) * len(orbit_states)) // n_phases
     phase_states = orbit_states[phase_idx]
+    _require_premise(system, phase_states)
     max_det = 0.0
     max_g = 0.0
     on_inv = True
@@ -1317,7 +1345,9 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
     every trajectory are those of judging the levels one after another. An
     error raised while planning a level (or by a speculative run, which is
     then redone a level at a time) is raised only if the committed walk
-    reaches that level.
+    reaches that level; so is a :class:`PremiseViolation` at a member of
+    that level's component, whose table row is evaluated until it passes
+    once.
     """
     x_e = as_point(equilibrium, system.dim)
     g_e = float(system.dissipated(x_e))
@@ -1358,6 +1388,7 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
             level = level_max if probed == 0 else 0.5 * (lo + hi)
             try:
                 component, rows = table.select(level)
+                table.require_premise(rows)
                 geometry = _judge_geometry(system, component,
                                            table.witnesses(component, rows, opts), target)
                 draw = (None if geometry.reasons

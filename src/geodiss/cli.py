@@ -20,7 +20,10 @@ class takes its code from its category base in :mod:`geodiss.errors`, and
   2  IntegrationFailure: step underflow, step budget, non-finite or
      unbounded state, or a leaf re-projection that did not converge
   3  IdentityFailure: a structural identity, metric positivity, or
-     differential consistency check failed
+     differential consistency check failed, a field value was not finite,
+     or a basin system lies outside the paper's premise (PremiseViolation:
+     X does not annihilate a conserved quantity or G, or the system is an
+     identity-only catalog entry)
   4  CertificateFailure: a basin or orbit certificate did not hold, or its
      preconditions (stability, level, periodicity) were not met
 
@@ -50,6 +53,7 @@ from .errors import (
     InputError,
     IntegrationFailure,
     NonPositiveDefiniteMetric,
+    PremiseViolation,
     SingularLeaf,
 )
 
@@ -429,7 +433,7 @@ def cmd_verify(config: dict, args) -> int:
         _tensor_from_frame,
         identity_scales,
     )
-    from .fields import central_difference
+    from .fields import _PREMISE_TOL, _premise_rows, central_difference
     from .gram import system_frame
 
     system, identity_only, name = _build_system(config["system"])
@@ -439,7 +443,7 @@ def cmd_verify(config: dict, args) -> int:
 
     factor = float(config.get("identity_factor", 1e-9))
     gram_floor = float(config.get("gram_floor", 1e-10))
-    cons_tol = float(config.get("conservation_tol", 1e-9))
+    cons_tol = float(config.get("conservation_tol", _PREMISE_TOL))
     sym_tol = float(config.get("tensor_symmetry_tol", 1e-12))
     fd_tol = 1e-5
     formulations = [Formulation(f) for f in
@@ -449,13 +453,13 @@ def cmd_verify(config: dict, args) -> int:
     fd_max = 0.0
     fd_skipped = sorted({f.label or "(unnamed)" for f in system.all_fields()
                          if f.differential is None})
-    cons_max = 0.0
     agree_max = 0.0
     tangency_max = 0.0
     pairing_max = 0.0
     sym_max = 0.0
     gram_min = 0.0
     metric_failures = []
+    metric_passed = []
     projection_skipped = 0
 
     for p in points:
@@ -464,6 +468,7 @@ def cmd_verify(config: dict, args) -> int:
         except NonPositiveDefiniteMetric:
             metric_failures.append(p.tolist())
             continue
+        metric_passed.append(p)
 
         for f in system.all_fields():
             if f.differential is None:
@@ -472,13 +477,6 @@ def cmd_verify(config: dict, args) -> int:
             fd = central_difference(f.value, p)
             gap = float(np.max(np.abs(analytic - fd)))
             fd_max = max(fd_max, gap / (1.0 + float(np.max(np.abs(analytic)))))
-
-        if not identity_only:
-            xv = system.X(p)
-            for f in system.conserved:
-                r = abs(float(f.d(p) @ xv))
-                cons_max = max(cons_max, r / (1.0 + float(
-                    np.linalg.norm(f.d(p)) * np.linalg.norm(xv))))
 
         fr = system_frame(system, p)
         scales = identity_scales(fr)
@@ -511,6 +509,12 @@ def cmd_verify(config: dict, args) -> int:
         denom = max(fr.classification_scale(), 1e-300)
         gram_min = min(gram_min, float(eigs[0]) / denom)
 
+    # the paper's premise: X annihilates every conserved field and G
+    cons_max = 0.0
+    if not identity_only:
+        res, scale = _premise_rows(system, np.reshape(metric_passed, (-1, system.dim)))
+        cons_max = float(np.max(res / scale, initial=0.0))
+
     checks = {
         "differentialConsistency": {
             "max": fd_max, "tol": fd_tol, "passed": fd_max <= fd_tol,
@@ -518,7 +522,7 @@ def cmd_verify(config: dict, args) -> int:
         "conservation": {
             "max": cons_max, "tol": cons_tol,
             "passed": identity_only or cons_max <= cons_tol,
-            "skipped": bool(identity_only or system.k == 0)},
+            "skipped": identity_only},
         "formulationAgreement": {
             "max": agree_max, "tol": factor, "passed": agree_max <= factor,
             "projectionSkipped": projection_skipped},
@@ -587,7 +591,11 @@ def cmd_basin(config: dict, args) -> int:
         threshold_search,
     )
 
-    system, _, name = _build_system(config["system"])
+    system, identity_only, name = _build_system(config["system"])
+    if identity_only:
+        raise PremiseViolation(
+            f"catalog entry {name} is for identity checks only: its X is not "
+            "claimed to annihilate its fields, so no certificate applies")
     target = config.get("target")
     orbit_seed = config.get("orbit_seed")
     if (target is None) == (orbit_seed is None):

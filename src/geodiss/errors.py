@@ -48,6 +48,11 @@ class SingularLeaf(IdentityFailure):
     """Conserved-quantity gradients are too close to dependent for leaf work."""
 
 
+class PremiseViolation(IdentityFailure):
+    """X fails to annihilate a conserved or the dissipated quantity, which a
+    certificate's argument needs."""
+
+
 class StepUnderflow(IntegrationFailure):
     """Adaptive step size collapsed below the resolvable minimum."""
 

@@ -10,6 +10,11 @@ A :class:`ScalarField` evaluates at one point or, through ``values`` and
 is called once for the whole stack; a point-only callable is looped over
 the rows there, once. Either way each row gives the bits of the point call.
 
+The paper's premise, that X annihilates every conserved quantity and the
+dissipated one, is evaluated here once, ``_premise_rows``, for a stack of
+points: :func:`validate_conservation` reports it, ``geodiss verify`` scales
+it, and the certificates refuse a point outside it (``_require_premise``).
+
 The one leaf projection of the package lives here, next to the leaf values
 it restores, below the integrator that re-projects with it and the
 structure probes and leaf tables that sample leaves with it. It is a
@@ -28,6 +33,7 @@ from .errors import (
     LeafProjectionFailure,
     NonFiniteValue,
     NonPositiveDefiniteMetric,
+    PremiseViolation,
 )
 
 # Central-difference step follows the usual cube-root-of-eps rule, scaled per
@@ -35,6 +41,9 @@ from .errors import (
 _CBRT_EPS = float(np.cbrt(np.finfo(float).eps))
 # a leaf residual below this times the largest |leaf value| is roundoff
 _LEAF_ROUNDOFF = 4.0 * np.finfo(float).eps
+# the largest scaled premise residual |df . X| / (1 + |df| |X|) a certificate
+# accepts (_require_premise), and `geodiss verify`'s default conservation_tol
+_PREMISE_TOL = 1e-9
 
 
 def as_point(x, dim: int) -> np.ndarray:
@@ -405,6 +414,47 @@ def project_to_leaf(system: DissipativeSystem, x, leaf_value,
     )
 
 
+def _premise_rows(system: DissipativeSystem, pts) -> tuple[np.ndarray, np.ndarray]:
+    """The premise residual |df . X| of every field at each row of an (m, n)
+    stack, conserved fields first and the dissipated one last, and its scale
+    1 + |df| |X|: two (m, k + 1) arrays whose entries are bitwise the point
+    expressions ``abs(float(f.d(p) @ X(p)))`` and
+    ``1 + norm(f.d(p)) * norm(X(p))``. The first row where X or a
+    differential is not finite raises :class:`NonFiniteValue`.
+    """
+    p = as_stack(pts, system.dim)
+    xv = system.X._values_at(p)
+    diffs = [f._diffs_at(p) for f in system.all_fields()]
+    ok = np.isfinite(xv).all(axis=1)
+    for d in diffs:
+        ok &= np.isfinite(d).all(axis=1)
+    if not ok.all():
+        raise NonFiniteValue(
+            f"X or a differential not finite at {p[int(np.argmin(ok))].tolist()}")
+    xn = _row_norms(xv)
+    # matmul on stacks evaluates each row as the point call's dot does
+    res = np.stack([np.abs((d[:, None, :] @ xv[:, :, None])[:, 0, 0]) for d in diffs], axis=1)
+    scale = np.stack([1.0 + _row_norms(d) * xn for d in diffs], axis=1)
+    return res, scale
+
+
+def _require_premise(system: DissipativeSystem, pts) -> None:
+    """Refuse, with :class:`PremiseViolation`, points where X does not
+    annihilate every field: a scaled residual |df . X| / (1 + |df| |X|) of
+    :func:`_premise_rows` above ``_PREMISE_TOL``, or NaN, named at the first
+    such row and field."""
+    res, scale = _premise_rows(system, pts)
+    scaled = res / scale
+    bad = ~(scaled <= _PREMISE_TOL)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        label = system.all_fields()[j].label or f"field{j}"
+        raise PremiseViolation(
+            f"X does not annihilate {label} at {as_stack(pts, system.dim)[i].tolist()}: "
+            f"scaled residual |d{label} . X| / (1 + |d{label}| |X|) = {scaled[i, j]:.6g} "
+            f"exceeds {_PREMISE_TOL:g}, so no certificate applies")
+
+
 @dataclass(frozen=True)
 class ConservationReport:
     """Residuals of directional derivatives of the invariants along X."""
@@ -420,18 +470,17 @@ def validate_conservation(system: DissipativeSystem, probes: Sequence,
     """Check that X annihilates every conserved quantity and the dissipated one.
 
     The residual at a probe point is |df(x) . X(x)|, the derivative of f along
-    the unperturbed flow.
+    the unperturbed flow, from one call of the premise evaluator
+    :func:`_premise_rows` over all probes, which raises
+    :class:`NonFiniteValue` at the first probe where X or a differential is
+    not finite. A field's entry is its largest residual. The certificates
+    check the same residuals, scaled, against ``_PREMISE_TOL``.
     """
-    fields_ = system.all_fields()
-    names = [f.label or f"field{i}" for i, f in enumerate(fields_)]
-    worst = {name: 0.0 for name in names}
-    for x in probes:
-        p = as_point(x, system.dim)
-        vx = system.X(p)
-        for name, f in zip(names, fields_):
-            r = abs(float(f.d(p) @ vx))
-            if r > worst[name]:
-                worst[name] = r
-    max_res = max(worst.values()) if worst else 0.0
+    pts = np.array([as_point(x, system.dim) for x in probes]).reshape(-1, system.dim)
+    res, _ = _premise_rows(system, pts)
+    names = [f.label or f"field{i}" for i, f in enumerate(system.all_fields())]
+    worst = {name: float(np.max(res[:, [n == name for n in names]], initial=0.0))
+             for name in names}
+    max_res = float(np.max(res, initial=0.0))
     return ConservationReport(residuals=worst, max_residual=max_res, tol=tol,
                               passed=max_res <= tol)

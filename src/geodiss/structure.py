@@ -581,7 +581,9 @@ def leaf_diagnostics(system: DissipativeSystem, x) -> LeafDiagnostics:
     dissipated quantity is exactly the control field, and minus its squared
     norm is the rate of the dissipated quantity along the corrected flow
     (assuming the conservative field annihilates the dissipated quantity,
-    which `validate_conservation` checks). Requires a regular leaf.
+    the premise that `validate_conservation` and `geodiss verify` report and
+    the certificates require, all through `fields._premise_rows`). Requires
+    a regular leaf.
     """
     fr = system_frame(system, as_point(x, system.dim))
     # the cofactor expansion checks the conserved Gram determinant against

@@ -35,6 +35,7 @@ from geodiss import (
     NoValidLevel,
     NotAsymptoticallyStable,
     NotPeriodic,
+    PremiseViolation,
     SamplerConfig,
     ScalarField,
     Stability,
@@ -1855,3 +1856,91 @@ def test_sampled_component_of_too_few_samples_fails(n_samples):
     assert cert.component_size < 5
     assert not cert.passed
     assert "component holds too few samples, containment unverified" in cert.reasons
+
+
+# ---------------------------------------------------------------------------
+# the paper's premise: X annihilates every conserved quantity and G
+# ---------------------------------------------------------------------------
+
+# k = 0, G = |x|^2 / 2 and X = (-x1^3 + 1.15 x1^2 + 0.67 x1, 0): the corrected
+# flow is x1' = -x1 (x1 - 0.55) (x1 - 0.6), x2' = -x2, whose attractor at
+# (0.6, 0) lies in the disk G < 0.1922 but off the degeneracy set {dG = 0}
+_OUTSIDE_PREMISE = {
+    "dim": 2,
+    "field": [{"terms": [{"coef": -1.0, "powers": [3, 0]}, {"coef": 1.15, "powers": [2, 0]},
+                         {"coef": 0.67, "powers": [1, 0]}]},
+              {"terms": [{"coef": 0.0, "powers": [0, 0]}]}],
+    "dissipated": {"terms": [{"coef": 0.5, "powers": [2, 0]}, {"coef": 0.5, "powers": [0, 2]}]},
+}
+_OUTSIDE_OPTIONS = dict(sampler=SamplerConfig(cells_per_axis=32), n_trajectories=50,
+                        proper_g_asserted=True)
+
+
+def _no_scan_or_ensemble(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a system outside the premise reached the witness scan "
+                             "or the ensemble")
+
+    monkeypatch.setattr(basin_mod, "_frame_scores", refuse)
+    monkeypatch.setattr(basin_mod, "integrate_ensemble", refuse)
+
+
+@pytest.mark.parametrize("traj_seed", [0, 6])
+def test_basin_certificate_refuses_a_system_outside_the_premise(traj_seed, monkeypatch):
+    system = _build_system(_OUTSIDE_PREMISE)[0]
+    _no_scan_or_ensemble(monkeypatch)
+    with pytest.raises(PremiseViolation, match="does not annihilate g at"):
+        basin_certify(system, np.zeros(2), 0.1922, traj_seed=traj_seed, **_OUTSIDE_OPTIONS)
+
+
+@pytest.mark.parametrize("traj_seed", [0, 6])
+def test_without_the_premise_check_the_disk_is_a_false_pass(traj_seed, monkeypatch):
+    # the false pass the check refuses: every drawn start converges to the
+    # origin, although the disk holds a second attractor
+    monkeypatch.setattr(basin_mod, "_require_premise", lambda system, pts: None)
+    cert = basin_certify(_build_system(_OUTSIDE_PREMISE)[0], np.zeros(2), 0.1922,
+                         traj_seed=traj_seed, **_OUTSIDE_OPTIONS)
+    assert cert.passed
+    assert np.min(_norms(cert.members - [0.6, 0.0])) <= cert.spacing
+
+
+def test_orbit_certificate_refuses_phases_outside_the_premise(mexhat, monkeypatch):
+    # the sombrero with X lifted by 0.1 x1 along the height: the unit circle
+    # still carries a periodic orbit of the corrected flow, but X no longer
+    # conserves the height
+    hat = mexhat.system
+
+    def lifted(p):
+        v = np.array(hat.X.func(p))
+        v[..., 2] += 0.1 * p[..., 0]
+        return v
+
+    system = dataclasses.replace(hat, X=VectorField(3, lifted, stacked=True))
+    _no_scan_or_ensemble(monkeypatch)
+    with pytest.raises(PremiseViolation, match=r"annihilate height at \[1\.0, 0\.0, 0\.02\]"):
+        periodic_orbit_certify(system, [1.05, 0.0, 0.02], 0.2,
+                               SamplerConfig(cells_per_axis=12, halfwidth=2.8),
+                               n_trajectories=2)
+
+
+def test_threshold_search_refuses_a_system_outside_the_premise(monkeypatch):
+    system = _build_system(_OUTSIDE_PREMISE)[0]
+    _no_scan_or_ensemble(monkeypatch)
+    with pytest.raises(PremiseViolation, match="does not annihilate g at"):
+        threshold_search(system, np.zeros(2), 0.1922, steps=3, **_OUTSIDE_OPTIONS)
+
+
+def test_threshold_search_checks_each_table_row_once(rigid, monkeypatch):
+    checked = []
+    check = basin_mod._require_premise
+
+    def counting_check(system, pts):
+        checked.extend(map(tuple, pts))
+        check(system, pts)
+
+    monkeypatch.setattr(basin_mod, "_require_premise", counting_check)
+    _, history = threshold_search(rigid.system, MAJOR, 0.4, steps=4,
+                                  sampler=SamplerConfig(cells_per_axis=14),
+                                  stability=AS, n_trajectories=4)
+    assert len(history) == 5
+    assert len(checked) == len(set(checked)) > 0

@@ -6,7 +6,8 @@ Every test drives ``main(argv)`` in-process (one subprocess test covers the
     0  success (including conditional-pass certificates)
     1  configuration problems (bad flags, bad JSON, schema violations)
     2  integration failures (blow-up, step underflow, step budget)
-    3  structural identity violations found by ``verify``
+    3  structural identity violations found by ``verify``, or a ``basin``
+       system outside the paper's premise
     4  certificates that fail or cannot be issued
 """
 
@@ -317,6 +318,56 @@ def test_verify_skips_conservation_for_identity_only_systems(tmp_path, capsys):
     assert report["status"] == "pass"
 
 
+# k = 0, G = |x|^2 / 2 and an X that does not annihilate G: its corrected flow
+# holds a second attractor, at (0.6, 0), inside the disk G < 0.1922
+OUTSIDE_PREMISE = {
+    "dim": 2,
+    "field": [{"terms": [{"coef": -1.0, "powers": [3, 0]}, {"coef": 1.15, "powers": [2, 0]},
+                         {"coef": 0.67, "powers": [1, 0]}]},
+              {"terms": [{"coef": 0.0, "powers": [0, 0]}]}],
+    "dissipated": {"terms": [{"coef": 0.5, "powers": [2, 0]}, {"coef": 0.5, "powers": [0, 2]}]},
+}
+
+
+def test_verify_flags_a_system_outside_the_premise(tmp_path, capsys):
+    cfg = _write(tmp_path, "ver.json", {"system": OUTSIDE_PREMISE, "n_probes": 25, "seed": 0})
+    rc, out, _ = _run(capsys, ["verify", "--config", cfg])
+    assert rc == EXIT_IDENTITY
+    report = json.loads(out)
+    assert report["violations"] == ["conservation"]
+    conservation = report["checks"]["conservation"]
+    assert conservation["skipped"] is False
+    assert conservation["max"] > 0.1
+
+
+def test_verify_checks_conservation_without_conserved_quantities(tmp_path, capsys):
+    cfg = _write(tmp_path, "ver.json", {"system": "gradient_only", "n_probes": 10, "seed": 0})
+    rc, out, _ = _run(capsys, ["verify", "--config", cfg])
+    assert rc == EXIT_OK
+    conservation = json.loads(out)["checks"]["conservation"]
+    assert conservation["skipped"] is False
+    assert conservation["passed"] is True
+
+
+def test_verify_non_finite_field_is_identity_failure(tmp_path, capsys, monkeypatch):
+    # X = (NaN, 0) where x1 > 0.5: the frames hold no X, so the premise
+    # evaluator meets the NaN, which a running maximum would drop
+    real = geodiss.catalog.from_name
+
+    def nan_field(spec):
+        entry = real(spec)
+        X = geodiss.VectorField(2, lambda p: np.array([np.nan if p[0] > 0.5 else 0.0, 0.0]))
+        return dataclasses.replace(entry, system=dataclasses.replace(entry.system, X=X))
+
+    monkeypatch.setattr(geodiss.catalog, "from_name", nan_field)
+    cfg = _write(tmp_path, "ver.json",
+                 {"system": "gradient_only", "points": [[1.0, 0.0], [0.0, 0.0]]})
+    rc, out, err = _run(capsys, ["verify", "--config", cfg])
+    assert rc == EXIT_IDENTITY
+    assert out == ""
+    assert "NonFiniteValue" in err and "[1.0, 0.0]" in err
+
+
 # ---------------------------------------------------------------------------
 # equilibria
 # ---------------------------------------------------------------------------
@@ -460,6 +511,27 @@ def test_basin_oversized_sampler_is_config_error(tmp_path, capsys, system, targe
     assert rc == EXIT_CONFIG
     assert out == ""
     assert next(iter(sampler)) in err
+
+
+@pytest.mark.parametrize("seed", [0, 6, 7])
+def test_basin_outside_the_premise_is_identity_failure(tmp_path, capsys, seed):
+    cfg = _write(tmp_path, "bas.json", {
+        "system": OUTSIDE_PREMISE, "target": [0.0, 0.0], "level": 0.1922,
+        "sampler": {"cells_per_axis": 32}, "n_trajectories": 50,
+        "proper_G_asserted": True})
+    rc, out, err = _run(capsys, ["basin", "--config", cfg, "--seed", str(seed)])
+    assert rc == EXIT_IDENTITY
+    assert out == ""
+    assert "PremiseViolation" in err and "does not annihilate g" in err
+
+
+def test_basin_refuses_an_identity_only_entry(tmp_path, capsys):
+    cfg = _write(tmp_path, "bas.json", {"system": "random_poly:3,1,0",
+                                        "target": [1.0, 0.0, 0.0], "level": 0.3})
+    rc, out, err = _run(capsys, ["basin", "--config", cfg])
+    assert rc == EXIT_IDENTITY
+    assert out == ""
+    assert "PremiseViolation" in err and "random_poly:3,1,0" in err
 
 
 def test_basin_unstable_target_is_certificate_failure(tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Field primitives: probes, differentials, metric gradients, conservation."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,15 @@ from geodiss.errors import (
     DimensionMismatch,
     NonFiniteValue,
     NonPositiveDefiniteMetric,
+    PremiseViolation,
 )
 from geodiss.fields import (
     DissipativeSystem,
     MetricField,
     ScalarField,
     VectorField,
+    _premise_rows,
+    _require_premise,
     as_point,
     central_difference,
     gradient,
@@ -296,3 +301,71 @@ def test_conservation_flags_a_non_conserved_quantity():
     assert not report.passed
     assert report.residuals["f"] == pytest.approx(1.0)
     assert vars(system) == before
+
+
+def _premise_cases():
+    from geodiss.catalog import gradient_only, mexican_hat, random_poly, rigid_body
+    systems = [rigid_body(3.0, 2.0, 1.0).system, mexican_hat().system,
+               gradient_only().system]
+    systems += [random_poly(4, k, seed=k).system for k in range(4)]
+    # the same systems evaluated point by point, fields and X looped over rows
+    point_only = [DissipativeSystem(
+        X=dataclasses.replace(s.X, stacked=False),
+        conserved=tuple(dataclasses.replace(f, stacked=False) for f in s.conserved),
+        dissipated=dataclasses.replace(s.dissipated, stacked=False),
+        metric=s.metric) for s in systems]
+    return systems + point_only
+
+
+@pytest.mark.parametrize("case", range(14))
+def test_premise_rows_are_the_point_expressions_bitwise(case):
+    system = _premise_cases()[case]
+    pts = np.random.default_rng(case).uniform(-1.5, 1.5, size=(30, system.dim))
+    res, scale = _premise_rows(system, pts)
+    fields_ = system.all_fields()
+    assert res.shape == scale.shape == (30, len(fields_))
+    want_res = [[abs(float(f.d(p) @ system.X(p))) for f in fields_] for p in pts]
+    want_scale = [[1 + np.linalg.norm(f.d(p)) * np.linalg.norm(system.X(p))
+                   for f in fields_] for p in pts]
+    assert np.array_equal(res, want_res)
+    assert np.array_equal(scale, want_scale)
+    # validate_conservation is the per-field maximum of the same residuals
+    report = validate_conservation(system, pts, tol=1e-12)
+    names = [f.label or f"field{i}" for i, f in enumerate(fields_)]
+    assert report.residuals == {n: max(r[j] for r in want_res) for j, n in enumerate(names)}
+    assert report.max_residual == max(map(max, want_res))
+    assert validate_conservation(system, [], tol=1e-12).max_residual == 0.0
+
+
+def _outside_premise():
+    """k = 0, G = |x|^2 / 2 and X = (-x1^3 + 1.15 x1^2 + 0.67 x1, 0), which
+    does not annihilate G: dG . X = x1 X1."""
+    G = ScalarField(2, lambda p: 0.5 * float(p @ p), differential=lambda p: p.copy(),
+                    label="g")
+    X = VectorField(2, lambda p: np.array([-p[0] ** 3 + 1.15 * p[0] ** 2 + 0.67 * p[0], 0.0]))
+    return DissipativeSystem(X=X, conserved=(), dissipated=G,
+                             metric=MetricField.euclidean(2))
+
+
+def test_premise_violation_names_the_field_the_point_and_the_residual(rigid):
+    pts = np.array([[0.0, 0.3], [0.6, 0.0], [0.5, 0.0]])
+    with pytest.raises(PremiseViolation, match=r"annihilate g at \[0\.6, 0\.0\]: .* = 0\.2") as info:
+        _require_premise(_outside_premise(), pts)
+    assert info.value.exit_code == 3
+    # the scaled residual at (0.6, 0) is 0.36 / (1 + 0.6 * 0.6)
+    assert f"{0.36 / 1.36:.6g}" in str(info.value)
+    _require_premise(_outside_premise(), pts[:1])
+    _require_premise(rigid.system, np.random.default_rng(0).uniform(-1, 1, (50, 3)))
+
+
+def test_non_finite_premise_residual_raises():
+    # X = (NaN, 0) where x1 > 0.5 used to pass with a largest residual of 0
+    G = ScalarField(2, lambda p: 0.5 * float(p @ p), differential=lambda p: p.copy(),
+                    label="g")
+    X = VectorField(2, lambda p: np.array([np.nan if p[0] > 0.5 else 0.0, 0.0]))
+    system = DissipativeSystem(X=X, conserved=(), dissipated=G,
+                               metric=MetricField.euclidean(2))
+    with pytest.raises(NonFiniteValue, match=r"at \[1\.0, 0\.0\]"):
+        validate_conservation(system, [np.array([1.0, 0.0]), np.zeros(2)])
+    with pytest.raises(NonFiniteValue):
+        _require_premise(system, [[0.0, 0.0], [1.0, 0.0]])
