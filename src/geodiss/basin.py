@@ -96,6 +96,15 @@ from .structure import (
 GRID_DIM_LIMIT = 3
 # an orbit seed must refine onto the degeneracy set within this distance
 _SEED_TRUST = 0.1
+# the witness scan refines the members whose determinant ratio is at most
+# _SUSP_RATIO or whose |dG| is at most _SUSP_G
+_SUSP_RATIO = 0.05
+_SUSP_G = 0.25
+# an orbit's witnesses farther than _WITNESS_TOL from it contradict, and the
+# nearer ones cover it when every phase has one within _COVERAGE_FACTOR
+# spacings
+_WITNESS_TOL = 1e-6
+_COVERAGE_FACTOR = 2.0
 # orbit points read off the period-detection run
 _DENSE_STATES = 2048
 # the sampled path's neighbour search (_knn_rows): the coordinates hashed into
@@ -537,8 +546,7 @@ class _LeafTable:
             return [self._refined[key] for key in keys]
 
         return _verified_witnesses(self.system, component, self._ratios[rows],
-                                   self._gnorms[rows], refine, opts["max_refine"],
-                                   opts["susp_ratio"], opts["susp_g"])
+                                   self._gnorms[rows], refine, opts["max_refine"])
 
 
 def sublevel_component(system: DissipativeSystem, anchor, level: float,
@@ -571,13 +579,12 @@ def _frame_scores(system: DissipativeSystem, pts: np.ndarray):
     return ratios, frames.grad_g_norm()
 
 
-def _verified_witnesses(system, component, ratios, gnorms, refine, max_refine,
-                        susp_ratio, susp_g) -> np.ndarray:
+def _verified_witnesses(system, component, ratios, gnorms, refine, max_refine) -> np.ndarray:
     """The witness scan after scoring: rank, thin, refine (``refine(chosen)``
     for the chosen members, all at once) and keep the refined points that
     contradict or support."""
     pts = component.members
-    score = np.minimum(ratios / susp_ratio, gnorms / susp_g)
+    score = np.minimum(ratios / _SUSP_RATIO, gnorms / _SUSP_G)
     candidates = np.where(score <= 1.0)[0]
     candidates = candidates[np.argsort(score[candidates])]
     # spatial thinning before the refinement cap: a purely score-ordered cut
@@ -615,15 +622,14 @@ def _verified_witnesses(system, component, ratios, gnorms, refine, max_refine,
 
 def scan_invariant_witnesses(system: DissipativeSystem,
                              component: SublevelComponent,
-                             max_refine: int = 800,
-                             susp_ratio: float = 0.05,
-                             susp_g: float = 0.25) -> np.ndarray:
+                             max_refine: int = 800) -> np.ndarray:
     """Verified degeneracy-set points inside the component, found by refinement.
 
     Member points are ranked by how close they already sit to gradient
     dependence (scale-free determinant ratio) or to a critical point of the
-    dissipated quantity (gradient norm); the most suspicious ones are refined
-    on the leaf. A refined point counts only when it classifies inside the
+    dissipated quantity (gradient norm); the suspicious ones, with a ratio
+    of at most 0.05 or a norm of at most 0.25, are thinned in space and at
+    most ``max_refine`` of them are refined on the leaf. A refined point counts only when it classifies inside the
     degeneracy set at tight tolerance, stays within twice the sampling
     spacing, and its dissipated value is strictly below the level (equality
     is admitted only at the anchor, mirroring the anchor's admission into
@@ -637,8 +643,7 @@ def scan_invariant_witnesses(system: DissipativeSystem,
         return _refine_rows(system, pts[chosen], component.leaf_value,
                             2.0 * component.spacing)
 
-    return _verified_witnesses(system, component, ratios, gnorms, refine,
-                               max_refine, susp_ratio, susp_g)
+    return _verified_witnesses(system, component, ratios, gnorms, refine, max_refine)
 
 
 def _control_norms(system: DissipativeSystem, pts: np.ndarray) -> np.ndarray:
@@ -931,10 +936,7 @@ def _certify_level(system, anchor, level, target, opts) -> _Judgement:
     """
     component = sublevel_component(system, anchor, level, opts["sampler"])
     _require_premise(system, component.members)
-    witnesses = scan_invariant_witnesses(system, component,
-                                         max_refine=opts["max_refine"],
-                                         susp_ratio=opts["susp_ratio"],
-                                         susp_g=opts["susp_g"])
+    witnesses = scan_invariant_witnesses(system, component, max_refine=opts["max_refine"])
     judged = _judge_geometry(system, component, witnesses, target)
     config, bound, trap = _ensemble_setup(system, target, component.anchor, opts)
     draw = _draw_ensemble(system, component, target, opts, config)
@@ -1042,28 +1044,27 @@ def basin_certify(system: DissipativeSystem, equilibrium, level: float,
                   horizon: float | None = None,
                   traj_seed: int = 7,
                   integrator: IntegratorConfig | None = None,
-                  max_refine: int = 800,
-                  susp_ratio: float = 0.05,
-                  susp_g: float = 0.25) -> BasinCertificate:
+                  max_refine: int = 800) -> BasinCertificate:
     """Certify the sublevel component at ``level`` as basin evidence for an equilibrium.
 
     Raises :class:`NotAsymptoticallyStable` unless the equilibrium's
     leaf-restricted stability verdict is asymptotically stable (pass a
     precomputed verdict through ``stability`` to skip the sampling test), and
     :class:`AnchorOutsideLevel` when the level is below the equilibrium's own
-    dissipated value. A ``n_trajectories`` that is not an integer of at
-    least 1, or a ``traj_seed`` that is not one of at least 0, is refused
-    with :class:`ConfigError` before any work, and a component member where
-    X does not annihilate every field with :class:`PremiseViolation` before
+    dissipated value. The witness scan is :func:`scan_invariant_witnesses`,
+    and a witness farther than ``target_radius`` from the equilibrium
+    contradicts. A ``n_trajectories`` that is not an integer of at least 1,
+    or a ``traj_seed`` that is not one of at least 0, is refused with
+    :class:`ConfigError` before any work, and a component member where X
+    does not annihilate every field with :class:`PremiseViolation` before
     the witness scan.
     """
     x_e = as_point(equilibrium, system.dim)
     _require_draw(n_trajectories, traj_seed)
     verdict = _require_stable(system, x_e, stability)
     judged = _certify_level(system, x_e, level, _equilibrium(x_e, target_radius), dict(
-        sampler=sampler, max_refine=max_refine, susp_ratio=susp_ratio, susp_g=susp_g,
-        n_trajectories=n_trajectories, traj_seed=traj_seed, horizon=horizon,
-        converge_tol=converge_tol, integrator=integrator))
+        sampler=sampler, max_refine=max_refine, n_trajectories=n_trajectories,
+        traj_seed=traj_seed, horizon=horizon, converge_tol=converge_tol, integrator=integrator))
     return BasinCertificate._from_judgement(
         judged, judged.reasons + judged.ensemble.reasons, proper_g_asserted,
         target=x_e, stability=verdict)
@@ -1222,16 +1223,12 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
                            coarse_tol: float = 0.2,
                            t_search: float = 50.0,
                            n_phases: int = 100,
-                           witness_tol: float = 1e-6,
-                           coverage_factor: float = 2.0,
                            converge_tol: float = 1e-4,
                            n_trajectories: int = 50,
                            horizon: float | None = None,
                            traj_seed: int = 11,
                            integrator: IntegratorConfig | None = None,
-                           max_refine: int = 800,
-                           susp_ratio: float = 0.05,
-                           susp_g: float = 0.25) -> OrbitCertificate:
+                           max_refine: int = 800) -> OrbitCertificate:
     """Certify the sublevel component around a periodic orbit of the corrected flow.
 
     The seed is refined onto the degeneracy set, its period is recovered by
@@ -1239,7 +1236,9 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
     ``_DENSE_STATES`` orbit points are read off the steps of that same run, the
     orbit itself is re-classified at ``n_phases`` phases, and the level is
     then judged exactly as for an equilibrium, with distances measured to the
-    densely sampled orbit; the witnesses near the orbit must also cover it.
+    densely sampled orbit: a witness farther than 1e-6 from it contradicts.
+    The witnesses near the orbit must also cover it, each phase within two
+    spacings of one.
 
     Without an ``integrator``, period detection runs the default method,
     dop853, at rel_tol 1e-10, abs_tol 1e-12, and reads the orbit samples
@@ -1282,13 +1281,12 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
     def dist(p):
         return distance_to_orbit(p, orbit_states)
 
-    orbit = _Target("orbit", dist, witness_tol,
+    orbit = _Target("orbit", dist, _WITNESS_TOL,
                     float(np.max(np.linalg.norm(orbit_states, axis=1))),
                     needs_witness=False)
     judged = _certify_level(system, y0, level, orbit, dict(
-        sampler=sampler, max_refine=max_refine, susp_ratio=susp_ratio, susp_g=susp_g,
-        n_trajectories=n_trajectories, traj_seed=traj_seed, horizon=horizon,
-        converge_tol=converge_tol, integrator=integrator))
+        sampler=sampler, max_refine=max_refine, n_trajectories=n_trajectories,
+        traj_seed=traj_seed, horizon=horizon, converge_tol=converge_tol, integrator=integrator))
 
     near = judged.near
     if near.size:
@@ -1296,7 +1294,7 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
                   for p in phase_states)
     else:
         gap = np.inf
-    covered = gap <= coverage_factor * judged.component.spacing
+    covered = gap <= _COVERAGE_FACTOR * judged.component.spacing
 
     reasons = [] if on_inv else ["orbit phases leave the degeneracy set at tight tolerance"]
     reasons += judged.reasons

@@ -10,6 +10,14 @@ are written only when ``--out`` is given (simulate: trajectory.csv and
 summary.json, verify: verify.json, equilibria: equilibria.json, basin:
 basin.json plus members.csv on request).
 
+A config sets only what the run is about: the system, its points, seeds
+and counts, the sampler and integrator, and the scales that follow the
+system (``t_search``, ``recur_tol``, ``converge_tol``). The tolerances of
+the numerical checks are fixed constants, verify's in this module, so the
+schema refuses a config that names one. A key that the run would not read
+is refused too: ``t_search`` or ``recur_tol`` without ``orbit_seed``, and
+``dump_members`` with ``threshold``.
+
 Exit codes (the full set; argparse failures are remapped to 1). Each error
 class takes its code from its category base in :mod:`geodiss.errors`, and
 ``main`` turns any of them into that code and one ``error:`` line on stderr
@@ -70,6 +78,13 @@ _THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
+
+# verify's tolerances: each identity's residual over its scale, the Gram
+# matrix's least eigenvalue over its classification scale (a floor below 0),
+# and the cofactor tensor's asymmetry over its largest entry
+_IDENTITY_FACTOR = 1e-9
+_GRAM_FLOOR = 1e-10
+_TENSOR_SYMMETRY_TOL = 1e-12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -441,10 +456,6 @@ def cmd_verify(config: dict, args) -> int:
     points = _probe_points(config, args, system.dim, "points", "sample point",
                            "n_probes", 25)
 
-    factor = float(config.get("identity_factor", 1e-9))
-    gram_floor = float(config.get("gram_floor", 1e-10))
-    cons_tol = float(config.get("conservation_tol", _PREMISE_TOL))
-    sym_tol = float(config.get("tensor_symmetry_tol", 1e-12))
     fd_tol = 1e-5
     formulations = [Formulation(f) for f in
                     config.get("formulations",
@@ -520,24 +531,25 @@ def cmd_verify(config: dict, args) -> int:
             "max": fd_max, "tol": fd_tol, "passed": fd_max <= fd_tol,
             "skippedFields": fd_skipped},
         "conservation": {
-            "max": cons_max, "tol": cons_tol,
-            "passed": identity_only or cons_max <= cons_tol,
+            "max": cons_max, "tol": _PREMISE_TOL,
+            "passed": identity_only or cons_max <= _PREMISE_TOL,
             "skipped": identity_only},
         "formulationAgreement": {
-            "max": agree_max, "tol": factor, "passed": agree_max <= factor,
+            "max": agree_max, "tol": _IDENTITY_FACTOR,
+            "passed": agree_max <= _IDENTITY_FACTOR,
             "projectionSkipped": projection_skipped},
         "tangency": {
-            "max": tangency_max, "tol": factor,
-            "passed": tangency_max <= factor},
+            "max": tangency_max, "tol": _IDENTITY_FACTOR,
+            "passed": tangency_max <= _IDENTITY_FACTOR},
         "dissipationPairing": {
-            "max": pairing_max, "tol": factor,
-            "passed": pairing_max <= factor},
+            "max": pairing_max, "tol": _IDENTITY_FACTOR,
+            "passed": pairing_max <= _IDENTITY_FACTOR},
         "tensorSymmetry": {
-            "max": sym_max, "tol": sym_tol,
-            "passed": sym_max <= sym_tol},
+            "max": sym_max, "tol": _TENSOR_SYMMETRY_TOL,
+            "passed": sym_max <= _TENSOR_SYMMETRY_TOL},
         "gramFloor": {
-            "min": gram_min, "floor": -gram_floor,
-            "passed": gram_min >= -gram_floor},
+            "min": gram_min, "floor": -_GRAM_FLOOR,
+            "passed": gram_min >= -_GRAM_FLOOR},
         "metricPositive": {
             "failures": metric_failures, "passed": not metric_failures},
     }
@@ -561,13 +573,10 @@ def cmd_equilibria(config: dict, args) -> int:
     system, _, name = _build_system(config["system"])
     seeds = _probe_points(config, args, system.dim, "seeds", "seed",
                           "n_seeds", 64)
-    reports, unresolved = find_equilibria(
-        system, seeds,
-        **_options(config, "newton_tol", "dedup_tol", "tol_inv", "tol_g"))
+    reports, unresolved = find_equilibria(system, seeds)
 
     if config.get("stability", True):
-        st_kwargs = _options(config, leaf_samples="stability_samples",
-                             radius="stability_radius")
+        st_kwargs = _options(config, leaf_samples="stability_samples")
         reports = [replace(r, stability=stability_classify(
             system, r.location, **st_kwargs)) for r in reports]
 
@@ -606,8 +615,14 @@ def cmd_basin(config: dict, args) -> int:
         raise ConfigError("'threshold' search applies to equilibrium targets only")
     if (threshold is None) == (level is None):
         raise ConfigError("exactly one of 'level' and 'threshold' is required")
+    for key in ("t_search", "recur_tol"):
+        if key in config and orbit_seed is None:
+            raise ConfigError(f"'{key}' applies to orbit targets only")
 
     dump_members = bool(config.get("dump_members", False))
+    if dump_members and threshold is not None:
+        raise ConfigError("'dump_members' applies to a single level only, "
+                          "not to a 'threshold' search")
     if dump_members and args.out is None:
         raise ConfigError("'dump_members' needs --out to receive members.csv")
 
@@ -618,14 +633,9 @@ def cmd_basin(config: dict, args) -> int:
     kwargs = {"traj_seed": _pick_seed(config, args, default=7),
               "proper_g_asserted": bool(config.get("proper_G_asserted", False)),
               **_options(config, "converge_tol", "n_trajectories", "horizon",
-                         "max_refine", "susp_ratio", "susp_g")}
+                         "max_refine", "t_search", "recur_tol")}
     if "integrator" in config:
         kwargs["integrator"] = _integrator_config(config["integrator"])
-    if target is not None:
-        kwargs.update(_options(config, "target_radius"))
-    else:
-        kwargs.update(_options(config, "witness_tol", "t_search", "recur_tol",
-                               "coverage_factor"))
 
     if threshold is not None:
         found, history = threshold_search(

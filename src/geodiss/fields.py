@@ -41,8 +41,8 @@ from .errors import (
 _CBRT_EPS = float(np.cbrt(np.finfo(float).eps))
 # a leaf residual below this times the largest |leaf value| is roundoff
 _LEAF_ROUNDOFF = 4.0 * np.finfo(float).eps
-# the largest scaled premise residual |df . X| / (1 + |df| |X|) a certificate
-# accepts (_require_premise), and `geodiss verify`'s default conservation_tol
+# the largest scaled premise residual |df . X| / (1 + |df| |X|) that a
+# certificate (_require_premise) and `geodiss verify`'s conservation check accept
 _PREMISE_TOL = 1e-9
 
 

@@ -53,6 +53,8 @@ _JITTER_TRUST = 1.0
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
 # step halvings per Gauss-Newton iteration of the equilibrium search
 _EQUILIBRIUM_HALVINGS = 25
+# converged roots within this distance of a kept root are the same root
+_DEDUP_TOL = 1e-6
 # refinement onto the degeneracy set: its Gauss-Newton budgets, the residual
 # norm at which it stops, and the tolerances its result must meet
 _REFINE_MAX_ITER = 25
@@ -319,7 +321,6 @@ def _leaf_gauss_newton_rows(field, system: DissipativeSystem, x0: np.ndarray,
 def find_equilibria(system: DissipativeSystem, seeds,
                     newton_tol: float = 1e-10,
                     max_iter: int = 60,
-                    dedup_tol: float = 1e-6,
                     tol_inv: float = DEFAULT_TOL_INV,
                     tol_g: float = DEFAULT_TOL_G,
                     ) -> tuple[list[EquilibriumReport], list[np.ndarray]]:
@@ -333,7 +334,7 @@ def find_equilibria(system: DissipativeSystem, seeds,
     scale always "improves" the residual.
 
     Returns ``(reports, unresolved)``: converged roots are deduplicated within
-    ``dedup_tol`` and reported with their membership in the zero sets of the
+    1e-6 and reported with their membership in the zero sets of the
     conservative field and of the control field (a genuine root belongs to the
     corrected equilibria exactly when it belongs to both); seeds that fail to
     converge are collected in ``unresolved`` rather than raising. All seeds
@@ -358,7 +359,7 @@ def find_equilibria(system: DissipativeSystem, seeds,
         if not ok:
             unresolved.append(start)
             continue
-        if any(np.linalg.norm(x - r_) <= dedup_tol for r_, _ in roots):
+        if any(np.linalg.norm(x - r_) <= _DEDUP_TOL for r_, _ in roots):
             continue
         roots.append((x, float(np.linalg.norm(r[:system.dim]))))
 

@@ -55,7 +55,12 @@ from geodiss.catalog import random_poly
 from geodiss.cli import _build_system
 from geodiss.errors import LeafProjectionFailure
 from geodiss.fields import project_to_leaf
-from geodiss.structure import find_equilibria, leaf_tangent_basis, stability_classify
+from geodiss.structure import (
+    find_equilibria,
+    leaf_tangent_basis,
+    refine_to_invariant_set,
+    stability_classify,
+)
 
 AS = Stability.ASYMPTOTICALLY_STABLE
 MAJOR = np.array([1.0, 0.0, 0.0])
@@ -956,6 +961,22 @@ def test_basin_certificate_fails_at_03(rigid):
     ]
 
 
+def test_basin_certificate_reports_an_upward_exit():
+    # fixed RK4 on x' = -x multiplies the state by 1.375 a step at h = 3,
+    # so the starts leave the disk G < 0.1 upward; at h = 0.5, by 0.607 a
+    # step, none does
+    upward = "a trajectory exited the sublevel set upward"
+    certs = {h0: basin_certify(gradient_only().system, [0.0, 0.0], 0.1,
+                               SamplerConfig(cells_per_axis=16), n_trajectories=3,
+                               horizon=6.0,
+                               integrator=IntegratorConfig(method=Method.RK4_FIXED, h0=h0))
+             for h0 in (3.0, 0.5)}
+    assert certs[3.0].reasons == ["trajectories failed to converge to the target", upward]
+    assert certs[3.0].max_trajectory_g > 0.2
+    assert upward not in certs[0.5].reasons
+    assert certs[0.5].max_trajectory_g < 0.1
+
+
 def test_basin_certificate_verdict_stable_under_density(rigid):
     verdicts = []
     for cells in (32, 64):
@@ -1748,6 +1769,27 @@ def test_threshold_search_rejects_unstable_target_before_any_work(rigid, monkeyp
         threshold_search(rigid.system, np.array([0.0, 1.0, 0.0]), 0.4)
 
 
+def test_fixed_cutoffs_are_not_keyword_options(rigid, mexhat):
+    # the witness scan's cutoffs, an orbit's witness distance and coverage
+    # factor, and the equilibrium search's dedup distance are constants;
+    # the threshold search refuses them through its basin_certify binding
+    calls = [
+        (lambda **kw: threshold_search(rigid.system, MAJOR, 0.4, stability=AS, **kw),
+         ("susp_ratio", "susp_g")),
+        (lambda **kw: basin_certify(rigid.system, MAJOR, 0.2, stability=AS, **kw),
+         ("susp_ratio", "susp_g")),
+        (lambda **kw: scan_invariant_witnesses(rigid.system, None, **kw),
+         ("susp_ratio", "susp_g")),
+        (lambda **kw: periodic_orbit_certify(mexhat.system, [1.05, 0.0, 0.02], 0.2, **kw),
+         ("witness_tol", "coverage_factor", "susp_ratio", "susp_g")),
+        (lambda **kw: find_equilibria(rigid.system, [MAJOR], **kw), ("dedup_tol",)),
+    ]
+    for call, keywords in calls:
+        for keyword in keywords:
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+                call(**{keyword: 0.1})
+
+
 def test_threshold_search_does_not_classify_a_given_verdict(rigid, monkeypatch):
     calls = []
 
@@ -1798,6 +1840,31 @@ def test_period_detection_stops_at_the_first_return(mexhat, monkeypatch):
         exact = np.array([np.cos(0.3 + t), np.sin(0.3 + t), 0.02])
         assert np.max(np.abs(orbit_at(t) - exact)) <= 1e-8
     assert len(steps) == n_steps
+
+
+def test_period_detection_reads_on_past_its_kept_steps(mexhat, monkeypatch):
+    # times past the step after the first return read on into further steps
+    # of the same run: the states that a run to t_search reads there
+    steps = []
+    lockstep = basin_mod._lockstep
+
+    def counting_steps(*args, **kwargs):
+        for step in lockstep(*args, **kwargs):
+            steps.append(step.t_new)
+            yield step
+
+    monkeypatch.setattr(basin_mod, "_lockstep", counting_steps)
+    cfg = IntegratorConfig(method=Method.DOP853, rel_tol=1e-10, abs_tol=1e-12)
+    y0 = refine_to_invariant_set(mexhat.system, [1.05, 0.0, 0.02],
+                                 trust_radius=basin_mod._SEED_TRUST)
+    period, orbit_at = basin_mod._detect_period(mexhat.system, y0, cfg, t_search=50.0,
+                                                coarse_tol=0.2, recur_tol=1e-8)
+    kept = len(steps)
+    ts = np.array([period + 0.5, period + 3.0, 2.0 * period + 1.0])
+    got = orbit_at(ts)
+    assert steps[kept - 1] < ts[0] and len(steps) > kept
+    tr = integrate(mexhat.system, y0, dataclasses.replace(cfg, t_end=50.0), checkpoints=ts)
+    assert got.tobytes() == tr.checkpoint_states.tobytes()
 
 
 def test_orbit_certificate_integrates_only_its_trajectories(mexhat, monkeypatch):

@@ -578,6 +578,44 @@ def test_threshold_mode(tmp_path, capsys):
     assert (out_dir / "basin.json").exists()
 
 
+_ORBIT_SMALL = {"system": "mexican_hat", "orbit_seed": [1.05, 0.0, 0.02], "level": 0.2,
+                "sampler": {"cells_per_axis": 12, "halfwidth": 2.8}, "n_trajectories": 2}
+_THRESHOLD_SMALL = {"system": RIGID, "target": [1.0, 0.0, 0.0],
+                    "threshold": {"level_max": 0.4, "steps": 2},
+                    "sampler": {"cells_per_axis": 14}, "n_trajectories": 2}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({**BASIN_BASE, "t_search": 0.001}, "'t_search' applies to orbit targets only"),
+    ({**BASIN_BASE, "recur_tol": 5}, "'recur_tol' applies to orbit targets only"),
+    ({**_THRESHOLD_SMALL, "t_search": 10}, "'t_search' applies to orbit targets only"),
+    ({**_THRESHOLD_SMALL, "dump_members": True},
+     "'dump_members' applies to a single level only, not to a 'threshold' search"),
+], ids=["equilibrium:t_search", "equilibrium:recur_tol", "threshold:t_search",
+        "threshold:dump_members"])
+def test_basin_refuses_keys_its_mode_does_not_read(tmp_path, capsys, config, message):
+    # a key the run would ignore is refused before any work
+    out_dir = tmp_path / "out"
+    rc, out, err = _run(capsys, ["basin", "--config", _write(tmp_path, "bas.json", config),
+                                 "--out", str(out_dir)])
+    assert (rc, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
+def test_orbit_reads_its_period_search_keys(tmp_path, capsys):
+    # the orbit's keys at their defaults print the bytes of the config
+    # without them, and a search window shorter than the period fails
+    runs = [_run(capsys, ["basin", "--config", _write(tmp_path, f"orb{i}.json", cfg)])
+            for i, cfg in enumerate([_ORBIT_SMALL,
+                                     {**_ORBIT_SMALL, "t_search": 50.0, "recur_tol": 1e-8}])]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == EXIT_OK
+    cfg = _write(tmp_path, "short.json", {**_ORBIT_SMALL, "t_search": 3.0})
+    rc, out, err = _run(capsys, ["basin", "--config", cfg])
+    assert (rc, out) == (EXIT_CERTIFICATE, "")
+    assert err == "error: NotPeriodic: no return within 0.2 of the seed over [0, 3.0]\n"
+
+
 # ---------------------------------------------------------------------------
 # configuration errors
 # ---------------------------------------------------------------------------
@@ -741,6 +779,28 @@ INTEGER_FIELDS = [
     ("basin", {**_GRID_BASIN, "threshold": {"level_max": 0.4, "steps": 2}},
      ("threshold", "steps")),
 ]
+
+
+# the tolerances of the numerical checks: fixed constants, not config keys
+FIXED_TOLERANCES = (
+    [("verify", {"system": RIGID, "n_probes": 3}, key)
+     for key in ("identity_factor", "gram_floor", "conservation_tol", "tensor_symmetry_tol")]
+    + [("equilibria", _EQUILIBRIA, key)
+       for key in ("newton_tol", "dedup_tol", "tol_inv", "tol_g", "stability_radius")]
+    + [("basin", _GRID_BASIN, key) for key in ("target_radius", "susp_ratio", "susp_g")]
+    + [("basin", _ORBIT_SMALL, key) for key in ("witness_tol", "coverage_factor")])
+
+
+@pytest.mark.parametrize("command, config, key", FIXED_TOLERANCES,
+                         ids=[f"{c}:{k}" for c, _, k in FIXED_TOLERANCES])
+def test_fixed_tolerance_in_a_config_is_config_error(tmp_path, capsys, command, config, key):
+    assert len(FIXED_TOLERANCES) == 14
+    assert key not in geodiss.cli._load_schema()[command]["properties"]
+    cfg = _write(tmp_path, "cfg.json", {**config, key: 1e-6})
+    rc, out, err = _run(capsys, [command, "--config", cfg])
+    assert (rc, out) == (EXIT_CONFIG, "")
+    assert err == ("error: config invalid at top level: Additional properties are not "
+                   f"allowed ({key!r} was unexpected)\n")
 
 
 def test_integer_fields_are_every_integer_of_the_schema():

@@ -534,6 +534,32 @@ def test_dop853_ensemble_rows_fail_alone(rigid, antibowl, refused_leaf_projectio
     assert run.failures == ["StepUnderflow", None, "StepUnderflow", None]
 
 
+def test_ensemble_start_with_non_finite_differentials_fails_alone(rigid):
+    # G's differential is NaN where x3 > 0.9: that start fails before any
+    # step, as its solo run does, and the other rows take their solo steps
+    G = rigid.system.dissipated
+
+    def d(p):
+        return np.full(p.shape, np.nan) if p[2] > 0.9 else G.d(p)
+
+    system = dataclasses.replace(rigid.system, dissipated=ScalarField(
+        3, G.value, differential=d, label="poisoned"))
+    starts = np.array([[0.6, 0.48, 0.64], [0.0, 0.3, 0.95], [0.8, 0.1, 0.2]])
+    cfg = IntegratorConfig(t_end=2.0)
+    run = _assert_rows_are_solo_dop853_runs(system, starts, cfg)
+    assert run.failures == [None, "NonFiniteState", None]
+    assert run.final[1].tobytes() == starts[1].tobytes()
+    assert run.g_max[1] == -np.inf
+    assert (run.n_accepted[1], run.n_rejected[1]) == (0, 0)
+    # a stack of bad starts only: every row fails at its start
+    bad = np.array([[0.0, 0.3, 0.95], [0.3, 0.0, 0.95]])
+    run = integrate_ensemble(system, bad, cfg)
+    assert run.failures == ["NonFiniteState"] * 2
+    assert run.final.tobytes() == bad.tobytes()
+    assert run.g_max.tolist() == [-np.inf] * 2
+    assert run.n_accepted.tolist() == run.n_rejected.tolist() == [0, 0]
+
+
 @pytest.mark.parametrize("kwargs, text", [
     ({"record_every": 0}, "record_every must be an integer of at least 1"),
     # every fifth step would be recorded
