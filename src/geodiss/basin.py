@@ -44,10 +44,10 @@ one call of the corrected-flow evaluator, ``control._corrected_rows``. A
 certificate's trajectory ensemble is one lockstep call
 (``integrators.integrate_ensemble``) over all its starts, whose rows take
 the steps of their solo runs; the threshold search runs the ensembles of
-all the levels it plans in one such call. An equilibrium's rows end in its
-trap (``_trap``), a neighbourhood that G's descent never leaves, once
-within ``converge_tol`` for good. Only the orbit's period detection
-consumes the solo step generator.
+all the levels it plans in one such call. The rows end in the target's
+trap (``_trap``) once within ``converge_tol`` for good: a neighbourhood of
+an equilibrium, or a tube about an orbit, that G's descent never leaves.
+Only the orbit's period detection consumes the solo step generator.
 """
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ from .structure import (
     Stability,
     _classify_rows,
     _refine_rows,
-    leaf_tangent_basis,
+    _tangent_bases,
     refine_to_invariant_set,
     stability_classify,
 )
@@ -124,9 +124,10 @@ _CELL_BUDGET = _MAX_CELLS_PER_AXIS ** GRID_DIM_LIMIT
 # the rows the leaf table projects, or evaluates G at, in one call, which
 # bounds the memory of its build
 _TABLE_BLOCK = 2 ** 14
-# an equilibrium's trap (_trap): the Hessian's difference step relative to
-# max(1, |x_e|), the seeded leaf directions sampled at its radius besides
-# the chart axes, and the margin of delta over one step's change of L
+# a target's trap (_trap): the Hessian's difference step relative to
+# max(1, reach), the seeded leaf directions sampled at its radius besides
+# the chart axes (spread over an orbit's phases), and the margin of delta
+# over one step's change of L
 _TRAP_STEP = float(np.finfo(float).eps) ** 0.25
 _TRAP_SAMPLES = 32
 _TRAP_SEED = 0
@@ -679,107 +680,164 @@ class _Target:
     # an equilibrium fails a scan without any witness; an orbit's own
     # coverage test asks for more
     needs_witness: bool = True
-    point: np.ndarray | None = None         # an equilibrium target's point
+    # the states its trap is built about (_trap): an equilibrium's one, or
+    # an orbit's phases in order; None builds no trap
+    states: np.ndarray | None = None
 
 
 def _equilibrium(x_e: np.ndarray, target_radius: float) -> _Target:
     def dist(p):
         return float(np.linalg.norm(p - x_e))
-    return _Target("target", dist, target_radius, float(np.linalg.norm(x_e)), point=x_e)
+    return _Target("target", dist, target_radius, float(np.linalg.norm(x_e)),
+                   states=x_e[None])
 
 
 @dataclass(frozen=True)
 class _Trap:
-    """A forward-invariant neighbourhood of an equilibrium x_e, built by
-    :func:`_trap`: the states within ``radius`` of x_e where L = G - mu .
-    (F - F(x_e)) lies below L(x_e) + ``delta``. Called on an (m, n) stack,
-    it returns the rows inside it, an ensemble's stop test. ``lam`` and
-    ``lam_max`` are the extreme eigenvalues of L's Hessian on the leaf
-    tangent at x_e."""
+    """A forward-invariant neighbourhood of a target, built by :func:`_trap`
+    about its ``states``: the states within ``radius`` of the target where L
+    = G - mu_j . (F - F_j), with mu_j, F_j and G_j of the nearest state j,
+    lies below G_j + ``delta``. Called on an (m, n) stack, it returns the
+    rows inside it, an ensemble's stop test: ``tests`` are its two
+    conditions, the cheaper first, the other read only on the rows that
+    pass it. ``lam`` and ``lam_max`` are the extreme eigenvalues of L's
+    Hessians on the target's transverse charts."""
 
-    center: np.ndarray
+    states: np.ndarray
     radius: float
     delta: float
     lam: float
     lam_max: float
-    rise: Callable[[np.ndarray], np.ndarray] = field(repr=False)  # L - L(x_e) on a stack
+    tests: tuple = field(repr=False)
 
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        inside = _row_norms(states - self.center) < self.radius
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        first, second = self.tests
+        inside = first(pts)
         if inside.any():
-            inside[inside] = self.rise(states[inside]) < self.delta
+            inside[inside] = second(pts[inside])
         return inside
 
 
-def _trap(system: DissipativeSystem, x_e: np.ndarray, radius: float,
-          config: IntegratorConfig) -> _Trap | None:
-    """The trap about an equilibrium at ``radius`` (the ensembles'
+def _trap(system: DissipativeSystem, states, radius: float, config: IntegratorConfig,
+          distance: Callable[[np.ndarray], float] | None = None) -> _Trap | None:
+    """The trap about a target at ``radius`` (the ensembles'
     ``converge_tol``), or None where none is resolved.
 
+    ``states`` is an equilibrium x_e, one state, or an orbit's phase states
+    in order, at least three of them, with ``distance``, the orbit's
+    distance on a point that the convergence verdict reads. One state's
+    distance is its row norm, bitwise the verdict's ``np.linalg.norm``.
+
     G never rises along the corrected flow and F stays put, so a set T =
-    {|x - x_e| < r, L(x) < L(x_e) + delta} on the leaf, with L >= L(x_e) +
-    2 delta on the leaf's sphere of radius r, is never left: a row inside T
-    stays within r of x_e to its horizon (the sublevel-set estimate of a
-    region of attraction; Khalil, Nonlinear Systems, 3rd ed., 4.2 and 8.2).
-    mu solves dF^T mu = dG at x_e in least squares, so dL(x_e) = 0 and one
-    step's error off the leaf moves L only to second order, where it moves
-    G by mu . dF. delta is half the smaller of lam r^2 / 2, lam the smallest
-    eigenvalue of a central-difference Hessian of L in the leaf's tangent
-    chart, and the least G - G(x_e) over leaf points projected from radius
-    r. There is no trap for a fixed step, whose error no tolerance bounds,
-    where lam does not exceed the change of the Hessian from step h to 2h
-    (as at a quartic bowl), or where delta does not clear 100 r lam_max
-    ``local_tol(|x_e|)``, a bound on one step's tangential change of L.
+    {dist(x) < r, L(x) < G_j + delta} on the leaf, with L >= G_j + 2 delta
+    on the leaf's tube of radius r about the target, is never left: a row
+    inside T stays within r of the target to its horizon (the sublevel-set
+    estimate of a region of attraction; Khalil, Nonlinear Systems, 3rd ed.,
+    4.2 and 8.2, and LaSalle's theorem 4.4 for an orbit). mu_j solves dF^T
+    mu_j = dG at state j in least squares, so dL(x_j) = 0 and one step's
+    error off the leaf moves L only to second order, where it moves G by
+    mu_j . dF. delta is half the smaller of lam r^2 / 2, lam the smallest
+    eigenvalue over the states of a central-difference Hessian of L in the
+    transverse chart, and the least G - G_j over leaf points projected from
+    radius r. At an equilibrium that chart is the leaf's tangent chart; on
+    an orbit it drops the flow direction, the chord between the phase's
+    neighbours, along which G does not change. There is no trap for a
+    fixed step, whose error no tolerance bounds, where the chart has no
+    direction left (a leaf that is the orbit), where lam does not exceed
+    the change of the Hessian from step h to 2h at some state (as at a
+    quartic bowl), or where delta does not clear 100 r lam_max
+    ``local_tol(reach)``, a bound on one step's tangential change of L,
+    reach the largest norm of a state.
     """
+    states = np.atleast_2d(states)
+    p, n = states.shape
     if not _adaptive(config):
         return None
-    basis = leaf_tangent_basis(system, x_e)
-    d, n = basis.shape
-    g_e = system.dissipated(x_e)
-    f_e = system.leaf_value(x_e)
-    mu = []
-    if system.k:
-        jac = np.vstack([f.d(x_e) for f in system.conserved])
-        mu = np.linalg.lstsq(jac.T, system.dissipated.d(x_e), rcond=None)[0].tolist()
+    k = system.k
+    g0 = system.dissipated.values(states)
+    f0 = np.zeros((p, k))
+    mu = np.zeros((p, k))
+    if k:
+        jac = np.stack([f.diffs(states) for f in system.conserved], axis=1)
+        for i, f in enumerate(system.conserved):
+            f0[:, i] = f.values(states)
+        for j, (a, b) in enumerate(zip(jac, system.dissipated.diffs(states))):
+            mu[j] = np.linalg.lstsq(a.T, b, rcond=None)[0]
+    bases = _tangent_bases(system, states)
+    if p > 1:
+        # the flow direction drops out of each phase's chart
+        chord = np.roll(states, -1, axis=0) - np.roll(states, 1, axis=0)
+        along = (bases @ chord[:, :, None])[:, :, 0]
+        bases = np.linalg.svd(along[:, None, :])[2][:, 1:] @ bases
+    d = bases.shape[1]
+    if not d:
+        return None
 
-    def rise(pts):
-        """L - L(x_e) on a stack."""
-        out = system.dissipated.values(pts) - g_e
-        for f, m, v in zip(system.conserved, mu, f_e.tolist()):
-            out -= m * (f.values(pts) - v)
+    def rise(pts, j):
+        """L - G_j on a stack, row i with the multipliers of state j[i], or
+        every row with those of state j."""
+        out = system.dissipated.values(pts) - g0[j]
+        for i, f in enumerate(system.conserved):
+            out -= mu[j, i] * (f.values(pts) - f0[j, i])
         return out
 
-    # the Hessian's entries (i, j), i <= j, at steps h and 2h, from the
-    # corners x_e + step (+-b_i +- b_j), in one stacked evaluation
-    h = _TRAP_STEP * max(1.0, float(np.linalg.norm(x_e)))
+    def nearest(pts):
+        """Each row's nearest state; for one state, that state for every row."""
+        if p == 1:
+            return 0
+        return np.argmin(np.sum((pts[:, None, :] - states) ** 2, axis=2), axis=1)
+
+    # the Hessians' entries (i, j), i <= j, at steps h and 2h, from the
+    # corners x + step (+-b_i +- b_j) about every state, in one stacked
+    # evaluation
+    reach = float(np.max(_row_norms(states)))
+    h = _TRAP_STEP * max(1.0, reach)
     upper = np.triu_indices(d)
     signs_i, signs_j = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :, None]
-    pairs = signs_i * basis[upper[0], None] + signs_j * basis[upper[1], None]
+    pairs = signs_i * bases[:, upper[0], None] + signs_j * bases[:, upper[1], None]
     steps = np.array([h, 2.0 * h])
-    corners = x_e + (steps[:, None, None, None] * pairs).reshape(-1, n)
-    vals = rise(corners).reshape(2, -1, 4) @ np.array([1.0, -1.0, -1.0, 1.0])
-    hess = np.zeros((2, d, d))
-    hess[:, upper[0], upper[1]] = vals / (4.0 * steps[:, None] ** 2)
-    hess[:, upper[1], upper[0]] = hess[:, upper[0], upper[1]]
-    eig = np.linalg.eigvalsh(hess[0])
-    lam, lam_max = float(eig[0]), float(eig[-1])
-    if not lam > float(np.max(np.abs(np.linalg.eigvalsh(hess[1] - hess[0])))):
+    corners = (states[:, None, None, None]
+               + steps[:, None, None, None] * pairs[:, None]).reshape(-1, n)
+    owner = np.repeat(np.arange(p), len(corners) // p)
+    vals = rise(corners, owner).reshape(2 * p, -1, 4) @ np.array([1.0, -1.0, -1.0, 1.0])
+    hess = np.zeros((p, 2, d, d))
+    hess[:, :, upper[0], upper[1]] = vals.reshape(p, 2, -1) / (4.0 * steps[:, None] ** 2)
+    hess[:, :, upper[1], upper[0]] = hess[:, :, upper[0], upper[1]]
+    eig = np.linalg.eigvalsh(hess[:, 0])
+    resolution = np.max(np.abs(np.linalg.eigvalsh(hess[:, 1] - hess[:, 0])), axis=1)
+    if not np.all(eig[:, 0] > resolution):
         return None
+    lam, lam_max = float(np.min(eig[:, 0])), float(np.max(eig[:, -1]))
 
-    # G - G(x_e) at leaf points projected from radius r along the chart
-    # axes and seeded directions, in one stacked projection
-    dirs = np.concatenate((basis, -basis, np.random.default_rng(_TRAP_SEED).normal(
-        size=(_TRAP_SAMPLES, d)) @ basis))
-    ys, converged, _ = _project_rows(system, x_e + radius * dirs / _row_norms(dirs)[:, None],
-                                     f_e)
+    # G - G_j at leaf points projected from radius r along each state's
+    # chart axes and its share of the seeded directions, in one stacked
+    # projection
+    seeded = np.random.default_rng(_TRAP_SEED).normal(size=(p, -(-_TRAP_SAMPLES // p), d))
+    dirs = np.concatenate((bases, -bases, seeded @ bases), axis=1)
+    owner = np.repeat(np.arange(p), dirs.shape[1])
+    dirs = dirs.reshape(-1, n)
+    ys, converged, _ = _project_rows(
+        system, states[owner] + radius * dirs / _row_norms(dirs)[:, None], f0[owner])
     if not converged.all():
         return None
-    sampled = float(np.min(system.dissipated.values(ys) - g_e))
+    sampled = float(np.min(system.dissipated.values(ys) - g0[owner]))
     delta = 0.5 * float(np.minimum(0.5 * lam * radius ** 2, sampled))  # NaN stays NaN
-    floor = _TRAP_FLOOR * radius * lam_max * config.local_tol(float(np.linalg.norm(x_e)))
+    floor = _TRAP_FLOOR * radius * lam_max * config.local_tol(reach)
     if not delta > floor:
         return None
-    return _Trap(center=x_e, radius=radius, delta=delta, lam=lam, lam_max=lam_max, rise=rise)
+
+    def low(pts):
+        return rise(pts, nearest(pts)) < delta
+
+    if p == 1:
+        # one state's row norm costs less than L
+        x_e = states[0]
+        tests = (lambda pts: _row_norms(pts - x_e) < radius, low)
+    else:
+        # an orbit's distance is a Newton solve a row: read only near it
+        tests = (low, lambda pts: np.array([distance(x) < radius for x in pts]))
+    return _Trap(states=states, radius=radius, delta=delta, lam=lam, lam_max=lam_max,
+                 tests=tests)
 
 
 def _ensemble_setup(system, target, anchor: np.ndarray,
@@ -793,13 +851,14 @@ def _ensemble_setup(system, target, anchor: np.ndarray,
     dop853, at rel_tol 1e-8, abs_tol 1e-10: they read only each row's max of
     G and its final state, never a state inside a step, and the eighth-order
     pair takes about a quarter of Dormand-Prince 5(4)'s tries there. A given
-    config is used as it is. An equilibrium's rows stop in its trap
-    (:func:`_trap`, at radius ``converge_tol``) where it has one, within
-    ``converge_tol`` of it for good; an orbit's run to their horizons.
+    config is used as it is. The rows stop in the target's trap
+    (:func:`_trap`, at radius ``converge_tol``, about an equilibrium or an
+    orbit's phases) where it has one, within ``converge_tol`` of it for
+    good.
     """
     config = opts["integrator"] or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-    trap = (None if target.point is None
-            else _trap(system, target.point, opts["converge_tol"], config))
+    trap = (None if target.states is None
+            else _trap(system, target.states, opts["converge_tol"], config, target.distance))
     return config, target.reach + 10.0 * _halfwidth(anchor, opts["sampler"]), trap
 
 
@@ -1283,7 +1342,9 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
 
     orbit = _Target("orbit", dist, _WITNESS_TOL,
                     float(np.max(np.linalg.norm(orbit_states, axis=1))),
-                    needs_witness=False)
+                    needs_witness=False,
+                    # a phase's chord needs two neighbours apart from each other
+                    states=phase_states if n_phases > 2 else None)
     judged = _certify_level(system, y0, level, orbit, dict(
         sampler=sampler, max_refine=max_refine, n_trajectories=n_trajectories,
         traj_seed=traj_seed, horizon=horizon, converge_tol=converge_tol, integrator=integrator))

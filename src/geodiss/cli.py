@@ -571,6 +571,9 @@ def cmd_equilibria(config: dict, args) -> int:
     from .structure import find_equilibria, stability_classify
 
     system, _, name = _build_system(config["system"])
+    if "stability_samples" in config and not config.get("stability", True):
+        raise ConfigError("'stability_samples' applies to the stability test only, "
+                          "not with 'stability': false")
     seeds = _probe_points(config, args, system.dim, "seeds", "seed",
                           "n_seeds", 64)
     reports, unresolved = find_equilibria(system, seeds)
@@ -618,6 +621,9 @@ def cmd_basin(config: dict, args) -> int:
     for key in ("t_search", "recur_tol"):
         if key in config and orbit_seed is None:
             raise ConfigError(f"'{key}' applies to orbit targets only")
+    if "t_end" in config.get("integrator", {}):
+        raise ConfigError("'integrator.t_end' does not apply to basin: each level's "
+                          "ensemble runs to its horizon, and period detection to 't_search'")
 
     dump_members = bool(config.get("dump_members", False))
     if dump_members and threshold is not None:

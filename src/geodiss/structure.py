@@ -384,12 +384,18 @@ def find_equilibria(system: DissipativeSystem, seeds,
 
 def leaf_tangent_basis(system: DissipativeSystem, x) -> np.ndarray:
     """Orthonormal chart basis of the leaf tangent space at x, shape (n-k, n)."""
-    p = as_point(x, system.dim)
+    return _tangent_bases(system, as_point(x, system.dim)[None])[0]
+
+
+def _tangent_bases(system: DissipativeSystem, pts: np.ndarray) -> np.ndarray:
+    """:func:`leaf_tangent_basis` at each row of an (m, n) stack, shape
+    (m, n-k, n): the right singular vectors of the conserved differentials
+    past the k-th, one stacked SVD, each row bitwise its own."""
+    m, n = pts.shape
     if system.k == 0:
-        return np.eye(system.dim)
-    jac = np.vstack([f.d(p) for f in system.conserved])
-    _, _, vt = np.linalg.svd(jac)
-    return vt[system.k:]
+        return np.repeat(np.eye(n)[None], m, axis=0)
+    jac = np.stack([f.diffs(pts) for f in system.conserved], axis=1)
+    return np.linalg.svd(jac)[2][:, system.k:]
 
 
 def _refine_rows(system: DissipativeSystem, starts: np.ndarray, leaf_value,

@@ -1542,13 +1542,18 @@ def _leaf_descent_poly(seed):
                              metric=rp.metric)
 
 
-def _assert_trap_rows_are_solo_runs(system, run, starts, horizon, config, trap, bound=None):
+def _assert_trap_rows_are_solo_runs(system, run, starts, horizon, config, trap, bound=None,
+                                    distance=None):
     """Each row of an ensemble run with ``stop=trap`` against its solo run:
     a row ends at the first step whose state lies in the trap, with the
     counters, state and max of G of the solo run at that step, and the solo
-    run stays within the trap's radius of its center from there to the
-    horizon; a row that never enters it is its solo run. Returns the count
-    of stopped rows."""
+    run stays within the trap's radius of the target, by the target's
+    ``distance`` (by default the distance to the trap's one state), from
+    there to the horizon; a row that never enters it is its solo run.
+    Returns the count of stopped rows."""
+    if distance is None:
+        def distance(x):
+            return np.linalg.norm(x - trap.states[0])
     stopped = 0
     solo = dataclasses.replace(config, t_end=horizon)
     for i, x0 in enumerate(starts):
@@ -1557,7 +1562,7 @@ def _assert_trap_rows_are_solo_runs(system, run, starts, horizon, config, trap, 
         last = inside.index(True) if any(inside) else len(steps) - 1
         if any(inside):
             stopped += 1
-            dists = [np.linalg.norm(step.x_new - trap.center) for step in steps[last:]]
+            dists = [distance(step.x_new) for step in steps[last:]]
             assert max(dists) < trap.radius
         end = steps[last]
         assert (run.n_accepted[i], run.n_rejected[i]) == (end.accepted, end.rejected)
@@ -1693,7 +1698,7 @@ def test_no_trap_without_a_resolved_positive_curvature(rigid, mexhat):
     # a fixed step has no tolerance that bounds its error
     assert basin_mod._trap(rigid.system, MAJOR, 1e-4,
                            IntegratorConfig(method=Method.RK4_FIXED)) is None
-    # an orbit's rows run to their horizons
+    # a target that carries no states has no trap
     orbit = basin_mod._Target("orbit", lambda p: 0.0, 1e-6, 1.0, needs_witness=False)
     assert basin_mod._ensemble_setup(mexhat.system, orbit, np.array([1.0, 0.0, 0.0]),
                                      dict(integrator=None, sampler=None,
@@ -1712,6 +1717,191 @@ def test_no_trap_without_a_resolved_positive_curvature(rigid, mexhat):
     for name in ("g_max", "final", "n_accepted", "n_rejected"):
         assert getattr(run, name).tobytes() == getattr(ref, name).tobytes()
     assert run.failures == ref.failures
+
+
+def _circle_trap(system, config, r=1e-4, z=0.02, n_phases=100):
+    """The trap at radius r about the unit circle at height z, from its
+    n_phases phase states, and the distance to the circle read off 2048
+    states, as an orbit certificate measures it."""
+    def circle(count):
+        angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+        return np.stack([np.cos(angles), np.sin(angles), np.full(count, z)], axis=1)
+
+    dense = circle(2048)
+
+    def distance(p):
+        return distance_to_orbit(p, dense)
+
+    return basin_mod._trap(system, circle(n_phases), r, config, distance), distance
+
+
+def _on_circle_leaf(angle, rho, z=0.02):
+    return np.array([rho * np.cos(angle), rho * np.sin(angle), z])
+
+
+def test_orbit_trap_values_are_the_closed_forms(mexhat):
+    # across the unit circle, at radius 1 + s on its leaf, L = G = s^2 (1 +
+    # s/2)^2: the transverse Hessian is 2 at every phase, the flow direction
+    # dropped, and the least G at radius r is r^2 (1 - r/2)^2, below lam r^2
+    # / 2 = r^2
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    r = 1e-4
+    trap, distance = _circle_trap(mexhat.system, cfg, r)
+    assert trap.lam == pytest.approx(2.0, rel=1e-5)
+    assert trap.lam_max == pytest.approx(2.0, rel=1e-5)
+    assert trap.delta == pytest.approx(0.5 * r ** 2 * (1.0 - 0.5 * r) ** 2, rel=1e-5)
+    reach = float(np.hypot(1.0, 0.02))
+    assert trap.delta > 100 * r * trap.lam_max * cfg.local_tol(reach)
+    # G ~ s^2 against delta ~ r^2 / 2: inside at r / 4 on either side, at a
+    # phase and half-way between two; outside at 0.9 r and at 2 r
+    half = np.pi / 100
+    for scale, expected in ((0.25, True), (0.9, False), (2.0, False)):
+        pts = np.array([_on_circle_leaf(angle, 1.0 + sign * scale * r)
+                        for angle in (0.0, half, 1.0) for sign in (1.0, -1.0)])
+        assert trap(pts).tolist() == [expected] * len(pts)
+        assert all((distance(p) < r) == (scale < 1.0) for p in pts)
+    # on the circles of nearby leaves L = G_j, since mu = 0: only the
+    # distance keeps the one 2 r above the orbit out
+    pts = np.array([_on_circle_leaf(1.0, 1.0, z=0.02 + dz) for dz in (0.25 * r, 2.0 * r)])
+    assert trap(pts).tolist() == [True, False]
+
+
+def test_no_orbit_trap_without_a_transverse_minimum(mexhat):
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    trap, _ = _circle_trap(mexhat.system, cfg)
+    assert trap is not None
+    # with G negated the circle is a transverse maximum of G on its leaf
+    g = mexhat.system.dissipated
+    negated = dataclasses.replace(mexhat.system, dissipated=ScalarField(
+        3, lambda p: -g.value(p), differential=lambda p: -g.differential(p), stacked=True))
+    assert _circle_trap(negated, cfg)[0] is None
+    # a fixed step has no tolerance that bounds its error
+    assert _circle_trap(mexhat.system, IntegratorConfig(method=Method.RK4_FIXED))[0] is None
+    # a rotation of the plane whose leaves, the circles |x| = const, are its
+    # orbits: no leaf direction is left once the flow's is dropped
+    rotation = DissipativeSystem(
+        X=VectorField(2, lambda p: np.array([-p[1], p[0]])),
+        conserved=(ScalarField(2, lambda p: 0.5 * float(p @ p), differential=lambda p: p),),
+        dissipated=ScalarField(2, lambda p: 0.25 * float(p @ p), differential=lambda p: 0.5 * p),
+        metric=MetricField.euclidean(2))
+    angles = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
+    phases = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    assert basin_mod._trap(rotation, phases, 1e-4, cfg,
+                           lambda p: abs(float(np.linalg.norm(p)) - 1.0)) is None
+
+
+def _orbit_certificate_runs(monkeypatch, system, seed_point, level, sampler, **kwargs):
+    """An orbit certificate and what its ensemble ran on: the target, the
+    draw, the config, bound and trap, and the run."""
+    seen = {}
+    setup, run_draws = basin_mod._ensemble_setup, basin_mod._run_draws
+
+    def capture_setup(system, target, anchor, opts):
+        seen["target"] = target
+        return setup(system, target, anchor, opts)
+
+    def capture_run(system, draws, config, bound, stop=None):
+        run = run_draws(system, draws, config, bound, stop)
+        seen.update(draws=draws, config=config, bound=bound, trap=stop, run=run)
+        return run
+
+    monkeypatch.setattr(basin_mod, "_ensemble_setup", capture_setup)
+    monkeypatch.setattr(basin_mod, "_run_draws", capture_run)
+    cert = periodic_orbit_certify(system, seed_point, level, sampler, **kwargs)
+    return cert, SimpleNamespace(**seen)
+
+
+def test_orbit_of_two_phases_has_no_trap(mexhat, monkeypatch):
+    # each of two phases is the other's both neighbours, so no chord gives
+    # the flow direction: the rows run to their horizons
+    cert, seen = _orbit_certificate_runs(
+        monkeypatch, mexhat.system, [1.05, 0.0, 0.02], 0.2,
+        SamplerConfig(cells_per_axis=12, halfwidth=2.8), n_trajectories=2, n_phases=2)
+    assert cert.passed
+    assert seen.target.states is None and seen.trap is None
+
+
+@pytest.mark.parametrize("traj_seed", [0, 5, 11])
+def test_trap_stops_orbit_certificate_rows_for_good(mexhat, monkeypatch, traj_seed):
+    # every row of the CI orbit config's ensemble, 6 of them, stops in the
+    # tube about the orbit, is its solo run up to the stop, and its solo run
+    # stays within converge_tol of the orbit to its horizon
+    cert, seen = _orbit_certificate_runs(
+        monkeypatch, mexhat.system, [1.05, 0.0, 0.02], 0.2,
+        SamplerConfig(cells_per_axis=12, halfwidth=2.8), n_trajectories=6, traj_seed=traj_seed)
+    assert cert.passed
+    assert seen.trap is not None and seen.trap.radius == 1e-4
+    assert seen.trap.states.tobytes() == cert.phase_states.tobytes()
+    (draw,) = seen.draws
+    assert _assert_trap_rows_are_solo_runs(
+        mexhat.system, seen.run, draw.starts, draw.horizon, seen.config, seen.trap,
+        seen.bound, seen.target.distance) == len(draw.starts) == 6
+
+
+@pytest.mark.parametrize("config", [None, _RK45], ids=["dop853", "rk45"])
+def test_orbit_trap_stops_a_row_at_its_first_step(mexhat, config):
+    # starts a quarter of the trap's radius off the circle, at a phase and
+    # half-way between two, stop at their first accepted step; a start 0.02
+    # off it runs on into the trap
+    cfg = config or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    r = 1e-4
+    trap, distance = _circle_trap(mexhat.system, cfg, r)
+    starts = np.array([_on_circle_leaf(0.0, 1.0 + 0.25 * r),
+                       _on_circle_leaf(np.pi / 100, 1.0 - 0.25 * r),
+                       _on_circle_leaf(2.0, 1.02)])
+    assert trap(starts).tolist() == [True, True, False]
+    horizon = 20.0
+    run = integrate_ensemble(mexhat.system, starts, dataclasses.replace(cfg, t_end=horizon),
+                             stop=trap)
+    assert run.n_accepted[:2].tolist() == [1, 1]
+    assert run.n_accepted[2] > 1
+    assert _assert_trap_rows_are_solo_runs(mexhat.system, run, starts, horizon, cfg, trap,
+                                           distance=distance) == 3
+
+
+def _assert_same_certificates(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.shape, x.tobytes()) == (y.shape, y.tobytes()), f.name
+        else:
+            assert x == y, f.name
+    assert json.dumps(a.as_report()) == json.dumps(b.as_report())
+
+
+# (seed point, sampler, keyword options) of the orbit certificates whose
+# verdicts the trap must keep: the CI config at traj_seed 0 to 7, as the CLI
+# runs it (traj_seed 7, 2 trajectories), and the benchmark's sombrero_orbit
+# job at its seeds 101 and 9911
+_CI_ORBIT = ([1.05, 0.0, 0.02], SamplerConfig(cells_per_axis=12, halfwidth=2.8))
+_ORBIT_PARITY = {
+    **{f"seed{seed}": (*_CI_ORBIT, dict(n_trajectories=8, traj_seed=seed))
+       for seed in range(8)},
+    "ci": (*_CI_ORBIT, dict(n_trajectories=2, traj_seed=7, proper_g_asserted=True)),
+    "bench101": ([-0.905779434188891, -0.5065294403429229, 0.04652511070611112],
+                 _CI_ORBIT[1], dict(n_trajectories=4, horizon=20.0, traj_seed=1540496234)),
+    "bench9911": ([0.4485885811053346, -0.9558354680184732, 0.0318447780934423],
+                  _CI_ORBIT[1], dict(n_trajectories=4, horizon=20.0, traj_seed=950454691)),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORBIT_PARITY))
+def test_orbit_trap_keeps_every_certificate_field(mexhat, monkeypatch, case):
+    # the rows the trap stops are converged for good, and G only falls from
+    # their starts, so the certificate is the one whose rows run to the
+    # horizon, field for field and byte for byte
+    seed_point, sampler, kwargs = _ORBIT_PARITY[case]
+    cert, seen = _orbit_certificate_runs(monkeypatch, mexhat.system, seed_point, 0.2,
+                                         sampler, **kwargs)
+    assert seen.trap is not None
+    monkeypatch.undo()
+    monkeypatch.setattr(basin_mod, "_trap", lambda *args: None)
+    ref, seen_ref = _orbit_certificate_runs(monkeypatch, mexhat.system, seed_point, 0.2,
+                                            sampler, **kwargs)
+    assert seen_ref.trap is None
+    assert seen.run.n_accepted.sum() < seen_ref.run.n_accepted.sum()
+    assert cert.passed and cert.trajectories_converged == cert.trajectories_total
+    _assert_same_certificates(cert, ref)
 
 
 def test_orbit_certificate_with_dop853_period_detection(mexhat):

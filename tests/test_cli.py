@@ -406,6 +406,22 @@ def test_equilibria_scan(tmp_path, capsys):
     assert any(eq["stability"] == "asymptotically_stable" for eq in majors)
 
 
+def test_equilibria_refuses_stability_samples_without_the_stability_test(tmp_path, capsys):
+    # the samples of a stability test that does not run are refused before
+    # any work; without them the config runs
+    config = {"system": "mexican_hat", "n_seeds": 4, "seed": 0, "stability": False}
+    out_dir = tmp_path / "out"
+    rc, out, err = _run(capsys, ["equilibria", "--out", str(out_dir), "--config",
+                                 _write(tmp_path, "eq.json", {**config, "stability_samples": 3})])
+    assert (rc, out) == (EXIT_CONFIG, "")
+    assert err == ("error: 'stability_samples' applies to the stability test only, "
+                   "not with 'stability': false\n")
+    assert not out_dir.exists()
+    rc, out, _ = _run(capsys, ["equilibria", "--config", _write(tmp_path, "ok.json", config)])
+    assert rc == EXIT_OK
+    assert {eq["stability"] for eq in json.loads(out)["equilibria"]} == {"undetermined"}
+
+
 # ---------------------------------------------------------------------------
 # basin / orbit / threshold
 # ---------------------------------------------------------------------------
@@ -580,6 +596,9 @@ def test_threshold_mode(tmp_path, capsys):
 
 _ORBIT_SMALL = {"system": "mexican_hat", "orbit_seed": [1.05, 0.0, 0.02], "level": 0.2,
                 "sampler": {"cells_per_axis": 12, "halfwidth": 2.8}, "n_trajectories": 2}
+# each level's ensemble runs to its horizon, and period detection to t_search
+_BASIN_T_END = ("'integrator.t_end' does not apply to basin: each level's ensemble runs "
+                "to its horizon, and period detection to 't_search'")
 _THRESHOLD_SMALL = {"system": RIGID, "target": [1.0, 0.0, 0.0],
                     "threshold": {"level_max": 0.4, "steps": 2},
                     "sampler": {"cells_per_axis": 14}, "n_trajectories": 2}
@@ -591,8 +610,12 @@ _THRESHOLD_SMALL = {"system": RIGID, "target": [1.0, 0.0, 0.0],
     ({**_THRESHOLD_SMALL, "t_search": 10}, "'t_search' applies to orbit targets only"),
     ({**_THRESHOLD_SMALL, "dump_members": True},
      "'dump_members' applies to a single level only, not to a 'threshold' search"),
+    ({**BASIN_BASE, "integrator": {"t_end": 1000.0}}, _BASIN_T_END),
+    ({**_ORBIT_SMALL, "integrator": {"method": "rk45", "t_end": 0.001}}, _BASIN_T_END),
+    ({**_THRESHOLD_SMALL, "integrator": {"t_end": 5.0}}, _BASIN_T_END),
 ], ids=["equilibrium:t_search", "equilibrium:recur_tol", "threshold:t_search",
-        "threshold:dump_members"])
+        "threshold:dump_members", "equilibrium:integrator.t_end", "orbit:integrator.t_end",
+        "threshold:integrator.t_end"])
 def test_basin_refuses_keys_its_mode_does_not_read(tmp_path, capsys, config, message):
     # a key the run would ignore is refused before any work
     out_dir = tmp_path / "out"
