@@ -100,6 +100,8 @@ _SEED_TRUST = 0.1
 # _SUSP_RATIO or whose |dG| is at most _SUSP_G
 _SUSP_RATIO = 0.05
 _SUSP_G = 0.25
+# an equilibrium's witnesses farther than _TARGET_RADIUS from it contradict
+_TARGET_RADIUS = 1e-3
 # an orbit's witnesses farther than _WITNESS_TOL from it contradict, and the
 # nearer ones cover it when every phase has one within _COVERAGE_FACTOR
 # spacings
@@ -657,8 +659,8 @@ def _control_norms(system: DissipativeSystem, pts: np.ndarray) -> np.ndarray:
     return _row_norms(v0)
 
 
-def _auto_horizon(system: DissipativeSystem, starts, distance_fn) -> float:
-    dists = np.array([distance_fn(x) for x in starts])
+def _auto_horizon(system: DissipativeSystem, starts, distances) -> float:
+    dists = distances(starts)
     away = dists > 1e-6
     if not away.any():
         return _HORIZON_FLOOR
@@ -674,7 +676,9 @@ class _Target:
     """What a level is judged against: an equilibrium, or a sampled orbit."""
 
     name: str                               # as the failure reasons name it
-    distance: Callable[[np.ndarray], float]
+    # the distance of each row of an (m, n) stack to the target, which the
+    # verdict and the trap (_trap) read
+    distances: Callable[[np.ndarray], np.ndarray]
     witness_tol: float                      # farther witnesses contradict
     reach: float                            # largest norm on the target
     # an equilibrium fails a scan without any witness; an orbit's own
@@ -685,11 +689,10 @@ class _Target:
     states: np.ndarray | None = None
 
 
-def _equilibrium(x_e: np.ndarray, target_radius: float) -> _Target:
-    def dist(p):
-        return float(np.linalg.norm(p - x_e))
-    return _Target("target", dist, target_radius, float(np.linalg.norm(x_e)),
-                   states=x_e[None])
+def _equilibrium(x_e: np.ndarray) -> _Target:
+    # each row's norm is bitwise np.linalg.norm of the row
+    return _Target("target", lambda pts: _row_norms(pts - x_e), _TARGET_RADIUS,
+                   float(np.linalg.norm(x_e)), states=x_e[None])
 
 
 @dataclass(frozen=True)
@@ -718,15 +721,14 @@ class _Trap:
         return inside
 
 
-def _trap(system: DissipativeSystem, states, radius: float, config: IntegratorConfig,
-          distance: Callable[[np.ndarray], float] | None = None) -> _Trap | None:
+def _trap(system: DissipativeSystem, target: _Target, radius: float,
+          config: IntegratorConfig) -> _Trap | None:
     """The trap about a target at ``radius`` (the ensembles'
     ``converge_tol``), or None where none is resolved.
 
-    ``states`` is an equilibrium x_e, one state, or an orbit's phase states
-    in order, at least three of them, with ``distance``, the orbit's
-    distance on a point that the convergence verdict reads. One state's
-    distance is its row norm, bitwise the verdict's ``np.linalg.norm``.
+    The target's ``states`` are an equilibrium x_e, one state, or an
+    orbit's phase states in order, at least three of them; its
+    ``distances`` are the ones the convergence verdict reads.
 
     G never rises along the corrected flow and F stays put, so a set T =
     {dist(x) < r, L(x) < G_j + delta} on the leaf, with L >= G_j + 2 delta
@@ -749,7 +751,7 @@ def _trap(system: DissipativeSystem, states, radius: float, config: IntegratorCo
     ``local_tol(reach)``, a bound on one step's tangential change of L,
     reach the largest norm of a state.
     """
-    states = np.atleast_2d(states)
+    states = target.states
     p, n = states.shape
     if not _adaptive(config):
         return None
@@ -829,13 +831,12 @@ def _trap(system: DissipativeSystem, states, radius: float, config: IntegratorCo
     def low(pts):
         return rise(pts, nearest(pts)) < delta
 
-    if p == 1:
-        # one state's row norm costs less than L
-        x_e = states[0]
-        tests = (lambda pts: _row_norms(pts - x_e) < radius, low)
-    else:
-        # an orbit's distance is a Newton solve a row: read only near it
-        tests = (low, lambda pts: np.array([distance(x) < radius for x in pts]))
+    def near(pts):
+        return target.distances(pts) < radius
+
+    # one state's distance costs less than L; an orbit's is a Newton solve
+    # a row, read only on the rows near it
+    tests = (near, low) if p == 1 else (low, near)
     return _Trap(states=states, radius=radius, delta=delta, lam=lam, lam_max=lam_max,
                  tests=tests)
 
@@ -858,7 +859,7 @@ def _ensemble_setup(system, target, anchor: np.ndarray,
     """
     config = opts["integrator"] or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     trap = (None if target.states is None
-            else _trap(system, target.states, opts["converge_tol"], config, target.distance))
+            else _trap(system, target, opts["converge_tol"], config))
     return config, target.reach + 10.0 * _halfwidth(anchor, opts["sampler"]), trap
 
 
@@ -886,7 +887,7 @@ def _draw_ensemble(system, component, target, opts, config: IntegratorConfig) ->
         starts = members
     t_end = opts["horizon"]
     if t_end is None:
-        t_end = _auto_horizon(system, starts, target.distance)
+        t_end = _auto_horizon(system, starts, target.distances)
     _check_t_end(config, t_end)
     return _Draw(level=component.level, starts=starts, horizon=t_end)
 
@@ -921,6 +922,8 @@ def _ensemble_evidence(draw: _Draw, run: EnsembleRun, rows: slice, target, opts,
     converged = 0
     failures = []
     g_max = -np.inf
+    finished = np.array([error is None for error in run.failures[rows]], dtype=bool)
+    dists = iter(target.distances(run.final[rows][finished]).tolist())
     for x0, error, g, final in zip(draw.starts, run.failures[rows],
                                    run.g_max[rows].tolist(), run.final[rows]):
         if error is not None:
@@ -928,7 +931,7 @@ def _ensemble_evidence(draw: _Draw, run: EnsembleRun, rows: slice, target, opts,
                              "error": error})
             continue
         g_max = max(g_max, g)
-        d = target.distance(final)
+        d = next(dists)
         if d <= opts["converge_tol"]:
             converged += 1
         else:
@@ -968,7 +971,7 @@ def _judge_geometry(system, component, witnesses, target) -> _Judgement:
     to span a simplex of the chart, carries no containment evidence and
     fails too.
     """
-    dists = np.array([target.distance(w) for w in witnesses])
+    dists = target.distances(witnesses)
     far = witnesses[dists > target.witness_tol]
     reasons = []
     if component.method == "sampled" and len(component.members) < system.dim + 1:
@@ -1097,7 +1100,6 @@ def basin_certify(system: DissipativeSystem, equilibrium, level: float,
                   sampler: SamplerConfig | None = None, *,
                   stability: Stability | None = None,
                   proper_g_asserted: bool = False,
-                  target_radius: float = 1e-3,
                   converge_tol: float = 1e-4,
                   n_trajectories: int = 50,
                   horizon: float | None = None,
@@ -1111,17 +1113,17 @@ def basin_certify(system: DissipativeSystem, equilibrium, level: float,
     precomputed verdict through ``stability`` to skip the sampling test), and
     :class:`AnchorOutsideLevel` when the level is below the equilibrium's own
     dissipated value. The witness scan is :func:`scan_invariant_witnesses`,
-    and a witness farther than ``target_radius`` from the equilibrium
-    contradicts. A ``n_trajectories`` that is not an integer of at least 1,
-    or a ``traj_seed`` that is not one of at least 0, is refused with
-    :class:`ConfigError` before any work, and a component member where X
-    does not annihilate every field with :class:`PremiseViolation` before
-    the witness scan.
+    and a witness farther than ``_TARGET_RADIUS`` (1e-3) from the
+    equilibrium contradicts. A ``n_trajectories`` that is not an integer of
+    at least 1, or a ``traj_seed`` that is not one of at least 0, is
+    refused with :class:`ConfigError` before any work, and a component
+    member where X does not annihilate every field with
+    :class:`PremiseViolation` before the witness scan.
     """
     x_e = as_point(equilibrium, system.dim)
     _require_draw(n_trajectories, traj_seed)
     verdict = _require_stable(system, x_e, stability)
-    judged = _certify_level(system, x_e, level, _equilibrium(x_e, target_radius), dict(
+    judged = _certify_level(system, x_e, level, _equilibrium(x_e), dict(
         sampler=sampler, max_refine=max_refine, n_trajectories=n_trajectories,
         traj_seed=traj_seed, horizon=horizon, converge_tol=converge_tol, integrator=integrator))
     return BasinCertificate._from_judgement(
@@ -1161,6 +1163,17 @@ def distance_to_orbit(point, orbit_states: np.ndarray) -> float:
         s = s_new
     arc = x0 + s * a1 + s * s * a2
     return float(np.linalg.norm(arc - p))
+
+
+def _orbit(orbit_states: np.ndarray, phase_states: np.ndarray) -> _Target:
+    """An orbit certificate's target: the distance to the densely sampled
+    orbit, and its phase states, for a trap, where there are at least three
+    of them; a phase's chord needs two neighbours apart from each other."""
+    def distances(pts):
+        return np.array([distance_to_orbit(p, orbit_states) for p in pts])
+    return _Target("orbit", distances, _WITNESS_TOL,
+                   float(np.max(np.linalg.norm(orbit_states, axis=1))), needs_witness=False,
+                   states=phase_states if len(phase_states) > 2 else None)
 
 
 def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
@@ -1337,15 +1350,7 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
         if not cls.in_invariant_set:
             on_inv = False
 
-    def dist(p):
-        return distance_to_orbit(p, orbit_states)
-
-    orbit = _Target("orbit", dist, _WITNESS_TOL,
-                    float(np.max(np.linalg.norm(orbit_states, axis=1))),
-                    needs_witness=False,
-                    # a phase's chord needs two neighbours apart from each other
-                    states=phase_states if n_phases > 2 else None)
-    judged = _certify_level(system, y0, level, orbit, dict(
+    judged = _certify_level(system, y0, level, _orbit(orbit_states, phase_states), dict(
         sampler=sampler, max_refine=max_refine, n_trajectories=n_trajectories,
         traj_seed=traj_seed, horizon=horizon, converge_tol=converge_tol, integrator=integrator))
 
@@ -1425,7 +1430,7 @@ def threshold_search(system: DissipativeSystem, equilibrium, level_max: float,
     _require_stable(system, x_e, opts["stability"])
 
     table = _LeafTable(system, x_e, system.leaf_value(x_e), sampler or SamplerConfig())
-    target = _equilibrium(x_e, opts["target_radius"])
+    target = _equilibrium(x_e)
     config, bound, trap = _ensemble_setup(system, target, x_e, opts)
 
     def advance(state, level, ok):

@@ -69,16 +69,12 @@ def rigid_body(i1: float = 3.0, i2: float = 2.0, i3: float = 1.0) -> CatalogEntr
         return (m.take(_I1, axis=1) * b.take(_I2, axis=1)
                 - m.take(_I2, axis=1) * b.take(_I1, axis=1))
 
+    # a point or a stack: a matmul takes each row's dot as the 1-D dot does
     def momentum_sq(m):
-        if m.ndim == 1:
-            return 0.5 * float(m @ m)
-        # a matmul on stacks takes each row's dot as the point call does
-        return 0.5 * (m[:, None, :] @ m[:, :, None])[:, 0, 0]
+        return 0.5 * (m[..., None, :] @ m[..., :, None])[..., 0, 0]
 
     def kinetic_energy(m):
-        if m.ndim == 1:
-            return 0.5 * float(m @ (m / inertia))
-        return 0.5 * (m[:, None, :] @ (m / inertia)[:, :, None])[:, 0, 0]
+        return 0.5 * (m[..., None, :] @ (m / inertia)[..., :, None])[..., 0, 0]
 
     X = VectorField(3, euler, label="euler", stacked=True)
     F = ScalarField(3, momentum_sq, differential=lambda m: m.copy(),
@@ -125,8 +121,9 @@ def mexican_hat() -> CatalogEntry:
     2 r^2 (1 - r^2) along the corrected flow while the angle advances at unit
     rate. G at the axis is 1/4, which is the certification threshold.
     """
-    # each function takes a point or, in its second branch, an (m, 3) stack
-    # of points, for which it does the same arithmetic column by column
+    # each function takes a point or an (m, 3) stack of points, for which
+    # it does the same arithmetic column by column; the slopes, which a
+    # long solo integration calls at every stage, keep a point branch
     def rotation(p):
         if p.ndim == 1:
             return np.array([-p[1], p[0], 0.0])
@@ -136,9 +133,7 @@ def mexican_hat() -> CatalogEntry:
         return out
 
     def height(p):
-        if p.ndim == 1:
-            return float(p[2])
-        return p[:, 2].copy()
+        return p[..., 2].copy()
 
     def height_diff(p):
         if p.ndim == 1:
@@ -148,10 +143,7 @@ def mexican_hat() -> CatalogEntry:
         return out
 
     def g_val(p):
-        if p.ndim == 1:
-            s = p[0] * p[0] + p[1] * p[1] - 1.0
-            return 0.25 * s * s
-        s = p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1] - 1.0
+        s = p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] - 1.0
         return 0.25 * s * s
 
     def g_diff(p):
@@ -196,10 +188,8 @@ def mexican_hat() -> CatalogEntry:
 
 
 def _half_square(x):
-    if x.ndim == 1:
-        return 0.5 * float(x @ x)
-    # a matmul on stacks takes each row's dot as the point call does
-    return 0.5 * (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    # a point or a stack: a matmul takes each row's dot as the 1-D dot does
+    return 0.5 * (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
 _GRADIENT_ONLY_PRESETS = {

@@ -4,19 +4,21 @@ Four subcommands share one calling convention: a JSON config, read as
 UTF-8 and validated against the packaged schema (unknown keys are rejected
 with the offending key named), an optional ``--out`` directory that the
 invocation owns and fills atomically, ``--seed`` to override the config's
-seed, and ``--threads`` to cap linear-algebra thread pools before the
-numerical core loads. The primary JSON report always goes to stdout; files
-are written only when ``--out`` is given (simulate: trajectory.csv and
-summary.json, verify: verify.json, equilibria: equilibria.json, basin:
-basin.json plus members.csv on request).
+seed (except ``simulate``, which draws nothing), and ``--threads`` to cap
+linear-algebra thread pools before the numerical core loads. The primary
+JSON report always goes to stdout; files are written only when ``--out``
+is given (simulate: trajectory.csv and summary.json, verify: verify.json,
+equilibria: equilibria.json, basin: basin.json plus members.csv on
+request).
 
 A config sets only what the run is about: the system, its points, seeds
 and counts, the sampler and integrator, and the scales that follow the
 system (``t_search``, ``recur_tol``, ``converge_tol``). The tolerances of
 the numerical checks are fixed constants, verify's in this module, so the
 schema refuses a config that names one. A key that the run would not read
-is refused too: ``t_search`` or ``recur_tol`` without ``orbit_seed``, and
-``dump_members`` with ``threshold``.
+is refused too: ``t_search`` or ``recur_tol`` without ``orbit_seed``,
+``dump_members`` with ``threshold``, and the keys of a seeded draw (its
+count, ``box``, ``seed`` and ``--seed``) with listed ``points`` or ``seeds``.
 
 Exit codes (the full set; argparse failures are remapped to 1). Each error
 class takes its code from its category base in :mod:`geodiss.errors`, and
@@ -132,8 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--out", default=None, metavar="DIR",
                        help="output directory owned by this invocation; "
                             "reports also go to stdout")
-        q.add_argument("--seed", type=_int_at_least(0, "non-negative"),
-                       default=None, help="override the seed in the config")
+        if name != "simulate":  # which draws nothing
+            q.add_argument("--seed", type=_int_at_least(0, "non-negative"),
+                           default=None, help="override the seed in the config")
         q.add_argument("--threads", type=_int_at_least(1, "positive"),
                        default=None, help="cap linear-algebra thread pools")
     return parser
@@ -372,8 +375,15 @@ def _point(value, dim: int, what: str):
 
 def _probe_points(config: dict, args, dim: int, listed: str, what: str,
                   count: str, default_count: int) -> list:
-    """The config's listed points, or a seeded uniform draw from its box."""
+    """The config's listed points, or a seeded uniform draw from its box.
+
+    With listed points, a key or ``--seed`` that only the draw reads is refused."""
     if listed in config:
+        for key in (count, "box", "seed"):
+            if key in config:
+                raise ConfigError(f"'{key}' applies to a seeded draw only, not with '{listed}'")
+        if args.seed is not None:
+            raise ConfigError(f"--seed applies to a seeded draw only, not with '{listed}'")
         return [_point(p, dim, what) for p in config[listed]]
     import numpy as np
     rng = np.random.default_rng(_pick_seed(config, args))

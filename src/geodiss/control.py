@@ -16,10 +16,16 @@ right-hand side, the control field and the rows whose differentials are
 finite. The integrators' stages, :func:`dissipated_rhs`, the equilibrium
 search, the refinement onto the degeneracy set and the automatic horizon
 all evaluate it. Its Gram and cofactor arithmetic is the cofactor
-expansion ``_cofactors`` of a Gram stack, except at a point or a one-row
-stack of a system with one conserved quantity, the case of a long solo
-integration, which runs it on Python floats, in numpy's IEEE operations.
-Tests hold both to the frame path bitwise.
+expansion ``_cofactors`` of a Gram stack, a point being a one-row stack,
+except at a point or a one-row stack of a system with one conserved
+quantity, which runs it on Python floats, in numpy's IEEE operations.
+That float body is one of the three kinds of point body the package
+keeps, all for a long solo integration such as the benchmark's
+``sombrero_cycle``, which runs each at every step: it, the unbatched
+point mode of the step loop ``integrators._lockstep``, and the catalog's
+point slopes ``euler``, ``rotation``, ``height_diff`` and ``g_diff``. A
+one-row stack of the array bodies costs more there; everything else is a
+batch of one. Tests hold both bodies to the frame path bitwise.
 
 Everything else reads frames. The cofactor expansion of a stack of Gram
 matrices, ``_cofactors``, reads a 1x1 minor off a view of the flattened
@@ -125,20 +131,21 @@ def _corrected_rows(system: DissipativeSystem):
     Returns ``evaluate(pts) -> (rhs, v0, ok)`` for a checked point (n,) or
     stack (m, n): the right-hand side and control field of each row, and
     the rows whose differentials are finite, or None when all are; a row
-    that is not gets NaN and a False flag. Each row is bitwise
+    that is not gets a NaN right-hand side and a False flag, and its
+    control field means nothing. Each row is bitwise
     ``system.X(p) - _cofactor_from_frame(system_frame(system, p))``, its
     warnings too wherever the Gram products stay finite.
 
-    A point or a one-row stack takes each differential through its bound
-    point call, so one of the wrong shape is refused with the message of
-    the point call ``ScalarField.d``, and tests their finiteness on Python
-    floats. With one conserved quantity, the case of a long solo
-    integration, its Gram cells, floor check and cofactor sum run on
-    Python floats in numpy's IEEE operations, at less cost than a one-row
-    stack of the array bodies; a sum that overflows or turns NaN is taken
-    in numpy, for numpy's warnings. Any other k runs :func:`_cofactors` on
-    a batch of one, in the frame path's arithmetic. A larger stack runs
-    ``_stack_arrays`` and :func:`_cofactors`.
+    With one conserved quantity, the case of a long solo integration, a
+    point or a one-row stack runs a body of its own. It takes each
+    differential through its bound point call, so one of the wrong shape
+    is refused with the message of the point call ``ScalarField.d``, tests
+    their finiteness on Python floats, and runs the Gram cells, floor check
+    and cofactor sum on Python floats in numpy's IEEE operations, at less
+    cost than a one-row stack of the array bodies; a sum that overflows or
+    turns NaN is taken in numpy, for numpy's warnings. Any other input
+    runs ``_stack_arrays`` and :func:`_cofactors`, a point as a one-row
+    stack.
     """
     fields_ = system.all_fields()
     d_at = tuple(f._d_bound() for f in fields_)
@@ -167,11 +174,6 @@ def _corrected_rows(system: DissipativeSystem):
             grads = diffs @ ginv
         else:
             grads = np.linalg.solve(gmat, diffs.T).T
-        if k != 1:
-            # the frame path's own arithmetic on a batch of one
-            gram = diffs @ grads.T
-            v0 = _cofactors(0.5 * (gram + gram.T)[None], grads[None], minors)[0]
-            return X._at(p) - v0, v0, None
         # one conserved quantity: the Gram cells, the floor check and the
         # cofactor sum on Python floats, symmetrized as 0.5 (G + G^T)
         (a, b), (c, _) = (diffs @ grads.T).tolist()
@@ -190,20 +192,23 @@ def _corrected_rows(system: DissipativeSystem):
         return X._at(p) - v0, v0, None
 
     def evaluate(pts):
-        if pts.ndim == 2 and len(pts) != 1:
-            _, _, grads, gram, ok = _stack_arrays(fields_, metric, pts)
-            v0 = _cofactors(gram, grads, minors)
-            if ok is None:
-                return X._values_at(pts) - v0, v0, None
-            out = np.full(pts.shape, np.nan)
-            out[ok] = X._values_at(pts[ok]) - v0[ok]
-            return out, v0, ok
-        # one call site, so that a floor warning has one location
-        row = pts.ndim == 2
-        rhs, v0, ok = point(pts[0] if row else pts)
-        if not row:
-            return rhs, v0, ok
-        return rhs[None], v0[None], None if ok is None else ok[None]
+        if k == 1 and (pts.ndim == 1 or len(pts) == 1):
+            # one call site, so that a floor warning has one location
+            row = pts.ndim == 2
+            rhs, v0, ok = point(pts[0] if row else pts)
+            if not row:
+                return rhs, v0, ok
+            return rhs[None], v0[None], None if ok is None else ok[None]
+        if pts.ndim == 1:
+            rhs, v0, ok = evaluate(pts[None])
+            return rhs[0], v0[0], None if ok is None else ok[0]
+        _, _, grads, gram, ok = _stack_arrays(fields_, metric, pts)
+        v0 = _cofactors(gram, grads, minors)
+        if ok is None:
+            return X._values_at(pts) - v0, v0, None
+        out = np.full(pts.shape, np.nan)
+        out[ok] = X._values_at(pts[ok]) - v0[ok]
+        return out, v0, ok
 
     return evaluate
 

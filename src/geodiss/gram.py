@@ -19,11 +19,12 @@ A point frame is a batch of one: :func:`system_frame` is
 the :class:`SystemFrame` methods and :func:`checked_det` run the stacked
 determinant bodies (``_checked_dets``, ``_dets_conserved``,
 ``_diag_products``) on one matrix. The corrected-flow evaluator
-``control._corrected_rows`` calls the array body ``_stack_arrays`` on a
-stack of more than one row. At a point or a one-row stack of a system
-with one conserved quantity its own body runs on Python floats and checks
-its determinant against the floor with ``_check_floor``; at any other k
-it runs the frame path's Gram arithmetic on a batch of one.
+``control._corrected_rows`` calls the array body ``_stack_arrays`` on
+every input, a point as a one-row stack, except at a point or a one-row
+stack of a system with one conserved quantity. There, the step of a long
+solo integration such as the benchmark's ``sombrero_cycle``, where a
+one-row stack costs more, its own body runs on Python floats and checks
+its determinant against the floor with ``_check_floor``.
 """
 from __future__ import annotations
 

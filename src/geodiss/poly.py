@@ -76,14 +76,13 @@ class Polynomial:
     def value(self, x):
         """Value at a point, or the (m,) values at an (m, dim) stack of points.
 
-        Each stacked row gives the bits of the point call: its final dot is a
-        batched matmul, which numpy evaluates as one dot per row.
+        One body for both: its final dot is a matmul, which numpy evaluates
+        as one dot per row, so each stacked row gives the bits of the point
+        call.
         """
         x = self._stack(x)
-        if x.ndim == 1:
-            return float(np.multiply.reduce(x ** self.powers, axis=1) @ self.coefs)
-        monomials = np.multiply.reduce(x[:, None, :] ** self.powers, axis=2)
-        return (monomials[:, None, :] @ self.coefs[:, None])[:, 0, 0]
+        monomials = np.multiply.reduce(x[..., None, :] ** self.powers, axis=-1)
+        return (monomials[..., None, :] @ self.coefs[:, None])[..., 0, 0]
 
     def diff(self, x) -> np.ndarray:
         """Exact differential at x, as a length-dim array of partials.
@@ -119,9 +118,7 @@ def vector_values(polys, x) -> np.ndarray:
     The components of a polynomial vector field; each stacked row gives the
     bits of the point call.
     """
-    if x.ndim == 1:
-        return np.array([p.value(x) for p in polys])
-    return np.stack([p.value(x) for p in polys], axis=1)
+    return np.stack([p.value(x) for p in polys], axis=-1)
 
 
 def all_monomials(dim: int, max_degree: int) -> np.ndarray:

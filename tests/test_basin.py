@@ -303,7 +303,8 @@ def test_witness_scores_and_control_norms_are_bitwise_the_point_frames(rigid, me
     rates = [float(np.linalg.norm(_cofactor_from_frame(system_frame(system, p)))) / dist(p)
              for p in starts if dist(p) > 1e-6]
     expected = float(np.clip(50.0 / float(np.median(rates)), 20.0, 500.0))
-    assert basin_mod._auto_horizon(system, starts, dist) == expected
+    assert basin_mod._auto_horizon(
+        system, starts, lambda pts: np.array([dist(p) for p in pts])) == expected
 
 
 @pytest.mark.parametrize("case", ["rigid14", "rigid32", "sombrero12",
@@ -850,6 +851,29 @@ def test_distance_to_orbit_off_circle():
     assert abs(d2 - np.hypot(0.5, 0.2)) <= 1e-5
 
 
+def test_target_distances_are_the_per_row_distances():
+    # the one distance the verdict, the witness scan, the horizon and the
+    # trap read: bitwise np.linalg.norm of each row for an equilibrium, and
+    # distance_to_orbit of each row for an orbit, on a stack of any size
+    rng = np.random.default_rng(41)
+    pts = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-6.0, 1.0, size=(2000, 1))
+    pts[::9] = 0.0
+    x_e = np.array([0.8, -0.6, 0.1])
+    for anchor in (x_e, MAJOR, np.zeros(3)):
+        got = basin_mod._equilibrium(anchor).distances(pts + anchor)
+        assert got.tobytes() == np.array(
+            [np.linalg.norm(p + anchor - anchor) for p in pts]).tobytes()
+    orbit = _unit_circle(z=0.02)
+    near = np.concatenate((pts[:300], _unit_circle(300, z=0.02) * (1.0 + pts[:300, :1])))
+    target = basin_mod._orbit(orbit, orbit[::20])
+    assert target.distances(near).tobytes() == np.array(
+        [distance_to_orbit(p, orbit) for p in near]).tobytes()
+    assert target.states.tobytes() == orbit[::20].tobytes()
+    assert basin_mod._orbit(orbit, orbit[:2]).states is None
+    for t in (basin_mod._equilibrium(x_e), target):
+        assert t.distances(np.empty((0, 3))).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # degeneracy-set witness scan
 # ---------------------------------------------------------------------------
@@ -1311,8 +1335,10 @@ def test_threshold_search_reasons_at_each_level(rigid, monkeypatch):
 def _frozen_sequential_search(system, equilibrium, level_max, steps, sampler,
                               **certify_kwargs):
     """The threshold search before it speculated, verbatim but for what it
-    returns and for the ensembles' default integrator, which mirrors
-    ``basin._ensemble_setup``'s: ``(level, history, evidence)``, with level
+    returns, for the ensembles' default integrator, which mirrors
+    ``basin._ensemble_setup``'s, and for the target, whose distance to a
+    point it takes on its own, one point at a time, with
+    ``basin._TARGET_RADIUS``: ``(level, history, evidence)``, with level
     None where it raised NoValidLevel, and each history level's ensemble
     evidence (None where geometry failed it). One integrate_ensemble call per level whose
     geometry passes, one level after another."""
@@ -1324,7 +1350,10 @@ def _frozen_sequential_search(system, equilibrium, level_max, steps, sampler,
     opts = call.arguments
     table = basin_mod._LeafTable(system, x_e, system.leaf_value(x_e),
                                  sampler or SamplerConfig())
-    target = basin_mod._equilibrium(x_e, opts["target_radius"])
+
+    def distance(p):
+        return float(np.linalg.norm(p - x_e))
+
     history, evidence = [], []
 
     def ensemble_evidence(component):
@@ -1336,8 +1365,10 @@ def _frozen_sequential_search(system, equilibrium, level_max, steps, sampler,
             starts = members
         t_end = opts["horizon"]
         if t_end is None:
-            t_end = basin_mod._auto_horizon(system, starts, target.distance)
-        bound = target.reach + 10.0 * basin_mod._halfwidth(component.anchor, opts["sampler"])
+            t_end = basin_mod._auto_horizon(
+                system, starts, lambda pts: np.array([distance(p) for p in pts]))
+        bound = (float(np.linalg.norm(x_e))
+                 + 10.0 * basin_mod._halfwidth(component.anchor, opts["sampler"]))
         base = opts["integrator"] or IntegratorConfig(method=Method.DOP853, rel_tol=1e-8,
                                                       abs_tol=1e-10)
         run = integrate_ensemble(system, starts, dataclasses.replace(base, t_end=t_end),
@@ -1351,7 +1382,7 @@ def _frozen_sequential_search(system, equilibrium, level_max, steps, sampler,
                                  "error": error})
                 continue
             g_max = max(g_max, g)
-            d = target.distance(final)
+            d = distance(final)
             if d <= opts["converge_tol"]:
                 converged += 1
             else:
@@ -1359,7 +1390,7 @@ def _frozen_sequential_search(system, equilibrium, level_max, steps, sampler,
                                  "finalDistance": d, "error": None})
         reasons = []
         if converged < len(starts):
-            reasons.append(f"trajectories failed to converge to the {target.name}")
+            reasons.append("trajectories failed to converge to the target")
         if g_max > level + 10.0 * base.local_tol(abs(level)):
             reasons.append("a trajectory exited the sublevel set upward")
         return basin_mod._EnsembleEvidence(starts=starts, horizon=t_end, converged=converged,
@@ -1371,18 +1402,18 @@ def _frozen_sequential_search(system, equilibrium, level_max, steps, sampler,
             return False
         component, rows = table.select(level)
         witnesses = table.witnesses(component, rows, opts)
-        dists = np.array([target.distance(w) for w in witnesses])
-        far = witnesses[dists > target.witness_tol]
+        dists = np.array([distance(w) for w in witnesses])
+        far = witnesses[dists > basin_mod._TARGET_RADIUS]
         reasons = []
         if component.method == "sampled" and len(component.members) < system.dim + 1:
             reasons.append("component holds too few samples, containment unverified")
         if component.touches_boundary:
             reasons.append("component reaches the sampling box boundary, "
                            "containment unverified")
-        if target.needs_witness and witnesses.size == 0:
-            reasons.append(f"degeneracy-set scan found no witness at the {target.name}")
+        if witnesses.size == 0:
+            reasons.append("degeneracy-set scan found no witness at the target")
         if far.size:
-            reasons.append(f"degeneracy-set witnesses found away from the {target.name}")
+            reasons.append("degeneracy-set witnesses found away from the target")
         ensemble = None if reasons else ensemble_evidence(component)
         ok = not reasons and not ensemble.reasons
         history.append((level, ok))
@@ -1594,7 +1625,7 @@ def test_trap_stops_certificate_rows_for_good(rigid, case, config):
     system = rigid.system if name == "rigid" else _sphere_weights_4d()
     opts = dict(sampler=sampler, n_trajectories=n_traj, traj_seed=7, horizon=None,
                 converge_tol=1e-4, integrator=config)
-    target = basin_mod._equilibrium(x_e, 1e-3)
+    target = basin_mod._equilibrium(x_e)
     cfg, bound, trap = basin_mod._ensemble_setup(system, target, x_e, opts)
     stopped = {}
     for level in expected:
@@ -1619,15 +1650,15 @@ def test_trap_stops_random_poly_rows_for_good(config):
             if stability_classify(system, r.location) is AS]
         assert roots
         for x_e in roots:
-            trap = basin_mod._trap(system, x_e, 1e-4, cfg)
+            trap = basin_mod._trap(system, basin_mod._equilibrium(x_e), 1e-4, cfg)
             assert trap is not None
             basis = leaf_tangent_basis(system, x_e)
             offsets = np.array([[0.01, 0.0], [0.0, -0.03], [-0.05, 0.05], [0.1, 0.02]])
             starts = np.array([project_to_leaf(system, x_e + off @ basis,
                                                system.leaf_value(x_e))
                                for off in offsets])
-            horizon = basin_mod._auto_horizon(system, starts,
-                                              lambda p: float(np.linalg.norm(p - x_e)))
+            horizon = basin_mod._auto_horizon(
+                system, starts, lambda pts: np.array([np.linalg.norm(p - x_e) for p in pts]))
             run = integrate_ensemble(system, starts, dataclasses.replace(cfg, t_end=horizon),
                                      stop=trap)
             stopped += _assert_trap_rows_are_solo_runs(system, run, starts, horizon, cfg, trap)
@@ -1642,7 +1673,7 @@ def test_trap_stops_a_row_at_its_first_step(rigid, config):
     # 0.02 along the first axis, runs on into it
     cfg = config or IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     r = 1e-4
-    trap = basin_mod._trap(rigid.system, MAJOR, r, cfg)
+    trap = basin_mod._trap(rigid.system, basin_mod._equilibrium(MAJOR), r, cfg)
     basis = leaf_tangent_basis(rigid.system, MAJOR)
     leaf = rigid.system.leaf_value(MAJOR)
     starts = np.array([project_to_leaf(rigid.system, MAJOR + off, leaf)
@@ -1665,7 +1696,7 @@ def test_trap_values_are_the_closed_forms(rigid):
     for system, x_e, lam, lam_max in ((rigid.system, MAJOR, 1 / 6, 2 / 3),
                                       (rigid.system, -MAJOR, 1 / 6, 2 / 3),
                                       (_sphere_weights_4d(), np.eye(4)[0], 1.0, 3.0)):
-        trap = basin_mod._trap(system, x_e, r, cfg)
+        trap = basin_mod._trap(system, basin_mod._equilibrium(x_e), r, cfg)
         assert trap.lam == pytest.approx(lam, rel=1e-7)
         assert trap.lam_max == pytest.approx(lam_max, rel=1e-7)
         # half of lam r^2 / 2, which the leaf samples at radius r agree with
@@ -1692,21 +1723,23 @@ def test_no_trap_without_a_resolved_positive_curvature(rigid, mexhat):
                                differential=lambda x: 4.0 * np.sum(x * x) * x),
         metric=MetricField.euclidean(2))
     origin = np.zeros(2)
-    assert basin_mod._trap(quartic, origin, 1e-4, cfg) is None
+    assert basin_mod._trap(quartic, basin_mod._equilibrium(origin), 1e-4, cfg) is None
     # the rigid body's middle axis is a saddle of G on the leaf
-    assert basin_mod._trap(rigid.system, np.array([0.0, 1.0, 0.0]), 1e-4, cfg) is None
+    middle = basin_mod._equilibrium(np.array([0.0, 1.0, 0.0]))
+    assert basin_mod._trap(rigid.system, middle, 1e-4, cfg) is None
     # a fixed step has no tolerance that bounds its error
-    assert basin_mod._trap(rigid.system, MAJOR, 1e-4,
+    assert basin_mod._trap(rigid.system, basin_mod._equilibrium(MAJOR), 1e-4,
                            IntegratorConfig(method=Method.RK4_FIXED)) is None
     # a target that carries no states has no trap
-    orbit = basin_mod._Target("orbit", lambda p: 0.0, 1e-6, 1.0, needs_witness=False)
+    orbit = basin_mod._Target("orbit", lambda pts: np.zeros(len(pts)), 1e-6, 1.0,
+                              needs_witness=False)
     assert basin_mod._ensemble_setup(mexhat.system, orbit, np.array([1.0, 0.0, 0.0]),
                                      dict(integrator=None, sampler=None,
                                           converge_tol=1e-4))[2] is None
     # the quartic bowl's certificate ensemble is the run without a stop test
     opts = dict(sampler=SamplerConfig(cells_per_axis=16, halfwidth=0.5), n_trajectories=6,
                 traj_seed=7, horizon=None, converge_tol=1e-4, integrator=None)
-    target = basin_mod._equilibrium(origin, 1e-3)
+    target = basin_mod._equilibrium(origin)
     config, bound, trap = basin_mod._ensemble_setup(quartic, target, origin, opts)
     assert trap is None
     component = sublevel_component(quartic, origin, 0.01, opts["sampler"])
@@ -1732,7 +1765,8 @@ def _circle_trap(system, config, r=1e-4, z=0.02, n_phases=100):
     def distance(p):
         return distance_to_orbit(p, dense)
 
-    return basin_mod._trap(system, circle(n_phases), r, config, distance), distance
+    return basin_mod._trap(system, basin_mod._orbit(dense, circle(n_phases)), r,
+                           config), distance
 
 
 def _on_circle_leaf(angle, rho, z=0.02):
@@ -1766,6 +1800,35 @@ def test_orbit_trap_values_are_the_closed_forms(mexhat):
     assert trap(pts).tolist() == [True, False]
 
 
+def test_trap_reads_the_cheaper_condition_first(rigid, mexhat):
+    # an equilibrium's trap reads its distance on every row, then L on the
+    # rows near it; an orbit's reads L first and its distance, a Newton
+    # solve a row, only on the rows where L is low
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    r = 1e-4
+    angles = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
+    circle = np.stack([np.cos(angles), np.sin(angles), np.full(100, 0.02)], axis=1)
+    leaf = rigid.system.leaf_value(MAJOR)
+    basis = leaf_tangent_basis(rigid.system, MAJOR)
+    cases = [(rigid.system, basin_mod._equilibrium(MAJOR),
+              [project_to_leaf(rigid.system, MAJOR + s * basis[0], leaf)
+               for s in (0.25 * r, -0.25 * r, 0.02, 0.5)], [4]),
+             (mexhat.system, basin_mod._orbit(circle, circle),
+              [_on_circle_leaf(a, rho) for a, rho in ((0.0, 1.0 + 0.25 * r),
+                                                      (1.0, 1.0 - 0.25 * r),
+                                                      (2.0, 1.02), (3.0, 0.5))], [2])]
+    for system, target, pts, expected in cases:
+        seen = []
+
+        def counted(pts, target=target, seen=seen):
+            seen.append(len(pts))
+            return target.distances(pts)
+
+        trap = basin_mod._trap(system, dataclasses.replace(target, distances=counted), r, cfg)
+        assert trap(np.array(pts)).tolist() == [True, True, False, False]
+        assert seen == expected
+
+
 def test_no_orbit_trap_without_a_transverse_minimum(mexhat):
     cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     trap, _ = _circle_trap(mexhat.system, cfg)
@@ -1786,8 +1849,7 @@ def test_no_orbit_trap_without_a_transverse_minimum(mexhat):
         metric=MetricField.euclidean(2))
     angles = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
     phases = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    assert basin_mod._trap(rotation, phases, 1e-4, cfg,
-                           lambda p: abs(float(np.linalg.norm(p)) - 1.0)) is None
+    assert basin_mod._trap(rotation, basin_mod._orbit(phases, phases), 1e-4, cfg) is None
 
 
 def _orbit_certificate_runs(monkeypatch, system, seed_point, level, sampler, **kwargs):
@@ -1835,7 +1897,7 @@ def test_trap_stops_orbit_certificate_rows_for_good(mexhat, monkeypatch, traj_se
     (draw,) = seen.draws
     assert _assert_trap_rows_are_solo_runs(
         mexhat.system, seen.run, draw.starts, draw.horizon, seen.config, seen.trap,
-        seen.bound, seen.target.distance) == len(draw.starts) == 6
+        seen.bound, lambda x: seen.target.distances(x[None])[0]) == len(draw.starts) == 6
 
 
 @pytest.mark.parametrize("config", [None, _RK45], ids=["dop853", "rk45"])
@@ -2101,6 +2163,50 @@ def test_sampled_certificate_does_not_pass_above_the_threshold():
                                SamplerConfig(n_samples=n_samples, halfwidth=1.5, seed=seed),
                                stability=AS).passed]
     assert passed == []
+
+
+def _rotated_quadric_4d(seed=0):
+    """ROADMAP item 18's rotated quadric in four dimensions: a =
+    sort(uniform(0.5, 2, 4)) and Q from the QR of a normal draw, F = |x|^2 /
+    2, G = x^T A x / 2 with A = Q diag(a) Q^T, and X = 0. On the unit sphere
+    G has its minimum a1 / 2 at +-Q e1 and its first saddle a2 / 2 at +-Q e2,
+    so a2 / 2 is the threshold of the target Q e1. Returns (system, a, Q)."""
+    rng = np.random.default_rng(seed)
+    a = np.sort(rng.uniform(0.5, 2.0, 4))
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    A = q @ np.diag(a) @ q.T
+    A = 0.5 * (A + A.T)
+    system = DissipativeSystem(
+        X=VectorField(4, lambda x: np.zeros(x.shape), stacked=True),
+        conserved=(ScalarField(4, lambda x: 0.5 * np.sum(x * x, axis=-1),
+                               differential=lambda x: x.copy(), stacked=True),),
+        dissipated=ScalarField(4, lambda x: 0.5 * ((x @ A) * x).sum(-1),
+                               differential=lambda x: x @ A, stacked=True),
+        metric=MetricField.euclidean(4))
+    return system, a, q
+
+
+# a level 0.33% above the rotated quadric's threshold, at which the sampled
+# certificate of 2,048 samples with sampler seed 5 passes
+_QUADRIC_FALSE_PASS = 0.28164686
+
+
+def test_rotated_quadric_threshold_is_its_closed_form():
+    system, a, q = _rotated_quadric_4d()
+    assert 0.5 * a[1] == pytest.approx(0.28073014, abs=1e-8)
+    assert 0.5 * a[1] < _QUADRIC_FALSE_PASS
+    for j in range(4):
+        assert system.dissipated(q[:, j]) == pytest.approx(0.5 * a[j], rel=1e-12)
+    assert system.conserved[0](q[:, 0]) == pytest.approx(0.5, rel=1e-15)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP items 1 and 18")
+def test_sampled_certificate_does_not_pass_above_the_rotated_quadric_threshold():
+    system, _, q = _rotated_quadric_4d()
+    cert = basin_certify(system, q[:, 0], _QUADRIC_FALSE_PASS,
+                         SamplerConfig(n_samples=2048, halfwidth=1.5, seed=5),
+                         stability=AS, n_trajectories=4)
+    assert not cert.passed
 
 
 @pytest.mark.parametrize("n_samples", [1, 3])

@@ -97,6 +97,40 @@ def test_stacked_catalog_fields_are_bitwise_the_point_calls(entry):
         assert f.diffs(x).tobytes() == np.array([f.d(row) for row in x]).tobytes()
 
 
+def _frozen_point_values():
+    """The point branches of the catalog's value bodies before each became
+    one body for a point and a stack, by field label."""
+    inertia = np.array([3.0, 2.0, 1.0])
+
+    def rim(p):
+        s = p[0] * p[0] + p[1] * p[1] - 1.0
+        return 0.25 * s * s
+
+    return {"momentum_sq": lambda m: 0.5 * float(m @ m),
+            "kinetic_energy": lambda m: 0.5 * float(m @ (m / inertia)),
+            "height": lambda p: float(p[2]),
+            "rim_potential": rim,
+            "descent_quadratic": lambda x: 0.5 * float(x @ x)}
+
+
+@pytest.mark.parametrize("entry", [rigid_body(), mexican_hat(), gradient_only()],
+                         ids=lambda e: e.name)
+def test_catalog_values_are_bitwise_their_old_point_branches(entry):
+    # one body serves a point and a stack: at 10,000 points over many
+    # orders of magnitude, signed zeros included, each point value has the
+    # bits of the old point branch and of its row of the stack
+    frozen = _frozen_point_values()
+    rng = np.random.default_rng(2026)
+    dim = entry.system.dim
+    pts = rng.normal(size=(10000, dim)) * 10.0 ** rng.uniform(-8.0, 3.0, size=(10000, 1))
+    pts[::5, 0] = -0.0
+    pts[1::7, -1] = 0.0
+    for f in entry.system.all_fields():
+        want = np.array([frozen[f.label](p) for p in pts])
+        assert np.array([float(f.value(p)) for p in pts]).tobytes() == want.tobytes()
+        assert f.value(pts).tobytes() == want.tobytes()
+
+
 def test_mexican_hat_claims(mexhat):
     g = mexhat.system.dissipated
     # the rim is the zero set, the axis sits at the saddle level 1/4

@@ -422,6 +422,52 @@ def test_equilibria_refuses_stability_samples_without_the_stability_test(tmp_pat
     assert {eq["stability"] for eq in json.loads(out)["equilibria"]} == {"undetermined"}
 
 
+# (command, config with listed points, their key, the draw's count key and a count)
+_LISTED = [("verify", {"system": RIGID, "points": [[0.6, 0.48, 0.64]]},
+            "points", "n_probes", 40),
+           ("equilibria", {"system": "mexican_hat", "seeds": [[1.05, 0.0, 0.02]],
+                           "stability": False}, "seeds", "n_seeds", 4)]
+_DRAW_KEYS = [(command, config, listed, key, value)
+              for command, config, listed, count, n in _LISTED
+              for key, value in ((count, n), ("box", 9.0), ("seed", 3), ("--seed", 5))]
+
+
+@pytest.mark.parametrize("command, config, listed, key, value", _DRAW_KEYS,
+                         ids=[f"{c}:{k}" for c, _, _, k, _ in _DRAW_KEYS])
+def test_listed_points_refuse_the_keys_of_a_seeded_draw(tmp_path, capsys, command, config,
+                                                        listed, key, value):
+    # listed points or seeds are all a run reads: the draw's count, box and
+    # seed, in the config or from --seed, are refused before any work
+    out_dir = tmp_path / "out"
+    argv = [command, "--out", str(out_dir)]
+    if key == "--seed":
+        argv += ["--config", _write(tmp_path, "cfg.json", config), "--seed", str(value)]
+    else:
+        argv += ["--config", _write(tmp_path, "cfg.json", {**config, key: value})]
+    rc, out, err = _run(capsys, argv)
+    name = key if key == "--seed" else f"'{key}'"
+    assert (rc, out) == (EXIT_CONFIG, "")
+    assert err == f"error: {name} applies to a seeded draw only, not with '{listed}'\n"
+    assert not out_dir.exists()
+    assert _run(capsys, [command, "--config", _write(tmp_path, "ok.json", config)])[0] == EXIT_OK
+
+
+def test_simulate_takes_no_seed(tmp_path, capsys):
+    # simulate draws nothing: a seed key is a schema violation, and --seed
+    # is no flag of its parser
+    cfg = _write(tmp_path, "sim.json", {**_SIM_SHORT, "seed": 3})
+    rc, out, err = _run(capsys, ["simulate", "--config", cfg])
+    assert (rc, out) == (EXIT_CONFIG, "")
+    assert err == ("error: config invalid at top level: Additional properties are not "
+                   "allowed ('seed' was unexpected)\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", _write(tmp_path, "ok.json", _SIM_SHORT), "--seed", "3"])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: geodiss ")
+    assert err.endswith("error: unrecognized arguments: --seed 3\n")
+
+
 # ---------------------------------------------------------------------------
 # basin / orbit / threshold
 # ---------------------------------------------------------------------------
@@ -783,7 +829,6 @@ INTEGER_FIELDS = [
      ("integrator", "max_steps")),
     ("simulate", {**_SIM_SHORT, "integrator": {"t_end": 0.2, "record_every": 3}},
      ("integrator", "record_every")),
-    ("simulate", {**_SIM_SHORT, "seed": 3}, ("seed",)),
     ("verify", {"system": RIGID, "n_probes": 3}, ("n_probes",)),
     ("verify", {"system": RIGID, "n_probes": 3, "seed": 2}, ("seed",)),
     ("equilibria", _EQUILIBRIA, ("n_seeds",)),
@@ -836,7 +881,7 @@ def test_integer_fields_are_every_integer_of_the_schema():
         return (node.get("type") == "integer") + sum(integers(sub) for sub in subs)
 
     nodes = [*doc["$defs"].values(), *(doc[command] for command in geodiss.cli._HANDLERS)]
-    assert sum(integers(node) for node in nodes) == len(INTEGER_FIELDS) == 18
+    assert sum(integers(node) for node in nodes) == len(INTEGER_FIELDS) == 17
 
 
 @pytest.mark.parametrize("command, config, path", INTEGER_FIELDS,
@@ -925,13 +970,18 @@ def test_argparse_errors_use_config_exit_code(capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "equilibria", "basin"])
 def test_negative_seed_is_an_argument_error(tmp_path, capsys, command):
+    # simulate draws nothing and takes no --seed at all
     cfg = _write(tmp_path, "ver.json", {"system": RIGID, "n_probes": 3})
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", cfg, "--seed", "-1"])
     assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("usage: geodiss " + command)
-    assert "--seed" in err and "non-negative integer" in err
+    if command == "simulate":
+        assert err.startswith("usage: geodiss ")
+        assert err.endswith("error: unrecognized arguments: --seed -1\n")
+    else:
+        assert err.startswith("usage: geodiss " + command)
+        assert "--seed" in err and "non-negative integer" in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -86,7 +86,7 @@ def configs(draw):
         return st.lists(point, min_size=count, max_size=count)
 
     command = draw(st.sampled_from(["simulate", "verify", "equilibria"]))
-    config = {"system": system, "seed": draw(st.integers(0, 3))}
+    config = {"system": system}
     if command == "simulate":
         t_end = draw(st.floats(0.05, 0.5))
         config["x0"] = draw(points(1))[0]
@@ -100,11 +100,13 @@ def configs(draw):
             config["points"] = draw(points(draw(st.integers(1, 3))))
         else:
             config["n_probes"] = draw(st.integers(1, 3))
+            config["seed"] = draw(st.integers(0, 3))
     else:
         if flaw == "point" or draw(st.booleans()):
             config["seeds"] = draw(points(draw(st.integers(1, 2))))
         else:
             config["n_seeds"] = draw(st.integers(1, 2))
+            config["seed"] = draw(st.integers(0, 3))
         config["stability_samples"] = 8
     return command, config
 

@@ -261,8 +261,9 @@ def test_identity_scales_shape():
 def _point_branch(system, one_row=False):
     """The point branch of ``_corrected_rows``, at a point p or at the
     one-row stack p[None], as the triple ``(X - v0, v0, None)``. Where the
-    differentials are not finite the evaluator flags the row with NaN and
-    False, which this raises as ``dissipated_rhs`` does."""
+    differentials are not finite the evaluator flags the row with a NaN
+    right-hand side and False, which this raises as ``dissipated_rhs``
+    does; the control field of a flagged row means nothing."""
     evaluate = _corrected_rows(system)
 
     def at(p):
@@ -273,7 +274,7 @@ def _point_branch(system, one_row=False):
         else:
             rhs, v0, ok = evaluate(p)
         if ok is not None:
-            assert not ok and np.isnan(rhs).all() and np.isnan(v0).all()
+            assert not ok and np.isnan(rhs).all()
             raise _nonfinite_differential(p)
         return rhs, v0, None
 
@@ -385,7 +386,9 @@ def test_corrected_rhs_kernel_is_the_frame_path_bitwise(case):
         if shape_error is not None:
             point_error, stack_error = shape_error
             assert ref == stack_error
-            ref = point_error
+            if system.k == 1:
+                # the float body takes each differential through its point call
+                ref = point_error
         # the first call checks a constant metric, later ones read its pair
         for kernel in _point_branches(system):
             for _ in range(2):
@@ -397,9 +400,9 @@ def test_corrected_rhs_kernel_is_the_frame_path_bitwise(case):
 def _wrong_shape_outcomes(system, p):
     """Where a differential answers p in the wrong shape, the outcomes of the
     point call ``f.d(p)`` and of the stacked call ``system_frames`` on p as a
-    batch of one, which say so in their own words: the evaluator's point
-    branch refuses p with the first, a point frame with the second. None
-    elsewhere."""
+    batch of one, which say so in their own words: the evaluator's float
+    body (k = 1) refuses p with the first, a point frame and the evaluator
+    at any other k with the second. None elsewhere."""
     point_error = _outcome(lambda: tuple(f.d(p) for f in system.all_fields()))
     if point_error[0][0] is not DimensionMismatch:
         return None
@@ -481,12 +484,12 @@ def test_point_bodies_are_the_numpy_scalar_arithmetic_bitwise(case):
         det = _outcome(lambda: (system_frame(system, p).det_conserved(),))
     assert got_row == got
     if len(ref[0]) == 2:  # the class and message of a refused point
-        assert got == ref
         shape_error = _wrong_shape_outcomes(system, p)
         if shape_error is not None:
             assert shape_error[0] == ref
-            ref = shape_error[1]
-        assert frame_v0 == det == ref
+        frame_ref = ref if shape_error is None else shape_error[1]
+        assert got == (ref if system.k == 1 else frame_ref)
+        assert frame_v0 == det == frame_ref
         return
     (rhs, v0, det_c), warned = ref
     assert got == ((rhs, v0, None), warned)
@@ -625,8 +628,9 @@ def test_point_kernel_is_the_frozen_kernel_bitwise(case):
     # its order, and the class and message of a refused point; at 1e80 and
     # 1e160 the Gram products overflow, and numpy's warnings name matmul.
     # One conserved quantity keeps the frozen kernel's float body; any
-    # other k runs the frame path's arithmetic, which it matches wherever
-    # the point is not scaled out of the unit box or NaN
+    # other k runs the frame path's arithmetic on a one-row stack, which it
+    # matches wherever the point is not scaled out of the unit box or NaN,
+    # but for the message that refuses a differential of the wrong shape
     system, p, floor = case
     frozen = _frozen_corrected_rhs(system)
     with _negativity_floor(floor):
@@ -634,9 +638,10 @@ def test_point_kernel_is_the_frozen_kernel_bitwise(case):
             ref = _outcome(lambda: frozen(p) + (None,))
         else:
             ref = _outcome(lambda: _frame_path(system, p) + (None,))
-            shape_error = _wrong_shape_outcomes(system, p)
-            if shape_error is not None:
-                ref = shape_error[0]
+        shape_error = _wrong_shape_outcomes(system, p)
+        if system.k != 1 and shape_error is not None:
+            # a point at k != 1 is a one-row stack, refused as a frame is
+            ref = shape_error[1]
         # the first call checks a constant metric, later ones read its pair
         for kernel in _point_branches(system):
             for _ in range(3):
@@ -727,8 +732,8 @@ _ONE_ROW_SYSTEM = random_poly(4, 2, seed=3).system
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_kernel_stacks())
-# a one-row stack runs the point branch: a finite row, a row with a NaN
-# coordinate, and a row whose Gram determinants warn at floor 0.9
+# a one-row stack at k = 2, a stack like any other: a finite row, a row
+# with a NaN coordinate, and a row whose Gram determinants warn at floor 0.9
 @example((_ONE_ROW_SYSTEM, np.array([[0.3, -0.5, 0.8, 0.1]]),
           geodiss.gram.GRAM_NEGATIVITY_FLOOR))
 @example((_ONE_ROW_SYSTEM, np.array([[0.3, np.nan, 0.8, 0.1]]),
@@ -746,6 +751,11 @@ def test_stacked_rhs_kernel_is_the_frame_stack_path_bitwise(case):
         # the frame path at each finite row alone, in row order
         point, point_warned = _with_warnings(
             lambda: [_frame_path(system, p)[0] for p in pts[ref_ok]])
+        # the evaluator at each row as a point (n,) and as a one-row stack
+        evaluate = _corrected_rows(system)
+        rows = [_with_warnings(lambda: [evaluate(p) for p in pts]),
+                _with_warnings(lambda: [tuple(None if a is None else a[0]
+                                              for a in evaluate(p[None])) for p in pts])]
     finally:
         geodiss.gram.GRAM_NEGATIVITY_FLOOR = default
     # no flags when every row is finite
@@ -758,6 +768,13 @@ def test_stacked_rhs_kernel_is_the_frame_stack_path_bitwise(case):
     assert [row.tobytes() for row in v0[ref_ok]] == [row.tobytes() for row in ref_v0[ref_ok]]
     assert [row.tobytes() for row in rhs[ref_ok]] == [row.tobytes() for row in point]
     assert warned == ref_warned == point_warned
+    for singles, singles_warned in rows:
+        assert singles_warned == ref_warned
+        assert [None if row_ok is None else bool(row_ok) for _, _, row_ok in singles] == [
+            None if finite else False for finite in ref_ok]
+        assert [row.tobytes() for row, _, _ in singles] == [row.tobytes() for row in ref]
+        assert [row.tobytes() for _, row, row_ok in singles if row_ok is None] == [
+            row.tobytes() for row in ref_v0[ref_ok]]
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,31 @@ def test_stacked_value_and_diff_are_bitwise_the_point_calls(dim):
                 p.diff(bad)
 
 
+def _frozen_point_value(p: Polynomial, x: np.ndarray) -> float:
+    """The point branch of ``Polynomial.value`` before the point and the
+    stack shared one body: a 1-D dot."""
+    return float(np.multiply.reduce(x ** p.powers, axis=1) @ p.coefs)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
+def test_value_is_bitwise_its_old_point_branch(dim):
+    # at 10,000 points over many orders of magnitude each point value has
+    # the bits of the old point branch and of its row of the stack, and so
+    # have a vector field's components
+    rng = np.random.default_rng(300 + dim)
+    p = random_polynomial(dim, 3, rng)
+    polys = [random_polynomial(dim, 2, rng) for _ in range(dim)]
+    x = rng.normal(size=(10000, dim)) * 10.0 ** rng.uniform(-6.0, 2.0, size=(10000, 1))
+    x[::5, 0] = -0.0
+    want = np.array([_frozen_point_value(p, row) for row in x])
+    assert np.array([float(p.value(row)) for row in x]).tobytes() == want.tobytes()
+    assert p.value(x).tobytes() == want.tobytes()
+    columns = np.array([[_frozen_point_value(q, row) for q in polys] for row in x])
+    assert np.array([vector_values(polys, row) for row in x]).tobytes() == \
+        columns.tobytes()
+    assert vector_values(polys, x).tobytes() == columns.tobytes()
+
+
 def test_vector_values_stack_is_bitwise_the_point_calls():
     # the components of a polynomial vector field: a point gives the
     # components' values, a stack their columns, row for row the same bits
