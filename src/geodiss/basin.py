@@ -72,6 +72,7 @@ from .fields import (
     DissipativeSystem,
     _project_rows,
     _require_premise,
+    _row_dots,
     _row_norms,
     as_point,
 )
@@ -81,6 +82,7 @@ from .integrators import (
     IntegratorConfig,
     _adaptive,
     _check_t_end,
+    _dense_states,
     _lockstep,
     integrate_ensemble,
 )
@@ -126,6 +128,10 @@ _CELL_BUDGET = _MAX_CELLS_PER_AXIS ** GRID_DIM_LIMIT
 # the rows the leaf table projects, or evaluates G at, in one call, which
 # bounds the memory of its build
 _TABLE_BLOCK = 2 ** 14
+# the floats of one block of the nearest-state search (_nearest), at least
+# one row's: a row against 2,048 orbit samples in three dimensions fits. A
+# block of 8 such rows raised the orbit certificate's peak RSS by 0.7 MB.
+_NEAREST_FLOATS = 2 ** 13
 # a target's trap (_trap): the Hessian's difference step relative to
 # max(1, reach), the seeded leaf directions sampled at its radius besides
 # the chart axes (spread over an orbit's phases), and the margin of delta
@@ -783,12 +789,6 @@ def _trap(system: DissipativeSystem, target: _Target, radius: float,
             out -= mu[j, i] * (f.values(pts) - f0[j, i])
         return out
 
-    def nearest(pts):
-        """Each row's nearest state; for one state, that state for every row."""
-        if p == 1:
-            return 0
-        return np.argmin(np.sum((pts[:, None, :] - states) ** 2, axis=2), axis=1)
-
     # the Hessians' entries (i, j), i <= j, at steps h and 2h, from the
     # corners x + step (+-b_i +- b_j) about every state, in one stacked
     # evaluation
@@ -829,7 +829,8 @@ def _trap(system: DissipativeSystem, target: _Target, radius: float,
         return None
 
     def low(pts):
-        return rise(pts, nearest(pts)) < delta
+        # each row's nearest state; for one state, that state for every row
+        return rise(pts, 0 if p == 1 else _nearest(pts, states)) < delta
 
     def near(pts):
         return target.distances(pts) < radius
@@ -1138,40 +1139,63 @@ def distance_to_orbit(point, orbit_states: np.ndarray) -> float:
     parametric arc; the point is projected onto that arc by a 1d Newton
     iteration. The arc interpolates a smooth orbit to third order in the
     sample spacing, so the reported distance is far sharper than the
-    nearest-sample distance.
+    nearest-sample distance. This is :func:`_orbit_distances` on a stack
+    of one row.
     """
-    p = np.asarray(point, dtype=float)
-    d2 = np.sum((orbit_states - p) ** 2, axis=1)
-    j = int(np.argmin(d2))
-    m = len(d2)
-    xm, x0, xp = orbit_states[(j - 1) % m], orbit_states[j], orbit_states[(j + 1) % m]
+    return float(_orbit_distances(np.asarray(point, dtype=float)[None], orbit_states)[0])
+
+
+def _nearest(pts: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Each row's nearest state by the sum of squared differences, the first
+    of equals, in blocks of rows whose differences hold at most
+    ``_NEAREST_FLOATS`` floats, or one row's."""
+    j = np.empty(len(pts), dtype=int)
+    block = max(1, _NEAREST_FLOATS // states.size)
+    for lo in range(0, len(pts), block):
+        j[lo:lo + block] = np.argmin(np.sum((states - pts[lo:lo + block, None]) ** 2, axis=2), 1)
+    return j
+
+
+def _orbit_distances(pts: np.ndarray, orbit_states: np.ndarray) -> np.ndarray:
+    """:func:`distance_to_orbit` of each row of an (m, n) stack.
+
+    Each row's nearest sample comes from :func:`_nearest`, in bounded
+    blocks of rows. The rows then run the arc Newton in lockstep: a row's
+    arithmetic is its own, and it leaves where its own iteration stops
+    (fp <= 0, a step below 1e-12, or 20 iterations).
+    """
+    m, count = len(pts), len(orbit_states)
+    j = _nearest(pts, orbit_states)
+    xm, x0, xp = orbit_states[(j - 1) % count], orbit_states[j], orbit_states[(j + 1) % count]
     a1 = 0.5 * (xp - xm)
     a2 = 0.5 * (xp - 2.0 * x0 + xm)
 
-    s = 0.0
+    s = np.zeros(m)
+    # the iterating rows, their arcs, points and parameters
+    live, x, b1, b2, p, sl = np.arange(m), x0, a1, a2, pts, np.zeros((m, 1))
     for _ in range(20):
-        arc = x0 + s * a1 + s * s * a2
-        tangent = a1 + 2.0 * s * a2
-        f = float((arc - p) @ tangent)
-        fp = float(tangent @ tangent + 2.0 * ((arc - p) @ a2))
-        if fp <= 0.0:
+        tangent = b1 + 2.0 * sl * b2
+        off = x + sl * b1 + sl * sl * b2 - p
+        fp = _row_dots(tangent, tangent) + 2.0 * _row_dots(off, b2)
+        # a row with fp <= 0 stops where it is, its step 0
+        go = ~(fp <= 0.0)
+        step = np.divide(_row_dots(off, tangent), fp, out=np.zeros(len(fp)), where=go)
+        s_new = np.clip(sl[:, 0] - step, -1.5, 1.5)
+        s[live] = s_new
+        # and a row whose step falls below 1e-12 at its new parameter
+        go &= ~(np.abs(s_new - sl[:, 0]) < 1e-12)
+        if not go.any():
             break
-        s_new = float(np.clip(s - f / fp, -1.5, 1.5))
-        if abs(s_new - s) < 1e-12:
-            s = s_new
-            break
-        s = s_new
-    arc = x0 + s * a1 + s * s * a2
-    return float(np.linalg.norm(arc - p))
+        live, x, b1, b2, p, sl = live[go], x[go], b1[go], b2[go], p[go], s_new[go, None]
+    s = s[:, None]
+    return _row_norms(x0 + s * a1 + s * s * a2 - pts)
 
 
 def _orbit(orbit_states: np.ndarray, phase_states: np.ndarray) -> _Target:
     """An orbit certificate's target: the distance to the densely sampled
     orbit, and its phase states, for a trap, where there are at least three
     of them; a phase's chord needs two neighbours apart from each other."""
-    def distances(pts):
-        return np.array([distance_to_orbit(p, orbit_states) for p in pts])
-    return _Target("orbit", distances, _WITNESS_TOL,
+    return _Target("orbit", lambda pts: _orbit_distances(pts, orbit_states), _WITNESS_TOL,
                    float(np.max(np.linalg.norm(orbit_states, axis=1))), needs_witness=False,
                    states=phase_states if len(phase_states) > 2 else None)
 
@@ -1183,9 +1207,10 @@ def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
     at a time and stopped one step after the first recorded local minimum
     of |x - y0| below ``coarse_tol`` once the flow has left that ball.
     Newton then refines the return time on <x(t) - y0, rhs(x(t))> = 0,
-    with x(t) read off the continuous extension of the run's steps; the
-    same read-out is returned for the orbit samples, and a later time reads
-    on into further steps of the same run.
+    with x(t) read off the continuous extension of the run's kept steps by
+    ``integrators._dense_states``. The same read-out is returned, so the
+    orbit samples are one read across all the steps, and a later time
+    reads on into further steps of the same run.
     """
     steps = _lockstep(system, y0, replace(cfg, t_end=t_search))
     kept = []
@@ -1211,11 +1236,8 @@ def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
         raise NotPeriodic(
             f"no return within {coarse_tol:.3g} of the seed over [0, {t_search}]")
 
-    starts = [s.t for s in kept]
-
     def states_at(ts):
-        """The state at time ts, or one row per time of a sorted array ts."""
-        one = np.ndim(ts) == 0
+        """One row per time of a sorted array ts, or of the one time ts."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         # a late time reads on into steps of the same run
         while ts.size and ts[-1] > kept[-1].t_new:
@@ -1223,28 +1245,21 @@ def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
             if nxt is None:
                 break
             kept.append(nxt)
-            starts.append(nxt.t)
         out = np.empty((ts.size, y0.size))
         first = int(np.searchsorted(ts, 0.0, side="right"))
         out[:first] = y0
-        # each step reads the times from its start up to the next step's
-        idx = np.searchsorted(starts, ts[first:], side="right") - 1
-        bounds = np.flatnonzero(np.diff(idx)) + 1
-        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), idx.size]):
-            if lo < hi:
-                out[first + lo:first + hi] = kept[idx[lo]].states_at(ts[first + lo:first + hi])
-        return out[0] if one else out
+        out[first:] = _dense_states(kept, ts[first:])
+        return out
 
-    def gap(t):
-        x = states_at(t)
-        return float((x - y0) @ dissipated_rhs(system, x)), x
+    def gaps(ts):
+        xs = states_at(ts)
+        return [float((x - y0) @ dissipated_rhs(system, x)) for x in xs], xs[0]
 
     t_cur = rec_times[cand]
     h_loc = max(rec_times[cand] - rec_times[cand - 1], 1e-6)
     for _ in range(12):
-        g0, x_cur = gap(t_cur)
         dt_fd = 1e-6 * max(1.0, abs(t_cur))
-        g1, _ = gap(t_cur + dt_fd)
+        (g0, g1), _ = gaps([t_cur, t_cur + dt_fd])
         slope = (g1 - g0) / dt_fd
         if slope == 0.0:
             break
@@ -1252,7 +1267,7 @@ def _detect_period(system, y0, cfg, t_search, coarse_tol, recur_tol):
         t_cur = t_cur + dt
         if abs(dt) < 1e-13 * max(1.0, t_cur):
             break
-    g0, x_cur = gap(t_cur)
+    _, x_cur = gaps([t_cur])
     miss = float(np.linalg.norm(x_cur - y0))
     if miss > recur_tol:
         raise NotPeriodic(
@@ -1341,25 +1356,19 @@ def periodic_orbit_certify(system: DissipativeSystem, seed_point, level: float,
     phase_idx = (np.arange(n_phases) * len(orbit_states)) // n_phases
     phase_states = orbit_states[phase_idx]
     _require_premise(system, phase_states)
-    max_det = 0.0
-    max_g = 0.0
-    on_inv = True
-    for cls in _classify_rows(system, phase_states, tol_inv=1e-12, tol_g=1e-8):
-        max_det = max(max_det, cls.det_full)
-        max_g = max(max_g, cls.grad_g_norm)
-        if not cls.in_invariant_set:
-            on_inv = False
+    classes = _classify_rows(system, phase_states, tol_inv=1e-12, tol_g=1e-8)
+    max_det = max([0.0] + [cls.det_full for cls in classes])
+    max_g = max([0.0] + [cls.grad_g_norm for cls in classes])
+    on_inv = all(cls.in_invariant_set for cls in classes)
 
     judged = _certify_level(system, y0, level, _orbit(orbit_states, phase_states), dict(
         sampler=sampler, max_refine=max_refine, n_trajectories=n_trajectories,
         traj_seed=traj_seed, horizon=horizon, converge_tol=converge_tol, integrator=integrator))
 
-    near = judged.near
-    if near.size:
-        gap = max(float(np.min(np.linalg.norm(near - p, axis=1)))
-                  for p in phase_states)
-    else:
-        gap = np.inf
+    # each phase's distance to its nearest near witness (inf with none), the
+    # largest of them
+    gaps = np.linalg.norm(judged.near - phase_states[:, None], axis=-1)
+    gap = float(np.max(np.min(gaps, axis=1, initial=np.inf)))
     covered = gap <= _COVERAGE_FACTOR * judged.component.spacing
 
     reasons = [] if on_inv else ["orbit phases leave the degeneracy set at tight tolerance"]

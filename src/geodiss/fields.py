@@ -61,13 +61,19 @@ def as_stack(x, dim: int) -> np.ndarray:
     return p
 
 
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each row's u @ v, bitwise that dot of the two rows: a matmul on
+    stacks evaluates each row's product as the dot of two vectors does."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, bitwise ``np.linalg.norm`` of the row.
 
-    That norm is sqrt(x @ x), and a matmul on stacks evaluates each row's
-    x @ x as that dot does; ``norm(axis=1)`` sums in another order.
+    That norm is sqrt(x @ x), taken by :func:`_row_dots`; ``norm(axis=1)``
+    sums in another order.
     """
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    return np.sqrt(_row_dots(v, v))
 
 
 def central_difference(value: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
@@ -432,8 +438,7 @@ def _premise_rows(system: DissipativeSystem, pts) -> tuple[np.ndarray, np.ndarra
         raise NonFiniteValue(
             f"X or a differential not finite at {p[int(np.argmin(ok))].tolist()}")
     xn = _row_norms(xv)
-    # matmul on stacks evaluates each row as the point call's dot does
-    res = np.stack([np.abs((d[:, None, :] @ xv[:, :, None])[:, 0, 0]) for d in diffs], axis=1)
+    res = np.stack([np.abs(_row_dots(d, xv)) for d in diffs], axis=1)
     scale = np.stack([1.0 + _row_norms(d) * xn for d in diffs], axis=1)
     return res, scale
 

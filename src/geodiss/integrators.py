@@ -407,7 +407,7 @@ class _Step:
     ``rejected`` count the accepted steps and the rejected tries of the run
     so far, ``final`` marks the run's last step, and ``recorded`` the steps
     whose end states the run records: every ``record_every``-th one and the
-    last.
+    last. :meth:`states_at` is :func:`_dense_states` on this one step.
     """
 
     __slots__ = ("t", "h", "t_new", "x", "x_new", "f", "f_new", "stages",
@@ -431,50 +431,81 @@ class _Step:
         self.kernel = kernel
         self._coef = None
 
-    def _dense_terms(self) -> list:
-        """The extension's terms past the cubic Hermite: h (row @ stages)
-        for each dense row, on the stages and, for a method without FSAL,
-        the slope at x_new and the extra stages, evaluated here."""
-        tab, k = self.tableau, self.stages
-        if not tab.fsal:
-            k = np.concatenate((k, self.f_new[None], np.empty((len(tab.extra), k.shape[1]))))
-            for s, row in enumerate(tab.extra, start=len(self.stages) + 1):
-                xs = self.x + self.h * (row @ k[:s])
-                k[s], _, ok = self.kernel(xs)
-                if ok is not None:
-                    raise NonFiniteState(str(_nonfinite_differential(xs)))
-        return [self.h * (row @ k) for row in tab.dense]
-
     def states_at(self, ts) -> np.ndarray:
-        """States at a sorted array of times in [self.t, ...), one row per time.
+        """States at a sorted array of times in [self.t, ...), one row per time."""
+        return _dense_states((self,), ts)
 
-        A time from t_new on gets the end state itself. The extension is one
-        broadcast of elementwise arithmetic, so each row has the bits of an
-        evaluation at its time alone.
-        """
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty((ts.size, self.x.size))
-        inside = int(np.searchsorted(ts, self.t_new))
-        out[inside:] = self.x_new
-        if not inside:
-            return out
-        if self._coef is None:
-            # Hairer, Norsett & Wanner, Solving ODEs I, II.6 and II.10
-            # (dopri5 CONTD5, dop853 CONTD8): the cubic Hermite's terms,
-            # then the method's own
-            ydiff = self.x_new - self.x
-            bspl = self.h * self.f - ydiff
-            self._coef = [ydiff, bspl, ydiff - self.h * self.f_new - bspl]
-            if self.stages is not None:
-                self._coef += self._dense_terms()
-        s = ((ts[:inside] - self.t) / self.h)[:, None]
-        s1 = 1.0 - s
-        # x + s (c0 + s1 (c1 + s (c2 + s1 (c3 + ...)))), from the inside out
-        inner = self._coef[-1]
-        for j in range(len(self._coef) - 1, 0, -1):
-            inner = self._coef[j - 1] + (s1 if j % 2 else s) * inner
-        out[:inside] = self.x + s * inner
+
+def _dense_states(steps, ts) -> np.ndarray:
+    """States at a sorted array of times from ``steps[0].t`` on, read off
+    the continuous extensions of ``steps``, consecutive accepted steps of
+    one run; one row per time.
+
+    A time reads the last step that starts at or before it, and a time
+    from the last step's t_new on gets that end state itself. Each step
+    that holds a time and has no ``_coef`` yet gets it here, once: x, then
+    the terms of its extension (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.6 and II.10; dopri5 CONTD5, dop853 CONTD8), the cubic Hermite's
+    three and the method's own, h (row @ k) for each dense row on the
+    stages and, for a method without FSAL, the slope at x_new and the extra
+    stages. The steps share a method, so each extra stage is one evaluator
+    call over all of them, and every product is a stacked one whose rows
+    are each step's own. A step whose extra stage is not finite raises
+    :class:`NonFiniteState` with its message; where several are, the first
+    step's first such stage, as reading them one step at a time raises it.
+    The extension is then one broadcast of elementwise arithmetic over the
+    times, each time's terms gathered from its own step one term at a time
+    (or broadcast, where one step holds them all), so each row has the
+    bits of an evaluation at its time alone, in memory of a few (times, n)
+    arrays.
+    """
+    ts = np.asarray(ts, dtype=float)
+    last = steps[-1]
+    out = np.empty((ts.size, last.x.size))
+    inside = int(np.searchsorted(ts, last.t_new))
+    out[inside:] = last.x_new
+    if not inside:
         return out
+    idx = np.searchsorted([st.t for st in steps], ts[:inside], side="right") - 1
+    used, at = (idx[:1], slice(None)) if idx[0] == idx[-1] else np.unique(idx, return_inverse=True)
+    held = [steps[i] for i in used.tolist()]
+    fresh = [st for st in held if st._coef is None]
+    if fresh:
+        ends = np.array([(st.x, st.x_new, st.f, st.f_new) for st in fresh])
+        x, x_new, f, f_new = ends.swapaxes(0, 1)
+        h = np.array([st.h for st in fresh])[:, None]
+        ydiff = x_new - x
+        bspl = h * f - ydiff
+        terms = [x, ydiff, bspl, ydiff - h * f_new - bspl]
+        if last.stages is not None:
+            tab = last.tableau
+            k = np.array([st.stages for st in fresh])
+            if not tab.fsal:
+                k = np.concatenate((k, f_new[:, None], np.empty_like(k[:, :len(tab.extra)])), 1)
+                live = len(fresh)  # the steps before the first that failed
+                for s, row in enumerate(tab.extra, start=len(last.stages) + 1):
+                    xs = x[:live] + h[:live] * (row @ k[:live, :s])
+                    k[:live, s], _, ok = last.kernel(xs)
+                    if ok is not None:
+                        live = int(np.argmin(ok))
+                        failure = NonFiniteState(str(_nonfinite_differential(xs[live])))
+                if live < len(fresh):
+                    raise failure
+            terms += [h * (row @ k) for row in tab.dense]
+        for st, coef in zip(fresh, np.stack(terms, axis=1)):
+            st._coef = coef
+    coef = np.array([st._coef for st in held])
+    t, h = np.array([(st.t, st.h) for st in held]).T
+    s = ((ts[:inside] - t[at]) / h[at])[:, None]
+    s1 = 1.0 - s
+    # x + s (c0 + s1 (c1 + s (c2 + s1 (c3 + ...)))), from the inside out,
+    # with x as term 0 and c_j as term j + 1, in place in the rows of out
+    inner = out[:inside]
+    inner[:] = coef[at, -1]
+    for j in range(coef.shape[1] - 1, 0, -1):
+        inner *= s if j % 2 else s1
+        inner += coef[at, j - 1]
+    return out
 
 
 def _first_step(config: IntegratorConfig, t_end: float | None = None) -> float:

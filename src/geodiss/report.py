@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from enum import Enum
 
 import numpy as np
@@ -53,9 +52,15 @@ def csv_text(columns, rows) -> str:
 
 
 def write_text_atomic(text: str, path: str) -> None:
-    """Write text through a same-directory temporary file and an atomic rename."""
+    """Write text through a same-directory temporary file and an atomic rename.
+
+    The temporary file, under a random name, is created with mode 0o666
+    less the umask, as ``open`` creates a file, so the file written gets
+    the mode of any new file.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

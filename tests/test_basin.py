@@ -874,6 +874,60 @@ def test_target_distances_are_the_per_row_distances():
         assert t.distances(np.empty((0, 3))).shape == (0,)
 
 
+def _per_point_arc_newton(p, orbit_states):
+    """The distance of one point to a sampled orbit, by the arc Newton on
+    Python floats between numpy's dots, with the iteration it stops on and
+    why ("fp" for fp <= 0, "step" for a step below 1e-12, "cap" after 20):
+    the reference the stacked distances are held to."""
+    d2 = np.sum((orbit_states - p) ** 2, axis=1)
+    j = int(np.argmin(d2))
+    m = len(d2)
+    xm, x0, xp = orbit_states[(j - 1) % m], orbit_states[j], orbit_states[(j + 1) % m]
+    a1 = 0.5 * (xp - xm)
+    a2 = 0.5 * (xp - 2.0 * x0 + xm)
+    s, stop = 0.0, ("cap", 20)
+    for it in range(20):
+        arc = x0 + s * a1 + s * s * a2
+        tangent = a1 + 2.0 * s * a2
+        f = float((arc - p) @ tangent)
+        fp = float(tangent @ tangent + 2.0 * ((arc - p) @ a2))
+        if fp <= 0.0:
+            stop = ("fp", it)
+            break
+        s_new = float(np.clip(s - f / fp, -1.5, 1.5))
+        if abs(s_new - s) < 1e-12:
+            s, stop = s_new, ("step", it)
+            break
+        s = s_new
+    arc = x0 + s * a1 + s * s * a2
+    return float(np.linalg.norm(arc - p)), stop
+
+
+def test_orbit_distances_are_the_per_point_arc_newton():
+    # the stacked arc Newton gives each row the bits of its own run: rows
+    # that stop on different iterations, rows near the axis of the circle,
+    # where fp <= 0 stops them at once, and stacks of several blocks of the
+    # nearest-sample search (a row a block on 2,048 samples, 170 on 16)
+    rng = np.random.default_rng(43)
+    angle = rng.uniform(0.0, 2.0 * np.pi, 297)
+    radius = 1.0 + rng.normal(size=297) * 10.0 ** rng.uniform(-9.0, 0.0, 297)
+    pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle),
+                           0.02 + rng.normal(size=297) * 10.0 ** rng.uniform(-9.0, 0.0, 297)])
+    axis = np.array([[1e-7, 0.0, 0.3], [0.0, -2e-7, -0.4], [0.0, 0.0, 0.0], [3e-8, 4e-8, 0.02]])
+    pts = np.concatenate((pts[:150], axis, pts[150:]))
+    stops = set()
+    for samples in (2048, 16):
+        orbit = _unit_circle(samples, z=0.02)
+        ref = [_per_point_arc_newton(p, orbit) for p in pts]
+        stops |= {stop for _, stop in ref}
+        want = np.array([d for d, _ in ref])
+        assert basin_mod._orbit(orbit, orbit[::4]).distances(pts).tobytes() == want.tobytes()
+        assert np.array([distance_to_orbit(p, orbit) for p in pts]).tobytes() == want.tobytes()
+    assert len(pts) > basin_mod._NEAREST_FLOATS // (16 * 3)
+    assert {why for why, _ in stops} == {"fp", "step"}
+    assert len({it for why, it in stops if why == "step"}) >= 3
+
+
 # ---------------------------------------------------------------------------
 # degeneracy-set witness scan
 # ---------------------------------------------------------------------------
@@ -1066,6 +1120,10 @@ def test_orbit_certificate_passes_at_02(orbit_pass_cert):
     assert cert.covered
     assert cert.coverage_gap <= 2.0 * cert.spacing
     assert cert.far_witnesses.size == 0
+    # the gap is the largest over the phases of each one's distance to its
+    # nearest near witness, here any witness
+    assert cert.coverage_gap == max(np.min(np.linalg.norm(cert.witnesses - p, axis=1))
+                                    for p in cert.phase_states)
     assert cert.trajectories_converged == cert.trajectories_total
     assert cert.max_trajectory_g <= 0.2 + 1e-6
 
@@ -1112,6 +1170,20 @@ def test_orbit_certificate_reasons_come_in_a_fixed_order(mexhat):
         "degeneracy-set witnesses found away from the orbit",
         "witnesses do not cover the orbit",
     ]
+
+
+def test_orbit_certificate_without_a_near_witness_has_no_coverage_gap(mexhat, monkeypatch):
+    # with no near witness no phase has a nearest one: the gap does not
+    # exist (inf, reported as null), and the orbit is not covered
+    monkeypatch.setattr(basin_mod, "scan_invariant_witnesses",
+                        lambda system, component, max_refine: np.zeros((0, 3)))
+    cert = periodic_orbit_certify(mexhat.system, np.array([1.05, 0.0, 0.02]), 0.2,
+                                  sampler=SamplerConfig(cells_per_axis=12, halfwidth=2.8),
+                                  n_trajectories=2, horizon=8.0)
+    assert cert.coverage_gap == np.inf
+    assert cert.as_report()["coverageGap"] is None
+    assert not cert.covered
+    assert "witnesses do not cover the orbit" in cert.reasons
 
 
 def test_orbit_certify_rejects_dissipative_seed(mexhat):
@@ -2165,24 +2237,24 @@ def test_sampled_certificate_does_not_pass_above_the_threshold():
     assert passed == []
 
 
-def _rotated_quadric_4d(seed=0):
-    """ROADMAP item 18's rotated quadric in four dimensions: a =
-    sort(uniform(0.5, 2, 4)) and Q from the QR of a normal draw, F = |x|^2 /
+def _rotated_quadric(n, seed=0):
+    """ROADMAP item 18's rotated quadric in n dimensions: a =
+    sort(uniform(0.5, 2, n)) and Q from the QR of a normal draw, F = |x|^2 /
     2, G = x^T A x / 2 with A = Q diag(a) Q^T, and X = 0. On the unit sphere
     G has its minimum a1 / 2 at +-Q e1 and its first saddle a2 / 2 at +-Q e2,
     so a2 / 2 is the threshold of the target Q e1. Returns (system, a, Q)."""
     rng = np.random.default_rng(seed)
-    a = np.sort(rng.uniform(0.5, 2.0, 4))
-    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    a = np.sort(rng.uniform(0.5, 2.0, n))
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     A = q @ np.diag(a) @ q.T
     A = 0.5 * (A + A.T)
     system = DissipativeSystem(
-        X=VectorField(4, lambda x: np.zeros(x.shape), stacked=True),
-        conserved=(ScalarField(4, lambda x: 0.5 * np.sum(x * x, axis=-1),
+        X=VectorField(n, lambda x: np.zeros(x.shape), stacked=True),
+        conserved=(ScalarField(n, lambda x: 0.5 * np.sum(x * x, axis=-1),
                                differential=lambda x: x.copy(), stacked=True),),
-        dissipated=ScalarField(4, lambda x: 0.5 * ((x @ A) * x).sum(-1),
+        dissipated=ScalarField(n, lambda x: 0.5 * ((x @ A) * x).sum(-1),
                                differential=lambda x: x @ A, stacked=True),
-        metric=MetricField.euclidean(4))
+        metric=MetricField.euclidean(n))
     return system, a, q
 
 
@@ -2192,7 +2264,7 @@ _QUADRIC_FALSE_PASS = 0.28164686
 
 
 def test_rotated_quadric_threshold_is_its_closed_form():
-    system, a, q = _rotated_quadric_4d()
+    system, a, q = _rotated_quadric(4)
     assert 0.5 * a[1] == pytest.approx(0.28073014, abs=1e-8)
     assert 0.5 * a[1] < _QUADRIC_FALSE_PASS
     for j in range(4):
@@ -2202,11 +2274,31 @@ def test_rotated_quadric_threshold_is_its_closed_form():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP items 1 and 18")
 def test_sampled_certificate_does_not_pass_above_the_rotated_quadric_threshold():
-    system, _, q = _rotated_quadric_4d()
+    system, _, q = _rotated_quadric(4)
     cert = basin_certify(system, q[:, 0], _QUADRIC_FALSE_PASS,
                          SamplerConfig(n_samples=2048, halfwidth=1.5, seed=5),
                          stability=AS, n_trajectories=4)
     assert not cert.passed
+
+
+def test_grid_certificate_is_sharp_at_the_rotated_quadric_threshold():
+    # ROADMAP item 18 on the grid path, in two and three dimensions: at
+    # levels a1/2 + f (a2 - a1)/2, no certificate passes above the threshold
+    # (f = 1.02, 1.1), and every one passes below it (f = 0.9) but n = 2 with
+    # rotation seed 5, whose a2 - a1 = 0.0044 leaves descent too slow for the
+    # horizon cap: its rows do not converge (pinned here)
+    failed = {}
+    for n in (2, 3):
+        for seed in range(6):
+            system, a, q = _rotated_quadric(n, seed)
+            for f in (1.02, 1.1, 0.9):
+                cert = basin_certify(system, q[:, 0], 0.5 * a[0] + f * 0.5 * (a[1] - a[0]),
+                                     SamplerConfig(cells_per_axis=32, halfwidth=1.5),
+                                     stability=AS)
+                assert f < 1.0 or not cert.passed, (n, seed, f)
+            if not cert.passed:
+                failed[n, seed] = (round(a[1] - a[0], 4), cert.reasons)
+    assert failed == {(2, 5): (0.0044, ["trajectories failed to converge to the target"])}
 
 
 @pytest.mark.parametrize("n_samples", [1, 3])

@@ -1040,6 +1040,25 @@ def test_unwritable_out_dir_is_config_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_out_files_take_the_umask(tmp_path, capsys, umask, mode):
+    # each file under --out gets the mode of any new file: 0o666 less the umask
+    cfg = _write(tmp_path, "sim.json", {"system": RIGID, "x0": [0.6, 0.48, 0.64],
+                                        "integrator": {"t_end": 0.1}})
+    out_dir = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        rc, _, _ = _run(capsys, ["simulate", "--config", cfg, "--out", str(out_dir)])
+    finally:
+        os.umask(old)
+    assert rc == 0
+    files = sorted(p.name for p in out_dir.iterdir())
+    assert files == ["summary.json", "trajectory.csv"]
+    for name in files:
+        assert (out_dir / name).stat().st_mode & 0o777 == mode, name
+
+
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_config_number_is_config_error(tmp_path, capsys, number):
     path = tmp_path / "sim.json"

@@ -55,6 +55,7 @@ from geodiss.integrators import (
     _TABLEAUS,
     _Step,
     _check_t_end,
+    _dense_states,
     _error_norm,
     _first_step,
     _landing_scope,
@@ -1655,3 +1656,131 @@ def test_batched_dense_read_out_is_bitwise_the_scalar_one(rigid, method, reproje
             assert row.tobytes() == _state_at(step, t).tobytes()
             if t >= step.t_new:
                 assert row.tobytes() == step.x_new.tobytes()
+
+
+def _per_step_states_at(step, ts):
+    """A step's continuous extension at a sorted array of times, evaluated for
+    that one step alone, its extra stages by point calls: the reference a read
+    across steps is held to."""
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty((ts.size, step.x.size))
+    inside = int(np.searchsorted(ts, step.t_new))
+    out[inside:] = step.x_new
+    if not inside:
+        return out
+    ydiff = step.x_new - step.x
+    bspl = step.h * step.f - ydiff
+    coef = [ydiff, bspl, ydiff - step.h * step.f_new - bspl]
+    if step.stages is not None:
+        tab, k = step.tableau, step.stages
+        if not tab.fsal:
+            k = np.concatenate((k, step.f_new[None], np.empty((len(tab.extra), k.shape[1]))))
+            for s, row in enumerate(tab.extra, start=len(step.stages) + 1):
+                xs = step.x + step.h * (row @ k[:s])
+                k[s], _, ok = step.kernel(xs)
+                if ok is not None:
+                    raise NonFiniteState(str(_nonfinite_differential(xs)))
+        coef += [step.h * (row @ k) for row in tab.dense]
+    s = ((ts[:inside] - step.t) / step.h)[:, None]
+    s1 = 1.0 - s
+    inner = coef[-1]
+    for j in range(len(coef) - 1, 0, -1):
+        inner = coef[j - 1] + (s1 if j % 2 else s) * inner
+    out[:inside] = step.x + s * inner
+    return out
+
+
+def _owners(steps, ts):
+    """The step each time of a sorted array reads: the last one starting at or before it."""
+    return np.searchsorted([step.t for step in steps], ts, side="right") - 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(method=st.sampled_from([Method.DOP853, Method.RK45_ADAPTIVE, Method.RK4_FIXED]),
+       reproject=st.booleans(),
+       flow=st.sampled_from([Flow.PERTURBED, Flow.UNPERTURBED]),
+       kept=st.integers(1, 12),
+       fractions=st.lists(st.floats(0.0, 1.3), max_size=40),
+       ends=st.lists(st.integers(0, 11), max_size=4))
+def test_read_across_steps_is_bitwise_the_per_step_reads(rigid, method, reproject, flow, kept,
+                                                         fractions, ends):
+    # a read across a run's kept steps gives each time the bits of a read of
+    # its own step alone: times on step ends, and past the last kept step,
+    # which read its end state, included
+    cfg = IntegratorConfig(method=method, h0=0.3, t_end=3.0, leaf_reprojection=reproject)
+    x0 = np.array([0.6, 0.48, 0.64])
+    steps = list(_lockstep(rigid.system, x0, cfg, flow))[:kept]
+    ts = np.sort(np.concatenate((steps[-1].t_new * np.array(fractions, dtype=float),
+                                 [steps[min(i, len(steps) - 1)].t_new for i in ends])))
+    got = _dense_states(steps, ts)
+    owner = _owners(steps, ts)
+    ref = np.empty_like(got)
+    one = np.empty_like(got)
+    fresh = list(_lockstep(rigid.system, x0, cfg, flow))[:kept]
+    for i in set(owner.tolist()):
+        ref[owner == i] = _per_step_states_at(steps[i], ts[owner == i])
+        one[owner == i] = fresh[i].states_at(ts[owner == i])
+    assert got.tobytes() == ref.tobytes()
+    assert one.tobytes() == ref.tobytes()
+    past = ts >= steps[-1].t_new
+    assert (got[past] == steps[-1].x_new).all()
+
+
+def test_read_across_steps_evaluates_each_steps_extra_stages_once(mexhat):
+    # dop853's three extra stages: one evaluator call each over every step
+    # that holds a time and has none yet, and never again for that step
+    cfg = IntegratorConfig(method=Method.DOP853, rel_tol=1e-9, abs_tol=1e-11, t_end=3.0)
+    steps = list(_lockstep(mexhat.system, np.array([0.4, 0.3, 0.1]), cfg))
+    assert len(steps) > 10
+    rows = []
+    kernel = steps[0].kernel
+
+    def counted(pts):
+        rows.append(len(pts))
+        return kernel(pts)
+
+    for step in steps:
+        step.kernel = counted
+    end = steps[-1].t_new
+    reads = [np.linspace(0.1, 0.5, 300) * end, np.linspace(0.3, 0.9, 300) * end,
+             np.array([0.45 * end]), np.array([0.95 * end]), np.linspace(0.0, 1.0, 1000) * end]
+    expected = []
+    held = set()
+    for ts in reads:
+        new = set(_owners(steps, ts[ts < end]).tolist()) - held
+        held |= new
+        if new:
+            expected += [len(new)] * 3
+        _dense_states(steps, ts)
+    # the batch of one reads the terms the reads above left
+    steps[5].states_at([steps[5].t + 0.5 * steps[5].h])
+    assert rows == expected
+    assert sum(rows) == 3 * len(steps)
+
+
+def test_read_across_steps_raises_the_first_non_finite_extra_stage(rigid):
+    # where the extra stages of several steps are not finite, the read raises
+    # what reading one step at a time raises first: the earlier step's
+    # message, although a later step's stage comes first in stage order
+    cfg = IntegratorConfig(method=Method.DOP853, rel_tol=1e-8, abs_tol=1e-10, t_end=3.0)
+    x0 = np.array([0.6, 0.48, 0.64])
+    clean = list(_lockstep(rigid.system, x0, cfg))
+    points = []
+    for step in clean:
+        kernel = step.kernel
+        step.kernel = lambda p, kernel=kernel: (points.append(p.copy()), kernel(p))[1]
+        _per_step_states_at(step, [step.t + 0.5 * step.h])
+    third_of_2, first_of_4 = points[3 * 2 + 2], points[3 * 4]
+    poisoned = _poisoned(_poisoned(rigid.system, third_of_2), first_of_4)
+    ts = np.array([step.t + 0.5 * step.h for step in clean])
+    steps = list(_lockstep(poisoned, x0, cfg))
+    _assert_same_steps(steps, clean)
+    with pytest.raises(NonFiniteState) as ref:
+        for step, t in zip(list(_lockstep(poisoned, x0, cfg)), ts):
+            _per_step_states_at(step, [t])
+    with pytest.raises(NonFiniteState) as got:
+        _dense_states(steps, ts)
+    assert str(got.value) == str(ref.value) == str(_nonfinite_differential(third_of_2))
+    with pytest.raises(NonFiniteState) as late:
+        _dense_states(steps[3:], ts[3:])
+    assert str(late.value) == str(_nonfinite_differential(first_of_4))
