@@ -79,6 +79,7 @@ _EXPORTS = {
     "mexican_hat": "catalog",
     "gradient_only": "catalog",
     "random_poly": "catalog",
+    "rotated_quadric": "catalog",
     "from_name": "catalog",
     # integration
     "Flow": "integrators",

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -89,6 +90,7 @@ from .integrators import (
 from .structure import (
     Stability,
     _classify_rows,
+    _lstsq_rows,
     _refine_rows,
     _tangent_bases,
     refine_to_invariant_set,
@@ -128,6 +130,8 @@ _CELL_BUDGET = _MAX_CELLS_PER_AXIS ** GRID_DIM_LIMIT
 # the rows the leaf table projects, or evaluates G at, in one call, which
 # bounds the memory of its build
 _TABLE_BLOCK = 2 ** 14
+# the floats of one block of the witness scan's thinning gaps (_thin)
+_THIN_FLOATS = 2 ** 14
 # the floats of one block of the nearest-state search (_nearest), at least
 # one row's: a row against 2,048 orbit samples in three dimensions fits. A
 # block of 8 such rows raised the orbit certificate's peak RSS by 0.7 MB.
@@ -599,34 +603,68 @@ def _verified_witnesses(system, component, ratios, gnorms, refine, max_refine) -
     # spatial thinning before the refinement cap: a purely score-ordered cut
     # concentrates on grid-lucky spots and can starve whole stretches of an
     # extended degeneracy locus of any refinement attempt
-    chosen: list[int] = []
-    min_gap = 0.4 * component.spacing
-    for i in candidates:
-        if len(chosen) >= max_refine:
-            break
-        if chosen:
-            gaps = np.linalg.norm(pts[chosen] - pts[i], axis=1)
-            if float(np.min(gaps)) < min_gap:
-                continue
-        chosen.append(int(i))
+    chosen = _thin(pts, candidates, 0.4 * component.spacing, max_refine,
+                   lambda d: np.linalg.norm(d, axis=-1))
 
-    witnesses: list[np.ndarray] = []
-    for y in refine(chosen):
-        if y is None:
-            continue
-        if not system.dissipated(y) < component.level:
-            # the anchor is admitted into the component at equality, so the
-            # degenerate level still gets its supporting witness at the
-            # target; away from the anchor the strict inequality stands
-            if float(np.linalg.norm(y - component.anchor)) > 0.25 * component.spacing:
-                continue
-        if any(np.linalg.norm(y - w) < 0.25 * component.spacing
-               for w in witnesses):
-            continue
-        witnesses.append(y)
-    if not witnesses:
+    found = [y for y in refine(chosen) if y is not None]
+    if not found:
         return np.zeros((0, system.dim))
-    return np.array(witnesses)
+    found = np.array(found)
+    # the anchor is admitted into the component at equality, so the
+    # degenerate level still gets its supporting witness at the target;
+    # away from the anchor the strict inequality stands
+    below = ((system.dissipated.values(found) < component.level)
+             | ~(_row_norms(found - component.anchor) > 0.25 * component.spacing))
+    # refined points are finite, so a gap is never NaN, and a point goes
+    # when any gap to an earlier witness is below the spacing's quarter
+    witnesses = _thin(found, np.flatnonzero(below), 0.25 * component.spacing, len(found),
+                      lambda d: _row_norms(d.reshape(-1, d.shape[-1])).reshape(d.shape[:-1]))
+    return found[witnesses]
+
+
+def _thin(pts: np.ndarray, order: np.ndarray, min_gap: float, limit: int,
+          norms: Callable[[np.ndarray], np.ndarray]) -> list[int]:
+    """The rows ``order`` of ``pts``, in turn, that lie at least ``min_gap``
+    from every earlier one kept, at most ``limit`` of them: a row is
+    dropped when the ``np.min`` of its gaps to the kept ones is below
+    ``min_gap``, so a NaN gap keeps it. ``norms`` takes the gaps, the
+    norms over the last axis of a stack of differences, kept row minus
+    row.
+
+    The gaps are taken in blocks of rows, each block's to the kept rows
+    and to each other in at most ``_THIN_FLOATS`` floats, or one row's. The
+    greedy pass over a block reads them as Python values: the gaps to the
+    kept rows as one flag per row, those within the block as a bit mask
+    per row, tested against the mask of the block's rows kept so far.
+    """
+    chosen: list[int] = []
+    n = pts.shape[1]
+    lo = 0
+    while lo < len(order) and len(chosen) < limit:
+        # b rows against c kept ones and against each other: b (c + b) n floats
+        c = len(chosen)
+        size = max(1, (math.isqrt(c * c + 4 * (_THIN_FLOATS // n)) - c) // 2)
+        block = order[lo:lo + size]
+        lo += size
+        q = pts[block]
+        kept = norms(pts[chosen] - q[:, None])
+        near_kept = (kept < min_gap).any(axis=1).tolist()
+        nan_kept = np.isnan(kept).any(axis=1).tolist()
+        own = norms(q - q[:, None])
+        width = (len(block) + 7) // 8
+        near_own = np.packbits(own < min_gap, axis=1, bitorder="little").tobytes()
+        nan_own = np.packbits(np.isnan(own), axis=1, bitorder="little").tobytes()
+        picked = 0
+        for b, i in enumerate(block.tolist()):
+            if len(chosen) >= limit:
+                break
+            row = slice(b * width, (b + 1) * width)
+            if ((near_kept[b] or int.from_bytes(near_own[row], "little") & picked)
+                    and not (nan_kept[b] or int.from_bytes(nan_own[row], "little") & picked)):
+                continue
+            picked |= 1 << b
+            chosen.append(i)
+    return chosen
 
 
 def scan_invariant_witnesses(system: DissipativeSystem,
@@ -742,7 +780,9 @@ def _trap(system: DissipativeSystem, target: _Target, radius: float,
     inside T stays within r of the target to its horizon (the sublevel-set
     estimate of a region of attraction; Khalil, Nonlinear Systems, 3rd ed.,
     4.2 and 8.2, and LaSalle's theorem 4.4 for an orbit). mu_j solves dF^T
-    mu_j = dG at state j in least squares, so dL(x_j) = 0 and one step's
+    mu_j = dG at state j in least squares, all states in one stacked solve
+    (``structure._lstsq_rows``, each state bitwise its own
+    ``np.linalg.lstsq``), so dL(x_j) = 0 and one step's
     error off the leaf moves L only to second order, where it moves G by
     mu_j . dF. delta is half the smaller of lam r^2 / 2, lam the smallest
     eigenvalue over the states of a central-difference Hessian of L in the
@@ -769,8 +809,7 @@ def _trap(system: DissipativeSystem, target: _Target, radius: float,
         jac = np.stack([f.diffs(states) for f in system.conserved], axis=1)
         for i, f in enumerate(system.conserved):
             f0[:, i] = f.values(states)
-        for j, (a, b) in enumerate(zip(jac, system.dissipated.diffs(states))):
-            mu[j] = np.linalg.lstsq(a.T, b, rcond=None)[0]
+        mu = _lstsq_rows(jac.transpose(0, 2, 1), system.dissipated.diffs(states))
     bases = _tangent_bases(system, states)
     if p > 1:
         # the flow direction drops out of each phase's chart
@@ -1145,6 +1184,19 @@ def distance_to_orbit(point, orbit_states: np.ndarray) -> float:
     return float(_orbit_distances(np.asarray(point, dtype=float)[None], orbit_states)[0])
 
 
+def _square_sums(d: np.ndarray) -> np.ndarray:
+    """``np.sum(d ** 2, axis=-1)``, bitwise. numpy adds fewer than eight
+    terms in turn, which a sum of the columns repeats at a fifth of the
+    cost on a length-3 axis; it adds more pairwise, so those go to it."""
+    d = d * d
+    if d.shape[-1] >= 8:
+        return np.sum(d, axis=-1)
+    out = d[..., 0].copy()
+    for i in range(1, d.shape[-1]):
+        out += d[..., i]
+    return out
+
+
 def _nearest(pts: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Each row's nearest state by the sum of squared differences, the first
     of equals, in blocks of rows whose differences hold at most
@@ -1152,7 +1204,7 @@ def _nearest(pts: np.ndarray, states: np.ndarray) -> np.ndarray:
     j = np.empty(len(pts), dtype=int)
     block = max(1, _NEAREST_FLOATS // states.size)
     for lo in range(0, len(pts), block):
-        j[lo:lo + block] = np.argmin(np.sum((states - pts[lo:lo + block, None]) ** 2, axis=2), 1)
+        j[lo:lo + block] = np.argmin(_square_sums(states - pts[lo:lo + block, None]), 1)
     return j
 
 

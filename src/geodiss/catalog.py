@@ -29,6 +29,8 @@ class CatalogEntry:
     # sampler(leaf_value, count) -> points of the degeneracy set on that leaf
     inv_sampler: Callable | None = None
     known_saddle_levels: tuple = ()
+    # G's minimum on the leaf the equilibria are listed for, where known
+    known_min_level: float | None = None
     identity_only: bool = False
     notes: str = ""
 
@@ -238,6 +240,53 @@ def gradient_only(target: str | ScalarField = "quadratic") -> CatalogEntry:
     )
 
 
+def rotated_quadric(n: int, seed: int = 0) -> CatalogEntry:
+    """A seeded rotated quadric on spheres, whose certification threshold
+    is known in closed form.
+
+    The seed draws the weights a = sort(uniform(0.5, 2, n)) and Q from the
+    QR factorization of a normal n x n draw. F = |x|^2 / 2 is conserved and
+    G = x^T A x / 2, with A = Q diag(a) Q^T, is dissipated, with X = 0
+    under the Euclidean metric. The degeneracy set is the union of the
+    eigenvector lines of A. On the unit sphere G has its minimum a1 / 2 at
+    +-Q e1 and the value a_j / 2 at +-Q e_j, so the first level past the
+    minimum, a2 / 2, is the certification threshold of Q e1: a saddle for
+    n >= 3, the maximum for n = 2.
+    """
+    if not n >= 2:
+        raise ConfigError(f"rotated_quadric needs n >= 2, got {n}")
+    rng = np.random.default_rng(seed)
+    a = np.sort(rng.uniform(0.5, 2.0, n))
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = q @ np.diag(a) @ q.T
+    A = 0.5 * (A + A.T)
+    system = DissipativeSystem(
+        X=VectorField(n, lambda x: np.zeros(x.shape), label="zero", stacked=True),
+        conserved=(ScalarField(n, lambda x: 0.5 * np.sum(x * x, axis=-1),
+                               differential=lambda x: x.copy(), label="half_square",
+                               stacked=True),),
+        dissipated=ScalarField(n, lambda x: 0.5 * ((x @ A) * x).sum(-1),
+                               differential=lambda x: x @ A, label="quadric", stacked=True),
+        metric=MetricField.euclidean(n))
+    # +-Q e_j in order of the weights, on the unit sphere
+    axes = np.stack([sign * q[:, j] for j in range(n) for sign in (1.0, -1.0)])
+
+    def axis_points(leaf_value, count=2 * n):
+        return float(np.sqrt(max(2.0 * np.asarray(leaf_value).ravel()[0], 0.0))) * axes
+
+    return CatalogEntry(
+        name=f"rotated_quadric:{n},{seed}",
+        system=system,
+        known_equilibria=tuple(axes),
+        inv_description="union of the eigenvector lines of A",
+        inv_sampler=axis_points,
+        known_saddle_levels=(0.5 * float(a[1]),),
+        known_min_level=0.5 * float(a[0]),
+        notes=("equilibria listed for the unit sphere (scale by radius); G there is "
+               f"a_j / 2 at +-Q e_j, a = {a.tolist()}"),
+    )
+
+
 def random_poly(dim: int, k: int, seed: int) -> CatalogEntry:
     """Seeded random polynomial system for identity tests.
 
@@ -284,6 +333,9 @@ def from_name(name: str) -> CatalogEntry:
             return mexican_hat()
         if head == "gradient_only":
             return gradient_only(arg or "quadratic")
+        if head == "rotated_quadric":
+            n_s, seed_s = arg.split(",")
+            return rotated_quadric(int(n_s), int(seed_s))
         if head == "random_poly":
             dim_s, k_s, seed_s = arg.split(",")
             return random_poly(int(dim_s), int(k_s), int(seed_s))

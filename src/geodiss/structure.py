@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .control import _cofactor_from_frame, _corrected_rows, _projection_from_frame
 from .errors import NonPositiveDefiniteMetric, NotOnInvariantSet, UnboundedTrajectory
@@ -51,6 +52,8 @@ _JITTER_PER_STATE = 4
 _JITTER_TRUST = 1.0
 # central-difference step of the Gauss-Newton Jacobian, sqrt(eps) max(1, |x_i|)
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
+# np.linalg.lstsq's default rcond is this times the larger dimension
+_EPS = float(np.finfo(float).eps)
 # step halvings per Gauss-Newton iteration of the equilibrium search
 _EQUILIBRIUM_HALVINGS = 25
 # converged roots within this distance of a kept root are the same root
@@ -179,6 +182,26 @@ class EquilibriumReport:
         }
 
 
+def _lstsq_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(a[i], b[i], rcond=None)[0]`` for every i of an
+    (L, m, n) stack ``a`` and an (L, m) stack ``b``, bitwise each, with m >= 1.
+
+    One call of the LAPACK ``gelsd`` gufunc that ``lstsq`` wraps, with its
+    rcond eps max(m, n) and its error state: each matrix is solved on its
+    own, with the workspace of its shape, and an SVD that does not converge
+    raises :class:`numpy.linalg.LinAlgError`.
+    """
+    m, n = a.shape[-2:]
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        x = _umath_linalg.lstsq(a, b[..., None], _EPS * max(m, n), signature="ddd->ddid")[0]
+    return x[..., 0]
+
+
 def _leaf_gauss_newton_rows(field, system: DissipativeSystem, x0: np.ndarray,
                             targets: np.ndarray, max_iter: int, max_halvings: int,
                             residual_floor: float, trust_radius=np.inf,
@@ -204,27 +227,34 @@ def _leaf_gauss_newton_rows(field, system: DissipativeSystem, x0: np.ndarray,
 
     ``field(pts)`` evaluates an (M, n) stack and returns the (M, n) values
     and the rows whose differentials are finite (or None when all are).
-    Each iteration evaluates every running row's 2n perturbed points in one
-    stacked call, and each halving round the trials inside their balls in
-    one more; the Jacobian's least-squares solve is per row. Each row takes
-    the steps of a run of its own, in the same arithmetic, so its bits do
-    not depend on the other rows. A row that meets a point with non-finite
+    Each halving round evaluates the trials inside their balls in one
+    stacked call. Where a next iteration could follow, the first round's
+    full steps are evaluated together with their 2n central-difference
+    points, which a row whose full step is accepted reads as its next
+    Jacobian; every other running row's 2n points are evaluated in one
+    more call at the start of an iteration. The Jacobians' least-squares
+    solves are one stacked call (:func:`_lstsq_rows`). Each row takes the
+    steps of a run of its own, in the same arithmetic, so its bits do not
+    depend on the other rows. A row that meets a point with non-finite
     differentials, or with a metric that is not positive definite, stops
-    there; after the loop the lowest such row raises its error
+    there, at a central-difference point only once its Jacobian is read;
+    after the loop the lowest such row raises its error
     (:class:`NonFiniteValue` or :class:`NonPositiveDefiniteMetric`), the
     one a run over the rows in turn meets first.
 
     Returns the stacks ``(x, residual, converged)``.
     """
     m, n = x0.shape
+    width = n + system.k
     if not m:
-        return x0.copy(), np.empty((0, n + system.k)), np.zeros(0, dtype=bool)
+        return x0.copy(), np.empty((0, width)), np.zeros(0, dtype=bool)
     trust = np.broadcast_to(np.asarray(trust_radius, dtype=float), (m,))
     failed = {}   # row -> the error it stopped on
+    stopped = np.zeros(m, dtype=bool)
 
     def residuals(pts, owner):
         """Residual rows at the points, owned by the given rows, and the
-        mask of bad points, or None; the first bad point of a row fails it."""
+        error at each bad point, by index in the points' order."""
         errors = {}
         try:
             vals, ok = field(pts)
@@ -241,53 +271,83 @@ def _leaf_gauss_newton_rows(field, system: DissipativeSystem, x0: np.ndarray,
         if ok is not None and ok.all():
             ok = None
         # a bad point's row, which nothing reads, holds NaN, not garbage
-        res = np.full((len(pts), n + system.k), np.nan)
+        res = np.full((len(pts), width), np.nan)
         res[:, :n] = vals
         at = slice(None) if ok is None else ok
         for j, f in enumerate(system.conserved):
             res[at, n + j] = f.values(pts[at]) - targets[owner[at], j]
         if ok is None:
-            return res, None
-        for i in np.flatnonzero(~ok):
-            failed.setdefault(int(owner[i]), errors.get(i) or _nonfinite_differential(pts[i]))
-        return res, ~ok
+            return res, {}
+        return res, {int(i): errors.get(i) or _nonfinite_differential(pts[i])
+                     for i in np.flatnonzero(~ok)}
+
+    def fail(errors, owner):
+        """Stop the owners of the bad points; a row keeps its first error."""
+        for i, exc in errors.items():
+            failed.setdefault(int(owner[i]), exc)
+            stopped[owner[i]] = True
+
+    cols = np.arange(n)
+
+    def steps(xs):
+        """The central-difference steps h = sqrt(eps) max(1, |x_i|), where
+        fmax keeps 1 against a NaN coordinate as max does."""
+        return _SQRT_EPS * np.fmax(1.0, np.abs(xs))
+
+    def neighbours(xs):
+        """Each row's central-difference points, in the order x + h e_0,
+        x - h e_0, x + h e_1, ..."""
+        h = steps(xs)
+        pts = np.repeat(xs[:, None, :], 2 * n, axis=1)
+        pts[:, 2 * cols, cols] += h
+        pts[:, 2 * cols + 1, cols] -= h
+        return pts
 
     x = x0.copy()
     converged = np.zeros(m, dtype=bool)
-    r, bad = residuals(x, np.arange(m))
-    live = np.arange(m) if bad is None else np.flatnonzero(~bad)
-    cols = np.arange(n)
-    for _ in range(max_iter):
+    r, errors = residuals(x, np.arange(m))
+    fail(errors, np.arange(m))
+    live = np.flatnonzero(~stopped)
+    # each row's residuals at its central-difference points about x, where
+    # its accepted full step evaluated them, with the error of the first
+    # bad one, which fails the row only when its next iteration reads them
+    near = np.empty((m, 2 * n, width))
+    has_near = np.zeros(m, dtype=bool)
+    near_errors = {}
+    for it in range(max_iter):
         rn = _row_norms(r[live])
         done = rn <= residual_floor
         converged[live[done]] = True
         live, rn = live[~done], rn[~done]
         if not live.size:
             break
-        # each row's central-difference points, in the order x + h e_0,
-        # x - h e_0, x + h e_1, ...; h = sqrt(eps) max(1, |x_i|), where
-        # fmax keeps 1 against a NaN coordinate as max does
+        # a row that goes on reads its differences: a bad one fails it now
+        for i in near_errors.keys() & set(live.tolist()):
+            failed[i] = near_errors.pop(i)
+            stopped[i] = True
+        fresh = live[~has_near[live]]
+        if fresh.size:
+            res, errors = residuals(neighbours(x[fresh]).reshape(-1, n),
+                                    np.repeat(fresh, 2 * n))
+            fail(errors, np.repeat(fresh, 2 * n))
+            near[fresh] = res.reshape(len(fresh), 2 * n, width)
+        has_near[live] = False
+        if stopped[live].any():
+            keep = ~stopped[live]
+            live, rn = live[keep], rn[keep]
         xl = x[live]
-        h = _SQRT_EPS * np.fmax(1.0, np.abs(xl))
-        pts = np.repeat(xl[:, None, :], 2 * n, axis=1)
-        pts[:, 2 * cols, cols] += h
-        pts[:, 2 * cols + 1, cols] -= h
-        res, bad = residuals(pts.reshape(-1, n), np.repeat(live, 2 * n))
-        res = res.reshape(len(live), 2 * n, -1)
-        if bad is not None:
-            keep = ~bad.reshape(len(live), 2 * n).any(axis=1)
-            live, rn, xl, h, res = live[keep], rn[keep], xl[keep], h[keep], res[keep]
-        jac = ((res[:, 0::2] - res[:, 1::2]) / (2.0 * h)[:, :, None]).transpose(0, 2, 1)
-        step = np.empty_like(xl)
-        for j, i in enumerate(live):
-            step[j] = np.linalg.lstsq(jac[j], -r[i], rcond=None)[0]
+        res = near[live]
+        jac = ((res[:, 0::2] - res[:, 1::2]) / (2.0 * steps(xl))[:, :, None]).transpose(0, 2, 1)
+        step = _lstsq_rows(jac, -r[live])
         if newton_tol is not None:
             done = (rn <= newton_tol) & (_row_norms(step) <= 1e-9 * (1.0 + _row_norms(xl)))
             converged[live[done]] = True
             live, rn, xl, step = live[~done], rn[~done], xl[~done], step[~done]
 
         # halving rounds: every searching row tries x + lam step, with the
-        # same lam in a round; rows leave as they accept or fail
+        # same lam in a round; rows leave as they accept or fail. A full
+        # step is evaluated with its central-difference points when a next
+        # iteration could read them.
         accepted = np.zeros(len(live), dtype=bool)
         ended = np.zeros(len(live), dtype=bool)
         search = np.arange(len(live))
@@ -297,18 +357,36 @@ def _leaf_gauss_newton_rows(field, system: DissipativeSystem, x0: np.ndarray,
                 break
             rows = live[search]
             x_new = xl[search] + lam * step[search]
+            merged = lam == 1.0 and it + 1 < max_iter
             lam *= 0.5
             inside = ~(_row_norms(x_new - x0[rows]) > trust[rows])
             if not inside.any():
                 continue
-            tried = search[inside]
-            res, bad = residuals(x_new[inside], rows[inside])
-            better = _row_norms(res) < rn[tried]
-            if bad is not None:
-                better &= ~bad
-                ended[tried[bad]] = True
-            x[live[tried[better]]] = x_new[inside][better]
-            r[live[tried[better]]] = res[better]
+            tried, x_new, rows = search[inside], x_new[inside], rows[inside]
+            per = 1 + 2 * n if merged else 1
+            pts = x_new[:, None]
+            if merged:
+                pts = np.concatenate((pts, neighbours(x_new)), axis=1)
+            owner = np.repeat(rows, per)
+            res, errors = residuals(pts.reshape(-1, n), owner)
+            res = res.reshape(len(rows), per, width)
+            # a bad trial fails its row; a bad difference waits for the next
+            # iteration
+            trial_errors = {i: exc for i, exc in errors.items() if not i % per}
+            fail(trial_errors, owner)
+            bad = np.zeros(len(rows), dtype=bool)
+            bad[[i // per for i in trial_errors]] = True
+            better = (_row_norms(res[:, 0]) < rn[tried]) & ~bad
+            ended[tried[bad]] = True
+            won = rows[better]
+            x[won] = x_new[better]
+            r[won] = res[better, 0]
+            if merged:
+                near[won] = res[better, 1:]
+                has_near[won] = True
+                for i, exc in errors.items():
+                    if better[i // per]:
+                        near_errors.setdefault(int(owner[i]), exc)
             accepted[tried[better]] = True
             ended[tried[better]] = True
             search = search[~ended[search]]
@@ -404,7 +482,10 @@ def _refine_rows(system: DissipativeSystem, starts: np.ndarray, leaf_value,
 
     Every row keeps the leaf ``leaf_value``; ``trust_radii`` is one radius
     for all rows or one per row. Returns each row's refined point, or None,
-    bitwise its solo refinement.
+    bitwise its solo refinement. The refined points are accepted by one
+    stacked classification (the kind rule of :func:`classify_point`), one
+    call per conserved quantity for the leaf gap and the row norms of the
+    moves, each bitwise the point's own.
     """
     x0 = as_stack(starts, system.dim)
     target = np.asarray(leaf_value, dtype=float).ravel()
@@ -414,14 +495,13 @@ def _refine_rows(system: DissipativeSystem, starts: np.ndarray, leaf_value,
         lambda pts: rows(pts)[1:], system, x0, np.broadcast_to(target, (len(x0), system.k)),
         max_iter=_REFINE_MAX_ITER, max_halvings=_REFINE_HALVINGS,
         residual_floor=_REFINE_RESIDUAL_FLOOR, trust_radius=trust)
-    out = []
     classes = _classify_rows(system, ys, _REFINE_TOL_INV, _REFINE_TOL_G)
-    for x, y, radius, cls in zip(x0, ys, trust, classes):
-        on_leaf = (system.k == 0
-                   or float(np.max(np.abs(system.leaf_value(y) - target))) <= _REFINE_LEAF_TOL)
-        within = float(np.linalg.norm(y - x)) <= radius
-        out.append(y if cls.in_invariant_set and on_leaf and within else None)
-    return out
+    keep = _row_norms(ys - x0) <= trust
+    if system.k:
+        gaps = np.stack([f.values(ys) for f in system.conserved], axis=1) - target
+        keep &= np.max(np.abs(gaps), axis=1) <= _REFINE_LEAF_TOL
+    return [y if cls.in_invariant_set and ok else None
+            for y, cls, ok in zip(ys, classes, keep.tolist())]
 
 
 def refine_to_invariant_set(system: DissipativeSystem, x, leaf_value=None,

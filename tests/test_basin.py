@@ -51,7 +51,7 @@ from geodiss import (
     sublevel_component,
     threshold_search,
 )
-from geodiss.catalog import random_poly
+from geodiss.catalog import from_name, random_poly, rotated_quadric
 from geodiss.cli import _build_system
 from geodiss.errors import LeafProjectionFailure
 from geodiss.fields import project_to_leaf
@@ -940,6 +940,133 @@ def test_witness_scan_at_02_sees_only_target(rigid):
     assert np.max(_norms(w - MAJOR)) <= 1e-6
 
 
+# The per-candidate witness scan after scoring that the blocked thinning
+# and the one-call post-filter replaced, verbatim: the reference they are
+# held to, bit for bit.
+def _per_candidate_witnesses(system, component, ratios, gnorms, refine, max_refine):
+    pts = component.members
+    score = np.minimum(ratios / basin_mod._SUSP_RATIO, gnorms / basin_mod._SUSP_G)
+    candidates = np.where(score <= 1.0)[0]
+    candidates = candidates[np.argsort(score[candidates])]
+    chosen = []
+    min_gap = 0.4 * component.spacing
+    for i in candidates:
+        if len(chosen) >= max_refine:
+            break
+        if chosen:
+            gaps = np.linalg.norm(pts[chosen] - pts[i], axis=1)
+            if float(np.min(gaps)) < min_gap:
+                continue
+        chosen.append(int(i))
+
+    witnesses = []
+    for y in refine(chosen):
+        if y is None:
+            continue
+        if not system.dissipated(y) < component.level:
+            if float(np.linalg.norm(y - component.anchor)) > 0.25 * component.spacing:
+                continue
+        if any(np.linalg.norm(y - w) < 0.25 * component.spacing
+               for w in witnesses):
+            continue
+        witnesses.append(y)
+    if not witnesses:
+        return np.zeros((0, system.dim))
+    return np.array(witnesses)
+
+
+def _thin_block(n, floats):
+    """The rows of the thinning's first block of n-dimensional rows, before
+    any is kept: b^2 n floats at most."""
+    return max(1, int(np.sqrt(4 * (floats // n))) // 2)
+
+
+@pytest.mark.parametrize("case", ["rigid48_03", "rigid32_045", "sombrero_03",
+                                  "sphere4_sampled"])
+@pytest.mark.parametrize("floats", [None, 64])
+@pytest.mark.parametrize("max_refine", [800, 5])
+def test_witness_scan_is_the_per_candidate_scan(rigid, mexhat, monkeypatch, case, floats,
+                                                max_refine):
+    # the thinning's blocks, many of them at a budget of 64 floats, choose
+    # what the per-candidate loop chose, and the witnesses keep their bits
+    if floats is not None:
+        monkeypatch.setattr(basin_mod, "_THIN_FLOATS", floats)
+    system, anchor, level, sampler = {
+        "rigid48_03": (rigid.system, MAJOR, 0.3, SamplerConfig(cells_per_axis=48)),
+        "rigid32_045": (rigid.system, MAJOR, 0.45, SamplerConfig(cells_per_axis=32)),
+        "sombrero_03": (mexhat.system, np.array([1.0, 0.0, 0.0]), 0.3,
+                        SamplerConfig(cells_per_axis=24, halfwidth=2.8)),
+        "sphere4_sampled": (_sphere_weights_4d(), np.eye(4)[0], 1.2,
+                            SamplerConfig(n_samples=8192, halfwidth=1.5, seed=7)),
+    }[case]
+    comp = sublevel_component(system, anchor, level, sampler)
+    ratios, gnorms = basin_mod._frame_scores(system, comp.members)
+    score = np.minimum(ratios / basin_mod._SUSP_RATIO, gnorms / basin_mod._SUSP_G)
+    assert np.count_nonzero(score <= 1.0) > _thin_block(system.dim, basin_mod._THIN_FLOATS)
+    asked = []
+
+    def refine(chosen):
+        asked.append(list(chosen))
+        return basin_mod._refine_rows(system, comp.members[chosen], comp.leaf_value,
+                                      2.0 * comp.spacing)
+
+    got = basin_mod._verified_witnesses(system, comp, ratios, gnorms, refine, max_refine)
+    want = _per_candidate_witnesses(system, comp, ratios, gnorms, refine, max_refine)
+    assert asked[0] == asked[1]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(want) > (max_refine > 5)
+
+
+def test_thinning_keeps_the_nan_rule_across_blocks(monkeypatch):
+    # a NaN gap keeps a candidate, as np.min's NaN does; the gaps of the
+    # witness filter are each np.linalg.norm of a difference
+    monkeypatch.setattr(basin_mod, "_THIN_FLOATS", 96)
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(-1.0, 1.0, size=(600, 3))
+    pts[rng.choice(600, 25, replace=False), rng.integers(3, size=25)] = np.nan
+    order = rng.permutation(600)[:400]
+    assert len(order) > 10 * _thin_block(3, 96)
+    for limit in (1000, 37):
+        want = []
+        for i in order:
+            if len(want) >= limit:
+                break
+            if want and float(np.min(np.linalg.norm(pts[want] - pts[i], axis=1))) < 0.2:
+                continue
+            want.append(int(i))
+        got = basin_mod._thin(pts, order, 0.2, limit, lambda d: np.linalg.norm(d, axis=-1))
+        assert got == want
+        assert any(np.isnan(pts[i]).any() for i in got)
+    finite = pts[~np.isnan(pts).any(axis=1)]
+    want = []
+    for i in range(len(finite)):
+        if not any(np.linalg.norm(finite[i] - finite[j]) < 0.3 for j in want):
+            want.append(i)
+    got = basin_mod._thin(finite, np.arange(len(finite)), 0.3, len(finite),
+                          lambda d: basin_mod._row_norms(d.reshape(-1, 3)).reshape(d.shape[:-1]))
+    assert got == want
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_square_sums_are_the_reduction_they_replace(n):
+    # numpy adds fewer than eight terms in turn and more pairwise; the
+    # column sum that replaces the first must give its bits, at signed
+    # zeros, huge squares that overflow and tiny ones that underflow
+    rng = np.random.default_rng(n)
+    d = rng.normal(size=(6, 257, n)) * 10.0 ** rng.integers(-170, 170, size=(6, 257, n))
+    d[rng.random(d.shape) < 0.1] = 0.0
+    d[rng.random(d.shape) < 0.1] = -0.0
+    d[rng.random(d.shape) < 0.02] = 1e300
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.sum(d ** 2, axis=2)
+        got = basin_mod._square_sums(d)
+    assert got.tobytes() == want.tobytes()
+    states = rng.normal(size=(300, n))
+    pts = np.concatenate((states[:40] + 1e-9, rng.normal(size=(40, n)), -states[:5]))
+    assert basin_mod._nearest(pts, states).tolist() == [
+        int(np.argmin(np.sum((states - p) ** 2, axis=1))) for p in pts]
+
+
 def test_witness_scan_at_03_finds_saddles(rigid):
     comp = sublevel_component(rigid.system, MAJOR, 0.3,
                               SamplerConfig(cells_per_axis=48))
@@ -1784,6 +1911,43 @@ def test_trap_values_are_the_closed_forms(rigid):
             assert trap(np.array(pts)).tolist() == [expected] * len(basis)
 
 
+@pytest.mark.parametrize("case", ["rigid_major", "rigid_minus_major", "sphere4",
+                                  "sombrero_circle", "sombrero_certificate"])
+def test_trap_multipliers_are_the_per_state_lstsq(rigid, mexhat, monkeypatch, case):
+    # all states' multipliers come from one stacked solve, each bitwise the
+    # np.linalg.lstsq of dF^T mu = dG at its own state: an equilibrium's
+    # one, and the sombrero orbit's 100 phases
+    solved = []
+    stacked = basin_mod._lstsq_rows
+
+    def recording(a, b):
+        solved.append(stacked(a, b))
+        return solved[-1]
+
+    monkeypatch.setattr(basin_mod, "_lstsq_rows", recording)
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    if case == "sombrero_certificate":
+        system = mexhat.system
+        states = periodic_orbit_certify(system, _CI_ORBIT[0], 0.2, _CI_ORBIT[1],
+                                        n_trajectories=2, traj_seed=7).phase_states
+    elif case == "sombrero_circle":
+        system = mexhat.system
+        states = _circle_trap(system, cfg)[0].states
+    else:
+        system, x_e = {"rigid_major": (rigid.system, MAJOR),
+                       "rigid_minus_major": (rigid.system, -MAJOR),
+                       "sphere4": (_sphere_weights_4d(), np.eye(4)[0])}[case]
+        assert basin_mod._trap(system, basin_mod._equilibrium(x_e), 1e-4, cfg) is not None
+        states = x_e[None]
+    (mu,) = solved
+    assert len(mu) == len(states) == (100 if case.startswith("sombrero") else 1)
+    jac = np.stack([f.diffs(states) for f in system.conserved], axis=1)
+    dg = system.dissipated.diffs(states)
+    for j in range(len(states)):
+        want = np.linalg.lstsq(jac[j].T, dg[j], rcond=None)[0]
+        assert mu[j].tobytes() == want.tobytes(), j
+
+
 def test_no_trap_without_a_resolved_positive_curvature(rigid, mexhat):
     cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
     # a quartic bowl G = |x|^4 on the plane: L's Hessian vanishes at 0, and
@@ -2237,45 +2401,30 @@ def test_sampled_certificate_does_not_pass_above_the_threshold():
     assert passed == []
 
 
-def _rotated_quadric(n, seed=0):
-    """ROADMAP item 18's rotated quadric in n dimensions: a =
-    sort(uniform(0.5, 2, n)) and Q from the QR of a normal draw, F = |x|^2 /
-    2, G = x^T A x / 2 with A = Q diag(a) Q^T, and X = 0. On the unit sphere
-    G has its minimum a1 / 2 at +-Q e1 and its first saddle a2 / 2 at +-Q e2,
-    so a2 / 2 is the threshold of the target Q e1. Returns (system, a, Q)."""
-    rng = np.random.default_rng(seed)
-    a = np.sort(rng.uniform(0.5, 2.0, n))
-    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
-    A = q @ np.diag(a) @ q.T
-    A = 0.5 * (A + A.T)
-    system = DissipativeSystem(
-        X=VectorField(n, lambda x: np.zeros(x.shape), stacked=True),
-        conserved=(ScalarField(n, lambda x: 0.5 * np.sum(x * x, axis=-1),
-                               differential=lambda x: x.copy(), stacked=True),),
-        dissipated=ScalarField(n, lambda x: 0.5 * ((x @ A) * x).sum(-1),
-                               differential=lambda x: x @ A, stacked=True),
-        metric=MetricField.euclidean(n))
-    return system, a, q
-
-
 # a level 0.33% above the rotated quadric's threshold, at which the sampled
 # certificate of 2,048 samples with sampler seed 5 passes
 _QUADRIC_FALSE_PASS = 0.28164686
 
 
 def test_rotated_quadric_threshold_is_its_closed_form():
-    system, a, q = _rotated_quadric(4)
-    assert 0.5 * a[1] == pytest.approx(0.28073014, abs=1e-8)
-    assert 0.5 * a[1] < _QUADRIC_FALSE_PASS
-    for j in range(4):
-        assert system.dissipated(q[:, j]) == pytest.approx(0.5 * a[j], rel=1e-12)
-    assert system.conserved[0](q[:, 0]) == pytest.approx(0.5, rel=1e-15)
+    entry = rotated_quadric(4, 0)
+    system, axes = entry.system, entry.known_equilibria
+    threshold = entry.known_saddle_levels[0]
+    assert threshold == pytest.approx(0.28073014, abs=1e-8)
+    assert entry.known_min_level < threshold < _QUADRIC_FALSE_PASS
+    # G at +-Q e_j rises with j, from the minimum to the threshold next
+    levels = [system.dissipated(p) for p in axes]
+    assert levels[0] == pytest.approx(entry.known_min_level, rel=1e-12)
+    assert levels[2] == pytest.approx(threshold, rel=1e-12)
+    assert levels == sorted(levels)
+    for p in axes:
+        assert system.conserved[0](p) == pytest.approx(0.5, rel=1e-15)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP items 1 and 18")
 def test_sampled_certificate_does_not_pass_above_the_rotated_quadric_threshold():
-    system, _, q = _rotated_quadric(4)
-    cert = basin_certify(system, q[:, 0], _QUADRIC_FALSE_PASS,
+    entry = rotated_quadric(4, 0)
+    cert = basin_certify(entry.system, entry.known_equilibria[0], _QUADRIC_FALSE_PASS,
                          SamplerConfig(n_samples=2048, halfwidth=1.5, seed=5),
                          stability=AS, n_trajectories=4)
     assert not cert.passed
@@ -2290,14 +2439,16 @@ def test_grid_certificate_is_sharp_at_the_rotated_quadric_threshold():
     failed = {}
     for n in (2, 3):
         for seed in range(6):
-            system, a, q = _rotated_quadric(n, seed)
+            entry = from_name(f"rotated_quadric:{n},{seed}")
+            low, high = entry.known_min_level, entry.known_saddle_levels[0]
             for f in (1.02, 1.1, 0.9):
-                cert = basin_certify(system, q[:, 0], 0.5 * a[0] + f * 0.5 * (a[1] - a[0]),
+                cert = basin_certify(entry.system, entry.known_equilibria[0],
+                                     low + f * (high - low),
                                      SamplerConfig(cells_per_axis=32, halfwidth=1.5),
                                      stability=AS)
                 assert f < 1.0 or not cert.passed, (n, seed, f)
             if not cert.passed:
-                failed[n, seed] = (round(a[1] - a[0], 4), cert.reasons)
+                failed[n, seed] = (round(2.0 * (high - low), 4), cert.reasons)
     assert failed == {(2, 5): (0.0044, ["trajectories failed to converge to the target"])}
 
 

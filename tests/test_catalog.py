@@ -8,6 +8,7 @@ from geodiss.catalog import (
     mexican_hat,
     random_poly,
     rigid_body,
+    rotated_quadric,
 )
 from geodiss.errors import BadInertia, ConfigError
 from geodiss.fields import ScalarField, validate_conservation
@@ -21,6 +22,7 @@ def test_address_parsing_round_trip():
     assert from_name("gradient_only").name == "gradient_only:quadratic"
     assert from_name("gradient_only:quadratic").name == "gradient_only:quadratic"
     assert from_name("random_poly:5,3,7").name == "random_poly:5,3,7"
+    assert from_name("rotated_quadric:4,0").name == "rotated_quadric:4,0"
 
 
 @pytest.mark.parametrize("bad", [
@@ -30,6 +32,9 @@ def test_address_parsing_round_trip():
     "mexican_hat:1",           # takes no parameters
     "gradient_only:nope",      # unknown preset
     "random_poly:3",           # wrong arity
+    "rotated_quadric:3",       # wrong arity
+    "rotated_quadric:1,0",     # no sphere to sit on
+    "rotated_quadric:3,-1",    # a negative seed
 ])
 def test_bad_addresses_are_config_errors(bad):
     with pytest.raises(ConfigError):
@@ -221,3 +226,29 @@ def test_gradient_only_accepts_a_custom_field():
                    IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, t_end=t_end))
     exact = x0 / np.sqrt(1.0 + 2.0 * float(x0 @ x0) * t_end)
     assert np.max(np.abs(tr.final_state - exact)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_rotated_quadric_structure_is_its_closed_form(n):
+    # +-Q e_j are the degeneracy set's points on the unit sphere, with G =
+    # a_j / 2 there in increasing order; the sampler scales them to a leaf
+    entry = from_name(f"rotated_quadric:{n},{n + 3}")
+    system = entry.system
+    axes = np.array(entry.known_equilibria)
+    assert axes.shape == (2 * n, n)
+    assert np.allclose(axes @ axes.T, np.kron(np.eye(n), [[1.0, -1.0], [-1.0, 1.0]]),
+                       atol=1e-14)
+    levels = system.dissipated.values(axes)
+    assert np.all(np.diff(levels[::2]) > 0.0)
+    assert levels[0] == pytest.approx(entry.known_min_level, rel=1e-12)
+    assert levels[2] == pytest.approx(entry.known_saddle_levels[0], rel=1e-12)
+    assert 0.25 <= entry.known_min_level < entry.known_saddle_levels[0] <= 1.0
+    for p in axes:
+        assert classify_point(system, p).in_invariant_set
+    on_leaf = entry.inv_sampler(system.leaf_value(2.0 * axes[0]), 2 * n)
+    assert np.allclose(on_leaf, 2.0 * axes, rtol=1e-15, atol=0.0)
+    assert not entry.identity_only
+    report = validate_conservation(system, np.random.default_rng(n).normal(size=(8, n)))
+    assert report.passed and report.max_residual == 0.0
+    # the same seed draws the same system
+    assert rotated_quadric(n, n + 3).notes == entry.notes

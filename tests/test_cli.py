@@ -509,6 +509,23 @@ def test_basin_pass_with_assertion_and_members_dump(tmp_path, capsys):
     assert len(members) - 1 == report["componentSize"]
 
 
+def test_basin_names_the_rotated_quadric(tmp_path, capsys):
+    # the catalog's closed-form oracle by address: a level between its
+    # minimum and its threshold passes, one past the threshold fails
+    from geodiss.catalog import rotated_quadric
+
+    entry = rotated_quadric(3, 0)
+    low, high = entry.known_min_level, entry.known_saddle_levels[0]
+    base = {"system": "rotated_quadric:3,0", "target": entry.known_equilibria[0].tolist(),
+            "sampler": {"cells_per_axis": 16, "halfwidth": 1.5}, "n_trajectories": 2,
+            "proper_G_asserted": True}
+    for f, code in ((0.7, EXIT_OK), (1.5, EXIT_CERTIFICATE)):
+        cfg = _write(tmp_path, "rq.json", {**base, "level": low + f * (high - low)})
+        rc, out, _ = _run(capsys, ["basin", "--config", cfg])
+        assert rc == code, f
+        assert json.loads(out)["system"] == "rotated_quadric:3,0"
+
+
 def test_basin_members_dump_requires_out_dir(tmp_path, capsys):
     cfg = _write(tmp_path, "bas.json", {**BASIN_BASE, "dump_members": True})
     rc, _, err = _run(capsys, ["basin", "--config", cfg])

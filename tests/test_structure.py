@@ -1,4 +1,5 @@
 """Point classification, equilibrium search, stability, limit-set probes."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -864,3 +865,145 @@ def test_find_equilibria_is_the_point_by_point_search(name, max_iter, rigid, mex
     assert [(rep.location.tobytes(), rep.residual) for rep in reports] == [
         (x.tobytes(), rn) for x, rn in roots]
     assert [u.tobytes() for u in unresolved] == [u.tobytes() for u in ref_unresolved]
+
+
+def _lstsq_stacks():
+    """Stacks of least-squares problems: tall, square, wide, rank-deficient
+    (a duplicated column), zero, scaled far from 1, and of one matrix."""
+    rng = np.random.default_rng(11)
+    stacks = []
+    for m, n in [(4, 3), (6, 2), (3, 3), (2, 5), (1, 4), (5, 1)]:
+        for count in (1, 7):
+            stacks.append((rng.normal(size=(count, m, n)), rng.normal(size=(count, m))))
+    a = rng.normal(size=(9, 5, 3))
+    a[:, :, 2] = a[:, :, 0]
+    stacks.append((a, rng.normal(size=(9, 5))))
+    a = rng.normal(size=(6, 2, 4))
+    a[:, :, 3] = a[:, :, 1]
+    stacks.append((a, rng.normal(size=(6, 2))))
+    a = rng.normal(size=(5, 4, 3)) * 10.0 ** rng.integers(-150, 150, size=(5, 1, 1))
+    a[0] = 0.0
+    stacks.append((a, rng.normal(size=(5, 4))))
+    # a singular value between eps min(m, n) and eps max(m, n), relative
+    # to the largest: lstsq's rcond drops it
+    u = np.linalg.qr(rng.normal(size=(4, 5, 5)))[0][:, :, :3]
+    v = np.linalg.qr(rng.normal(size=(4, 3, 3)))[0]
+    stacks.append((u @ (np.array([1.0, 0.5, 9e-16])[:, None] * v.transpose(0, 2, 1)),
+                   rng.normal(size=(4, 5))))
+    # the Gauss-Newton layout: a transposed view of the central differences
+    stacks.append((rng.normal(size=(8, 3, 4)).transpose(0, 2, 1), rng.normal(size=(8, 4))))
+    return stacks
+
+
+@pytest.mark.parametrize("a, b", _lstsq_stacks())
+def test_stacked_lstsq_is_the_per_row_lstsq(a, b):
+    got = structure_mod._lstsq_rows(a, b)
+    assert got.shape == (len(a), a.shape[2])
+    for i in range(len(a)):
+        assert got[i].tobytes() == np.linalg.lstsq(a[i], b[i], rcond=None)[0].tobytes(), i
+
+
+def test_stacked_lstsq_raises_as_the_per_row_lstsq():
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(4, 5, 3)), rng.normal(size=(4, 5))
+    a[2, 1, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as ref:
+        np.linalg.lstsq(a[2], b[2], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        structure_mod._lstsq_rows(a, b)
+    assert str(got.value) == str(ref.value)
+    assert structure_mod._lstsq_rows(a[:0], b[:0]).shape == (0, 3)
+
+
+def _sick_neighbours(system, centre):
+    """The system with G's differential NaN at exactly the 2n
+    central-difference points about ``centre`` that both Gauss-Newton loops
+    take there, and the list of the points it was so asked at."""
+    h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(centre))
+    sick = set()
+    for i in range(len(centre)):
+        plus, minus = centre.copy(), centre.copy()
+        plus[i] += h[i]
+        minus[i] -= h[i]
+        sick |= {plus.tobytes(), minus.tobytes()}
+    hits = []
+    g = system.dissipated
+
+    def diff(p):
+        d = np.array(g.differential(p), dtype=float)
+        rows = p.reshape(-1, len(centre))
+        mask = np.array([row.tobytes() in sick for row in rows])
+        hits.extend(rows[mask])
+        d.reshape(rows.shape)[mask] = np.nan
+        return d
+
+    return dataclasses.replace(system, dissipated=dataclasses.replace(g, differential=diff)), hits
+
+
+def _reference_iterates(system, kind, x0):
+    """The reference run's iterates, one an iteration until it converges or
+    stays put, each with whether its full step gave it: its iteration then
+    evaluated the 2n differences and one trial."""
+    point_field, _, floor, newton_tol = _GN_FIELDS[kind]
+    field = point_field(system)
+    target = system.leaf_value(x0)
+
+    def run(max_iter):
+        calls = []
+        x, _, ok = _leaf_gauss_newton(lambda p: (calls.append(p), field(p))[1], system, x0,
+                                      target, max_iter, 20, floor, np.inf, newton_tol)
+        return x, ok, len(calls)
+
+    out = []
+    x, _, count = run(0)
+    for max_iter in range(1, 26):
+        x_new, ok, count_new = run(max_iter)
+        if x_new.tobytes() == x.tobytes():
+            break
+        out.append((x_new, count_new - count == 2 * x0.size + 1))
+        if ok:
+            break
+        x, count = x_new, count_new
+    return out
+
+
+@pytest.mark.parametrize("kind", ["refine", "equilibria"])
+def test_lockstep_gauss_newton_reads_merged_differences_only_where_a_row_goes_on(kind, mexhat):
+    # a full step is evaluated with its 2n central-difference points, which
+    # only a row that accepts it and iterates again reads as its Jacobian:
+    # a failure there counts for such a row alone, as in the reference,
+    # which evaluates them only then
+    system = mexhat.system
+    point_field, _, floor, newton_tol = _GN_FIELDS[kind]
+    field = point_field(system)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        x0 = rng.uniform(-1.2, 1.2, 3)
+        target = system.leaf_value(x0)
+        full = _leaf_gauss_newton(field, system, x0, target, 25, 20, floor, np.inf, newton_tol)
+        calls = []
+        cut = _leaf_gauss_newton(lambda p: (calls.append(p), field(p))[1], system, x0, target,
+                                 25, 1, floor, np.inf, newton_tol)
+        iterates = _reference_iterates(system, kind, x0)
+        # the run converges, one of its full steps is rejected (the run of
+        # one halving ends on it, unaccepted), and it takes a full step
+        # both before its last iteration and as its last
+        if (full[2] and not cut[2] and cut[0].tobytes() != calls[-1].tobytes()
+                and iterates[-1][1] and any(whole for _, whole in iterates[:-1])):
+            break
+    else:
+        pytest.fail("no start with a rejected, a further and a last full step")
+    # the one-halving run ends on its rejected full step; the reference
+    # reads the differences about its last iterate only for the
+    # stationarity test of the equilibrium search
+    cases = {"rejected": (calls[-1], False),
+             "goes_on": (next(x for x, whole in iterates[:-1] if whole), True),
+             "last": (iterates[-1][0], kind == "equilibria")}
+    for name, (centre, raises) in cases.items():
+        sick, hits = _sick_neighbours(system, centre)
+        ref = _gn_parity(sick, kind, x0[None], target[None], [np.inf], 25, 20)
+        assert (ref is None) == raises, name
+        # the lockstep loop evaluated the points with the full step
+        assert hits, name
+        if not raises:
+            assert ref[0][0].tobytes() == full[0].tobytes(), name
